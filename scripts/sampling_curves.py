@@ -6,7 +6,7 @@ import argparse
 import json
 from pathlib import Path
 
-from proctag.assess import SampleSpec, random_sample, sample, tag_coverage
+from proctag.assess import SampleSpec, sample, tag_coverage
 from proctag.tagnorm import TagProfile
 
 
@@ -39,7 +39,8 @@ def main():
         ratio = pct / 100
         greedy = coverage_of(sample(profiles, SampleSpec(mode="ratio", ratio=ratio)),
                              profiles)
-        rand = sum(coverage_of(random_sample(profiles, ratio, seed), profiles)
+        rand = sum(coverage_of(sample(profiles, SampleSpec(mode="random", ratio=ratio,
+                                                           seed=seed)), profiles)
                    for seed in range(args.seeds)) / args.seeds
         print(f"{pct:>5}% {greedy:>8.3f} {rand:>13.3f}")
 

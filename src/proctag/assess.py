@@ -3,13 +3,19 @@
 Complexity is the number of distinct tags in a dataset; diversity is the
 mean number of distinct tags per record. Selection runs in two phases:
 a greedy set-cover phase that maximizes new-tag coverage per pick, then a
-fill phase ordered by distinct-tag count. The selection sequence does not
+fill phase ordered by distinct-tag count. The greedy phase is lazy
+(Minoux's accelerated greedy, CELF): coverage gain only shrinks as tags get
+covered, so a stale gain bounds the fresh one and only the heap top is
+re-evaluated. It makes the same picks, in the same order and with the same
+tie-breaks, as a full rescan per pick. The selection sequence does not
 depend on the budget, so a smaller budget is always a prefix of a larger
-one.
+one. Mode ``random`` instead draws a uniform sample seeded by
+``SampleSpec.seed``.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 from dataclasses import dataclass
@@ -18,7 +24,7 @@ from typing import Any
 from .errors import ProcTagError
 from .tagnorm import TagProfile
 
-MODES = ("budget", "ratio", "coverage")
+MODES = ("budget", "ratio", "coverage", "random")
 
 
 class EmptyDataset(ProcTagError):
@@ -52,7 +58,8 @@ class DatasetAssessment:
 
 @dataclass(frozen=True)
 class SampleSpec:
-    """Which subset to select; exactly the field for the active mode is used."""
+    """Which subset to select; only the fields of the active mode are used
+    (``ratio`` and ``seed`` for ``random``)."""
 
     mode: str
     budget: int | None = None
@@ -65,10 +72,16 @@ class SampleSpec:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.mode == "budget" and (self.budget is None or self.budget < 0):
             raise ValueError("budget mode requires a non-negative budget")
-        if self.mode == "ratio" and (self.ratio is None or not 0 < self.ratio <= 1):
-            raise ValueError("ratio mode requires ratio in (0, 1]")
-        if self.mode == "coverage" and self.coverage_target is None:
-            raise ValueError("coverage mode requires coverage_target")
+        if self.mode in ("ratio", "random") and (self.ratio is None
+                                                 or not 0 < self.ratio <= 1):
+            raise ValueError(f"{self.mode} mode requires ratio in (0, 1]")
+        if self.mode == "coverage":
+            target = self.coverage_target
+            if target is None or not math.isfinite(target) or target < 0:
+                raise ValueError("coverage mode requires a finite, non-negative "
+                                 f"coverage_target, got {target!r}")
+            if target > 1.0:
+                raise InfeasibleCoverage(f"coverage target {target} exceeds 1.0")
 
 
 @dataclass(frozen=True)
@@ -122,38 +135,45 @@ def _selection_sequence(profiles: list[TagProfile]) -> tuple[list[TagProfile], l
     """Budget-independent pick order.
 
     Phase 1 greedily picks the record covering the most uncovered tags (ties:
-    larger distinct-tag count, then smaller record_id) until no pick gains
-    coverage. Phase 2 orders the rest by distinct-tag count descending, then
-    record_id; records with empty profiles therefore come last.
+    larger distinct-tag count, then smaller record_id, then earlier input)
+    until no pick gains coverage. Phase 2 orders the rest by distinct-tag
+    count descending, then record_id; records with empty profiles therefore
+    come last.
+
+    Heap keys hold each record's gain as of its last evaluation. Gains only
+    shrink, so a stale key never sorts after its fresh one: a top whose key
+    is fresh is the true best, and a stale top is re-keyed and sifted down.
     """
     tagsets = [set(p.tags) for p in profiles]
-    remaining = list(range(len(profiles)))
+    heap = [(-len(s), -len(s), p.record_id, i)
+            for i, (p, s) in enumerate(zip(profiles, tagsets))]
+    heapq.heapify(heap)
     covered: set[str] = set()
     phase1: list[int] = []
-    while remaining:
-        best = None
-        best_key = None
-        for i in remaining:
-            key = (-len(tagsets[i] - covered), -len(tagsets[i]), profiles[i].record_id)
-            if best_key is None or key < best_key:
-                best, best_key = i, key
-        if not tagsets[best] - covered:
+    while heap:
+        neg_gain, neg_size, record_id, i = heap[0]
+        fresh = -len(tagsets[i] - covered)
+        if fresh != neg_gain:
+            heapq.heapreplace(heap, (fresh, neg_size, record_id, i))
+        elif not fresh:
             break
-        covered |= tagsets[best]
-        phase1.append(best)
-        remaining.remove(best)
-    phase2 = sorted(remaining, key=lambda i: (-len(tagsets[i]), profiles[i].record_id))
+        else:
+            heapq.heappop(heap)
+            covered |= tagsets[i]
+            phase1.append(i)
+    # (-distinct-tag count, record_id, input index) of the unpicked records
+    phase2 = [entry[3] for entry in sorted(heap, key=lambda entry: entry[1:])]
     return [profiles[i] for i in phase1], [profiles[i] for i in phase2]
 
 
 def sample(profiles: list[TagProfile], spec: SampleSpec) -> list[str]:
     """Select record ids per the spec; deterministic for fixed inputs."""
     spec.validate()
+    if spec.mode == "random":
+        return random_sample(profiles, spec.ratio, spec.seed)
     n = len(profiles)
     phase1, phase2 = _selection_sequence(profiles)
     if spec.mode == "coverage":
-        if spec.coverage_target > 1.0:
-            raise InfeasibleCoverage(f"coverage target {spec.coverage_target} exceeds 1.0")
         universe: set[str] = set()
         for p in profiles:
             universe.update(p.tags)
@@ -176,7 +196,8 @@ def sample(profiles: list[TagProfile], spec: SampleSpec) -> list[str]:
 
 
 def random_sample(profiles: list[TagProfile], ratio: float, seed: int) -> list[str]:
-    """Uniform sample without replacement, reproducible per seed."""
+    """Uniform sample without replacement, reproducible per seed; what
+    ``sample`` runs in mode ``random``."""
     if not 0 < ratio <= 1:
         raise ValueError(f"ratio must be in (0, 1], got {ratio}")
     ids = [p.record_id for p in profiles]

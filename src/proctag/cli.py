@@ -321,17 +321,11 @@ def cmd_sample(args: argparse.Namespace) -> int:
     out_dir = Path(cfg.paths.output_dir)
     profiles = _profiles_from_tags_artifact(out_dir)
     mode = cfg.sampling.mode
-    if mode == "random":
-        if cfg.sampling.ratio is None:
-            raise ProcTagError("random sampling requires a ratio")
-        selected = assess_mod.random_sample(profiles, cfg.sampling.ratio,
-                                            cfg.sampling.seed)
-    else:
-        spec = assess_mod.SampleSpec(mode=mode, budget=cfg.sampling.budget,
-                                     ratio=cfg.sampling.ratio,
-                                     coverage_target=cfg.sampling.coverage,
-                                     seed=cfg.sampling.seed)
-        selected = assess_mod.sample(profiles, spec)
+    spec = assess_mod.SampleSpec(mode=mode, budget=cfg.sampling.budget,
+                                 ratio=cfg.sampling.ratio,
+                                 coverage_target=cfg.sampling.coverage,
+                                 seed=cfg.sampling.seed)
+    selected = assess_mod.sample(profiles, spec)
     chosen = set(selected)
     subset = [p for p in profiles if p.record_id in chosen]
     report = {
@@ -424,7 +418,7 @@ def _add_tag_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_sample_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--mode", choices=("budget", "ratio", "coverage", "random"))
+    p.add_argument("--mode", choices=assess_mod.MODES)
     p.add_argument("--budget", type=int)
     p.add_argument("--ratio", type=float)
     p.add_argument("--coverage", type=float)

@@ -367,7 +367,8 @@ class CachingBackend:
         completion = self.inner.complete(prompt, params, attempt=attempt)
         entry = {"prompt": prompt, "completion": completion,
                  "created_at": datetime.now(timezone.utc).isoformat()}
-        tmp = path.with_name(path.name + ".tmp")
+        # one temp file per writer: concurrent fills of one key must not share it
+        tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
         tmp.write_text(json.dumps(entry, ensure_ascii=False), encoding="utf-8")
         tmp.replace(path)
         return completion

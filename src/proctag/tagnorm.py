@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import threading
 from collections import Counter, deque
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
@@ -365,7 +366,8 @@ class CachingEmbedder:
         vec = self.inner.embed(tag)
         entry = {"tag": tag, "vector": [float(x) for x in vec],
                  "created_at": datetime.now(timezone.utc).isoformat()}
-        tmp = path.with_name(path.name + ".tmp")
+        # one temp file per writer: concurrent fills of one key must not share it
+        tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
         tmp.write_text(json.dumps(entry, ensure_ascii=False), encoding="utf-8")
         tmp.replace(path)
         return vec

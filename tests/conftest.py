@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import strategies as st
@@ -40,6 +42,33 @@ def random_box(rng: random.Random, width=PAGE_W, height=PAGE_H, max_side=300.0):
 @pytest.fixture
 def rng():
     return random.Random(20240)
+
+
+def run_together(fn, n_threads=4, timeout=10.0):
+    """Call ``fn()`` on ``n_threads`` threads released by one barrier, with a
+    short switch interval; return the exceptions they raised."""
+    barrier = threading.Barrier(n_threads, timeout=timeout)
+    errors: list[Exception] = []
+
+    def worker():
+        try:
+            barrier.wait()
+            fn()
+        except Exception as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads), "a filler thread hung"
+    return errors
 
 
 # ---------------------------------------------------------------------------

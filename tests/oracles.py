@@ -240,3 +240,31 @@ def min_cover_exhaustive(tagsets: list[set]) -> tuple[int, list[tuple[int, ...]]
 
 def harmonic(d: int) -> float:
     return sum(1.0 / i for i in range(1, d + 1))
+
+
+def selection_sequence_reference(profiles):
+    """Budget-independent pick order by a full rescan per pick.
+
+    Phase 1 greedily picks the record covering the most uncovered tags (ties:
+    larger distinct-tag count, then smaller record_id) until no pick gains
+    coverage. Phase 2 orders the rest by distinct-tag count descending, then
+    record_id; records with empty profiles therefore come last.
+    """
+    tagsets = [set(p.tags) for p in profiles]
+    remaining = list(range(len(profiles)))
+    covered: set[str] = set()
+    phase1: list[int] = []
+    while remaining:
+        best = None
+        best_key = None
+        for i in remaining:
+            key = (-len(tagsets[i] - covered), -len(tagsets[i]), profiles[i].record_id)
+            if best_key is None or key < best_key:
+                best, best_key = i, key
+        if not tagsets[best] - covered:
+            break
+        covered |= tagsets[best]
+        phase1.append(best)
+        remaining.remove(best)
+    phase2 = sorted(remaining, key=lambda i: (-len(tagsets[i]), profiles[i].record_id))
+    return [profiles[i] for i in phase1], [profiles[i] for i in phase2]

@@ -1,14 +1,17 @@
 from __future__ import annotations
 
 import math
+import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from proctag.assess import (EmptyDataset, EmptyVocabulary, InfeasibleCoverage,
-                            SampleSpec, ZeroBaseline, assess_dataset,
-                            complexity, diversity, efficacy, random_sample,
+                            SampleSpec, ZeroBaseline, _selection_sequence,
+                            assess_dataset, complexity, diversity, efficacy,
                             sample, tag_coverage)
 from proctag.tagnorm import TagProfile
 
@@ -23,6 +26,28 @@ def random_instance(rng, max_records=12, max_tags=9):
     n = rng.randint(2, max_records)
     return [prof(f"r{i:02d}", rng.sample(universe, rng.randint(0, min(4, n_tags))))
             for i in range(n)]
+
+
+def random_spec(ratio, seed):
+    return SampleSpec(mode="random", ratio=ratio, seed=seed)
+
+
+# tiny vocabularies and id pools force equal-gain ties, duplicate record_ids,
+# repeated tags within a profile and empty profiles
+selection_instance = st.integers(1, 8).flatmap(lambda n_tags: st.integers(1, 12).flatmap(
+    lambda n_ids: st.lists(
+        st.builds(prof, st.sampled_from([f"r{i}" for i in range(n_ids)]),
+                  st.lists(st.sampled_from([f"t{i}" for i in range(n_tags)]), max_size=6)),
+        max_size=30)))
+
+
+def assert_same_sequence(profiles):
+    """Both phases pick the same input positions as the exhaustive oracle."""
+    position = {id(p): i for i, p in enumerate(profiles)}
+    got = _selection_sequence(profiles)
+    want = oracles.selection_sequence_reference(profiles)
+    for got_phase, want_phase in zip(got, want):
+        assert [position[id(p)] for p in got_phase] == [position[id(p)] for p in want_phase]
 
 
 # the unique minimum cover is the three disjoint triples r1, r2, r3
@@ -179,7 +204,7 @@ class TestSample:
                                       profiles)
             total = 0.0
             for seed in range(120):
-                ids = set(random_sample(profiles, k / n, seed))
+                ids = set(sample(profiles, random_spec(k / n, seed)))
                 subset = [p for p in profiles if p.record_id in ids]
                 total += tag_coverage(subset, profiles) if subset else 0.0
             assert greedy_cov >= total / 120 - 1e-9
@@ -192,14 +217,41 @@ class TestSample:
         with pytest.raises(ValueError):
             sample(TOY_8, SampleSpec(mode="ratio", ratio=1.5))
 
+    @pytest.mark.parametrize("target", [None, math.nan, math.inf, -math.inf, -0.1])
+    def test_missing_non_finite_or_negative_coverage_target_rejected(self, target):
+        with pytest.raises(ValueError):
+            sample(TOY_8, SampleSpec(mode="coverage", coverage_target=target))
+
+
+class TestSelectionSequence:
+    @settings(max_examples=300, deadline=None)
+    @given(profiles=selection_instance)
+    def test_matches_exhaustive_oracle(self, profiles):
+        assert_same_sequence(profiles)
+
+    def test_matches_exhaustive_oracle_on_zipf_corpus(self):
+        rng = random.Random(2407)
+        vocab = [f"t{k:03d}" for k in range(200)]
+        weights = [1 / (k + 1) for k in range(200)]
+        profiles = [prof(f"r{i:04d}", rng.choices(vocab, weights, k=rng.randint(2, 8)))
+                    for i in range(2000)]
+        assert len(_selection_sequence(profiles)[0]) > 50  # many picks re-key stale gains
+        assert_same_sequence(profiles)
+
 
 class TestRandomSample:
     def test_ratio_one_takes_all(self):
-        ids = random_sample(TOY_8, 1.0, seed=1)
+        ids = sample(TOY_8, random_spec(1.0, seed=1))
         assert sorted(ids) == sorted(p.record_id for p in TOY_8)
 
     def test_same_seed_same_sample(self):
-        assert random_sample(TOY_8, 0.5, seed=9) == random_sample(TOY_8, 0.5, seed=9)
+        assert sample(TOY_8, random_spec(0.5, seed=9)) == sample(TOY_8, random_spec(0.5, seed=9))
+
+    def test_seed_drives_the_documented_draw(self):
+        ids = [p.record_id for p in TOY_8]
+        for seed in range(5):
+            expected = random.Random(seed).sample(ids, math.ceil(0.4 * len(ids)))
+            assert sample(TOY_8, random_spec(0.4, seed)) == expected
 
     def test_monte_carlo_uniformity(self):
         # 500 seeds keeps the +-0.1 band at ~4.5 sigma per id
@@ -207,7 +259,7 @@ class TestRandomSample:
         counts: Counter = Counter()
         n_seeds = 500
         for seed in range(n_seeds):
-            ids = random_sample(profiles, 0.5, seed)
+            ids = sample(profiles, random_spec(0.5, seed))
             assert len(ids) == 500
             counts.update(ids)
         freqs = [counts[p.record_id] / n_seeds for p in profiles]
@@ -215,7 +267,7 @@ class TestRandomSample:
 
     def test_ratio_bounds(self):
         with pytest.raises(ValueError):
-            random_sample(TOY_8, 0.0, seed=0)
+            sample(TOY_8, random_spec(0.0, seed=0))
 
 
 class TestEfficacy:

@@ -8,6 +8,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 import oracles
+from conftest import run_together
 from proctag.ingest import InstructionRecord
 from proctag.procgen import (BackendError, BackendUnavailable, CachingBackend,
                              DecodeParams, Discarded, EmptyLedger,
@@ -226,6 +227,26 @@ class TestCachingBackend:
         backend.complete("p", DecodeParams(), attempt=1)
         backend.complete("p", DecodeParams(), attempt=2)
         assert len(list((tmp_path / "cache").glob("*.json"))) == 2
+
+    def test_concurrent_fills_of_one_key(self, tmp_path):
+        class SlowBackend:
+            """Answers only once all four fillers are inside it, so each of
+            them has missed the cache before any of them writes it."""
+
+            gate = threading.Barrier(4, timeout=10)
+
+            def complete(self, prompt, params=DecodeParams(), attempt=1):
+                self.gate.wait()
+                return MockBackend().complete(prompt, params, attempt)
+
+        backend = CachingBackend(tmp_path, inner=SlowBackend())
+        prompts = [f"Total of column {i}?" for i in range(40)]
+        for prompt in prompts:
+            assert run_together(lambda: backend.complete(prompt, DecodeParams())) == []
+        entries = list(tmp_path.iterdir())
+        assert len(entries) == len(prompts) and all(e.suffix == ".json" for e in entries)
+        got = sorted(json.loads(e.read_text(encoding="utf-8"))["completion"] for e in entries)
+        assert got == sorted(MockBackend().complete(p, DecodeParams()) for p in prompts)
 
 
 class _ChatHandler(BaseHTTPRequestHandler):

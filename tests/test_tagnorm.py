@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import json
 import math
 import random
+import threading
 
 import numpy as np
 import pytest
 
 import oracles
+from conftest import run_together
 from proctag.tagnorm import (AdjacentPairStat, CachingEmbedder, ClusterAssignment,
                              DegenerateMerge, HashingEmbedder, TagProfile,
                              ZeroVector, aggregate_pairs, apply_clusters,
@@ -286,6 +289,27 @@ class TestHashingEmbedder:
         v1 = emb.embed("find_table")
         replay = CachingEmbedder(tmp_path, inner=None)
         assert np.allclose(replay.embed("find_table"), v1)
+
+    def test_concurrent_fills_of_one_key(self, tmp_path):
+        class SlowEmbedder:
+            """Answers only once all four fillers are inside it, so each of
+            them has missed the cache before any of them writes it."""
+
+            gate = threading.Barrier(4, timeout=10)
+
+            def embed(self, tag):
+                self.gate.wait()
+                return HashingEmbedder().embed(tag)
+
+        emb = CachingEmbedder(tmp_path, inner=SlowEmbedder())
+        tags = [f"find_table_{i}" for i in range(40)]
+        for tag in tags:
+            assert run_together(lambda: emb.embed(tag)) == []
+        entries = list(tmp_path.iterdir())
+        assert len(entries) == len(tags) and all(e.suffix == ".json" for e in entries)
+        for entry in entries:
+            cached = json.loads(entry.read_text(encoding="utf-8"))
+            assert np.allclose(cached["vector"], HashingEmbedder().embed(cached["tag"]))
 
 
 class TestNormalizeCorpus:
