@@ -5,7 +5,10 @@ Each stage writes one immutable artifact named ``<stage>-<digest>.<ext>``
 under the output directory (digest of the file content) plus a
 ``manifest.json`` index, and reads only prior-stage artifacts through that
 manifest. Re-running a stage over unchanged inputs reproduces its artifact
-byte for byte. Exit codes: 0 success, 1 data error, 2 usage error.
+byte for byte. ``pipeline`` loads the dataset once and hands each stage's
+results to the next in memory; it writes the same artifacts, byte for byte,
+as running the stages one by one. Exit codes: 0 success, 1 data error,
+2 usage error.
 """
 
 from __future__ import annotations
@@ -15,14 +18,14 @@ import hashlib
 import json
 import sys
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable
 
 from . import assess as assess_mod
 from . import procgen, tagnorm, tagparse
-from .config import PipelineConfig, load_config
+from .config import ConfigError, PipelineConfig, load_config
 from .errors import ProcTagError
-from .ingest import (Dataset, IoFailure, dumps_json, load_dataset,
-                     load_pages_dir, record_to_dict)
+from .ingest import (Dataset, InstructionRecord, IoFailure, atomic_write_text,
+                     dumps_json, load_dataset, load_pages_dir, record_to_dict)
 from .layout import associate, clean_inputs
 from .metrics import Prediction, ConfusionMatrix, anls, kappa_report
 from .render import (PLAINTEXT, SPATIAL, STYLES,
@@ -36,23 +39,17 @@ MANIFEST = "manifest.json"
 # stage artifact plumbing
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    tmp.replace(path)
-
-
 def _write_stage(output_dir: Path, stage: str, content: str, ext: str) -> Path:
     output_dir.mkdir(parents=True, exist_ok=True)
     digest = hashlib.sha256(content.encode("utf-8")).hexdigest()[:12]
     name = f"{stage}-{digest}.{ext}"
-    _atomic_write(output_dir / name, content)
+    atomic_write_text(output_dir / name, content)
     manifest_path = output_dir / MANIFEST
     manifest: dict[str, str] = {}
     if manifest_path.exists():
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     manifest[stage] = name
-    _atomic_write(manifest_path, dumps_json(manifest) + "\n")
+    atomic_write_text(manifest_path, dumps_json(manifest) + "\n")
     return output_dir / name
 
 
@@ -70,49 +67,59 @@ def _read_stage(output_dir: Path, stage: str) -> Path:
 
 
 def _read_jsonl(path: Path) -> list[dict[str, Any]]:
-    return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()
+    # split on "\n" only: str.splitlines() also breaks at U+2028, U+0085 and
+    # the like, which canonical JSON leaves unescaped inside strings
+    return [json.loads(line) for line in path.read_text(encoding="utf-8").split("\n")
             if line.strip()]
 
 
-def _records_jsonl(records: list[dict[str, Any]]) -> str:
-    return "".join(dumps_json(r) + "\n" for r in records)
+def _jsonl(objs: Iterable[dict[str, Any]]) -> str:
+    return "".join(dumps_json(obj) + "\n" for obj in objs)
 
 
 # ---------------------------------------------------------------------------
 # config / flag plumbing
 
 
+# argparse dest -> (config section, key); every config key has a flag
+CONFIG_FLAGS = {
+    "dataset": ("paths", "dataset"),
+    "pages": ("paths", "pages"),
+    "out": ("paths", "output_dir"),
+    "cache_dir": ("paths", "gen_cache_dir"),
+    "embed_cache_dir": ("paths", "embed_cache_dir"),
+    "nms_iou_threshold": ("layout", "nms_iou_threshold"),
+    "row_tolerance_factor": ("layout", "row_tolerance_factor"),
+    "style": ("render", "style"),
+    "max_chars": ("render", "max_chars"),
+    "backend": ("generation", "backend"),
+    "max_inflight": ("generation", "max_inflight"),
+    "temperature": ("generation", "temperature"),
+    "model": ("generation", "model"),
+    "min_count": ("tagging", "min_count"),
+    "dbscan_eps": ("tagging", "dbscan_eps"),
+    "dbscan_min_pts": ("tagging", "dbscan_min_pts"),
+    "min_support": ("tagging", "min_support"),
+    "min_confidence": ("tagging", "min_confidence"),
+    "embedder": ("tagging", "embedder"),
+    "mode": ("sampling", "mode"),
+    "budget": ("sampling", "budget"),
+    "ratio": ("sampling", "ratio"),
+    "coverage": ("sampling", "coverage"),
+    "seed": ("sampling", "seed"),
+}
+
+
 def _effective_config(args: argparse.Namespace) -> PipelineConfig:
     cfg = load_config(args.config) if getattr(args, "config", None) else PipelineConfig()
-    overrides = {
-        "dataset": ("paths", "dataset"),
-        "pages": ("paths", "pages"),
-        "out": ("paths", "output_dir"),
-        "cache_dir": ("paths", "gen_cache_dir"),
-        "embed_cache_dir": ("paths", "embed_cache_dir"),
-        "nms_iou_threshold": ("layout", "nms_iou_threshold"),
-        "row_tolerance_factor": ("layout", "row_tolerance_factor"),
-        "style": ("render", "style"),
-        "max_chars": ("render", "max_chars"),
-        "backend": ("generation", "backend"),
-        "max_inflight": ("generation", "max_inflight"),
-        "temperature": ("generation", "temperature"),
-        "min_count": ("tagging", "min_count"),
-        "dbscan_eps": ("tagging", "dbscan_eps"),
-        "dbscan_min_pts": ("tagging", "dbscan_min_pts"),
-        "min_support": ("tagging", "min_support"),
-        "min_confidence": ("tagging", "min_confidence"),
-        "embedder": ("tagging", "embedder"),
-        "mode": ("sampling", "mode"),
-        "budget": ("sampling", "budget"),
-        "ratio": ("sampling", "ratio"),
-        "coverage": ("sampling", "coverage"),
-        "seed": ("sampling", "seed"),
-    }
-    for flag, (section, key) in overrides.items():
+    for flag, (section, key) in CONFIG_FLAGS.items():
         value = getattr(args, flag, None)
         if value is not None:
             setattr(getattr(cfg, section), key, value)
+    inflight = cfg.generation.max_inflight
+    if isinstance(inflight, bool) or not isinstance(inflight, int) or inflight < 1:
+        raise ConfigError(f"generation.max_inflight must be an integer >= 1, "
+                          f"got {inflight!r}")
     return cfg
 
 
@@ -160,42 +167,35 @@ def _make_embedder(cfg: PipelineConfig) -> tagnorm.EmbeddingProvider:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# stages: each takes its inputs as objects, writes its artifact(s), and
+# returns its outputs for the next stage
 
 
-def cmd_render(args: argparse.Namespace) -> int:
-    cfg = _effective_config(args)
-    if args.in_dir:
-        # standalone mode: one representation file per page file
-        pages = load_pages_dir(args.in_dir)
-        out_dir = Path(args.out if args.out else "reps")
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for page_id, page in pages.items():
-            rep = _render_page(page, cfg)
-            _atomic_write(out_dir / f"{page_id}.json", dumps_json(rep.to_dict()) + "\n")
-        print(f"rendered {len(pages)} pages to {out_dir}")
-        return 0
-    dataset = _load_dataset(cfg)
-    lines = "".join(dumps_json(_render_page(page, cfg).to_dict()) + "\n"
-                    for page in dataset.pages.values())
-    path = _write_stage(Path(cfg.paths.output_dir), "render", lines, "jsonl")
-    print(f"rendered {len(dataset.pages)} pages -> {path}")
-    return 0
+def render_stage(dataset: Dataset, cfg: PipelineConfig,
+                 out_dir: Path) -> dict[str, DocumentRepresentation]:
+    """Render every page; returns the representations by page id."""
+    reps = [_render_page(page, cfg) for page in dataset.pages.values()]
+    path = _write_stage(out_dir, "render", _jsonl(rep.to_dict() for rep in reps), "jsonl")
+    print(f"rendered {len(reps)} pages -> {path}")
+    return {rep.page_id: rep for rep in reps}
 
 
-def cmd_generate(args: argparse.Namespace) -> int:
-    cfg = _effective_config(args)
-    dataset = _load_dataset(cfg)
-    out_dir = Path(cfg.paths.output_dir)
-    reps = {obj["page_id"]: DocumentRepresentation.from_dict(obj)
-            for obj in _read_jsonl(_read_stage(out_dir, "render"))}
+def generate_stage(records: list[InstructionRecord],
+                   reps: dict[str, DocumentRepresentation], cfg: PipelineConfig,
+                   out_dir: Path) -> tuple[list[dict[str, Any]], procgen.GenerationLedger]:
+    """Generate one execution process per record; returns the annotated
+    records and the ledger."""
     backend = _make_backend(cfg)
     ledger = procgen.GenerationLedger()
     params = procgen.DecodeParams(temperature=cfg.generation.temperature)
-    results = procgen.generate_all(dataset.records, reps, backend, ledger,
-                                   params=params, max_inflight=cfg.generation.max_inflight)
+    # Only the remote backend waits on the network. Mock and cache replay
+    # compute in Python, where pool threads only contend for the
+    # interpreter lock, so they run in-process.
+    inflight = cfg.generation.max_inflight if cfg.generation.backend == "remote" else 1
+    results = procgen.generate_all(records, reps, backend, ledger,
+                                   params=params, max_inflight=inflight)
     out_records: list[dict[str, Any]] = []
-    for rec, result in zip(dataset.records, results):
+    for rec, result in zip(records, results):
         ann = dict(rec.annotations)
         rep = reps[rec.page_id]
         ann["representation"] = {
@@ -213,30 +213,28 @@ def cmd_generate(args: argparse.Namespace) -> int:
         obj = record_to_dict(rec)
         obj["annotations"] = ann
         out_records.append(obj)
-    path = _write_stage(out_dir, "generate", _records_jsonl(out_records), "jsonl")
+    path = _write_stage(out_dir, "generate", _jsonl(out_records), "jsonl")
     _write_stage(out_dir, "ledger", dumps_json(ledger.to_dict()) + "\n", "json")
     rate = procgen.discard_rate(ledger) if ledger.total else 0.0
     print(f"generated {ledger.succeeded}/{ledger.total} processes "
           f"(discard rate {rate:.4f}) -> {path}")
-    return 0
+    return out_records, ledger
 
 
-def _extract_tags(records: list[dict[str, Any]]) -> list[dict[str, Any]]:
+def extract_stage(records: list[dict[str, Any]], out_dir: Path) -> list[dict[str, Any]]:
+    """Extract each generated record's raw tag sequence; returns the tagged
+    records."""
     out = []
     for obj in records:
         ann = dict(obj.get("annotations", {}))
-        record_id = obj["record_id"]
         steps = None
         completion = None
         if "process" in ann:
-            steps = [tagparse.ProcessStep(index=s["index"], output_var=s["output_var"],
-                                          function_name=s["function_name"],
-                                          args=list(s["args"]))
-                     for s in ann["process"]["steps"]]
+            steps = procgen.ExecutionProcess.from_dict(ann["process"]).steps
         elif "discarded" in ann:
             completion = ann["discarded"].get("last_completion")
         try:
-            seq = tagparse.extract_function_names(record_id, steps=steps,
+            seq = tagparse.extract_function_names(obj["record_id"], steps=steps,
                                                   completion=completion)
             ann["tags"] = {"raw": seq.tags, "source": seq.source}
         except tagparse.NoTags:
@@ -244,11 +242,15 @@ def _extract_tags(records: list[dict[str, Any]]) -> list[dict[str, Any]]:
         obj = dict(obj)
         obj["annotations"] = ann
         out.append(obj)
+    path = _write_stage(out_dir, "tags_raw", _jsonl(out), "jsonl")
+    print(f"extracted raw tags for {len(out)} records -> {path}")
     return out
 
 
-def _normalize_tags(records: list[dict[str, Any]], cfg: PipelineConfig,
+def normalize_stage(records: list[dict[str, Any]], cfg: PipelineConfig, out_dir: Path,
                     ) -> tuple[list[dict[str, Any]], dict[str, Any]]:
+    """Filter, cluster and aggregate the raw tags; returns the records with
+    every stage's tags and the vocabulary report."""
     profiles = [tagnorm.TagProfile(record_id=obj["record_id"],
                                    tags=list(obj["annotations"]["tags"]["raw"]),
                                    source=obj["annotations"]["tags"]["source"])
@@ -279,31 +281,16 @@ def _normalize_tags(records: list[dict[str, Any]], cfg: PipelineConfig,
                      for cid, members in result.assignment.members().items()},
         "merges": result.merges,
     }
+    del profiles, result  # the per-stage profiles are not needed while writing
+    path = _write_stage(out_dir, "tags", _jsonl(out), "jsonl")
+    _write_stage(out_dir, "vocab", dumps_json(vocab_report) + "\n", "json")
+    print(f"normalized tags for {len(out)} records "
+          f"({len(vocab_report['merges'])} merges) -> {path}")
     return out, vocab_report
 
 
-def cmd_tag(args: argparse.Namespace) -> int:
-    cfg = _effective_config(args)
-    out_dir = Path(cfg.paths.output_dir)
-    stage = args.stage
-    if stage in ("extract", "all"):
-        records = _read_jsonl(_read_stage(out_dir, "generate"))
-        tagged = _extract_tags(records)
-        path = _write_stage(out_dir, "tags_raw", _records_jsonl(tagged), "jsonl")
-        print(f"extracted raw tags for {len(tagged)} records -> {path}")
-    if stage in ("normalize", "all"):
-        records = _read_jsonl(_read_stage(out_dir, "tags_raw"))
-        tagged, vocab_report = _normalize_tags(records, cfg)
-        path = _write_stage(out_dir, "tags", _records_jsonl(tagged), "jsonl")
-        _write_stage(out_dir, "vocab", dumps_json(vocab_report) + "\n", "json")
-        n_merges = len(vocab_report["merges"])
-        print(f"normalized tags for {len(tagged)} records "
-              f"({n_merges} merges) -> {path}")
-    return 0
-
-
-def _profiles_from_tags_artifact(out_dir: Path) -> list[tagnorm.TagProfile]:
-    records = _read_jsonl(_read_stage(out_dir, "tags"))
+def profiles_from_tags(records: list[dict[str, Any]]) -> list[tagnorm.TagProfile]:
+    """Aggregated-stage profiles of normalized records."""
     profiles = []
     for obj in records:
         tags_ann = obj.get("annotations", {}).get("tags", {})
@@ -316,10 +303,9 @@ def _profiles_from_tags_artifact(out_dir: Path) -> list[tagnorm.TagProfile]:
     return profiles
 
 
-def cmd_sample(args: argparse.Namespace) -> int:
-    cfg = _effective_config(args)
-    out_dir = Path(cfg.paths.output_dir)
-    profiles = _profiles_from_tags_artifact(out_dir)
+def sample_stage(profiles: list[tagnorm.TagProfile], cfg: PipelineConfig,
+                 out_dir: Path) -> None:
+    """Select a subset by the configured mode and write the sample report."""
     mode = cfg.sampling.mode
     spec = assess_mod.SampleSpec(mode=mode, budget=cfg.sampling.budget,
                                  ratio=cfg.sampling.ratio,
@@ -338,13 +324,67 @@ def cmd_sample(args: argparse.Namespace) -> int:
     }
     path = _write_stage(out_dir, "sample", dumps_json(report) + "\n", "json")
     print(f"selected {len(selected)}/{len(profiles)} records -> {path}")
+
+
+# ---------------------------------------------------------------------------
+# subcommands: standalone ones read their inputs through the manifest
+
+
+def _stage_records(out_dir: Path, stage: str) -> list[dict[str, Any]]:
+    return _read_jsonl(_read_stage(out_dir, stage))
+
+
+def cmd_render(args: argparse.Namespace) -> int:
+    cfg = _effective_config(args)
+    if args.in_dir:
+        # standalone mode: one representation file per page file
+        pages = load_pages_dir(args.in_dir)
+        out_dir = Path(args.out if args.out else "reps")
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for page_id, page in pages.items():
+            rep = _render_page(page, cfg)
+            atomic_write_text(out_dir / f"{page_id}.json", dumps_json(rep.to_dict()) + "\n")
+        print(f"rendered {len(pages)} pages to {out_dir}")
+        return 0
+    render_stage(_load_dataset(cfg), cfg, Path(cfg.paths.output_dir))
+    return 0
+
+
+def cmd_generate(args: argparse.Namespace) -> int:
+    cfg = _effective_config(args)
+    dataset = _load_dataset(cfg)
+    out_dir = Path(cfg.paths.output_dir)
+    reps = {obj["page_id"]: DocumentRepresentation.from_dict(obj)
+            for obj in _stage_records(out_dir, "render")}
+    generate_stage(dataset.records, reps, cfg, out_dir)
+    return 0
+
+
+def cmd_tag(args: argparse.Namespace) -> int:
+    cfg = _effective_config(args)
+    out_dir = Path(cfg.paths.output_dir)
+    stage = args.stage
+    records = None
+    if stage in ("extract", "all"):
+        records = extract_stage(_stage_records(out_dir, "generate"), out_dir)
+    if stage in ("normalize", "all"):
+        if records is None:
+            records = _stage_records(out_dir, "tags_raw")
+        normalize_stage(records, cfg, out_dir)
+    return 0
+
+
+def cmd_sample(args: argparse.Namespace) -> int:
+    cfg = _effective_config(args)
+    out_dir = Path(cfg.paths.output_dir)
+    sample_stage(profiles_from_tags(_stage_records(out_dir, "tags")), cfg, out_dir)
     return 0
 
 
 def cmd_assess(args: argparse.Namespace) -> int:
     cfg = _effective_config(args)
     out_dir = Path(cfg.paths.output_dir)
-    profiles = _profiles_from_tags_artifact(out_dir)
+    profiles = profiles_from_tags(_stage_records(out_dir, "tags"))
     report = assess_mod.assess_dataset(profiles).to_dict()
     _write_stage(out_dir, "assess", dumps_json(report) + "\n", "json")
     print(dumps_json(report))
@@ -373,12 +413,18 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
-    for fn in (cmd_render, cmd_generate, cmd_tag, cmd_sample):
-        if fn is cmd_tag:
-            args.stage = "all"
-        code = fn(args)
-        if code != 0:
-            return code
+    cfg = _effective_config(args)
+    out_dir = Path(cfg.paths.output_dir)
+    # each stage's input is dropped once the next stage has consumed it
+    dataset = _load_dataset(cfg)
+    reps = render_stage(dataset, cfg, out_dir)
+    records, _ledger = generate_stage(dataset.records, reps, cfg, out_dir)
+    del dataset, reps
+    records = extract_stage(records, out_dir)
+    records, _vocab = normalize_stage(records, cfg, out_dir)
+    profiles = profiles_from_tags(records)
+    del records
+    sample_stage(profiles, cfg, out_dir)
     return 0
 
 
@@ -405,6 +451,7 @@ def _add_generate_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-inflight", type=int, dest="max_inflight")
     p.add_argument("--cache-dir", dest="cache_dir")
     p.add_argument("--temperature", type=float)
+    p.add_argument("--model", help="model name sent to the remote backend")
 
 
 def _add_tag_flags(p: argparse.ArgumentParser) -> None:

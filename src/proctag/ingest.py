@@ -12,7 +12,9 @@ from __future__ import annotations
 import json
 import logging
 import math
+import os
 import re
+import threading
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any
@@ -358,12 +360,19 @@ def load_dataset(path: Path | str, pages_dir: Path | str | None = None) -> Datas
     return Dataset(records=records, pages=pages)
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
+def atomic_write_text(path: Path, text: str) -> None:
+    """Write UTF-8 text so that readers see the old file or the whole new one.
+
+    Each writer gets its own temp name (pid and thread id), so concurrent
+    writers of one path never rename each other's temp file away; the last
+    rename wins.
+    """
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
         tmp.write_text(text, encoding="utf-8")
         tmp.replace(path)
     except OSError as exc:
+        tmp.unlink(missing_ok=True)
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
@@ -371,7 +380,7 @@ _SAFE_PAGE_ID = re.compile(r"^[\w.-]+$")
 
 
 def write_page(page: DocumentPage, path: Path | str) -> None:
-    _atomic_write_text(Path(path), dumps_json(_page_to_dict(page)) + "\n")
+    atomic_write_text(Path(path), dumps_json(_page_to_dict(page)) + "\n")
 
 
 def write_dataset(dataset: Dataset, path: Path | str, pages_dir: Path | str | None = None) -> None:
@@ -383,7 +392,7 @@ def write_dataset(dataset: Dataset, path: Path | str, pages_dir: Path | str | No
     except OSError as exc:
         raise IoFailure(f"cannot create dataset directories: {exc}") from exc
     lines = [dumps_json(record_to_dict(r)) for r in dataset.records]
-    _atomic_write_text(records_path, "\n".join(lines) + ("\n" if lines else ""))
+    atomic_write_text(records_path, "\n".join(lines) + ("\n" if lines else ""))
     for page in dataset.pages.values():
         if not _SAFE_PAGE_ID.match(page.page_id):
             raise IoFailure(f"page_id {page.page_id!r} is not filesystem-safe")

@@ -25,7 +25,7 @@ from typing import Any, Protocol
 import requests
 
 from .errors import ProcTagError
-from .ingest import InstructionRecord
+from .ingest import InstructionRecord, atomic_write_text
 from .render import DocumentRepresentation
 from .tagparse import GrammarViolation, ProcessStep, parse_pseudocode
 
@@ -367,8 +367,5 @@ class CachingBackend:
         completion = self.inner.complete(prompt, params, attempt=attempt)
         entry = {"prompt": prompt, "completion": completion,
                  "created_at": datetime.now(timezone.utc).isoformat()}
-        # one temp file per writer: concurrent fills of one key must not share it
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
-        tmp.write_text(json.dumps(entry, ensure_ascii=False), encoding="utf-8")
-        tmp.replace(path)
+        atomic_write_text(path, json.dumps(entry, ensure_ascii=False))
         return completion

@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import threading
 from collections import Counter, deque
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
@@ -24,6 +23,7 @@ import numpy as np
 import requests
 
 from .errors import ProcTagError
+from .ingest import atomic_write_text
 from .tagparse import collapse_adjacent, normalize_name
 
 STAGES = ("raw", "filtered", "clustered", "aggregated")
@@ -366,10 +366,7 @@ class CachingEmbedder:
         vec = self.inner.embed(tag)
         entry = {"tag": tag, "vector": [float(x) for x in vec],
                  "created_at": datetime.now(timezone.utc).isoformat()}
-        # one temp file per writer: concurrent fills of one key must not share it
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
-        tmp.write_text(json.dumps(entry, ensure_ascii=False), encoding="utf-8")
-        tmp.replace(path)
+        atomic_write_text(path, json.dumps(entry, ensure_ascii=False))
         return vec
 
 

@@ -1,15 +1,20 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
 
+from proctag import cli, procgen
 from proctag.cli import run
 from proctag.config import (PipelineConfig, config_from_dict, dump_config,
                             load_config)
-from proctag.ingest import write_dataset
+from proctag.ingest import load_dataset, write_dataset
+from proctag.render import DocumentRepresentation
 from proctag.synth import make_dataset
 
 
@@ -27,6 +32,35 @@ def demo_dataset(tmp_path):
 
 def _base_args(demo_dataset, out):
     return ["--dataset", str(demo_dataset / "records.jsonl"), "--out", str(out)]
+
+
+def _fill_mock_cache(demo_dataset, tmp_path, style):
+    """A completion cache filled by the mock backend over the dataset's
+    renderings in ``style``, as a live backend would leave it."""
+    out = tmp_path / "fill"
+    assert run(["render", "--style", style] + _base_args(demo_dataset, out)) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    reps = {obj["page_id"]: DocumentRepresentation.from_dict(obj)
+            for obj in map(json.loads, (out / manifest["render"]).read_text().splitlines())}
+    cache = tmp_path / "cache"
+    procgen.generate_all(load_dataset(demo_dataset / "records.jsonl").records, reps,
+                         procgen.CachingBackend(cache, inner=procgen.MockBackend()),
+                         procgen.GenerationLedger(), max_inflight=1)
+    return cache
+
+
+def _stagewise_and_chained(demo_dataset, tmp_path, style, gen_flags):
+    """Directory digests of the stages run one by one and of ``pipeline``."""
+    a = tmp_path / "stagewise"
+    base = _base_args(demo_dataset, a)
+    for argv in (["render", "--style", style], ["generate"] + gen_flags,
+                 ["tag", "--stage", "extract"], ["tag", "--stage", "normalize"],
+                 ["sample", "--mode", "ratio", "--ratio", "0.5"]):
+        assert run(argv + base) == 0
+    b = tmp_path / "chained"
+    assert run(["pipeline", "--style", style, "--mode", "ratio", "--ratio", "0.5"]
+               + gen_flags + _base_args(demo_dataset, b)) == 0
+    return _dir_digests(a), _dir_digests(b)
 
 
 class TestUsage:
@@ -68,18 +102,70 @@ class TestRenderStandalone:
 
 
 class TestStages:
-    def test_stagewise_equals_pipeline(self, demo_dataset, tmp_path):
-        a = tmp_path / "stagewise"
-        base = _base_args(demo_dataset, a)
-        for argv in (["render"], ["generate", "--backend", "mock"],
-                     ["tag", "--stage", "extract"], ["tag", "--stage", "normalize"],
-                     ["sample", "--mode", "ratio", "--ratio", "0.5"]):
-            assert run(argv + base) == 0
-        b = tmp_path / "chained"
-        assert run(["pipeline", "--backend", "mock", "--mode", "ratio",
-                    "--ratio", "0.5"] + _base_args(demo_dataset, b)) == 0
-        da, db = _dir_digests(a), _dir_digests(b)
+    @pytest.mark.parametrize("style,backend", [("doclayprompt", "mock"),
+                                               ("plaintext", "cache")])
+    def test_stagewise_equals_pipeline(self, demo_dataset, tmp_path, style, backend):
+        gen_flags = ["--backend", backend]
+        if backend == "cache":
+            cache = _fill_mock_cache(demo_dataset, tmp_path, style)
+            gen_flags += ["--cache-dir", str(cache)]
+        da, db = _stagewise_and_chained(demo_dataset, tmp_path, style, gen_flags)
         assert da == db
+
+    def test_line_separators_inside_strings(self, tmp_path):
+        # canonical JSON leaves U+2028 and U+0085 unescaped; reading an
+        # artifact back must not split a record at them
+        ds = make_dataset(seed=11, n_pages=2, records_per_page=2)
+        ds.records[0].question += " \u2028 next \x85 line"
+        write_dataset(ds, tmp_path / "data" / "records.jsonl")
+        da, db = _stagewise_and_chained(tmp_path / "data", tmp_path, "doclayprompt",
+                                        ["--backend", "mock"])
+        assert da == db
+
+    def test_pipeline_loads_the_dataset_once(self, demo_dataset, tmp_path, monkeypatch):
+        calls = []
+        real = cli.load_dataset
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "load_dataset", counting)
+        assert run(["pipeline", "--backend", "mock"]
+                   + _base_args(demo_dataset, tmp_path / "out")) == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("backend", ["mock", "cache"])
+    def test_local_backends_run_without_the_thread_pool(self, demo_dataset, tmp_path,
+                                                        monkeypatch, backend):
+        gen_flags = ["--backend", backend, "--max-inflight", "4"]
+        if backend == "cache":
+            cache = _fill_mock_cache(demo_dataset, tmp_path, "doclayprompt")
+            gen_flags += ["--cache-dir", str(cache)]
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a local backend constructed the thread pool")
+
+        monkeypatch.setattr(procgen, "ThreadPoolExecutor", no_pool)
+        assert run(["pipeline"] + gen_flags
+                   + _base_args(demo_dataset, tmp_path / "out")) == 0
+
+    @pytest.mark.parametrize("backend,inflight", [("mock", "0"), ("cache", "-1")])
+    def test_bad_max_inflight_rejected_before_any_stage_writes(
+            self, demo_dataset, tmp_path, capsys, backend, inflight):
+        out = tmp_path / "out"
+        code = run(["pipeline", "--backend", backend, "--max-inflight", inflight,
+                    "--cache-dir", str(tmp_path / "cache")] + _base_args(demo_dataset, out))
+        assert code == 1
+        assert "max_inflight" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_integer_max_inflight_in_config_rejected(self, demo_dataset, tmp_path):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("generation:\n  max_inflight: two\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run(["pipeline", "--config", str(cfg)] + _base_args(demo_dataset, out)) == 1
+        assert not out.exists()
 
     def test_rerun_reproduces_deleted_stage(self, demo_dataset, tmp_path):
         out = tmp_path / "out"
@@ -148,52 +234,80 @@ class TestEval:
         assert run(["eval", "anls", "--pred", str(pred), "--gold", str(gold)]) == 1
 
 
+@pytest.fixture
+def chat_hits(monkeypatch):
+    """A local chat-completion endpoint that answers each prompt as the mock
+    backend would; yields the list its requests append to."""
+    hits = []
+
+    class Handler(BaseHTTPRequestHandler):
+        def do_POST(self):
+            body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+            hits.append(1)
+            completion = procgen.MockBackend().complete(body["messages"][0]["content"])
+            data = json.dumps({"choices": [{"message": {"content": completion}}]}
+                              ).encode("utf-8")
+            self.send_response(200)
+            self.send_header("Content-Length", str(len(data)))
+            self.end_headers()
+            self.wfile.write(data)
+
+        def log_message(self, *args):
+            pass
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    monkeypatch.setenv("PROCTAG_BACKEND_URL",
+                       f"http://127.0.0.1:{server.server_address[1]}/chat")
+    try:
+        yield hits
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(10)
+
+
 class TestCacheReplay:
     def test_remote_populates_cache_then_replay_is_offline(self, demo_dataset,
-                                                           tmp_path, monkeypatch):
-        import threading
-        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+                                                           tmp_path, chat_hits):
+        out = tmp_path / "out"
+        base = _base_args(demo_dataset, out)
+        cache = ["--cache-dir", str(tmp_path / "cache")]
+        assert run(["render"] + base) == 0
+        assert run(["generate", "--backend", "remote", "--max-inflight", "1"]
+                   + base + cache) == 0
+        live_calls = len(chat_hits)
+        assert live_calls == 18  # one per record
+        manifest = json.loads((out / "manifest.json").read_text())
+        first = (out / manifest["generate"]).read_bytes()
+        # replay from cache only: no further live calls, identical bytes
+        assert run(["generate", "--backend", "cache"] + base + cache) == 0
+        assert len(chat_hits) == live_calls
+        assert (out / manifest["generate"]).read_bytes() == first
 
-        from test_procgen import VALID_COMPLETION
+    def test_remote_writes_the_same_bytes_at_any_max_inflight(self, demo_dataset,
+                                                              tmp_path, chat_hits,
+                                                              monkeypatch):
+        pools = []
 
-        hits = []
+        class CountingPool(procgen.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
 
-        class Handler(BaseHTTPRequestHandler):
-            def do_POST(self):
-                self.rfile.read(int(self.headers["Content-Length"]))
-                hits.append(1)
-                data = json.dumps(
-                    {"choices": [{"message": {"content": VALID_COMPLETION}}]}
-                ).encode("utf-8")
-                self.send_response(200)
-                self.send_header("Content-Length", str(len(data)))
-                self.end_headers()
-                self.wfile.write(data)
-
-            def log_message(self, *args):
-                pass
-
-        server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        threading.Thread(target=server.serve_forever, daemon=True).start()
-        monkeypatch.setenv("PROCTAG_BACKEND_URL",
-                           f"http://127.0.0.1:{server.server_address[1]}/chat")
-        try:
-            out = tmp_path / "out"
+        monkeypatch.setattr(procgen, "ThreadPoolExecutor", CountingPool)
+        digests = {}
+        for inflight in ("1", "2"):
+            out = tmp_path / f"out{inflight}"
             base = _base_args(demo_dataset, out)
-            cache = ["--cache-dir", str(tmp_path / "cache")]
             assert run(["render"] + base) == 0
-            assert run(["generate", "--backend", "remote", "--max-inflight", "1"]
-                       + base + cache) == 0
-            live_calls = len(hits)
-            assert live_calls == 18  # one per record
-            manifest = json.loads((out / "manifest.json").read_text())
-            first = (out / manifest["generate"]).read_bytes()
-            # replay from cache only: no further live calls, identical bytes
-            assert run(["generate", "--backend", "cache"] + base + cache) == 0
-            assert len(hits) == live_calls
-            assert (out / manifest["generate"]).read_bytes() == first
-        finally:
-            server.shutdown()
+            assert run(["generate", "--backend", "remote", "--max-inflight", inflight,
+                        "--cache-dir", str(tmp_path / f"cache{inflight}")] + base) == 0
+            digests[inflight] = _dir_digests(out)
+        assert digests["1"] == digests["2"]
+        assert pools == [2]  # remote calls overlap only when asked to
+        assert len(chat_hits) == 2 * 18
 
 
 class TestConfig:
@@ -208,6 +322,14 @@ class TestConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(Exception):
             config_from_dict({"tagging": {"bogus_key": 1}})
+
+    def test_every_config_key_has_a_flag(self):
+        keys = {(section.name, f.name)
+                for section in dataclasses.fields(PipelineConfig)
+                for f in dataclasses.fields(getattr(PipelineConfig(), section.name))}
+        assert keys <= set(cli.CONFIG_FLAGS.values())
+        args = cli.build_parser().parse_args(["pipeline"])
+        assert all(hasattr(args, dest) for dest in cli.CONFIG_FLAGS)
 
     def test_flags_override_config(self, demo_dataset, tmp_path, capsys):
         cfg = PipelineConfig()

@@ -1,15 +1,17 @@
 from __future__ import annotations
 
 import json
+import threading
 
 import pytest
 from hypothesis import given, settings
 
-from conftest import dataset_st, mkbox, mkpage, mkreg, mktok
+from conftest import dataset_st, mkbox, mkpage, mkreg, mktok, run_together
 from proctag.ingest import (Dataset, InstructionRecord, IoFailure,
-                            MalformedLine, MissingPage, clamp_page,
-                            load_dataset, load_page, validate_dataset,
-                            validate_page, write_dataset, write_page)
+                            MalformedLine, MissingPage, atomic_write_text,
+                            clamp_page, load_dataset, load_page,
+                            validate_dataset, validate_page, write_dataset,
+                            write_page)
 
 
 def _write_min_dataset(tmp_path, lines):
@@ -156,3 +158,24 @@ class TestClamp:
         page = mkpage(tokens=[mktok("a", 0, 0, 10, 10)])
         clamped, changed = clamp_page(page)
         assert changed == 0 and clamped is page
+
+
+class TestAtomicWrite:
+    def test_concurrent_writers_of_one_path(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        texts = set()
+
+        def write_many():
+            for i in range(20):
+                text = f"{threading.get_ident()} {i}\n"
+                texts.add(text)
+                atomic_write_text(path, text)
+
+        assert run_together(write_many) == []
+        assert path.read_text(encoding="utf-8") in texts
+        assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
+
+    def test_os_error_is_io_failure(self, tmp_path):
+        with pytest.raises(IoFailure):
+            atomic_write_text(tmp_path / "missing" / "f.json", "{}")
+        assert list(tmp_path.iterdir()) == []
