@@ -5,15 +5,24 @@ Each stage writes one immutable artifact named ``<stage>-<digest>.<ext>``
 under the output directory (digest of the file content) plus a
 ``manifest.json`` index, and reads only prior-stage artifacts through that
 manifest. Re-running a stage over unchanged inputs reproduces its artifact
-byte for byte. ``pipeline`` loads the dataset once and hands each stage's
-results to the next in memory; it writes the same artifacts, byte for byte,
-as running the stages one by one. Exit codes: 0 success, 1 data error,
-2 usage error.
+byte for byte. JSONL artifacts are streamed to disk a record at a time and
+hashed on the way, so none of them is ever held whole in memory.
+``pipeline`` loads the dataset once and hands each stage's results to the
+next in memory; it writes the same artifacts, byte for byte, as running the
+stages one by one. Exit codes: 0 success, 1 data error, 2 usage error.
+
+:func:`run` pauses Python's automatic cyclic garbage collection while the
+command runs and restores the caller's setting afterwards. The records,
+pages and profiles a command holds form no reference cycles, so the
+collector's full passes over that heap free nothing; they cost about a
+sixth of a 20k-record mock pipeline. Reference counting frees everything
+else as usual, and no stage leaves per-record cyclic garbage behind.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import sys
@@ -39,18 +48,20 @@ MANIFEST = "manifest.json"
 # stage artifact plumbing
 
 
-def _write_stage(output_dir: Path, stage: str, content: str, ext: str) -> Path:
+def _write_stage(output_dir: Path, stage: str, content: str | Iterable[str],
+                 ext: str) -> Path:
+    # content may arrive line by line: the largest artifacts are then
+    # streamed to disk, never held whole in memory
     output_dir.mkdir(parents=True, exist_ok=True)
-    digest = hashlib.sha256(content.encode("utf-8")).hexdigest()[:12]
-    name = f"{stage}-{digest}.{ext}"
-    atomic_write_text(output_dir / name, content)
+    path = atomic_write_text(output_dir / f"{stage}.{ext}", content,
+                             name=lambda digest: f"{stage}-{digest[:12]}.{ext}")
     manifest_path = output_dir / MANIFEST
     manifest: dict[str, str] = {}
     if manifest_path.exists():
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    manifest[stage] = name
+    manifest[stage] = path.name
     atomic_write_text(manifest_path, dumps_json(manifest) + "\n")
-    return output_dir / name
+    return path
 
 
 def _read_stage(output_dir: Path, stage: str) -> Path:
@@ -73,8 +84,8 @@ def _read_jsonl(path: Path) -> list[dict[str, Any]]:
             if line.strip()]
 
 
-def _jsonl(objs: Iterable[dict[str, Any]]) -> str:
-    return "".join(dumps_json(obj) + "\n" for obj in objs)
+def _jsonl(objs: Iterable[dict[str, Any]]) -> Iterable[str]:
+    return (dumps_json(obj) + "\n" for obj in objs)
 
 
 # ---------------------------------------------------------------------------
@@ -181,11 +192,11 @@ def render_stage(dataset: Dataset, cfg: PipelineConfig,
 
 
 def generate_stage(records: list[InstructionRecord],
-                   reps: dict[str, DocumentRepresentation], cfg: PipelineConfig,
+                   reps: dict[str, DocumentRepresentation],
+                   backend: procgen.GenerationBackend, cfg: PipelineConfig,
                    out_dir: Path) -> tuple[list[dict[str, Any]], procgen.GenerationLedger]:
     """Generate one execution process per record; returns the annotated
     records and the ledger."""
-    backend = _make_backend(cfg)
     ledger = procgen.GenerationLedger()
     params = procgen.DecodeParams(temperature=cfg.generation.temperature)
     # Only the remote backend waits on the network. Mock and cache replay
@@ -247,7 +258,8 @@ def extract_stage(records: list[dict[str, Any]], out_dir: Path) -> list[dict[str
     return out
 
 
-def normalize_stage(records: list[dict[str, Any]], cfg: PipelineConfig, out_dir: Path,
+def normalize_stage(records: list[dict[str, Any]], embedder: tagnorm.EmbeddingProvider,
+                    cfg: PipelineConfig, out_dir: Path,
                     ) -> tuple[list[dict[str, Any]], dict[str, Any]]:
     """Filter, cluster and aggregate the raw tags; returns the records with
     every stage's tags and the vocabulary report."""
@@ -256,7 +268,7 @@ def normalize_stage(records: list[dict[str, Any]], cfg: PipelineConfig, out_dir:
                                    source=obj["annotations"]["tags"]["source"])
                 for obj in records]
     result = tagnorm.normalize_corpus(
-        profiles, _make_embedder(cfg),
+        profiles, embedder,
         min_count=cfg.tagging.min_count,
         dbscan_eps=cfg.tagging.dbscan_eps,
         dbscan_min_pts=cfg.tagging.dbscan_min_pts,
@@ -356,7 +368,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     out_dir = Path(cfg.paths.output_dir)
     reps = {obj["page_id"]: DocumentRepresentation.from_dict(obj)
             for obj in _stage_records(out_dir, "render")}
-    generate_stage(dataset.records, reps, cfg, out_dir)
+    generate_stage(dataset.records, reps, _make_backend(cfg), cfg, out_dir)
     return 0
 
 
@@ -370,7 +382,7 @@ def cmd_tag(args: argparse.Namespace) -> int:
     if stage in ("normalize", "all"):
         if records is None:
             records = _stage_records(out_dir, "tags_raw")
-        normalize_stage(records, cfg, out_dir)
+        normalize_stage(records, _make_embedder(cfg), cfg, out_dir)
     return 0
 
 
@@ -415,13 +427,16 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_pipeline(args: argparse.Namespace) -> int:
     cfg = _effective_config(args)
     out_dir = Path(cfg.paths.output_dir)
+    # a bad backend, embedder or remote URL fails here, before any stage writes
+    backend = _make_backend(cfg)
+    embedder = _make_embedder(cfg)
     # each stage's input is dropped once the next stage has consumed it
     dataset = _load_dataset(cfg)
     reps = render_stage(dataset, cfg, out_dir)
-    records, _ledger = generate_stage(dataset.records, reps, cfg, out_dir)
+    records, _ledger = generate_stage(dataset.records, reps, backend, cfg, out_dir)
     del dataset, reps
     records = extract_stage(records, out_dir)
-    records, _vocab = normalize_stage(records, cfg, out_dir)
+    records, _vocab = normalize_stage(records, embedder, cfg, out_dir)
     profiles = profiles_from_tags(records)
     del records
     sample_stage(profiles, cfg, out_dir)
@@ -533,6 +548,16 @@ def run(argv: list[str]) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
+    # Automatic cyclic collection is paused while the command runs. The
+    # stage data (pages, representations, record dicts, profiles) holds no
+    # reference cycles, yet the collector rescans the whole live heap each
+    # time it grows by a quarter: on a 20k-record mock pipeline (2-core
+    # x86_64 VM, Python 3.11), 9 full collections took 1.4-1.5 s of an
+    # 8.1 s run and freed 0 objects.
+    # Reference counting still frees everything acyclic; the caller's state
+    # is restored afterwards, since tests call run() many times per process.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except (ProcTagError, ValueError) as exc:
@@ -541,6 +566,9 @@ def run(argv: list[str]) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def main() -> None:

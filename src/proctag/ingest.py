@@ -9,6 +9,7 @@ instead of rejecting the page.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import math
@@ -16,8 +17,9 @@ import os
 import re
 import threading
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable, Iterable
 
 from .errors import ProcTagError
 
@@ -198,7 +200,14 @@ def _clamp(v: float, lo: float, hi: float) -> float:
 
 
 def clamp_page(page: DocumentPage) -> tuple[DocumentPage, int]:
-    """Clamp every box into [0,width]x[0,height]; returns (page, boxes changed)."""
+    """Clamp every box into [0,width]x[0,height]; returns (page, boxes changed).
+
+    A page whose boxes all lie inside it comes back as the same object.
+    """
+    w, h = page.width, page.height
+    if all(0 <= b.x0 <= w and 0 <= b.y0 <= h and 0 <= b.x1 <= w and 0 <= b.y1 <= h
+           for b in chain((t.bbox for t in page.tokens), (r.bbox for r in page.regions))):
+        return page, 0
     changed = 0
 
     def fix(b: BoundingBox) -> BoundingBox:
@@ -360,20 +369,36 @@ def load_dataset(path: Path | str, pages_dir: Path | str | None = None) -> Datas
     return Dataset(records=records, pages=pages)
 
 
-def atomic_write_text(path: Path, text: str) -> None:
-    """Write UTF-8 text so that readers see the old file or the whole new one.
+def atomic_write_text(path: Path, text: str | Iterable[str],
+                      name: Callable[[str], str] | None = None) -> Path:
+    """Write UTF-8 text so that readers see the old file or the whole new one;
+    returns the path written.
 
-    Each writer gets its own temp name (pid and thread id), so concurrent
-    writers of one path never rename each other's temp file away; the last
-    rename wins.
+    ``text`` may be an iterable of chunks, which are encoded and written one
+    at a time, so the whole text never sits in memory. With ``name``, the
+    file is written next to ``path`` under ``name(digest)``, where digest is
+    the SHA-256 hex digest of its bytes. Each writer gets its own temp name
+    (pid and thread id), so concurrent writers of one path never rename each
+    other's temp file away; the last rename wins.
     """
     tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    digest = hashlib.sha256()
     try:
-        tmp.write_text(text, encoding="utf-8")
+        with open(tmp, "wb") as fh:
+            for chunk in (text,) if isinstance(text, str) else text:
+                data = chunk.encode("utf-8")
+                digest.update(data)
+                fh.write(data)
+        if name is not None:
+            path = path.with_name(name(digest.hexdigest()))
         tmp.replace(path)
-    except OSError as exc:
+    except BaseException as exc:
+        # also when a chunk fails to encode or its producer raises
         tmp.unlink(missing_ok=True)
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+        if isinstance(exc, OSError):
+            raise IoFailure(f"cannot write {path}: {exc}") from exc
+        raise
+    return path
 
 
 _SAFE_PAGE_ID = re.compile(r"^[\w.-]+$")

@@ -20,14 +20,15 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Protocol
-
-import requests
+from typing import TYPE_CHECKING, Any, Protocol
 
 from .errors import ProcTagError
 from .ingest import InstructionRecord, atomic_write_text
 from .render import DocumentRepresentation
 from .tagparse import GrammarViolation, ProcessStep, parse_pseudocode
+
+if TYPE_CHECKING:
+    import requests
 
 MAX_ATTEMPTS = 3  # one call plus two retries
 
@@ -214,14 +215,16 @@ def generate_process(record: InstructionRecord, rep: DocumentRepresentation,
                      params: DecodeParams = DecodeParams()) -> ExecutionProcess | Discarded:
     """Run the retry loop for one record; never more than MAX_ATTEMPTS calls."""
     prompt = build_prompt(rep, record.question)
-    last_error: Exception | None = None
+    # only the message is kept: holding the exception would tie its
+    # traceback to this frame in a reference cycle, one per failed record
+    last_error: str | None = None
     last_completion: str | None = None
     transport_failed_last = False
     for attempt in range(1, MAX_ATTEMPTS + 1):
         try:
             completion = backend.complete(prompt, params, attempt=attempt)
         except BackendError as exc:
-            last_error = exc
+            last_error = str(exc)
             transport_failed_last = True
             continue
         transport_failed_last = False
@@ -229,7 +232,7 @@ def generate_process(record: InstructionRecord, rep: DocumentRepresentation,
         try:
             process = parse_response(completion)
         except ParseFailure as exc:
-            last_error = exc
+            last_error = str(exc)
             continue
         process.attempts = attempt
         ledger.record_success(record.record_id, attempt)
@@ -237,7 +240,7 @@ def generate_process(record: InstructionRecord, rep: DocumentRepresentation,
     if transport_failed_last:
         raise BackendUnavailable(f"{record.record_id}: {last_error}")
     ledger.record_discard(record.record_id, MAX_ATTEMPTS)
-    return Discarded(record_id=record.record_id, reason=str(last_error),
+    return Discarded(record_id=record.record_id, reason=last_error,
                      attempts=MAX_ATTEMPTS, last_completion=last_completion)
 
 
@@ -298,11 +301,17 @@ class MockBackend:
 
 
 class RemoteBackend:
-    """Chat-completion HTTP adapter; the wire-format mapping is isolated here."""
+    """Chat-completion HTTP adapter; the wire-format mapping is isolated here.
+
+    ``requests`` is imported only when an adapter is built, so commands that
+    never reach the network do not pay for loading it.
+    """
 
     def __init__(self, url: str | None = None, api_key: str | None = None,
                  model: str = "default", timeout: float = 60.0,
                  session: requests.Session | None = None):
+        import requests
+
         self.url = url or os.environ.get("PROCTAG_BACKEND_URL", "")
         self.api_key = api_key if api_key is not None else os.environ.get("PROCTAG_BACKEND_KEY")
         self.model = model
@@ -313,6 +322,8 @@ class RemoteBackend:
 
     def complete(self, prompt: str, params: DecodeParams = DecodeParams(),
                  attempt: int = 1) -> str:
+        import requests
+
         payload: dict[str, Any] = {
             "model": self.model,
             "messages": [{"role": "user", "content": prompt}],

@@ -17,14 +17,16 @@ from collections import Counter, deque
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Mapping, Protocol
+from typing import TYPE_CHECKING, Any, Mapping, Protocol
 
 import numpy as np
-import requests
 
 from .errors import ProcTagError
 from .ingest import atomic_write_text
 from .tagparse import collapse_adjacent, normalize_name
+
+if TYPE_CHECKING:
+    import requests
 
 STAGES = ("raw", "filtered", "clustered", "aggregated")
 
@@ -321,10 +323,15 @@ class HashingEmbedder:
 
 
 class RemoteEmbedder:
-    """HTTP encoder endpoint adapter (POST {"input": tag} -> {"embedding": [...]})."""
+    """HTTP encoder endpoint adapter (POST {"input": tag} -> {"embedding": [...]}).
+
+    ``requests`` is imported only when an adapter is built.
+    """
 
     def __init__(self, url: str | None = None, api_key: str | None = None,
                  timeout: float = 60.0, session: requests.Session | None = None):
+        import requests
+
         self.url = url or os.environ.get("PROCTAG_EMBED_URL", "")
         self.api_key = api_key if api_key is not None else os.environ.get("PROCTAG_EMBED_KEY")
         self.timeout = timeout
@@ -333,6 +340,8 @@ class RemoteEmbedder:
             raise ProcTagError("no embedding URL (set PROCTAG_EMBED_URL)")
 
     def embed(self, tag: str) -> np.ndarray:
+        import requests
+
         headers = {"Authorization": f"Bearer {self.api_key}"} if self.api_key else {}
         try:
             resp = self._session.post(self.url, json={"input": tag}, headers=headers,

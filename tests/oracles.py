@@ -6,14 +6,41 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from dataclasses import replace
 from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
 
+from proctag.ingest import BoundingBox
+
 
 # ---------------------------------------------------------------------------
 # geometry
+
+
+def clamp_page_reference(page):
+    """Rebuild every box clamped into [0,width]x[0,height], then return the
+    page itself if none changed; returns (page, boxes changed)."""
+
+    def _clamp(v, lo, hi):
+        return min(max(v, lo), hi)
+
+    changed = 0
+
+    def fix(b: BoundingBox) -> BoundingBox:
+        nonlocal changed
+        c = BoundingBox(_clamp(b.x0, 0, page.width), _clamp(b.y0, 0, page.height),
+                        _clamp(b.x1, 0, page.width), _clamp(b.y1, 0, page.height))
+        if c != b:
+            changed += 1
+        return c
+
+    tokens = [replace(t, bbox=fix(t.bbox)) for t in page.tokens]
+    regions = [replace(r, bbox=fix(r.bbox)) for r in page.regions]
+    if changed == 0:
+        return page, 0
+    return replace(page, tokens=tokens, regions=regions), changed
 
 
 def nms_reference(regions, threshold):

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -13,9 +17,11 @@ from proctag import cli, procgen
 from proctag.cli import run
 from proctag.config import (PipelineConfig, config_from_dict, dump_config,
                             load_config)
+from proctag.errors import ProcTagError
 from proctag.ingest import load_dataset, write_dataset
-from proctag.render import DocumentRepresentation
+from proctag.render import DocumentRepresentation, render_plaintext
 from proctag.synth import make_dataset
+from test_procgen import ScriptedBackend
 
 
 def _dir_digests(root: Path) -> dict[str, str]:
@@ -34,9 +40,10 @@ def _base_args(demo_dataset, out):
     return ["--dataset", str(demo_dataset / "records.jsonl"), "--out", str(out)]
 
 
-def _fill_mock_cache(demo_dataset, tmp_path, style):
-    """A completion cache filled by the mock backend over the dataset's
-    renderings in ``style``, as a live backend would leave it."""
+def _fill_mock_cache(demo_dataset, tmp_path, style, inner=None):
+    """A completion cache filled by ``inner`` (default: the mock backend)
+    over the dataset's renderings in ``style``, as a live backend would
+    leave it."""
     out = tmp_path / "fill"
     assert run(["render", "--style", style] + _base_args(demo_dataset, out)) == 0
     manifest = json.loads((out / "manifest.json").read_text())
@@ -44,7 +51,7 @@ def _fill_mock_cache(demo_dataset, tmp_path, style):
             for obj in map(json.loads, (out / manifest["render"]).read_text().splitlines())}
     cache = tmp_path / "cache"
     procgen.generate_all(load_dataset(demo_dataset / "records.jsonl").records, reps,
-                         procgen.CachingBackend(cache, inner=procgen.MockBackend()),
+                         procgen.CachingBackend(cache, inner=inner or procgen.MockBackend()),
                          procgen.GenerationLedger(), max_inflight=1)
     return cache
 
@@ -158,6 +165,27 @@ class TestStages:
                     "--cache-dir", str(tmp_path / "cache")] + _base_args(demo_dataset, out))
         assert code == 1
         assert "max_inflight" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,config", [
+        ([], "tagging:\n  embedder: bogus\n"),
+        ([], "generation:\n  backend: bogus\n"),
+        (["--backend", "remote"], ""),
+        (["--embedder", "remote"], ""),
+    ], ids=["embedder-bogus", "backend-bogus", "backend-remote-no-url",
+            "embedder-remote-no-url"])
+    def test_bad_backend_or_embedder_rejected_before_any_stage_writes(
+            self, demo_dataset, tmp_path, monkeypatch, capsys, argv, config):
+        monkeypatch.delenv("PROCTAG_BACKEND_URL", raising=False)
+        monkeypatch.delenv("PROCTAG_EMBED_URL", raising=False)
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(config or "{}\n", encoding="utf-8")
+        out = tmp_path / "out"
+        code = run(["pipeline", "--config", str(cfg), "--cache-dir", str(tmp_path / "cache"),
+                    "--embed-cache-dir", str(tmp_path / "ecache")]
+                   + argv + _base_args(demo_dataset, out))
+        assert code == 1
+        assert "error" in capsys.readouterr().err
         assert not out.exists()
 
     def test_non_integer_max_inflight_in_config_rejected(self, demo_dataset, tmp_path):
@@ -340,3 +368,107 @@ class TestConfig:
                     "--out", str(tmp_path / "out_b")]) == 0
         assert not (tmp_path / "out_a").exists()
         assert (tmp_path / "out_b" / "manifest.json").exists()
+
+
+def _cyclic_garbage(fn) -> int:
+    """Run ``fn`` with automatic collection paused; return how many objects
+    ``gc.collect()`` then finds in unreachable cycles."""
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        fn()
+        return gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+
+
+class _HalfParseable:
+    """Answers every other prompt (by its hash) with an unparseable text."""
+
+    def complete(self, prompt, params=None, attempt=1):
+        if hashlib.sha256(prompt.encode("utf-8")).digest()[0] % 2:
+            return "no pseudo-code here"
+        return procgen.MockBackend().complete(prompt)
+
+
+class TestCollectorPause:
+    """``run`` pauses automatic cyclic collection, so no command may leave
+    cyclic garbage that grows with the number of records."""
+
+    @pytest.mark.parametrize("make_backend", [
+        procgen.MockBackend,
+        lambda: ScriptedBackend(failures=3),
+        lambda: ScriptedBackend(failures=2, transport=True),
+    ], ids=["mock", "unparseable", "transport-flaky"])
+    def test_generate_all_leaves_no_per_record_cycles(self, make_backend):
+        def garbage(n_pages):
+            backend = make_backend()
+            ds = make_dataset(seed=5, n_pages=n_pages, records_per_page=4)
+            reps = {pid: render_plaintext(page) for pid, page in ds.pages.items()}
+
+            def generate():
+                procgen.generate_all(ds.records, reps, backend, procgen.GenerationLedger(),
+                                     max_inflight=1)
+
+            return _cyclic_garbage(generate)
+
+        assert garbage(50) <= garbage(5)
+
+    @pytest.mark.parametrize("backend", ["mock", "cache"])
+    def test_pipeline_leaves_no_per_record_cycles(self, tmp_path, backend):
+        def garbage(n_pages):
+            root = tmp_path / str(n_pages)
+            ds = make_dataset(seed=5, n_pages=n_pages, records_per_page=4)
+            write_dataset(ds, root / "data" / "records.jsonl")
+            argv = ["pipeline", "--style", "plaintext", "--backend", backend]
+            if backend == "cache":
+                # half the records are discarded after three unparseable answers
+                cache = _fill_mock_cache(root / "data", root, "plaintext",
+                                         inner=_HalfParseable())
+                argv += ["--cache-dir", str(cache)]
+            argv += _base_args(root / "data", root / "out")
+
+            def pipeline():
+                assert run(argv) == 0
+
+            return _cyclic_garbage(pipeline)
+
+        assert garbage(50) <= garbage(5)
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("outcome", [0, 1], ids=["exit-0", "exit-1"])
+    def test_run_pauses_collection_and_restores_it(self, monkeypatch, tmp_path,
+                                                   enabled, outcome):
+        seen = []
+
+        def command(args):
+            seen.append(gc.isenabled())
+            if outcome:
+                raise ProcTagError("bad input")
+            return 0
+
+        monkeypatch.setattr(cli, "cmd_eval", command)
+        matrix = tmp_path / "matrix.json"
+        matrix.write_text("[[1, 0], [0, 1]]", encoding="utf-8")
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            code = run(["eval", "kappa", "--matrix", str(matrix)])
+            after = gc.isenabled()
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert code == outcome
+        assert seen == [False]
+        assert after is enabled
+
+
+def test_importing_the_cli_leaves_requests_unloaded():
+    code = ("import sys, proctag.cli\n"
+            "assert 'requests' not in sys.modules, 'requests was imported'\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ,
+                               "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr

@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import hashlib
 import json
+import math
 import threading
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import dataset_st, mkbox, mkpage, mkreg, mktok, run_together
+from conftest import (PAGE_H, PAGE_W, dataset_st, mkbox, mkpage, mkreg, mktok,
+                      run_together)
+from oracles import clamp_page_reference
 from proctag.ingest import (Dataset, InstructionRecord, IoFailure,
                             MalformedLine, MissingPage, atomic_write_text,
                             clamp_page, load_dataset, load_page,
@@ -159,6 +164,39 @@ class TestClamp:
         clamped, changed = clamp_page(page)
         assert changed == 0 and clamped is page
 
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_matches_reference(self, data):
+        width, height = data.draw(st.sampled_from(((PAGE_W, PAGE_H), (PAGE_H, PAGE_W))))
+        # boxes inside the page, possibly inverted; then a few coordinates
+        # moved anywhere: outside, onto an edge, or to a non-finite value
+        inside = st.tuples(*(st.floats(0, limit) for limit in (width, height, width, height)))
+        boxes = data.draw(st.lists(inside, max_size=6))
+        anywhere = (st.floats(-50, max(width, height) + 50)
+                    | st.floats(min(width, height), max(width, height))
+                    | st.sampled_from((0, 0.0, -0.0, width, height, int(width), int(height)))
+                    | st.sampled_from((math.nan, math.inf, -math.inf)))
+        if boxes:
+            moves = st.tuples(st.integers(0, len(boxes) - 1), st.integers(0, 3), anywhere)
+            for i, k, value in data.draw(st.lists(moves, max_size=3)):
+                boxes[i] = boxes[i][:k] + (value,) + boxes[i][k + 1:]
+        split = data.draw(st.integers(0, len(boxes)))
+        page = mkpage(tokens=[mktok(f"t{i}", *b) for i, b in enumerate(boxes[:split])],
+                      regions=[mkreg("table", *b) for b in boxes[split:]],
+                      width=width, height=height)
+        got, got_changed = clamp_page(page)
+        want, want_changed = clamp_page_reference(page)
+        assert got_changed == want_changed
+        assert _exact(got) == _exact(want)
+        assert (got is page) == (want is page)
+
+
+def _exact(page):
+    """The page's values as reprs, so NaN equals NaN and 0 differs from -0.0."""
+    return (page.page_id, page.width, page.height,
+            [(t.text, repr(t.bbox.as_list()), t.confidence) for t in page.tokens],
+            [(r.kind, repr(r.bbox.as_list()), r.score) for r in page.regions])
+
 
 class TestAtomicWrite:
     def test_concurrent_writers_of_one_path(self, tmp_path):
@@ -174,6 +212,24 @@ class TestAtomicWrite:
         assert run_together(write_many) == []
         assert path.read_text(encoding="utf-8") in texts
         assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
+
+    def test_chunks_are_written_under_their_digest_name(self, tmp_path):
+        chunks = ["a\n", "\u00e9 \u2028\n", ""]
+        path = atomic_write_text(tmp_path / "stage.jsonl", iter(chunks),
+                                 name=lambda digest: f"stage-{digest[:12]}.jsonl")
+        data = "".join(chunks).encode("utf-8")
+        assert path.name == f"stage-{hashlib.sha256(data).hexdigest()[:12]}.jsonl"
+        assert path.read_bytes() == data
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+    def test_failing_chunk_leaves_no_file(self, tmp_path):
+        def chunks():
+            yield "written\n"
+            yield "\ud800"  # a lone surrogate has no UTF-8 encoding
+
+        with pytest.raises(UnicodeEncodeError):
+            atomic_write_text(tmp_path / "stage.jsonl", chunks())
+        assert list(tmp_path.iterdir()) == []
 
     def test_os_error_is_io_failure(self, tmp_path):
         with pytest.raises(IoFailure):
