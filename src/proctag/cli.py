@@ -6,7 +6,9 @@ under the output directory (digest of the file content) plus a
 ``manifest.json`` index, and reads only prior-stage artifacts through that
 manifest. Re-running a stage over unchanged inputs reproduces its artifact
 byte for byte. JSONL artifacts are streamed to disk a record at a time and
-hashed on the way, so none of them is ever held whole in memory.
+hashed on the way, and read back a line at a time, so none of them is ever
+held whole in memory. The manifest update is serialized by an exclusive lock
+on the output directory, so stages writing one directory at once all land.
 ``pipeline`` loads the dataset once and hands each stage's results to the
 next in memory; it writes the same artifacts, byte for byte, as running the
 stages one by one. Exit codes: 0 success, 1 data error, 2 usage error.
@@ -22,12 +24,14 @@ else as usual, and no stage leaves per-record cyclic garbage behind.
 from __future__ import annotations
 
 import argparse
+import fcntl
 import gc
 import hashlib
 import json
+import os
 import sys
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
 from . import assess as assess_mod
 from . import procgen, tagnorm, tagparse
@@ -56,11 +60,17 @@ def _write_stage(output_dir: Path, stage: str, content: str | Iterable[str],
     path = atomic_write_text(output_dir / f"{stage}.{ext}", content,
                              name=lambda digest: f"{stage}-{digest[:12]}.{ext}")
     manifest_path = output_dir / MANIFEST
-    manifest: dict[str, str] = {}
-    if manifest_path.exists():
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    manifest[stage] = path.name
-    atomic_write_text(manifest_path, dumps_json(manifest) + "\n")
+    # the lock is held on the directory itself, so it adds no file to it
+    dir_fd = os.open(output_dir, os.O_RDONLY)
+    try:
+        fcntl.flock(dir_fd, fcntl.LOCK_EX)
+        manifest: dict[str, str] = {}
+        if manifest_path.exists():
+            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        manifest[stage] = path.name
+        atomic_write_text(manifest_path, dumps_json(manifest) + "\n")
+    finally:
+        os.close(dir_fd)  # releases the lock
     return path
 
 
@@ -77,11 +87,14 @@ def _read_stage(output_dir: Path, stage: str) -> Path:
     return path
 
 
-def _read_jsonl(path: Path) -> list[dict[str, Any]]:
-    # split on "\n" only: str.splitlines() also breaks at U+2028, U+0085 and
-    # the like, which canonical JSON leaves unescaped inside strings
-    return [json.loads(line) for line in path.read_text(encoding="utf-8").split("\n")
-            if line.strip()]
+def _read_jsonl(path: Path) -> Iterator[dict[str, Any]]:
+    # one line at a time, split on "\n" only: str.splitlines() also breaks at
+    # U+2028, U+0085 and the like, which canonical JSON leaves unescaped
+    # inside strings
+    with open(path, encoding="utf-8", newline="\n") as fh:
+        for line in fh:
+            if line.strip():
+                yield json.loads(line)
 
 
 def _jsonl(objs: Iterable[dict[str, Any]]) -> Iterable[str]:
@@ -232,7 +245,7 @@ def generate_stage(records: list[InstructionRecord],
     return out_records, ledger
 
 
-def extract_stage(records: list[dict[str, Any]], out_dir: Path) -> list[dict[str, Any]]:
+def extract_stage(records: Iterable[dict[str, Any]], out_dir: Path) -> list[dict[str, Any]]:
     """Extract each generated record's raw tag sequence; returns the tagged
     records."""
     out = []
@@ -260,9 +273,10 @@ def extract_stage(records: list[dict[str, Any]], out_dir: Path) -> list[dict[str
 
 def normalize_stage(records: list[dict[str, Any]], embedder: tagnorm.EmbeddingProvider,
                     cfg: PipelineConfig, out_dir: Path,
-                    ) -> tuple[list[dict[str, Any]], dict[str, Any]]:
-    """Filter, cluster and aggregate the raw tags; returns the records with
-    every stage's tags and the vocabulary report."""
+                    ) -> tuple[list[tagnorm.TagProfile], dict[str, Any]]:
+    """Filter, cluster and aggregate the raw tags, and write every stage's
+    tags per record; returns the aggregated profiles and the vocabulary
+    report."""
     profiles = [tagnorm.TagProfile(record_id=obj["record_id"],
                                    tags=list(obj["annotations"]["tags"]["raw"]),
                                    source=obj["annotations"]["tags"]["source"])
@@ -274,17 +288,19 @@ def normalize_stage(records: list[dict[str, Any]], embedder: tagnorm.EmbeddingPr
         dbscan_min_pts=cfg.tagging.dbscan_min_pts,
         min_support=cfg.tagging.min_support,
         min_confidence=cfg.tagging.min_confidence)
-    out = []
-    for i, obj in enumerate(records):
-        ann = dict(obj.get("annotations", {}))
-        tags_ann = dict(ann["tags"])
-        for stage in ("filtered", "clustered", "aggregated"):
-            tags_ann[stage] = result.stage_profiles[stage][i].tags
-        tags_ann["emptied_by_filter"] = result.stage_profiles["filtered"][i].emptied_by_filter
-        ann["tags"] = tags_ann
-        obj = dict(obj)
-        obj["annotations"] = ann
-        out.append(obj)
+    stage_profiles = result.stage_profiles
+
+    def tagged() -> Iterator[dict[str, Any]]:
+        # each output record is built as it is written, never all at once
+        for i, obj in enumerate(records):
+            ann = dict(obj.get("annotations", {}))
+            tags_ann = dict(ann["tags"])
+            for stage in ("filtered", "clustered", "aggregated"):
+                tags_ann[stage] = stage_profiles[stage][i].tags
+            tags_ann["emptied_by_filter"] = stage_profiles["filtered"][i].emptied_by_filter
+            ann["tags"] = tags_ann
+            yield {**obj, "annotations": ann}
+
     vocab_report = {
         "stages": {stage: dict(sorted(v.entries.items()))
                    for stage, v in result.vocabularies.items()},
@@ -293,16 +309,16 @@ def normalize_stage(records: list[dict[str, Any]], embedder: tagnorm.EmbeddingPr
                      for cid, members in result.assignment.members().items()},
         "merges": result.merges,
     }
-    del profiles, result  # the per-stage profiles are not needed while writing
-    path = _write_stage(out_dir, "tags", _jsonl(out), "jsonl")
+    path = _write_stage(out_dir, "tags", _jsonl(tagged()), "jsonl")
     _write_stage(out_dir, "vocab", dumps_json(vocab_report) + "\n", "json")
-    print(f"normalized tags for {len(out)} records "
+    print(f"normalized tags for {len(records)} records "
           f"({len(vocab_report['merges'])} merges) -> {path}")
-    return out, vocab_report
+    return result.profiles, vocab_report
 
 
-def profiles_from_tags(records: list[dict[str, Any]]) -> list[tagnorm.TagProfile]:
-    """Aggregated-stage profiles of normalized records."""
+def profiles_from_tags(records: Iterable[dict[str, Any]]) -> list[tagnorm.TagProfile]:
+    """Aggregated-stage profiles of normalized records, which may arrive one
+    at a time as they are read."""
     profiles = []
     for obj in records:
         tags_ann = obj.get("annotations", {}).get("tags", {})
@@ -342,7 +358,7 @@ def sample_stage(profiles: list[tagnorm.TagProfile], cfg: PipelineConfig,
 # subcommands: standalone ones read their inputs through the manifest
 
 
-def _stage_records(out_dir: Path, stage: str) -> list[dict[str, Any]]:
+def _stage_records(out_dir: Path, stage: str) -> Iterator[dict[str, Any]]:
     return _read_jsonl(_read_stage(out_dir, stage))
 
 
@@ -381,7 +397,7 @@ def cmd_tag(args: argparse.Namespace) -> int:
         records = extract_stage(_stage_records(out_dir, "generate"), out_dir)
     if stage in ("normalize", "all"):
         if records is None:
-            records = _stage_records(out_dir, "tags_raw")
+            records = list(_stage_records(out_dir, "tags_raw"))
         normalize_stage(records, _make_embedder(cfg), cfg, out_dir)
     return 0
 
@@ -436,8 +452,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     records, _ledger = generate_stage(dataset.records, reps, backend, cfg, out_dir)
     del dataset, reps
     records = extract_stage(records, out_dir)
-    records, _vocab = normalize_stage(records, embedder, cfg, out_dir)
-    profiles = profiles_from_tags(records)
+    profiles, _vocab = normalize_stage(records, embedder, cfg, out_dir)
     del records
     sample_stage(profiles, cfg, out_dir)
     return 0

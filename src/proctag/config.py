@@ -12,8 +12,6 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any
 
-import yaml
-
 from . import tagnorm
 from .errors import ProcTagError
 from .layout import DEFAULT_NMS_IOU, DEFAULT_ROW_TOLERANCE
@@ -109,6 +107,8 @@ def config_from_dict(obj: dict[str, Any]) -> PipelineConfig:
 
 
 def load_config(path: Path | str) -> PipelineConfig:
+    import yaml
+
     path = Path(path)
     try:
         obj = yaml.safe_load(path.read_text(encoding="utf-8"))
@@ -124,5 +124,7 @@ def load_config(path: Path | str) -> PipelineConfig:
 
 
 def dump_config(cfg: PipelineConfig, path: Path | str) -> None:
+    import yaml
+
     Path(path).write_text(yaml.safe_dump(cfg.to_dict(), sort_keys=True),
                           encoding="utf-8")

@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence, TypeVar
 
-import numpy as np
-
 from .ingest import BoundingBox, DocumentPage, LayoutRegion, OcrToken
 
 DEFAULT_NMS_IOU = 0.5
@@ -115,6 +113,8 @@ def _effective_score(region: LayoutRegion) -> float:
 def nms(regions: Sequence[LayoutRegion], iou_threshold: float = DEFAULT_NMS_IOU) -> list[LayoutRegion]:
     """Greedy score-descending suppression; survivors (pairwise IoU <= threshold)
     are returned in pick order with their original field values."""
+    import numpy as np
+
     if not 0 < iou_threshold <= 1:
         raise ValueError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
     if not regions:

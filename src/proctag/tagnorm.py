@@ -19,13 +19,12 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Mapping, Protocol
 
-import numpy as np
-
 from .errors import ProcTagError
 from .ingest import atomic_write_text
 from .tagparse import collapse_adjacent, normalize_name
 
 if TYPE_CHECKING:
+    import numpy as np
     import requests
 
 STAGES = ("raw", "filtered", "clustered", "aggregated")
@@ -38,6 +37,9 @@ DEFAULT_MIN_CONFIDENCE = 0.99
 LARGE_CORPUS_RECORDS = 40_000
 LARGE_CORPUS_MIN_COUNT = 4
 SMALL_CORPUS_MIN_COUNT = 2
+# bytes of float64 distances dbscan holds at once: a block of rows of the
+# n x n distance matrix, never the whole matrix
+DBSCAN_BLOCK_BYTES = 4 << 20
 
 
 class ZeroVector(ProcTagError):
@@ -139,6 +141,8 @@ def frequency_filter(profiles: list[TagProfile],
 
 
 def cosine_distance(u: np.ndarray, v: np.ndarray) -> float:
+    import numpy as np
+
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     if u.shape != v.shape:
@@ -158,7 +162,14 @@ def dbscan(vectors: Mapping[str, np.ndarray], eps: float, min_pts: int,
     border assignment. The eps-neighbourhood counts the point itself. Each
     cluster's representative is its highest-frequency member, ties broken
     lexicographically.
+
+    Distances are computed a block of rows at a time (at most
+    ``DBSCAN_BLOCK_BYTES`` of them) and only each point's neighbour indices
+    are kept, so memory is O(n * dim + block * n + sum of neighbourhood
+    sizes), not O(n^2): a 20k-tag vocabulary never needs the 3.2 GB matrix.
     """
+    import numpy as np
+
     if eps <= 0:
         raise ValueError("eps must be positive")
     if min_pts < 1:
@@ -173,10 +184,17 @@ def dbscan(vectors: Mapping[str, np.ndarray], eps: float, min_pts: int,
     if np.any(norms == 0):
         raise ZeroVector("cannot cluster zero vectors")
     unit = mat / norms[:, None]
-    dist = np.clip(1.0 - unit @ unit.T, 0.0, 2.0)
-    neighborhoods = dist <= eps
-
+    del mat
     n = len(tags)
+    rows = max(1, DBSCAN_BLOCK_BYTES // (8 * n))
+    neighborhoods: list[np.ndarray] = []
+    for lo in range(0, n, rows):
+        dist = unit[lo:lo + rows] @ unit.T
+        np.subtract(1.0, dist, out=dist)
+        np.clip(dist, 0.0, 2.0, out=dist)
+        neighborhoods.extend(np.flatnonzero(row <= eps) for row in dist)
+    del dist
+
     labels: list[int | None] = [None] * n
     visited = [False] * n
     cluster_id = -1
@@ -184,12 +202,12 @@ def dbscan(vectors: Mapping[str, np.ndarray], eps: float, min_pts: int,
         if visited[i]:
             continue
         visited[i] = True
-        seeds_i = np.flatnonzero(neighborhoods[i])
+        seeds_i = neighborhoods[i]
         if len(seeds_i) < min_pts:
             continue  # noise for now; may later join a cluster as a border point
         cluster_id += 1
         labels[i] = cluster_id
-        queue = deque(int(j) for j in seeds_i)
+        queue = deque(seeds_i.tolist())
         while queue:
             j = queue.popleft()
             if visited[j]:
@@ -198,9 +216,9 @@ def dbscan(vectors: Mapping[str, np.ndarray], eps: float, min_pts: int,
                 continue
             visited[j] = True
             labels[j] = cluster_id
-            seeds_j = np.flatnonzero(neighborhoods[j])
+            seeds_j = neighborhoods[j]
             if len(seeds_j) >= min_pts:
-                queue.extend(int(k) for k in seeds_j)
+                queue.extend(seeds_j.tolist())
 
     freq = frequencies or {}
     members: dict[int, list[str]] = {}
@@ -311,6 +329,8 @@ class HashingEmbedder:
         self.dim = dim
 
     def embed(self, tag: str) -> np.ndarray:
+        import numpy as np
+
         padded = f"^{tag}$"
         vec = np.zeros(self.dim)
         for i in range(len(padded) - 2):
@@ -340,6 +360,7 @@ class RemoteEmbedder:
             raise ProcTagError("no embedding URL (set PROCTAG_EMBED_URL)")
 
     def embed(self, tag: str) -> np.ndarray:
+        import numpy as np
         import requests
 
         headers = {"Authorization": f"Bearer {self.api_key}"} if self.api_key else {}
@@ -366,6 +387,8 @@ class CachingEmbedder:
         self.inner = inner
 
     def embed(self, tag: str) -> np.ndarray:
+        import numpy as np
+
         key = hashlib.sha256(tag.encode("utf-8")).hexdigest()
         path = self.cache_dir / f"{key}.json"
         if path.exists():

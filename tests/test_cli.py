@@ -129,6 +129,66 @@ class TestStages:
                                         ["--backend", "mock"])
         assert da == db
 
+    def test_standalone_curate_commands_read_line_separators(self, tmp_path, capsys):
+        # sample and assess read the tags artifact a line at a time; a record
+        # holding U+2028, U+0085 and an escaped carriage return must come
+        # back whole and give what pipeline computed from memory
+        ds = make_dataset(seed=11, n_pages=2, records_per_page=2)
+        ds.records[0].question += " \u2028 next \x85 line \r end"
+        write_dataset(ds, tmp_path / "data" / "records.jsonl")
+        out = tmp_path / "out"
+        base = _base_args(tmp_path / "data", out)
+        sample_flags = ["--mode", "ratio", "--ratio", "1.0"]
+        assert run(["pipeline", "--backend", "mock"] + sample_flags + base) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert "\u2028" in (out / manifest["tags"]).read_text(encoding="utf-8")
+        before = _dir_digests(out)
+        assert run(["sample"] + sample_flags + base) == 0
+        assert _dir_digests(out) == before
+        assert run(["assess"] + base) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        sample = json.loads((out / manifest["sample"]).read_text(encoding="utf-8"))
+        assessed = (out / manifest["assess"]).read_text(encoding="utf-8")
+        assert assessed == cli.dumps_json(sample["assessment"]) + "\n"
+        assert capsys.readouterr().out.strip().splitlines()[-1] == assessed.strip()
+
+    def test_concurrent_stages_both_land_in_the_manifest(self, tmp_path, monkeypatch):
+        # Each writer waits inside the manifest read-modify-write until the
+        # other one arrives there too, or the barrier times out. Unlocked,
+        # both arrive, both read an empty manifest and the last rename drops
+        # the other stage. Locked, the second writer cannot enter until the
+        # first has written, so the barrier times out and both stages land.
+        barrier = threading.Barrier(2, timeout=2.0)
+        real = cli.dumps_json
+
+        def waiting(obj):
+            try:
+                barrier.wait()
+            except threading.BrokenBarrierError:
+                pass
+            return real(obj)
+
+        monkeypatch.setattr(cli, "dumps_json", waiting)
+        errors = []
+
+        def write(stage):
+            try:
+                cli._write_stage(tmp_path, stage, f"{stage}\n", "txt")
+            except Exception as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=write, args=(stage,)) for stage in ("a", "b")]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(30)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert sorted(manifest) == ["a", "b"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["manifest.json"] + list(manifest.values()))
+
     def test_pipeline_loads_the_dataset_once(self, demo_dataset, tmp_path, monkeypatch):
         calls = []
         real = cli.load_dataset
@@ -466,7 +526,8 @@ class TestCollectorPause:
 
 def test_importing_the_cli_leaves_requests_unloaded():
     code = ("import sys, proctag.cli\n"
-            "assert 'requests' not in sys.modules, 'requests was imported'\n")
+            "for name in ('requests', 'numpy', 'yaml'):\n"
+            "    assert name not in sys.modules, f'{name} was imported'\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ,
                                "PYTHONPATH": str(Path(cli.__file__).parents[1])},

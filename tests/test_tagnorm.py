@@ -4,12 +4,16 @@ import json
 import math
 import random
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import run_together
+from proctag import tagnorm
 from proctag.tagnorm import (AdjacentPairStat, CachingEmbedder, ClusterAssignment,
                              DegenerateMerge, HashingEmbedder, TagProfile,
                              ZeroVector, aggregate_pairs, apply_clusters,
@@ -136,6 +140,45 @@ class TestDbscan:
         a = dbscan(vectors, eps=0.4, min_pts=3)
         b = dbscan(vectors, eps=0.4, min_pts=3)
         assert a == b
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60),
+           dim=st.integers(2, 6), n_centres=st.integers(1, 5),
+           eps=st.sampled_from([1e-4, 1e-3, 0.015, 0.1]), min_pts=st.integers(1, 6),
+           rows_per_block=st.integers(1, 7))
+    def test_row_blocks_match_reference(self, data, seed, n, dim, n_centres, eps, min_pts,
+                                        rows_per_block):
+        # exact duplicates, near duplicates (distance ~1e-7 and ~3e-4) and
+        # stragglers around a few centres, clustered a few rows at a time
+        nprng = np.random.default_rng(seed)
+        centres = nprng.normal(0, 1, (n_centres, dim))
+        vectors = {}
+        for i in range(n):
+            centre = centres[data.draw(st.integers(0, n_centres - 1))]
+            noise = data.draw(st.sampled_from([0.0, 1e-3, 0.05, 0.3]))
+            vectors[f"t{i:03d}"] = centre + nprng.normal(0, noise, dim)
+        freqs = {t: data.draw(st.integers(1, 5)) for t in vectors}
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tagnorm, "DBSCAN_BLOCK_BYTES", rows_per_block * 8 * n)
+            got = dbscan(vectors, eps, min_pts, frequencies=freqs)
+        ref_labels, ref_reps = oracles.dbscan_reference(vectors, eps, min_pts,
+                                                        frequencies=freqs)
+        assert got.labels == ref_labels
+        assert got.representatives == ref_reps
+
+    def test_memory_stays_below_half_the_distance_matrix(self):
+        # tracemalloc sees numpy's buffers; a dense n x n float64 matrix
+        # alone would be 72 MB here
+        n = 3000
+        mat = np.random.default_rng(11).normal(0, 1, (n, 16))
+        vectors = {f"t{i:04d}": mat[i] for i in range(n)}
+        tracemalloc.start()
+        try:
+            dbscan(vectors, eps=0.01, min_pts=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8 / 2
 
 
 class TestApplyClusters:
