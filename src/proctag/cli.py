@@ -31,19 +31,18 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, get_args
 
 from . import assess as assess_mod
 from . import procgen, tagnorm, tagparse
-from .config import ConfigError, PipelineConfig, load_config
+from .config import PipelineConfig, load_config, schema, set_key
 from .errors import ProcTagError
 from .ingest import (Dataset, InstructionRecord, IoFailure, atomic_write_text,
                      dumps_json, load_dataset, load_pages_dir, record_to_dict)
 from .layout import associate, clean_inputs
 from .metrics import Prediction, ConfusionMatrix, anls, kappa_report
-from .render import (PLAINTEXT, SPATIAL, STYLES,
-                     DocumentRepresentation, render_doclayprompt,
-                     render_plaintext, render_spatial)
+from .render import (PLAINTEXT, SPATIAL, DocumentRepresentation,
+                     render_doclayprompt, render_plaintext, render_spatial)
 
 MANIFEST = "manifest.json"
 
@@ -105,45 +104,31 @@ def _jsonl(objs: Iterable[dict[str, Any]]) -> Iterable[str]:
 # config / flag plumbing
 
 
+# config keys whose flag is not named after the key itself
+_RENAMED = {"output_dir": "out", "gen_cache_dir": "cache_dir"}
+
 # argparse dest -> (config section, key); every config key has a flag
-CONFIG_FLAGS = {
-    "dataset": ("paths", "dataset"),
-    "pages": ("paths", "pages"),
-    "out": ("paths", "output_dir"),
-    "cache_dir": ("paths", "gen_cache_dir"),
-    "embed_cache_dir": ("paths", "embed_cache_dir"),
-    "nms_iou_threshold": ("layout", "nms_iou_threshold"),
-    "row_tolerance_factor": ("layout", "row_tolerance_factor"),
-    "style": ("render", "style"),
-    "max_chars": ("render", "max_chars"),
-    "backend": ("generation", "backend"),
-    "max_inflight": ("generation", "max_inflight"),
-    "temperature": ("generation", "temperature"),
-    "model": ("generation", "model"),
-    "min_count": ("tagging", "min_count"),
-    "dbscan_eps": ("tagging", "dbscan_eps"),
-    "dbscan_min_pts": ("tagging", "dbscan_min_pts"),
-    "min_support": ("tagging", "min_support"),
-    "min_confidence": ("tagging", "min_confidence"),
-    "embedder": ("tagging", "embedder"),
-    "mode": ("sampling", "mode"),
-    "budget": ("sampling", "budget"),
-    "ratio": ("sampling", "ratio"),
-    "coverage": ("sampling", "coverage"),
-    "seed": ("sampling", "seed"),
+CONFIG_FLAGS = {_RENAMED.get(f.name, f.name): (section, f.name)
+                for section, f, _hint in schema()}
+
+# subcommand -> the config sections it takes flags for, in --help order,
+# besides the paths that serve no one section
+_SECTIONS = {
+    "render": ("render", "layout"),
+    "generate": ("generation",),
+    "tag": ("tagging",),
+    "sample": ("sampling",),
+    "assess": (),
+    "pipeline": ("render", "layout", "generation", "tagging", "sampling"),
 }
 
 
 def _effective_config(args: argparse.Namespace) -> PipelineConfig:
-    cfg = load_config(args.config) if getattr(args, "config", None) else PipelineConfig()
+    cfg = load_config(args.config) if args.config else PipelineConfig()
     for flag, (section, key) in CONFIG_FLAGS.items():
         value = getattr(args, flag, None)
         if value is not None:
-            setattr(getattr(cfg, section), key, value)
-    inflight = cfg.generation.max_inflight
-    if isinstance(inflight, bool) or not isinstance(inflight, int) or inflight < 1:
-        raise ConfigError(f"generation.max_inflight must be an integer >= 1, "
-                          f"got {inflight!r}")
+            set_key(cfg, section, key, value)
     return cfg
 
 
@@ -153,8 +138,6 @@ def _load_dataset(cfg: PipelineConfig) -> Dataset:
 
 def _render_page(page, cfg: PipelineConfig) -> DocumentRepresentation:
     style = cfg.render.style
-    if style not in STYLES:
-        raise ProcTagError(f"unknown render style {style!r}")
     kwargs = {"max_chars": cfg.render.max_chars,
               "row_tolerance_factor": cfg.layout.row_tolerance_factor}
     if style == PLAINTEXT:
@@ -170,24 +153,17 @@ def _make_backend(cfg: PipelineConfig) -> procgen.GenerationBackend:
     kind = cfg.generation.backend
     if kind == "mock":
         return procgen.MockBackend()
-    if kind == "cache":
-        return procgen.CachingBackend(cfg.paths.gen_cache_dir, inner=None)
-    if kind == "remote":
-        remote = procgen.RemoteBackend(model=cfg.generation.model)
-        return procgen.CachingBackend(cfg.paths.gen_cache_dir, inner=remote)
-    raise ProcTagError(f"unknown generation backend {kind!r}")
+    # cache: replay only; remote: fill the cache from the endpoint
+    inner = procgen.RemoteBackend(model=cfg.generation.model) if kind == "remote" else None
+    return procgen.CachingBackend(cfg.paths.gen_cache_dir, inner=inner)
 
 
 def _make_embedder(cfg: PipelineConfig) -> tagnorm.EmbeddingProvider:
     kind = cfg.tagging.embedder
     if kind == "hashing":
         return tagnorm.HashingEmbedder()
-    if kind == "cache":
-        return tagnorm.CachingEmbedder(cfg.paths.embed_cache_dir, inner=None)
-    if kind == "remote":
-        return tagnorm.CachingEmbedder(cfg.paths.embed_cache_dir,
-                                       inner=tagnorm.RemoteEmbedder())
-    raise ProcTagError(f"unknown embedder {kind!r}")
+    inner = tagnorm.RemoteEmbedder() if kind == "remote" else None
+    return tagnorm.CachingEmbedder(cfg.paths.embed_cache_dir, inner=inner)
 
 
 # ---------------------------------------------------------------------------
@@ -462,44 +438,22 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
 # parser
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _command(sub: Any, name: str, func: Any, help_text: str) -> argparse.ArgumentParser:
+    """Add subcommand ``name`` with one flag per config key of its sections,
+    typed and restricted as the config field is."""
+    p = sub.add_parser(name, help=help_text)
+    p.set_defaults(func=func)
     p.add_argument("--config", help="YAML config file")
-    p.add_argument("--dataset", help="record file (JSONL)")
-    p.add_argument("--pages", help="pages directory")
-    p.add_argument("--out", help="output directory for stage artifacts")
-
-
-def _add_render_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--style", choices=STYLES)
-    p.add_argument("--max-chars", type=int, dest="max_chars")
-    p.add_argument("--nms-iou-threshold", type=float, dest="nms_iou_threshold")
-    p.add_argument("--row-tolerance-factor", type=float, dest="row_tolerance_factor")
-
-
-def _add_generate_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--backend", choices=("mock", "cache", "remote"))
-    p.add_argument("--max-inflight", type=int, dest="max_inflight")
-    p.add_argument("--cache-dir", dest="cache_dir")
-    p.add_argument("--temperature", type=float)
-    p.add_argument("--model", help="model name sent to the remote backend")
-
-
-def _add_tag_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--min-count", type=int, dest="min_count")
-    p.add_argument("--dbscan-eps", type=float, dest="dbscan_eps")
-    p.add_argument("--dbscan-min-pts", type=int, dest="dbscan_min_pts")
-    p.add_argument("--min-support", type=int, dest="min_support")
-    p.add_argument("--min-confidence", type=float, dest="min_confidence")
-    p.add_argument("--embedder", choices=("hashing", "cache", "remote"))
-    p.add_argument("--embed-cache-dir", dest="embed_cache_dir")
-
-
-def _add_sample_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--mode", choices=assess_mod.MODES)
-    p.add_argument("--budget", type=int)
-    p.add_argument("--ratio", type=float)
-    p.add_argument("--coverage", type=float)
-    p.add_argument("--seed", type=int)
+    for group in ("paths",) + _SECTIONS[name]:
+        for section, f, hint in schema():
+            if f.metadata.get("serves", section) != group:
+                continue
+            value_type = next(t for t in get_args(hint) or (hint,) if t is not type(None))
+            dest = _RENAMED.get(f.name, f.name)
+            p.add_argument("--" + dest.replace("_", "-"), dest=dest,
+                           type=None if value_type is str else value_type,
+                           choices=f.metadata.get("choices"), help=f.metadata.get("help"))
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -509,31 +463,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "tagging for instruction data curation")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("render", help="render page representations")
-    _add_common(p)
-    _add_render_flags(p)
+    p = _command(sub, "render", cmd_render, "render page representations")
     p.add_argument("--in", dest="in_dir", help="pages directory (standalone mode)")
-    p.set_defaults(func=cmd_render)
-
-    p = sub.add_parser("generate", help="generate execution processes")
-    _add_common(p)
-    _add_generate_flags(p)
-    p.set_defaults(func=cmd_generate)
-
-    p = sub.add_parser("tag", help="extract and normalize process tags")
-    _add_common(p)
-    _add_tag_flags(p)
+    _command(sub, "generate", cmd_generate, "generate execution processes")
+    p = _command(sub, "tag", cmd_tag, "extract and normalize process tags")
     p.add_argument("--stage", choices=("extract", "normalize", "all"), default="all")
-    p.set_defaults(func=cmd_tag)
-
-    p = sub.add_parser("sample", help="select a subset by tag coverage")
-    _add_common(p)
-    _add_sample_flags(p)
-    p.set_defaults(func=cmd_sample)
-
-    p = sub.add_parser("assess", help="report complexity and diversity")
-    _add_common(p)
-    p.set_defaults(func=cmd_assess)
+    _command(sub, "sample", cmd_sample, "select a subset by tag coverage")
+    _command(sub, "assess", cmd_assess, "report complexity and diversity")
 
     p = sub.add_parser("eval", help="score answers or rater agreement")
     ev = p.add_subparsers(dest="metric", required=True)
@@ -546,13 +482,8 @@ def build_parser() -> argparse.ArgumentParser:
     pk.add_argument("--matrix", required=True, help="JSON file with a square count matrix")
     pk.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("pipeline", help="run render -> generate -> tag -> sample")
-    _add_common(p)
-    _add_render_flags(p)
-    _add_generate_flags(p)
-    _add_tag_flags(p)
-    _add_sample_flags(p)
-    p.set_defaults(func=cmd_pipeline, in_dir=None)
+    p = _command(sub, "pipeline", cmd_pipeline, "run render -> generate -> tag -> sample")
+    p.set_defaults(in_dir=None)
 
     return parser
 

@@ -3,32 +3,47 @@
 Defaults match the documented pipeline constants (overlap threshold 0.5,
 clustering radius 0.015 with 2 minimum points, association thresholds of 40
 support and 0.99 confidence, long-tail cutoff picked from corpus size).
-Every key can be overridden by the CLI flag of the same name.
+
+The dataclasses are the one schema of the config: a field's type hint and
+metadata (``choices``, ``min``, the flag's ``help``, the section a cache
+directory ``serves``) say what it takes, and :func:`set_key` checks every
+value, from a YAML file or a flag, against them. A bool is never a number,
+an int is widened for a float field, and ``None`` fits only ``X | None``.
+Every key is also a CLI flag named after it, except ``paths.output_dir``
+(``--out``) and ``paths.gen_cache_dir`` (``--cache-dir``).
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import Field, asdict, dataclass, field, fields
+from functools import cache
 from pathlib import Path
-from typing import Any
+from typing import Any, get_args, get_type_hints
 
 from . import tagnorm
+from .assess import MODES
 from .errors import ProcTagError
+from .ingest import atomic_write_text
 from .layout import DEFAULT_NMS_IOU, DEFAULT_ROW_TOLERANCE
-from .render import DOCLAYPROMPT
+from .render import DOCLAYPROMPT, STYLES
 
 
 class ConfigError(ProcTagError):
     pass
 
 
+def _key(default: Any, **metadata: Any) -> Any:
+    return field(default=default, metadata=metadata)
+
+
 @dataclass
 class PathsConfig:
-    dataset: str = "data/records.jsonl"
-    pages: str | None = None            # default: pages/ next to the record file
-    output_dir: str = "out"
-    gen_cache_dir: str = "cache/generation"
-    embed_cache_dir: str = "cache/embeddings"
+    dataset: str = _key("data/records.jsonl", help="record file (JSONL)")
+    # default: pages/ next to the record file
+    pages: str | None = _key(None, help="pages directory")
+    output_dir: str = _key("out", help="output directory for stage artifacts")
+    gen_cache_dir: str = _key("cache/generation", serves="generation")
+    embed_cache_dir: str = _key("cache/embeddings", serves="tagging")
 
 
 @dataclass
@@ -39,16 +54,16 @@ class LayoutConfig:
 
 @dataclass
 class RenderConfig:
-    style: str = DOCLAYPROMPT
+    style: str = _key(DOCLAYPROMPT, choices=STYLES)
     max_chars: int | None = None
 
 
 @dataclass
 class GenerationConfig:
-    backend: str = "mock"               # mock | cache | remote
-    max_inflight: int = 4
+    backend: str = _key("mock", choices=("mock", "cache", "remote"))
+    max_inflight: int = _key(4, min=1)
     temperature: float = 0.0
-    model: str = "default"
+    model: str = _key("default", help="model name sent to the remote backend")
 
 
 @dataclass
@@ -58,12 +73,12 @@ class TaggingConfig:
     dbscan_min_pts: int = tagnorm.DEFAULT_DBSCAN_MIN_PTS
     min_support: int = tagnorm.DEFAULT_MIN_SUPPORT
     min_confidence: float = tagnorm.DEFAULT_MIN_CONFIDENCE
-    embedder: str = "hashing"           # hashing | cache | remote
+    embedder: str = _key("hashing", choices=("hashing", "cache", "remote"))
 
 
 @dataclass
 class SamplingConfig:
-    mode: str = "ratio"                 # budget | ratio | coverage | random
+    mode: str = _key("ratio", choices=MODES)
     budget: int | None = None
     ratio: float | None = 0.3
     coverage: float | None = None
@@ -83,26 +98,58 @@ class PipelineConfig:
         return asdict(self)
 
 
-def _merge_section(instance: Any, values: dict[str, Any], section: str) -> None:
-    known = {f.name for f in fields(instance)}
-    for key, value in values.items():
-        if key not in known:
-            raise ConfigError(f"unknown config key {section}.{key}")
-        setattr(instance, key, value)
+@cache
+def schema() -> tuple[tuple[str, Field, Any], ...]:
+    """(section, field, resolved type hint) of every config key, in
+    declaration order."""
+    return tuple((section, f, get_type_hints(cls)[f.name])
+                 for section, cls in get_type_hints(PipelineConfig).items()
+                 for f in fields(cls))
 
 
-def config_from_dict(obj: dict[str, Any]) -> PipelineConfig:
+def _checked(section: str, f: Field, hint: Any, value: Any) -> Any:
+    """``value`` as field ``f`` stores it; ConfigError if the field refuses it."""
+    types = get_args(hint) or (hint,)
+    if float in types and type(value) is int:
+        try:
+            value = float(value)
+        except OverflowError:
+            pass  # rejected as not a float below
+    if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+        names = " or ".join("None" if t is type(None) else t.__name__ for t in types)
+        raise ConfigError(f"{section}.{f.name} must be {names}, got {value!r}")
+    choices = f.metadata.get("choices")
+    if choices is not None and value not in choices:
+        raise ConfigError(f"{section}.{f.name} must be one of {choices}, got {value!r}")
+    minimum = f.metadata.get("min")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{section}.{f.name} must be >= {minimum}, got {value!r}")
+    return value
+
+
+def set_key(cfg: PipelineConfig, section: str, key: Any, value: Any) -> None:
+    """Set ``section.key`` to ``value`` if the field takes it; ConfigError
+    otherwise."""
+    for s, f, hint in schema():
+        if s == section and f.name == key:
+            setattr(getattr(cfg, section), key, _checked(s, f, hint, value))
+            return
+    raise ConfigError(f"unknown config key {section}.{key}")
+
+
+def config_from_dict(obj: dict[Any, Any]) -> PipelineConfig:
     cfg = PipelineConfig()
-    for f in fields(cfg):
-        section = obj.get(f.name)
-        if section is None:
-            continue
-        if not isinstance(section, dict):
-            raise ConfigError(f"config section {f.name!r} must be a mapping")
-        _merge_section(getattr(cfg, f.name), section, f.name)
     unknown = set(obj) - {f.name for f in fields(cfg)}
     if unknown:
-        raise ConfigError(f"unknown config sections: {sorted(unknown)}")
+        # YAML keys may be ints, None or dates as well as strings
+        raise ConfigError(f"unknown config sections: {sorted(unknown, key=str)}")
+    for section, values in obj.items():
+        if values is None:
+            continue
+        if not isinstance(values, dict):
+            raise ConfigError(f"config section {section!r} must be a mapping")
+        for key, value in values.items():
+            set_key(cfg, section, key, value)
     return cfg
 
 
@@ -126,5 +173,4 @@ def load_config(path: Path | str) -> PipelineConfig:
 def dump_config(cfg: PipelineConfig, path: Path | str) -> None:
     import yaml
 
-    Path(path).write_text(yaml.safe_dump(cfg.to_dict(), sort_keys=True),
-                          encoding="utf-8")
+    atomic_write_text(Path(path), yaml.safe_dump(cfg.to_dict(), sort_keys=True))

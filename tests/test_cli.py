@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import gc
 import hashlib
@@ -12,11 +13,14 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
+import yaml
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from proctag import cli, procgen
 from proctag.cli import run
-from proctag.config import (PipelineConfig, config_from_dict, dump_config,
-                            load_config)
+from proctag.config import (ConfigError, PipelineConfig, config_from_dict,
+                            dump_config, load_config)
 from proctag.errors import ProcTagError
 from proctag.ingest import load_dataset, write_dataset
 from proctag.render import DocumentRepresentation, render_plaintext
@@ -398,6 +402,102 @@ class TestCacheReplay:
         assert len(chat_hits) == 2 * 18
 
 
+# Every config key and the type its values take ("?": None is allowed too),
+# written out independently of the dataclasses.
+KEY_TYPES = {
+    "paths.dataset": "str", "paths.pages": "str?", "paths.output_dir": "str",
+    "paths.gen_cache_dir": "str", "paths.embed_cache_dir": "str",
+    "layout.nms_iou_threshold": "float", "layout.row_tolerance_factor": "float",
+    "render.style": "str", "render.max_chars": "int?",
+    "generation.backend": "str", "generation.max_inflight": "int",
+    "generation.temperature": "float", "generation.model": "str",
+    "tagging.min_count": "int?", "tagging.dbscan_eps": "float",
+    "tagging.dbscan_min_pts": "int", "tagging.min_support": "int",
+    "tagging.min_confidence": "float", "tagging.embedder": "str",
+    "sampling.mode": "str", "sampling.budget": "int?", "sampling.ratio": "float?",
+    "sampling.coverage": "float?", "sampling.seed": "int",
+}
+CHOICES = {
+    "render.style": ("plaintext", "spatial", "doclayprompt"),
+    "generation.backend": ("mock", "cache", "remote"),
+    "tagging.embedder": ("hashing", "cache", "remote"),
+    "sampling.mode": ("budget", "ratio", "coverage", "random"),
+}
+
+_scalar = st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text()
+
+
+def _wrong_values(name: str) -> st.SearchStrategy:
+    """Values key ``name`` must refuse: a bool, a list, a dict, None where
+    it is not allowed, a str for a number, a float for an int, a number for
+    a str, a str outside the choices, and a max_inflight below 1."""
+    kind = KEY_TYPES[name]
+    wrong = [st.booleans(), st.lists(_scalar, max_size=3),
+             st.dictionaries(st.text(max_size=4), _scalar, min_size=1, max_size=2)]
+    if not kind.endswith("?"):
+        wrong.append(st.none())
+    if kind.startswith(("int", "float")):
+        wrong.append(st.text())
+    if kind.startswith("int"):
+        wrong.append(st.floats(allow_nan=False))
+    if kind.startswith("str"):
+        wrong.append(st.integers() | st.floats(allow_nan=False))
+    if name in CHOICES:
+        wrong.append(st.text().filter(lambda v: v not in CHOICES[name]))
+    if name == "generation.max_inflight":
+        wrong.append(st.integers(max_value=0))
+    return st.one_of(wrong)
+
+
+# build_parser()'s flags per subcommand before they were derived from the
+# config dataclasses: (option strings, dest, type, choices, default, help)
+_COMMON_FLAGS = [
+    (("--config",), "config", None, None, None, "YAML config file"),
+    (("--dataset",), "dataset", None, None, None, "record file (JSONL)"),
+    (("--pages",), "pages", None, None, None, "pages directory"),
+    (("--out",), "out", None, None, None, "output directory for stage artifacts"),
+]
+_RENDER_FLAGS = [
+    (("--style",), "style", None, ("plaintext", "spatial", "doclayprompt"), None, None),
+    (("--max-chars",), "max_chars", int, None, None, None),
+    (("--nms-iou-threshold",), "nms_iou_threshold", float, None, None, None),
+    (("--row-tolerance-factor",), "row_tolerance_factor", float, None, None, None),
+]
+_GENERATE_FLAGS = [
+    (("--backend",), "backend", None, ("mock", "cache", "remote"), None, None),
+    (("--max-inflight",), "max_inflight", int, None, None, None),
+    (("--cache-dir",), "cache_dir", None, None, None, None),
+    (("--temperature",), "temperature", float, None, None, None),
+    (("--model",), "model", None, None, None, "model name sent to the remote backend"),
+]
+_TAG_FLAGS = [
+    (("--min-count",), "min_count", int, None, None, None),
+    (("--dbscan-eps",), "dbscan_eps", float, None, None, None),
+    (("--dbscan-min-pts",), "dbscan_min_pts", int, None, None, None),
+    (("--min-support",), "min_support", int, None, None, None),
+    (("--min-confidence",), "min_confidence", float, None, None, None),
+    (("--embedder",), "embedder", None, ("hashing", "cache", "remote"), None, None),
+    (("--embed-cache-dir",), "embed_cache_dir", None, None, None, None),
+]
+_SAMPLE_FLAGS = [
+    (("--mode",), "mode", None, ("budget", "ratio", "coverage", "random"), None, None),
+    (("--budget",), "budget", int, None, None, None),
+    (("--ratio",), "ratio", float, None, None, None),
+    (("--coverage",), "coverage", float, None, None, None),
+    (("--seed",), "seed", int, None, None, None),
+]
+FLAG_SURFACE = {
+    "render": _COMMON_FLAGS + _RENDER_FLAGS
+    + [(("--in",), "in_dir", None, None, None, "pages directory (standalone mode)")],
+    "generate": _COMMON_FLAGS + _GENERATE_FLAGS,
+    "tag": _COMMON_FLAGS + _TAG_FLAGS
+    + [(("--stage",), "stage", None, ("extract", "normalize", "all"), "all", None)],
+    "sample": _COMMON_FLAGS + _SAMPLE_FLAGS,
+    "assess": _COMMON_FLAGS,
+    "pipeline": _COMMON_FLAGS + _RENDER_FLAGS + _GENERATE_FLAGS + _TAG_FLAGS + _SAMPLE_FLAGS,
+}
+
+
 class TestConfig:
     def test_round_trip(self, tmp_path):
         cfg = PipelineConfig()
@@ -418,6 +518,88 @@ class TestConfig:
         assert keys <= set(cli.CONFIG_FLAGS.values())
         args = cli.build_parser().parse_args(["pipeline"])
         assert all(hasattr(args, dest) for dest in cli.CONFIG_FLAGS)
+
+    def test_mixed_type_section_names_rejected(self, demo_dataset, tmp_path, capsys):
+        with pytest.raises(ConfigError, match="unknown config sections"):
+            config_from_dict({1: "x", "foo": "y"})
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("1: x\nfoo: y\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run(["pipeline", "--config", str(cfg)] + _base_args(demo_dataset, out)) == 1
+        err = capsys.readouterr().err
+        assert "error: unknown config sections" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_flag_surface_is_unchanged(self):
+        parser = cli.build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        got = {name: sorted((tuple(a.option_strings), a.dest, a.type,
+                             tuple(a.choices) if a.choices else None, a.default, a.help)
+                            for a in p._actions if not isinstance(a, argparse._HelpAction))
+               for name, p in sub.choices.items() if name != "eval"}
+        assert got == {name: sorted(flags) for name, flags in FLAG_SURFACE.items()}
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("sampling", "ratio", "'0.3'"), ("tagging", "dbscan_eps", "abc"),
+        ("sampling", "mode", "nope"), ("tagging", "min_count", "2.5"),
+        ("sampling", "seed", "[1]"), ("render", "max_chars", "true"),
+        ("generation", "temperature", "hot"),
+        ("sampling", "ratio", "1" + "0" * 400),  # an int no float can hold
+    ], ids=lambda v: v[:12])
+    def test_mistyped_value_rejected_before_any_stage_writes(
+            self, demo_dataset, tmp_path, capsys, section, key, value):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(f"{section}:\n  {key}: {value}\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run(["pipeline", "--config", str(cfg)] + _base_args(demo_dataset, out)) == 1
+        assert f"error: {section}.{key} must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_key_table_covers_every_config_key(self):
+        assert set(KEY_TYPES) == {f"{section}.{key}"
+                                  for section, key in cli.CONFIG_FLAGS.values()}
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_wrongly_typed_values_exit_1_before_any_stage_writes(
+            self, demo_dataset, tmp_path, capsys, data):
+        name = data.draw(st.sampled_from(sorted(KEY_TYPES)), label="key")
+        value = data.draw(_wrong_values(name), label="value")
+        section, key = name.split(".")
+        text = yaml.safe_dump({section: {key: value}})
+        assume(yaml.safe_load(text) == {section: {key: value}})
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run(["pipeline", "--config", str(cfg)] + _base_args(demo_dataset, out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", sorted(KEY_TYPES))
+    def test_well_typed_values_accepted(self, name):
+        section, key = name.split(".")
+        kind = KEY_TYPES[name]
+        values = list(CHOICES.get(name, {"str": ["some/dir"], "int": [3], "float": [1, 0.25]}
+                                  [kind.rstrip("?")]))
+        if kind.endswith("?"):
+            values.append(None)
+        for value in values:
+            got = getattr(getattr(config_from_dict({section: {key: value}}), section), key)
+            assert got == value
+            if kind.startswith("float") and value is not None:
+                assert type(got) is float  # an int is widened
+
+    def test_int_for_a_float_field_runs(self, demo_dataset, tmp_path):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("sampling:\n  ratio: 1\ngeneration:\n  temperature: 0\n",
+                       encoding="utf-8")
+        out = tmp_path / "out"
+        assert run(["pipeline", "--config", str(cfg)] + _base_args(demo_dataset, out)) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert json.loads((out / manifest["sample"]).read_text())["count"] == 18
 
     def test_flags_override_config(self, demo_dataset, tmp_path, capsys):
         cfg = PipelineConfig()

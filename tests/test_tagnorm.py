@@ -5,6 +5,7 @@ import math
 import random
 import threading
 import tracemalloc
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
@@ -14,9 +15,10 @@ from hypothesis import strategies as st
 import oracles
 from conftest import run_together
 from proctag import tagnorm
+from proctag.errors import ProcTagError
 from proctag.tagnorm import (AdjacentPairStat, CachingEmbedder, ClusterAssignment,
-                             DegenerateMerge, HashingEmbedder, TagProfile,
-                             ZeroVector, aggregate_pairs, apply_clusters,
+                             DegenerateMerge, HashingEmbedder, RemoteEmbedder,
+                             TagProfile, ZeroVector, aggregate_pairs, apply_clusters,
                              cosine_distance, dbscan, default_min_count,
                              frequency_filter, merge_name, mine_adjacent_pairs,
                              normalize_corpus, tag_frequencies)
@@ -353,6 +355,77 @@ class TestHashingEmbedder:
         for entry in entries:
             cached = json.loads(entry.read_text(encoding="utf-8"))
             assert np.allclose(cached["vector"], HashingEmbedder().embed(cached["tag"]))
+
+
+class _EmbedHandler(BaseHTTPRequestHandler):
+    """Answers POST {"input": tag} with a vector made from the tag; the path
+    picks a failure: /status answers 503, /malformed a body without a
+    vector."""
+
+    def do_POST(self):
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        self.server.seen.append((body["input"], self.headers.get("Authorization")))
+        status, reply = 200, {"embedding": [float(len(body["input"])), 1.0, 0.5]}
+        if self.path == "/status":
+            status = 503
+        elif self.path == "/malformed":
+            reply = {"vector": reply["embedding"]}
+        data = json.dumps(reply).encode("utf-8")
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def embed_server():
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _EmbedHandler)
+    server.seen = []
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield server, f"http://127.0.0.1:{server.server_address[1]}"
+    server.shutdown()
+    server.server_close()
+    thread.join()
+
+
+class TestRemoteEmbedder:
+    def test_round_trip(self, embed_server):
+        server, url = embed_server
+        vec = RemoteEmbedder(url=url + "/v1/embed", api_key="k").embed("find_table")
+        assert vec.tolist() == [10.0, 1.0, 0.5]
+        assert server.seen == [("find_table", "Bearer k")]
+
+    def test_key_and_url_read_from_the_environment(self, embed_server, monkeypatch):
+        server, url = embed_server
+        monkeypatch.setenv("PROCTAG_EMBED_URL", url + "/v1/embed")
+        monkeypatch.setenv("PROCTAG_EMBED_KEY", "env-key")
+        assert RemoteEmbedder().embed("ab").tolist() == [2.0, 1.0, 0.5]
+        assert server.seen == [("ab", "Bearer env-key")]
+
+    def test_unreachable_is_error(self):
+        emb = RemoteEmbedder(url="http://127.0.0.1:9/nope", timeout=0.2)
+        with pytest.raises(ProcTagError, match="transport failure"):
+            emb.embed("x")
+
+    def test_non_200_is_error(self, embed_server):
+        _server, url = embed_server
+        with pytest.raises(ProcTagError, match="HTTP 503"):
+            RemoteEmbedder(url=url + "/status").embed("x")
+
+    def test_malformed_body_is_error(self, embed_server):
+        _server, url = embed_server
+        with pytest.raises(ProcTagError, match="unexpected embedding response"):
+            RemoteEmbedder(url=url + "/malformed").embed("x")
+
+    def test_missing_url_rejected(self, monkeypatch):
+        monkeypatch.delenv("PROCTAG_EMBED_URL", raising=False)
+        with pytest.raises(ProcTagError, match="PROCTAG_EMBED_URL"):
+            RemoteEmbedder()
 
 
 class TestNormalizeCorpus:
