@@ -3,21 +3,10 @@
 data ratios, on the tag profiles of a finished pipeline run."""
 
 import argparse
-import json
 from pathlib import Path
 
+from proctag import cli
 from proctag.assess import SampleSpec, sample, tag_coverage
-from proctag.tagnorm import TagProfile
-
-
-def load_profiles(out_dir: Path) -> list[TagProfile]:
-    manifest = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
-    profiles = []
-    for line in (out_dir / manifest["tags"]).read_text(encoding="utf-8").splitlines():
-        obj = json.loads(line)
-        tags = obj["annotations"]["tags"].get("aggregated") or []
-        profiles.append(TagProfile(obj["record_id"], list(tags), stage="aggregated"))
-    return profiles
 
 
 def coverage_of(ids, profiles):
@@ -32,7 +21,7 @@ def main():
     ap.add_argument("--seeds", type=int, default=25, help="random baselines per ratio")
     args = ap.parse_args()
 
-    profiles = load_profiles(Path(args.out))
+    profiles = cli.profiles_from_tags(cli._stage_records(Path(args.out), "tags"))
     print(f"{len(profiles)} records\n")
     print(f"{'ratio':>6} {'greedy':>8} {'random(mean)':>13}")
     for pct in (5, 10, 20, 30, 50, 75, 100):

@@ -46,6 +46,10 @@ from .render import (PLAINTEXT, SPATIAL, DocumentRepresentation,
 
 MANIFEST = "manifest.json"
 
+# one record's generation outcome, as the tag stage consumes it; None for a
+# generate line that carries neither a process nor a discard
+Generated = tuple[str, procgen.ExecutionProcess | procgen.Discarded | None]
+
 
 # ---------------------------------------------------------------------------
 # stage artifact plumbing
@@ -183,9 +187,9 @@ def render_stage(dataset: Dataset, cfg: PipelineConfig,
 def generate_stage(records: list[InstructionRecord],
                    reps: dict[str, DocumentRepresentation],
                    backend: procgen.GenerationBackend, cfg: PipelineConfig,
-                   out_dir: Path) -> tuple[list[dict[str, Any]], procgen.GenerationLedger]:
-    """Generate one execution process per record; returns the annotated
-    records and the ledger."""
+                   out_dir: Path) -> tuple[list[Generated], procgen.GenerationLedger]:
+    """Generate one execution process per record; returns each record's
+    ``(record_id, process or discard)`` and the ledger."""
     ledger = procgen.GenerationLedger()
     params = procgen.DecodeParams(temperature=cfg.generation.temperature)
     # Only the remote backend waits on the network. Mock and cache replay
@@ -194,69 +198,75 @@ def generate_stage(records: list[InstructionRecord],
     inflight = cfg.generation.max_inflight if cfg.generation.backend == "remote" else 1
     results = procgen.generate_all(records, reps, backend, ledger,
                                    params=params, max_inflight=inflight)
-    out_records: list[dict[str, Any]] = []
-    for rec, result in zip(records, results):
-        ann = dict(rec.annotations)
-        rep = reps[rec.page_id]
-        ann["representation"] = {
-            "style": rep.style,
-            "digest": hashlib.sha256(rep.text.encode("utf-8")).hexdigest()[:16],
-            "token_count": rep.token_count,
-        }
-        if isinstance(result, procgen.Discarded):
-            ann["discarded"] = {"reason": result.reason, "attempts": result.attempts,
-                                "last_completion": result.last_completion}
-            ann.pop("process", None)
-        else:
-            ann["process"] = result.to_dict()
-            ann.pop("discarded", None)
-        obj = record_to_dict(rec)
-        obj["annotations"] = ann
-        out_records.append(obj)
-    path = _write_stage(out_dir, "generate", _jsonl(out_records), "jsonl")
+
+    def annotated() -> Iterator[dict[str, Any]]:
+        # each output record is built as it is written, never all at once
+        for rec, result in zip(records, results):
+            ann = dict(rec.annotations)
+            rep = reps[rec.page_id]
+            ann["representation"] = {
+                "style": rep.style,
+                "digest": hashlib.sha256(rep.text.encode("utf-8")).hexdigest()[:16],
+                "token_count": rep.token_count,
+            }
+            if isinstance(result, procgen.Discarded):
+                ann["discarded"] = {"reason": result.reason, "attempts": result.attempts,
+                                    "last_completion": result.last_completion}
+                ann.pop("process", None)
+            else:
+                ann["process"] = result.to_dict()
+                ann.pop("discarded", None)
+            obj = record_to_dict(rec)
+            obj["annotations"] = ann
+            yield obj
+
+    path = _write_stage(out_dir, "generate", _jsonl(annotated()), "jsonl")
     _write_stage(out_dir, "ledger", dumps_json(ledger.to_dict()) + "\n", "json")
     rate = procgen.discard_rate(ledger) if ledger.total else 0.0
     print(f"generated {ledger.succeeded}/{ledger.total} processes "
           f"(discard rate {rate:.4f}) -> {path}")
-    return out_records, ledger
+    return [(rec.record_id, result) for rec, result in zip(records, results)], ledger
 
 
-def extract_stage(records: Iterable[dict[str, Any]], out_dir: Path) -> list[dict[str, Any]]:
-    """Extract each generated record's raw tag sequence; returns the tagged
-    records."""
-    out = []
-    for obj in records:
-        ann = dict(obj.get("annotations", {}))
-        steps = None
-        completion = None
-        if "process" in ann:
-            steps = procgen.ExecutionProcess.from_dict(ann["process"]).steps
-        elif "discarded" in ann:
-            completion = ann["discarded"].get("last_completion")
+def _generated(obj: dict[str, Any]) -> Generated:
+    """The ``(record_id, process or discard)`` of one generate artifact line."""
+    rid, ann = obj["record_id"], obj.get("annotations", {})
+    if "process" in ann:
+        return rid, procgen.ExecutionProcess.from_dict(ann["process"])
+    if "discarded" in ann:
+        return rid, procgen.Discarded(record_id=rid, **ann["discarded"])
+    return rid, None
+
+
+def _tags_line(record_id: str, tags: dict[str, Any]) -> dict[str, Any]:
+    return {"record_id": record_id, "annotations": {"tags": tags}}
+
+
+def extract_stage(generated: Iterable[Generated], out_dir: Path) -> list[tagnorm.TagProfile]:
+    """Extract each record's raw tag sequence from its process, or from the
+    last completion of a discarded one; returns the raw profiles."""
+    profiles = []
+    for rid, result in generated:
+        steps = result.steps if isinstance(result, procgen.ExecutionProcess) else None
+        completion = result.last_completion if isinstance(result, procgen.Discarded) else None
         try:
-            seq = tagparse.extract_function_names(obj["record_id"], steps=steps,
-                                                  completion=completion)
-            ann["tags"] = {"raw": seq.tags, "source": seq.source}
+            seq = tagparse.extract_function_names(rid, steps=steps, completion=completion)
+            profiles.append(tagnorm.TagProfile(rid, seq.tags, source=seq.source))
         except tagparse.NoTags:
-            ann["tags"] = {"raw": [], "source": "none"}
-        obj = dict(obj)
-        obj["annotations"] = ann
-        out.append(obj)
-    path = _write_stage(out_dir, "tags_raw", _jsonl(out), "jsonl")
-    print(f"extracted raw tags for {len(out)} records -> {path}")
-    return out
+            profiles.append(tagnorm.TagProfile(rid, [], source="none"))
+    path = _write_stage(out_dir, "tags_raw", _jsonl(
+        _tags_line(p.record_id, {"raw": p.tags, "source": p.source}) for p in profiles),
+        "jsonl")
+    print(f"extracted raw tags for {len(profiles)} records -> {path}")
+    return profiles
 
 
-def normalize_stage(records: list[dict[str, Any]], embedder: tagnorm.EmbeddingProvider,
+def normalize_stage(profiles: list[tagnorm.TagProfile], embedder: tagnorm.EmbeddingProvider,
                     cfg: PipelineConfig, out_dir: Path,
                     ) -> tuple[list[tagnorm.TagProfile], dict[str, Any]]:
-    """Filter, cluster and aggregate the raw tags, and write every stage's
-    tags per record; returns the aggregated profiles and the vocabulary
-    report."""
-    profiles = [tagnorm.TagProfile(record_id=obj["record_id"],
-                                   tags=list(obj["annotations"]["tags"]["raw"]),
-                                   source=obj["annotations"]["tags"]["source"])
-                for obj in records]
+    """Filter, cluster and aggregate the raw profiles, and write every
+    stage's tags per record; returns the aggregated profiles and the
+    vocabulary report."""
     result = tagnorm.normalize_corpus(
         profiles, embedder,
         min_count=cfg.tagging.min_count,
@@ -264,19 +274,12 @@ def normalize_stage(records: list[dict[str, Any]], embedder: tagnorm.EmbeddingPr
         dbscan_min_pts=cfg.tagging.dbscan_min_pts,
         min_support=cfg.tagging.min_support,
         min_confidence=cfg.tagging.min_confidence)
-    stage_profiles = result.stage_profiles
-
-    def tagged() -> Iterator[dict[str, Any]]:
-        # each output record is built as it is written, never all at once
-        for i, obj in enumerate(records):
-            ann = dict(obj.get("annotations", {}))
-            tags_ann = dict(ann["tags"])
-            for stage in ("filtered", "clustered", "aggregated"):
-                tags_ann[stage] = stage_profiles[stage][i].tags
-            tags_ann["emptied_by_filter"] = stage_profiles["filtered"][i].emptied_by_filter
-            ann["tags"] = tags_ann
-            yield {**obj, "annotations": ann}
-
+    tagged = (_tags_line(raw.record_id, {
+        "raw": raw.tags, "source": raw.source, "filtered": filtered.tags,
+        "clustered": clustered.tags, "aggregated": aggregated.tags,
+        "emptied_by_filter": filtered.emptied_by_filter})
+        for raw, filtered, clustered, aggregated
+        in zip(*(result.stage_profiles[stage] for stage in tagnorm.STAGES)))
     vocab_report = {
         "stages": {stage: dict(sorted(v.entries.items()))
                    for stage, v in result.vocabularies.items()},
@@ -285,23 +288,26 @@ def normalize_stage(records: list[dict[str, Any]], embedder: tagnorm.EmbeddingPr
                      for cid, members in result.assignment.members().items()},
         "merges": result.merges,
     }
-    path = _write_stage(out_dir, "tags", _jsonl(tagged()), "jsonl")
+    path = _write_stage(out_dir, "tags", _jsonl(tagged), "jsonl")
     _write_stage(out_dir, "vocab", dumps_json(vocab_report) + "\n", "json")
-    print(f"normalized tags for {len(records)} records "
+    print(f"normalized tags for {len(profiles)} records "
           f"({len(vocab_report['merges'])} merges) -> {path}")
     return result.profiles, vocab_report
 
 
-def profiles_from_tags(records: Iterable[dict[str, Any]]) -> list[tagnorm.TagProfile]:
-    """Aggregated-stage profiles of normalized records, which may arrive one
-    at a time as they are read."""
+def profiles_from_tags(records: Iterable[dict[str, Any]],
+                       stage: str = "aggregated") -> list[tagnorm.TagProfile]:
+    """``stage`` profiles of tagged records (``raw`` from ``tags_raw``,
+    any stage from ``tags``), which may arrive one at a time as they are
+    read. Each tag is interned: a corpus repeats a few thousand names, and
+    decoding makes a new string for every occurrence."""
     profiles = []
     for obj in records:
         tags_ann = obj.get("annotations", {}).get("tags", {})
         profiles.append(tagnorm.TagProfile(
             record_id=obj["record_id"],
-            tags=list(tags_ann.get("aggregated") or []),
-            stage="aggregated",
+            tags=[sys.intern(tag) for tag in tags_ann.get(stage) or ()],
+            stage=stage,
             source=tags_ann.get("source", "none"),
             emptied_by_filter=bool(tags_ann.get("emptied_by_filter", False))))
     return profiles
@@ -368,13 +374,14 @@ def cmd_tag(args: argparse.Namespace) -> int:
     cfg = _effective_config(args)
     out_dir = Path(cfg.paths.output_dir)
     stage = args.stage
-    records = None
+    profiles = None
     if stage in ("extract", "all"):
-        records = extract_stage(_stage_records(out_dir, "generate"), out_dir)
+        profiles = extract_stage(map(_generated, _stage_records(out_dir, "generate")),
+                                 out_dir)
     if stage in ("normalize", "all"):
-        if records is None:
-            records = list(_stage_records(out_dir, "tags_raw"))
-        normalize_stage(records, _make_embedder(cfg), cfg, out_dir)
+        if profiles is None:
+            profiles = profiles_from_tags(_stage_records(out_dir, "tags_raw"), stage="raw")
+        normalize_stage(profiles, _make_embedder(cfg), cfg, out_dir)
     return 0
 
 
@@ -425,11 +432,11 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     # each stage's input is dropped once the next stage has consumed it
     dataset = _load_dataset(cfg)
     reps = render_stage(dataset, cfg, out_dir)
-    records, _ledger = generate_stage(dataset.records, reps, backend, cfg, out_dir)
+    generated, _ledger = generate_stage(dataset.records, reps, backend, cfg, out_dir)
     del dataset, reps
-    records = extract_stage(records, out_dir)
-    profiles, _vocab = normalize_stage(records, embedder, cfg, out_dir)
-    del records
+    profiles = extract_stage(generated, out_dir)
+    del generated
+    profiles, _vocab = normalize_stage(profiles, embedder, cfg, out_dir)
     sample_stage(profiles, cfg, out_dir)
     return 0
 

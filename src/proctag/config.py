@@ -5,16 +5,21 @@ clustering radius 0.015 with 2 minimum points, association thresholds of 40
 support and 0.99 confidence, long-tail cutoff picked from corpus size).
 
 The dataclasses are the one schema of the config: a field's type hint and
-metadata (``choices``, ``min``, the flag's ``help``, the section a cache
-directory ``serves``) say what it takes, and :func:`set_key` checks every
-value, from a YAML file or a flag, against them. A bool is never a number,
-an int is widened for a float field, and ``None`` fits only ``X | None``.
+metadata (``choices``; the range ``min`` / ``max``, inclusive, and
+``above``, exclusive; the flag's ``help``; the section a cache directory
+``serves``) say what it takes, and :func:`set_key` checks every value, from
+a YAML file or a flag, against them. The ranges are the ones the stages
+enforce, so a value out of range fails before the first stage writes. A
+bool is never a number, an int is widened for a float field, a float must
+be finite, and ``None`` fits only ``X | None``.
 Every key is also a CLI flag named after it, except ``paths.output_dir``
 (``--out``) and ``paths.gen_cache_dir`` (``--cache-dir``).
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import Field, asdict, dataclass, field, fields
 from functools import cache
 from pathlib import Path
@@ -48,14 +53,14 @@ class PathsConfig:
 
 @dataclass
 class LayoutConfig:
-    nms_iou_threshold: float = DEFAULT_NMS_IOU
+    nms_iou_threshold: float = _key(DEFAULT_NMS_IOU, above=0, max=1)
     row_tolerance_factor: float = DEFAULT_ROW_TOLERANCE
 
 
 @dataclass
 class RenderConfig:
     style: str = _key(DOCLAYPROMPT, choices=STYLES)
-    max_chars: int | None = None
+    max_chars: int | None = _key(None, min=0)
 
 
 @dataclass
@@ -68,9 +73,9 @@ class GenerationConfig:
 
 @dataclass
 class TaggingConfig:
-    min_count: int | None = None        # None: pick from corpus size
-    dbscan_eps: float = tagnorm.DEFAULT_DBSCAN_EPS
-    dbscan_min_pts: int = tagnorm.DEFAULT_DBSCAN_MIN_PTS
+    min_count: int | None = _key(None, min=1)  # None: pick from corpus size
+    dbscan_eps: float = _key(tagnorm.DEFAULT_DBSCAN_EPS, above=0)
+    dbscan_min_pts: int = _key(tagnorm.DEFAULT_DBSCAN_MIN_PTS, min=1)
     min_support: int = tagnorm.DEFAULT_MIN_SUPPORT
     min_confidence: float = tagnorm.DEFAULT_MIN_CONFIDENCE
     embedder: str = _key("hashing", choices=("hashing", "cache", "remote"))
@@ -79,9 +84,9 @@ class TaggingConfig:
 @dataclass
 class SamplingConfig:
     mode: str = _key("ratio", choices=MODES)
-    budget: int | None = None
-    ratio: float | None = 0.3
-    coverage: float | None = None
+    budget: int | None = _key(None, min=0)
+    ratio: float | None = _key(0.3, above=0, max=1)
+    coverage: float | None = _key(None, min=0, max=1)
     seed: int = 0
 
 
@@ -107,6 +112,10 @@ def schema() -> tuple[tuple[str, Field, Any], ...]:
                  for f in fields(cls))
 
 
+# range metadata key -> (how an error states it, the test a value must pass)
+_BOUNDS = {"min": (">=", operator.ge), "above": (">", operator.gt), "max": ("<=", operator.le)}
+
+
 def _checked(section: str, f: Field, hint: Any, value: Any) -> Any:
     """``value`` as field ``f`` stores it; ConfigError if the field refuses it."""
     types = get_args(hint) or (hint,)
@@ -118,12 +127,17 @@ def _checked(section: str, f: Field, hint: Any, value: Any) -> Any:
     if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
         names = " or ".join("None" if t is type(None) else t.__name__ for t in types)
         raise ConfigError(f"{section}.{f.name} must be {names}, got {value!r}")
+    if value is None:
+        return value
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{section}.{f.name} must be finite, got {value!r}")
     choices = f.metadata.get("choices")
     if choices is not None and value not in choices:
         raise ConfigError(f"{section}.{f.name} must be one of {choices}, got {value!r}")
-    minimum = f.metadata.get("min")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{section}.{f.name} must be >= {minimum}, got {value!r}")
+    for bound, (sign, holds) in _BOUNDS.items():
+        limit = f.metadata.get(bound)
+        if limit is not None and not holds(value, limit):
+            raise ConfigError(f"{section}.{f.name} must be {sign} {limit}, got {value!r}")
     return value
 
 

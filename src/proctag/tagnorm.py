@@ -50,7 +50,7 @@ class DegenerateMerge(ProcTagError):
     """Nothing of the second tag survives the merge rule."""
 
 
-@dataclass
+@dataclass(slots=True)
 class TagProfile:
     """Ordered tag sequence for one record at a given stage."""
 
@@ -170,7 +170,7 @@ def dbscan(vectors: Mapping[str, np.ndarray], eps: float, min_pts: int,
     """
     import numpy as np
 
-    if eps <= 0:
+    if not eps > 0:  # NaN fails every comparison, so it would pass eps <= 0
         raise ValueError("eps must be positive")
     if min_pts < 1:
         raise ValueError("min_pts must be a positive integer")

@@ -9,10 +9,15 @@ from collections import Counter
 from dataclasses import replace
 from functools import lru_cache
 from itertools import combinations
+from pathlib import Path
+from typing import Any, Iterable, Iterator
 
 import numpy as np
 
-from proctag.ingest import BoundingBox
+from proctag import procgen, tagnorm, tagparse
+from proctag.cli import _jsonl, _write_stage
+from proctag.config import PipelineConfig
+from proctag.ingest import BoundingBox, dumps_json
 
 
 # ---------------------------------------------------------------------------
@@ -295,3 +300,82 @@ def selection_sequence_reference(profiles):
         remaining.remove(best)
     phase2 = sorted(remaining, key=lambda i: (-len(tagsets[i]), profiles[i].record_id))
     return [profiles[i] for i in phase1], [profiles[i] for i in phase2]
+
+
+# ---------------------------------------------------------------------------
+# tag stage writers that copied the whole generate record into ``tags_raw``
+# and ``tags`` (kept verbatim; their ``record_id`` and ``annotations.tags``
+# are what the slim artifacts must reproduce)
+
+
+def extract_stage_full_records(records: Iterable[dict[str, Any]],
+                               out_dir: Path) -> list[dict[str, Any]]:
+    """Extract each generated record's raw tag sequence; returns the tagged
+    records."""
+    out = []
+    for obj in records:
+        ann = dict(obj.get("annotations", {}))
+        steps = None
+        completion = None
+        if "process" in ann:
+            steps = procgen.ExecutionProcess.from_dict(ann["process"]).steps
+        elif "discarded" in ann:
+            completion = ann["discarded"].get("last_completion")
+        try:
+            seq = tagparse.extract_function_names(obj["record_id"], steps=steps,
+                                                  completion=completion)
+            ann["tags"] = {"raw": seq.tags, "source": seq.source}
+        except tagparse.NoTags:
+            ann["tags"] = {"raw": [], "source": "none"}
+        obj = dict(obj)
+        obj["annotations"] = ann
+        out.append(obj)
+    path = _write_stage(out_dir, "tags_raw", _jsonl(out), "jsonl")
+    print(f"extracted raw tags for {len(out)} records -> {path}")
+    return out
+
+
+def normalize_stage_full_records(records: list[dict[str, Any]],
+                                 embedder: tagnorm.EmbeddingProvider,
+                                 cfg: PipelineConfig, out_dir: Path,
+                                 ) -> tuple[list[tagnorm.TagProfile], dict[str, Any]]:
+    """Filter, cluster and aggregate the raw tags, and write every stage's
+    tags per record; returns the aggregated profiles and the vocabulary
+    report."""
+    profiles = [tagnorm.TagProfile(record_id=obj["record_id"],
+                                   tags=list(obj["annotations"]["tags"]["raw"]),
+                                   source=obj["annotations"]["tags"]["source"])
+                for obj in records]
+    result = tagnorm.normalize_corpus(
+        profiles, embedder,
+        min_count=cfg.tagging.min_count,
+        dbscan_eps=cfg.tagging.dbscan_eps,
+        dbscan_min_pts=cfg.tagging.dbscan_min_pts,
+        min_support=cfg.tagging.min_support,
+        min_confidence=cfg.tagging.min_confidence)
+    stage_profiles = result.stage_profiles
+
+    def tagged() -> Iterator[dict[str, Any]]:
+        # each output record is built as it is written, never all at once
+        for i, obj in enumerate(records):
+            ann = dict(obj.get("annotations", {}))
+            tags_ann = dict(ann["tags"])
+            for stage in ("filtered", "clustered", "aggregated"):
+                tags_ann[stage] = stage_profiles[stage][i].tags
+            tags_ann["emptied_by_filter"] = stage_profiles["filtered"][i].emptied_by_filter
+            ann["tags"] = tags_ann
+            yield {**obj, "annotations": ann}
+
+    vocab_report = {
+        "stages": {stage: dict(sorted(v.entries.items()))
+                   for stage, v in result.vocabularies.items()},
+        "clusters": {str(cid): {"representative": result.assignment.representatives[cid],
+                                "members": members}
+                     for cid, members in result.assignment.members().items()},
+        "merges": result.merges,
+    }
+    path = _write_stage(out_dir, "tags", _jsonl(tagged()), "jsonl")
+    _write_stage(out_dir, "vocab", dumps_json(vocab_report) + "\n", "json")
+    print(f"normalized tags for {len(records)} records "
+          f"({len(vocab_report['merges'])} merges) -> {path}")
+    return result.profiles, vocab_report

@@ -5,10 +5,14 @@ import dataclasses
 import gc
 import hashlib
 import json
+import math
 import os
+import random
 import subprocess
 import sys
+import tempfile
 import threading
+import tracemalloc
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -17,7 +21,8 @@ import yaml
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from proctag import cli, procgen
+import oracles
+from proctag import cli, procgen, tagnorm
 from proctag.cli import run
 from proctag.config import (ConfigError, PipelineConfig, config_from_dict,
                             dump_config, load_config)
@@ -135,10 +140,10 @@ class TestStages:
 
     def test_standalone_curate_commands_read_line_separators(self, tmp_path, capsys):
         # sample and assess read the tags artifact a line at a time; a record
-        # holding U+2028, U+0085 and an escaped carriage return must come
-        # back whole and give what pipeline computed from memory
+        # whose id holds U+2028, U+0085 and an escaped carriage return must
+        # come back whole and give what pipeline computed from memory
         ds = make_dataset(seed=11, n_pages=2, records_per_page=2)
-        ds.records[0].question += " \u2028 next \x85 line \r end"
+        ds.records[0].record_id += " \u2028 next \x85 line \r end"
         write_dataset(ds, tmp_path / "data" / "records.jsonl")
         out = tmp_path / "out"
         base = _base_args(tmp_path / "data", out)
@@ -299,6 +304,130 @@ class TestStages:
         assert report["mode"] == "random" and report["count"] == 5  # ceil(18/4)
 
 
+# function names as a backend writes them; the last three normalize to nothing
+_FUNCTION_NAMES = ("find_total", "findTotal", "read_row", "scan_list", "pick_entry",
+                   "sum_cells", "get_2nd_value", "__", "123", "")
+
+
+@st.composite
+def _generate_lines(draw):
+    """Generate-artifact lines: processes (some with no steps, or only names
+    that normalize to nothing), discards with and without a parseable last
+    completion, and a line that carries neither."""
+    names = st.sampled_from(_FUNCTION_NAMES)
+    lines = []
+    for i in range(draw(st.integers(1, 25))):
+        kind = draw(st.sampled_from(["process", "process", "process", "discarded", "neither"]))
+        ann = {"representation": {"style": "plaintext", "digest": "0" * 16, "token_count": 3}}
+        if kind == "process":
+            steps = [{"index": k, "output_var": f"r{k}", "function_name": name,
+                      "args": ["doc"]}
+                     for k, name in enumerate(draw(st.lists(names, max_size=6)), start=1)]
+            ann["process"] = {"cot": ["1. look"], "steps": steps, "final_answer": "x",
+                              "attempts": draw(st.integers(1, 3))}
+        elif kind == "discarded":
+            completion = draw(st.none() | st.just("no pseudo-code here") | st.lists(names).map(
+                lambda ns: "\n".join(f"{n}(doc)" for n in ns)))
+            ann["discarded"] = {"reason": "no pseudo-code block", "attempts": 3,
+                                "last_completion": completion}
+        lines.append({"record_id": f"r{i:03d}" + draw(st.sampled_from(["", "\u2028", " é"])),
+                      "page_id": "p0", "question": draw(st.text(max_size=20)),
+                      "answers": ["a"], "annotations": ann})
+    return lines
+
+
+def _tags_only(objs):
+    """What the slim tag artifacts keep of a record: its id and its tags."""
+    return [{"record_id": obj["record_id"], "annotations": {"tags": obj["annotations"]["tags"]}}
+            for obj in objs]
+
+
+class TestSlimTagArtifacts:
+    """``tags_raw`` and ``tags`` hold only ``record_id`` and the tags, built
+    from profiles; they equal what the full-record writers wrote, projected
+    to those fields, and the vocabulary is byte-identical."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(lines=_generate_lines(), min_count=st.none() | st.integers(1, 3),
+           eps=st.sampled_from([0.015, 0.3]), min_support=st.sampled_from([1, 2, 40]),
+           min_confidence=st.sampled_from([0.5, 0.99]))
+    def test_equal_to_full_record_writers(self, lines, min_count, eps, min_support,
+                                          min_confidence):
+        cfg = PipelineConfig()
+        cfg.tagging.min_count = min_count
+        cfg.tagging.dbscan_eps = eps
+        cfg.tagging.min_support = min_support
+        cfg.tagging.min_confidence = min_confidence
+        flags = ["--dbscan-eps", str(eps), "--min-support", str(min_support),
+                 "--min-confidence", str(min_confidence)]
+        if min_count is not None:
+            flags += ["--min-count", str(min_count)]
+        with tempfile.TemporaryDirectory() as tmp:
+            old, chained, standalone = (Path(tmp) / name for name in ("old", "chained", "cmd"))
+            tagged = oracles.extract_stage_full_records(lines, old)
+            old_profiles, old_vocab = oracles.normalize_stage_full_records(
+                tagged, tagnorm.HashingEmbedder(), cfg, old)
+            # in memory, as pipeline chains the stages
+            profiles, vocab = cli.normalize_stage(
+                cli.extract_stage(map(cli._generated, lines), chained),
+                tagnorm.HashingEmbedder(), cfg, chained)
+            # standalone commands over a generate artifact
+            cli._write_stage(standalone, "generate", cli._jsonl(lines), "jsonl")
+            assert run(["tag", "--stage", "extract", "--out", str(standalone)]) == 0
+            assert run(["tag", "--stage", "normalize", "--out", str(standalone)] + flags) == 0
+
+            assert profiles == old_profiles and vocab == old_vocab
+            for stage in ("tags_raw", "tags"):
+                expected = _tags_only(cli._stage_records(old, stage))
+                assert list(cli._stage_records(chained, stage)) == expected
+            manifests = [json.loads((d / "manifest.json").read_text())
+                         for d in (chained, standalone)]
+            assert manifests[0] == {k: v for k, v in manifests[1].items() if k != "generate"}
+            assert json.loads((old / "manifest.json").read_text())["vocab"] == manifests[0]["vocab"]
+
+    def test_normalize_peak_does_not_grow_with_record_fields(self, tmp_path):
+        # tag --stage normalize keeps each tags_raw line's profile only, so
+        # a 2 KB question on every line must not raise its traced peak
+        import numpy  # noqa: F401  (the first embed imports it; keep that out of the peaks)
+
+        vocab = [f"{verb}_{noun}" for verb in ("find", "read", "sum", "count")
+                 for noun in ("row", "cell", "total", "date", "name")]
+
+        def peak(question_chars, name):
+            rng = random.Random(5)
+            out = tmp_path / name
+            cli._write_stage(out, "tags_raw", cli._jsonl(
+                {"record_id": f"r{i:05d}", "page_id": "p0", "question": "q" * question_chars,
+                 "answers": ["a"],
+                 "annotations": {"tags": {"raw": rng.sample(vocab, 4), "source": "grammar"}}}
+                for i in range(2000)), "jsonl")
+            tracemalloc.start()
+            try:
+                assert run(["tag", "--stage", "normalize", "--out", str(out)]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(0, "warm-up")
+        bare, padded = peak(0, "bare"), peak(2048, "padded")
+        # the decoded questions alone would add 2000 * 2 KB = 4 MB
+        assert padded < bare + (1 << 20), (bare, padded)
+
+    def test_sampling_curves_reads_line_separators(self, tmp_path):
+        ds = make_dataset(seed=11, n_pages=4, records_per_page=5)
+        ds.records[0].record_id += "\u2028"
+        write_dataset(ds, tmp_path / "data" / "records.jsonl")
+        out = tmp_path / "out"
+        assert run(["pipeline", "--backend", "mock"] + _base_args(tmp_path / "data", out)) == 0
+        script = Path(__file__).parents[1] / "scripts" / "sampling_curves.py"
+        proc = subprocess.run([sys.executable, str(script), "--out", str(out), "--seeds", "2"],
+                              capture_output=True, text=True, timeout=120,
+                              env={**os.environ,
+                                   "PYTHONPATH": str(Path(cli.__file__).parents[1])})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("20 records\n")
+
+
 class TestEval:
     def test_anls_subcommand(self, tmp_path, capsys):
         pred = tmp_path / "pred.jsonl"
@@ -424,13 +553,29 @@ CHOICES = {
     "sampling.mode": ("budget", "ratio", "coverage", "random"),
 }
 
+# Values outside the range each bounded key takes, which its stage would
+# refuse only after earlier stages wrote.
+OUT_OF_RANGE = {
+    "layout.nms_iou_threshold": st.floats(max_value=0) | st.floats(min_value=1, exclude_min=True),
+    "render.max_chars": st.integers(max_value=-1),
+    "generation.max_inflight": st.integers(max_value=0),
+    "tagging.min_count": st.integers(max_value=0),
+    "tagging.dbscan_eps": st.floats(max_value=0),
+    "tagging.dbscan_min_pts": st.integers(max_value=0),
+    "sampling.budget": st.integers(max_value=-1),
+    "sampling.ratio": st.floats(max_value=0) | st.floats(min_value=1, exclude_min=True),
+    "sampling.coverage": (st.floats(max_value=0, exclude_max=True)
+                          | st.floats(min_value=1, exclude_min=True)),
+}
+
 _scalar = st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text()
 
 
 def _wrong_values(name: str) -> st.SearchStrategy:
     """Values key ``name`` must refuse: a bool, a list, a dict, None where
     it is not allowed, a str for a number, a float for an int, a number for
-    a str, a str outside the choices, and a max_inflight below 1."""
+    a str, a str outside the choices, a non-finite float, and a number
+    outside the key's range."""
     kind = KEY_TYPES[name]
     wrong = [st.booleans(), st.lists(_scalar, max_size=3),
              st.dictionaries(st.text(max_size=4), _scalar, min_size=1, max_size=2)]
@@ -442,10 +587,12 @@ def _wrong_values(name: str) -> st.SearchStrategy:
         wrong.append(st.floats(allow_nan=False))
     if kind.startswith("str"):
         wrong.append(st.integers() | st.floats(allow_nan=False))
+    if kind.startswith("float"):
+        wrong.append(st.sampled_from([math.nan, math.inf, -math.inf]))
     if name in CHOICES:
         wrong.append(st.text().filter(lambda v: v not in CHOICES[name]))
-    if name == "generation.max_inflight":
-        wrong.append(st.integers(max_value=0))
+    if name in OUT_OF_RANGE:
+        wrong.append(OUT_OF_RANGE[name])
     return st.one_of(wrong)
 
 
@@ -555,6 +702,30 @@ class TestConfig:
         assert f"error: {section}.{key} must be" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("section,key,value,message", [
+        ("sampling", "ratio", "5", "must be <= 1"),
+        ("sampling", "ratio", "0", "must be > 0"),
+        ("sampling", "coverage", "1.5", "must be <= 1"),
+        ("tagging", "min_count", "0", "must be >= 1"),
+        ("tagging", "dbscan_min_pts", "0", "must be >= 1"),
+        ("tagging", "dbscan_eps", ".nan", "must be finite"),
+        ("tagging", "dbscan_eps", "0", "must be > 0"),
+        ("render", "max_chars", "-5", "must be >= 0"),
+        ("layout", "nms_iou_threshold", ".inf", "must be finite"),
+    ])
+    def test_out_of_range_value_rejected_before_any_stage_writes(
+            self, demo_dataset, tmp_path, capsys, section, key, value, message):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(f"{section}:\n  {key}: {value}\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run(["pipeline", "--config", str(cfg)] + _base_args(demo_dataset, out)) == 1
+        assert f"error: {section}.{key} {message}" in capsys.readouterr().err
+        assert not out.exists()
+        flag = "--" + key.replace("_", "-")
+        assert run(["pipeline", flag, value.lstrip(".")] + _base_args(demo_dataset, out)) == 1
+        assert f"error: {section}.{key} {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_key_table_covers_every_config_key(self):
         assert set(KEY_TYPES) == {f"{section}.{key}"
                                   for section, key in cli.CONFIG_FLAGS.values()}
@@ -568,7 +739,9 @@ class TestConfig:
         value = data.draw(_wrong_values(name), label="value")
         section, key = name.split(".")
         text = yaml.safe_dump({section: {key: value}})
-        assume(yaml.safe_load(text) == {section: {key: value}})
+        loaded = yaml.safe_load(text)
+        # NaN equals nothing, itself included; its repr still round-trips
+        assume(loaded == {section: {key: value}} or repr(loaded) == repr({section: {key: value}}))
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text(text, encoding="utf-8")
         out = tmp_path / "out"

@@ -106,6 +106,14 @@ class TestDbscan:
         labels = set(assignment.labels.values())
         assert labels == {0}
 
+    @pytest.mark.parametrize("eps", [0.0, -0.5, math.nan, -math.inf])
+    def test_non_positive_or_nan_eps_rejected(self, eps):
+        # NaN makes every distance comparison false, which would leave every
+        # tag noise instead of failing
+        v = np.array([1.0, 0.0])
+        with pytest.raises(ValueError, match="eps must be positive"):
+            dbscan({"a": v, "b": v}, eps=eps, min_pts=1)
+
     def test_tiny_eps_all_noise(self):
         vectors = {"a": np.array([1.0, 0.0]), "b": np.array([0.0, 1.0]),
                    "c": np.array([1.0, 1.0])}
