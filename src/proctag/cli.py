@@ -5,13 +5,23 @@ Each stage writes one immutable artifact named ``<stage>-<digest>.<ext>``
 under the output directory (digest of the file content) plus a
 ``manifest.json`` index, and reads only prior-stage artifacts through that
 manifest. Re-running a stage over unchanged inputs reproduces its artifact
-byte for byte. JSONL artifacts are streamed to disk a record at a time and
-hashed on the way, and read back a line at a time, so none of them is ever
-held whole in memory. The manifest update is serialized by an exclusive lock
+byte for byte. JSONL artifacts are streamed to disk a record or a chunk of
+records at a time and hashed on the way, and read back a line at a time, so
+none of them is ever held whole in memory. The manifest update is serialized by an exclusive lock
 on the output directory, so stages writing one directory at once all land.
 ``pipeline`` loads the dataset once and hands each stage's results to the
 next in memory; it writes the same artifacts, byte for byte, as running the
 stages one by one. Exit codes: 0 success, 1 data error, 2 usage error.
+
+``render`` and, with the mock or cache backend, ``generate`` run on every
+CPU the process may use (``os.sched_getaffinity``). Their records are split
+into chunks of :data:`CHUNK`, which forked worker processes turn into
+encoded artifact lines (plus the representations, or each record's outcome
+and raw tag profile); the parent writes the chunks in input order, so the
+artifacts are those of a single-CPU run. With one CPU or one chunk no worker
+starts. A worker's error is re-raised in the parent, and a worker that dies
+ends the command with exit 1. The remote backend overlaps its calls on
+``generation.max_inflight`` threads instead.
 
 :func:`run` pauses Python's automatic cyclic garbage collection while the
 command runs and restores the caller's setting afterwards. The records,
@@ -30,15 +40,18 @@ import hashlib
 import json
 import os
 import sys
+import threading
+from concurrent.futures import BrokenExecutor
 from pathlib import Path
-from typing import Any, Iterable, Iterator, get_args
+from typing import Any, Callable, Iterable, Iterator, get_args
 
 from . import assess as assess_mod
 from . import procgen, tagnorm, tagparse
 from .config import PipelineConfig, load_config, schema, set_key
 from .errors import ProcTagError
-from .ingest import (Dataset, InstructionRecord, IoFailure, atomic_write_text,
-                     dumps_json, load_dataset, load_pages_dir, record_to_dict)
+from .ingest import (Dataset, DocumentPage, InstructionRecord, IoFailure,
+                     atomic_write_text, dumps_json, load_dataset, load_pages_dir,
+                     record_to_dict)
 from .layout import associate, clean_inputs
 from .metrics import Prediction, ConfusionMatrix, anls, kappa_report
 from .render import (PLAINTEXT, SPATIAL, DocumentRepresentation,
@@ -46,9 +59,14 @@ from .render import (PLAINTEXT, SPATIAL, DocumentRepresentation,
 
 MANIFEST = "manifest.json"
 
-# one record's generation outcome, as the tag stage consumes it; None for a
-# generate line that carries neither a process nor a discard
-Generated = tuple[str, procgen.ExecutionProcess | procgen.Discarded | None]
+# items per task of _chunk_map: enough that a task's results cross the
+# process boundary as one sizeable pickle, few enough that every worker
+# stays busy to the end
+CHUNK = 256
+
+# one record's generation outcome as the parent keeps it: whether it was
+# discarded, its attempts, and its raw tag profile
+Outcome = tuple[bool, int, tagnorm.TagProfile]
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +120,44 @@ def _read_jsonl(path: Path) -> Iterator[dict[str, Any]]:
 
 def _jsonl(objs: Iterable[dict[str, Any]]) -> Iterable[str]:
     return (dumps_json(obj) + "\n" for obj in objs)
+
+
+# the function and items of the running _chunk_map, which forked workers inherit
+_chunk_task: tuple[Callable[[list], Any], list] | None = None
+
+
+def _run_chunk(bounds: tuple[int, int]) -> Any:
+    fn, items = _chunk_task
+    return fn(items[bounds[0]:bounds[1]])
+
+
+def _chunk_map(fn: Callable[[list], Any], items: list) -> Iterator[Any]:
+    """``fn(chunk)`` for consecutive ``CHUNK``-item chunks of ``items``, in
+    order, computed on every CPU this process may run on.
+
+    The workers are forked, so they inherit ``fn`` and ``items``: only chunk
+    bounds go out and only chunk results come back. With one CPU or one
+    chunk no worker starts and every chunk runs in this process; so too
+    while another thread runs, since a fork copies no thread but every
+    lock, which a worker could then wait on forever.
+    """
+    global _chunk_task
+    bounds = [(lo, min(lo + CHUNK, len(items))) for lo in range(0, len(items), CHUNK)]
+    workers = min(len(os.sched_getaffinity(0)), len(bounds))
+    if workers <= 1 or threading.active_count() > 1:
+        yield from (fn(items[lo:hi]) for lo, hi in bounds)
+        return
+    # imported only here: loading multiprocessing adds about 20 ms to every command
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    _chunk_task = (fn, items)
+    try:
+        fork = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(workers, mp_context=fork) as pool:
+            yield from pool.map(_run_chunk, bounds)
+    finally:
+        _chunk_task = None
 
 
 # ---------------------------------------------------------------------------
@@ -178,57 +234,101 @@ def _make_embedder(cfg: PipelineConfig) -> tagnorm.EmbeddingProvider:
 def render_stage(dataset: Dataset, cfg: PipelineConfig,
                  out_dir: Path) -> dict[str, DocumentRepresentation]:
     """Render every page; returns the representations by page id."""
-    reps = [_render_page(page, cfg) for page in dataset.pages.values()]
-    path = _write_stage(out_dir, "render", _jsonl(rep.to_dict() for rep in reps), "jsonl")
+
+    def render_chunk(pages: list[DocumentPage]) -> tuple[list[DocumentRepresentation], str]:
+        reps = [_render_page(page, cfg) for page in pages]
+        return reps, "".join(_jsonl(rep.to_dict() for rep in reps))
+
+    reps: dict[str, DocumentRepresentation] = {}
+
+    def lines() -> Iterator[str]:
+        for chunk_reps, text in _chunk_map(render_chunk, list(dataset.pages.values())):
+            reps.update((rep.page_id, rep) for rep in chunk_reps)
+            yield text
+
+    path = _write_stage(out_dir, "render", lines(), "jsonl")
     print(f"rendered {len(reps)} pages -> {path}")
-    return {rep.page_id: rep for rep in reps}
+    return reps
+
+
+def _generate_line(rec: InstructionRecord, rep: DocumentRepresentation,
+                   result: procgen.ExecutionProcess | procgen.Discarded) -> dict[str, Any]:
+    ann = dict(rec.annotations)
+    ann["representation"] = {
+        "style": rep.style,
+        "digest": hashlib.sha256(rep.text.encode("utf-8")).hexdigest()[:16],
+        "token_count": rep.token_count,
+    }
+    if isinstance(result, procgen.Discarded):
+        ann["discarded"] = {"reason": result.reason, "attempts": result.attempts,
+                            "last_completion": result.last_completion}
+        ann.pop("process", None)
+    else:
+        ann["process"] = result.to_dict()
+        ann.pop("discarded", None)
+    obj = record_to_dict(rec)
+    obj["annotations"] = ann
+    return obj
+
+
+def _encode_generated(pairs: Iterable[tuple[InstructionRecord,
+                                            procgen.ExecutionProcess | procgen.Discarded]],
+                      reps: dict[str, DocumentRepresentation]) -> tuple[str, list[Outcome]]:
+    """The generate lines of some records and each one's outcome."""
+    lines, outcomes = [], []
+    for rec, result in pairs:
+        lines.append(dumps_json(_generate_line(rec, reps[rec.page_id], result)) + "\n")
+        outcomes.append((isinstance(result, procgen.Discarded), result.attempts,
+                         _raw_profile(rec.record_id, result)))
+    return "".join(lines), outcomes
 
 
 def generate_stage(records: list[InstructionRecord],
                    reps: dict[str, DocumentRepresentation],
                    backend: procgen.GenerationBackend, cfg: PipelineConfig,
-                   out_dir: Path) -> tuple[list[Generated], procgen.GenerationLedger]:
-    """Generate one execution process per record; returns each record's
-    ``(record_id, process or discard)`` and the ledger."""
-    ledger = procgen.GenerationLedger()
+                   out_dir: Path) -> tuple[list[tagnorm.TagProfile], procgen.GenerationLedger]:
+    """Generate one execution process per record; returns each record's raw
+    tag profile and the ledger."""
     params = procgen.DecodeParams(temperature=cfg.generation.temperature)
-    # Only the remote backend waits on the network. Mock and cache replay
-    # compute in Python, where pool threads only contend for the
-    # interpreter lock, so they run in-process.
-    inflight = cfg.generation.max_inflight if cfg.generation.backend == "remote" else 1
-    results = procgen.generate_all(records, reps, backend, ledger,
-                                   params=params, max_inflight=inflight)
+    chunks: Iterable[tuple[str, list[Outcome]]]
+    if cfg.generation.backend == "remote":
+        # only the remote backend waits on the network: its calls overlap on
+        # threads, and each record is encoded as it is written
+        results = procgen.generate_all(records, reps, backend, procgen.GenerationLedger(),
+                                       params=params,
+                                       max_inflight=cfg.generation.max_inflight)
+        chunks = (_encode_generated([pair], reps) for pair in zip(records, results))
+    else:
+        # mock and cache replay compute in Python, so they run on every CPU
+        def generate_chunk(recs: list[InstructionRecord]) -> tuple[str, list[Outcome]]:
+            scratch = procgen.GenerationLedger()  # the parent fills the real one
+            return _encode_generated(
+                ((rec, procgen.generate_process(rec, reps[rec.page_id], backend,
+                                                scratch, params)) for rec in recs), reps)
 
-    def annotated() -> Iterator[dict[str, Any]]:
-        # each output record is built as it is written, never all at once
-        for rec, result in zip(records, results):
-            ann = dict(rec.annotations)
-            rep = reps[rec.page_id]
-            ann["representation"] = {
-                "style": rep.style,
-                "digest": hashlib.sha256(rep.text.encode("utf-8")).hexdigest()[:16],
-                "token_count": rep.token_count,
-            }
-            if isinstance(result, procgen.Discarded):
-                ann["discarded"] = {"reason": result.reason, "attempts": result.attempts,
-                                    "last_completion": result.last_completion}
-                ann.pop("process", None)
-            else:
-                ann["process"] = result.to_dict()
-                ann.pop("discarded", None)
-            obj = record_to_dict(rec)
-            obj["annotations"] = ann
-            yield obj
+        chunks = _chunk_map(generate_chunk, records)
 
-    path = _write_stage(out_dir, "generate", _jsonl(annotated()), "jsonl")
+    ledger = procgen.GenerationLedger()
+    profiles: list[tagnorm.TagProfile] = []
+
+    def lines() -> Iterator[str]:
+        for text, outcomes in chunks:
+            for discarded, attempts, profile in outcomes:
+                record = ledger.record_discard if discarded else ledger.record_success
+                record(profile.record_id, attempts)
+                profiles.append(profile)
+            yield text
+
+    path = _write_stage(out_dir, "generate", lines(), "jsonl")
     _write_stage(out_dir, "ledger", dumps_json(ledger.to_dict()) + "\n", "json")
     rate = procgen.discard_rate(ledger) if ledger.total else 0.0
     print(f"generated {ledger.succeeded}/{ledger.total} processes "
           f"(discard rate {rate:.4f}) -> {path}")
-    return [(rec.record_id, result) for rec, result in zip(records, results)], ledger
+    return profiles, ledger
 
 
-def _generated(obj: dict[str, Any]) -> Generated:
+def _generated(obj: dict[str, Any],
+               ) -> tuple[str, procgen.ExecutionProcess | procgen.Discarded | None]:
     """The ``(record_id, process or discard)`` of one generate artifact line."""
     rid, ann = obj["record_id"], obj.get("annotations", {})
     if "process" in ann:
@@ -238,27 +338,29 @@ def _generated(obj: dict[str, Any]) -> Generated:
     return rid, None
 
 
+def _raw_profile(rid: str, result: procgen.ExecutionProcess | procgen.Discarded | None,
+                 ) -> tagnorm.TagProfile:
+    """One record's raw tags, from its process or from the last completion
+    of a discarded one."""
+    steps = result.steps if isinstance(result, procgen.ExecutionProcess) else None
+    completion = result.last_completion if isinstance(result, procgen.Discarded) else None
+    try:
+        seq = tagparse.extract_function_names(rid, steps=steps, completion=completion)
+    except tagparse.NoTags:
+        return tagnorm.TagProfile(rid, [], source="none")
+    return tagnorm.TagProfile(rid, seq.tags, source=seq.source)
+
+
 def _tags_line(record_id: str, tags: dict[str, Any]) -> dict[str, Any]:
     return {"record_id": record_id, "annotations": {"tags": tags}}
 
 
-def extract_stage(generated: Iterable[Generated], out_dir: Path) -> list[tagnorm.TagProfile]:
-    """Extract each record's raw tag sequence from its process, or from the
-    last completion of a discarded one; returns the raw profiles."""
-    profiles = []
-    for rid, result in generated:
-        steps = result.steps if isinstance(result, procgen.ExecutionProcess) else None
-        completion = result.last_completion if isinstance(result, procgen.Discarded) else None
-        try:
-            seq = tagparse.extract_function_names(rid, steps=steps, completion=completion)
-            profiles.append(tagnorm.TagProfile(rid, seq.tags, source=seq.source))
-        except tagparse.NoTags:
-            profiles.append(tagnorm.TagProfile(rid, [], source="none"))
+def extract_stage(profiles: list[tagnorm.TagProfile], out_dir: Path) -> None:
+    """Write the records' raw tag profiles."""
     path = _write_stage(out_dir, "tags_raw", _jsonl(
         _tags_line(p.record_id, {"raw": p.tags, "source": p.source}) for p in profiles),
         "jsonl")
     print(f"extracted raw tags for {len(profiles)} records -> {path}")
-    return profiles
 
 
 def normalize_stage(profiles: list[tagnorm.TagProfile], embedder: tagnorm.EmbeddingProvider,
@@ -376,8 +478,9 @@ def cmd_tag(args: argparse.Namespace) -> int:
     stage = args.stage
     profiles = None
     if stage in ("extract", "all"):
-        profiles = extract_stage(map(_generated, _stage_records(out_dir, "generate")),
-                                 out_dir)
+        profiles = [_raw_profile(*_generated(obj))
+                    for obj in _stage_records(out_dir, "generate")]
+        extract_stage(profiles, out_dir)
     if stage in ("normalize", "all"):
         if profiles is None:
             profiles = profiles_from_tags(_stage_records(out_dir, "tags_raw"), stage="raw")
@@ -432,10 +535,9 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     # each stage's input is dropped once the next stage has consumed it
     dataset = _load_dataset(cfg)
     reps = render_stage(dataset, cfg, out_dir)
-    generated, _ledger = generate_stage(dataset.records, reps, backend, cfg, out_dir)
+    profiles, _ledger = generate_stage(dataset.records, reps, backend, cfg, out_dir)
     del dataset, reps
-    profiles = extract_stage(generated, out_dir)
-    del generated
+    extract_stage(profiles, out_dir)
     profiles, _vocab = normalize_stage(profiles, embedder, cfg, out_dir)
     sample_stage(profiles, cfg, out_dir)
     return 0
@@ -513,7 +615,8 @@ def run(argv: list[str]) -> int:
     gc.disable()
     try:
         return args.func(args)
-    except (ProcTagError, ValueError) as exc:
+    except (ProcTagError, ValueError, BrokenExecutor) as exc:
+        # BrokenExecutor: a worker process of _chunk_map died
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -345,12 +345,14 @@ def _resolve_paths(path: Path | str, pages_dir: Path | str | None) -> tuple[Path
 
 
 def load_dataset(path: Path | str, pages_dir: Path | str | None = None) -> Dataset:
-    """Load records (order preserved) and every page they reference."""
+    """Load records (order preserved) and every page they reference; a
+    record_id that repeats is a :class:`MalformedLine`."""
     records_path, pages_root = _resolve_paths(path, pages_dir)
     if not records_path.exists():
         raise IoFailure(f"no record file at {records_path}")
     records: list[InstructionRecord] = []
     pages: dict[str, DocumentPage] = {}
+    first_line: dict[str, int] = {}
     with records_path.open(encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
@@ -360,6 +362,10 @@ def load_dataset(path: Path | str, pages_dir: Path | str | None = None) -> Datas
             except json.JSONDecodeError as exc:
                 raise MalformedLine(line_no, str(exc)) from exc
             rec = _record_from_dict(obj, line_no)
+            if rec.record_id in first_line:
+                raise MalformedLine(line_no, f"duplicate record_id {rec.record_id!r} "
+                                             f"(first on line {first_line[rec.record_id]})")
+            first_line[rec.record_id] = line_no
             records.append(rec)
             if rec.page_id not in pages:
                 page_path = pages_root / f"{rec.page_id}.json"

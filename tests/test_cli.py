@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import argparse
+import concurrent.futures
+import contextlib
 import dataclasses
 import gc
 import hashlib
@@ -8,6 +10,7 @@ import json
 import math
 import os
 import random
+import signal
 import subprocess
 import sys
 import tempfile
@@ -257,6 +260,17 @@ class TestStages:
         assert "error" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_repeated_record_id_rejected_before_any_stage_writes(self, tmp_path, capsys):
+        ds = make_dataset(seed=11, n_pages=2, records_per_page=2)
+        ds.records[3].record_id = ds.records[0].record_id
+        write_dataset(ds, tmp_path / "data" / "records.jsonl")
+        out = tmp_path / "out"
+        code = run(["pipeline", "--backend", "mock"] + _base_args(tmp_path / "data", out))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"line 4: duplicate record_id {ds.records[0].record_id!r} (first on line 1)" in err
+        assert not out.exists()
+
     def test_non_integer_max_inflight_in_config_rejected(self, demo_dataset, tmp_path):
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text("generation:\n  max_inflight: two\n", encoding="utf-8")
@@ -368,9 +382,9 @@ class TestSlimTagArtifacts:
             old_profiles, old_vocab = oracles.normalize_stage_full_records(
                 tagged, tagnorm.HashingEmbedder(), cfg, old)
             # in memory, as pipeline chains the stages
-            profiles, vocab = cli.normalize_stage(
-                cli.extract_stage(map(cli._generated, lines), chained),
-                tagnorm.HashingEmbedder(), cfg, chained)
+            raw = [cli._raw_profile(*cli._generated(obj)) for obj in lines]
+            cli.extract_stage(raw, chained)
+            profiles, vocab = cli.normalize_stage(raw, tagnorm.HashingEmbedder(), cfg, chained)
             # standalone commands over a generate artifact
             cli._write_stage(standalone, "generate", cli._jsonl(lines), "jsonl")
             assert run(["tag", "--stage", "extract", "--out", str(standalone)]) == 0
@@ -529,6 +543,159 @@ class TestCacheReplay:
         assert digests["1"] == digests["2"]
         assert pools == [2]  # remote calls overlap only when asked to
         assert len(chat_hits) == 2 * 18
+
+
+def _cpus(monkeypatch, n):
+    """Let the CLI see ``n`` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+class _FallbackDiscards:
+    """Answers a third of the prompts (by hash) with call sites but no code
+    fence, so the record is discarded and its tags come from the fallback
+    scanner; a third with plain text (discarded, no tags); the rest as the
+    mock backend."""
+
+    def complete(self, prompt, params=None, attempt=1):
+        kind = hashlib.sha256(prompt.encode("utf-8")).digest()[0] % 3
+        if kind == 0:
+            return "1. Look it up.\nscanList(document) then pick_entry(r1, 'total')\n"
+        if kind == 1:
+            return "no pseudo-code here"
+        return procgen.MockBackend().complete(prompt)
+
+
+# style, backend, inner backend that filled the replay cache
+_POOL_CASES = {
+    "mock-doclayprompt": ("doclayprompt", "mock", None),
+    "cache-plaintext": ("plaintext", "cache", procgen.MockBackend),
+    "cache-discards": ("plaintext", "cache", _FallbackDiscards),
+}
+
+
+class TestChunkedPool:
+    """render and the mock / cache generate run their chunks on every CPU;
+    the artifacts are those of a single-CPU run."""
+
+    @pytest.mark.parametrize("chunk", [1, 3, 7])
+    @pytest.mark.parametrize("case", sorted(_POOL_CASES))
+    def test_every_artifact_equals_a_single_cpu_run(self, demo_dataset, tmp_path,
+                                                    monkeypatch, case, chunk):
+        style, backend, inner = _POOL_CASES[case]
+        argv = ["pipeline", "--style", style, "--backend", backend,
+                "--mode", "ratio", "--ratio", "0.5"]
+        if inner is not None:
+            argv += ["--cache-dir", str(_fill_mock_cache(demo_dataset, tmp_path, style,
+                                                         inner=inner()))]
+        pools = []
+
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(cli, "CHUNK", chunk)
+        digests, pools_started = {}, {}
+        for cpus in (1, 2):
+            _cpus(monkeypatch, cpus)
+            out = tmp_path / f"cpus{cpus}"
+            stdout = tmp_path / f"stdout{cpus}.txt"
+            # a file, not a terminal: stdout is block-buffered, and a forked
+            # worker holding unflushed lines would print them again
+            with open(stdout, "w", encoding="utf-8") as fh, contextlib.redirect_stdout(fh):
+                assert run(argv + _base_args(demo_dataset, out)) == 0
+            lines = stdout.read_text(encoding="utf-8").splitlines()
+            assert [line.split()[0] for line in lines] == [
+                "rendered", "generated", "extracted", "normalized", "selected"]
+            digests[cpus] = _dir_digests(out)
+            pools_started[cpus] = len(pools)
+            pools.clear()
+        assert digests[1] == digests[2]
+        # 6 pages and 18 records: render has one chunk of 7, generate several
+        assert pools_started == {1: 0, 2: 1 if chunk == 7 else 2}
+        if case == "cache-discards":
+            sources = {obj["annotations"]["tags"]["source"]
+                       for obj in cli._stage_records(tmp_path / "cpus2", "tags_raw")}
+            assert sources == {"grammar", "fallback", "none"}
+
+    @pytest.mark.parametrize("cpus,chunk,threaded", [(1, 1, False), (2, cli.CHUNK, False),
+                                                     (2, 1, True)],
+                             ids=["one-cpu", "one-chunk", "other-thread"])
+    def test_no_pool_with_one_cpu_one_chunk_or_another_thread(
+            self, demo_dataset, tmp_path, monkeypatch, cpus, chunk, threaded):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(cli, "CHUNK", chunk)
+        _cpus(monkeypatch, cpus)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(30,))
+        if threaded:
+            other.start()
+        try:
+            assert run(["pipeline", "--backend", "mock"]
+                       + _base_args(demo_dataset, tmp_path / "out")) == 0
+        finally:
+            release.set()
+            if threaded:
+                other.join()
+
+    @staticmethod
+    def _assert_failed_generate(out, capfd):
+        err = capfd.readouterr().err
+        lines = [line for line in err.splitlines() if line.strip()]
+        assert len(lines) == 1 and lines[0].startswith("error:"), err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert "render" in manifest and "generate" not in manifest
+        assert not list(out.glob("*.tmp"))
+        return err
+
+    def test_replay_miss_in_a_worker_exits_1(self, demo_dataset, tmp_path, monkeypatch,
+                                             capfd):
+        cache = _fill_mock_cache(demo_dataset, tmp_path, "plaintext")
+        entries = sorted(cache.glob("*.json"))
+        for entry in entries[::4]:
+            entry.unlink()
+        monkeypatch.setattr(cli, "CHUNK", 3)
+        _cpus(monkeypatch, 2)
+        capfd.readouterr()
+        out = tmp_path / "out"
+        code = run(["pipeline", "--style", "plaintext", "--backend", "cache",
+                    "--cache-dir", str(cache)] + _base_args(demo_dataset, out))
+        assert code == 1
+        err = self._assert_failed_generate(out, capfd)
+        assert "replay-only mode" in err
+
+    def test_killed_worker_exits_1_without_hanging(self, demo_dataset, tmp_path,
+                                                   monkeypatch, capfd):
+        parent = os.getpid()
+        complete = procgen.MockBackend.complete
+
+        def dying(self, prompt, params=procgen.DecodeParams(), attempt=1):
+            if os.getpid() != parent:
+                os._exit(3)
+            return complete(self, prompt, params, attempt)
+
+        def hung(signum, frame):
+            raise TimeoutError("the pipeline hung after a worker died")
+
+        monkeypatch.setattr(procgen.MockBackend, "complete", dying)
+        monkeypatch.setattr(cli, "CHUNK", 3)
+        _cpus(monkeypatch, 2)
+        capfd.readouterr()
+        out = tmp_path / "out"
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        try:
+            code = run(["pipeline", "--backend", "mock"] + _base_args(demo_dataset, out))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert code == 1
+        err = self._assert_failed_generate(out, capfd)
+        assert "terminated abruptly" in err
 
 
 # Every config key and the type its values take ("?": None is allowed too),

@@ -53,6 +53,13 @@ class TestLoadDataset:
             load_dataset(path)
         assert exc.value.line_no == 2
 
+    def test_repeated_record_id_rejected(self, tmp_path):
+        path = _write_min_dataset(tmp_path, [_line("r1"), _line("r2"), _line("r1")])
+        with pytest.raises(MalformedLine) as exc:
+            load_dataset(path)
+        assert exc.value.line_no == 3
+        assert "duplicate record_id 'r1' (first on line 1)" in str(exc.value)
+
     def test_missing_page(self, tmp_path):
         path = _write_min_dataset(tmp_path, [_line("r1", page_id="ghost")])
         with pytest.raises(MissingPage) as exc:
