@@ -9,19 +9,21 @@ byte for byte. JSONL artifacts are streamed to disk a record or a chunk of
 records at a time and hashed on the way, and read back a line at a time, so
 none of them is ever held whole in memory. The manifest update is serialized by an exclusive lock
 on the output directory, so stages writing one directory at once all land.
-``pipeline`` loads the dataset once and hands each stage's results to the
-next in memory; it writes the same artifacts, byte for byte, as running the
-stages one by one. Exit codes: 0 success, 1 data error, 2 usage error.
+``pipeline`` reads the record file once and hands each stage's results to
+the next in memory; it writes the same artifacts, byte for byte, as running
+the stages one by one. Page files are parsed only by ``render``, in the
+workers that render them; a standalone ``generate`` takes its pages from the
+render artifact. Exit codes: 0 success, 1 data error, 2 usage error.
 
 ``render`` and, with the mock or cache backend, ``generate`` run on every
-CPU the process may use (``os.sched_getaffinity``). Their records are split
-into chunks of :data:`CHUNK`, which forked worker processes turn into
-encoded artifact lines (plus the representations, or each record's outcome
-and raw tag profile); the parent writes the chunks in input order, so the
-artifacts are those of a single-CPU run. With one CPU or one chunk no worker
-starts. A worker's error is re-raised in the parent, and a worker that dies
-ends the command with exit 1. The remote backend overlaps its calls on
-``generation.max_inflight`` threads instead.
+CPU the process may use (``os.sched_getaffinity``). Their page files or
+records are split into chunks of :data:`CHUNK`, which forked worker
+processes turn into encoded artifact lines (plus the representations, or
+each record's outcome and raw tag profile); the parent writes the chunks in
+input order, so the artifacts are those of a single-CPU run. With one CPU or
+one chunk no worker starts. A worker's error is re-raised in the parent, and
+a worker that dies ends the command with exit 1. The remote backend overlaps
+its calls on ``generation.max_inflight`` threads instead.
 
 :func:`run` pauses Python's automatic cyclic garbage collection while the
 command runs and restores the caller's setting afterwards. The records,
@@ -49,8 +51,8 @@ from . import assess as assess_mod
 from . import procgen, tagnorm, tagparse
 from .config import PipelineConfig, load_config, schema, set_key
 from .errors import ProcTagError
-from .ingest import (Dataset, DocumentPage, InstructionRecord, IoFailure,
-                     atomic_write_text, dumps_json, load_dataset, load_pages_dir,
+from .ingest import (InstructionRecord, IoFailure, MissingPage, atomic_write_text,
+                     dumps_json, load_page, load_pages_dir, load_records, read_records,
                      record_to_dict)
 from .layout import associate, clean_inputs
 from .metrics import Prediction, ConfusionMatrix, anls, kappa_report
@@ -192,10 +194,6 @@ def _effective_config(args: argparse.Namespace) -> PipelineConfig:
     return cfg
 
 
-def _load_dataset(cfg: PipelineConfig) -> Dataset:
-    return load_dataset(cfg.paths.dataset, cfg.paths.pages)
-
-
 def _render_page(page, cfg: PipelineConfig) -> DocumentRepresentation:
     style = cfg.render.style
     kwargs = {"max_chars": cfg.render.max_chars,
@@ -231,18 +229,20 @@ def _make_embedder(cfg: PipelineConfig) -> tagnorm.EmbeddingProvider:
 # returns its outputs for the next stage
 
 
-def render_stage(dataset: Dataset, cfg: PipelineConfig,
+def render_stage(page_files: dict[str, Path], cfg: PipelineConfig,
                  out_dir: Path) -> dict[str, DocumentRepresentation]:
-    """Render every page; returns the representations by page id."""
+    """Parse and render every page file; returns the representations by
+    page id."""
 
-    def render_chunk(pages: list[DocumentPage]) -> tuple[list[DocumentRepresentation], str]:
-        reps = [_render_page(page, cfg) for page in pages]
+    def render_chunk(paths: list[Path]) -> tuple[list[DocumentRepresentation], str]:
+        # each page file is parsed in the worker that renders it
+        reps = [_render_page(load_page(path), cfg) for path in paths]
         return reps, "".join(_jsonl(rep.to_dict() for rep in reps))
 
     reps: dict[str, DocumentRepresentation] = {}
 
     def lines() -> Iterator[str]:
-        for chunk_reps, text in _chunk_map(render_chunk, list(dataset.pages.values())):
+        for chunk_reps, text in _chunk_map(render_chunk, list(page_files.values())):
             reps.update((rep.page_id, rep) for rep in chunk_reps)
             yield text
 
@@ -288,7 +288,11 @@ def generate_stage(records: list[InstructionRecord],
                    backend: procgen.GenerationBackend, cfg: PipelineConfig,
                    out_dir: Path) -> tuple[list[tagnorm.TagProfile], procgen.GenerationLedger]:
     """Generate one execution process per record; returns each record's raw
-    tag profile and the ledger."""
+    tag profile and the ledger. A record whose page has no representation
+    is a :class:`MissingPage`."""
+    unrendered = next((rec.page_id for rec in records if rec.page_id not in reps), None)
+    if unrendered is not None:
+        raise MissingPage(unrendered)
     params = procgen.DecodeParams(temperature=cfg.generation.temperature)
     chunks: Iterable[tuple[str, list[Outcome]]]
     if cfg.generation.backend == "remote":
@@ -458,17 +462,19 @@ def cmd_render(args: argparse.Namespace) -> int:
             atomic_write_text(out_dir / f"{page_id}.json", dumps_json(rep.to_dict()) + "\n")
         print(f"rendered {len(pages)} pages to {out_dir}")
         return 0
-    render_stage(_load_dataset(cfg), cfg, Path(cfg.paths.output_dir))
+    _, page_files = load_records(cfg.paths.dataset, cfg.paths.pages)
+    render_stage(page_files, cfg, Path(cfg.paths.output_dir))
     return 0
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
     cfg = _effective_config(args)
-    dataset = _load_dataset(cfg)
+    # the pages come from the render artifact: no page file is read
+    records = read_records(cfg.paths.dataset)
     out_dir = Path(cfg.paths.output_dir)
     reps = {obj["page_id"]: DocumentRepresentation.from_dict(obj)
             for obj in _stage_records(out_dir, "render")}
-    generate_stage(dataset.records, reps, _make_backend(cfg), cfg, out_dir)
+    generate_stage(records, reps, _make_backend(cfg), cfg, out_dir)
     return 0
 
 
@@ -505,18 +511,51 @@ def cmd_assess(args: argparse.Namespace) -> int:
     return 0
 
 
+def _eval_input(path: str, field: str, valid: Callable[[Any], bool],
+                expected: str) -> dict[str, Any]:
+    """record_id -> ``field`` of each line of an ``eval anls`` input; a line
+    that is not an object with a string ``record_id``, whose ``field`` is not
+    ``valid``, or whose id repeats is an error naming the file and line."""
+    values: dict[str, Any] = {}
+    first_line: dict[str, int] = {}
+    with open(path, encoding="utf-8", newline="\n") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            where = f"{path}, line {line_no}"
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ProcTagError(f"{where}: not valid JSON ({exc.msg})") from exc
+            rid = obj.get("record_id") if isinstance(obj, dict) else None
+            if not isinstance(rid, str):
+                raise ProcTagError(f"{where}: no string record_id")
+            if rid in first_line:
+                raise ProcTagError(f"{where}: repeated record_id {rid!r} "
+                                   f"(first on line {first_line[rid]})")
+            if not valid(obj.get(field)):
+                raise ProcTagError(f"{where}: {field!r} must be {expected}")
+            first_line[rid] = line_no
+            values[rid] = obj[field]
+    return values
+
+
+def _answer_list(value: Any) -> bool:
+    return (isinstance(value, list) and bool(value)
+            and all(isinstance(answer, str) for answer in value))
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
     if args.metric == "anls":
-        preds_by_id = {obj["record_id"]: obj["predicted"]
-                       for obj in _read_jsonl(Path(args.pred))}
-        predictions = []
-        for obj in _read_jsonl(Path(args.gold)):
-            rid = obj["record_id"]
-            if rid not in preds_by_id:
-                raise ProcTagError(f"no prediction for record {rid!r}")
-            golds = obj.get("answers") or obj.get("golds") or []
-            predictions.append(Prediction(record_id=rid, predicted=preds_by_id[rid],
-                                          golds=list(golds)))
+        predicted = _eval_input(args.pred, "predicted", lambda v: isinstance(v, str),
+                                "a string")
+        golds = _eval_input(args.gold, "answers", _answer_list,
+                            "a non-empty list of strings")
+        missing = next((rid for rid in golds if rid not in predicted), None)
+        if missing is not None:
+            raise ProcTagError(f"{args.pred}: no prediction for record {missing!r}")
+        predictions = [Prediction(record_id=rid, predicted=predicted[rid], golds=answers)
+                       for rid, answers in golds.items()]
         score = anls(predictions, tau=args.tau)
         print(dumps_json({"anls": score, "count": len(predictions), "tau": args.tau}))
         return 0
@@ -533,10 +572,10 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     backend = _make_backend(cfg)
     embedder = _make_embedder(cfg)
     # each stage's input is dropped once the next stage has consumed it
-    dataset = _load_dataset(cfg)
-    reps = render_stage(dataset, cfg, out_dir)
-    profiles, _ledger = generate_stage(dataset.records, reps, backend, cfg, out_dir)
-    del dataset, reps
+    records, page_files = load_records(cfg.paths.dataset, cfg.paths.pages)
+    reps = render_stage(page_files, cfg, out_dir)
+    profiles, _ledger = generate_stage(records, reps, backend, cfg, out_dir)
+    del records, page_files, reps
     extract_stage(profiles, out_dir)
     profiles, _vocab = normalize_stage(profiles, embedder, cfg, out_dir)
     sample_stage(profiles, cfg, out_dir)

@@ -19,7 +19,7 @@ import threading
 from dataclasses import dataclass, field, replace
 from itertools import chain
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Iterator
 
 from .errors import ProcTagError
 
@@ -236,7 +236,11 @@ def _bbox_from(obj: Any, line_ctx: str) -> BoundingBox:
     return BoundingBox(*obj)
 
 
-def _page_from_dict(obj: dict[str, Any], ctx: str) -> DocumentPage:
+def _page_from_dict(obj: Any, ctx: str) -> DocumentPage:
+    if not isinstance(obj, dict):
+        raise IoFailure(f"{ctx}: page is not a JSON object")
+    if not all(isinstance(obj.get(key), (int, float)) for key in ("width", "height")):
+        raise IoFailure(f"{ctx}: page width and height must be numbers")
     try:
         tokens = [OcrToken(text=t["text"], bbox=_bbox_from(t["bbox"], ctx),
                            confidence=t.get("confidence"))
@@ -344,14 +348,11 @@ def _resolve_paths(path: Path | str, pages_dir: Path | str | None) -> tuple[Path
     return path, Path(pages_dir) if pages_dir else path.parent / "pages"
 
 
-def load_dataset(path: Path | str, pages_dir: Path | str | None = None) -> Dataset:
-    """Load records (order preserved) and every page they reference; a
-    record_id that repeats is a :class:`MalformedLine`."""
-    records_path, pages_root = _resolve_paths(path, pages_dir)
+def _records(records_path: Path) -> Iterator[InstructionRecord]:
+    """Each record of a record file in order; a record_id that repeats is a
+    :class:`MalformedLine`."""
     if not records_path.exists():
         raise IoFailure(f"no record file at {records_path}")
-    records: list[InstructionRecord] = []
-    pages: dict[str, DocumentPage] = {}
     first_line: dict[str, int] = {}
     with records_path.open(encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -366,13 +367,38 @@ def load_dataset(path: Path | str, pages_dir: Path | str | None = None) -> Datas
                 raise MalformedLine(line_no, f"duplicate record_id {rec.record_id!r} "
                                              f"(first on line {first_line[rec.record_id]})")
             first_line[rec.record_id] = line_no
-            records.append(rec)
-            if rec.page_id not in pages:
-                page_path = pages_root / f"{rec.page_id}.json"
-                if not page_path.exists():
-                    raise MissingPage(rec.page_id)
-                pages[rec.page_id] = load_page(page_path)
-    return Dataset(records=records, pages=pages)
+            yield rec
+
+
+def read_records(path: Path | str) -> list[InstructionRecord]:
+    """The records alone (order preserved), for a stage that reads no page."""
+    return list(_records(_resolve_paths(path, None)[0]))
+
+
+def load_records(path: Path | str, pages_dir: Path | str | None = None,
+                 ) -> tuple[list[InstructionRecord], dict[str, Path]]:
+    """Records (order preserved) and the page file of each page they
+    reference, by page id in first-reference order. No page file is parsed;
+    a record whose page has no file is a :class:`MissingPage`."""
+    records_path, pages_root = _resolve_paths(path, pages_dir)
+    records: list[InstructionRecord] = []
+    page_files: dict[str, Path] = {}
+    for rec in _records(records_path):
+        records.append(rec)
+        if rec.page_id not in page_files:
+            page_path = pages_root / f"{rec.page_id}.json"
+            if not page_path.exists():
+                raise MissingPage(rec.page_id)
+            page_files[rec.page_id] = page_path
+    return records, page_files
+
+
+def load_dataset(path: Path | str, pages_dir: Path | str | None = None) -> Dataset:
+    """Load records (order preserved) and every page they reference."""
+    records, page_files = load_records(path, pages_dir)
+    return Dataset(records=records,
+                   pages={page_id: load_page(page_path)
+                          for page_id, page_path in page_files.items()})
 
 
 def atomic_write_text(path: Path, text: str | Iterable[str],

@@ -52,16 +52,42 @@ def normalize_answer(s: str) -> str:
 
 
 def levenshtein(a: str, b: str) -> int:
-    """Plain edit distance (insert/delete/substitute, unit costs)."""
+    """Plain edit distance (insert/delete/substitute, unit costs).
+
+    Bit-parallel (Myers 1999, in Hyyrö's 2003 form for the whole-string
+    distance): one column of the DP table per character of the longer
+    string, its vertical deltas held as the bits of two ints, one bit per
+    character of the shorter string. Python ints grow as needed, so there
+    is no word-size blocking; the cost is O(n * ceil(m / w)) word
+    operations for lengths n >= m and word size w.
+    """
     if len(a) < len(b):
         a, b = b, a
-    prev = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        cur = [i]
-        for j, cb in enumerate(b, start=1):
-            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb)))
-        prev = cur
-    return prev[-1]
+    m = len(b)
+    if m == 0:
+        return len(a)
+    peq: dict[str, int] = {}  # character -> bits of its positions in b
+    for i, ch in enumerate(b):
+        peq[ch] = peq.get(ch, 0) | 1 << i
+    mask = (1 << m) - 1
+    last = 1 << (m - 1)
+    pv, mv, score = mask, 0, m  # the first column rises by 1 per row
+    for ch in a:
+        eq = peq.get(ch, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & last:
+            score += 1
+        elif mh & last:
+            score -= 1
+        # the first row rises by 1 per column: shift a +1 delta in
+        ph = ph << 1 | 1
+        mh <<= 1
+        pv = (mh | ~(xv | ph)) & mask
+        mv = ph & xv  # xv, and so mv, has no bit at or above m
+    return score
 
 
 def normalized_levenshtein(a: str, b: str) -> float:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .errors import ProcTagError
 
@@ -116,10 +117,17 @@ def parse_pseudocode(block: str) -> list[ProcessStep]:
     return steps
 
 
+# distinct raw names whose normal form is kept: a corpus repeats a few dozen
+# function names tens of thousands of times
+NAME_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=NAME_CACHE_SIZE)
 def normalize_name(raw: str) -> str:
     """Lowercase snake_case: camelCase split at case boundaries, characters
     outside [a-z0-9_] dropped, underscore runs collapsed, leading digits and
-    underscores stripped."""
+    underscores stripped. Results are cached; a name that normalizes to
+    nothing raises on every call."""
     if not raw:
         raise EmptyAfterNormalization(raw)
     s = _CAMEL_RE.sub("_", raw).lower()

@@ -203,6 +203,19 @@ def levenshtein_reference(a: str, b: str) -> int:
     return go(len(a), len(b))
 
 
+def levenshtein_dp(a: str, b: str) -> int:
+    """The row-by-row O(|a|*|b|) DP that ``metrics.levenshtein`` replaced."""
+    if len(a) < len(b):
+        a, b = b, a
+    prev = list(range(len(b) + 1))
+    for i, ca in enumerate(a, start=1):
+        cur = [i]
+        for j, cb in enumerate(b, start=1):
+            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb)))
+        prev = cur
+    return prev[-1]
+
+
 def chain_valid_reference(steps) -> bool:
     import re
 

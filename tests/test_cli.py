@@ -10,6 +10,7 @@ import json
 import math
 import os
 import random
+import shutil
 import signal
 import subprocess
 import sys
@@ -203,13 +204,13 @@ class TestStages:
 
     def test_pipeline_loads_the_dataset_once(self, demo_dataset, tmp_path, monkeypatch):
         calls = []
-        real = cli.load_dataset
+        real = cli.load_records
 
         def counting(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "load_dataset", counting)
+        monkeypatch.setattr(cli, "load_records", counting)
         assert run(["pipeline", "--backend", "mock"]
                    + _base_args(demo_dataset, tmp_path / "out")) == 0
         assert len(calls) == 1
@@ -468,6 +469,45 @@ class TestEval:
         gold.write_text('{"record_id": "r1", "answers": ["a"]}\n', encoding="utf-8")
         assert run(["eval", "anls", "--pred", str(pred), "--gold", str(gold)]) == 1
 
+    @pytest.mark.parametrize("bad,pred_lines,gold_lines,reason", [
+        ("pred", ['{"record_id": "r1"}'], None, "'predicted' must be a string"),
+        ("pred", ['{"record_id": "r1", "predicted": null}'], None,
+         "'predicted' must be a string"),
+        ("pred", ['{"record_id": "r1", "predicted": "a"}',
+                  '{"record_id": "r1", "predicted": "b"}'], None,
+         "repeated record_id 'r1' (first on line 1)"),
+        ("pred", ['{"record_id": "r1", "predicted": "a"}', '{"predicted": "b"}'], None,
+         "no string record_id"),
+        ("pred", ['{"record_id": "r1", "predicted": "a"}', '{"record_id": '], None,
+         "not valid JSON (Expecting value)"),
+        ("gold", None, ['{"record_id": "r1", "answers": ["a"]}',
+                        '{"record_id": "r1", "answers": ["a"]}'],
+         "repeated record_id 'r1' (first on line 1)"),
+        ("gold", None, ['{"record_id": "r1", "answers": ["a"]}',
+                        '{"record_id": "r2", "answers": "a"}'],
+         "'answers' must be a non-empty list of strings"),
+        ("gold", None, ['{"record_id": "r1", "answers": ["a"]}',
+                        '{"record_id": "r2", "answers": ["a", 1]}'],
+         "'answers' must be a non-empty list of strings"),
+        ("gold", None, ['{"record_id": "r1", "answers": ["a"]}', '{"record_id": "r2"}'],
+         "'answers' must be a non-empty list of strings"),
+    ])
+    def test_bad_line_exits_1_naming_file_and_line(self, tmp_path, capfd, bad,
+                                                   pred_lines, gold_lines, reason):
+        files = {"pred": pred_lines or ['{"record_id": "r1", "predicted": "a"}',
+                                        '{"record_id": "r2", "predicted": "b"}'],
+                 "gold": gold_lines or ['{"record_id": "r1", "answers": ["a"]}']}
+        for name, lines in files.items():
+            (tmp_path / f"{name}.jsonl").write_text("\n".join(lines) + "\n",
+                                                    encoding="utf-8")
+        capfd.readouterr()
+        assert run(["eval", "anls", "--pred", str(tmp_path / "pred.jsonl"),
+                    "--gold", str(tmp_path / "gold.jsonl")]) == 1
+        captured = capfd.readouterr()
+        assert captured.out == ""
+        line_no = len(files[bad])
+        assert captured.err == f"error: {tmp_path / bad}.jsonl, line {line_no}: {reason}\n"
+
 
 @pytest.fixture
 def chat_hits(monkeypatch):
@@ -667,6 +707,51 @@ class TestChunkedPool:
         assert code == 1
         err = self._assert_failed_generate(out, capfd)
         assert "replay-only mode" in err
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_malformed_page_file_in_a_worker_exits_1(self, demo_dataset, tmp_path,
+                                                     monkeypatch, capfd, cpus):
+        broken = sorted((demo_dataset / "pages").glob("*.json"))[-1]
+        broken.write_text('{"page_id": ', encoding="utf-8")
+        monkeypatch.setattr(cli, "CHUNK", 2)
+        _cpus(monkeypatch, cpus)
+        capfd.readouterr()
+        out = tmp_path / "out"
+        assert run(["pipeline", "--backend", "mock"] + _base_args(demo_dataset, out)) == 1
+        err = capfd.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert f"page file {broken} is not valid JSON" in err
+        assert not (out / "manifest.json").exists()
+        assert not list(out.glob("*.tmp"))
+
+    def test_standalone_generate_reads_no_page_file(self, demo_dataset, tmp_path,
+                                                    monkeypatch):
+        monkeypatch.setattr(cli, "CHUNK", 3)
+        _cpus(monkeypatch, 2)
+        generated = {}
+        for name in ("with-pages", "without-pages"):
+            out = tmp_path / name
+            assert run(["render"] + _base_args(demo_dataset, out)) == 0
+            if name == "without-pages":
+                shutil.rmtree(demo_dataset / "pages")
+            assert run(["generate", "--backend", "mock"] + _base_args(demo_dataset, out)) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            generated[name] = (manifest["generate"], (out / manifest["generate"]).read_bytes())
+        assert generated["with-pages"] == generated["without-pages"]
+
+    def test_standalone_generate_rejects_a_page_not_rendered(self, demo_dataset, tmp_path,
+                                                            capfd):
+        out = tmp_path / "out"
+        assert run(["render"] + _base_args(demo_dataset, out)) == 0
+        records = demo_dataset / "records.jsonl"
+        first = json.loads(records.read_text().splitlines()[0])
+        records.write_text(json.dumps(dict(first, record_id="extra", page_id="unrendered"))
+                           + "\n", encoding="utf-8")
+        capfd.readouterr()
+        assert run(["generate", "--backend", "mock"] + _base_args(demo_dataset, out)) == 1
+        assert capfd.readouterr().err == (
+            "error: record references unknown page 'unrendered'\n")
+        assert "generate" not in json.loads((out / "manifest.json").read_text())
 
     def test_killed_worker_exits_1_without_hanging(self, demo_dataset, tmp_path,
                                                    monkeypatch, capfd):

@@ -14,9 +14,9 @@ from conftest import (PAGE_H, PAGE_W, dataset_st, mkbox, mkpage, mkreg, mktok,
 from oracles import clamp_page_reference
 from proctag.ingest import (Dataset, InstructionRecord, IoFailure,
                             MalformedLine, MissingPage, atomic_write_text,
-                            clamp_page, load_dataset, load_page,
-                            validate_dataset, validate_page, write_dataset,
-                            write_page)
+                            clamp_page, load_dataset, load_page, load_records,
+                            read_records, validate_dataset, validate_page,
+                            write_dataset, write_page)
 
 
 def _write_min_dataset(tmp_path, lines):
@@ -70,6 +70,33 @@ class TestLoadDataset:
         path = _write_min_dataset(tmp_path, ['{"record_id": "r1", "page_id": "p1"}'])
         with pytest.raises(MalformedLine):
             load_dataset(path)
+
+    def test_load_records_parses_no_page_file(self, tmp_path):
+        path = _write_min_dataset(tmp_path, [_line("r1", "p2"), _line("r2", "p1"),
+                                             _line("r3", "p2")])
+        (tmp_path / "pages" / "p2.json").write_text("{not json", encoding="utf-8")
+        records, page_files = load_records(path)
+        assert [r.record_id for r in records] == ["r1", "r2", "r3"]
+        assert page_files == {"p2": tmp_path / "pages" / "p2.json",
+                              "p1": tmp_path / "pages" / "p1.json"}
+        assert read_records(path) == records
+        with pytest.raises(IoFailure, match="p2.json is not valid JSON"):
+            load_dataset(path)
+
+    def test_bad_record_line_reported_before_a_bad_page_file(self, tmp_path):
+        path = _write_min_dataset(tmp_path, [_line("r1"), '{"record_id": 5}'])
+        (tmp_path / "pages" / "p1.json").write_text("[]", encoding="utf-8")
+        with pytest.raises(MalformedLine) as exc:
+            load_dataset(path)
+        assert exc.value.line_no == 2
+
+    @pytest.mark.parametrize("text", ["[]", '{"page_id": "p1", "width": "wide", '
+                                            '"height": 10, "tokens": []}'])
+    def test_page_file_that_is_not_a_page_object(self, tmp_path, text):
+        path = tmp_path / "p1.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(IoFailure, match="p1.json"):
+            load_page(path)
 
     def test_out_of_bounds_box_clamped_on_load(self, tmp_path, caplog):
         pages = tmp_path / "pages"

@@ -1,15 +1,29 @@
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from proctag import metrics
 from proctag.metrics import (ConfusionMatrix, DegenerateMarginals, EmptyInput,
                              Prediction, agreement_band, anls, cohen_kappa,
                              kappa_report, levenshtein, normalized_levenshtein)
 
 _short = st.text(max_size=8)
+
+# lengths on both sides of one and two 64-bit words, and anything up to 140
+_lengths = st.sampled_from([0, 1, 63, 64, 65, 127, 128, 129]) | st.integers(0, 140)
+
+
+def _text_of(alphabet):
+    return _lengths.flatmap(lambda n: st.text(alphabet, min_size=n, max_size=n))
+
+
+# a small alphabet makes long strings share characters; arbitrary unicode too
+_strings = _text_of(st.sampled_from("ab é")) | _text_of(st.characters())
 
 
 def pred(predicted, golds, record_id="r1"):
@@ -37,6 +51,15 @@ class TestNormalizedLevenshtein:
     @given(a=_short, b=_short)
     def test_distance_matches_recursive_oracle(self, a, b):
         assert levenshtein(a, b) == oracles.levenshtein_reference(a, b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=_strings, b=_strings)
+    def test_bit_parallel_distance_matches_the_dp(self, a, b):
+        assert levenshtein(a, b) == oracles.levenshtein_dp(a, b)
+        # equal strings, and strings sharing a long prefix or suffix
+        assert levenshtein(a, a) == 0
+        assert levenshtein(a + b, a) == len(b)
+        assert levenshtein(b + a, a + b) == oracles.levenshtein_dp(b + a, a + b)
 
     @settings(max_examples=60, deadline=None)
     @given(a=_short, b=_short)
@@ -73,6 +96,16 @@ class TestAnls:
         preds = [pred("helo", ["hello"]), pred("cat", ["elephant"])]
         scores = [anls(preds, tau=t) for t in (0.9, 0.5, 0.2, 0.1)]
         assert all(x >= y for x, y in zip(scores, scores[1:]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.lists(st.tuples(_strings, st.lists(_strings, min_size=1, max_size=3)),
+                         min_size=1, max_size=5),
+           tau=st.sampled_from([0.1, 0.5, 0.9, 1.0]))
+    def test_same_floats_as_the_dp(self, rows, tau):
+        preds = [pred(p, golds, f"r{i}") for i, (p, golds) in enumerate(rows)]
+        fast = anls(preds, tau=tau)
+        with mock.patch.object(metrics, "levenshtein", oracles.levenshtein_dp):
+            assert anls(preds, tau=tau) == fast
 
     def test_empty_inputs(self):
         with pytest.raises(EmptyInput):

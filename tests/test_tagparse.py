@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from proctag.tagparse import (EmptyAfterNormalization, GrammarViolation, NoTags,
-                              ProcessStep, collapse_adjacent,
+from proctag.tagparse import (NAME_CACHE_SIZE, EmptyAfterNormalization,
+                              GrammarViolation, NoTags, ProcessStep, collapse_adjacent,
                               extract_function_names, normalize_name,
                               parse_pseudocode, scan_call_sites)
 
@@ -74,6 +74,16 @@ class TestNormalizeName:
     def test_empty_after_normalization(self):
         with pytest.raises(EmptyAfterNormalization):
             normalize_name("123!!")
+
+    def test_results_cached_but_empty_names_raise_on_every_call(self):
+        normalize_name.cache_clear()
+        assert normalize_name("FindTable") == normalize_name("FindTable") == "find_table"
+        for _ in range(3):
+            with pytest.raises(EmptyAfterNormalization):
+                normalize_name("123!!")
+        info = normalize_name.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 4, 1)
+        assert info.maxsize == NAME_CACHE_SIZE
 
     @settings(max_examples=150, deadline=None)
     @given(raw=st.text(min_size=1, max_size=24))
