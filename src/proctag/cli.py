@@ -44,6 +44,7 @@ import os
 import sys
 import threading
 from concurrent.futures import BrokenExecutor
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, get_args
 
@@ -110,13 +111,26 @@ def _read_stage(output_dir: Path, stage: str) -> Path:
     return path
 
 
+_raw_decode = json.JSONDecoder().raw_decode
+
+
 def _read_jsonl(path: Path) -> Iterator[dict[str, Any]]:
     # one line at a time, split on "\n" only: str.splitlines() also breaks at
     # U+2028, U+0085 and the like, which canonical JSON leaves unescaped
     # inside strings
     with open(path, encoding="utf-8", newline="\n") as fh:
         for line in fh:
-            if line.strip():
+            # a line this package wrote is one value and its newline, which
+            # the decoder reads without json.loads' whitespace scans; any
+            # other line goes through json.loads, with its errors
+            try:
+                obj, end = _raw_decode(line)
+                written = line[end:] in ("\n", "")
+            except ValueError:
+                written = False
+            if written:
+                yield obj
+            elif line.strip():
                 yield json.loads(line)
 
 
@@ -355,15 +369,39 @@ def _raw_profile(rid: str, result: procgen.ExecutionProcess | procgen.Discarded 
     return tagnorm.TagProfile(rid, seq.tags, source=seq.source)
 
 
-def _tags_line(record_id: str, tags: dict[str, Any]) -> dict[str, Any]:
-    return {"record_id": record_id, "annotations": {"tags": tags}}
+def _tags_lines(raw: list[tagnorm.TagProfile],
+                *later: list[tagnorm.TagProfile]) -> Iterator[str]:
+    """The ``tags_raw`` line of each raw profile or, given its filtered,
+    clustered and aggregated profiles too, its ``tags`` line.
+
+    Each line equals ``dumps_json`` of ``{"record_id": ..., "annotations":
+    {"tags": {...}}}`` plus a newline, byte for byte. It is put together
+    from the JSON text of each value, with the keys in sorted order and
+    ``encode_basestring``, the string encoder ``dumps_json`` itself uses. A
+    stage's tag list equal to the stage's before it reuses that list's text,
+    so each distinct list of a record is encoded once.
+    """
+    for stages in zip(raw, *later):
+        texts = []
+        prev: list[str] | None = None
+        for p in stages:
+            if p.tags != prev:
+                prev = p.tags
+                text = "[" + ", ".join(map(encode_basestring, prev)) + "]"
+            texts.append(text)
+        p = stages[0]
+        tail = (f'"raw": {texts[0]}, "source": {encode_basestring(p.source)}}}}}, '
+                f'"record_id": {encode_basestring(p.record_id)}}}\n')
+        if later:
+            emptied = "true" if stages[1].emptied_by_filter else "false"
+            tail = (f'"aggregated": {texts[3]}, "clustered": {texts[2]}, '
+                    f'"emptied_by_filter": {emptied}, "filtered": {texts[1]}, ' + tail)
+        yield '{"annotations": {"tags": {' + tail
 
 
 def extract_stage(profiles: list[tagnorm.TagProfile], out_dir: Path) -> None:
     """Write the records' raw tag profiles."""
-    path = _write_stage(out_dir, "tags_raw", _jsonl(
-        _tags_line(p.record_id, {"raw": p.tags, "source": p.source}) for p in profiles),
-        "jsonl")
+    path = _write_stage(out_dir, "tags_raw", _tags_lines(profiles), "jsonl")
     print(f"extracted raw tags for {len(profiles)} records -> {path}")
 
 
@@ -380,12 +418,6 @@ def normalize_stage(profiles: list[tagnorm.TagProfile], embedder: tagnorm.Embedd
         dbscan_min_pts=cfg.tagging.dbscan_min_pts,
         min_support=cfg.tagging.min_support,
         min_confidence=cfg.tagging.min_confidence)
-    tagged = (_tags_line(raw.record_id, {
-        "raw": raw.tags, "source": raw.source, "filtered": filtered.tags,
-        "clustered": clustered.tags, "aggregated": aggregated.tags,
-        "emptied_by_filter": filtered.emptied_by_filter})
-        for raw, filtered, clustered, aggregated
-        in zip(*(result.stage_profiles[stage] for stage in tagnorm.STAGES)))
     vocab_report = {
         "stages": {stage: dict(sorted(v.entries.items()))
                    for stage, v in result.vocabularies.items()},
@@ -394,7 +426,8 @@ def normalize_stage(profiles: list[tagnorm.TagProfile], embedder: tagnorm.Embedd
                      for cid, members in result.assignment.members().items()},
         "merges": result.merges,
     }
-    path = _write_stage(out_dir, "tags", _jsonl(tagged), "jsonl")
+    path = _write_stage(out_dir, "tags", _tags_lines(
+        *(result.stage_profiles[stage] for stage in tagnorm.STAGES)), "jsonl")
     _write_stage(out_dir, "vocab", dumps_json(vocab_report) + "\n", "json")
     print(f"normalized tags for {len(profiles)} records "
           f"({len(vocab_report['merges'])} merges) -> {path}")
@@ -407,15 +440,14 @@ def profiles_from_tags(records: Iterable[dict[str, Any]],
     any stage from ``tags``), which may arrive one at a time as they are
     read. Each tag is interned: a corpus repeats a few thousand names, and
     decoding makes a new string for every occurrence."""
+    intern, profile = sys.intern, tagnorm.TagProfile
     profiles = []
     for obj in records:
         tags_ann = obj.get("annotations", {}).get("tags", {})
-        profiles.append(tagnorm.TagProfile(
-            record_id=obj["record_id"],
-            tags=[sys.intern(tag) for tag in tags_ann.get(stage) or ()],
-            stage=stage,
-            source=tags_ann.get("source", "none"),
-            emptied_by_filter=bool(tags_ann.get("emptied_by_filter", False))))
+        profiles.append(profile(obj["record_id"],
+                                [intern(tag) for tag in tags_ann.get(stage) or ()],
+                                stage, tags_ann.get("source", "none"),
+                                bool(tags_ann.get("emptied_by_filter", False))))
     return profiles
 
 
@@ -512,10 +544,11 @@ def cmd_assess(args: argparse.Namespace) -> int:
 
 
 def _eval_input(path: str, field: str, valid: Callable[[Any], bool],
-                expected: str) -> dict[str, Any]:
-    """record_id -> ``field`` of each line of an ``eval anls`` input; a line
-    that is not an object with a string ``record_id``, whose ``field`` is not
-    ``valid``, or whose id repeats is an error naming the file and line."""
+                expected: str) -> tuple[dict[str, Any], dict[str, int]]:
+    """record_id -> ``field`` and record_id -> line number of each line of an
+    ``eval anls`` input; a line that is not an object with a string
+    ``record_id``, whose ``field`` is not ``valid``, or whose id repeats is
+    an error naming the file and line."""
     values: dict[str, Any] = {}
     first_line: dict[str, int] = {}
     with open(path, encoding="utf-8", newline="\n") as fh:
@@ -537,7 +570,7 @@ def _eval_input(path: str, field: str, valid: Callable[[Any], bool],
                 raise ProcTagError(f"{where}: {field!r} must be {expected}")
             first_line[rid] = line_no
             values[rid] = obj[field]
-    return values
+    return values, first_line
 
 
 def _answer_list(value: Any) -> bool:
@@ -547,13 +580,18 @@ def _answer_list(value: Any) -> bool:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     if args.metric == "anls":
-        predicted = _eval_input(args.pred, "predicted", lambda v: isinstance(v, str),
-                                "a string")
-        golds = _eval_input(args.gold, "answers", _answer_list,
-                            "a non-empty list of strings")
+        predicted, pred_line = _eval_input(args.pred, "predicted",
+                                           lambda v: isinstance(v, str), "a string")
+        golds, _ = _eval_input(args.gold, "answers", _answer_list,
+                               "a non-empty list of strings")
         missing = next((rid for rid in golds if rid not in predicted), None)
         if missing is not None:
             raise ProcTagError(f"{args.pred}: no prediction for record {missing!r}")
+        # a prediction for a record the gold file lacks is for another dataset
+        unknown = next((rid for rid in predicted if rid not in golds), None)
+        if unknown is not None:
+            raise ProcTagError(f"{args.pred}, line {pred_line[unknown]}: record_id "
+                               f"{unknown!r} is not in {args.gold}")
         predictions = [Prediction(record_id=rid, predicted=predicted[rid], golds=answers)
                        for rid, answers in golds.items()]
         score = anls(predictions, tau=args.tau)

@@ -229,17 +229,33 @@ def clamp_page(page: DocumentPage) -> tuple[DocumentPage, int]:
 # (de)serialization
 
 
+# the types json.loads gives a number (a bool is not one), or a number or null;
+# each value's type is tested by set membership, in C
+_NUMBER = frozenset((int, float))
+_NUMBER_OR_NULL = _NUMBER | {type(None)}
+_STRING = frozenset((str,))
+
+
 def _bbox_from(obj: Any, line_ctx: str) -> BoundingBox:
     if not (isinstance(obj, (list, tuple)) and len(obj) == 4
-            and all(isinstance(v, (int, float)) for v in obj)):
+            and _NUMBER.issuperset(map(type, obj))):
         raise IoFailure(f"{line_ctx}: bbox must be a list of 4 numbers, got {obj!r}")
     return BoundingBox(*obj)
+
+
+def _require_types(ctx: str, noun: str, items: list, field_name: str,
+                   allowed: frozenset, expected: str) -> None:
+    values = [getattr(item, field_name) for item in items]
+    if not allowed.issuperset(map(type, values)):
+        i = next(i for i, v in enumerate(values) if type(v) not in allowed)
+        raise IoFailure(f"{ctx}: {noun} {i}: {field_name} must be {expected}, "
+                        f"got {values[i]!r}")
 
 
 def _page_from_dict(obj: Any, ctx: str) -> DocumentPage:
     if not isinstance(obj, dict):
         raise IoFailure(f"{ctx}: page is not a JSON object")
-    if not all(isinstance(obj.get(key), (int, float)) for key in ("width", "height")):
+    if not _NUMBER.issuperset((type(obj.get("width")), type(obj.get("height")))):
         raise IoFailure(f"{ctx}: page width and height must be numbers")
     try:
         tokens = [OcrToken(text=t["text"], bbox=_bbox_from(t["bbox"], ctx),
@@ -248,11 +264,16 @@ def _page_from_dict(obj: Any, ctx: str) -> DocumentPage:
         regions = [LayoutRegion(kind=r["kind"], bbox=_bbox_from(r["bbox"], ctx),
                                 score=r.get("score"))
                    for r in obj.get("regions", [])]
-        return DocumentPage(page_id=obj["page_id"], width=obj["width"], height=obj["height"],
+        page = DocumentPage(page_id=obj["page_id"], width=obj["width"], height=obj["height"],
                             tokens=tokens, regions=regions,
                             image_ref=obj.get("image_ref"), meta=obj.get("meta", {}))
     except (KeyError, TypeError) as exc:
         raise IoFailure(f"{ctx}: bad page structure ({exc})") from exc
+    _require_types(ctx, "token", tokens, "text", _STRING, "a string")
+    _require_types(ctx, "token", tokens, "confidence", _NUMBER_OR_NULL, "null or a number")
+    _require_types(ctx, "region", regions, "kind", _STRING, "a string")
+    _require_types(ctx, "region", regions, "score", _NUMBER_OR_NULL, "null or a number")
+    return page
 
 
 def _page_to_dict(page: DocumentPage) -> dict[str, Any]:

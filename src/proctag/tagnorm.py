@@ -14,8 +14,9 @@ import hashlib
 import json
 import os
 from collections import Counter, deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Mapping, Protocol
 
@@ -107,11 +108,9 @@ def _require_stage(profiles: list[TagProfile], stage: str) -> None:
 
 
 def tag_frequencies(profiles: list[TagProfile]) -> dict[str, int]:
-    """Corpus occurrence count per tag (multiple occurrences in one profile count)."""
-    freq: Counter[str] = Counter()
-    for p in profiles:
-        freq.update(p.tags)
-    return dict(freq)
+    """Corpus occurrence count per tag (multiple occurrences in one profile
+    count), in order of first occurrence."""
+    return dict(Counter(chain.from_iterable(p.tags for p in profiles)))
 
 
 def default_min_count(n_records: int) -> int:
@@ -125,15 +124,13 @@ def frequency_filter(profiles: list[TagProfile],
     if min_count < 1:
         raise ValueError("min_count must be a positive integer")
     _require_stage(profiles, "raw")
-    freq = tag_frequencies(profiles)
-    out: list[TagProfile] = []
+    kept_counts = {t: c for t, c in tag_frequencies(profiles).items() if c >= min_count}
+    out = []
     for p in profiles:
-        kept = [t for t in p.tags if freq[t] >= min_count]
-        out.append(TagProfile(record_id=p.record_id, tags=kept, stage="filtered",
-                              source=p.source,
-                              emptied_by_filter=bool(p.tags) and not kept))
-    vocab = TagVocabulary({t: c for t, c in freq.items() if c >= min_count}, stage="filtered")
-    return out, vocab
+        kept = [t for t in p.tags if t in kept_counts]
+        out.append(TagProfile(p.record_id, kept, "filtered", p.source,
+                              bool(p.tags) and not kept))
+    return out, TagVocabulary(kept_counts, stage="filtered")
 
 
 # ---------------------------------------------------------------------------
@@ -233,14 +230,21 @@ def dbscan(vectors: Mapping[str, np.ndarray], eps: float, min_pts: int,
 def apply_clusters(profiles: list[TagProfile],
                    assignment: ClusterAssignment) -> list[TagProfile]:
     """Rewrite clustered tags to their cluster representative (noise tags are
-    untouched) and collapse any adjacent duplicates this creates."""
+    untouched) and collapse any adjacent duplicates this creates.
+
+    Only a profile holding a tag that is not its own representative is
+    rewritten; every profile is collapsed, since the filter may already have
+    made two equal tags adjacent."""
     _require_stage(profiles, "filtered")
     rep_of = {tag: assignment.representatives[cid]
-              for tag, cid in assignment.labels.items() if cid is not None}
-    out: list[TagProfile] = []
+              for tag, cid in assignment.labels.items()
+              if cid is not None and assignment.representatives[cid] != tag}
+    unmoved = rep_of.keys().isdisjoint
+    out = []
     for p in profiles:
-        rewritten = collapse_adjacent([rep_of.get(t, t) for t in p.tags])
-        out.append(replace(p, tags=rewritten, stage="clustered"))
+        tags = p.tags if unmoved(p.tags) else [rep_of.get(t, t) for t in p.tags]
+        out.append(TagProfile(p.record_id, collapse_adjacent(tags), "clustered", p.source,
+                              p.emptied_by_filter))
     return out
 
 
@@ -248,17 +252,20 @@ def apply_clusters(profiles: list[TagProfile],
 # association aggregation
 
 
-def mine_adjacent_pairs(profiles: list[TagProfile]) -> list[AdjacentPairStat]:
-    """Count ordered adjacent tag pairs; one support unit per profile."""
+def mine_adjacent_pairs(profiles: list[TagProfile],
+                        min_support: int = 1) -> list[AdjacentPairStat]:
+    """Count ordered adjacent tag pairs; one support unit per profile.
+
+    Only pairs with support at or above ``min_support`` get a stat: a pair
+    below it can never merge (support is anti-monotone, as in Apriori), and
+    a corpus has far more such pairs than candidates."""
     _require_stage(profiles, "clustered")
-    pair_support: Counter[tuple[str, str]] = Counter()
-    first_count: Counter[str] = Counter()
-    for p in profiles:
-        pair_support.update(set(zip(p.tags, p.tags[1:])))
-        first_count.update(set(p.tags))
+    pair_support = Counter(chain.from_iterable(set(zip(p.tags, p.tags[1:]))
+                                               for p in profiles))
+    first_count = Counter(chain.from_iterable(set(p.tags) for p in profiles))
     stats = [AdjacentPairStat(first=a, second=b, support=s,
                               confidence=s / first_count[a])
-             for (a, b), s in pair_support.items()]
+             for (a, b), s in pair_support.items() if s >= min_support]
     stats.sort(key=lambda st: (-st.support, st.first, st.second))
     return stats
 
@@ -284,7 +291,9 @@ def aggregate_pairs(profiles: list[TagProfile], stats: list[AdjacentPairStat],
 
     Single pass over pairs sorted by support descending (ties lexicographic);
     merged names are not re-mined. Self-pairs and degenerate merges are
-    skipped. Returns the aggregated profiles and a report of applied merges.
+    skipped. A tag list without the pair's first tag is passed over after
+    one ``in`` test. Returns the aggregated profiles and a report of applied
+    merges.
     """
     _require_stage(profiles, "clustered")
     qualifying = [st for st in stats
@@ -298,15 +307,18 @@ def aggregate_pairs(profiles: list[TagProfile], stats: list[AdjacentPairStat],
             merged = merge_name(st.first, st.second)
         except DegenerateMerge:
             continue
+        first, second = st.first, st.second
         for tags in tag_lists:
+            if first not in tags:
+                continue
             i = 0
             while i < len(tags) - 1:
-                if tags[i] == st.first and tags[i + 1] == st.second:
+                if tags[i] == first and tags[i + 1] == second:
                     tags[i:i + 2] = [merged]
                 i += 1
-        applied.append({"first": st.first, "second": st.second, "merged": merged,
+        applied.append({"first": first, "second": second, "merged": merged,
                         "support": st.support, "confidence": st.confidence})
-    out = [replace(p, tags=tags, stage="aggregated")
+    out = [TagProfile(p.record_id, tags, "aggregated", p.source, p.emptied_by_filter)
            for p, tags in zip(profiles, tag_lists)]
     return out, applied
 
@@ -412,7 +424,7 @@ class NormalizationResult:
     stage_profiles: dict[str, list[TagProfile]]   # every stage, for audit
     vocabularies: dict[str, TagVocabulary]
     assignment: ClusterAssignment
-    pair_stats: list[AdjacentPairStat]
+    pair_stats: list[AdjacentPairStat]            # only pairs with support >= min_support
     merges: list[dict[str, Any]] = field(default_factory=list)
 
 
@@ -435,7 +447,7 @@ def normalize_corpus(profiles: list[TagProfile], embedder: EmbeddingProvider, *,
                         frequencies=filtered_vocab.entries)
     clustered = apply_clusters(filtered, assignment)
     clustered_vocab = TagVocabulary(tag_frequencies(clustered), stage="clustered")
-    stats = mine_adjacent_pairs(clustered)
+    stats = mine_adjacent_pairs(clustered, min_support)
     aggregated, merges = aggregate_pairs(clustered, stats, min_support, min_confidence)
     aggregated_vocab = TagVocabulary(tag_frequencies(aggregated), stage="aggregated")
     return NormalizationResult(

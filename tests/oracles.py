@@ -4,6 +4,7 @@ plain-python scans, exhaustive search, and scipy distances."""
 
 from __future__ import annotations
 
+import json
 import math
 from collections import Counter
 from dataclasses import replace
@@ -18,6 +19,12 @@ from proctag import procgen, tagnorm, tagparse
 from proctag.cli import _jsonl, _write_stage
 from proctag.config import PipelineConfig
 from proctag.ingest import BoundingBox, dumps_json
+from proctag.tagnorm import (DEFAULT_DBSCAN_EPS, DEFAULT_DBSCAN_MIN_PTS, DEFAULT_MIN_CONFIDENCE,
+                             DEFAULT_MIN_SUPPORT, AdjacentPairStat, ClusterAssignment,
+                             DegenerateMerge, EmbeddingProvider, NormalizationResult, TagProfile,
+                             TagVocabulary, _require_stage, dbscan, default_min_count,
+                             merge_name)
+from proctag.tagparse import collapse_adjacent
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +323,29 @@ def selection_sequence_reference(profiles):
 
 
 # ---------------------------------------------------------------------------
+# the JSONL reader as it was before canonical lines skipped json.loads
+
+
+def read_jsonl_reference(path: Path) -> Iterator[dict[str, Any]]:
+    # one line at a time, split on "\n" only: str.splitlines() also breaks at
+    # U+2028, U+0085 and the like, which canonical JSON leaves unescaped
+    # inside strings
+    with open(path, encoding="utf-8", newline="\n") as fh:
+        for line in fh:
+            if line.strip():
+                yield json.loads(line)
+
+
+# ---------------------------------------------------------------------------
+# tag artifact lines as dicts, which the stage writers encoded with dumps_json
+# before they put each line together from its encoded values
+
+
+def tags_line_reference(record_id: str, tags: dict[str, Any]) -> dict[str, Any]:
+    return {"record_id": record_id, "annotations": {"tags": tags}}
+
+
+# ---------------------------------------------------------------------------
 # tag stage writers that copied the whole generate record into ``tags_raw``
 # and ``tags`` (kept verbatim; their ``record_id`` and ``annotations.tags``
 # are what the slim artifacts must reproduce)
@@ -392,3 +422,134 @@ def normalize_stage_full_records(records: list[dict[str, Any]],
     print(f"normalized tags for {len(records)} records "
           f"({len(vocab_report['merges'])} merges) -> {path}")
     return result.profiles, vocab_report
+
+
+# ---------------------------------------------------------------------------
+# tag normalization as it was before its passes counted in C: one
+# Counter.update per profile, stats for every adjacent pair, every tag list
+# walked for every merge, and profiles rebuilt with dataclasses.replace
+# (kept verbatim; tagnorm must return exactly what these return)
+
+def tag_frequencies(profiles: list[TagProfile]) -> dict[str, int]:
+    """Corpus occurrence count per tag (multiple occurrences in one profile count)."""
+    freq: Counter[str] = Counter()
+    for p in profiles:
+        freq.update(p.tags)
+    return dict(freq)
+
+
+def frequency_filter(profiles: list[TagProfile],
+                     min_count: int) -> tuple[list[TagProfile], TagVocabulary]:
+    """Drop long-tail tags (corpus frequency < min_count) from every profile,
+    preserving the relative order of survivors. Emptied profiles stay, flagged."""
+    if min_count < 1:
+        raise ValueError("min_count must be a positive integer")
+    _require_stage(profiles, "raw")
+    freq = tag_frequencies(profiles)
+    out: list[TagProfile] = []
+    for p in profiles:
+        kept = [t for t in p.tags if freq[t] >= min_count]
+        out.append(TagProfile(record_id=p.record_id, tags=kept, stage="filtered",
+                              source=p.source,
+                              emptied_by_filter=bool(p.tags) and not kept))
+    vocab = TagVocabulary({t: c for t, c in freq.items() if c >= min_count}, stage="filtered")
+    return out, vocab
+
+
+def apply_clusters(profiles: list[TagProfile],
+                   assignment: ClusterAssignment) -> list[TagProfile]:
+    """Rewrite clustered tags to their cluster representative (noise tags are
+    untouched) and collapse any adjacent duplicates this creates."""
+    _require_stage(profiles, "filtered")
+    rep_of = {tag: assignment.representatives[cid]
+              for tag, cid in assignment.labels.items() if cid is not None}
+    out: list[TagProfile] = []
+    for p in profiles:
+        rewritten = collapse_adjacent([rep_of.get(t, t) for t in p.tags])
+        out.append(replace(p, tags=rewritten, stage="clustered"))
+    return out
+
+
+def mine_adjacent_pairs(profiles: list[TagProfile]) -> list[AdjacentPairStat]:
+    """Count ordered adjacent tag pairs; one support unit per profile."""
+    _require_stage(profiles, "clustered")
+    pair_support: Counter[tuple[str, str]] = Counter()
+    first_count: Counter[str] = Counter()
+    for p in profiles:
+        pair_support.update(set(zip(p.tags, p.tags[1:])))
+        first_count.update(set(p.tags))
+    stats = [AdjacentPairStat(first=a, second=b, support=s,
+                              confidence=s / first_count[a])
+             for (a, b), s in pair_support.items()]
+    stats.sort(key=lambda st: (-st.support, st.first, st.second))
+    return stats
+
+
+def aggregate_pairs(profiles: list[TagProfile], stats: list[AdjacentPairStat],
+                    min_support: int = DEFAULT_MIN_SUPPORT,
+                    min_confidence: float = DEFAULT_MIN_CONFIDENCE,
+                    ) -> tuple[list[TagProfile], list[dict[str, Any]]]:
+    """Merge every qualifying pair (support and confidence at or above the
+    thresholds) wherever it occurs adjacently.
+
+    Single pass over pairs sorted by support descending (ties lexicographic);
+    merged names are not re-mined. Self-pairs and degenerate merges are
+    skipped. Returns the aggregated profiles and a report of applied merges.
+    """
+    _require_stage(profiles, "clustered")
+    qualifying = [st for st in stats
+                  if st.support >= min_support and st.confidence >= min_confidence
+                  and st.first != st.second]
+    qualifying.sort(key=lambda st: (-st.support, st.first, st.second))
+    tag_lists = [list(p.tags) for p in profiles]
+    applied: list[dict[str, Any]] = []
+    for st in qualifying:
+        try:
+            merged = merge_name(st.first, st.second)
+        except DegenerateMerge:
+            continue
+        for tags in tag_lists:
+            i = 0
+            while i < len(tags) - 1:
+                if tags[i] == st.first and tags[i + 1] == st.second:
+                    tags[i:i + 2] = [merged]
+                i += 1
+        applied.append({"first": st.first, "second": st.second, "merged": merged,
+                        "support": st.support, "confidence": st.confidence})
+    out = [replace(p, tags=tags, stage="aggregated")
+           for p, tags in zip(profiles, tag_lists)]
+    return out, applied
+
+
+def normalize_corpus(profiles: list[TagProfile], embedder: EmbeddingProvider, *,
+                     min_count: int | None = None,
+                     dbscan_eps: float = DEFAULT_DBSCAN_EPS,
+                     dbscan_min_pts: int = DEFAULT_DBSCAN_MIN_PTS,
+                     min_support: int = DEFAULT_MIN_SUPPORT,
+                     min_confidence: float = DEFAULT_MIN_CONFIDENCE) -> NormalizationResult:
+    """Run filter -> cluster -> aggregate over raw profiles.
+
+    ``min_count=None`` picks the long-tail cutoff from the corpus size.
+    """
+    if min_count is None:
+        min_count = default_min_count(len(profiles))
+    raw_vocab = TagVocabulary(tag_frequencies(profiles), stage="raw")
+    filtered, filtered_vocab = frequency_filter(profiles, min_count)
+    vectors = {t: embedder.embed(t) for t in sorted(filtered_vocab.entries)}
+    assignment = dbscan(vectors, dbscan_eps, dbscan_min_pts,
+                        frequencies=filtered_vocab.entries)
+    clustered = apply_clusters(filtered, assignment)
+    clustered_vocab = TagVocabulary(tag_frequencies(clustered), stage="clustered")
+    stats = mine_adjacent_pairs(clustered)
+    aggregated, merges = aggregate_pairs(clustered, stats, min_support, min_confidence)
+    aggregated_vocab = TagVocabulary(tag_frequencies(aggregated), stage="aggregated")
+    return NormalizationResult(
+        profiles=aggregated,
+        stage_profiles={"raw": profiles, "filtered": filtered,
+                        "clustered": clustered, "aggregated": aggregated},
+        vocabularies={"raw": raw_vocab, "filtered": filtered_vocab,
+                      "clustered": clustered_vocab, "aggregated": aggregated_vocab},
+        assignment=assignment,
+        pair_stats=stats,
+        merges=merges,
+    )

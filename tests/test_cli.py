@@ -31,7 +31,7 @@ from proctag.cli import run
 from proctag.config import (ConfigError, PipelineConfig, config_from_dict,
                             dump_config, load_config)
 from proctag.errors import ProcTagError
-from proctag.ingest import load_dataset, write_dataset
+from proctag.ingest import dumps_json, load_dataset, write_dataset
 from proctag.render import DocumentRepresentation, render_plaintext
 from proctag.synth import make_dataset
 from test_procgen import ScriptedBackend
@@ -357,6 +357,12 @@ def _tags_only(objs):
             for obj in objs]
 
 
+# strings JSON must escape or must leave alone: quotes, backslashes, control
+# characters, U+2028 / U+2029, non-ASCII and astral characters
+_awkward_text = st.text(st.sampled_from(['"', "\\", "\n", "\x00", "\x1f", "\u2028", "\u2029",
+                                         "é", "\U0001f600", "a", "_"]), max_size=5) | st.text()
+
+
 class TestSlimTagArtifacts:
     """``tags_raw`` and ``tags`` hold only ``record_id`` and the tags, built
     from profiles; they equal what the full-record writers wrote, projected
@@ -399,6 +405,59 @@ class TestSlimTagArtifacts:
                          for d in (chained, standalone)]
             assert manifests[0] == {k: v for k, v in manifests[1].items() if k != "generate"}
             assert json.loads((old / "manifest.json").read_text())["vocab"] == manifests[0]["vocab"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(st.tuples(
+        _awkward_text, st.sampled_from(["grammar", "fallback", "none"]),
+        # each stage's list is new or the one before it again; the tags line
+        # takes emptied_by_filter from the filtered profile alone
+        st.lists(st.none() | st.lists(_awkward_text, max_size=4), min_size=4, max_size=4),
+        st.lists(st.booleans(), min_size=4, max_size=4)), max_size=6))
+    def test_tag_lines_equal_their_canonical_json(self, rows):
+        stages = [[], [], [], []]
+        for record_id, source, lists, emptied in rows:
+            tags = []
+            for stage, new, flag in zip(stages, lists, emptied):
+                tags = list(tags if new is None else new)
+                stage.append(tagnorm.TagProfile(record_id, tags, "raw", source, flag))
+        raw, filtered, clustered, aggregated = stages
+        expected_raw = "".join(
+            dumps_json(oracles.tags_line_reference(p.record_id,
+                                                   {"raw": p.tags, "source": p.source})) + "\n"
+            for p in raw)
+        expected = "".join(
+            dumps_json(oracles.tags_line_reference(r.record_id, {
+                "raw": r.tags, "source": r.source, "filtered": f.tags,
+                "clustered": c.tags, "aggregated": a.tags,
+                "emptied_by_filter": f.emptied_by_filter})) + "\n"
+            for r, f, c, a in zip(*stages))
+        assert "".join(cli._tags_lines(raw)) == expected_raw
+        assert "".join(cli._tags_lines(raw, filtered, clustered, aggregated)) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(lines=st.lists(st.tuples(
+        st.sampled_from(["", " ", "\t", "\u2028"]),
+        st.recursive(st.none() | st.booleans() | st.integers() | _awkward_text,
+                     lambda inner: st.lists(inner, max_size=3)
+                     | st.dictionaries(_awkward_text, inner, max_size=3), max_leaves=6),
+        # written as this package writes, with other spacing, garbage or none
+        st.sampled_from(["\n", " \n", "\r\n", "\u2028\n", "x\n", ",\n", "", "blank"])),
+        max_size=5))
+    def test_jsonl_reader_equals_json_loads_per_line(self, tmp_path_factory, lines):
+        text = "".join(" \n" if end == "blank" else lead + dumps_json(value) + end
+                       for lead, value, end in lines)
+        path = tmp_path_factory.mktemp("jsonl") / "stage.jsonl"
+        path.write_text(text, encoding="utf-8", newline="")
+
+        def outcome(reader):
+            got = []
+            try:
+                got.extend(reader(path))
+            except ValueError as exc:
+                return got, type(exc), str(exc)
+            return got, None, None
+
+        assert outcome(cli._read_jsonl) == outcome(oracles.read_jsonl_reference)
 
     def test_normalize_peak_does_not_grow_with_record_fields(self, tmp_path):
         # tag --stage normalize keeps each tags_raw line's profile only, so
@@ -468,6 +527,18 @@ class TestEval:
         pred.write_text("", encoding="utf-8")
         gold.write_text('{"record_id": "r1", "answers": ["a"]}\n', encoding="utf-8")
         assert run(["eval", "anls", "--pred", str(pred), "--gold", str(gold)]) == 1
+
+    def test_prediction_for_an_unknown_record_exits_1(self, tmp_path, capfd):
+        pred = tmp_path / "pred.jsonl"
+        gold = tmp_path / "gold.jsonl"
+        pred.write_text('{"record_id": "r1", "predicted": "a"}\n'
+                        '{"record_id": "zz", "predicted": "b"}\n', encoding="utf-8")
+        gold.write_text('{"record_id": "r1", "answers": ["a"]}\n', encoding="utf-8")
+        capfd.readouterr()
+        assert run(["eval", "anls", "--pred", str(pred), "--gold", str(gold)]) == 1
+        captured = capfd.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {pred}, line 2: record_id 'zz' is not in {gold}\n"
 
     @pytest.mark.parametrize("bad,pred_lines,gold_lines,reason", [
         ("pred", ['{"record_id": "r1"}'], None, "'predicted' must be a string"),
@@ -721,6 +792,31 @@ class TestChunkedPool:
         err = capfd.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert f"page file {broken} is not valid JSON" in err
+        assert not (out / "manifest.json").exists()
+        assert not list(out.glob("*.tmp"))
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("items,field,value,reason", [
+        ("tokens", "text", 5, "token 0: text must be a string, got 5"),
+        ("regions", "score", "x", "region 0: score must be null or a number, got 'x'"),
+        ("regions", "kind", 7, "region 0: kind must be a string, got 7"),
+        ("tokens", "confidence", False, "token 0: confidence must be null or a number"),
+    ], ids=["text", "score", "kind", "confidence"])
+    def test_page_value_of_the_wrong_type_in_a_worker_exits_1(
+            self, demo_dataset, tmp_path, monkeypatch, capfd, cpus, items, field, value,
+            reason):
+        broken = sorted((demo_dataset / "pages").glob("*.json"))[-1]
+        page = json.loads(broken.read_text(encoding="utf-8"))
+        page[items][0][field] = value
+        broken.write_text(json.dumps(page), encoding="utf-8")
+        monkeypatch.setattr(cli, "CHUNK", 2)  # 6 pages: three chunks
+        _cpus(monkeypatch, cpus)
+        capfd.readouterr()
+        out = tmp_path / "out"
+        assert run(["pipeline", "--backend", "mock"] + _base_args(demo_dataset, out)) == 1
+        err = capfd.readouterr().err
+        assert err.startswith(f"error: {broken}: {reason}"), err
+        assert err.count("\n") == 1 and "Traceback" not in err, err
         assert not (out / "manifest.json").exists()
         assert not list(out.glob("*.tmp"))
 

@@ -98,6 +98,39 @@ class TestLoadDataset:
         with pytest.raises(IoFailure, match="p1.json"):
             load_page(path)
 
+    @pytest.mark.parametrize("items,field,value,reason", [
+        ("tokens", "text", 5, "token 0: text must be a string, got 5"),
+        ("tokens", "text", None, "token 0: text must be a string, got None"),
+        ("tokens", "confidence", "0.9", "token 0: confidence must be null or a number"),
+        ("tokens", "confidence", True, "token 0: confidence must be null or a number"),
+        ("regions", "kind", 7, "region 0: kind must be a string, got 7"),
+        ("regions", "score", "x", "region 0: score must be null or a number, got 'x'"),
+        ("regions", "score", [1], "region 0: score must be null or a number"),
+        ("page", "width", True, "page width and height must be numbers"),
+        ("tokens", "bbox", [1, 1, True, 5], "bbox must be a list of 4 numbers"),
+    ])
+    def test_page_value_of_the_wrong_type(self, tmp_path, items, field, value, reason):
+        page = {"page_id": "p1", "width": 100, "height": 100,
+                "tokens": [{"text": "a", "bbox": [1, 1, 5, 5], "confidence": 0.5}],
+                "regions": [{"kind": "table", "bbox": [0, 0, 50, 50], "score": 1}]}
+        (page if items == "page" else page[items][0])[field] = value
+        path = tmp_path / "p1.json"
+        path.write_text(json.dumps(page), encoding="utf-8")
+        with pytest.raises(IoFailure) as exc:
+            load_page(path)
+        assert str(exc.value).startswith(f"{path}: {reason}")
+
+    @pytest.mark.parametrize("value", [None, 0, 1, 0.25])
+    def test_confidence_and_score_may_be_null_or_any_number(self, tmp_path, value):
+        path = tmp_path / "p1.json"
+        path.write_text(json.dumps({
+            "page_id": "p1", "width": 100, "height": 100,
+            "tokens": [{"text": "a", "bbox": [1, 1, 5, 5], "confidence": value}],
+            "regions": [{"kind": "x", "bbox": [0, 0, 50, 50], "score": value}]}),
+            encoding="utf-8")
+        page = load_page(path)
+        assert page.tokens[0].confidence == value and page.regions[0].score == value
+
     def test_out_of_bounds_box_clamped_on_load(self, tmp_path, caplog):
         pages = tmp_path / "pages"
         pages.mkdir()

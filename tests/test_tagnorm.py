@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import random
@@ -9,7 +10,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -456,3 +457,126 @@ class TestNormalizeCorpus:
         result = normalize_corpus(profiles, HashingEmbedder(), min_count=4)
         recount = tag_frequencies(result.stage_profiles["filtered"])
         assert all(c >= 4 for c in recount.values())
+
+
+# ---------------------------------------------------------------------------
+# the counting passes against the per-profile code they replaced
+# (tests/oracles.py keeps it verbatim)
+
+# names of one to three distinct tokens: merging two of them often yields a
+# third that already exists, or the first tag of a later pair
+_TOKENS = ("a", "b", "c")
+_NAMES = ["_".join(p) for n in (1, 2, 3) for p in itertools.permutations(_TOKENS, n)]
+_SOURCES = ("grammar", "fallback", "none")
+
+
+class _GroupEmbedder:
+    """Tags of one group share a direction (cosine distance 0), so dbscan can
+    cluster them; every other name has a direction of its own, and the
+    one-off tags share one more."""
+
+    def __init__(self, groups):
+        self.groups = groups
+
+    def embed(self, tag):
+        vec = np.zeros(4 + len(_NAMES))
+        axis = 3 + _NAMES.index(tag) if tag in _NAMES else -1
+        vec[self.groups.get(tag, axis)] = 1.0
+        return vec
+
+
+@st.composite
+def _corpora(draw, stage="raw"):
+    """Small corpora over a few of the names, each profile a run of short
+    pieces: many pairs recur often enough to merge. A piece may be a one-off
+    tag, which a filter drops, leaving empty profiles and new adjacent
+    duplicates. A profile may repeat a tag adjacently: a self-pair when the
+    corpus is drawn at the clustered stage."""
+    names = st.sampled_from(draw(st.lists(st.sampled_from(_NAMES), min_size=3, max_size=6,
+                                          unique=True)))
+    pieces = draw(st.lists(st.lists(names, min_size=1, max_size=3), min_size=2, max_size=4))
+    runs = draw(st.lists(st.lists(st.sampled_from(pieces) | st.none(), max_size=3),
+                         min_size=4, max_size=30))
+    one_off = itertools.count()
+    lists = [[tag for piece in run for tag in piece or [f"z{next(one_off)}"]]
+             for run in runs]
+    sources = draw(st.lists(st.sampled_from(_SOURCES), min_size=len(lists),
+                            max_size=len(lists)))
+    return [TagProfile(f"r{i}", tags, stage, source)
+            for i, (tags, source) in enumerate(zip(lists, sources))]
+
+
+def _copies(profiles):
+    return [TagProfile(p.record_id, list(p.tags), p.stage, p.source, p.emptied_by_filter)
+            for p in profiles]
+
+
+def _snapshot(result):
+    """Everything a NormalizationResult holds but its pair stats, with every
+    dict as its list of items, so that key order counts."""
+    def fields(profiles):
+        return [(p.record_id, p.tags, p.stage, p.source, p.emptied_by_filter)
+                for p in profiles]
+
+    return {"profiles": fields(result.profiles),
+            "stage_profiles": [(stage, fields(ps)) for stage, ps in result.stage_profiles.items()],
+            "vocabularies": [(stage, v.stage, list(v.entries.items()))
+                             for stage, v in result.vocabularies.items()],
+            "labels": list(result.assignment.labels.items()),
+            "representatives": list(result.assignment.representatives.items()),
+            "merges": [list(m.items()) for m in result.merges]}
+
+
+_MERGE_COLLIDES = [TagProfile(f"r{i}", ["a", "b_c", "a_c", "c_b"]) for i in range(3)]
+
+
+class TestCountingPassesMatchOracle:
+    @settings(max_examples=300, deadline=None)
+    @example(profiles=_MERGE_COLLIDES, groups={}, min_count=1, min_pts=2, min_support=1,
+             min_confidence=0.0)
+    @example(profiles=[TagProfile("r0", ["a", "b", "a"]), TagProfile("r1", ["b", "c"]),
+                       TagProfile("r2", []), TagProfile("r3", ["c_a", "c"])],
+             groups={"a": 0, "b": 0}, min_count=2, min_pts=1, min_support=1,
+             min_confidence=0.0)
+    @given(profiles=_corpora(), groups=st.dictionaries(st.sampled_from(_NAMES),
+                                                       st.integers(0, 2), max_size=3),
+           min_count=st.integers(1, 3), min_pts=st.integers(1, 3),
+           min_support=st.integers(1, 3),
+           min_confidence=st.sampled_from([0.0, 0.0, 0.25, 0.5, 1.0]))
+    def test_normalize_corpus(self, profiles, groups, min_count, min_pts, min_support,
+                              min_confidence):
+        params = dict(min_count=min_count, dbscan_min_pts=min_pts, min_support=min_support,
+                      min_confidence=min_confidence)
+        old = oracles.normalize_corpus(_copies(profiles), _GroupEmbedder(groups), **params)
+        new = normalize_corpus(_copies(profiles), _GroupEmbedder(groups), **params)
+        assert _snapshot(new) == _snapshot(old)
+        assert new.pair_stats == [s for s in old.pair_stats if s.support >= min_support]
+        # no stage shares a tag list with another: each is a snapshot of its own
+        lists = [id(p.tags) for ps in new.stage_profiles.values() for p in ps]
+        assert len(set(lists)) == len(lists)
+
+    def test_merge_collision_example_merges_into_an_existing_name(self):
+        result = normalize_corpus(_copies(_MERGE_COLLIDES), _GroupEmbedder({}), min_count=1,
+                                  min_support=1, min_confidence=0.0)
+        assert [(m["first"], m["second"], m["merged"]) for m in result.merges] == [
+            ("a", "b_c", "a_c"), ("a_c", "c_b", "a_c_b")]
+        assert result.profiles[0].tags == ["a_c", "a_c_b"]
+
+    @settings(max_examples=150, deadline=None)
+    @given(profiles=_corpora(stage="clustered"), min_support=st.integers(0, 5))
+    def test_mine_adjacent_pairs_is_the_full_list_cut_at_min_support(self, profiles,
+                                                                     min_support):
+        full = oracles.mine_adjacent_pairs(profiles)
+        assert mine_adjacent_pairs(profiles) == full
+        assert mine_adjacent_pairs(profiles, min_support) == [
+            s for s in full if s.support >= min_support]
+
+    @settings(max_examples=150, deadline=None)
+    @given(profiles=_corpora(stage="clustered"), min_support=st.integers(1, 4),
+           min_confidence=st.sampled_from([0.0, 0.25, 0.5, 1.0]))
+    def test_aggregate_pairs_with_self_pairs(self, profiles, min_support, min_confidence):
+        old = oracles.aggregate_pairs(_copies(profiles), oracles.mine_adjacent_pairs(profiles),
+                                      min_support, min_confidence)
+        new = aggregate_pairs(_copies(profiles), mine_adjacent_pairs(profiles, min_support),
+                              min_support, min_confidence)
+        assert new == old
