@@ -1,4 +1,5 @@
-"""Dataset efficacy assessment and tag-driven subset selection.
+"""Dataset complexity, diversity and tag coverage, and tag-driven subset
+selection.
 
 Complexity is the number of distinct tags in a dataset; diversity is the
 mean number of distinct tags per record. Selection runs in two phases:
@@ -36,10 +37,6 @@ class EmptyVocabulary(ProcTagError):
 
 
 class InfeasibleCoverage(ProcTagError):
-    pass
-
-
-class ZeroBaseline(ProcTagError):
     pass
 
 
@@ -82,13 +79,6 @@ class SampleSpec:
                                  f"coverage_target, got {target!r}")
             if target > 1.0:
                 raise InfeasibleCoverage(f"coverage target {target} exceeds 1.0")
-
-
-@dataclass(frozen=True)
-class EfficacyReport:
-    p_cur: float
-    p_best: float
-    efficacy: float
 
 
 def complexity(profiles: list[TagProfile]) -> int:
@@ -203,10 +193,3 @@ def random_sample(profiles: list[TagProfile], ratio: float, seed: int) -> list[s
     ids = [p.record_id for p in profiles]
     k = math.ceil(ratio * len(ids))
     return random.Random(seed).sample(ids, k)
-
-
-def efficacy(p_cur: float, p_best: float) -> EfficacyReport:
-    """Data-efficacy ratio of current to best performance."""
-    if p_best <= 0:
-        raise ZeroBaseline("best performance must be positive")
-    return EfficacyReport(p_cur=p_cur, p_best=p_best, efficacy=p_cur / p_best)

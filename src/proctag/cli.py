@@ -53,7 +53,7 @@ from . import procgen, tagnorm, tagparse
 from .config import PipelineConfig, load_config, schema, set_key
 from .errors import ProcTagError
 from .ingest import (InstructionRecord, IoFailure, MissingPage, atomic_write_text,
-                     dumps_json, load_page, load_pages_dir, load_records, read_records,
+                     dumps_json, load_page, load_records, read_records,
                      record_to_dict)
 from .layout import associate, clean_inputs
 from .metrics import Prediction, ConfusionMatrix, anls, kappa_report
@@ -484,16 +484,6 @@ def _stage_records(out_dir: Path, stage: str) -> Iterator[dict[str, Any]]:
 
 def cmd_render(args: argparse.Namespace) -> int:
     cfg = _effective_config(args)
-    if args.in_dir:
-        # standalone mode: one representation file per page file
-        pages = load_pages_dir(args.in_dir)
-        out_dir = Path(args.out if args.out else "reps")
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for page_id, page in pages.items():
-            rep = _render_page(page, cfg)
-            atomic_write_text(out_dir / f"{page_id}.json", dumps_json(rep.to_dict()) + "\n")
-        print(f"rendered {len(pages)} pages to {out_dir}")
-        return 0
     _, page_files = load_records(cfg.paths.dataset, cfg.paths.pages)
     render_stage(page_files, cfg, Path(cfg.paths.output_dir))
     return 0
@@ -649,8 +639,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "tagging for instruction data curation")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = _command(sub, "render", cmd_render, "render page representations")
-    p.add_argument("--in", dest="in_dir", help="pages directory (standalone mode)")
+    _command(sub, "render", cmd_render, "render page representations")
     _command(sub, "generate", cmd_generate, "generate execution processes")
     p = _command(sub, "tag", cmd_tag, "extract and normalize process tags")
     p.add_argument("--stage", choices=("extract", "normalize", "all"), default="all")
@@ -668,8 +657,7 @@ def build_parser() -> argparse.ArgumentParser:
     pk.add_argument("--matrix", required=True, help="JSON file with a square count matrix")
     pk.set_defaults(func=cmd_eval)
 
-    p = _command(sub, "pipeline", cmd_pipeline, "run render -> generate -> tag -> sample")
-    p.set_defaults(in_dir=None)
+    _command(sub, "pipeline", cmd_pipeline, "run render -> generate -> tag -> sample")
 
     return parser
 
@@ -709,4 +697,7 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    # run proctag.cli, not this copy: the pool pickles _run_chunk by module,
+    # and a wrapper such as cProfile takes the __main__ name
+    import proctag.cli
+    proctag.cli.main()

@@ -352,16 +352,6 @@ def load_page(path: Path | str) -> DocumentPage:
     return page
 
 
-def load_pages_dir(pages_dir: Path | str) -> dict[str, DocumentPage]:
-    """Load every ``*.json`` page file in a directory, keyed by page_id."""
-    pages_dir = Path(pages_dir)
-    pages: dict[str, DocumentPage] = {}
-    for path in sorted(pages_dir.glob("*.json")):
-        page = load_page(path)
-        pages[page.page_id] = page
-    return pages
-
-
 def _resolve_paths(path: Path | str, pages_dir: Path | str | None) -> tuple[Path, Path]:
     path = Path(path)
     if path.is_dir():

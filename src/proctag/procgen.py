@@ -12,19 +12,17 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import random
 import re
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from datetime import datetime, timezone
-from pathlib import Path
 from typing import TYPE_CHECKING, Any, Protocol
 
 from .errors import ProcTagError
-from .ingest import InstructionRecord, atomic_write_text
+from .ingest import InstructionRecord
 from .render import DocumentRepresentation
+from .store import JsonPost, Store
 from .tagparse import GrammarViolation, ProcessStep, parse_pseudocode
 
 if TYPE_CHECKING:
@@ -300,49 +298,25 @@ class MockBackend:
             + f"{ANSWER_PREFIX} {answer}\n"
 
 
-class RemoteBackend:
-    """Chat-completion HTTP adapter; the wire-format mapping is isolated here.
+class RemoteBackend(JsonPost):
+    """Chat-completion HTTP adapter; the wire-format mapping is isolated here."""
 
-    ``requests`` is imported only when an adapter is built, so commands that
-    never reach the network do not pay for loading it.
-    """
+    env, what, error = "PROCTAG_BACKEND", "backend", BackendError
 
     def __init__(self, url: str | None = None, api_key: str | None = None,
                  model: str = "default", timeout: float = 60.0,
                  session: requests.Session | None = None):
-        import requests
-
-        self.url = url or os.environ.get("PROCTAG_BACKEND_URL", "")
-        self.api_key = api_key if api_key is not None else os.environ.get("PROCTAG_BACKEND_KEY")
+        super().__init__(url, api_key, timeout, session)
         self.model = model
-        self.timeout = timeout
-        self._session = session or requests.Session()
-        if not self.url:
-            raise BackendError("no backend URL (set PROCTAG_BACKEND_URL)")
 
     def complete(self, prompt: str, params: DecodeParams = DecodeParams(),
                  attempt: int = 1) -> str:
-        import requests
-
-        payload: dict[str, Any] = {
-            "model": self.model,
-            "messages": [{"role": "user", "content": prompt}],
-            "temperature": params.temperature,
-        }
+        payload: dict[str, Any] = {"model": self.model,
+                                   "messages": [{"role": "user", "content": prompt}],
+                                   "temperature": params.temperature}
         if params.max_tokens is not None:
             payload["max_tokens"] = params.max_tokens
-        headers = {"Authorization": f"Bearer {self.api_key}"} if self.api_key else {}
-        try:
-            resp = self._session.post(self.url, json=payload, headers=headers,
-                                      timeout=self.timeout)
-        except requests.RequestException as exc:
-            raise BackendError(f"transport failure: {exc}") from exc
-        if resp.status_code != 200:
-            raise BackendError(f"backend returned HTTP {resp.status_code}")
-        try:
-            return resp.json()["choices"][0]["message"]["content"]
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
-            raise BackendError(f"unexpected response shape: {exc}") from exc
+        return self._post(payload, lambda reply: reply["choices"][0]["message"]["content"])
 
 
 def _cache_key(prompt: str, params: DecodeParams, attempt: int) -> str:
@@ -352,31 +326,15 @@ def _cache_key(prompt: str, params: DecodeParams, attempt: int) -> str:
     return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
 
-class CachingBackend:
-    """Content-addressed completion cache around an inner backend.
+class CachingBackend(Store):
+    """Content-addressed completion cache around an inner backend, keyed by
+    prompt, decode parameters and attempt index, so retries are cached apart."""
 
-    The cache key covers prompt, decode parameters, and the attempt index, so
-    retries are cached independently. With ``inner=None`` the cache is
-    replay-only and a miss is a transport failure.
-    """
-
-    def __init__(self, cache_dir: Path | str, inner: GenerationBackend | None = None):
-        self.cache_dir = Path(cache_dir)
-        self.cache_dir.mkdir(parents=True, exist_ok=True)
-        self.inner = inner
-
-    def _path(self, key: str) -> Path:
-        return self.cache_dir / f"{key}.json"
+    error = BackendError  # a replay-only miss counts as a transport failure
 
     def complete(self, prompt: str, params: DecodeParams = DecodeParams(),
                  attempt: int = 1) -> str:
-        path = self._path(_cache_key(prompt, params, attempt))
-        if path.exists():
-            return json.loads(path.read_text(encoding="utf-8"))["completion"]
-        if self.inner is None:
-            raise BackendError(f"cache miss for {path.name} in replay-only mode")
-        completion = self.inner.complete(prompt, params, attempt=attempt)
-        entry = {"prompt": prompt, "completion": completion,
-                 "created_at": datetime.now(timezone.utc).isoformat()}
-        atomic_write_text(path, json.dumps(entry, ensure_ascii=False))
-        return completion
+        key = _cache_key(prompt, params, attempt)
+        return self._entry(key, f"cache miss for {key}.json", lambda inner: {
+            "prompt": prompt,
+            "completion": inner.complete(prompt, params, attempt=attempt)})["completion"]

@@ -11,22 +11,17 @@ identical across runs.
 from __future__ import annotations
 
 import hashlib
-import json
-import os
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
 from itertools import chain
-from pathlib import Path
 from typing import TYPE_CHECKING, Any, Mapping, Protocol
 
 from .errors import ProcTagError
-from .ingest import atomic_write_text
+from .store import JsonPost, Store
 from .tagparse import collapse_adjacent, normalize_name
 
 if TYPE_CHECKING:
     import numpy as np
-    import requests
 
 STAGES = ("raw", "filtered", "clustered", "aggregated")
 
@@ -354,64 +349,28 @@ class HashingEmbedder:
         return vec / norm
 
 
-class RemoteEmbedder:
-    """HTTP encoder endpoint adapter (POST {"input": tag} -> {"embedding": [...]}).
+class RemoteEmbedder(JsonPost):
+    """HTTP encoder endpoint adapter (POST {"input": tag} -> {"embedding": [...]})."""
 
-    ``requests`` is imported only when an adapter is built.
-    """
-
-    def __init__(self, url: str | None = None, api_key: str | None = None,
-                 timeout: float = 60.0, session: requests.Session | None = None):
-        import requests
-
-        self.url = url or os.environ.get("PROCTAG_EMBED_URL", "")
-        self.api_key = api_key if api_key is not None else os.environ.get("PROCTAG_EMBED_KEY")
-        self.timeout = timeout
-        self._session = session or requests.Session()
-        if not self.url:
-            raise ProcTagError("no embedding URL (set PROCTAG_EMBED_URL)")
+    env, what = "PROCTAG_EMBED", "embedding"
 
     def embed(self, tag: str) -> np.ndarray:
         import numpy as np
-        import requests
 
-        headers = {"Authorization": f"Bearer {self.api_key}"} if self.api_key else {}
-        try:
-            resp = self._session.post(self.url, json={"input": tag}, headers=headers,
-                                      timeout=self.timeout)
-        except requests.RequestException as exc:
-            raise ProcTagError(f"embedding transport failure: {exc}") from exc
-        if resp.status_code != 200:
-            raise ProcTagError(f"embedding endpoint returned HTTP {resp.status_code}")
-        try:
-            return np.asarray(resp.json()["embedding"], dtype=float)
-        except (ValueError, KeyError, TypeError) as exc:
-            raise ProcTagError(f"unexpected embedding response: {exc}") from exc
+        return self._post({"input": tag},
+                          lambda reply: np.asarray(reply["embedding"], dtype=float))
 
 
-class CachingEmbedder:
-    """Content-addressed vector cache around an inner provider; replay-only
-    when ``inner=None``."""
-
-    def __init__(self, cache_dir: Path | str, inner: EmbeddingProvider | None = None):
-        self.cache_dir = Path(cache_dir)
-        self.cache_dir.mkdir(parents=True, exist_ok=True)
-        self.inner = inner
+class CachingEmbedder(Store):
+    """Content-addressed vector cache around an inner provider."""
 
     def embed(self, tag: str) -> np.ndarray:
         import numpy as np
 
         key = hashlib.sha256(tag.encode("utf-8")).hexdigest()
-        path = self.cache_dir / f"{key}.json"
-        if path.exists():
-            return np.asarray(json.loads(path.read_text(encoding="utf-8"))["vector"])
-        if self.inner is None:
-            raise ProcTagError(f"embedding cache miss for {tag!r} in replay-only mode")
-        vec = self.inner.embed(tag)
-        entry = {"tag": tag, "vector": [float(x) for x in vec],
-                 "created_at": datetime.now(timezone.utc).isoformat()}
-        atomic_write_text(path, json.dumps(entry, ensure_ascii=False))
-        return vec
+        entry = self._entry(key, f"embedding cache miss for {tag!r}", lambda inner: {
+            "tag": tag, "vector": [float(x) for x in inner.embed(tag)]})
+        return np.asarray(entry["vector"])
 
 
 # ---------------------------------------------------------------------------

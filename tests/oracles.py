@@ -4,27 +4,35 @@ plain-python scans, exhaustive search, and scipy distances."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
+import os
 from collections import Counter
 from dataclasses import replace
+from datetime import datetime, timezone
 from functools import lru_cache
 from itertools import combinations
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
 import numpy as np
 
 from proctag import procgen, tagnorm, tagparse
 from proctag.cli import _jsonl, _write_stage
 from proctag.config import PipelineConfig
-from proctag.ingest import BoundingBox, dumps_json
+from proctag.errors import ProcTagError
+from proctag.ingest import BoundingBox, atomic_write_text, dumps_json
+from proctag.procgen import BackendError, DecodeParams, GenerationBackend
 from proctag.tagnorm import (DEFAULT_DBSCAN_EPS, DEFAULT_DBSCAN_MIN_PTS, DEFAULT_MIN_CONFIDENCE,
                              DEFAULT_MIN_SUPPORT, AdjacentPairStat, ClusterAssignment,
                              DegenerateMerge, EmbeddingProvider, NormalizationResult, TagProfile,
                              TagVocabulary, _require_stage, dbscan, default_min_count,
                              merge_name)
 from proctag.tagparse import collapse_adjacent
+
+if TYPE_CHECKING:
+    import requests
 
 
 # ---------------------------------------------------------------------------
@@ -553,3 +561,150 @@ def normalize_corpus(profiles: list[TagProfile], embedder: EmbeddingProvider, *,
         pair_stats=stats,
         merges=merges,
     )
+
+
+# ---------------------------------------------------------------------------
+# completion and embedding caches and HTTP adapters, each written out on its
+# own, as they were before proctag.store held the shared parts; kept verbatim
+
+
+class RemoteBackend:
+    """Chat-completion HTTP adapter; the wire-format mapping is isolated here.
+
+    ``requests`` is imported only when an adapter is built, so commands that
+    never reach the network do not pay for loading it.
+    """
+
+    def __init__(self, url: str | None = None, api_key: str | None = None,
+                 model: str = "default", timeout: float = 60.0,
+                 session: requests.Session | None = None):
+        import requests
+
+        self.url = url or os.environ.get("PROCTAG_BACKEND_URL", "")
+        self.api_key = api_key if api_key is not None else os.environ.get("PROCTAG_BACKEND_KEY")
+        self.model = model
+        self.timeout = timeout
+        self._session = session or requests.Session()
+        if not self.url:
+            raise BackendError("no backend URL (set PROCTAG_BACKEND_URL)")
+
+    def complete(self, prompt: str, params: DecodeParams = DecodeParams(),
+                 attempt: int = 1) -> str:
+        import requests
+
+        payload: dict[str, Any] = {
+            "model": self.model,
+            "messages": [{"role": "user", "content": prompt}],
+            "temperature": params.temperature,
+        }
+        if params.max_tokens is not None:
+            payload["max_tokens"] = params.max_tokens
+        headers = {"Authorization": f"Bearer {self.api_key}"} if self.api_key else {}
+        try:
+            resp = self._session.post(self.url, json=payload, headers=headers,
+                                      timeout=self.timeout)
+        except requests.RequestException as exc:
+            raise BackendError(f"transport failure: {exc}") from exc
+        if resp.status_code != 200:
+            raise BackendError(f"backend returned HTTP {resp.status_code}")
+        try:
+            return resp.json()["choices"][0]["message"]["content"]
+        except (ValueError, KeyError, IndexError, TypeError) as exc:
+            raise BackendError(f"unexpected response shape: {exc}") from exc
+
+
+def _cache_key(prompt: str, params: DecodeParams, attempt: int) -> str:
+    material = json.dumps({"prompt": prompt, "temperature": params.temperature,
+                           "max_tokens": params.max_tokens, "attempt": attempt},
+                          sort_keys=True, ensure_ascii=False)
+    return hashlib.sha256(material.encode("utf-8")).hexdigest()
+
+
+class CachingBackend:
+    """Content-addressed completion cache around an inner backend.
+
+    The cache key covers prompt, decode parameters, and the attempt index, so
+    retries are cached independently. With ``inner=None`` the cache is
+    replay-only and a miss is a transport failure.
+    """
+
+    def __init__(self, cache_dir: Path | str, inner: GenerationBackend | None = None):
+        self.cache_dir = Path(cache_dir)
+        self.cache_dir.mkdir(parents=True, exist_ok=True)
+        self.inner = inner
+
+    def _path(self, key: str) -> Path:
+        return self.cache_dir / f"{key}.json"
+
+    def complete(self, prompt: str, params: DecodeParams = DecodeParams(),
+                 attempt: int = 1) -> str:
+        path = self._path(_cache_key(prompt, params, attempt))
+        if path.exists():
+            return json.loads(path.read_text(encoding="utf-8"))["completion"]
+        if self.inner is None:
+            raise BackendError(f"cache miss for {path.name} in replay-only mode")
+        completion = self.inner.complete(prompt, params, attempt=attempt)
+        entry = {"prompt": prompt, "completion": completion,
+                 "created_at": datetime.now(timezone.utc).isoformat()}
+        atomic_write_text(path, json.dumps(entry, ensure_ascii=False))
+        return completion
+
+
+class RemoteEmbedder:
+    """HTTP encoder endpoint adapter (POST {"input": tag} -> {"embedding": [...]}).
+
+    ``requests`` is imported only when an adapter is built.
+    """
+
+    def __init__(self, url: str | None = None, api_key: str | None = None,
+                 timeout: float = 60.0, session: requests.Session | None = None):
+        import requests
+
+        self.url = url or os.environ.get("PROCTAG_EMBED_URL", "")
+        self.api_key = api_key if api_key is not None else os.environ.get("PROCTAG_EMBED_KEY")
+        self.timeout = timeout
+        self._session = session or requests.Session()
+        if not self.url:
+            raise ProcTagError("no embedding URL (set PROCTAG_EMBED_URL)")
+
+    def embed(self, tag: str) -> np.ndarray:
+        import numpy as np
+        import requests
+
+        headers = {"Authorization": f"Bearer {self.api_key}"} if self.api_key else {}
+        try:
+            resp = self._session.post(self.url, json={"input": tag}, headers=headers,
+                                      timeout=self.timeout)
+        except requests.RequestException as exc:
+            raise ProcTagError(f"embedding transport failure: {exc}") from exc
+        if resp.status_code != 200:
+            raise ProcTagError(f"embedding endpoint returned HTTP {resp.status_code}")
+        try:
+            return np.asarray(resp.json()["embedding"], dtype=float)
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ProcTagError(f"unexpected embedding response: {exc}") from exc
+
+
+class CachingEmbedder:
+    """Content-addressed vector cache around an inner provider; replay-only
+    when ``inner=None``."""
+
+    def __init__(self, cache_dir: Path | str, inner: EmbeddingProvider | None = None):
+        self.cache_dir = Path(cache_dir)
+        self.cache_dir.mkdir(parents=True, exist_ok=True)
+        self.inner = inner
+
+    def embed(self, tag: str) -> np.ndarray:
+        import numpy as np
+
+        key = hashlib.sha256(tag.encode("utf-8")).hexdigest()
+        path = self.cache_dir / f"{key}.json"
+        if path.exists():
+            return np.asarray(json.loads(path.read_text(encoding="utf-8"))["vector"])
+        if self.inner is None:
+            raise ProcTagError(f"embedding cache miss for {tag!r} in replay-only mode")
+        vec = self.inner.embed(tag)
+        entry = {"tag": tag, "vector": [float(x) for x in vec],
+                 "created_at": datetime.now(timezone.utc).isoformat()}
+        atomic_write_text(path, json.dumps(entry, ensure_ascii=False))
+        return vec

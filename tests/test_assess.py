@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 
 import oracles
 from proctag.assess import (EmptyDataset, EmptyVocabulary, InfeasibleCoverage,
-                            SampleSpec, ZeroBaseline, _selection_sequence,
-                            assess_dataset, complexity, diversity, efficacy,
-                            sample, tag_coverage)
+                            SampleSpec, _selection_sequence, assess_dataset,
+                            complexity, diversity, sample, tag_coverage)
 from proctag.tagnorm import TagProfile
 
 
@@ -268,18 +267,6 @@ class TestRandomSample:
     def test_ratio_bounds(self):
         with pytest.raises(ValueError):
             sample(TOY_8, random_spec(0.0, seed=0))
-
-
-class TestEfficacy:
-    def test_equal_performance(self):
-        assert efficacy(81.8, 81.8).efficacy == 1.0
-
-    def test_half(self):
-        assert efficacy(40, 80).efficacy == 0.5
-
-    def test_zero_baseline(self):
-        with pytest.raises(ZeroBaseline):
-            efficacy(10, 0)
 
 
 class TestAssessDataset:

@@ -101,29 +101,9 @@ class TestUsage:
         assert "error" in capsys.readouterr().err
 
 
-class TestRenderStandalone:
-    def test_one_representation_per_page(self, demo_dataset, tmp_path):
-        out = tmp_path / "reps"
-        code = run(["render", "--style", "doclayprompt",
-                    "--in", str(demo_dataset / "pages"), "--out", str(out)])
-        assert code == 0
-        reps = sorted(out.glob("*.json"))
-        assert len(reps) == 6
-        payload = json.loads(reps[0].read_text(encoding="utf-8"))
-        assert payload["style"] == "doclayprompt"
-        assert payload["text"]
-
-    @pytest.mark.parametrize("style", ["plaintext", "spatial"])
-    def test_other_styles(self, demo_dataset, tmp_path, style):
-        out = tmp_path / f"reps_{style}"
-        assert run(["render", "--style", style,
-                    "--in", str(demo_dataset / "pages"), "--out", str(out)]) == 0
-        assert len(list(out.glob("*.json"))) == 6
-
-
 class TestStages:
     @pytest.mark.parametrize("style,backend", [("doclayprompt", "mock"),
-                                               ("plaintext", "cache")])
+                                               ("plaintext", "cache"), ("spatial", "mock")])
     def test_stagewise_equals_pipeline(self, demo_dataset, tmp_path, style, backend):
         gen_flags = ["--backend", backend]
         if backend == "cache":
@@ -982,8 +962,7 @@ _SAMPLE_FLAGS = [
     (("--seed",), "seed", int, None, None, None),
 ]
 FLAG_SURFACE = {
-    "render": _COMMON_FLAGS + _RENDER_FLAGS
-    + [(("--in",), "in_dir", None, None, None, "pages directory (standalone mode)")],
+    "render": _COMMON_FLAGS + _RENDER_FLAGS,
     "generate": _COMMON_FLAGS + _GENERATE_FLAGS,
     "tag": _COMMON_FLAGS + _TAG_FLAGS
     + [(("--stage",), "stage", None, ("extract", "normalize", "all"), "all", None)],
@@ -1225,6 +1204,24 @@ class TestCollectorPause:
         assert code == outcome
         assert seen == [False]
         assert after is enabled
+
+
+def test_pipeline_runs_under_cprofile(tmp_path):
+    # the pool pickles its worker function by module; under `python -m
+    # cProfile -m proctag.cli` the __main__ module is the profiler. 300
+    # records make two generate chunks, so with two or more CPUs the pool runs
+    write_dataset(make_dataset(seed=11, n_pages=30, records_per_page=10),
+                  tmp_path / "data" / "records.jsonl")
+    argv = ["pipeline"] + _base_args(tmp_path / "data", tmp_path / "profiled")
+    proc = subprocess.run([sys.executable, "-m", "cProfile", "-o", str(tmp_path / "p.prof"),
+                           "-m", "proctag.cli"] + argv, capture_output=True, text=True,
+                          env={**os.environ,
+                               "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert run(["pipeline"] + _base_args(tmp_path / "data", tmp_path / "plain")) == 0
+    assert (tmp_path / "profiled" / cli.MANIFEST).read_bytes() \
+        == (tmp_path / "plain" / cli.MANIFEST).read_bytes()
 
 
 def test_importing_the_cli_leaves_requests_unloaded():

@@ -10,8 +10,8 @@ import pytest
 import oracles
 from conftest import run_together
 from proctag.ingest import InstructionRecord
-from proctag.procgen import (BackendError, BackendUnavailable, CachingBackend,
-                             DecodeParams, Discarded, EmptyLedger,
+from proctag.procgen import (MAX_ATTEMPTS, BackendError, BackendUnavailable,
+                             CachingBackend, DecodeParams, Discarded, EmptyLedger,
                              GenerationLedger, MockBackend, ParseFailure,
                              RemoteBackend, build_prompt, discard_rate,
                              generate_all, generate_process, parse_response)
@@ -250,12 +250,20 @@ class TestCachingBackend:
 
 
 class _ChatHandler(BaseHTTPRequestHandler):
+    """Echoes the prompt as a chat completion; the path picks a failure:
+    /status answers 503, /malformed a body without a message."""
+
     def do_POST(self):
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
         prompt = body["messages"][0]["content"]
-        reply = {"choices": [{"message": {"content": f"echo: {prompt[:20]}"}}]}
+        self.server.seen.append((prompt, self.headers.get("Authorization")))
+        status, reply = 200, {"choices": [{"message": {"content": f"echo: {prompt[:20]}"}}]}
+        if self.path == "/status":
+            status = 503
+        elif self.path == "/malformed":
+            reply = {"choices": []}
         data = json.dumps(reply).encode("utf-8")
-        self.send_response(200)
+        self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
         self.end_headers()
@@ -268,22 +276,47 @@ class _ChatHandler(BaseHTTPRequestHandler):
 @pytest.fixture
 def chat_server():
     server = ThreadingHTTPServer(("127.0.0.1", 0), _ChatHandler)
+    server.seen = []
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
-    yield f"http://127.0.0.1:{server.server_address[1]}/v1/chat"
+    yield server, f"http://127.0.0.1:{server.server_address[1]}"
     server.shutdown()
+    server.server_close()
+    thread.join(10)
 
 
 class TestRemoteBackend:
     def test_round_trip(self, chat_server):
-        backend = RemoteBackend(url=chat_server, api_key="k")
+        server, url = chat_server
+        backend = RemoteBackend(url=url + "/v1/chat", api_key="k")
         out = backend.complete("hello world", DecodeParams())
         assert out == "echo: hello world"
+        assert server.seen == [("hello world", "Bearer k")]
+
+    def test_key_and_url_read_from_the_environment(self, chat_server, monkeypatch):
+        server, url = chat_server
+        monkeypatch.setenv("PROCTAG_BACKEND_URL", url + "/v1/chat")
+        monkeypatch.setenv("PROCTAG_BACKEND_KEY", "env-key")
+        assert RemoteBackend().complete("hi", DecodeParams()) == "echo: hi"
+        assert server.seen == [("hi", "Bearer env-key")]
 
     def test_unreachable_is_backend_error(self):
         backend = RemoteBackend(url="http://127.0.0.1:9/nope", timeout=0.2)
         with pytest.raises(BackendError):
             backend.complete("x", DecodeParams())
+
+    @pytest.mark.parametrize("path,message", [("/status", "HTTP 503"),
+                                              ("/malformed", "unexpected backend response")])
+    def test_bad_reply_is_retried_as_a_backend_error(self, chat_server, path, message):
+        # a BackendError is retried by generate_process; any other error
+        # type would end the generate stage at the first bad reply
+        server, url = chat_server
+        backend = RemoteBackend(url=url + path)
+        with pytest.raises(BackendError, match=message):
+            backend.complete("x", DecodeParams())
+        with pytest.raises(BackendUnavailable, match=message):
+            generate_process(mkrec("r1"), mkrep(), backend, GenerationLedger())
+        assert len(server.seen) == 1 + MAX_ATTEMPTS
 
     def test_missing_url_rejected(self, monkeypatch):
         monkeypatch.delenv("PROCTAG_BACKEND_URL", raising=False)
