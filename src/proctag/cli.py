@@ -265,14 +265,16 @@ def render_stage(page_files: dict[str, Path], cfg: PipelineConfig,
     return reps
 
 
+def _representation(rep: DocumentRepresentation) -> dict[str, Any]:
+    return {"style": rep.style,
+            "digest": hashlib.sha256(rep.text.encode("utf-8")).hexdigest()[:16],
+            "token_count": rep.token_count}
+
+
 def _generate_line(rec: InstructionRecord, rep: DocumentRepresentation,
                    result: procgen.ExecutionProcess | procgen.Discarded) -> dict[str, Any]:
     ann = dict(rec.annotations)
-    ann["representation"] = {
-        "style": rep.style,
-        "digest": hashlib.sha256(rep.text.encode("utf-8")).hexdigest()[:16],
-        "token_count": rep.token_count,
-    }
+    ann["representation"] = _representation(rep)
     if isinstance(result, procgen.Discarded):
         ann["discarded"] = {"reason": result.reason, "attempts": result.attempts,
                             "last_completion": result.last_completion}
@@ -285,13 +287,44 @@ def _generate_line(rec: InstructionRecord, rep: DocumentRepresentation,
     return obj
 
 
+def _process_line(rec: InstructionRecord, process: procgen.ExecutionProcess,
+                  representation: str) -> str:
+    """``dumps_json(_generate_line(rec, rep, process)) + "\\n"`` for a record
+    without input annotations, given the JSON text of ``rep``'s block."""
+    enc = encode_basestring
+    steps = ", ".join(
+        f'{{"args": [{", ".join(map(enc, step.args))}], '
+        f'"function_name": {enc(step.function_name)}, "index": {step.index}, '
+        f'"output_var": {enc(step.output_var)}}}' for step in process.steps)
+    answer = "null" if process.final_answer is None else enc(process.final_answer)
+    return (f'{{"annotations": {{"process": {{"attempts": {process.attempts}, '
+            f'"cot": [{", ".join(map(enc, process.cot))}], "final_answer": {answer}, '
+            f'"steps": [{steps}]}}, "representation": {representation}}}, '
+            f'"answers": [{", ".join(map(enc, rec.answers))}], "page_id": {enc(rec.page_id)}, '
+            f'"question": {enc(rec.question)}, "record_id": {enc(rec.record_id)}}}\n')
+
+
 def _encode_generated(pairs: Iterable[tuple[InstructionRecord,
                                             procgen.ExecutionProcess | procgen.Discarded]],
                       reps: dict[str, DocumentRepresentation]) -> tuple[str, list[Outcome]]:
-    """The generate lines of some records and each one's outcome."""
+    """The generate lines of some records and each one's outcome.
+
+    A process line is put together from the JSON text of each value, as
+    :func:`_tags_lines` does, and each page's representation block is
+    encoded once per call. A record with input annotations, whose keys may sort
+    anywhere among the line's, and a discarded one go through ``dumps_json``.
+    """
     lines, outcomes = [], []
+    blocks: dict[str, str] = {}
     for rec, result in pairs:
-        lines.append(dumps_json(_generate_line(rec, reps[rec.page_id], result)) + "\n")
+        rep = reps[rec.page_id]
+        if rec.annotations or isinstance(result, procgen.Discarded):
+            lines.append(dumps_json(_generate_line(rec, rep, result)) + "\n")
+        else:
+            block = blocks.get(rec.page_id)
+            if block is None:
+                block = blocks[rec.page_id] = dumps_json(_representation(rep))
+            lines.append(_process_line(rec, result, block))
         outcomes.append((isinstance(result, procgen.Discarded), result.attempts,
                          _raw_profile(rec.record_id, result)))
     return "".join(lines), outcomes

@@ -17,6 +17,8 @@ import re
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
+from json.encoder import encode_basestring
 from typing import TYPE_CHECKING, Any, Protocol
 
 from .errors import ProcTagError
@@ -54,6 +56,12 @@ class EmptyLedger(ProcTagError):
 class DecodeParams:
     temperature: float = 0.0
     max_tokens: int | None = None
+
+    @cached_property
+    def _key_texts(self) -> tuple[str, str]:
+        """The JSON text of ``max_tokens`` and of ``temperature``, as
+        ``json.dumps`` writes them: an int temperature as ``1``, not ``1.0``."""
+        return json.dumps(self.max_tokens), json.dumps(self.temperature)
 
 
 class GenerationBackend(Protocol):
@@ -320,9 +328,13 @@ class RemoteBackend(JsonPost):
 
 
 def _cache_key(prompt: str, params: DecodeParams, attempt: int) -> str:
-    material = json.dumps({"prompt": prompt, "temperature": params.temperature,
-                           "max_tokens": params.max_tokens, "attempt": attempt},
-                          sort_keys=True, ensure_ascii=False)
+    """SHA-256 of ``json.dumps`` of the prompt, decode parameters and attempt
+    with sorted keys and ``ensure_ascii=False``, put together from the JSON
+    text of each value: the prompt, a page of text, is encoded once by
+    ``encode_basestring``, the string encoder ``json.dumps`` uses."""
+    max_tokens, temperature = params._key_texts
+    material = (f'{{"attempt": {attempt}, "max_tokens": {max_tokens}, '
+                f'"prompt": {encode_basestring(prompt)}, "temperature": {temperature}}}')
     return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
 
@@ -331,10 +343,11 @@ class CachingBackend(Store):
     prompt, decode parameters and attempt index, so retries are cached apart."""
 
     error = BackendError  # a replay-only miss counts as a transport failure
+    value_key, value_type = "completion", str
 
     def complete(self, prompt: str, params: DecodeParams = DecodeParams(),
                  attempt: int = 1) -> str:
         key = _cache_key(prompt, params, attempt)
         return self._entry(key, f"cache miss for {key}.json", lambda inner: {
             "prompt": prompt,
-            "completion": inner.complete(prompt, params, attempt=attempt)})["completion"]
+            "completion": inner.complete(prompt, params, attempt=attempt)})

@@ -9,7 +9,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable
 
 from .errors import ProcTagError
-from .ingest import atomic_write_text
+from .ingest import IoFailure, atomic_write_text
 
 if TYPE_CHECKING:
     import requests
@@ -17,29 +17,45 @@ if TYPE_CHECKING:
 
 class Store:
     """``<key>.json`` entries in ``cache_dir`` filled from ``inner``; with
-    ``inner=None`` it only replays and a miss raises ``error``."""
+    ``inner=None`` it only replays and a miss raises ``error``. An entry is a
+    JSON object holding a ``value_type`` under ``value_key``; any other entry
+    is an :class:`IoFailure` naming its file, neither refilled nor retried."""
 
     error: type[ProcTagError] = ProcTagError
+    value_key: str
+    value_type: type
 
     def __init__(self, cache_dir: Path | str, inner: Any = None):
         self.cache_dir = Path(cache_dir)
         self.cache_dir.mkdir(parents=True, exist_ok=True)
         self.inner = inner
+        # a replay looks up one entry per record: its path is put together as
+        # a string, without a pathlib join
+        self._prefix = os.path.join(self.cache_dir, "")
 
-    def _entry(self, key: str, miss: str,
-               fill: Callable[[Any], dict[str, Any]]) -> dict[str, Any]:
-        """The entry named ``key``; on a miss, ``fill(inner)`` is stamped with
-        ``created_at`` and written. ``miss`` names the key in the error."""
-        path = self.cache_dir / f"{key}.json"
+    def _entry(self, key: str, miss: str, fill: Callable[[Any], dict[str, Any]]) -> Any:
+        """The value of the entry named ``key``; on a miss, ``fill(inner)`` is
+        stamped with ``created_at`` and written. ``miss`` names the key in the
+        error."""
+        path = f"{self._prefix}{key}.json"
         try:
-            with open(path, encoding="utf-8") as fh:
-                return json.load(fh)
+            with open(path, "rb") as fh:
+                data = fh.read()
         except FileNotFoundError:
             if self.inner is None:
                 raise self.error(f"{miss} in replay-only mode") from None
-        entry = {**fill(self.inner), "created_at": datetime.now(timezone.utc).isoformat()}
-        atomic_write_text(path, json.dumps(entry, ensure_ascii=False))
-        return entry
+            entry = {**fill(self.inner), "created_at": datetime.now(timezone.utc).isoformat()}
+            atomic_write_text(Path(path), json.dumps(entry, ensure_ascii=False))
+            return entry[self.value_key]
+        try:
+            entry = json.loads(data)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise IoFailure(f"cache entry {path} is not valid JSON: {exc}") from None
+        value = entry.get(self.value_key) if isinstance(entry, dict) else None
+        if not isinstance(value, self.value_type):
+            raise IoFailure(f"cache entry {path} is not an object with a "
+                            f"{self.value_type.__name__} {self.value_key!r}")
+        return value
 
 
 class JsonPost:

@@ -112,14 +112,18 @@ def default_min_count(n_records: int) -> int:
     return LARGE_CORPUS_MIN_COUNT if n_records >= LARGE_CORPUS_RECORDS else SMALL_CORPUS_MIN_COUNT
 
 
-def frequency_filter(profiles: list[TagProfile],
-                     min_count: int) -> tuple[list[TagProfile], TagVocabulary]:
+def frequency_filter(profiles: list[TagProfile], min_count: int,
+                     counts: dict[str, int] | None = None,
+                     ) -> tuple[list[TagProfile], TagVocabulary]:
     """Drop long-tail tags (corpus frequency < min_count) from every profile,
-    preserving the relative order of survivors. Emptied profiles stay, flagged."""
+    preserving the relative order of survivors. Emptied profiles stay, flagged.
+    ``counts`` is ``tag_frequencies(profiles)`` when the caller has it."""
     if min_count < 1:
         raise ValueError("min_count must be a positive integer")
     _require_stage(profiles, "raw")
-    kept_counts = {t: c for t, c in tag_frequencies(profiles).items() if c >= min_count}
+    if counts is None:
+        counts = tag_frequencies(profiles)
+    kept_counts = {t: c for t, c in counts.items() if c >= min_count}
     out = []
     for p in profiles:
         kept = [t for t in p.tags if t in kept_counts]
@@ -364,13 +368,14 @@ class RemoteEmbedder(JsonPost):
 class CachingEmbedder(Store):
     """Content-addressed vector cache around an inner provider."""
 
+    value_key, value_type = "vector", list
+
     def embed(self, tag: str) -> np.ndarray:
         import numpy as np
 
         key = hashlib.sha256(tag.encode("utf-8")).hexdigest()
-        entry = self._entry(key, f"embedding cache miss for {tag!r}", lambda inner: {
-            "tag": tag, "vector": [float(x) for x in inner.embed(tag)]})
-        return np.asarray(entry["vector"])
+        return np.asarray(self._entry(key, f"embedding cache miss for {tag!r}", lambda inner: {
+            "tag": tag, "vector": [float(x) for x in inner.embed(tag)]}))
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +405,7 @@ def normalize_corpus(profiles: list[TagProfile], embedder: EmbeddingProvider, *,
     if min_count is None:
         min_count = default_min_count(len(profiles))
     raw_vocab = TagVocabulary(tag_frequencies(profiles), stage="raw")
-    filtered, filtered_vocab = frequency_filter(profiles, min_count)
+    filtered, filtered_vocab = frequency_filter(profiles, min_count, raw_vocab.entries)
     vectors = {t: embedder.embed(t) for t in sorted(filtered_vocab.entries)}
     assignment = dbscan(vectors, dbscan_eps, dbscan_min_pts,
                         frequencies=filtered_vocab.entries)

@@ -58,6 +58,10 @@ class RawTagSequence:
 _STEP_RE = re.compile(
     r"^(?:step\d+\s*:\s*)?([A-Za-z_]\w*)\s*=\s*([A-Za-z_]\w*)\s*\((.*)\)\s*$")
 _ARG_RE = re.compile(r"^(?:[A-Za-z_]\w*|-?\d+(?:\.\d+)?)$")
+# one argument: a quoted literal, an identifier or a number
+_ARG = r"\"[^\"]*\"|'[^']*'|[A-Za-z_]\w*|-?\d+(?:\.\d+)?"
+_ARG_ITEM_RE = re.compile(_ARG)
+_ARG_LIST_RE = re.compile(rf"\s*(?:(?:{_ARG})\s*(?:,\s*(?:{_ARG})\s*)*)?")
 _CALL_SITE_RE = re.compile(r"\b([A-Za-z_]\w*)\s*\(")
 _CAMEL_RE = re.compile(r"(?<=[a-z])(?=[A-Z])")
 
@@ -72,6 +76,17 @@ STOP_WORDS = frozenset({
 
 
 def _split_args(raw: str, line_no: int, line: str) -> list[str]:
+    """The arguments of a call. A list of well-formed arguments is split by
+    one regex; any other goes to :func:`_walk_args`, which accepts or rejects
+    it (``"a" "b"`` is one argument there)."""
+    if _ARG_LIST_RE.fullmatch(raw):
+        return _ARG_ITEM_RE.findall(raw)
+    return _walk_args(raw, line_no, line)
+
+
+def _walk_args(raw: str, line_no: int, line: str) -> list[str]:
+    """Split at commas outside quotes, one character at a time, and check
+    each stripped argument."""
     args: list[str] = []
     buf: list[str] = []
     quote: str | None = None

@@ -8,6 +8,7 @@ import hashlib
 import json
 import math
 import os
+import re
 from collections import Counter
 from dataclasses import replace
 from datetime import datetime, timezone
@@ -22,7 +23,7 @@ from proctag import procgen, tagnorm, tagparse
 from proctag.cli import _jsonl, _write_stage
 from proctag.config import PipelineConfig
 from proctag.errors import ProcTagError
-from proctag.ingest import BoundingBox, atomic_write_text, dumps_json
+from proctag.ingest import BoundingBox, atomic_write_text, dumps_json, record_to_dict
 from proctag.procgen import BackendError, DecodeParams, GenerationBackend
 from proctag.tagnorm import (DEFAULT_DBSCAN_EPS, DEFAULT_DBSCAN_MIN_PTS, DEFAULT_MIN_CONFIDENCE,
                              DEFAULT_MIN_SUPPORT, AdjacentPairStat, ClusterAssignment,
@@ -351,6 +352,62 @@ def read_jsonl_reference(path: Path) -> Iterator[dict[str, Any]]:
 
 def tags_line_reference(record_id: str, tags: dict[str, Any]) -> dict[str, Any]:
     return {"record_id": record_id, "annotations": {"tags": tags}}
+
+
+# ---------------------------------------------------------------------------
+# the record path as it was before generate lines were put together from
+# encoded pieces and argument lists were split by a regex; kept verbatim
+
+
+def generate_line_reference(rec, rep, result) -> dict[str, Any]:
+    ann = dict(rec.annotations)
+    ann["representation"] = {
+        "style": rep.style,
+        "digest": hashlib.sha256(rep.text.encode("utf-8")).hexdigest()[:16],
+        "token_count": rep.token_count,
+    }
+    if isinstance(result, procgen.Discarded):
+        ann["discarded"] = {"reason": result.reason, "attempts": result.attempts,
+                            "last_completion": result.last_completion}
+        ann.pop("process", None)
+    else:
+        ann["process"] = result.to_dict()
+        ann.pop("discarded", None)
+    obj = record_to_dict(rec)
+    obj["annotations"] = ann
+    return obj
+
+
+_ARG_RE = re.compile(r"^(?:[A-Za-z_]\w*|-?\d+(?:\.\d+)?)$")
+
+
+def split_args_reference(raw: str, line_no: int, line: str) -> list[str]:
+    args: list[str] = []
+    buf: list[str] = []
+    quote: str | None = None
+    for ch in raw:
+        if quote:
+            buf.append(ch)
+            if ch == quote:
+                quote = None
+        elif ch in "\"'":
+            quote = ch
+            buf.append(ch)
+        elif ch == ",":
+            args.append("".join(buf).strip())
+            buf = []
+        else:
+            buf.append(ch)
+    if quote:
+        raise tagparse.GrammarViolation(line_no, line, "unterminated quote")
+    tail = "".join(buf).strip()
+    if tail or args:
+        args.append(tail)
+    for arg in args:
+        quoted = len(arg) >= 2 and arg[0] == arg[-1] and arg[0] in "\"'"
+        if not arg or (not quoted and not _ARG_RE.match(arg)):
+            raise tagparse.GrammarViolation(line_no, line, f"bad argument {arg!r}")
+    return args
 
 
 # ---------------------------------------------------------------------------

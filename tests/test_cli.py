@@ -26,12 +26,12 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from proctag import cli, procgen, tagnorm
+from proctag import cli, procgen, tagnorm, tagparse
 from proctag.cli import run
 from proctag.config import (ConfigError, PipelineConfig, config_from_dict,
                             dump_config, load_config)
 from proctag.errors import ProcTagError
-from proctag.ingest import dumps_json, load_dataset, write_dataset
+from proctag.ingest import InstructionRecord, dumps_json, load_dataset, write_dataset
 from proctag.render import DocumentRepresentation, render_plaintext
 from proctag.synth import make_dataset
 from test_procgen import ScriptedBackend
@@ -53,10 +53,10 @@ def _base_args(demo_dataset, out):
     return ["--dataset", str(demo_dataset / "records.jsonl"), "--out", str(out)]
 
 
-def _fill_mock_cache(demo_dataset, tmp_path, style, inner=None):
+def _fill_mock_cache(demo_dataset, tmp_path, style, inner=None, store=procgen.CachingBackend):
     """A completion cache filled by ``inner`` (default: the mock backend)
-    over the dataset's renderings in ``style``, as a live backend would
-    leave it."""
+    through ``store`` over the dataset's renderings in ``style``, as a live
+    backend would leave it."""
     out = tmp_path / "fill"
     assert run(["render", "--style", style] + _base_args(demo_dataset, out)) == 0
     manifest = json.loads((out / "manifest.json").read_text())
@@ -64,7 +64,7 @@ def _fill_mock_cache(demo_dataset, tmp_path, style, inner=None):
             for obj in map(json.loads, (out / manifest["render"]).read_text().splitlines())}
     cache = tmp_path / "cache"
     procgen.generate_all(load_dataset(demo_dataset / "records.jsonl").records, reps,
-                         procgen.CachingBackend(cache, inner=inner or procgen.MockBackend()),
+                         store(cache, inner=inner or procgen.MockBackend()),
                          procgen.GenerationLedger(), max_inflight=1)
     return cache
 
@@ -482,6 +482,54 @@ class TestSlimTagArtifacts:
         assert proc.stdout.startswith("20 records\n")
 
 
+# input annotation keys: before, between and after "process" and
+# "representation", and the two outcome keys a line replaces
+_INPUT_KEYS = st.sampled_from(["a", "pages", "process", "q", "representation", "source",
+                               "zz", "discarded", "\u2028", "é"])
+_json_values = st.recursive(st.none() | st.booleans() | st.integers() | _awkward_text,
+                            lambda inner: st.lists(inner, max_size=2)
+                            | st.dictionaries(_awkward_text, inner, max_size=2), max_leaves=4)
+_processes = st.builds(
+    procgen.ExecutionProcess,
+    cot=st.lists(_awkward_text, max_size=3),
+    steps=st.lists(st.tuples(_awkward_text, _awkward_text, st.lists(_awkward_text, max_size=3)),
+                   max_size=4).map(lambda steps: [
+                       tagparse.ProcessStep(k, var, name, args)
+                       for k, (var, name, args) in enumerate(steps, start=1)]),
+    final_answer=st.none() | _awkward_text, attempts=st.integers(1, 3))
+_discards = st.builds(procgen.Discarded, record_id=_awkward_text, reason=_awkward_text,
+                      attempts=st.integers(1, 3), last_completion=st.none() | _awkward_text)
+
+
+class TestGenerateLines:
+    @settings(max_examples=300, deadline=None)
+    @given(reps=st.lists(st.builds(DocumentRepresentation, page_id=st.just(""),
+                                   style=_awkward_text, text=_awkward_text,
+                                   char_cell_width=st.just(8.0),
+                                   token_count=st.integers(0, 10**6)),
+                         min_size=1, max_size=3),
+           rows=st.lists(st.tuples(
+               st.integers(0, 2), _awkward_text, _awkward_text, st.lists(_awkward_text, max_size=3),
+               st.just({}) | st.dictionaries(_INPUT_KEYS, _json_values, max_size=3),
+               _processes | _processes | _discards), max_size=6))
+    def test_lines_equal_their_canonical_json(self, reps, rows):
+        # pages repeat across records, so a block encoded once per page is reused
+        by_page = {f"p{k}\u2028\"{k}": dataclasses.replace(rep, page_id=f"p{k}\u2028\"{k}")
+                   for k, rep in enumerate(reps)}
+        pages = list(by_page)
+        pairs = [(InstructionRecord(record_id=rid, page_id=pages[k % len(pages)],
+                                    question=question, answers=answers, annotations=ann),
+                  result)
+                 for k, rid, question, answers, ann, result in rows]
+        expected = "".join(
+            dumps_json(oracles.generate_line_reference(rec, by_page[rec.page_id], result)) + "\n"
+            for rec, result in pairs)
+        text, outcomes = cli._encode_generated(pairs, by_page)
+        assert text == expected
+        assert [(discarded, attempts) for discarded, attempts, _ in outcomes] == [
+            (isinstance(result, procgen.Discarded), result.attempts) for _, result in pairs]
+
+
 class TestEval:
     def test_anls_subcommand(self, tmp_path, capsys):
         pred = tmp_path / "pred.jsonl"
@@ -758,6 +806,50 @@ class TestChunkedPool:
         assert code == 1
         err = self._assert_failed_generate(out, capfd)
         assert "replay-only mode" in err
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("entry,reason", [
+        ('{"prompt": "x"}', "is not an object with a str 'completion'"),
+        ('{"prompt": ', "is not valid JSON"),
+        ('["completion"]', "is not an object with a str 'completion'"),
+    ], ids=["no-completion", "not-json", "not-an-object"])
+    def test_malformed_cache_entry_exits_1_naming_it(self, demo_dataset, tmp_path,
+                                                     monkeypatch, capfd, cpus, entry, reason):
+        cache = _fill_mock_cache(demo_dataset, tmp_path, "plaintext")
+        bad = sorted(cache.glob("*.json"))[-1]
+        bad.write_text(entry, encoding="utf-8")
+        monkeypatch.setattr(cli, "CHUNK", 3)
+        _cpus(monkeypatch, cpus)
+        capfd.readouterr()
+        out = tmp_path / "out"
+        code = run(["pipeline", "--style", "plaintext", "--backend", "cache",
+                    "--cache-dir", str(cache)] + _base_args(demo_dataset, out))
+        assert code == 1
+        err = self._assert_failed_generate(out, capfd)
+        # failed once, as itself: not retried into a cache miss for the next attempt
+        assert f"error: cache entry {bad} {reason}" in err
+        assert "Traceback" not in err and "replay-only" not in err
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_replay_of_a_cache_keyed_by_the_old_code_equals_a_mock_run(
+            self, tmp_path, monkeypatch, cpus):
+        ds = make_dataset(seed=11, n_pages=6, records_per_page=3)
+        for k, rec in enumerate(ds.records):
+            rec.question += ["", " naïve “quotes”", " \u2028 \"x\"\\", " \U0001f600 ü"][k % 4]
+        write_dataset(ds, tmp_path / "data" / "records.jsonl")
+        data = tmp_path / "data"
+        cache = _fill_mock_cache(data, tmp_path, "plaintext", store=oracles.CachingBackend)
+        monkeypatch.setattr(cli, "CHUNK", 3)
+        _cpus(monkeypatch, cpus)
+        generated = {}
+        for backend in ("mock", "cache"):
+            out = tmp_path / backend
+            assert run(["pipeline", "--style", "plaintext", "--backend", backend,
+                        "--cache-dir", str(cache)] + _base_args(data, out)) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            generated[backend] = (out / manifest["generate"]).read_bytes()
+        assert generated["cache"] == generated["mock"]
+        assert "naïve “quotes”".encode("utf-8") in generated["cache"]
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_malformed_page_file_in_a_worker_exits_1(self, demo_dataset, tmp_path,

@@ -12,10 +12,13 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from proctag import procgen, tagnorm
 from proctag.errors import ProcTagError
+from proctag.ingest import IoFailure
 from proctag.procgen import BackendError, DecodeParams, MockBackend
 from proctag.tagnorm import HashingEmbedder
 
@@ -66,6 +69,53 @@ def test_embedding_cache_replays_across_old_and_new(tmp_path, writer, reader):
     assert _entries(tmp_path / "written") == _entries(tmp_path / "other")
     with pytest.raises(ProcTagError, match="cache miss for 'never_seen'"):
         replay.embed("never_seen")
+
+
+# strings JSON must escape or must leave alone, and any other text
+_awkward_text = st.text(st.sampled_from(['"', "\\", "\n", "\x00", "\x1f", "\x7f", "\u2028",
+                                         "é", "\U0001f600", "a"]), max_size=8) | st.text()
+
+
+@settings(max_examples=300, deadline=None)
+@given(prompt=_awkward_text,
+       temperature=st.integers(0, 2) | st.floats(0, 2)
+       | st.sampled_from([1, 1.0, 0.1, 1e-7, 1e22, float("inf"), float("nan")]),
+       max_tokens=st.none() | st.integers(0, 10**6), attempt=st.integers(1, 3))
+def test_cache_key_equals_the_json_dumps_key(prompt, temperature, max_tokens, attempt):
+    # an int temperature is written as 1, a float one as 1.0: different keys
+    params = DecodeParams(temperature=temperature, max_tokens=max_tokens)
+    assert procgen._cache_key(prompt, params, attempt) == oracles._cache_key(prompt, params, attempt)
+
+
+# entry text, and what the error says of it
+BAD_ENTRIES = {
+    "not-json": (b'{"prompt": ', "is not valid JSON"),
+    "not-utf8": (b'{"completion": "\xff", "vector": []}', "is not valid JSON"),
+    "not-an-object": (b'["completion", "vector"]', "is not an object with a"),
+    "no-value": (b'{"prompt": "x", "tag": "x"}', "is not an object with a"),
+    "wrong-type": (b'{"completion": 5, "vector": "x"}', "is not an object with a"),
+}
+STORES = {"completion": (procgen.CachingBackend, MockBackend,
+                         lambda s: s.complete("prompt", DecodeParams())),
+          "vector": (tagnorm.CachingEmbedder, HashingEmbedder, lambda s: s.embed("find_table"))}
+
+
+@pytest.mark.parametrize("entry", sorted(BAD_ENTRIES))
+@pytest.mark.parametrize("kind", sorted(STORES))
+@pytest.mark.parametrize("inner", [False, True], ids=["replay", "fill"])
+def test_malformed_entry_is_an_io_failure_naming_its_file(tmp_path, kind, entry, inner):
+    store_cls, inner_cls, call = STORES[kind]
+    call(store_cls(tmp_path, inner=inner_cls()))
+    (path,) = tmp_path.iterdir()
+    text, reason = BAD_ENTRIES[entry]
+    path.write_bytes(text)
+    store = store_cls(tmp_path, inner=inner_cls() if inner else None)
+    with pytest.raises(IoFailure) as info:
+        call(store)
+    assert str(info.value).startswith(f"cache entry {path} {reason}")
+    # never a miss: a bad entry is not refilled, nor retried as a transport failure
+    assert not isinstance(info.value, BackendError)
+    assert path.read_bytes() == text
 
 
 class _Recorder(BaseHTTPRequestHandler):

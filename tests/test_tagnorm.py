@@ -59,6 +59,8 @@ class TestFrequencyFilter:
         surviving = oracles.frequencies_reference(filtered)
         assert all(c >= 4 for c in surviving.values())
         assert surviving == expected
+        # counts a caller already has give the same result
+        assert frequency_filter(profiles, 4, tagnorm.tag_frequencies(profiles)) == (filtered, voc)
 
     def test_emptied_profile_flagged_and_retained(self):
         profiles = [prof("r1", ["solo"]), prof("r2", ["a"] * 4), prof("r3", [])]
@@ -554,6 +556,15 @@ class TestCountingPassesMatchOracle:
         # no stage shares a tag list with another: each is a snapshot of its own
         lists = [id(p.tags) for ps in new.stage_profiles.values() for p in ps]
         assert len(set(lists)) == len(lists)
+
+    def test_raw_tags_are_counted_once(self, monkeypatch):
+        stages = []
+        count = tagnorm.tag_frequencies
+        monkeypatch.setattr(tagnorm, "tag_frequencies",
+                            lambda profiles: stages.append(profiles[0].stage) or count(profiles))
+        normalize_corpus(_copies(_MERGE_COLLIDES), _GroupEmbedder({}), min_count=1,
+                         min_support=1, min_confidence=0.0)
+        assert stages == ["raw", "clustered", "aggregated"]
 
     def test_merge_collision_example_merges_into_an_existing_name(self):
         result = normalize_corpus(_copies(_MERGE_COLLIDES), _GroupEmbedder({}), min_count=1,

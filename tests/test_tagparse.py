@@ -1,10 +1,11 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from proctag import tagparse
 from proctag.tagparse import (NAME_CACHE_SIZE, EmptyAfterNormalization,
                               GrammarViolation, NoTags, ProcessStep, collapse_adjacent,
                               extract_function_names, normalize_name,
@@ -54,6 +55,48 @@ class TestParsePseudocode:
     def test_quoted_literal_args(self):
         steps = parse_pseudocode("v = lookup(document, 'Net Total', 3.5)")
         assert steps[0].args == ["document", "'Net Total'", "3.5"]
+
+
+# argument-list pieces: quotes, commas, ASCII and unicode whitespace and
+# digits, identifier characters, and characters no argument may hold
+_ARG_PIECES = ['"', "'", ",", " ", "\t", "\xa0", "\u2028", "\u3000", "\x1c", "\x85", "-", ".",
+               "0", "7", "\u0663", "a", "Z", "_", "é", "(", ")", "=", "\U0001f600"]
+# well-formed arguments, which the regex splits
+_WELL_FORMED = st.sampled_from(["document", "r1", "_x", "a\u0663", "-12", "3.5", "0",
+                                '"Total"', "'it, \"q\"'", '"a, b"', '""', "''"])
+_SEPARATORS = st.sampled_from([",", ", ", " ,", "\t,\u3000", "\xa0,\xa0"])
+
+
+@st.composite
+def _arg_lists(draw):
+    if draw(st.booleans()):
+        return draw(st.text(st.sampled_from(_ARG_PIECES), max_size=14))
+    args = draw(st.lists(_WELL_FORMED, max_size=5))
+    text = draw(st.sampled_from(["", " ", "\u2028"]))
+    for i, arg in enumerate(args):
+        text += (draw(_SEPARATORS) if i else "") + arg
+    return text + draw(st.sampled_from(["", " ", ",", ", x y", '"']))
+
+
+def _split_outcome(split, raw):
+    try:
+        return split(raw, 3, "v = f(...)")
+    except GrammarViolation as exc:
+        return str(exc)
+
+
+@settings(max_examples=1500, deadline=None)
+@given(raw=_arg_lists())
+@example(raw='"a" "b"')          # one argument to the walker
+@example(raw="a, b,")            # an empty trailing argument
+@example(raw="a,,b")
+@example(raw=" , ")
+@example(raw="'unterminated, x")
+@example(raw="1.2.3")
+@example(raw="\u3000r1\u2028,\xa0'x'\x85")
+def test_split_args_equals_the_character_walker(raw):
+    assert _split_outcome(tagparse._split_args, raw) == _split_outcome(
+        oracles.split_args_reference, raw)
 
 
 class TestNormalizeName:
