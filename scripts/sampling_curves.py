@@ -3,10 +3,11 @@
 data ratios, on the tag profiles of a finished pipeline run."""
 
 import argparse
+import math
 from pathlib import Path
 
 from proctag import cli
-from proctag.assess import SampleSpec, sample, tag_coverage
+from proctag.assess import _selection_sequence, random_sample, tag_coverage
 
 
 def coverage_of(ids, profiles):
@@ -21,15 +22,16 @@ def main():
     ap.add_argument("--seeds", type=int, default=25, help="random baselines per ratio")
     args = ap.parse_args()
 
-    profiles = cli.profiles_from_tags(cli._stage_records(Path(args.out), "tags"))
+    profiles = cli.read_profiles(cli._read_stage(Path(args.out), "profiles"))
+    # the greedy order does not depend on the budget: each ratio takes a prefix
+    phase1, phase2 = _selection_sequence(profiles)
+    greedy_ids = [p.record_id for p in phase1 + phase2]
     print(f"{len(profiles)} records\n")
     print(f"{'ratio':>6} {'greedy':>8} {'random(mean)':>13}")
     for pct in (5, 10, 20, 30, 50, 75, 100):
         ratio = pct / 100
-        greedy = coverage_of(sample(profiles, SampleSpec(mode="ratio", ratio=ratio)),
-                             profiles)
-        rand = sum(coverage_of(sample(profiles, SampleSpec(mode="random", ratio=ratio,
-                                                           seed=seed)), profiles)
+        greedy = coverage_of(greedy_ids[:math.ceil(ratio * len(profiles))], profiles)
+        rand = sum(coverage_of(random_sample(profiles, ratio, seed), profiles)
                    for seed in range(args.seeds)) / args.seeds
         print(f"{pct:>5}% {greedy:>8.3f} {rand:>13.3f}")
 

@@ -133,26 +133,38 @@ def _selection_sequence(profiles: list[TagProfile]) -> tuple[list[TagProfile], l
     Heap keys hold each record's gain as of its last evaluation. Gains only
     shrink, so a stale key never sorts after its fresh one: a top whose key
     is fresh is the true best, and a stale top is re-keyed and sifted down.
+    A key is one int, ``(S - gain) * M + (S - size) * n + rank`` with ``S``
+    the largest distinct-tag count, ``M = (S + 1) * n`` and ``rank`` the
+    record's place in a stable sort by record_id, so it orders as the tuple
+    (-gain, -size, record_id, input index) would, without comparing strings.
     """
+    n = len(profiles)
+    if not n:
+        return [], []
     tagsets = [set(p.tags) for p in profiles]
-    heap = [(-len(s), -len(s), p.record_id, i)
-            for i, (p, s) in enumerate(zip(profiles, tagsets))]
+    by_id = sorted(range(n), key=lambda i: profiles[i].record_id)
+    sizes = [len(tagsets[i]) for i in by_id]
+    top = max(sizes)
+    m = (top + 1) * n
+    heap = [(top - size) * (m + n) + rank for rank, size in enumerate(sizes)]
     heapq.heapify(heap)
     covered: set[str] = set()
     phase1: list[int] = []
     while heap:
-        neg_gain, neg_size, record_id, i = heap[0]
-        fresh = -len(tagsets[i] - covered)
-        if fresh != neg_gain:
-            heapq.heapreplace(heap, (fresh, neg_size, record_id, i))
+        key = heap[0]
+        shortfall, rest = divmod(key, m)  # S - gain, and the rest of the key
+        i = by_id[rest % n]
+        fresh = len(tagsets[i] - covered)
+        if fresh != top - shortfall:
+            heapq.heapreplace(heap, (top - fresh) * m + rest)
         elif not fresh:
             break
         else:
             heapq.heappop(heap)
             covered |= tagsets[i]
             phase1.append(i)
-    # (-distinct-tag count, record_id, input index) of the unpicked records
-    phase2 = [entry[3] for entry in sorted(heap, key=lambda entry: entry[1:])]
+    # (S - distinct-tag count) * n + rank of the unpicked records
+    phase2 = [by_id[rest % n] for rest in sorted(key % m for key in heap)]
     return [profiles[i] for i in phase1], [profiles[i] for i in phase2]
 
 

@@ -44,6 +44,7 @@ import os
 import sys
 import threading
 from concurrent.futures import BrokenExecutor
+from itertools import chain, islice
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, get_args
@@ -64,7 +65,7 @@ MANIFEST = "manifest.json"
 
 # items per task of _chunk_map: enough that a task's results cross the
 # process boundary as one sizeable pickle, few enough that every worker
-# stays busy to the end
+# stays busy to the end; read_profiles checks this many lines at once
 CHUNK = 256
 
 # one record's generation outcome as the parent keeps it: whether it was
@@ -462,6 +463,7 @@ def normalize_stage(profiles: list[tagnorm.TagProfile], embedder: tagnorm.Embedd
     path = _write_stage(out_dir, "tags", _tags_lines(
         *(result.stage_profiles[stage] for stage in tagnorm.STAGES)), "jsonl")
     _write_stage(out_dir, "vocab", dumps_json(vocab_report) + "\n", "json")
+    _write_stage(out_dir, "profiles", _profiles_lines(result.profiles), "jsonl")
     print(f"normalized tags for {len(profiles)} records "
           f"({len(vocab_report['merges'])} merges) -> {path}")
     return result.profiles, vocab_report
@@ -482,6 +484,68 @@ def profiles_from_tags(records: Iterable[dict[str, Any]],
                                 stage, tags_ann.get("source", "none"),
                                 bool(tags_ann.get("emptied_by_filter", False))))
     return profiles
+
+
+def _profiles_lines(profiles: list[tagnorm.TagProfile]) -> Iterator[str]:
+    """The ``profiles`` artifact of aggregated profiles: ``dumps_json`` of
+    the vocabulary, their tags in order of first occurrence, then one
+    ``dumps_json([record_id, [tag indices]])`` per profile, each line ending
+    in a newline."""
+    vocab = list(dict.fromkeys(chain.from_iterable(p.tags for p in profiles)))
+    index = {tag: str(i) for i, tag in enumerate(vocab)}.__getitem__
+    yield dumps_json(vocab) + "\n"
+    for p in profiles:
+        yield f'[{encode_basestring(p.record_id)}, [{", ".join(map(index, p.tags))}]]\n'
+
+
+def read_profiles(path: Path) -> list[tagnorm.TagProfile]:
+    """The aggregated profiles in a ``profiles`` artifact. A first line that
+    is not a list of strings, a row that is not ``[str, [int, ...]]``, or a
+    tag index that is a bool, negative or past the vocabulary is an
+    :class:`IoFailure` naming the file and line. The rows are read and
+    checked :data:`CHUNK` lines at a time, and one by one only to find a bad
+    one."""
+    profile, profiles = tagnorm.TagProfile, []
+    with open(path, encoding="utf-8", newline="\n") as fh:
+        vocab = _artifact_value(path, 1, fh.readline())
+        if type(vocab) is not list or not set(map(type, vocab)) <= {str}:
+            raise IoFailure(f"{path}, line 1: the vocabulary is not a list of strings")
+        n, tag = len(vocab), vocab.__getitem__
+        lines = enumerate(fh, start=2)
+        while chunk := list(islice(lines, CHUNK)):
+            rows = [_artifact_value(path, line_no, line) for line_no, line in chunk]
+            if not _rows_valid(rows, n):
+                line_no = next(k for (k, _), row in zip(chunk, rows)
+                               if not _rows_valid([row], n))
+                raise IoFailure(f"{path}, line {line_no}: not [record_id, [tag index, ...]] "
+                                f"with every index in [0, {n})")
+            profiles.extend([profile(rid, list(map(tag, indices)), "aggregated")
+                             for rid, indices in rows])
+    return profiles
+
+
+def _rows_valid(rows: list[Any], n: int) -> bool:
+    """Whether every one of some rows is ``[str, [int, ...]]`` with each int
+    (not a bool) in ``[0, n)``."""
+    if not (set(map(type, rows)) <= {list} and set(map(len, rows)) == {2}):
+        return False
+    ids, index_lists = zip(*rows)
+    if not (set(map(type, ids)) <= {str} and set(map(type, index_lists)) <= {list}):
+        return False
+    indices = list(chain.from_iterable(index_lists))
+    return set(map(type, indices)) <= {int} and (not indices
+                                                  or 0 <= min(indices) and max(indices) < n)
+
+
+def _artifact_value(path: Path, line_no: int, line: str) -> Any:
+    """The one JSON value on an artifact line, or an :class:`IoFailure`."""
+    try:
+        value, end = _raw_decode(line)
+    except ValueError as exc:
+        raise IoFailure(f"{path}, line {line_no}: not valid JSON ({exc})") from exc
+    if line[end:] not in ("\n", ""):
+        raise IoFailure(f"{path}, line {line_no}: not one JSON value")
+    return value
 
 
 def sample_stage(profiles: list[tagnorm.TagProfile], cfg: PipelineConfig,
@@ -552,14 +616,14 @@ def cmd_tag(args: argparse.Namespace) -> int:
 def cmd_sample(args: argparse.Namespace) -> int:
     cfg = _effective_config(args)
     out_dir = Path(cfg.paths.output_dir)
-    sample_stage(profiles_from_tags(_stage_records(out_dir, "tags")), cfg, out_dir)
+    sample_stage(read_profiles(_read_stage(out_dir, "profiles")), cfg, out_dir)
     return 0
 
 
 def cmd_assess(args: argparse.Namespace) -> int:
     cfg = _effective_config(args)
     out_dir = Path(cfg.paths.output_dir)
-    profiles = profiles_from_tags(_stage_records(out_dir, "tags"))
+    profiles = read_profiles(_read_stage(out_dir, "profiles"))
     report = assess_mod.assess_dataset(profiles).to_dict()
     _write_stage(out_dir, "assess", dumps_json(report) + "\n", "json")
     print(dumps_json(report))

@@ -181,12 +181,14 @@ def build_prompt(rep: DocumentRepresentation, question: str) -> str:
 
 def validate_chain(steps: list[ProcessStep]) -> bool:
     """True when every step after the first consumes a previously defined
-    output variable or the document variable."""
+    output variable or the document variable. Only an identifier counts as
+    defined, so an argument in ``defined`` is an identifier itself."""
     defined = {DOCUMENT_VAR}
     for pos, step in enumerate(steps):
-        if pos > 0 and not any(a in defined for a in step.args if _IDENT_RE.match(a)):
+        if pos > 0 and defined.isdisjoint(step.args):
             return False
-        defined.add(step.output_var)
+        if _IDENT_RE.match(step.output_var):
+            defined.add(step.output_var)
     return True
 
 

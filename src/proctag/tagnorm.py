@@ -327,6 +327,10 @@ def aggregate_pairs(profiles: list[TagProfile], stats: list[AdjacentPairStat],
 
 
 class EmbeddingProvider(Protocol):
+    """A provider may also offer ``embed_many(tags)``, an ``(n, dim)`` array
+    whose rows are the tags' vectors; ``normalize_corpus`` then embeds the
+    vocabulary in one call."""
+
     def embed(self, tag: str) -> np.ndarray:
         """Map a tag to a fixed-dimension vector; same tag, same vector."""
         ...
@@ -340,17 +344,32 @@ class HashingEmbedder:
         self.dim = dim
 
     def embed(self, tag: str) -> np.ndarray:
+        return self.embed_many([tag])[0]
+
+    def embed_many(self, tags: list[str]) -> np.ndarray:
+        """One row per tag, equal bit for bit to its ``embed``; a trigram
+        shared by several tags is hashed once."""
         import numpy as np
 
-        padded = f"^{tag}$"
-        vec = np.zeros(self.dim)
-        for i in range(len(padded) - 2):
-            tri = padded[i:i + 3].encode("utf-8")
-            vec[int.from_bytes(hashlib.sha1(tri).digest()[:4], "big") % self.dim] += 1.0
-        norm = np.linalg.norm(vec)
-        if norm == 0:
-            raise ZeroVector(f"no trigrams for tag {tag!r}")
-        return vec / norm
+        slot: dict[str, int] = {}
+        rows: list[int] = []
+        cols: list[int] = []
+        for row, tag in enumerate(tags):
+            padded = f"^{tag}$"
+            for i in range(len(padded) - 2):
+                tri = padded[i:i + 3]
+                col = slot.get(tri)
+                if col is None:
+                    digest = hashlib.sha1(tri.encode("utf-8")).digest()
+                    col = slot[tri] = int.from_bytes(digest[:4], "big") % self.dim
+                rows.append(row)
+                cols.append(col)
+        counts = np.zeros((len(tags), self.dim))
+        np.add.at(counts, (rows, cols), 1.0)
+        norms = np.linalg.norm(counts, axis=1)
+        if not norms.all():
+            raise ZeroVector(f"no trigrams for tag {tags[int(np.argmin(norms))]!r}")
+        return counts / norms[:, None]
 
 
 class RemoteEmbedder(JsonPost):
@@ -406,7 +425,10 @@ def normalize_corpus(profiles: list[TagProfile], embedder: EmbeddingProvider, *,
         min_count = default_min_count(len(profiles))
     raw_vocab = TagVocabulary(tag_frequencies(profiles), stage="raw")
     filtered, filtered_vocab = frequency_filter(profiles, min_count, raw_vocab.entries)
-    vectors = {t: embedder.embed(t) for t in sorted(filtered_vocab.entries)}
+    tags = sorted(filtered_vocab.entries)
+    embed_many = getattr(embedder, "embed_many", None)
+    vectors = (dict(zip(tags, embed_many(tags))) if embed_many is not None
+               else {t: embedder.embed(t) for t in tags})
     assignment = dbscan(vectors, dbscan_eps, dbscan_min_pts,
                         frequencies=filtered_vocab.entries)
     clustered = apply_clusters(filtered, assignment)

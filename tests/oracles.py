@@ -5,6 +5,7 @@ plain-python scans, exhaustive search, and scipy distances."""
 from __future__ import annotations
 
 import hashlib
+import heapq
 import json
 import math
 import os
@@ -28,8 +29,8 @@ from proctag.procgen import BackendError, DecodeParams, GenerationBackend
 from proctag.tagnorm import (DEFAULT_DBSCAN_EPS, DEFAULT_DBSCAN_MIN_PTS, DEFAULT_MIN_CONFIDENCE,
                              DEFAULT_MIN_SUPPORT, AdjacentPairStat, ClusterAssignment,
                              DegenerateMerge, EmbeddingProvider, NormalizationResult, TagProfile,
-                             TagVocabulary, _require_stage, dbscan, default_min_count,
-                             merge_name)
+                             TagVocabulary, ZeroVector, _require_stage, dbscan,
+                             default_min_count, merge_name)
 from proctag.tagparse import collapse_adjacent
 
 if TYPE_CHECKING:
@@ -331,6 +332,46 @@ def selection_sequence_reference(profiles):
     return [profiles[i] for i in phase1], [profiles[i] for i in phase2]
 
 
+# the lazy greedy as it was before its heap keys were packed into one int;
+# kept verbatim
+
+
+def selection_sequence_tuple_keyed(profiles: list[TagProfile],
+                                   ) -> tuple[list[TagProfile], list[TagProfile]]:
+    """Budget-independent pick order.
+
+    Phase 1 greedily picks the record covering the most uncovered tags (ties:
+    larger distinct-tag count, then smaller record_id, then earlier input)
+    until no pick gains coverage. Phase 2 orders the rest by distinct-tag
+    count descending, then record_id; records with empty profiles therefore
+    come last.
+
+    Heap keys hold each record's gain as of its last evaluation. Gains only
+    shrink, so a stale key never sorts after its fresh one: a top whose key
+    is fresh is the true best, and a stale top is re-keyed and sifted down.
+    """
+    tagsets = [set(p.tags) for p in profiles]
+    heap = [(-len(s), -len(s), p.record_id, i)
+            for i, (p, s) in enumerate(zip(profiles, tagsets))]
+    heapq.heapify(heap)
+    covered: set[str] = set()
+    phase1: list[int] = []
+    while heap:
+        neg_gain, neg_size, record_id, i = heap[0]
+        fresh = -len(tagsets[i] - covered)
+        if fresh != neg_gain:
+            heapq.heapreplace(heap, (fresh, neg_size, record_id, i))
+        elif not fresh:
+            break
+        else:
+            heapq.heappop(heap)
+            covered |= tagsets[i]
+            phase1.append(i)
+    # (-distinct-tag count, record_id, input index) of the unpicked records
+    phase2 = [entry[3] for entry in sorted(heap, key=lambda entry: entry[1:])]
+    return [profiles[i] for i in phase1], [profiles[i] for i in phase2]
+
+
 # ---------------------------------------------------------------------------
 # the JSONL reader as it was before canonical lines skipped json.loads
 
@@ -618,6 +659,33 @@ def normalize_corpus(profiles: list[TagProfile], embedder: EmbeddingProvider, *,
         pair_stats=stats,
         merges=merges,
     )
+
+
+# ---------------------------------------------------------------------------
+# the hashing embedder as it was before it embedded a vocabulary at once;
+# kept verbatim
+
+
+class HashingEmbedder:
+    """Offline embedding: character trigrams of ^tag$ hashed into a
+    fixed-width count vector, L2-normalized. Pure and dependency-free."""
+
+    def __init__(self, dim: int = 256):
+        self.dim = dim
+
+    def embed(self, tag: str) -> np.ndarray:
+        import numpy as np
+
+        padded = f"^{tag}$"
+        vec = np.zeros(self.dim)
+        for i in range(len(padded) - 2):
+            tri = padded[i:i + 3].encode("utf-8")
+            vec[int.from_bytes(hashlib.sha1(tri).digest()[:4], "big") % self.dim] += 1.0
+        norm = np.linalg.norm(vec)
+        if norm == 0:
+            raise ZeroVector(f"no trigrams for tag {tag!r}")
+        return vec / norm
+
 
 
 # ---------------------------------------------------------------------------

@@ -40,11 +40,12 @@ selection_instance = st.integers(1, 8).flatmap(lambda n_tags: st.integers(1, 12)
         max_size=30)))
 
 
-def assert_same_sequence(profiles):
-    """Both phases pick the same input positions as the exhaustive oracle."""
+def assert_same_sequence(profiles, reference=oracles.selection_sequence_reference):
+    """Both phases pick the same input positions as the reference, by
+    default the exhaustive oracle."""
     position = {id(p): i for i, p in enumerate(profiles)}
     got = _selection_sequence(profiles)
-    want = oracles.selection_sequence_reference(profiles)
+    want = reference(profiles)
     for got_phase, want_phase in zip(got, want):
         assert [position[id(p)] for p in got_phase] == [position[id(p)] for p in want_phase]
 
@@ -236,6 +237,28 @@ class TestSelectionSequence:
                     for i in range(2000)]
         assert len(_selection_sequence(profiles)[0]) > 50  # many picks re-key stale gains
         assert_same_sequence(profiles)
+
+    @settings(max_examples=300, deadline=None)
+    @given(profiles=selection_instance)
+    def test_matches_tuple_keyed_lazy_greedy(self, profiles):
+        assert_same_sequence(profiles, oracles.selection_sequence_tuple_keyed)
+
+    def test_matches_tuple_keyed_lazy_greedy_on_20k_zipf_corpus(self):
+        # 20k profiles of 2-8 tags drawn Zipf-distributed over 2000 tags, in
+        # an input order that is not record_id order, with some ids repeated
+        # and some profiles empty
+        rng = random.Random(1312)
+        vocab = [f"tag_{k:04d}" for k in range(2000)]
+        weights = [1 / (k + 1) for k in range(2000)]
+        ids = [f"r{i:05d}" for i in range(20_000)]
+        rng.shuffle(ids)
+        ids[::97] = rng.choices(ids, k=len(ids[::97]))
+        profiles = [prof(rid, [] if i % 89 == 0
+                         else rng.choices(vocab, weights, k=rng.randint(2, 8)))
+                    for i, rid in enumerate(ids)]
+        phase1, phase2 = _selection_sequence(profiles)
+        assert len(phase1) > 500 and any(not p.tags for p in phase2)
+        assert_same_sequence(profiles, oracles.selection_sequence_tuple_keyed)
 
 
 class TestRandomSample:

@@ -10,6 +10,7 @@ import json
 import math
 import os
 import random
+import re
 import shutil
 import signal
 import subprocess
@@ -265,7 +266,7 @@ class TestStages:
         assert run(["pipeline", "--backend", "mock"] + base) == 0
         before = _dir_digests(out)
         manifest = json.loads((out / "manifest.json").read_text())
-        for stage in ("tags_raw", "tags", "vocab", "sample"):
+        for stage in ("tags_raw", "tags", "vocab", "profiles", "sample"):
             (out / manifest[stage]).unlink()
         assert run(["tag", "--stage", "all"] + base) == 0
         assert run(["sample"] + base) == 0
@@ -480,6 +481,121 @@ class TestSlimTagArtifacts:
                                    "PYTHONPATH": str(Path(cli.__file__).parents[1])})
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("20 records\n")
+
+
+def rows_of(profiles):
+    return [(p.record_id, p.tags, p.stage) for p in profiles]
+
+
+_MALFORMED_PROFILES = [
+    # (file content, line named by the error)
+    ("", 1),
+    ("not json\n", 1),
+    ('{"a": 1}\n', 1),
+    ('["a", 1]\n', 1),
+    ('"a"\n', 1),
+    ('["a"] ["b"]\n', 1),
+    ('["a", "b"]\n\n', 2),
+    ('["a", "b"]\n{"r": [0]}\n', 2),
+    ('["a", "b"]\n["r"]\n', 2),
+    ('["a", "b"]\n["r", [0], 1]\n', 2),
+    ('["a", "b"]\n[1, [0]]\n', 2),
+    ('["a", "b"]\n["r", 0]\n', 2),
+    ('["a", "b"]\n["r", [0.0]]\n', 2),
+    ('["a", "b"]\n["r", ["0"]]\n', 2),
+    ('["a", "b"]\n["r", [null]]\n', 2),
+    ('["a", "b"]\n["r", [true]]\n', 2),
+    ('["a", "b"]\n["r", [0, false]]\n', 2),
+    ('["a", "b"]\n["r", [-1]]\n', 2),
+    ('["a", "b"]\n["r", [2]]\n', 2),
+    ('[]\n["r", [0]]\n', 2),
+    ('["a", "b"]\n["r", [1, 0]]\n["s", []]\n["t", [0, 5]]\n', 4),
+]
+
+
+class TestProfilesArtifact:
+    """``profiles`` holds the aggregated profiles as a vocabulary line and
+    one ``[record_id, [tag indices]]`` line per record; sample and assess
+    read it instead of ``tags``."""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(rows=st.lists(st.tuples(_awkward_text, st.lists(
+        st.sampled_from(["t", "\"", "\\", "\x00", "\u2028", "\U0001f600", "é", ""])
+        | _awkward_text, max_size=6)), max_size=8))
+    def test_lines_equal_their_canonical_json_and_read_back(self, tmp_path_factory, rows):
+        # tags repeat within and across profiles, and profiles may be empty
+        profiles = [tagnorm.TagProfile(rid, tags, "aggregated", "grammar")
+                    for rid, tags in rows]
+        vocab: list[str] = []
+        for p in profiles:
+            vocab.extend(tag for tag in p.tags if tag not in vocab)
+        expected = [dumps_json(vocab)] + [
+            dumps_json([p.record_id, [vocab.index(tag) for tag in p.tags]]) for p in profiles]
+        text = "".join(cli._profiles_lines(profiles))
+        assert text == "".join(line + "\n" for line in expected)
+        path = tmp_path_factory.mktemp("profiles") / "profiles.jsonl"
+        path.write_text(text, encoding="utf-8", newline="")
+        assert rows_of(cli.read_profiles(path)) == rows_of(profiles)
+
+    def test_rows_past_the_first_chunk(self, tmp_path):
+        rng = random.Random(7)
+        profiles = [tagnorm.TagProfile(f"r{i}", rng.sample("abcdefg", rng.randint(0, 3)),
+                                       "aggregated") for i in range(2 * cli.CHUNK + 5)]
+        path = tmp_path / "profiles.jsonl"
+        path.write_text("".join(cli._profiles_lines(profiles)), encoding="utf-8")
+        assert rows_of(cli.read_profiles(path)) == rows_of(profiles)
+        lines = path.read_text(encoding="utf-8").split("\n")
+        lines[cli.CHUNK + 7] = '["r", [-1]]'
+        path.write_text("\n".join(lines), encoding="utf-8")
+        with pytest.raises(cli.IoFailure, match=f", line {cli.CHUNK + 8}: "):
+            cli.read_profiles(path)
+
+    def test_reader_equals_the_aggregated_stage_of_tags(self, tmp_path):
+        ds = make_dataset(seed=11, n_pages=6, records_per_page=3)
+        ds.records[0].record_id += "\u2028"
+        write_dataset(ds, tmp_path / "data" / "records.jsonl")
+        out = tmp_path / "out"
+        assert run(["pipeline", "--backend", "mock", "--min-count", "3"]
+                   + _base_args(tmp_path / "data", out)) == 0
+        from_tags = cli.profiles_from_tags(cli._stage_records(out, "tags"))
+        assert any(not p.tags for p in from_tags) and any(p.tags for p in from_tags)
+        profiles = cli.read_profiles(cli._read_stage(out, "profiles"))
+        assert rows_of(profiles) == rows_of(from_tags)
+
+    @pytest.mark.parametrize("content, line_no", _MALFORMED_PROFILES)
+    def test_malformed_file_is_an_io_failure_naming_the_line(self, tmp_path, content, line_no):
+        path = tmp_path / "profiles-x.jsonl"
+        path.write_text(content, encoding="utf-8", newline="")
+        with pytest.raises(cli.IoFailure, match=f"^{re.escape(str(path))}, line {line_no}: "):
+            cli.read_profiles(path)
+
+    @pytest.mark.parametrize("command", ["sample", "assess"])
+    def test_cli_exits_1_on_a_bad_or_missing_profiles_stage(self, demo_dataset, tmp_path,
+                                                            capsys, command):
+        out = tmp_path / "out"
+        base = _base_args(demo_dataset, out)
+        assert run(["pipeline", "--backend", "mock"] + base) == 0
+        manifest_path = out / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        path = out / manifest["profiles"]
+        lines = path.read_text(encoding="utf-8").split("\n")
+        n_tags = len(json.loads(lines[0]))
+        lines[3] = dumps_json(["r", [n_tags]])
+        path.write_text("\n".join(lines), encoding="utf-8")
+        before = _dir_digests(out)
+        capsys.readouterr()
+        assert run([command] + base) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}, line 4: not [record_id, [tag index, ...]] "
+            f"with every index in [0, {n_tags})\n")
+        assert _dir_digests(out) == before
+        # there is no fallback to the tags stage
+        del manifest["profiles"]
+        manifest_path.write_text(dumps_json(manifest) + "\n", encoding="utf-8")
+        assert run([command] + base) == 1
+        assert capsys.readouterr().err == (
+            f"error: stage 'profiles' not in {manifest_path}; run it first\n")
 
 
 # input annotation keys: before, between and after "process" and

@@ -6,6 +6,8 @@ from collections import Counter
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import run_together
@@ -14,8 +16,10 @@ from proctag.procgen import (MAX_ATTEMPTS, BackendError, BackendUnavailable,
                              CachingBackend, DecodeParams, Discarded, EmptyLedger,
                              GenerationLedger, MockBackend, ParseFailure,
                              RemoteBackend, build_prompt, discard_rate,
-                             generate_all, generate_process, parse_response)
+                             generate_all, generate_process, parse_response,
+                             validate_chain)
 from proctag.render import DOCLAYPROMPT, DocumentRepresentation
+from proctag.tagparse import ProcessStep
 
 VALID_COMPLETION = """\
 1. Locate the table on the page.
@@ -105,6 +109,25 @@ class TestParseResponse:
 
     def test_missing_answer_tolerated(self):
         assert parse_response("```\ns = f(document)\n```").final_answer is None
+
+
+# names that are identifiers (ASCII start, unicode after it, or one that
+# ``$`` matches before a trailing newline) and names that are not
+_chain_names = st.sampled_from(["document", "a", "b", "_", "aé", "x\n", "a\n", "é", "1a",
+                                "", " a", "a b", "a\n\n", "document\n"]) | st.text(max_size=3)
+_chain_steps = st.lists(st.builds(ProcessStep, index=st.integers(1, 9), output_var=_chain_names,
+                                  function_name=st.just("f"),
+                                  args=st.lists(_chain_names, max_size=4)), max_size=6)
+
+
+@settings(max_examples=500, deadline=None)
+@given(steps=_chain_steps)
+@example(steps=[ProcessStep(1, "x\n", "f", ["document"]), ProcessStep(2, "y", "g", ["x\n"])])
+@example(steps=[ProcessStep(1, "1a", "f", ["document"]), ProcessStep(2, "y", "g", ["1a"])])
+@example(steps=[ProcessStep(1, "aé", "f", []), ProcessStep(2, "y", "g", ["aé"])])
+@example(steps=[ProcessStep(1, "a", "f", []), ProcessStep(2, "y", "g", ["document"])])
+def test_validate_chain_equals_reference(steps):
+    assert validate_chain(steps) == oracles.chain_valid_reference(steps)
 
 
 def parse_pseudocode_steps(completion):

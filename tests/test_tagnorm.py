@@ -368,6 +368,60 @@ class TestHashingEmbedder:
             assert np.allclose(cached["vector"], HashingEmbedder().embed(cached["tag"]))
 
 
+    @settings(max_examples=300, deadline=None)
+    @given(tags=st.lists(st.text(min_size=1, max_size=12)
+                         | st.text(st.characters(min_codepoint=0x10000), min_size=1, max_size=4)
+                         | st.text(min_size=1, max_size=1)
+                         | st.tuples(st.text(alphabet="ab_é", min_size=1, max_size=3),
+                                     st.integers(2, 6)).map(lambda rep: rep[0] * rep[1]),
+                         max_size=12),
+           dim=st.sampled_from([1, 7, 64, 256]))
+    def test_embed_many_is_bit_identical_to_the_per_tag_embed(self, tags, dim):
+        reference = oracles.HashingEmbedder(dim)
+        emb = HashingEmbedder(dim)
+        rows = emb.embed_many(tags)
+        assert rows.shape == (len(tags), dim) and rows.dtype == np.float64
+        for tag, row in zip(tags, rows):
+            want = reference.embed(tag).view(np.uint64)
+            assert np.array_equal(row.view(np.uint64), want)
+            assert np.array_equal(emb.embed(tag).view(np.uint64), want)
+
+    def test_empty_tag_raises_the_same_zero_vector(self):
+        with pytest.raises(ZeroVector) as want:
+            oracles.HashingEmbedder().embed("")
+        for call in (lambda: HashingEmbedder().embed(""),
+                     lambda: HashingEmbedder().embed_many(["find_table", ""])):
+            with pytest.raises(ZeroVector) as got:
+                call()
+            assert str(got.value) == str(want.value)
+
+    def test_normalize_embeds_the_vocabulary_at_once_or_tag_by_tag(self):
+        class Counted(HashingEmbedder):
+            calls: list = []
+
+            def embed(self, tag):
+                self.calls.append("embed")
+                return super().embed(tag)
+
+            def embed_many(self, tags):
+                self.calls.append("embed_many")
+                return super().embed_many(tags)
+
+        rng = random.Random(3)
+        vocab = [f"{verb}_{noun}" for verb in ("find", "read", "sum") for noun in ("row", "rows",
+                                                                                "cell", "date")]
+        profiles = random_profiles(rng, 300, vocab)
+        # a radius wide enough that near-spellings ("row", "rows") cluster
+        at_once = normalize_corpus(profiles, Counted(), min_count=2, dbscan_eps=0.3)
+        assert Counted.calls == ["embed_many"]
+        assert at_once.assignment.representatives
+        # a provider without embed_many, such as the old embedder, is asked per tag
+        per_tag = normalize_corpus(profiles, oracles.HashingEmbedder(), min_count=2,
+                                   dbscan_eps=0.3)
+        assert at_once.assignment == per_tag.assignment
+        assert [p.tags for p in at_once.profiles] == [p.tags for p in per_tag.profiles]
+
+
 class _EmbedHandler(BaseHTTPRequestHandler):
     """Answers POST {"input": tag} with a vector made from the tag; the path
     picks a failure: /status answers 503, /malformed a body without a
