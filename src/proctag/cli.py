@@ -115,24 +115,34 @@ def _read_stage(output_dir: Path, stage: str) -> Path:
 _raw_decode = json.JSONDecoder().raw_decode
 
 
-def _read_jsonl(path: Path) -> Iterator[dict[str, Any]]:
+def _read_jsonl(path: Path, row: Callable[[Any], Any] = lambda value: value) -> Iterator[Any]:
+    """``row(value)`` of each non-blank line's JSON value; a line that is not
+    JSON, or whose value ``row`` refuses, is an :class:`IoFailure` naming it."""
     # one line at a time, split on "\n" only: str.splitlines() also breaks at
     # U+2028, U+0085 and the like, which canonical JSON leaves unescaped
     # inside strings
     with open(path, encoding="utf-8", newline="\n") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, start=1):
             # a line this package wrote is one value and its newline, which
             # the decoder reads without json.loads' whitespace scans; any
             # other line goes through json.loads, with its errors
             try:
-                obj, end = _raw_decode(line)
+                value, end = _raw_decode(line)
                 written = line[end:] in ("\n", "")
             except ValueError:
                 written = False
-            if written:
-                yield obj
-            elif line.strip():
-                yield json.loads(line)
+            if not written:
+                if not line.strip():
+                    continue
+                try:
+                    value = json.loads(line)
+                except ValueError as exc:
+                    raise IoFailure(f"{path}, line {line_no}: not valid JSON ({exc})") from exc
+            try:
+                value = row(value)
+            except (AttributeError, KeyError, TypeError) as exc:
+                raise IoFailure(f"{path}, line {line_no}: malformed ({exc!r})") from exc
+            yield value
 
 
 def _jsonl(objs: Iterable[dict[str, Any]]) -> Iterable[str]:
@@ -381,12 +391,19 @@ def generate_stage(records: list[InstructionRecord],
 
 def _generated(obj: dict[str, Any],
                ) -> tuple[str, procgen.ExecutionProcess | procgen.Discarded | None]:
-    """The ``(record_id, process or discard)`` of one generate artifact line."""
+    """The ``(record_id, process or discard)`` of one generate artifact line,
+    or a TypeError if its record_id, annotations or last_completion has the
+    wrong type."""
     rid, ann = obj["record_id"], obj.get("annotations", {})
+    if type(rid) is not str or type(ann) is not dict:
+        raise TypeError("record_id must be a string and annotations an object")
     if "process" in ann:
         return rid, procgen.ExecutionProcess.from_dict(ann["process"])
     if "discarded" in ann:
-        return rid, procgen.Discarded(record_id=rid, **ann["discarded"])
+        discard = procgen.Discarded(record_id=rid, **ann["discarded"])
+        if type(discard.last_completion) not in (str, type(None)):
+            raise TypeError("last_completion must be a string or null")
+        return rid, discard
     return rid, None
 
 
@@ -469,21 +486,16 @@ def normalize_stage(profiles: list[tagnorm.TagProfile], embedder: tagnorm.Embedd
     return result.profiles, vocab_report
 
 
-def profiles_from_tags(records: Iterable[dict[str, Any]],
-                       stage: str = "aggregated") -> list[tagnorm.TagProfile]:
-    """``stage`` profiles of tagged records (``raw`` from ``tags_raw``,
-    any stage from ``tags``), which may arrive one at a time as they are
-    read. Each tag is interned: a corpus repeats a few thousand names, and
-    decoding makes a new string for every occurrence."""
-    intern, profile = sys.intern, tagnorm.TagProfile
-    profiles = []
-    for obj in records:
-        tags_ann = obj.get("annotations", {}).get("tags", {})
-        profiles.append(profile(obj["record_id"],
-                                [intern(tag) for tag in tags_ann.get(stage) or ()],
-                                stage, tags_ann.get("source", "none"),
-                                bool(tags_ann.get("emptied_by_filter", False))))
-    return profiles
+def profile_from_tags(obj: dict[str, Any], stage: str = "aggregated") -> tagnorm.TagProfile:
+    """The ``stage`` profile of a tagged record (``raw`` from ``tags_raw``, any
+    stage from ``tags``), or a TypeError. Each tag is interned: a corpus
+    repeats a few thousand names, and decoding makes each one anew."""
+    tags_ann = obj.get("annotations", {}).get("tags", {})
+    rid, tags, source = obj["record_id"], tags_ann.get(stage, []), tags_ann.get("source", "none")
+    if type(rid) is not str or type(tags) is not list or type(source) is not str:
+        raise TypeError(f"record_id and source must be strings and {stage} a list")
+    return tagnorm.TagProfile(rid, [sys.intern(tag) for tag in tags], stage, source,
+                              bool(tags_ann.get("emptied_by_filter", False)))
 
 
 def _profiles_lines(profiles: list[tagnorm.TagProfile]) -> Iterator[str]:
@@ -575,10 +587,6 @@ def sample_stage(profiles: list[tagnorm.TagProfile], cfg: PipelineConfig,
 # subcommands: standalone ones read their inputs through the manifest
 
 
-def _stage_records(out_dir: Path, stage: str) -> Iterator[dict[str, Any]]:
-    return _read_jsonl(_read_stage(out_dir, stage))
-
-
 def cmd_render(args: argparse.Namespace) -> int:
     cfg = _effective_config(args)
     _, page_files = load_records(cfg.paths.dataset, cfg.paths.pages)
@@ -591,8 +599,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
     # the pages come from the render artifact: no page file is read
     records = read_records(cfg.paths.dataset)
     out_dir = Path(cfg.paths.output_dir)
-    reps = {obj["page_id"]: DocumentRepresentation.from_dict(obj)
-            for obj in _stage_records(out_dir, "render")}
+    reps = {rep.page_id: rep for rep in _read_jsonl(_read_stage(out_dir, "render"),
+                                                     DocumentRepresentation.from_dict)}
     generate_stage(records, reps, _make_backend(cfg), cfg, out_dir)
     return 0
 
@@ -603,12 +611,13 @@ def cmd_tag(args: argparse.Namespace) -> int:
     stage = args.stage
     profiles = None
     if stage in ("extract", "all"):
-        profiles = [_raw_profile(*_generated(obj))
-                    for obj in _stage_records(out_dir, "generate")]
+        profiles = list(_read_jsonl(_read_stage(out_dir, "generate"),
+                                    lambda obj: _raw_profile(*_generated(obj))))
         extract_stage(profiles, out_dir)
     if stage in ("normalize", "all"):
         if profiles is None:
-            profiles = profiles_from_tags(_stage_records(out_dir, "tags_raw"), stage="raw")
+            profiles = list(_read_jsonl(_read_stage(out_dir, "tags_raw"),
+                                        lambda obj: profile_from_tags(obj, "raw")))
         normalize_stage(profiles, _make_embedder(cfg), cfg, out_dir)
     return 0
 
@@ -777,11 +786,8 @@ def run(argv: list[str]) -> int:
     gc.disable()
     try:
         return args.func(args)
-    except (ProcTagError, ValueError, BrokenExecutor) as exc:
+    except (ProcTagError, ValueError, OSError, BrokenExecutor) as exc:
         # BrokenExecutor: a worker process of _chunk_map died
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:

@@ -1,4 +1,4 @@
-"""Pipeline configuration: dataclass tree with a YAML file representation.
+"""Pipeline configuration: dataclass tree read from a YAML file.
 
 Defaults match the documented pipeline constants (overlap threshold 0.5,
 clustering radius 0.015 with 2 minimum points, association thresholds of 40
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import Field, asdict, dataclass, field, fields
+from dataclasses import Field, dataclass, field, fields
 from functools import cache
 from pathlib import Path
 from typing import Any, get_args, get_type_hints
@@ -28,7 +28,6 @@ from typing import Any, get_args, get_type_hints
 from . import tagnorm
 from .assess import MODES
 from .errors import ProcTagError
-from .ingest import atomic_write_text
 from .layout import DEFAULT_NMS_IOU, DEFAULT_ROW_TOLERANCE
 from .render import DOCLAYPROMPT, STYLES
 
@@ -98,9 +97,6 @@ class PipelineConfig:
     generation: GenerationConfig = field(default_factory=GenerationConfig)
     tagging: TaggingConfig = field(default_factory=TaggingConfig)
     sampling: SamplingConfig = field(default_factory=SamplingConfig)
-
-    def to_dict(self) -> dict[str, Any]:
-        return asdict(self)
 
 
 @cache
@@ -183,8 +179,3 @@ def load_config(path: Path | str) -> PipelineConfig:
         raise ConfigError("config root must be a mapping")
     return config_from_dict(obj)
 
-
-def dump_config(cfg: PipelineConfig, path: Path | str) -> None:
-    import yaml
-
-    atomic_write_text(Path(path), yaml.safe_dump(cfg.to_dict(), sort_keys=True))

@@ -178,23 +178,6 @@ def validate_page(page: DocumentPage) -> list[Violation]:
     return out
 
 
-def validate_dataset(dataset: Dataset) -> list[Violation]:
-    """Page violations plus record-level referential checks."""
-    out: list[Violation] = []
-    for page in dataset.pages.values():
-        out.extend(validate_page(page))
-    seen: set[str] = set()
-    for rec in dataset.records:
-        if rec.record_id in seen:
-            out.append(Violation(rec.page_id, f"record:{rec.record_id}",
-                                 "duplicate_record_id", "record_id not unique"))
-        seen.add(rec.record_id)
-        if rec.page_id not in dataset.pages:
-            out.append(Violation(rec.page_id, f"record:{rec.record_id}",
-                                 "dangling_page_ref", "page not loaded"))
-    return out
-
-
 def _clamp(v: float, lo: float, hi: float) -> float:
     return min(max(v, lo), hi)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence, TypeVar
+from typing import Sequence, TypeVar
 
 from .ingest import BoundingBox, DocumentPage, LayoutRegion, OcrToken
 
@@ -25,38 +25,19 @@ NEAREST = "nearest"
 T = TypeVar("T")
 
 
-def iou(a: BoundingBox, b: BoundingBox) -> float:
-    """Intersection over union; zero-area inputs yield 0 by convention."""
-    ix0 = max(a.x0, b.x0)
-    iy0 = max(a.y0, b.y0)
-    ix1 = min(a.x1, b.x1)
-    iy1 = min(a.y1, b.y1)
-    iw = ix1 - ix0
-    ih = iy1 - iy0
-    if iw <= 0 or ih <= 0:
-        return 0.0
-    inter = iw * ih
-    union = a.area + b.area - inter
-    return inter / union if union > 0 else 0.0
-
-
 def euclidean_center_distance(a: BoundingBox, b: BoundingBox) -> float:
     (ax, ay), (bx, by) = a.center, b.center
     return math.hypot(ax - bx, ay - by)
 
 
-def _default_bbox(item) -> BoundingBox:
-    return item.bbox
-
-
 def reading_rows(items: Sequence[T], *,
-                 bbox: Callable[[T], BoundingBox] = _default_bbox,
                  tolerance_factor: float = DEFAULT_ROW_TOLERANCE) -> list[list[T]]:
-    """Partition items into reading-order rows (see module docstring)."""
+    """Partition items, each with a ``bbox``, into reading-order rows (see
+    module docstring)."""
     n = len(items)
     if n == 0:
         return []
-    boxes = [bbox(it) for it in items]
+    boxes = [it.bbox for it in items]
     yc = [(b.y0 + b.y1) / 2 for b in boxes]
     hh = [b.y1 - b.y0 for b in boxes]
     order = sorted(range(n), key=lambda i: (yc[i], boxes[i].x0, i))
@@ -99,10 +80,8 @@ def reading_rows(items: Sequence[T], *,
 
 
 def reading_order(items: Sequence[T], *,
-                  bbox: Callable[[T], BoundingBox] = _default_bbox,
                   tolerance_factor: float = DEFAULT_ROW_TOLERANCE) -> list[T]:
-    return [it for row in reading_rows(items, bbox=bbox, tolerance_factor=tolerance_factor)
-            for it in row]
+    return [it for row in reading_rows(items, tolerance_factor=tolerance_factor) for it in row]
 
 
 def _effective_score(region: LayoutRegion) -> float:

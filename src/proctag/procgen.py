@@ -91,9 +91,12 @@ class ExecutionProcess:
 
     @classmethod
     def from_dict(cls, obj: dict[str, Any]) -> "ExecutionProcess":
+        """The process ``to_dict`` wrote; a TypeError if a function_name is not a string."""
         steps = [ProcessStep(index=s["index"], output_var=s["output_var"],
                              function_name=s["function_name"], args=list(s["args"]))
                  for s in obj["steps"]]
+        if not {type(s.function_name) for s in steps} <= {str}:
+            raise TypeError("every step's function_name must be a string")
         return cls(cot=list(obj["cot"]), steps=steps,
                    final_answer=obj.get("final_answer"), attempts=obj.get("attempts", 1))
 

@@ -48,8 +48,13 @@ class DocumentRepresentation:
 
     @classmethod
     def from_dict(cls, obj: dict[str, Any]) -> "DocumentRepresentation":
-        return cls(page_id=obj["page_id"], style=obj["style"], text=obj["text"],
-                   char_cell_width=obj["char_cell_width"], token_count=obj["token_count"])
+        """The representation ``to_dict`` wrote; a TypeError if a field's type differs."""
+        rep = cls(page_id=obj["page_id"], style=obj["style"], text=obj["text"],
+                  char_cell_width=obj["char_cell_width"], token_count=obj["token_count"])
+        if not (type(rep.page_id) is type(rep.style) is type(rep.text) is str
+                and type(rep.char_cell_width) in (int, float) and type(rep.token_count) is int):
+            raise TypeError(f"a field of page {rep.page_id!r} has the wrong type")
+        return rep
 
 
 def open_tag(kind: str) -> str:

@@ -56,10 +56,6 @@ class TagProfile:
     source: str = "grammar"
     emptied_by_filter: bool = False
 
-    def to_dict(self) -> dict[str, Any]:
-        return {"record_id": self.record_id, "tags": self.tags, "stage": self.stage,
-                "source": self.source, "emptied_by_filter": self.emptied_by_filter}
-
 
 @dataclass
 class TagVocabulary:
@@ -134,20 +130,6 @@ def frequency_filter(profiles: list[TagProfile], min_count: int,
 
 # ---------------------------------------------------------------------------
 # clustering
-
-
-def cosine_distance(u: np.ndarray, v: np.ndarray) -> float:
-    import numpy as np
-
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape != v.shape:
-        raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0 or nv == 0:
-        raise ZeroVector("cosine distance undefined for zero vector")
-    return float(np.clip(1.0 - float(np.dot(u, v)) / (nu * nv), 0.0, 2.0))
 
 
 def dbscan(vectors: Mapping[str, np.ndarray], eps: float, min_pts: int,

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 import sys
 import threading
 
 import pytest
+import yaml
 from hypothesis import strategies as st
 
 from proctag.ingest import (BoundingBox, Dataset, DocumentPage,
@@ -29,6 +31,11 @@ def mkreg(kind, x0, y0, x1, y1, score=None):
 def mkpage(page_id="p0", tokens=(), regions=(), width=PAGE_W, height=PAGE_H):
     return DocumentPage(page_id=page_id, width=width, height=height,
                         tokens=list(tokens), regions=list(regions))
+
+
+def write_config(cfg, path):
+    """Write a config as the YAML file ``--config`` reads."""
+    path.write_text(yaml.safe_dump(dataclasses.asdict(cfg), sort_keys=True), encoding="utf-8")
 
 
 def random_box(rng: random.Random, width=PAGE_W, height=PAGE_H, max_side=300.0):

@@ -27,10 +27,10 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from conftest import write_config
 from proctag import cli, procgen, tagnorm, tagparse
 from proctag.cli import run
-from proctag.config import (ConfigError, PipelineConfig, config_from_dict,
-                            dump_config, load_config)
+from proctag.config import ConfigError, PipelineConfig, config_from_dict, load_config
 from proctag.errors import ProcTagError
 from proctag.ingest import InstructionRecord, dumps_json, load_dataset, write_dataset
 from proctag.render import DocumentRepresentation, render_plaintext
@@ -380,8 +380,8 @@ class TestSlimTagArtifacts:
 
             assert profiles == old_profiles and vocab == old_vocab
             for stage in ("tags_raw", "tags"):
-                expected = _tags_only(cli._stage_records(old, stage))
-                assert list(cli._stage_records(chained, stage)) == expected
+                expected = _tags_only(cli._read_jsonl(cli._read_stage(old, stage)))
+                assert list(cli._read_jsonl(cli._read_stage(chained, stage))) == expected
             manifests = [json.loads((d / "manifest.json").read_text())
                          for d in (chained, standalone)]
             assert manifests[0] == {k: v for k, v in manifests[1].items() if k != "generate"}
@@ -434,11 +434,22 @@ class TestSlimTagArtifacts:
             got = []
             try:
                 got.extend(reader(path))
-            except ValueError as exc:
-                return got, type(exc), str(exc)
-            return got, None, None
+            except (ValueError, cli.IoFailure) as exc:
+                return got, exc
+            return got, None
 
-        assert outcome(cli._read_jsonl) == outcome(oracles.read_jsonl_reference)
+        got, error = outcome(cli._read_jsonl)
+        expected, expected_error = outcome(oracles.read_jsonl_reference)
+        assert got == expected
+        if expected_error is None:
+            assert error is None
+        else:
+            # the reference fails on the first non-blank line after those it read
+            line_no = [k for k, line in enumerate(text.split("\n"), start=1)
+                       if line.strip()][len(got)]
+            assert type(error) is cli.IoFailure
+            assert type(error.__cause__) is type(expected_error)
+            assert str(error) == f"{path}, line {line_no}: not valid JSON ({expected_error})"
 
     def test_normalize_peak_does_not_grow_with_record_fields(self, tmp_path):
         # tag --stage normalize keeps each tags_raw line's profile only, so
@@ -558,7 +569,7 @@ class TestProfilesArtifact:
         out = tmp_path / "out"
         assert run(["pipeline", "--backend", "mock", "--min-count", "3"]
                    + _base_args(tmp_path / "data", out)) == 0
-        from_tags = cli.profiles_from_tags(cli._stage_records(out, "tags"))
+        from_tags = list(cli._read_jsonl(cli._read_stage(out, "tags"), cli.profile_from_tags))
         assert any(not p.tags for p in from_tags) and any(p.tags for p in from_tags)
         profiles = cli.read_profiles(cli._read_stage(out, "profiles"))
         assert rows_of(profiles) == rows_of(from_tags)
@@ -644,6 +655,78 @@ class TestGenerateLines:
         assert text == expected
         assert [(discarded, attempts) for discarded, attempts, _ in outcomes] == [
             (isinstance(result, procgen.Discarded), result.attempts) for _, result in pairs]
+
+
+# upstream stage -> the command that reads it and the stages that command writes
+_ARTIFACT_READERS = {
+    "render": (["generate"], ("generate", "ledger")),
+    "generate": (["tag", "--stage", "extract"], ("tags_raw",)),
+    "tags_raw": (["tag", "--stage", "normalize"], ("tags", "vocab", "profiles")),
+}
+# (stage, id, key path into the line's object or None for a whole line, value)
+_MALFORMED_LINES = [
+    *((stage, name, None, line) for stage in _ARTIFACT_READERS
+      for name, line in (("not-json", "nonsense"), ("empty-object", "{}"), ("list", "[1]"))),
+    ("render", "page-id-not-string", ("page_id",), 5),
+    ("render", "text-not-string", ("text",), ["find_x"]),
+    ("render", "token-count-not-int", ("token_count",), "3"),
+    ("generate", "record-id-not-string", ("record_id",), 5),
+    ("generate", "steps-a-string", ("annotations", "process", "steps"), "find_x"),
+    ("generate", "function-name-not-string",
+     ("annotations", "process", "steps", 0, "function_name"), 5),
+    ("generate", "function-name-null",
+     ("annotations", "process", "steps", 0, "function_name"), None),
+    ("generate", "last-completion-not-string",
+     ("annotations",), {"discarded": {"reason": "x", "attempts": 1, "last_completion": 0}}),
+    ("tags_raw", "record-id-not-string", ("record_id",), 5),
+    ("tags_raw", "tags-a-string", ("annotations", "tags", "raw"), "find_x"),
+    ("tags_raw", "tag-not-string", ("annotations", "tags", "raw", 0), 5),
+]
+
+
+@pytest.fixture(scope="module")
+def pipeline_out(tmp_path_factory):
+    root = tmp_path_factory.mktemp("malformed")
+    write_dataset(make_dataset(seed=11, n_pages=6, records_per_page=3),
+                  root / "data" / "records.jsonl")
+    assert run(["pipeline"] + _base_args(root / "data", root / "out")) == 0
+    return root / "data", root / "out"
+
+
+class TestMalformedArtifacts:
+    """A standalone stage that reads a malformed upstream line exits 1 with
+    one error line naming the file and line, and writes nothing."""
+
+    @pytest.mark.parametrize("stage, keys, value", [
+        pytest.param(stage, keys, value, id=f"{stage}-{name}")
+        for stage, name, keys, value in _MALFORMED_LINES])
+    def test_exits_1_naming_the_line(self, pipeline_out, tmp_path, capsys, stage, keys, value):
+        data, out = pipeline_out
+        out = Path(shutil.copytree(out, tmp_path / "out"))
+        argv, writes = _ARTIFACT_READERS[stage]
+        manifest_path = out / "manifest.json"
+        manifest = {k: v for k, v in json.loads(manifest_path.read_text()).items()
+                    if k not in writes}
+        manifest_path.write_text(json.dumps(manifest))
+        path = out / manifest[stage]
+        lines = path.read_text(encoding="utf-8").split("\n")
+        if keys is None:
+            lines[1] = value
+        else:
+            obj = inner = json.loads(lines[1])
+            for key in keys[:-1]:
+                inner = inner[key]
+            inner[keys[-1]] = value
+            lines[1] = json.dumps(obj)
+        path.write_text("\n".join(lines), encoding="utf-8")
+        capsys.readouterr()
+        assert run(argv + _base_args(data, out)) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert [line for line in err.splitlines() if line.startswith("error:")] == \
+            [err.strip()]
+        assert f"{path}, line 2: " in err
+        assert not set(writes) & set(json.loads(manifest_path.read_text()))
 
 
 class TestEval:
@@ -870,8 +953,8 @@ class TestChunkedPool:
         # 6 pages and 18 records: render has one chunk of 7, generate several
         assert pools_started == {1: 0, 2: 1 if chunk == 7 else 2}
         if case == "cache-discards":
-            sources = {obj["annotations"]["tags"]["source"]
-                       for obj in cli._stage_records(tmp_path / "cpus2", "tags_raw")}
+            tags_raw = cli._read_stage(tmp_path / "cpus2", "tags_raw")
+            sources = {obj["annotations"]["tags"]["source"] for obj in cli._read_jsonl(tags_raw)}
             assert sources == {"grammar", "fallback", "none"}
 
     @pytest.mark.parametrize("cpus,chunk,threaded", [(1, 1, False), (2, cli.CHUNK, False),
@@ -1186,7 +1269,7 @@ class TestConfig:
         cfg.tagging.min_support = 17
         cfg.sampling.mode = "coverage"
         cfg.sampling.coverage = 0.9
-        dump_config(cfg, tmp_path / "cfg.yaml")
+        write_config(cfg, tmp_path / "cfg.yaml")
         assert load_config(tmp_path / "cfg.yaml") == cfg
 
     def test_unknown_key_rejected(self):
@@ -1313,7 +1396,7 @@ class TestConfig:
         cfg = PipelineConfig()
         cfg.paths.dataset = str(demo_dataset / "records.jsonl")
         cfg.paths.output_dir = str(tmp_path / "out_a")
-        dump_config(cfg, tmp_path / "cfg.yaml")
+        write_config(cfg, tmp_path / "cfg.yaml")
         assert run(["render", "--config", str(tmp_path / "cfg.yaml"),
                     "--out", str(tmp_path / "out_b")]) == 0
         assert not (tmp_path / "out_a").exists()

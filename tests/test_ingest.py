@@ -15,7 +15,7 @@ from oracles import clamp_page_reference
 from proctag.ingest import (Dataset, InstructionRecord, IoFailure,
                             MalformedLine, MissingPage, atomic_write_text,
                             clamp_page, load_dataset, load_page, load_records,
-                            read_records, validate_dataset, validate_page,
+                            read_records, validate_page,
                             write_dataset, write_page)
 
 
@@ -170,14 +170,6 @@ class TestValidatePage:
     def test_each_invariant_triggers_exactly_one_violation(self, page, code):
         violations = validate_page(page)
         assert [v.code for v in violations] == [code]
-
-    def test_duplicate_record_id_flagged(self):
-        page = mkpage("p1")
-        ds = Dataset(records=[
-            InstructionRecord("r1", "p1", "q"), InstructionRecord("r1", "p1", "q"),
-        ], pages={"p1": page})
-        codes = [v.code for v in validate_dataset(ds)]
-        assert codes == ["duplicate_record_id"]
 
 
 class TestWriteDataset:

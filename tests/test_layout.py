@@ -7,30 +7,7 @@ from hypothesis import strategies as st
 import oracles
 from conftest import bbox_in_page, mkbox, mkpage, mkreg, mktok, random_box
 from proctag.layout import (CONTAINED, NEAREST, associate, clean_inputs,
-                            euclidean_center_distance, iou, nms, reading_order,
-                            reading_rows)
-
-
-class TestIou:
-    def test_identical_box(self):
-        b = mkbox(0, 0, 10, 10)
-        assert iou(b, b) == 1.0
-
-    def test_disjoint(self):
-        assert iou(mkbox(0, 0, 1, 1), mkbox(5, 5, 6, 6)) == 0.0
-
-    def test_half_overlap(self):
-        # intersection 50, union 150
-        assert iou(mkbox(0, 0, 10, 10), mkbox(5, 0, 15, 10)) == pytest.approx(1 / 3)
-
-    def test_zero_area_inputs(self):
-        assert iou(mkbox(5, 5, 5, 5), mkbox(5, 5, 5, 5)) == 0.0
-
-    @settings(max_examples=60, deadline=None)
-    @given(a=bbox_in_page(), b=bbox_in_page())
-    def test_symmetric_and_bounded(self, a, b):
-        assert iou(a, b) == iou(b, a)
-        assert 0.0 <= iou(a, b) <= 1.0
+                            euclidean_center_distance, nms, reading_order, reading_rows)
 
 
 class TestDistance:
