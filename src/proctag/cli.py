@@ -39,7 +39,6 @@ import argparse
 import fcntl
 import gc
 import hashlib
-import json
 import os
 import sys
 import threading
@@ -53,9 +52,9 @@ from . import assess as assess_mod
 from . import procgen, tagnorm, tagparse
 from .config import PipelineConfig, load_config, schema, set_key
 from .errors import ProcTagError
-from .ingest import (InstructionRecord, IoFailure, MissingPage, atomic_write_text,
-                     dumps_json, load_page, load_records, read_records,
-                     record_to_dict)
+from .ingest import (InstructionRecord, IoFailure, MalformedLine, MissingPage, _raw_decode,
+                     atomic_write_text, dumps_json, load_page, load_records, read_json,
+                     read_jsonl, read_records, record_to_dict)
 from .layout import associate, clean_inputs
 from .metrics import Prediction, ConfusionMatrix, anls, kappa_report
 from .render import (PLAINTEXT, SPATIAL, DocumentRepresentation,
@@ -89,9 +88,7 @@ def _write_stage(output_dir: Path, stage: str, content: str | Iterable[str],
     dir_fd = os.open(output_dir, os.O_RDONLY)
     try:
         fcntl.flock(dir_fd, fcntl.LOCK_EX)
-        manifest: dict[str, str] = {}
-        if manifest_path.exists():
-            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        manifest = _manifest(manifest_path) if manifest_path.exists() else {}
         manifest[stage] = path.name
         atomic_write_text(manifest_path, dumps_json(manifest) + "\n")
     finally:
@@ -103,7 +100,7 @@ def _read_stage(output_dir: Path, stage: str) -> Path:
     manifest_path = output_dir / MANIFEST
     if not manifest_path.exists():
         raise IoFailure(f"no manifest in {output_dir}; run earlier stages first")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    manifest = _manifest(manifest_path)
     if stage not in manifest:
         raise IoFailure(f"stage {stage!r} not in {manifest_path}; run it first")
     path = output_dir / manifest[stage]
@@ -112,37 +109,13 @@ def _read_stage(output_dir: Path, stage: str) -> Path:
     return path
 
 
-_raw_decode = json.JSONDecoder().raw_decode
-
-
-def _read_jsonl(path: Path, row: Callable[[Any], Any] = lambda value: value) -> Iterator[Any]:
-    """``row(value)`` of each non-blank line's JSON value; a line that is not
-    JSON, or whose value ``row`` refuses, is an :class:`IoFailure` naming it."""
-    # one line at a time, split on "\n" only: str.splitlines() also breaks at
-    # U+2028, U+0085 and the like, which canonical JSON leaves unescaped
-    # inside strings
-    with open(path, encoding="utf-8", newline="\n") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            # a line this package wrote is one value and its newline, which
-            # the decoder reads without json.loads' whitespace scans; any
-            # other line goes through json.loads, with its errors
-            try:
-                value, end = _raw_decode(line)
-                written = line[end:] in ("\n", "")
-            except ValueError:
-                written = False
-            if not written:
-                if not line.strip():
-                    continue
-                try:
-                    value = json.loads(line)
-                except ValueError as exc:
-                    raise IoFailure(f"{path}, line {line_no}: not valid JSON ({exc})") from exc
-            try:
-                value = row(value)
-            except (AttributeError, KeyError, TypeError) as exc:
-                raise IoFailure(f"{path}, line {line_no}: malformed ({exc!r})") from exc
-            yield value
+def _manifest(path: Path) -> dict[str, str]:
+    """The stage -> artifact name index in a manifest file; any other
+    content is an :class:`IoFailure` naming the file."""
+    manifest = read_json(path, "manifest")
+    if type(manifest) is not dict or not set(map(type, manifest.values())) <= {str}:
+        raise IoFailure(f"manifest {path} is not an object of artifact names")
+    return manifest
 
 
 def _jsonl(objs: Iterable[dict[str, Any]]) -> Iterable[str]:
@@ -521,7 +494,7 @@ def read_profiles(path: Path) -> list[tagnorm.TagProfile]:
     with open(path, encoding="utf-8", newline="\n") as fh:
         vocab = _artifact_value(path, 1, fh.readline())
         if type(vocab) is not list or not set(map(type, vocab)) <= {str}:
-            raise IoFailure(f"{path}, line 1: the vocabulary is not a list of strings")
+            raise MalformedLine(path, 1, "the vocabulary is not a list of strings")
         n, tag = len(vocab), vocab.__getitem__
         lines = enumerate(fh, start=2)
         while chunk := list(islice(lines, CHUNK)):
@@ -529,8 +502,8 @@ def read_profiles(path: Path) -> list[tagnorm.TagProfile]:
             if not _rows_valid(rows, n):
                 line_no = next(k for (k, _), row in zip(chunk, rows)
                                if not _rows_valid([row], n))
-                raise IoFailure(f"{path}, line {line_no}: not [record_id, [tag index, ...]] "
-                                f"with every index in [0, {n})")
+                raise MalformedLine(path, line_no, "not [record_id, [tag index, ...]] "
+                                                   f"with every index in [0, {n})")
             profiles.extend([profile(rid, list(map(tag, indices)), "aggregated")
                              for rid, indices in rows])
     return profiles
@@ -550,13 +523,13 @@ def _rows_valid(rows: list[Any], n: int) -> bool:
 
 
 def _artifact_value(path: Path, line_no: int, line: str) -> Any:
-    """The one JSON value on an artifact line, or an :class:`IoFailure`."""
+    """The one JSON value on an artifact line, or a :class:`MalformedLine`."""
     try:
         value, end = _raw_decode(line)
     except ValueError as exc:
-        raise IoFailure(f"{path}, line {line_no}: not valid JSON ({exc})") from exc
+        raise MalformedLine(path, line_no, f"not valid JSON ({exc})") from exc
     if line[end:] not in ("\n", ""):
-        raise IoFailure(f"{path}, line {line_no}: not one JSON value")
+        raise MalformedLine(path, line_no, "not one JSON value")
     return value
 
 
@@ -599,8 +572,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
     # the pages come from the render artifact: no page file is read
     records = read_records(cfg.paths.dataset)
     out_dir = Path(cfg.paths.output_dir)
-    reps = {rep.page_id: rep for rep in _read_jsonl(_read_stage(out_dir, "render"),
-                                                     DocumentRepresentation.from_dict)}
+    reps = {rep.page_id: rep for rep in read_jsonl(_read_stage(out_dir, "render"),
+                                                    DocumentRepresentation.from_dict)}
     generate_stage(records, reps, _make_backend(cfg), cfg, out_dir)
     return 0
 
@@ -611,13 +584,13 @@ def cmd_tag(args: argparse.Namespace) -> int:
     stage = args.stage
     profiles = None
     if stage in ("extract", "all"):
-        profiles = list(_read_jsonl(_read_stage(out_dir, "generate"),
-                                    lambda obj: _raw_profile(*_generated(obj))))
+        profiles = list(read_jsonl(_read_stage(out_dir, "generate"),
+                                   lambda obj: _raw_profile(*_generated(obj))))
         extract_stage(profiles, out_dir)
     if stage in ("normalize", "all"):
         if profiles is None:
-            profiles = list(_read_jsonl(_read_stage(out_dir, "tags_raw"),
-                                        lambda obj: profile_from_tags(obj, "raw")))
+            profiles = list(read_jsonl(_read_stage(out_dir, "tags_raw"),
+                                       lambda obj: profile_from_tags(obj, "raw")))
         normalize_stage(profiles, _make_embedder(cfg), cfg, out_dir)
     return 0
 
@@ -639,34 +612,24 @@ def cmd_assess(args: argparse.Namespace) -> int:
     return 0
 
 
-def _eval_input(path: str, field: str, valid: Callable[[Any], bool],
-                expected: str) -> tuple[dict[str, Any], dict[str, int]]:
-    """record_id -> ``field`` and record_id -> line number of each line of an
-    ``eval anls`` input; a line that is not an object with a string
-    ``record_id``, whose ``field`` is not ``valid``, or whose id repeats is
-    an error naming the file and line."""
-    values: dict[str, Any] = {}
-    first_line: dict[str, int] = {}
-    with open(path, encoding="utf-8", newline="\n") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            where = f"{path}, line {line_no}"
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ProcTagError(f"{where}: not valid JSON ({exc.msg})") from exc
-            rid = obj.get("record_id") if isinstance(obj, dict) else None
-            if not isinstance(rid, str):
-                raise ProcTagError(f"{where}: no string record_id")
-            if rid in first_line:
-                raise ProcTagError(f"{where}: repeated record_id {rid!r} "
-                                   f"(first on line {first_line[rid]})")
-            if not valid(obj.get(field)):
-                raise ProcTagError(f"{where}: {field!r} must be {expected}")
-            first_line[rid] = line_no
-            values[rid] = obj[field]
-    return values, first_line
+def _eval_input(path: str, field: str, valid: Callable[[Any], bool], expected: str,
+                gold: str = "", golds: dict[str, Any] | None = None) -> dict[str, Any]:
+    """record_id -> ``field`` of each line of an ``eval anls`` input. A line
+    that is not an object with a string ``record_id`` and a ``valid`` ``field``,
+    whose id repeats or is not in ``golds`` (read from ``gold``) is an error."""
+
+    def row(obj: Any) -> tuple[str, Any]:
+        rid = obj.get("record_id") if isinstance(obj, dict) else None
+        if not isinstance(rid, str):
+            raise ValueError("no string record_id")
+        # a prediction for a record the gold file lacks is for another dataset
+        if golds is not None and rid not in golds:
+            raise ValueError(f"record_id {rid!r} is not in {gold}")
+        if not valid(obj.get(field)):
+            raise ValueError(f"{field!r} must be {expected}")
+        return rid, obj[field]
+
+    return dict(read_jsonl(path, row, key="record_id"))
 
 
 def _answer_list(value: Any) -> bool:
@@ -676,25 +639,22 @@ def _answer_list(value: Any) -> bool:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     if args.metric == "anls":
-        predicted, pred_line = _eval_input(args.pred, "predicted",
-                                           lambda v: isinstance(v, str), "a string")
-        golds, _ = _eval_input(args.gold, "answers", _answer_list,
-                               "a non-empty list of strings")
+        golds = _eval_input(args.gold, "answers", _answer_list, "a non-empty list of strings")
+        predicted = _eval_input(args.pred, "predicted", lambda v: isinstance(v, str),
+                                "a string", args.gold, golds)
         missing = next((rid for rid in golds if rid not in predicted), None)
         if missing is not None:
             raise ProcTagError(f"{args.pred}: no prediction for record {missing!r}")
-        # a prediction for a record the gold file lacks is for another dataset
-        unknown = next((rid for rid in predicted if rid not in golds), None)
-        if unknown is not None:
-            raise ProcTagError(f"{args.pred}, line {pred_line[unknown]}: record_id "
-                               f"{unknown!r} is not in {args.gold}")
         predictions = [Prediction(record_id=rid, predicted=predicted[rid], golds=answers)
                        for rid, answers in golds.items()]
         score = anls(predictions, tau=args.tau)
         print(dumps_json({"anls": score, "count": len(predictions), "tau": args.tau}))
         return 0
-    matrix = json.loads(Path(args.matrix).read_text(encoding="utf-8"))
-    report = kappa_report(ConfusionMatrix(counts=matrix))
+    matrix = ConfusionMatrix(counts=read_json(Path(args.matrix), "matrix file"))
+    try:
+        report = kappa_report(matrix)
+    except (ProcTagError, ValueError) as exc:
+        raise ProcTagError(f"{args.matrix}: {exc}") from exc
     print(dumps_json(report))
     return 0
 
@@ -760,7 +720,8 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--tau", type=float, default=0.5)
     pa.set_defaults(func=cmd_eval)
     pk = ev.add_parser("kappa", help="chance-corrected agreement")
-    pk.add_argument("--matrix", required=True, help="JSON file with a square count matrix")
+    pk.add_argument("--matrix", required=True,
+                    help="JSON file: a square list of lists of finite non-negative counts")
     pk.set_defaults(func=cmd_eval)
 
     _command(sub, "pipeline", cmd_pipeline, "run render -> generate -> tag -> sample")

@@ -26,13 +26,16 @@ from .errors import ProcTagError
 log = logging.getLogger(__name__)
 
 
-class MalformedLine(ProcTagError):
-    """A record line could not be parsed or is missing required fields."""
+class IoFailure(ProcTagError):
+    """Reading or writing a dataset file failed."""
 
-    def __init__(self, line_no: int, reason: str = ""):
+
+class MalformedLine(IoFailure):
+    """A line of a JSONL file is not JSON, or not the value its reader takes."""
+
+    def __init__(self, path: Path | str, line_no: int, reason: str):
         self.line_no = line_no
-        msg = f"malformed record on line {line_no}"
-        super().__init__(f"{msg}: {reason}" if reason else msg)
+        super().__init__(f"{path}, line {line_no}: {reason}")
 
 
 class MissingPage(ProcTagError):
@@ -41,10 +44,6 @@ class MissingPage(ProcTagError):
     def __init__(self, page_id: str):
         self.page_id = page_id
         super().__init__(f"record references unknown page {page_id!r}")
-
-
-class IoFailure(ProcTagError):
-    """Reading or writing a dataset file failed."""
 
 
 @dataclass(frozen=True)
@@ -282,18 +281,18 @@ def _page_to_dict(page: DocumentPage) -> dict[str, Any]:
     return out
 
 
-def _record_from_dict(obj: Any, line_no: int) -> InstructionRecord:
+def _record_from_dict(obj: Any) -> InstructionRecord:
     if not isinstance(obj, dict):
-        raise MalformedLine(line_no, "record is not an object")
+        raise ValueError("record is not an object")
     for key, typ in (("record_id", str), ("page_id", str), ("question", str)):
         if not isinstance(obj.get(key), typ):
-            raise MalformedLine(line_no, f"missing or invalid field {key!r}")
+            raise ValueError(f"missing or invalid field {key!r}")
     answers = obj.get("answers", [])
     if not (isinstance(answers, list) and all(isinstance(a, str) for a in answers)):
-        raise MalformedLine(line_no, "answers must be a list of strings")
+        raise ValueError("answers must be a list of strings")
     annotations = obj.get("annotations", {})
     if not isinstance(annotations, dict):
-        raise MalformedLine(line_no, "annotations must be an object")
+        raise ValueError("annotations must be an object")
     return InstructionRecord(record_id=obj["record_id"], page_id=obj["page_id"],
                              question=obj["question"], answers=list(answers),
                              annotations=annotations)
@@ -320,15 +319,62 @@ def dumps_json(obj: Any) -> str:
 # file I/O
 
 
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def read_jsonl(path: Path | str, row: Callable[[Any], Any],
+               key: str | None = None) -> Iterator[Any]:
+    """``row(value)`` of each non-blank line's JSON value. A line that is not
+    JSON, that ``row`` refuses (a ValueError's text is the reason) or, with
+    ``key``, whose object's ``key`` is on an earlier line is a
+    :class:`MalformedLine`; ``row`` must refuse an object without ``key``."""
+    first_line: dict[Any, int] = {}
+    # one line at a time, split on "\n" only: str.splitlines() also breaks at
+    # U+2028, U+0085 and the like, which canonical JSON leaves unescaped
+    # inside strings
+    with open(path, encoding="utf-8", newline="\n") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            # a line this package wrote is one value and its newline, which
+            # the decoder reads without json.loads' whitespace scans; any
+            # other line goes through json.loads, with its errors
+            try:
+                value, end = _raw_decode(line)
+                written = line[end:] in ("\n", "")
+            except ValueError:
+                written = False
+            if not written:
+                if not line.strip():
+                    continue
+                try:
+                    value = json.loads(line)
+                except ValueError as exc:
+                    raise MalformedLine(path, line_no, f"not valid JSON ({exc})") from exc
+            try:
+                out = row(value)
+            except ValueError as exc:
+                raise MalformedLine(path, line_no, str(exc)) from exc
+            except (AttributeError, KeyError, TypeError) as exc:
+                raise MalformedLine(path, line_no, f"malformed ({exc!r})") from exc
+            if key is not None and first_line.setdefault(value[key], line_no) != line_no:
+                raise MalformedLine(path, line_no, f"repeated {key} {value[key]!r} "
+                                                   f"(first on line {first_line[value[key]]})")
+            yield out
+
+
+def read_json(path: Path, noun: str) -> Any:
+    """The JSON document a file holds; a file that cannot be read or is not
+    JSON is an :class:`IoFailure` naming it as ``noun``."""
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise IoFailure(f"cannot read {noun} {path}: {exc}") from exc
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise IoFailure(f"{noun} {path} is not valid JSON: {exc}") from exc
+
+
 def load_page(path: Path | str) -> DocumentPage:
     path = Path(path)
-    try:
-        obj = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise IoFailure(f"cannot read page file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise IoFailure(f"page file {path} is not valid JSON: {exc}") from exc
-    page = _page_from_dict(obj, str(path))
+    page = _page_from_dict(read_json(path, "page file"), str(path))
     page, changed = clamp_page(page)
     if changed:
         log.warning("page %s: clamped %d out-of-bounds boxes", page.page_id, changed)
@@ -343,25 +389,11 @@ def _resolve_paths(path: Path | str, pages_dir: Path | str | None) -> tuple[Path
 
 
 def _records(records_path: Path) -> Iterator[InstructionRecord]:
-    """Each record of a record file in order; a record_id that repeats is a
-    :class:`MalformedLine`."""
+    """Each record of a record file in order; a bad line or a record_id that
+    repeats is a :class:`MalformedLine`."""
     if not records_path.exists():
         raise IoFailure(f"no record file at {records_path}")
-    first_line: dict[str, int] = {}
-    with records_path.open(encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedLine(line_no, str(exc)) from exc
-            rec = _record_from_dict(obj, line_no)
-            if rec.record_id in first_line:
-                raise MalformedLine(line_no, f"duplicate record_id {rec.record_id!r} "
-                                             f"(first on line {first_line[rec.record_id]})")
-            first_line[rec.record_id] = line_no
-            yield rec
+    return read_jsonl(records_path, _record_from_dict, key="record_id")
 
 
 def read_records(path: Path | str) -> list[InstructionRecord]:

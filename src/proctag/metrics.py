@@ -8,6 +8,7 @@ before edit-distance comparison.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Sequence
 
@@ -38,10 +39,14 @@ class ConfusionMatrix:
     counts: list[list[float]]
 
     def validate(self) -> None:
-        k = len(self.counts)
-        if k == 0 or any(len(row) != k for row in self.counts):
+        k = len(self.counts) if isinstance(self.counts, list) else 0
+        if k == 0 or any(not isinstance(row, list) or len(row) != k for row in self.counts):
             raise ValueError("confusion matrix must be square and non-empty")
-        if any(c < 0 for row in self.counts for c in row):
+        cells = [c for row in self.counts for c in row]
+        # type(True) is bool: a bool is not a count
+        if not ({int, float} >= set(map(type, cells)) and all(abs(c) < math.inf for c in cells)):
+            raise ValueError("confusion matrix counts must be finite numbers")
+        if any(c < 0 for c in cells):
             raise ValueError("confusion matrix counts must be non-negative")
         if sum(c for row in self.counts for c in row) <= 0:
             raise EmptyInput("confusion matrix has no observations")

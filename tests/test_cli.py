@@ -32,7 +32,8 @@ from proctag import cli, procgen, tagnorm, tagparse
 from proctag.cli import run
 from proctag.config import ConfigError, PipelineConfig, config_from_dict, load_config
 from proctag.errors import ProcTagError
-from proctag.ingest import InstructionRecord, dumps_json, load_dataset, write_dataset
+from proctag.ingest import (InstructionRecord, MalformedLine, dumps_json, load_dataset,
+                            read_jsonl, write_dataset)
 from proctag.render import DocumentRepresentation, render_plaintext
 from proctag.synth import make_dataset
 from test_procgen import ScriptedBackend
@@ -52,6 +53,10 @@ def demo_dataset(tmp_path):
 
 def _base_args(demo_dataset, out):
     return ["--dataset", str(demo_dataset / "records.jsonl"), "--out", str(out)]
+
+
+def _read_values(path):
+    return read_jsonl(path, lambda value: value)
 
 
 def _fill_mock_cache(demo_dataset, tmp_path, style, inner=None, store=procgen.CachingBackend):
@@ -250,8 +255,33 @@ class TestStages:
         code = run(["pipeline", "--backend", "mock"] + _base_args(tmp_path / "data", out))
         assert code == 1
         err = capsys.readouterr().err
-        assert f"line 4: duplicate record_id {ds.records[0].record_id!r} (first on line 1)" in err
+        assert f"line 4: repeated record_id {ds.records[0].record_id!r} (first on line 1)" in err
         assert not out.exists()
+
+    def test_bad_record_line_names_the_file_and_line(self, demo_dataset, tmp_path, capsys):
+        records = demo_dataset / "records.jsonl"
+        lines = records.read_text(encoding="utf-8").split("\n")
+        lines[2] = '{"record_id": 5}'
+        records.write_text("\n".join(lines), encoding="utf-8")
+        out = tmp_path / "out"
+        assert run(["pipeline", "--backend", "mock"] + _base_args(demo_dataset, out)) == 1
+        assert capsys.readouterr().err == (f"error: {records}, line 3: "
+                                           "missing or invalid field 'record_id'\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["assess", "render"])  # reads / writes the manifest
+    @pytest.mark.parametrize("content", ["nonsense", "[1]", '{"render": 5}'])
+    def test_corrupt_manifest_exits_1_naming_it(self, pipeline_out, tmp_path, capsys,
+                                                command, content):
+        data, out = pipeline_out
+        out = Path(shutil.copytree(out, tmp_path / "out"))
+        manifest_path = out / "manifest.json"
+        manifest_path.write_text(content, encoding="utf-8")
+        capsys.readouterr()
+        assert run([command] + _base_args(data, out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: manifest {manifest_path} ") and err.count("\n") == 1
+        assert manifest_path.read_text(encoding="utf-8") == content
 
     def test_non_integer_max_inflight_in_config_rejected(self, demo_dataset, tmp_path):
         cfg = tmp_path / "cfg.yaml"
@@ -380,8 +410,8 @@ class TestSlimTagArtifacts:
 
             assert profiles == old_profiles and vocab == old_vocab
             for stage in ("tags_raw", "tags"):
-                expected = _tags_only(cli._read_jsonl(cli._read_stage(old, stage)))
-                assert list(cli._read_jsonl(cli._read_stage(chained, stage))) == expected
+                expected = _tags_only(_read_values(cli._read_stage(old, stage)))
+                assert list(_read_values(cli._read_stage(chained, stage))) == expected
             manifests = [json.loads((d / "manifest.json").read_text())
                          for d in (chained, standalone)]
             assert manifests[0] == {k: v for k, v in manifests[1].items() if k != "generate"}
@@ -438,7 +468,7 @@ class TestSlimTagArtifacts:
                 return got, exc
             return got, None
 
-        got, error = outcome(cli._read_jsonl)
+        got, error = outcome(_read_values)
         expected, expected_error = outcome(oracles.read_jsonl_reference)
         assert got == expected
         if expected_error is None:
@@ -447,7 +477,7 @@ class TestSlimTagArtifacts:
             # the reference fails on the first non-blank line after those it read
             line_no = [k for k, line in enumerate(text.split("\n"), start=1)
                        if line.strip()][len(got)]
-            assert type(error) is cli.IoFailure
+            assert type(error) is MalformedLine
             assert type(error.__cause__) is type(expected_error)
             assert str(error) == f"{path}, line {line_no}: not valid JSON ({expected_error})"
 
@@ -569,7 +599,7 @@ class TestProfilesArtifact:
         out = tmp_path / "out"
         assert run(["pipeline", "--backend", "mock", "--min-count", "3"]
                    + _base_args(tmp_path / "data", out)) == 0
-        from_tags = list(cli._read_jsonl(cli._read_stage(out, "tags"), cli.profile_from_tags))
+        from_tags = list(read_jsonl(cli._read_stage(out, "tags"), cli.profile_from_tags))
         assert any(not p.tags for p in from_tags) and any(p.tags for p in from_tags)
         profiles = cli.read_profiles(cli._read_stage(out, "profiles"))
         assert rows_of(profiles) == rows_of(from_tags)
@@ -748,6 +778,17 @@ class TestEval:
         assert report["kappa"] == pytest.approx(0.4)
         assert report["band"] == "fair"
 
+    @pytest.mark.parametrize("matrix", ['[[1, "a"], [0, 1]]', "nonsense", "[[NaN, 1], [0, 1]]",
+                                        "[[true, false], [false, true]]"])
+    def test_bad_kappa_matrix_exits_1_naming_the_file(self, tmp_path, capsys, matrix):
+        path = tmp_path / "matrix.json"
+        path.write_text(matrix, encoding="utf-8")
+        assert run(["eval", "kappa", "--matrix", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert str(path) in captured.err
+
     def test_missing_prediction_is_data_error(self, tmp_path):
         pred = tmp_path / "pred.jsonl"
         gold = tmp_path / "gold.jsonl"
@@ -777,7 +818,7 @@ class TestEval:
         ("pred", ['{"record_id": "r1", "predicted": "a"}', '{"predicted": "b"}'], None,
          "no string record_id"),
         ("pred", ['{"record_id": "r1", "predicted": "a"}', '{"record_id": '], None,
-         "not valid JSON (Expecting value)"),
+         "not valid JSON (Expecting value: line 2 column 1 (char 15))"),
         ("gold", None, ['{"record_id": "r1", "answers": ["a"]}',
                         '{"record_id": "r1", "answers": ["a"]}'],
          "repeated record_id 'r1' (first on line 1)"),
@@ -954,7 +995,7 @@ class TestChunkedPool:
         assert pools_started == {1: 0, 2: 1 if chunk == 7 else 2}
         if case == "cache-discards":
             tags_raw = cli._read_stage(tmp_path / "cpus2", "tags_raw")
-            sources = {obj["annotations"]["tags"]["source"] for obj in cli._read_jsonl(tags_raw)}
+            sources = {obj["annotations"]["tags"]["source"] for obj in _read_values(tags_raw)}
             assert sources == {"grammar", "fallback", "none"}
 
     @pytest.mark.parametrize("cpus,chunk,threaded", [(1, 1, False), (2, cli.CHUNK, False),

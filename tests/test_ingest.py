@@ -58,7 +58,25 @@ class TestLoadDataset:
         with pytest.raises(MalformedLine) as exc:
             load_dataset(path)
         assert exc.value.line_no == 3
-        assert "duplicate record_id 'r1' (first on line 1)" in str(exc.value)
+        assert "repeated record_id 'r1' (first on line 1)" in str(exc.value)
+
+    @pytest.mark.parametrize("bad,reason", [
+        ('{"record_id": 5}', "missing or invalid field 'record_id'"),
+        ("nonsense", "not valid JSON (Expecting value: line 1 column 1 (char 0))"),
+    ])
+    def test_bad_record_line_names_the_file_and_line(self, tmp_path, bad, reason):
+        path = _write_min_dataset(tmp_path, [_line("r1"), bad])
+        with pytest.raises(MalformedLine) as exc:
+            load_records(path)
+        assert str(exc.value) == f"{path}, line 2: {reason}"
+
+    def test_crlf_record_file_loads_as_the_lf_file(self, tmp_path):
+        lf = _write_min_dataset(tmp_path, [_line("r1"), _line("r2", question="a\u2028b"),
+                                           "", _line("r3")])
+        crlf = tmp_path / "crlf.jsonl"
+        crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+        assert b"\r\n" in crlf.read_bytes()
+        assert load_records(crlf) == load_records(lf)
 
     def test_missing_page(self, tmp_path):
         path = _write_min_dataset(tmp_path, [_line("r1", page_id="ghost")])
