@@ -1,19 +1,21 @@
-"""Command-line pipeline: render, generate, tag, sample, assess, eval, and
-the chained pipeline command.
+"""Command-line pipeline: the stage commands render, generate, tag, sample,
+assess and pipeline, and eval.
+
+One table, :data:`STAGES`, drives every stage command; its rows are the
+stages in chain order. A command runs consecutive rows and reads only the
+first row's input: render the record file, any other row the artifact of the
+stage before it, named in the output directory's ``manifest.json`` (generate
+also reads the records, but no page file). Each row hands its result to the
+next in memory, so ``pipeline`` (render through sample) reads the record file
+once and writes the same artifacts, byte for byte, as the stages run one by
+one. Exit codes: 0 success, 1 data error, 2 usage error.
 
 Each stage writes one immutable artifact named ``<stage>-<digest>.<ext>``
-under the output directory (digest of the file content) plus a
-``manifest.json`` index, and reads only prior-stage artifacts through that
-manifest. Re-running a stage over unchanged inputs reproduces its artifact
-byte for byte. JSONL artifacts are streamed to disk a record or a chunk of
-records at a time and hashed on the way, and read back a line at a time, so
-none of them is ever held whole in memory. The manifest update is serialized by an exclusive lock
-on the output directory, so stages writing one directory at once all land.
-``pipeline`` reads the record file once and hands each stage's results to
-the next in memory; it writes the same artifacts, byte for byte, as running
-the stages one by one. Page files are parsed only by ``render``, in the
-workers that render them; a standalone ``generate`` takes its pages from the
-render artifact. Exit codes: 0 success, 1 data error, 2 usage error.
+(digest of the file content) and indexes it in the manifest; rerun over
+unchanged inputs, it reproduces the artifact byte for byte. JSONL artifacts
+are streamed to disk and read back a line at a time, never held whole in
+memory. An exclusive lock on the output directory serializes manifest
+updates, so stages writing one directory at once all land.
 
 ``render`` and, with the mock or cache backend, ``generate`` run on every
 CPU the process may use (``os.sched_getaffinity``). Their page files or
@@ -46,7 +48,7 @@ from concurrent.futures import BrokenExecutor
 from itertools import chain, islice
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, get_args
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, get_args
 
 from . import assess as assess_mod
 from . import procgen, tagnorm, tagparse
@@ -54,7 +56,7 @@ from .config import PipelineConfig, load_config, schema, set_key
 from .errors import ProcTagError
 from .ingest import (InstructionRecord, IoFailure, MalformedLine, MissingPage, _raw_decode,
                      atomic_write_text, dumps_json, load_page, load_records, read_json,
-                     read_jsonl, read_records, record_to_dict)
+                     read_jsonl, read_lines, read_records, record_to_dict)
 from .layout import associate, clean_inputs
 from .metrics import Prediction, ConfusionMatrix, anls, kappa_report
 from .render import (PLAINTEXT, SPATIAL, DocumentRepresentation,
@@ -171,17 +173,6 @@ _RENAMED = {"output_dir": "out", "gen_cache_dir": "cache_dir"}
 CONFIG_FLAGS = {_RENAMED.get(f.name, f.name): (section, f.name)
                 for section, f, _hint in schema()}
 
-# subcommand -> the config sections it takes flags for, in --help order,
-# besides the paths that serve no one section
-_SECTIONS = {
-    "render": ("render", "layout"),
-    "generate": ("generation",),
-    "tag": ("tagging",),
-    "sample": ("sampling",),
-    "assess": (),
-    "pipeline": ("render", "layout", "generation", "tagging", "sampling"),
-}
-
 
 def _effective_config(args: argparse.Namespace) -> PipelineConfig:
     cfg = load_config(args.config) if args.config else PipelineConfig()
@@ -223,14 +214,16 @@ def _make_embedder(cfg: PipelineConfig) -> tagnorm.EmbeddingProvider:
 
 
 # ---------------------------------------------------------------------------
-# stages: each takes its inputs as objects, writes its artifact(s), and
-# returns its outputs for the next stage
+# stages: each ``<row>_stage(input, cfg, out_dir[, backend or embedder])``
+# writes its artifact(s) and returns the next row's input
 
 
-def render_stage(page_files: dict[str, Path], cfg: PipelineConfig,
-                 out_dir: Path) -> dict[str, DocumentRepresentation]:
-    """Parse and render every page file; returns the representations by
-    page id."""
+def render_stage(loaded: tuple[list[InstructionRecord], dict[str, Path]],
+                 cfg: PipelineConfig, out_dir: Path,
+                 ) -> tuple[list[InstructionRecord], dict[str, DocumentRepresentation]]:
+    """Parse and render the page file of every page the records reference;
+    returns the records and the representations by page id."""
+    records, page_files = loaded
 
     def render_chunk(paths: list[Path]) -> tuple[list[DocumentRepresentation], str]:
         # each page file is parsed in the worker that renders it
@@ -246,7 +239,7 @@ def render_stage(page_files: dict[str, Path], cfg: PipelineConfig,
 
     path = _write_stage(out_dir, "render", lines(), "jsonl")
     print(f"rendered {len(reps)} pages -> {path}")
-    return reps
+    return records, reps
 
 
 def _representation(rep: DocumentRepresentation) -> dict[str, Any]:
@@ -314,13 +307,13 @@ def _encode_generated(pairs: Iterable[tuple[InstructionRecord,
     return "".join(lines), outcomes
 
 
-def generate_stage(records: list[InstructionRecord],
-                   reps: dict[str, DocumentRepresentation],
-                   backend: procgen.GenerationBackend, cfg: PipelineConfig,
-                   out_dir: Path) -> tuple[list[tagnorm.TagProfile], procgen.GenerationLedger]:
-    """Generate one execution process per record; returns each record's raw
-    tag profile and the ledger. A record whose page has no representation
-    is a :class:`MissingPage`."""
+def generate_stage(rendered: tuple[list[InstructionRecord], dict[str, DocumentRepresentation]],
+                   cfg: PipelineConfig, out_dir: Path,
+                   backend: procgen.GenerationBackend) -> list[tagnorm.TagProfile]:
+    """Generate one execution process per record and write them with the
+    ledger; returns each record's raw tag profile. A record whose page has no
+    representation is a :class:`MissingPage`."""
+    records, reps = rendered
     unrendered = next((rec.page_id for rec in records if rec.page_id not in reps), None)
     if unrendered is not None:
         raise MissingPage(unrendered)
@@ -359,7 +352,7 @@ def generate_stage(records: list[InstructionRecord],
     rate = procgen.discard_rate(ledger) if ledger.total else 0.0
     print(f"generated {ledger.succeeded}/{ledger.total} processes "
           f"(discard rate {rate:.4f}) -> {path}")
-    return profiles, ledger
+    return profiles
 
 
 def _generated(obj: dict[str, Any],
@@ -423,18 +416,19 @@ def _tags_lines(raw: list[tagnorm.TagProfile],
         yield '{"annotations": {"tags": {' + tail
 
 
-def extract_stage(profiles: list[tagnorm.TagProfile], out_dir: Path) -> None:
-    """Write the records' raw tag profiles."""
+def extract_stage(profiles: list[tagnorm.TagProfile], cfg: PipelineConfig,
+                  out_dir: Path) -> list[tagnorm.TagProfile]:
+    """Write the records' raw tag profiles; returns them."""
     path = _write_stage(out_dir, "tags_raw", _tags_lines(profiles), "jsonl")
     print(f"extracted raw tags for {len(profiles)} records -> {path}")
+    return profiles
 
 
-def normalize_stage(profiles: list[tagnorm.TagProfile], embedder: tagnorm.EmbeddingProvider,
-                    cfg: PipelineConfig, out_dir: Path,
-                    ) -> tuple[list[tagnorm.TagProfile], dict[str, Any]]:
+def normalize_stage(profiles: list[tagnorm.TagProfile], cfg: PipelineConfig, out_dir: Path,
+                    embedder: tagnorm.EmbeddingProvider) -> list[tagnorm.TagProfile]:
     """Filter, cluster and aggregate the raw profiles, and write every
-    stage's tags per record; returns the aggregated profiles and the
-    vocabulary report."""
+    stage's tags per record, the vocabulary report and the aggregated
+    profiles; returns the aggregated profiles."""
     result = tagnorm.normalize_corpus(
         profiles, embedder,
         min_count=cfg.tagging.min_count,
@@ -456,7 +450,7 @@ def normalize_stage(profiles: list[tagnorm.TagProfile], embedder: tagnorm.Embedd
     _write_stage(out_dir, "profiles", _profiles_lines(result.profiles), "jsonl")
     print(f"normalized tags for {len(profiles)} records "
           f"({len(vocab_report['merges'])} merges) -> {path}")
-    return result.profiles, vocab_report
+    return result.profiles
 
 
 def profile_from_tags(obj: dict[str, Any], stage: str = "aggregated") -> tagnorm.TagProfile:
@@ -484,28 +478,26 @@ def _profiles_lines(profiles: list[tagnorm.TagProfile]) -> Iterator[str]:
 
 
 def read_profiles(path: Path) -> list[tagnorm.TagProfile]:
-    """The aggregated profiles in a ``profiles`` artifact. A first line that
-    is not a list of strings, a row that is not ``[str, [int, ...]]``, or a
-    tag index that is a bool, negative or past the vocabulary is an
-    :class:`IoFailure` naming the file and line. The rows are read and
-    checked :data:`CHUNK` lines at a time, and one by one only to find a bad
-    one."""
+    """The aggregated profiles in a ``profiles`` artifact. A line that is not
+    UTF-8, a first line that is not a list of strings, a row that is not
+    ``[str, [int, ...]]``, or a tag index that is a bool, negative or past
+    the vocabulary is an :class:`IoFailure` naming the file and line. The
+    rows are read and checked :data:`CHUNK` lines at a time, and one by one
+    only to find a bad one."""
     profile, profiles = tagnorm.TagProfile, []
-    with open(path, encoding="utf-8", newline="\n") as fh:
-        vocab = _artifact_value(path, 1, fh.readline())
-        if type(vocab) is not list or not set(map(type, vocab)) <= {str}:
-            raise MalformedLine(path, 1, "the vocabulary is not a list of strings")
-        n, tag = len(vocab), vocab.__getitem__
-        lines = enumerate(fh, start=2)
-        while chunk := list(islice(lines, CHUNK)):
-            rows = [_artifact_value(path, line_no, line) for line_no, line in chunk]
-            if not _rows_valid(rows, n):
-                line_no = next(k for (k, _), row in zip(chunk, rows)
-                               if not _rows_valid([row], n))
-                raise MalformedLine(path, line_no, "not [record_id, [tag index, ...]] "
-                                                   f"with every index in [0, {n})")
-            profiles.extend([profile(rid, list(map(tag, indices)), "aggregated")
-                             for rid, indices in rows])
+    lines = read_lines(path)
+    vocab = _artifact_value(path, 1, next(lines, (1, ""))[1])
+    if type(vocab) is not list or not set(map(type, vocab)) <= {str}:
+        raise MalformedLine(path, 1, "the vocabulary is not a list of strings")
+    n, tag = len(vocab), vocab.__getitem__
+    while chunk := list(islice(lines, CHUNK)):
+        rows = [_artifact_value(path, line_no, line) for line_no, line in chunk]
+        if not _rows_valid(rows, n):
+            line_no = next(k for (k, _), row in zip(chunk, rows) if not _rows_valid([row], n))
+            raise MalformedLine(path, line_no, "not [record_id, [tag index, ...]] "
+                                               f"with every index in [0, {n})")
+        profiles.extend([profile(rid, list(map(tag, indices)), "aggregated")
+                         for rid, indices in rows])
     return profiles
 
 
@@ -556,60 +548,80 @@ def sample_stage(profiles: list[tagnorm.TagProfile], cfg: PipelineConfig,
     print(f"selected {len(selected)}/{len(profiles)} records -> {path}")
 
 
-# ---------------------------------------------------------------------------
-# subcommands: standalone ones read their inputs through the manifest
-
-
-def cmd_render(args: argparse.Namespace) -> int:
-    cfg = _effective_config(args)
-    _, page_files = load_records(cfg.paths.dataset, cfg.paths.pages)
-    render_stage(page_files, cfg, Path(cfg.paths.output_dir))
-    return 0
-
-
-def cmd_generate(args: argparse.Namespace) -> int:
-    cfg = _effective_config(args)
-    # the pages come from the render artifact: no page file is read
-    records = read_records(cfg.paths.dataset)
-    out_dir = Path(cfg.paths.output_dir)
-    reps = {rep.page_id: rep for rep in read_jsonl(_read_stage(out_dir, "render"),
-                                                    DocumentRepresentation.from_dict)}
-    generate_stage(records, reps, _make_backend(cfg), cfg, out_dir)
-    return 0
-
-
-def cmd_tag(args: argparse.Namespace) -> int:
-    cfg = _effective_config(args)
-    out_dir = Path(cfg.paths.output_dir)
-    stage = args.stage
-    profiles = None
-    if stage in ("extract", "all"):
-        profiles = list(read_jsonl(_read_stage(out_dir, "generate"),
-                                   lambda obj: _raw_profile(*_generated(obj))))
-        extract_stage(profiles, out_dir)
-    if stage in ("normalize", "all"):
-        if profiles is None:
-            profiles = list(read_jsonl(_read_stage(out_dir, "tags_raw"),
-                                       lambda obj: profile_from_tags(obj, "raw")))
-        normalize_stage(profiles, _make_embedder(cfg), cfg, out_dir)
-    return 0
-
-
-def cmd_sample(args: argparse.Namespace) -> int:
-    cfg = _effective_config(args)
-    out_dir = Path(cfg.paths.output_dir)
-    sample_stage(read_profiles(_read_stage(out_dir, "profiles")), cfg, out_dir)
-    return 0
-
-
-def cmd_assess(args: argparse.Namespace) -> int:
-    cfg = _effective_config(args)
-    out_dir = Path(cfg.paths.output_dir)
-    profiles = read_profiles(_read_stage(out_dir, "profiles"))
+def assess_stage(profiles: list[tagnorm.TagProfile], cfg: PipelineConfig,
+                 out_dir: Path) -> None:
+    """Write and print the complexity and diversity report of the profiles."""
     report = assess_mod.assess_dataset(profiles).to_dict()
     _write_stage(out_dir, "assess", dumps_json(report) + "\n", "json")
     print(dumps_json(report))
+
+
+# ---------------------------------------------------------------------------
+# the stage table: each stage command runs a run of consecutive rows
+
+
+class Stage(NamedTuple):
+    """One row of :data:`STAGES`; it runs ``<name>_stage``, found by name at run time."""
+
+    name: str
+    sections: tuple[str, ...]  # the config sections it takes flags for
+    upstream: str | None  # the manifest entry it reads when it runs first
+    # its input when it runs first, from that entry's artifact (render: the dataset)
+    read: Callable[[Path | None, PipelineConfig], Any]
+    tool: Callable[[PipelineConfig], Any] | None = None  # a backend or embedder it also needs
+
+
+STAGES = {row.name: row for row in (
+    Stage("render", ("render", "layout"), None,
+          lambda _, cfg: load_records(cfg.paths.dataset, cfg.paths.pages)),
+    # the pages come from the render artifact: no page file is read
+    Stage("generate", ("generation",), "render", lambda path, cfg: (
+        read_records(cfg.paths.dataset),
+        {rep.page_id: rep for rep in read_jsonl(path, DocumentRepresentation.from_dict)}),
+          _make_backend),
+    Stage("extract", (), "generate", lambda path, _: list(
+        read_jsonl(path, lambda obj: _raw_profile(*_generated(obj))))),
+    Stage("normalize", ("tagging",), "tags_raw", lambda path, _: list(
+        read_jsonl(path, lambda obj: profile_from_tags(obj, "raw"))), _make_embedder),
+    Stage("sample", ("sampling",), "profiles", lambda path, _: read_profiles(path)),
+    Stage("assess", (), "profiles", lambda path, _: read_profiles(path)),
+)}
+
+# stage command -> its first and last row; any other runs the row it is named after
+_RUNS = {"tag": ("extract", "normalize"), "pipeline": ("render", "sample")}
+
+
+def _rows(command: str, stage: str = "all") -> list[Stage]:
+    """The rows a command runs; ``stage`` narrows ``tag`` to one of its two."""
+    first, last = _RUNS.get(command, (command, command)) if stage == "all" else (stage, stage)
+    names = list(STAGES)
+    return [STAGES[name] for name in names[names.index(first):names.index(last) + 1]]
+
+
+def _run_stages(args: argparse.Namespace) -> int:
+    """Run the command's rows: read the first row's input, then hand each
+    row's result to the next in memory, so that each input is dropped once
+    the row after it has consumed it."""
+    cfg = _effective_config(args)
+    out_dir = Path(cfg.paths.output_dir)
+    rows = _rows(args.command, getattr(args, "stage", "all"))
+    first = rows[0]
+    # a corrupt manifest, a missing upstream stage and a bad backend,
+    # embedder or remote URL all fail here, before any input is read
+    manifest = out_dir / MANIFEST
+    if first.upstream is None and manifest.exists():
+        _manifest(manifest)
+    path = first.upstream and _read_stage(out_dir, first.upstream)
+    tools = [(row.tool(cfg),) if row.tool else () for row in rows]
+    data = first.read(path, cfg)
+    for row, tool in zip(rows, tools):
+        data = globals()[f"{row.name}_stage"](data, cfg, out_dir, *tool)
     return 0
+
+
+# one name per stage command, which the parser looks up when it is built:
+# a wrapper set on one of them runs for that command alone
+cmd_render = cmd_generate = cmd_tag = cmd_sample = cmd_assess = cmd_pipeline = _run_stages
 
 
 def _eval_input(path: str, field: str, valid: Callable[[Any], bool], expected: str,
@@ -659,34 +671,18 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_pipeline(args: argparse.Namespace) -> int:
-    cfg = _effective_config(args)
-    out_dir = Path(cfg.paths.output_dir)
-    # a bad backend, embedder or remote URL fails here, before any stage writes
-    backend = _make_backend(cfg)
-    embedder = _make_embedder(cfg)
-    # each stage's input is dropped once the next stage has consumed it
-    records, page_files = load_records(cfg.paths.dataset, cfg.paths.pages)
-    reps = render_stage(page_files, cfg, out_dir)
-    profiles, _ledger = generate_stage(records, reps, backend, cfg, out_dir)
-    del records, page_files, reps
-    extract_stage(profiles, out_dir)
-    profiles, _vocab = normalize_stage(profiles, embedder, cfg, out_dir)
-    sample_stage(profiles, cfg, out_dir)
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # parser
 
 
-def _command(sub: Any, name: str, func: Any, help_text: str) -> argparse.ArgumentParser:
-    """Add subcommand ``name`` with one flag per config key of its sections,
-    typed and restricted as the config field is."""
+def _command(sub: Any, name: str, help_text: str) -> argparse.ArgumentParser:
+    """Add stage command ``name`` with one flag per config key of its rows'
+    sections, typed and restricted as the config field is."""
     p = sub.add_parser(name, help=help_text)
-    p.set_defaults(func=func)
+    p.set_defaults(func=globals()[f"cmd_{name}"])
     p.add_argument("--config", help="YAML config file")
-    for group in ("paths",) + _SECTIONS[name]:
+    sections = chain.from_iterable(row.sections for row in _rows(name))
+    for group in ("paths", *dict.fromkeys(sections)):
         for section, f, hint in schema():
             if f.metadata.get("serves", section) != group:
                 continue
@@ -705,12 +701,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "tagging for instruction data curation")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    _command(sub, "render", cmd_render, "render page representations")
-    _command(sub, "generate", cmd_generate, "generate execution processes")
-    p = _command(sub, "tag", cmd_tag, "extract and normalize process tags")
+    _command(sub, "render", "render page representations")
+    _command(sub, "generate", "generate execution processes")
+    p = _command(sub, "tag", "extract and normalize process tags")
     p.add_argument("--stage", choices=("extract", "normalize", "all"), default="all")
-    _command(sub, "sample", cmd_sample, "select a subset by tag coverage")
-    _command(sub, "assess", cmd_assess, "report complexity and diversity")
+    _command(sub, "sample", "select a subset by tag coverage")
+    _command(sub, "assess", "report complexity and diversity")
 
     p = sub.add_parser("eval", help="score answers or rater agreement")
     ev = p.add_subparsers(dest="metric", required=True)
@@ -724,7 +720,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="JSON file: a square list of lists of finite non-negative counts")
     pk.set_defaults(func=cmd_eval)
 
-    _command(sub, "pipeline", cmd_pipeline, "run render -> generate -> tag -> sample")
+    _command(sub, "pipeline", "run render -> generate -> tag -> sample")
 
     return parser
 
@@ -735,14 +731,8 @@ def run(argv: list[str]) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    # Automatic cyclic collection is paused while the command runs. The
-    # stage data (pages, representations, record dicts, profiles) holds no
-    # reference cycles, yet the collector rescans the whole live heap each
-    # time it grows by a quarter: on a 20k-record mock pipeline (2-core
-    # x86_64 VM, Python 3.11), 9 full collections took 1.4-1.5 s of an
-    # 8.1 s run and freed 0 objects.
-    # Reference counting still frees everything acyclic; the caller's state
-    # is restored afterwards, since tests call run() many times per process.
+    # cyclic collection is paused for the reason the module docstring gives;
+    # the caller's state is restored, since tests call run() many times per process
     collecting = gc.isenabled()
     gc.disable()
     try:

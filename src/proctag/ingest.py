@@ -322,43 +322,51 @@ def dumps_json(obj: Any) -> str:
 _raw_decode = json.JSONDecoder().raw_decode
 
 
+def read_lines(path: Path | str) -> Iterator[tuple[int, str]]:
+    """The number and text of each line of a UTF-8 file, split on "\\n" alone
+    (not at U+2028, U+0085 and the like, which canonical JSON leaves
+    unescaped in strings). A line that is not UTF-8 is a :class:`MalformedLine`."""
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                yield line_no, raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise MalformedLine(path, line_no, f"not UTF-8 ({exc})") from exc
+
+
 def read_jsonl(path: Path | str, row: Callable[[Any], Any],
                key: str | None = None) -> Iterator[Any]:
     """``row(value)`` of each non-blank line's JSON value. A line that is not
-    JSON, that ``row`` refuses (a ValueError's text is the reason) or, with
-    ``key``, whose object's ``key`` is on an earlier line is a
-    :class:`MalformedLine`; ``row`` must refuse an object without ``key``."""
+    UTF-8 or not JSON, that ``row`` refuses (a ValueError's text is the
+    reason) or, with ``key``, whose object's ``key`` is on an earlier line is
+    a :class:`MalformedLine`; ``row`` must refuse an object without ``key``."""
     first_line: dict[Any, int] = {}
-    # one line at a time, split on "\n" only: str.splitlines() also breaks at
-    # U+2028, U+0085 and the like, which canonical JSON leaves unescaped
-    # inside strings
-    with open(path, encoding="utf-8", newline="\n") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            # a line this package wrote is one value and its newline, which
-            # the decoder reads without json.loads' whitespace scans; any
-            # other line goes through json.loads, with its errors
+    for line_no, line in read_lines(path):
+        # a line this package wrote is one value and its newline, which the
+        # decoder reads without json.loads' whitespace scans; any other line
+        # goes through json.loads, with its errors
+        try:
+            value, end = _raw_decode(line)
+            written = line[end:] in ("\n", "")
+        except ValueError:
+            written = False
+        if not written:
+            if not line.strip():
+                continue
             try:
-                value, end = _raw_decode(line)
-                written = line[end:] in ("\n", "")
-            except ValueError:
-                written = False
-            if not written:
-                if not line.strip():
-                    continue
-                try:
-                    value = json.loads(line)
-                except ValueError as exc:
-                    raise MalformedLine(path, line_no, f"not valid JSON ({exc})") from exc
-            try:
-                out = row(value)
+                value = json.loads(line)
             except ValueError as exc:
-                raise MalformedLine(path, line_no, str(exc)) from exc
-            except (AttributeError, KeyError, TypeError) as exc:
-                raise MalformedLine(path, line_no, f"malformed ({exc!r})") from exc
-            if key is not None and first_line.setdefault(value[key], line_no) != line_no:
-                raise MalformedLine(path, line_no, f"repeated {key} {value[key]!r} "
-                                                   f"(first on line {first_line[value[key]]})")
-            yield out
+                raise MalformedLine(path, line_no, f"not valid JSON ({exc})") from exc
+        try:
+            out = row(value)
+        except ValueError as exc:
+            raise MalformedLine(path, line_no, str(exc)) from exc
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise MalformedLine(path, line_no, f"malformed ({exc!r})") from exc
+        if key is not None and first_line.setdefault(value[key], line_no) != line_no:
+            raise MalformedLine(path, line_no, f"repeated {key} {value[key]!r} "
+                                               f"(first on line {first_line[value[key]]})")
+        yield out
 
 
 def read_json(path: Path, noun: str) -> Any:

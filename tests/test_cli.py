@@ -277,11 +277,79 @@ class TestStages:
         out = Path(shutil.copytree(out, tmp_path / "out"))
         manifest_path = out / "manifest.json"
         manifest_path.write_text(content, encoding="utf-8")
+        names = sorted(p.name for p in out.iterdir())
+        # a plaintext render would add an artifact the doclayprompt run did not write
+        style = ["--style", "plaintext"] if command == "render" else []
         capsys.readouterr()
-        assert run([command] + _base_args(data, out)) == 1
+        assert run([command] + style + _base_args(data, out)) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: manifest {manifest_path} ") and err.count("\n") == 1
         assert manifest_path.read_text(encoding="utf-8") == content
+        assert sorted(p.name for p in out.iterdir()) == names
+
+    def test_tag_rejects_a_bad_embedder_before_extract_writes(self, pipeline_out, tmp_path,
+                                                              monkeypatch, capsys):
+        monkeypatch.delenv("PROCTAG_EMBED_URL", raising=False)
+        data, out = pipeline_out
+        out = Path(shutil.copytree(out, tmp_path / "out"))
+        manifest_path = out / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        for stage in ("tags_raw", "tags", "vocab", "profiles", "sample"):
+            (out / manifest.pop(stage)).unlink()
+        manifest_path.write_text(dumps_json(manifest) + "\n", encoding="utf-8")
+        before = _dir_digests(out)
+        capsys.readouterr()
+        assert run(["tag", "--embedder", "remote", "--embed-cache-dir", str(tmp_path / "ecache")]
+                   + _base_args(data, out)) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert _dir_digests(out) == before
+
+    @pytest.mark.parametrize("row", [row for row in cli.STAGES.values() if row.upstream],
+                             ids=lambda row: row.name)
+    def test_each_row_run_first_requires_its_upstream_stage(self, pipeline_out, tmp_path,
+                                                             capsys, row):
+        data, out = pipeline_out
+        out = Path(shutil.copytree(out, tmp_path / "out"))
+        manifest_path = out / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        del manifest[row.upstream]
+        manifest_path.write_text(dumps_json(manifest) + "\n", encoding="utf-8")
+        before = _dir_digests(out)
+        argv = ["tag", "--stage", row.name] if row.name in ("extract", "normalize") else [row.name]
+        capsys.readouterr()
+        assert run(argv + _base_args(data, out)) == 1
+        assert capsys.readouterr().err == (
+            f"error: stage {row.upstream!r} not in {manifest_path}; run it first\n")
+        assert _dir_digests(out) == before
+
+    @pytest.mark.parametrize("target", ["records", "pred", "tags_raw", "profiles"])
+    def test_bytes_not_utf8_exit_1_naming_the_file_and_line(self, pipeline_out, tmp_path,
+                                                             capsys, target):
+        data, out = pipeline_out
+        data = Path(shutil.copytree(data, tmp_path / "data"))
+        out = Path(shutil.copytree(out, tmp_path / "out"))
+        manifest = json.loads((out / "manifest.json").read_text())
+        records = data / "records.jsonl"
+        pred = tmp_path / "pred.jsonl"
+        first_id = json.loads(records.read_text(encoding="utf-8").split("\n", 1)[0])["record_id"]
+        pred.write_text(dumps_json({"record_id": first_id, "predicted": "x"}) + "\n",
+                        encoding="utf-8")
+        path, argv = {
+            "records": (records, ["pipeline"] + _base_args(data, tmp_path / "new")),
+            "pred": (pred, ["eval", "anls", "--pred", str(pred), "--gold", str(records)]),
+            "tags_raw": (out / manifest["tags_raw"],
+                         ["tag", "--stage", "normalize"] + _base_args(data, out)),
+            "profiles": (out / manifest["profiles"], ["assess"] + _base_args(data, out)),
+        }[target]
+        n_lines = path.read_bytes().count(b"\n")
+        with open(path, "ab") as fh:
+            fh.write(b"\xff")
+        capsys.readouterr()
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith(f"error: {path}, line {n_lines + 1}: not UTF-8 ")
+        assert err.count("\n") == 1
 
     def test_non_integer_max_inflight_in_config_rejected(self, demo_dataset, tmp_path):
         cfg = tmp_path / "cfg.yaml"
@@ -401,14 +469,15 @@ class TestSlimTagArtifacts:
                 tagged, tagnorm.HashingEmbedder(), cfg, old)
             # in memory, as pipeline chains the stages
             raw = [cli._raw_profile(*cli._generated(obj)) for obj in lines]
-            cli.extract_stage(raw, chained)
-            profiles, vocab = cli.normalize_stage(raw, tagnorm.HashingEmbedder(), cfg, chained)
+            cli.extract_stage(raw, cfg, chained)
+            profiles = cli.normalize_stage(raw, cfg, chained, tagnorm.HashingEmbedder())
+            vocab = json.loads(cli._read_stage(chained, "vocab").read_text(encoding="utf-8"))
             # standalone commands over a generate artifact
             cli._write_stage(standalone, "generate", cli._jsonl(lines), "jsonl")
             assert run(["tag", "--stage", "extract", "--out", str(standalone)]) == 0
             assert run(["tag", "--stage", "normalize", "--out", str(standalone)] + flags) == 0
 
-            assert profiles == old_profiles and vocab == old_vocab
+            assert profiles == old_profiles and vocab == json.loads(dumps_json(old_vocab))
             for stage in ("tags_raw", "tags"):
                 expected = _tags_only(_read_values(cli._read_stage(old, stage)))
                 assert list(_read_values(cli._read_stage(chained, stage))) == expected
