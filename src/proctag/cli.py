@@ -380,10 +380,9 @@ def _raw_profile(rid: str, result: procgen.ExecutionProcess | procgen.Discarded 
     steps = result.steps if isinstance(result, procgen.ExecutionProcess) else None
     completion = result.last_completion if isinstance(result, procgen.Discarded) else None
     try:
-        seq = tagparse.extract_function_names(rid, steps=steps, completion=completion)
+        return tagparse.extract_function_names(rid, steps=steps, completion=completion)
     except tagparse.NoTags:
         return tagnorm.TagProfile(rid, [], source="none")
-    return tagnorm.TagProfile(rid, seq.tags, source=seq.source)
 
 
 def _tags_lines(raw: list[tagnorm.TagProfile],
@@ -453,16 +452,14 @@ def normalize_stage(profiles: list[tagnorm.TagProfile], cfg: PipelineConfig, out
     return result.profiles
 
 
-def profile_from_tags(obj: dict[str, Any], stage: str = "aggregated") -> tagnorm.TagProfile:
-    """The ``stage`` profile of a tagged record (``raw`` from ``tags_raw``, any
-    stage from ``tags``), or a TypeError. Each tag is interned: a corpus
-    repeats a few thousand names, and decoding makes each one anew."""
+def _tags_raw_profile(obj: dict[str, Any]) -> tagnorm.TagProfile:
+    """The raw profile of a ``tags_raw`` line, or a TypeError. Each tag is interned:
+    a corpus repeats a few thousand names, and decoding makes each one anew."""
     tags_ann = obj.get("annotations", {}).get("tags", {})
-    rid, tags, source = obj["record_id"], tags_ann.get(stage, []), tags_ann.get("source", "none")
+    rid, tags, source = obj["record_id"], tags_ann.get("raw", []), tags_ann.get("source", "none")
     if type(rid) is not str or type(tags) is not list or type(source) is not str:
-        raise TypeError(f"record_id and source must be strings and {stage} a list")
-    return tagnorm.TagProfile(rid, [sys.intern(tag) for tag in tags], stage, source,
-                              bool(tags_ann.get("emptied_by_filter", False)))
+        raise TypeError("record_id and source must be strings and raw a list")
+    return tagnorm.TagProfile(rid, [sys.intern(tag) for tag in tags], "raw", source)
 
 
 def _profiles_lines(profiles: list[tagnorm.TagProfile]) -> Iterator[str]:
@@ -480,11 +477,12 @@ def _profiles_lines(profiles: list[tagnorm.TagProfile]) -> Iterator[str]:
 def read_profiles(path: Path) -> list[tagnorm.TagProfile]:
     """The aggregated profiles in a ``profiles`` artifact. A line that is not
     UTF-8, a first line that is not a list of strings, a row that is not
-    ``[str, [int, ...]]``, or a tag index that is a bool, negative or past
-    the vocabulary is an :class:`IoFailure` naming the file and line. The
-    rows are read and checked :data:`CHUNK` lines at a time, and one by one
-    only to find a bad one."""
+    ``[str, [int, ...]]``, a tag index that is a bool, negative or past the
+    vocabulary, or a record_id on an earlier row is an :class:`IoFailure`
+    naming the file and line. The rows are read and checked :data:`CHUNK`
+    lines at a time, and one by one only to find a bad one."""
     profile, profiles = tagnorm.TagProfile, []
+    ids: set[str] = set()
     lines = read_lines(path)
     vocab = _artifact_value(path, 1, next(lines, (1, ""))[1])
     if type(vocab) is not list or not set(map(type, vocab)) <= {str}:
@@ -498,6 +496,14 @@ def read_profiles(path: Path) -> list[tagnorm.TagProfile]:
                                                f"with every index in [0, {n})")
         profiles.extend([profile(rid, list(map(tag, indices)), "aggregated")
                          for rid, indices in rows])
+        ids.update(rid for rid, _ in rows)
+        if len(ids) < len(profiles):
+            # every line past the first is one row: row k is on line k + 2
+            first_line: dict[str, int] = {}
+            for line_no, p in enumerate(profiles, start=2):
+                if first_line.setdefault(p.record_id, line_no) != line_no:
+                    raise MalformedLine(path, line_no, f"repeated record_id {p.record_id!r} "
+                                                       f"(first on line {first_line[p.record_id]})")
     return profiles
 
 
@@ -577,12 +583,13 @@ STAGES = {row.name: row for row in (
     # the pages come from the render artifact: no page file is read
     Stage("generate", ("generation",), "render", lambda path, cfg: (
         read_records(cfg.paths.dataset),
-        {rep.page_id: rep for rep in read_jsonl(path, DocumentRepresentation.from_dict)}),
+        {rep.page_id: rep
+         for rep in read_jsonl(path, DocumentRepresentation.from_dict, key="page_id")}),
           _make_backend),
     Stage("extract", (), "generate", lambda path, _: list(
-        read_jsonl(path, lambda obj: _raw_profile(*_generated(obj))))),
+        read_jsonl(path, lambda obj: _raw_profile(*_generated(obj)), key="record_id"))),
     Stage("normalize", ("tagging",), "tags_raw", lambda path, _: list(
-        read_jsonl(path, lambda obj: profile_from_tags(obj, "raw"))), _make_embedder),
+        read_jsonl(path, _tags_raw_profile, key="record_id")), _make_embedder),
     Stage("sample", ("sampling",), "profiles", lambda path, _: read_profiles(path)),
     Stage("assess", (), "profiles", lambda path, _: read_profiles(path)),
 )}

@@ -2,9 +2,10 @@
 
 A dataset is a UTF-8 JSONL file with one instruction record per line, plus a
 pages directory holding one JSON file per referenced page
-(``<pages_dir>/<page_id>.json``). Out-of-bounds boxes are clamped on load
-with a logged warning; :func:`validate_page` reports them as violations
-instead of rejecting the page.
+(``<pages_dir>/<page_id>.json``, by default ``pages/`` beside the record
+file). Out-of-bounds boxes are clamped on load with a logged warning;
+:func:`validate_page` reports them as violations instead of rejecting the
+page.
 """
 
 from __future__ import annotations
@@ -391,22 +392,20 @@ def load_page(path: Path | str) -> DocumentPage:
 
 def _resolve_paths(path: Path | str, pages_dir: Path | str | None) -> tuple[Path, Path]:
     path = Path(path)
-    if path.is_dir():
-        return path / "records.jsonl", Path(pages_dir) if pages_dir else path / "pages"
     return path, Path(pages_dir) if pages_dir else path.parent / "pages"
 
 
 def _records(records_path: Path) -> Iterator[InstructionRecord]:
     """Each record of a record file in order; a bad line or a record_id that
     repeats is a :class:`MalformedLine`."""
-    if not records_path.exists():
+    if not records_path.is_file():
         raise IoFailure(f"no record file at {records_path}")
     return read_jsonl(records_path, _record_from_dict, key="record_id")
 
 
 def read_records(path: Path | str) -> list[InstructionRecord]:
     """The records alone (order preserved), for a stage that reads no page."""
-    return list(_records(_resolve_paths(path, None)[0]))
+    return list(_records(Path(path)))
 
 
 def load_records(path: Path | str, pages_dir: Path | str | None = None,

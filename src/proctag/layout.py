@@ -11,7 +11,7 @@ deterministic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence, TypeVar
 
 from .ingest import BoundingBox, DocumentPage, LayoutRegion, OcrToken
@@ -120,27 +120,15 @@ def nms(regions: Sequence[LayoutRegion], iou_threshold: float = DEFAULT_NMS_IOU)
     return [regions[k] for k in keep]
 
 
-@dataclass
-class CleanedStructure:
-    """Reading-ordered tokens and deduplicated, reading-ordered regions."""
-
-    page_id: str
-    width: float
-    height: float
-    tokens: list[OcrToken] = field(default_factory=list)
-    regions: list[LayoutRegion] = field(default_factory=list)
-
-
 def clean_inputs(page: DocumentPage, *,
                  nms_iou_threshold: float = DEFAULT_NMS_IOU,
-                 row_tolerance_factor: float = DEFAULT_ROW_TOLERANCE) -> CleanedStructure:
-    """Suppress duplicate regions, then put regions and tokens in reading order.
-    No token is ever dropped."""
+                 row_tolerance_factor: float = DEFAULT_ROW_TOLERANCE) -> DocumentPage:
+    """A copy of the page with duplicate regions suppressed and its regions
+    and tokens in reading order. No token is ever dropped."""
     regions = reading_order(nms(page.regions, nms_iou_threshold),
                             tolerance_factor=row_tolerance_factor)
     tokens = reading_order(page.tokens, tolerance_factor=row_tolerance_factor)
-    return CleanedStructure(page_id=page.page_id, width=page.width, height=page.height,
-                            tokens=tokens, regions=regions)
+    return replace(page, tokens=tokens, regions=regions)
 
 
 @dataclass
@@ -158,8 +146,9 @@ def _contains_center(region: LayoutRegion, token: OcrToken) -> bool:
     return b.x0 <= cx <= b.x1 and b.y0 <= cy <= b.y1
 
 
-def associate(cleaned: CleanedStructure) -> list[AssociatedBlock]:
-    """Assign every token to exactly one region block.
+def associate(cleaned: DocumentPage) -> list[AssociatedBlock]:
+    """Assign every token of a cleaned page (see :func:`clean_inputs`) to
+    exactly one region block.
 
     A token whose box center lies inside a region is flagged ``contained``
     (nearest center wins if several regions contain it); otherwise it goes to

@@ -1,9 +1,6 @@
 """Prompt-text renderers for a page: plain text, space-quantized spatial
 layout, and the layout-tagged variant that wraps each associated block in
 ``[kind]`` / ``[/kind]`` lines.
-
-The tag syntax lives in one pair of helpers so it can be swapped without
-touching the renderers.
 """
 
 from __future__ import annotations
@@ -57,14 +54,6 @@ class DocumentRepresentation:
         return rep
 
 
-def open_tag(kind: str) -> str:
-    return f"[{kind}]"
-
-
-def close_tag(kind: str) -> str:
-    return f"[/{kind}]"
-
-
 def estimate_char_cell(page: DocumentPage) -> float:
     """Median per-character pixel width over the page's tokens."""
     if not page.tokens:
@@ -73,10 +62,7 @@ def estimate_char_cell(page: DocumentPage) -> float:
 
 
 def _cell_or_fallback(page: DocumentPage) -> float:
-    try:
-        cell = estimate_char_cell(page)
-    except NoTokens:
-        cell = 0.0
+    cell = estimate_char_cell(page) if page.tokens else 0.0
     if cell <= 0:
         cell = page.width / FALLBACK_COLUMNS if page.width > 0 else 1.0
     return cell
@@ -179,7 +165,7 @@ def render_doclayprompt(blocks: list[AssociatedBlock], page: DocumentPage, *,
         lines = _spatial_lines(block.tokens, cell, origin_x=origin,
                                row_tolerance_factor=row_tolerance_factor)
         body = "\n".join(line for line, _ in lines)
-        section = f"{open_tag(block.region.kind)}\n{body}\n{close_tag(block.region.kind)}"
+        section = f"[{block.region.kind}]\n{body}\n[/{block.region.kind}]"
         sections.append((section, sum(n for _, n in lines)))
     text, count = _truncate(sections, max_chars)
     return DocumentRepresentation(page_id=page.page_id, style=DOCLAYPROMPT, text=text,

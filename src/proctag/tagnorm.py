@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Any, Mapping, Protocol
 
 from .errors import ProcTagError
 from .store import JsonPost, Store
-from .tagparse import collapse_adjacent, normalize_name
+from .tagparse import TagProfile, collapse_adjacent, normalize_name
 
 if TYPE_CHECKING:
     import numpy as np
@@ -44,17 +44,6 @@ class ZeroVector(ProcTagError):
 
 class DegenerateMerge(ProcTagError):
     """Nothing of the second tag survives the merge rule."""
-
-
-@dataclass(slots=True)
-class TagProfile:
-    """Ordered tag sequence for one record at a given stage."""
-
-    record_id: str
-    tags: list[str]
-    stage: str = "raw"
-    source: str = "grammar"
-    emptied_by_filter: bool = False
 
 
 @dataclass

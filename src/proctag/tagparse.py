@@ -8,7 +8,8 @@ Grammar, one step per line (the ``step<N>:`` prefix is optional)::
 Arguments are identifiers, quoted literals, or bare numbers. Tags are the
 normalized function names in step order; when grammar parsing failed
 upstream, a fallback scanner pulls ``identifier(`` call sites out of the raw
-completion instead.
+completion instead. A record's tags are a raw-stage :class:`TagProfile`, the
+type every later stage (see :mod:`proctag.tagnorm`) carries forward.
 """
 
 from __future__ import annotations
@@ -46,13 +47,15 @@ class ProcessStep:
     args: list[str] = field(default_factory=list)
 
 
-@dataclass
-class RawTagSequence:
-    """Ordered normalized function-name tags for one record."""
+@dataclass(slots=True)
+class TagProfile:
+    """Ordered tag sequence for one record at a given stage."""
 
     record_id: str
     tags: list[str]
-    source: str  # "grammar" or "fallback"
+    stage: str = "raw"
+    source: str = "grammar"  # "grammar", "fallback" or "none" (no tag found)
+    emptied_by_filter: bool = False
 
 
 _STEP_RE = re.compile(
@@ -172,9 +175,9 @@ def scan_call_sites(text: str) -> list[str]:
 
 
 def extract_function_names(record_id: str, steps: list[ProcessStep] | None = None,
-                           completion: str | None = None) -> RawTagSequence:
-    """Tags from parsed steps when available, else from the fallback scanner
-    over the raw completion."""
+                           completion: str | None = None) -> TagProfile:
+    """The raw-stage profile of a record: tags from parsed steps when
+    available, else from the fallback scanner over the raw completion."""
     if steps:
         raw_names = [s.function_name for s in steps]
         source = "grammar"
@@ -192,4 +195,4 @@ def extract_function_names(record_id: str, steps: list[ProcessStep] | None = Non
     tags = collapse_adjacent(tags)
     if not tags:
         raise NoTags(record_id)
-    return RawTagSequence(record_id=record_id, tags=tags, source=source)
+    return TagProfile(record_id, tags, "raw", source)

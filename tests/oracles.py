@@ -395,6 +395,18 @@ def tags_line_reference(record_id: str, tags: dict[str, Any]) -> dict[str, Any]:
     return {"record_id": record_id, "annotations": {"tags": tags}}
 
 
+def profile_from_tags(obj: dict[str, Any], stage: str = "aggregated") -> TagProfile:
+    """The ``stage`` profile of a ``tags`` line (``raw`` of a ``tags_raw``
+    line), or a TypeError; the pipeline reads only ``raw`` from ``tags_raw``
+    and the aggregated profiles from ``profiles``."""
+    tags_ann = obj.get("annotations", {}).get("tags", {})
+    rid, tags, source = obj["record_id"], tags_ann.get(stage, []), tags_ann.get("source", "none")
+    if type(rid) is not str or type(tags) is not list or type(source) is not str:
+        raise TypeError(f"record_id and source must be strings and {stage} a list")
+    return TagProfile(rid, list(tags), stage, source,
+                      bool(tags_ann.get("emptied_by_filter", False)))
+
+
 # ---------------------------------------------------------------------------
 # the record path as it was before generate lines were put together from
 # encoded pieces and argument lists were split by a regex; kept verbatim

@@ -107,6 +107,15 @@ class TestUsage:
         assert "error" in capsys.readouterr().err
 
 
+    def test_dataset_directory_is_data_error(self, demo_dataset, tmp_path, capsys):
+        # --dataset names the record file, never the directory that holds it
+        out = tmp_path / "out"
+        before = _dir_digests(demo_dataset)
+        assert run(["render", "--dataset", str(demo_dataset), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: no record file at {demo_dataset}\n"
+        assert not out.exists() and _dir_digests(demo_dataset) == before
+
+
 class TestStages:
     @pytest.mark.parametrize("style,backend", [("doclayprompt", "mock"),
                                                ("plaintext", "cache"), ("spatial", "mock")])
@@ -632,9 +641,10 @@ class TestProfilesArtifact:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(rows=st.lists(st.tuples(_awkward_text, st.lists(
         st.sampled_from(["t", "\"", "\\", "\x00", "\u2028", "\U0001f600", "é", ""])
-        | _awkward_text, max_size=6)), max_size=8))
+        | _awkward_text, max_size=6)), max_size=8, unique_by=lambda row: row[0]))
     def test_lines_equal_their_canonical_json_and_read_back(self, tmp_path_factory, rows):
-        # tags repeat within and across profiles, and profiles may be empty
+        # tags repeat within and across profiles, and profiles may be empty;
+        # record ids do not repeat, since the reader rejects a repeated one
         profiles = [tagnorm.TagProfile(rid, tags, "aggregated", "grammar")
                     for rid, tags in rows]
         vocab: list[str] = []
@@ -661,6 +671,17 @@ class TestProfilesArtifact:
         with pytest.raises(cli.IoFailure, match=f", line {cli.CHUNK + 8}: "):
             cli.read_profiles(path)
 
+    def test_repeated_record_id_past_the_first_chunk(self, tmp_path):
+        profiles = [tagnorm.TagProfile(f"r{i}", ["a"], "aggregated")
+                    for i in range(2 * cli.CHUNK + 5)]
+        profiles[cli.CHUNK + 7].record_id = "r3"  # row k is on line k + 2
+        path = tmp_path / "profiles.jsonl"
+        path.write_text("".join(cli._profiles_lines(profiles)), encoding="utf-8")
+        with pytest.raises(cli.IoFailure) as exc:
+            cli.read_profiles(path)
+        assert str(exc.value) == (f"{path}, line {cli.CHUNK + 9}: "
+                                  "repeated record_id 'r3' (first on line 5)")
+
     def test_reader_equals_the_aggregated_stage_of_tags(self, tmp_path):
         ds = make_dataset(seed=11, n_pages=6, records_per_page=3)
         ds.records[0].record_id += "\u2028"
@@ -668,7 +689,7 @@ class TestProfilesArtifact:
         out = tmp_path / "out"
         assert run(["pipeline", "--backend", "mock", "--min-count", "3"]
                    + _base_args(tmp_path / "data", out)) == 0
-        from_tags = list(read_jsonl(cli._read_stage(out, "tags"), cli.profile_from_tags))
+        from_tags = list(read_jsonl(cli._read_stage(out, "tags"), oracles.profile_from_tags))
         assert any(not p.tags for p in from_tags) and any(p.tags for p in from_tags)
         profiles = cli.read_profiles(cli._read_stage(out, "profiles"))
         assert rows_of(profiles) == rows_of(from_tags)
@@ -795,6 +816,31 @@ def pipeline_out(tmp_path_factory):
 class TestMalformedArtifacts:
     """A standalone stage that reads a malformed upstream line exits 1 with
     one error line naming the file and line, and writes nothing."""
+
+    @pytest.mark.parametrize("stage, argv, key", [
+        pytest.param(stage, argv, key, id=stage) for stage, argv, key in (
+            ("render", ["generate"], "page_id"),
+            ("generate", ["tag", "--stage", "extract"], "record_id"),
+            ("tags_raw", ["tag", "--stage", "normalize"], "record_id"),
+            ("profiles", ["assess"], "record_id"))])
+    def test_repeated_id_exits_1_naming_the_line(self, pipeline_out, tmp_path, capsys,
+                                                 stage, argv, key):
+        data, out = pipeline_out
+        out = Path(shutil.copytree(out, tmp_path / "out"))
+        path = out / json.loads((out / "manifest.json").read_text())[stage]
+        text = path.read_text(encoding="utf-8")
+        lines = text.split("\n")[:-1]
+        first = 1 if stage == "profiles" else 0  # line 1 of profiles is the vocabulary
+        value = json.loads(lines[first])
+        repeated = value[0] if stage == "profiles" else value[key]
+        path.write_text(text + lines[first] + "\n", encoding="utf-8")
+        before = _dir_digests(out)
+        capsys.readouterr()
+        assert run(argv + _base_args(data, out)) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}, line {len(lines) + 1}: "
+            f"repeated {key} {repeated!r} (first on line {first + 1})\n")
+        assert _dir_digests(out) == before
 
     @pytest.mark.parametrize("stage, keys, value", [
         pytest.param(stage, keys, value, id=f"{stage}-{name}")

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import bbox_in_page, mkbox, mkpage, mkreg, mktok, random_box
+from proctag.ingest import DocumentPage
 from proctag.layout import (CONTAINED, NEAREST, associate, clean_inputs,
                             euclidean_center_distance, nms, reading_order, reading_rows)
 
@@ -102,6 +103,18 @@ class TestCleanInputs:
         page = mkpage(tokens=tokens, regions=regions)
         cleaned = clean_inputs(page)
         assert cleaned.tokens == tokens and cleaned.regions == regions
+
+    def test_returns_a_copy_of_the_page(self):
+        tokens = [mktok("b", 40, 0, 50, 10), mktok("a", 0, 0, 10, 10)]
+        regions = [mkreg("table", 0, 0, 100, 100, score=0.9),
+                   mkreg("table", 1, 1, 101, 101, score=0.6)]
+        page = mkpage("p7", tokens=tokens, regions=regions, width=321, height=654)
+        cleaned = clean_inputs(page)
+        assert type(cleaned) is DocumentPage
+        assert (cleaned.page_id, cleaned.width, cleaned.height) == ("p7", 321, 654)
+        assert [t.text for t in cleaned.tokens] == ["a", "b"] and len(cleaned.regions) == 1
+        # the input page is left as it was
+        assert page.tokens == tokens and page.regions == regions
 
     def test_composes_nms_and_reading_order(self, rng):
         for _ in range(20):

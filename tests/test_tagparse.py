@@ -5,9 +5,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from proctag import tagparse
+from proctag import tagnorm, tagparse
 from proctag.tagparse import (NAME_CACHE_SIZE, EmptyAfterNormalization,
-                              GrammarViolation, NoTags, ProcessStep, collapse_adjacent,
+                              GrammarViolation, NoTags, ProcessStep, TagProfile, collapse_adjacent,
                               extract_function_names, normalize_name,
                               parse_pseudocode, scan_call_sites)
 
@@ -153,6 +153,14 @@ class TestExtractFunctionNames:
             "r1", completion="we then call locate_bulleted_list(doc) and read it")
         assert seq.tags == ["locate_bulleted_list"]
         assert seq.source == "fallback"
+
+    def test_returns_a_raw_stage_profile(self):
+        steps = [ProcessStep(1, "t", "findTable", ["document"])]
+        assert extract_function_names("r1", steps=steps) == TagProfile(
+            "r1", ["find_table"], "raw", "grammar")
+        assert extract_function_names("r2", completion="then sum_col(t)") == TagProfile(
+            "r2", ["sum_col"], "raw", "fallback")
+        assert tagnorm.TagProfile is TagProfile
 
     def test_adjacent_duplicates_collapse(self):
         steps = [ProcessStep(1, "a", "find_row", ["document"]),
