@@ -53,7 +53,7 @@ class PathsConfig:
 @dataclass
 class LayoutConfig:
     nms_iou_threshold: float = _key(DEFAULT_NMS_IOU, above=0, max=1)
-    row_tolerance_factor: float = DEFAULT_ROW_TOLERANCE
+    row_tolerance_factor: float = _key(DEFAULT_ROW_TOLERANCE, min=0)
 
 
 @dataclass

@@ -68,10 +68,6 @@ class BoundingBox:
     def area(self) -> float:
         return self.width * self.height
 
-    @property
-    def center(self) -> tuple[float, float]:
-        return (self.x0 + self.x1) / 2, (self.y0 + self.y1) / 2
-
     def as_list(self) -> list[float]:
         return [self.x0, self.y0, self.x1, self.y1]
 
@@ -212,27 +208,24 @@ def clamp_page(page: DocumentPage) -> tuple[DocumentPage, int]:
 # (de)serialization
 
 
-# the types json.loads gives a number (a bool is not one), or a number or null;
-# each value's type is tested by set membership, in C
+# the types json.loads gives a number (a bool is not one), or a number or null
 _NUMBER = frozenset((int, float))
 _NUMBER_OR_NULL = _NUMBER | {type(None)}
-_STRING = frozenset((str,))
 
 
 def _bbox_from(obj: Any, line_ctx: str) -> BoundingBox:
-    if not (isinstance(obj, (list, tuple)) and len(obj) == 4
-            and _NUMBER.issuperset(map(type, obj))):
-        raise IoFailure(f"{line_ctx}: bbox must be a list of 4 numbers, got {obj!r}")
-    return BoundingBox(*obj)
+    if isinstance(obj, (list, tuple)) and len(obj) == 4:
+        x0, y0, x1, y1 = obj
+        if type(x0) in _NUMBER and type(y0) in _NUMBER and type(x1) in _NUMBER \
+                and type(y1) in _NUMBER:
+            return BoundingBox(x0, y0, x1, y1)
+    raise IoFailure(f"{line_ctx}: bbox must be a list of 4 numbers, got {obj!r}")
 
 
-def _require_types(ctx: str, noun: str, items: list, field_name: str,
-                   allowed: frozenset, expected: str) -> None:
-    values = [getattr(item, field_name) for item in items]
-    if not allowed.issuperset(map(type, values)):
-        i = next(i for i, v in enumerate(values) if type(v) not in allowed)
-        raise IoFailure(f"{ctx}: {noun} {i}: {field_name} must be {expected}, "
-                        f"got {values[i]!r}")
+# (noun, field, what it must be) of each item field whose type a page file's
+# parse checks, in the order a page's wrong fields are reported
+_FIELD_TYPES = (("token", "text", "a string"), ("token", "confidence", "null or a number"),
+                ("region", "kind", "a string"), ("region", "score", "null or a number"))
 
 
 def _page_from_dict(obj: Any, ctx: str) -> DocumentPage:
@@ -240,22 +233,37 @@ def _page_from_dict(obj: Any, ctx: str) -> DocumentPage:
         raise IoFailure(f"{ctx}: page is not a JSON object")
     if not _NUMBER.issuperset((type(obj.get("width")), type(obj.get("height")))):
         raise IoFailure(f"{ctx}: page width and height must be numbers")
+    # each token and region is built and checked in one pass; a field of the
+    # wrong type is reported once the page's whole structure has parsed, so
+    # that a broken structure anywhere is reported first. field -> (index,
+    # value) of the first item with that field wrong
+    wrong: dict[str, tuple[int, Any]] = {}
     try:
-        tokens = [OcrToken(text=t["text"], bbox=_bbox_from(t["bbox"], ctx),
-                           confidence=t.get("confidence"))
-                  for t in obj.get("tokens", [])]
-        regions = [LayoutRegion(kind=r["kind"], bbox=_bbox_from(r["bbox"], ctx),
-                                score=r.get("score"))
-                   for r in obj.get("regions", [])]
+        tokens: list[OcrToken] = []
+        for i, t in enumerate(obj.get("tokens", [])):
+            text, bbox, confidence = t["text"], _bbox_from(t["bbox"], ctx), t.get("confidence")
+            tokens.append(OcrToken(text, bbox, confidence))
+            if type(text) is not str:
+                wrong.setdefault("text", (i, text))
+            if type(confidence) not in _NUMBER_OR_NULL:
+                wrong.setdefault("confidence", (i, confidence))
+        regions: list[LayoutRegion] = []
+        for i, r in enumerate(obj.get("regions", [])):
+            kind, bbox, score = r["kind"], _bbox_from(r["bbox"], ctx), r.get("score")
+            regions.append(LayoutRegion(kind, bbox, score))
+            if type(kind) is not str:
+                wrong.setdefault("kind", (i, kind))
+            if type(score) not in _NUMBER_OR_NULL:
+                wrong.setdefault("score", (i, score))
         page = DocumentPage(page_id=obj["page_id"], width=obj["width"], height=obj["height"],
                             tokens=tokens, regions=regions,
                             image_ref=obj.get("image_ref"), meta=obj.get("meta", {}))
     except (KeyError, TypeError) as exc:
         raise IoFailure(f"{ctx}: bad page structure ({exc})") from exc
-    _require_types(ctx, "token", tokens, "text", _STRING, "a string")
-    _require_types(ctx, "token", tokens, "confidence", _NUMBER_OR_NULL, "null or a number")
-    _require_types(ctx, "region", regions, "kind", _STRING, "a string")
-    _require_types(ctx, "region", regions, "score", _NUMBER_OR_NULL, "null or a number")
+    for noun, name, expected in _FIELD_TYPES:
+        if name in wrong:
+            i, value = wrong[name]
+            raise IoFailure(f"{ctx}: {noun} {i}: {name} must be {expected}, got {value!r}")
     return page
 
 

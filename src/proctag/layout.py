@@ -6,6 +6,12 @@ Reading order groups items into rows (connected components of the pairwise
 smaller height), orders rows top-to-bottom by minimum vertical center, and
 orders items within a row left-to-right by x0. All functions are pure and
 deterministic.
+
+Every kernel runs in plain Python on tuples read once from the boxes.
+Suppression in particular needs no array library: a page holds only a
+handful of regions (3.5 on average, and never more than 12, in the
+benchmark's pages), too few to pay back even numpy's import, which every
+forked render worker would otherwise make.
 """
 
 from __future__ import annotations
@@ -25,58 +31,61 @@ NEAREST = "nearest"
 T = TypeVar("T")
 
 
-def euclidean_center_distance(a: BoundingBox, b: BoundingBox) -> float:
-    (ax, ay), (bx, by) = a.center, b.center
-    return math.hypot(ax - bx, ay - by)
-
-
 def reading_rows(items: Sequence[T], *,
                  tolerance_factor: float = DEFAULT_ROW_TOLERANCE) -> list[list[T]]:
     """Partition items, each with a ``bbox``, into reading-order rows (see
     module docstring)."""
     n = len(items)
-    if n == 0:
-        return []
-    boxes = [it.bbox for it in items]
-    yc = [(b.y0 + b.y1) / 2 for b in boxes]
-    hh = [b.y1 - b.y0 for b in boxes]
-    order = sorted(range(n), key=lambda i: (yc[i], boxes[i].x0, i))
+    # one (yc, x0, index, height, item) per item: sorting these compares
+    # (yc, x0, index) alone, as index is unique
+    recs = []
+    for i, it in enumerate(items):
+        b = it.bbox
+        recs.append(((b.y0 + b.y1) / 2, b.x0, i, b.y1 - b.y0, it))
+    by_yc = sorted(recs)
 
+    # union-find over item indices: item i and a later j in yc order share a
+    # row iff dy <= tolerance_factor * min(h_i, h_j)
     parent = list(range(n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i: int, j: int) -> None:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[rj] = ri
-
-    for a_pos in range(n):
-        i = order[a_pos]
-        for b_pos in range(a_pos + 1, n):
-            j = order[b_pos]
-            dy = yc[j] - yc[i]
-            if dy > tolerance_factor * hh[i]:
+    for a in range(n):
+        yc_i, _, i, h_i, _ = by_yc[a]
+        tol_i = tolerance_factor * h_i
+        for b in range(a + 1, n):
+            yc_j, _, j, h_j, _ = by_yc[b]
+            dy = yc_j - yc_i
+            if dy > tol_i:
                 break  # yc is sorted; no later j can be in i's row
-            if dy <= tolerance_factor * min(hh[i], hh[j]):
-                union(i, j)
+            # min(h_i, h_j) is h_j only if h_j < h_i, NaN included
+            if dy <= (tolerance_factor * h_j if h_j < h_i else tol_i):
+                ri, rj = i, j
+                while parent[ri] != ri:
+                    parent[ri] = parent[parent[ri]]
+                    ri = parent[ri]
+                while parent[rj] != rj:
+                    parent[rj] = parent[parent[rj]]
+                    rj = parent[rj]
+                if ri != rj:
+                    parent[rj] = ri
 
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-
-    def row_key(members: list[int]):
-        return (min(yc[i] for i in members),
-                min(boxes[i].x0 for i in members),
-                min(members))
-
-    rows = sorted(groups.values(), key=row_key)
-    return [[items[i] for i in sorted(members, key=lambda i: (boxes[i].x0, yc[i], i))]
-            for members in rows]
+    # per row, in order of its first item: [min yc, min x0, first index,
+    # its items as (x0, yc, index, item)], each minimum taken in index order
+    # as min() takes it; a row sorts on its first three, an item on its first
+    # three, as index is unique
+    rows: dict[int, list] = {}
+    for yc, x0, i, _, it in recs:
+        r = i
+        while parent[r] != r:
+            r = parent[r]
+        row = rows.get(r)
+        if row is None:
+            rows[r] = [yc, x0, i, [(x0, yc, i, it)]]
+            continue
+        if yc < row[0]:
+            row[0] = yc
+        if x0 < row[1]:
+            row[1] = x0
+        row[3].append((x0, yc, i, it))
+    return [[t[3] for t in sorted(members)] for _, _, _, members in sorted(rows.values())]
 
 
 def reading_order(items: Sequence[T], *,
@@ -91,33 +100,39 @@ def _effective_score(region: LayoutRegion) -> float:
 
 def nms(regions: Sequence[LayoutRegion], iou_threshold: float = DEFAULT_NMS_IOU) -> list[LayoutRegion]:
     """Greedy score-descending suppression; survivors (pairwise IoU <= threshold)
-    are returned in pick order with their original field values."""
-    import numpy as np
+    are returned in pick order with their original field values.
 
+    IoU is computed in floats; an inverted box overlaps nothing. A NaN IoU,
+    from a NaN coordinate or from an infinite one that leaves the
+    intersection or union undefined, suppresses nothing.
+    """
     if not 0 < iou_threshold <= 1:
         raise ValueError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
-    if not regions:
-        return []
-    boxes = np.array([r.bbox.as_list() for r in regions], dtype=float)
-    areas = np.maximum(boxes[:, 2] - boxes[:, 0], 0) * np.maximum(boxes[:, 3] - boxes[:, 1], 0)
-    scores = [_effective_score(r) for r in regions]
-    order = sorted(range(len(regions)), key=lambda k: (-scores[k], k))
-    suppressed = np.zeros(len(regions), dtype=bool)
-    keep: list[int] = []
+    order = [k for _, k in sorted((-_effective_score(r), k) for k, r in enumerate(regions))]
+    # (x0, y0, x1, y1, area) of each region in pick order; a NaN coordinate
+    # makes the area NaN, and with it every union the box is part of
+    boxes = []
     for k in order:
-        if suppressed[k]:
+        x0, y0, x1, y1 = map(float, regions[k].bbox.as_list())
+        boxes.append((x0, y0, x1, y1, (x1 - x0) * (y1 - y0)))
+    suppressed = [False] * len(boxes)
+    keep: list[LayoutRegion] = []
+    for a, (x0, y0, x1, y1, area) in enumerate(boxes):
+        if suppressed[a]:
             continue
-        keep.append(k)
-        ix0 = np.maximum(boxes[k, 0], boxes[:, 0])
-        iy0 = np.maximum(boxes[k, 1], boxes[:, 1])
-        ix1 = np.minimum(boxes[k, 2], boxes[:, 2])
-        iy1 = np.minimum(boxes[k, 3], boxes[:, 3])
-        inter = np.maximum(ix1 - ix0, 0) * np.maximum(iy1 - iy0, 0)
-        union = areas[k] + areas - inter
-        with np.errstate(invalid="ignore", divide="ignore"):
-            overlap = np.where(union > 0, inter / union, 0.0)
-        suppressed |= overlap > iou_threshold
-    return [regions[k] for k in keep]
+        keep.append(regions[order[a]])
+        for b in range(a + 1, len(boxes)):
+            if suppressed[b]:
+                continue
+            bx0, by0, bx1, by1, b_area = boxes[b]
+            iw = (x1 if x1 < bx1 else bx1) - (x0 if x0 > bx0 else bx0)
+            ih = (y1 if y1 < by1 else by1) - (y0 if y0 > by0 else by0)
+            if iw > 0 and ih > 0:
+                inter = iw * ih
+                union = area + b_area - inter
+                if union > 0 and inter / union > iou_threshold:
+                    suppressed[b] = True
+    return keep
 
 
 def clean_inputs(page: DocumentPage, *,
@@ -140,12 +155,6 @@ class AssociatedBlock:
     assignment_kinds: list[str] = field(default_factory=list)
 
 
-def _contains_center(region: LayoutRegion, token: OcrToken) -> bool:
-    cx, cy = token.bbox.center
-    b = region.bbox
-    return b.x0 <= cx <= b.x1 and b.y0 <= cy <= b.y1
-
-
 def associate(cleaned: DocumentPage) -> list[AssociatedBlock]:
     """Assign every token of a cleaned page (see :func:`clean_inputs`) to
     exactly one region block.
@@ -163,10 +172,23 @@ def associate(cleaned: DocumentPage) -> list[AssociatedBlock]:
         regions = [LayoutRegion(kind="page",
                                 bbox=BoundingBox(0, 0, cleaned.width, cleaned.height))]
     blocks = [AssociatedBlock(region=r) for r in regions]
+    # (x0, y0, x1, y1, center x, center y) of each region, read once
+    geometry = [(b.x0, b.y0, b.x1, b.y1, (b.x0 + b.x1) / 2, (b.y0 + b.y1) / 2)
+                for b in (r.bbox for r in regions)]
     for tok in cleaned.tokens:
-        containing = [i for i, r in enumerate(regions) if _contains_center(r, tok)]
-        pool = containing if containing else range(len(regions))
-        best = min(pool, key=lambda i: (euclidean_center_distance(tok.bbox, regions[i].bbox), i))
+        tb = tok.bbox
+        cx, cy = (tb.x0 + tb.x1) / 2, (tb.y0 + tb.y1) / 2
+        # the first region with the smallest distance among those containing
+        # the center, or among all if none does; a later one replaces it only
+        # if strictly nearer, so a NaN distance found first is kept
+        best, best_d, inside = -1, 0.0, False
+        for i, (x0, y0, x1, y1, rx, ry) in enumerate(geometry):
+            contains = x0 <= cx <= x1 and y0 <= cy <= y1
+            if inside and not contains:
+                continue
+            d = math.hypot(cx - rx, cy - ry)
+            if contains > inside or best < 0 or d < best_d:
+                best, best_d, inside = i, d, contains
         blocks[best].tokens.append(tok)
-        blocks[best].assignment_kinds.append(CONTAINED if containing else NEAREST)
+        blocks[best].assignment_kinds.append(CONTAINED if inside else NEAREST)
     return blocks

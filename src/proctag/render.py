@@ -6,7 +6,6 @@ layout, and the layout-tagged variant that wraps each associated block in
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass
 from typing import Any
 
@@ -54,11 +53,19 @@ class DocumentRepresentation:
         return rep
 
 
+def _median(values: list[float]) -> float:
+    """The middle of the sorted values, or the mean of the middle two, as
+    ``statistics.median`` gives it; ``values`` is not empty."""
+    values = sorted(values)
+    mid = len(values) // 2
+    return values[mid] if len(values) % 2 else (values[mid - 1] + values[mid]) / 2
+
+
 def estimate_char_cell(page: DocumentPage) -> float:
     """Median per-character pixel width over the page's tokens."""
     if not page.tokens:
         raise NoTokens(page.page_id)
-    return statistics.median(t.bbox.width / max(1, len(t.text)) for t in page.tokens)
+    return _median([t.bbox.width / max(1, len(t.text)) for t in page.tokens])
 
 
 def _cell_or_fallback(page: DocumentPage) -> float:
@@ -84,26 +91,26 @@ def _spatial_lines(tokens: list[OcrToken], cell_width: float, *,
     rows = reading_rows(tokens, tolerance_factor=row_tolerance_factor)
     if not rows:
         return []
-    heights = [max(t.bbox.y1 for t in row) - min(t.bbox.y0 for t in row) for row in rows]
-    median_h = statistics.median(heights)
+    spans = [(min(t.bbox.y0 for t in row), max(t.bbox.y1 for t in row)) for row in rows]
+    median_h = _median([bottom - top for top, bottom in spans])
     lines: list[tuple[str, int]] = []
     prev_bottom: float | None = None
-    for row in rows:
-        top = min(t.bbox.y0 for t in row)
+    for row, (top, bottom) in zip(rows, spans):
         if prev_bottom is not None and median_h > 0 and (top - prev_bottom) > median_h:
             lines.append(("", 0))
         parts: list[str] = []
         prev_x1 = origin_x
         for pos, tok in enumerate(row):
-            gap = tok.bbox.x0 - prev_x1
+            b = tok.bbox
+            gap = b.x0 - prev_x1
             if pos == 0:
                 nspaces = max(0, _round_half_up(max(0.0, gap) / cell_width))
             else:
                 nspaces = max(1, _round_half_up(gap / cell_width))
             parts.append(" " * nspaces + tok.text)
-            prev_x1 = tok.bbox.x1
+            prev_x1 = b.x1
         lines.append(("".join(parts), len(row)))
-        prev_bottom = max(t.bbox.y1 for t in row)
+        prev_bottom = bottom
     return lines
 
 

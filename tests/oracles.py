@@ -24,7 +24,8 @@ from proctag import procgen, tagnorm, tagparse
 from proctag.cli import _jsonl, _write_stage
 from proctag.config import PipelineConfig
 from proctag.errors import ProcTagError
-from proctag.ingest import BoundingBox, atomic_write_text, dumps_json, record_to_dict
+from proctag.ingest import (BoundingBox, DocumentPage, IoFailure, LayoutRegion, OcrToken,
+                            atomic_write_text, dumps_json, record_to_dict)
 from proctag.procgen import BackendError, DecodeParams, GenerationBackend
 from proctag.tagnorm import (DEFAULT_DBSCAN_EPS, DEFAULT_DBSCAN_MIN_PTS, DEFAULT_MIN_CONFIDENCE,
                              DEFAULT_MIN_SUPPORT, AdjacentPairStat, ClusterAssignment,
@@ -63,6 +64,49 @@ def clamp_page_reference(page):
     if changed == 0:
         return page, 0
     return replace(page, tokens=tokens, regions=regions), changed
+
+
+def page_from_dict_passes(obj, ctx):
+    """A page file's JSON value as a page, parsed as before the one-pass
+    parse: build every item, then check each field's type in its own pass.
+    The one-pass parse must give the same page, or the same error."""
+    number = frozenset((int, float))
+
+    def bbox_from(value):
+        if not (isinstance(value, (list, tuple)) and len(value) == 4
+                and number.issuperset(map(type, value))):
+            raise IoFailure(f"{ctx}: bbox must be a list of 4 numbers, got {value!r}")
+        return BoundingBox(*value)
+
+    def require_types(noun, items, field_name, allowed, expected):
+        values = [getattr(item, field_name) for item in items]
+        if not allowed.issuperset(map(type, values)):
+            i = next(i for i, v in enumerate(values) if type(v) not in allowed)
+            raise IoFailure(f"{ctx}: {noun} {i}: {field_name} must be {expected}, "
+                            f"got {values[i]!r}")
+
+    if not isinstance(obj, dict):
+        raise IoFailure(f"{ctx}: page is not a JSON object")
+    if not number.issuperset((type(obj.get("width")), type(obj.get("height")))):
+        raise IoFailure(f"{ctx}: page width and height must be numbers")
+    try:
+        tokens = [OcrToken(text=t["text"], bbox=bbox_from(t["bbox"]),
+                           confidence=t.get("confidence"))
+                  for t in obj.get("tokens", [])]
+        regions = [LayoutRegion(kind=r["kind"], bbox=bbox_from(r["bbox"]),
+                                score=r.get("score"))
+                   for r in obj.get("regions", [])]
+        page = DocumentPage(page_id=obj["page_id"], width=obj["width"], height=obj["height"],
+                            tokens=tokens, regions=regions,
+                            image_ref=obj.get("image_ref"), meta=obj.get("meta", {}))
+    except (KeyError, TypeError) as exc:
+        raise IoFailure(f"{ctx}: bad page structure ({exc})") from exc
+    string, number_or_null = frozenset((str,)), number | {type(None)}
+    require_types("token", tokens, "text", string, "a string")
+    require_types("token", tokens, "confidence", number_or_null, "null or a number")
+    require_types("region", regions, "kind", string, "a string")
+    require_types("region", regions, "score", number_or_null, "null or a number")
+    return page
 
 
 def nms_reference(regions, threshold):
@@ -149,6 +193,121 @@ def nearest_assignments_reference(tokens, regions):
         else:
             out.append((None, None))
     return out
+
+
+def center(b: BoundingBox) -> tuple[float, float]:
+    return (b.x0 + b.x1) / 2, (b.y0 + b.y1) / 2
+
+
+def center_distance(a: BoundingBox, b: BoundingBox) -> float:
+    """Euclidean distance between two box centers."""
+    (ax, ay), (bx, by) = center(a), center(b)
+    return math.hypot(ax - bx, ay - by)
+
+
+# The layout kernels as they were before they were rewritten on plain
+# tuples: the numpy suppression loop, the closure-based union-find and the
+# per-token scan with a keyed min(). The rewritten kernels must return the
+# same objects in the same order on every input, NaN and infinite
+# coordinates included.
+
+
+def nms_numpy(regions, iou_threshold=0.5):
+    if not 0 < iou_threshold <= 1:
+        raise ValueError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
+    if not regions:
+        return []
+    boxes = np.array([r.bbox.as_list() for r in regions], dtype=float)
+    scores = [r.score if r.score is not None else r.bbox.area for r in regions]
+    order = sorted(range(len(regions)), key=lambda k: (-scores[k], k))
+    suppressed = np.zeros(len(regions), dtype=bool)
+    keep: list[int] = []
+    # inf - inf and inf * 0 give NaN, which overlaps nothing; no warnings
+    with np.errstate(all="ignore"):
+        areas = (np.maximum(boxes[:, 2] - boxes[:, 0], 0)
+                 * np.maximum(boxes[:, 3] - boxes[:, 1], 0))
+        for k in order:
+            if suppressed[k]:
+                continue
+            keep.append(k)
+            ix0 = np.maximum(boxes[k, 0], boxes[:, 0])
+            iy0 = np.maximum(boxes[k, 1], boxes[:, 1])
+            ix1 = np.minimum(boxes[k, 2], boxes[:, 2])
+            iy1 = np.minimum(boxes[k, 3], boxes[:, 3])
+            inter = np.maximum(ix1 - ix0, 0) * np.maximum(iy1 - iy0, 0)
+            union = areas[k] + areas - inter
+            overlap = np.where(union > 0, inter / union, 0.0)
+            suppressed |= overlap > iou_threshold
+    return [regions[k] for k in keep]
+
+
+def reading_rows_closures(items, tolerance_factor=0.5):
+    n = len(items)
+    if n == 0:
+        return []
+    boxes = [it.bbox for it in items]
+    yc = [(b.y0 + b.y1) / 2 for b in boxes]
+    hh = [b.y1 - b.y0 for b in boxes]
+    order = sorted(range(n), key=lambda i: (yc[i], boxes[i].x0, i))
+
+    parent = list(range(n))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    def union(i: int, j: int) -> None:
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[rj] = ri
+
+    for a_pos in range(n):
+        i = order[a_pos]
+        for b_pos in range(a_pos + 1, n):
+            j = order[b_pos]
+            dy = yc[j] - yc[i]
+            if dy > tolerance_factor * hh[i]:
+                break
+            if dy <= tolerance_factor * min(hh[i], hh[j]):
+                union(i, j)
+
+    groups: dict[int, list[int]] = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+
+    def row_key(members: list[int]):
+        return (min(yc[i] for i in members),
+                min(boxes[i].x0 for i in members),
+                min(members))
+
+    rows = sorted(groups.values(), key=row_key)
+    return [[items[i] for i in sorted(members, key=lambda i: (boxes[i].x0, yc[i], i))]
+            for members in rows]
+
+
+def associate_scan(cleaned):
+    """(region, tokens, assignment kinds) of each block."""
+    if cleaned.regions:
+        regions = list(cleaned.regions)
+    else:
+        regions = [LayoutRegion(kind="page",
+                                bbox=BoundingBox(0, 0, cleaned.width, cleaned.height))]
+    blocks = [(r, [], []) for r in regions]
+
+    def contains_center(region, token):
+        cx, cy = center(token.bbox)
+        b = region.bbox
+        return b.x0 <= cx <= b.x1 and b.y0 <= cy <= b.y1
+
+    for tok in cleaned.tokens:
+        containing = [i for i, r in enumerate(regions) if contains_center(r, tok)]
+        pool = containing if containing else range(len(regions))
+        best = min(pool, key=lambda i: (center_distance(tok.bbox, regions[i].bbox), i))
+        blocks[best][1].append(tok)
+        blocks[best][2].append("contained" if containing else "nearest")
+    return blocks
 
 
 # ---------------------------------------------------------------------------

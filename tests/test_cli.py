@@ -1332,6 +1332,7 @@ CHOICES = {
 # refuse only after earlier stages wrote.
 OUT_OF_RANGE = {
     "layout.nms_iou_threshold": st.floats(max_value=0) | st.floats(min_value=1, exclude_min=True),
+    "layout.row_tolerance_factor": st.floats(max_value=0, exclude_max=True),
     "render.max_chars": st.integers(max_value=-1),
     "generation.max_inflight": st.integers(max_value=0),
     "tagging.min_count": st.integers(max_value=0),
@@ -1486,6 +1487,7 @@ class TestConfig:
         ("tagging", "dbscan_eps", "0", "must be > 0"),
         ("render", "max_chars", "-5", "must be >= 0"),
         ("layout", "nms_iou_threshold", ".inf", "must be finite"),
+        ("layout", "row_tolerance_factor", "-1", "must be >= 0"),
     ])
     def test_out_of_range_value_rejected_before_any_stage_writes(
             self, demo_dataset, tmp_path, capsys, section, key, value, message):
@@ -1680,3 +1682,46 @@ def test_importing_the_cli_leaves_requests_unloaded():
                                "PYTHONPATH": str(Path(cli.__file__).parents[1])},
                           timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_a_one_cpu_render_leaves_numpy_and_statistics_unloaded(demo_dataset, tmp_path):
+    # the render kernels are plain Python: a render worker imports neither
+    argv = ["render", "--style", "doclayprompt"] + _base_args(demo_dataset, tmp_path)
+    code = ("import os, sys\n"
+            "from proctag import cli\n"
+            "os.sched_getaffinity = lambda pid: {0}\n"
+            f"assert cli.run({argv!r}) == 0\n"
+            "for name in ('numpy', 'statistics'):\n"
+            "    assert name not in sys.modules, f'{name} was imported'\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ,
+                               "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+# The artifact names (content digests) that render, in each style, and a
+# mock generate write for a seeded synthetic dataset. Every step is plain
+# Python, so the bytes, and with them the names, are the same on every
+# supported Python; a change to any of them changes an artifact.
+PINNED_RENDERS = {"plaintext": "render-aa3136f544f0.jsonl",
+                  "spatial": "render-b2d67129fb83.jsonl",
+                  "doclayprompt": "render-8b60ca7c096c.jsonl"}
+PINNED_GENERATE = {"generate": "generate-b5a8645227cc.jsonl",
+                   "ledger": "ledger-2d1e194f14e3.json",
+                   "render": "render-8b60ca7c096c.jsonl"}
+
+
+def test_render_and_generate_write_the_pinned_artifacts(tmp_path, monkeypatch):
+    write_dataset(make_dataset(seed=18, n_pages=40, records_per_page=2),
+                  tmp_path / "data" / "records.jsonl")
+    _cpus(monkeypatch, 1)
+    names = {}
+    for style in PINNED_RENDERS:
+        out = tmp_path / style
+        assert run(["render", "--style", style] + _base_args(tmp_path / "data", out)) == 0
+        names[style] = json.loads((out / cli.MANIFEST).read_text(encoding="utf-8"))["render"]
+    assert names == PINNED_RENDERS
+    out = tmp_path / "doclayprompt"
+    assert run(["generate", "--backend", "mock"] + _base_args(tmp_path / "data", out)) == 0
+    assert json.loads((out / cli.MANIFEST).read_text(encoding="utf-8")) == PINNED_GENERATE

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from conftest import (PAGE_H, PAGE_W, dataset_st, mkbox, mkpage, mkreg, mktok,
                       run_together)
-from oracles import clamp_page_reference
+from oracles import clamp_page_reference, page_from_dict_passes
 from proctag.ingest import (Dataset, InstructionRecord, IoFailure,
-                            MalformedLine, MissingPage, atomic_write_text,
+                            MalformedLine, MissingPage, _page_from_dict, atomic_write_text,
                             clamp_page, load_dataset, load_page, load_records,
                             read_records, validate_page,
                             write_dataset, write_page)
@@ -32,6 +32,38 @@ def _write_min_dataset(tmp_path, lines):
 def _line(record_id, page_id="p1", question="What is shown?"):
     return json.dumps({"record_id": record_id, "page_id": page_id,
                        "question": question, "answers": ["x"]})
+
+
+# JSON values a page file may hold: mostly a page object in which a field
+# may be missing or of the wrong type, in any item and in several at once
+_json_value = st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=3)
+_number = st.integers(-3, 3) | st.floats()
+
+
+def _mostly(value: st.SearchStrategy, other: st.SearchStrategy = _json_value,
+            ) -> st.SearchStrategy:
+    """``value`` nine times in ten, ``other`` otherwise."""
+    return st.integers(0, 9).flatmap(lambda k: value if k else other)
+
+
+@st.composite
+def _object(draw, fields: dict[str, st.SearchStrategy]) -> dict:
+    """An object of the given fields, of which one in ten lacks one."""
+    missing = draw(st.sampled_from(list(fields))) if draw(st.integers(0, 9)) == 0 else None
+    return {name: draw(_mostly(value)) for name, value in fields.items() if name != missing}
+
+
+def _items(name: str, score: str, max_size: int) -> st.SearchStrategy:
+    bbox = _mostly(st.lists(_number, min_size=4, max_size=4),
+                   st.lists(_json_value, min_size=3, max_size=5))
+    item = _object({name: st.text(max_size=3), "bbox": bbox, score: st.none() | _number})
+    return st.lists(_mostly(item), max_size=max_size)
+
+
+def _page_values() -> st.SearchStrategy:
+    return _mostly(_object({"page_id": st.text(max_size=3), "width": _number,
+                            "height": _number, "tokens": _items("text", "confidence", 4),
+                            "regions": _items("kind", "score", 3)}))
 
 
 class TestLoadDataset:
@@ -137,6 +169,16 @@ class TestLoadDataset:
         with pytest.raises(IoFailure) as exc:
             load_page(path)
         assert str(exc.value).startswith(f"{path}: {reason}")
+
+    @settings(max_examples=500, deadline=None)
+    @given(obj=_page_values())
+    def test_one_pass_parse_matches_the_field_passes(self, obj):
+        def outcome(parse):
+            try:
+                return repr(parse(obj, "p.json"))
+            except IoFailure as exc:
+                return str(exc)
+        assert outcome(_page_from_dict) == outcome(page_from_dict_passes)
 
     @pytest.mark.parametrize("value", [None, 0, 1, 0.25])
     def test_confidence_and_score_may_be_null_or_any_number(self, tmp_path, value):

@@ -1,30 +1,113 @@
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import bbox_in_page, mkbox, mkpage, mkreg, mktok, random_box
-from proctag.ingest import DocumentPage
-from proctag.layout import (CONTAINED, NEAREST, associate, clean_inputs,
-                            euclidean_center_distance, nms, reading_order, reading_rows)
+from conftest import mkbox, mkpage, mkreg, mktok, random_box
+from proctag.ingest import BoundingBox, DocumentPage, LayoutRegion, OcrToken
+from proctag.layout import (CONTAINED, NEAREST, associate, clean_inputs, nms, reading_order,
+                            reading_rows)
+
+# Coordinates that make boxes tie, touch, collapse, invert or break: a small
+# pool of exact values (ints among them), NaN and the infinities, and any
+# float at all.
+_COORD = (st.sampled_from([0.0, -0.0, 1.0, 2.0, 3.0, 10.0]) | st.integers(0, 4)
+          | st.sampled_from([math.nan, math.inf, -math.inf]) | st.floats())
+_SIDE = st.sampled_from([0, 1, 2, 5]) | st.floats(0, 10)
 
 
-class TestDistance:
-    def test_identical_boxes(self):
-        b = mkbox(3, 4, 9, 10)
-        assert euclidean_center_distance(b, b) == 0.0
+@st.composite
+def adversarial_boxes(draw, max_size=10):
+    """Boxes of any four coordinates, or of a small size, or that repeat an
+    earlier box, touch its right or bottom edge, or have no height or width
+    where it starts."""
+    boxes: list[BoundingBox] = []
+    for _ in range(draw(st.integers(0, max_size))):
+        shapes = ("fresh", "sized") + (("same", "right", "below", "flat", "thin") if boxes else ())
+        shape = draw(st.sampled_from(shapes))
+        if shape == "fresh":
+            boxes.append(BoundingBox(*draw(st.tuples(_COORD, _COORD, _COORD, _COORD))))
+            continue
+        if shape == "sized":
+            x0, y0, w, h = draw(st.tuples(_COORD, _COORD, _SIDE, _SIDE))
+            boxes.append(BoundingBox(x0, y0, x0 + w, y0 + h))
+            continue
+        b = draw(st.sampled_from(boxes))
+        if shape == "right":
+            b = BoundingBox(b.x1, b.y0, draw(_COORD), b.y1)
+        elif shape == "below":
+            b = BoundingBox(b.x0, b.y1, b.x1, draw(_COORD))
+        elif shape == "flat":
+            b = BoundingBox(b.x0, b.y0, b.x1, b.y0)
+        elif shape == "thin":
+            b = BoundingBox(b.x0, b.y0, b.x0, b.y1)
+        boxes.append(b)
+    return boxes
 
-    def test_three_four_five(self):
-        a = mkbox(0, 0, 0, 0)
-        b = mkbox(3, 4, 3, 4)
-        assert euclidean_center_distance(a, b) == 5.0
 
-    @settings(max_examples=60, deadline=None)
-    @given(a=bbox_in_page(), b=bbox_in_page())
-    def test_symmetry(self, a, b):
-        assert euclidean_center_distance(a, b) == euclidean_center_distance(b, a)
+_SCORE = st.none() | st.sampled_from([0.0, 0.5, 1.0, math.nan]) | st.floats(0, 1)
+
+
+@st.composite
+def adversarial_regions(draw, max_size=10):
+    return [LayoutRegion(kind=f"r{i}", bbox=b, score=draw(_SCORE))
+            for i, b in enumerate(draw(adversarial_boxes(max_size)))]
+
+
+@st.composite
+def adversarial_tokens(draw, max_size=12):
+    return [OcrToken(text=f"t{i}", bbox=b)
+            for i, b in enumerate(draw(adversarial_boxes(max_size)))]
+
+
+def _outcome(fn, *args, **kwargs):
+    """The ids of what ``fn`` returns (nested lists kept), or the type of
+    what it raises."""
+    def ids(value):
+        return [ids(v) for v in value] if isinstance(value, list) else id(value)
+    try:
+        return ids(fn(*args, **kwargs))
+    except Exception as exc:  # the old and new paths must fail alike
+        return type(exc)
+
+
+_TOLERANCE = st.sampled_from([0.0, 0.5, 1.0])
+_THRESHOLD = st.sampled_from([0.3, 0.5, 1.0]) | st.floats(0, 1, exclude_min=True)
+
+
+class TestAgainstPreviousKernels:
+    """The plain-tuple kernels return the very objects, in the very order,
+    that the numpy and closure-based versions in ``oracles`` return."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(regions=adversarial_regions(), threshold=_THRESHOLD)
+    def test_nms(self, regions, threshold):
+        assert _outcome(nms, regions, threshold) == _outcome(oracles.nms_numpy, regions, threshold)
+
+    @settings(max_examples=400, deadline=None)
+    @given(tokens=adversarial_tokens(), tolerance=_TOLERANCE)
+    def test_reading_rows(self, tokens, tolerance):
+        assert (_outcome(reading_rows, tokens, tolerance_factor=tolerance)
+                == _outcome(oracles.reading_rows_closures, tokens, tolerance))
+
+    @settings(max_examples=400, deadline=None)
+    @given(tokens=adversarial_tokens(), regions=adversarial_regions(max_size=5),
+           width=_COORD, height=_COORD)
+    def test_associate(self, tokens, regions, width, height):
+        page = DocumentPage(page_id="p", width=width, height=height,
+                            tokens=tokens, regions=regions)
+        got = associate(page)
+        want = oracles.associate_scan(page)
+        assert len(got) == len(want)
+        for block, (region, toks, kinds) in zip(got, want):
+            # a page without regions gets a synthetic one on either path
+            assert block.region is region or not regions and block.region == region
+            assert [id(t) for t in block.tokens] == [id(t) for t in toks]
+            assert block.assignment_kinds == kinds
 
 
 class TestNms:
@@ -150,6 +233,22 @@ class TestAssociate:
         assert by_kind["near"].assignment_kinds == [NEAREST]
         assert by_kind["far"].tokens == []
 
+    def test_center_distance_decides(self):
+        # token center (0, 0): 5 from (3, 4), 6 from (6, 0); a token whose box
+        # is a region's own is at distance 0 from it and contained
+        token = mktok("t", 0, 0, 0, 0)
+        far, near = mkreg("far", 6, 0, 6, 0), mkreg("near", 3, 4, 3, 4)
+        assert oracles.center_distance(token.bbox, near.bbox) == 5.0
+        blocks = associate(mkpage(tokens=[token], regions=[far, near]))
+        assert [(b.tokens, b.assignment_kinds) for b in blocks] == [([], []),
+                                                                    ([token], [NEAREST])]
+        same = mktok("s", 3, 4, 9, 10)
+        outer, own = mkreg("outer", 0, 0, 20, 20), mkreg("own", 3, 4, 9, 10)
+        assert oracles.center_distance(same.bbox, own.bbox) == 0.0
+        blocks = associate(mkpage(tokens=[same], regions=[outer, own]))
+        assert [(b.tokens, b.assignment_kinds) for b in blocks] == [([], []),
+                                                                    ([same], [CONTAINED])]
+
     def test_zero_regions_synthesizes_page_block(self):
         page = mkpage(tokens=[mktok("a", 0, 0, 10, 10), mktok("b", 20, 0, 30, 10)])
         blocks = associate(clean_inputs(page))
@@ -188,9 +287,10 @@ class TestAssociate:
             for block in blocks:
                 for tok, kind in zip(block.tokens, block.assignment_kinds):
                     if kind == NEAREST:
-                        d = euclidean_center_distance(tok.bbox, block.region.bbox)
+                        d = oracles.center_distance(tok.bbox, block.region.bbox)
+                        assert d == oracles.center_distance(block.region.bbox, tok.bbox)
                         for other in cleaned.regions:
-                            assert euclidean_center_distance(tok.bbox, other.bbox) >= d
+                            assert oracles.center_distance(tok.bbox, other.bbox) >= d
 
     def test_deterministic(self, rng):
         page = mkpage(tokens=[mktok(f"t{i}", *random_box(rng).as_list())
