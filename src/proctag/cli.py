@@ -45,7 +45,7 @@ import os
 import sys
 import threading
 from concurrent.futures import BrokenExecutor
-from itertools import chain, islice
+from itertools import chain
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, get_args
@@ -54,7 +54,7 @@ from . import assess as assess_mod
 from . import procgen, tagnorm, tagparse
 from .config import PipelineConfig, load_config, schema, set_key
 from .errors import ProcTagError
-from .ingest import (InstructionRecord, IoFailure, MalformedLine, MissingPage, _raw_decode,
+from .ingest import (InstructionRecord, IoFailure, MalformedLine, MissingPage,
                      atomic_write_text, dumps_json, load_page, load_records, read_json,
                      read_jsonl, read_lines, read_records, record_to_dict)
 from .layout import associate, clean_inputs
@@ -66,7 +66,7 @@ MANIFEST = "manifest.json"
 
 # items per task of _chunk_map: enough that a task's results cross the
 # process boundary as one sizeable pickle, few enough that every worker
-# stays busy to the end; read_profiles checks this many lines at once
+# stays busy to the end
 CHUNK = 256
 
 # one record's generation outcome as the parent keeps it: whether it was
@@ -112,10 +112,14 @@ def _read_stage(output_dir: Path, stage: str) -> Path:
 
 
 def _manifest(path: Path) -> dict[str, str]:
-    """The stage -> artifact name index in a manifest file; any other
-    content is an :class:`IoFailure` naming the file."""
+    """The stage -> artifact name index in a manifest file. Any other
+    content, or a name that is not a bare file name (empty, ``.``, ``..``
+    or holding a path separator, so naming a file in another directory), is
+    an :class:`IoFailure` naming the file."""
     manifest = read_json(path, "manifest")
-    if type(manifest) is not dict or not set(map(type, manifest.values())) <= {str}:
+    if type(manifest) is not dict or not all(
+            type(name) is str and name not in ("", ".", "..") and os.sep not in name
+            for name in manifest.values()):
         raise IoFailure(f"manifest {path} is not an object of artifact names")
     return manifest
 
@@ -213,8 +217,18 @@ def _make_embedder(cfg: PipelineConfig) -> tagnorm.EmbeddingProvider:
     return tagnorm.CachingEmbedder(cfg.paths.embed_cache_dir, inner=inner)
 
 
+def _make_sample_spec(cfg: PipelineConfig) -> assess_mod.SampleSpec:
+    """The configured sample request; a ValueError if its mode lacks a value."""
+    spec = assess_mod.SampleSpec(mode=cfg.sampling.mode, budget=cfg.sampling.budget,
+                                 ratio=cfg.sampling.ratio,
+                                 coverage_target=cfg.sampling.coverage,
+                                 seed=cfg.sampling.seed)
+    spec.validate()
+    return spec
+
+
 # ---------------------------------------------------------------------------
-# stages: each ``<row>_stage(input, cfg, out_dir[, backend or embedder])``
+# stages: each ``<row>_stage(input, cfg, out_dir[, backend, embedder or sample request])``
 # writes its artifact(s) and returns the next row's input
 
 
@@ -475,75 +489,55 @@ def _profiles_lines(profiles: list[tagnorm.TagProfile]) -> Iterator[str]:
 
 
 def read_profiles(path: Path) -> list[tagnorm.TagProfile]:
-    """The aggregated profiles in a ``profiles`` artifact. A line that is not
-    UTF-8, a first line that is not a list of strings, a row that is not
-    ``[str, [int, ...]]``, a tag index that is a bool, negative or past the
-    vocabulary, or a record_id on an earlier row is an :class:`IoFailure`
-    naming the file and line. The rows are read and checked :data:`CHUNK`
-    lines at a time, and one by one only to find a bad one."""
-    profile, profiles = tagnorm.TagProfile, []
-    ids: set[str] = set()
-    lines = read_lines(path)
-    vocab = _artifact_value(path, 1, next(lines, (1, ""))[1])
-    if type(vocab) is not list or not set(map(type, vocab)) <= {str}:
-        raise MalformedLine(path, 1, "the vocabulary is not a list of strings")
-    n, tag = len(vocab), vocab.__getitem__
-    while chunk := list(islice(lines, CHUNK)):
-        rows = [_artifact_value(path, line_no, line) for line_no, line in chunk]
-        if not _rows_valid(rows, n):
-            line_no = next(k for (k, _), row in zip(chunk, rows) if not _rows_valid([row], n))
-            raise MalformedLine(path, line_no, "not [record_id, [tag index, ...]] "
-                                               f"with every index in [0, {n})")
-        profiles.extend([profile(rid, list(map(tag, indices)), "aggregated")
-                         for rid, indices in rows])
-        ids.update(rid for rid, _ in rows)
-        if len(ids) < len(profiles):
-            # every line past the first is one row: row k is on line k + 2
-            first_line: dict[str, int] = {}
-            for line_no, p in enumerate(profiles, start=2):
-                if first_line.setdefault(p.record_id, line_no) != line_no:
-                    raise MalformedLine(path, line_no, f"repeated record_id {p.record_id!r} "
-                                                       f"(first on line {first_line[p.record_id]})")
+    """The aggregated profiles in a ``profiles`` artifact, read by
+    :func:`read_jsonl` as every line file is, so a blank line is skipped.
+    An empty file, a first line that is not a list of strings, a row that is
+    not ``[str, [int, ...]]``, a tag index that is a bool, negative or past
+    the vocabulary, or a record_id on an earlier row is an :class:`IoFailure`
+    naming the file and line."""
+    profile = tagnorm.TagProfile
+    vocab: list[str] | None = None
+
+    def row(value: Any) -> tagnorm.TagProfile | None:
+        nonlocal vocab
+        if vocab is None:  # the first line
+            if type(value) is not list or not set(map(type, value)) <= {str}:
+                raise ValueError("the vocabulary is not a list of strings")
+            vocab = value
+            return None
+        if type(value) is list and len(value) == 2:
+            rid, indices = value
+            if type(rid) is str and type(indices) is list and (
+                    not indices or set(map(type, indices)) == {int}
+                    and 0 <= min(indices) and max(indices) < len(vocab)):
+                return profile(rid, [vocab[i] for i in indices], "aggregated")
+        raise ValueError("not [record_id, [tag index, ...]] "
+                         f"with every index in [0, {len(vocab)})")
+
+    rows = read_jsonl(path, row)
+    next(rows, None)  # the vocabulary line
+    profiles = list(rows)
+    if vocab is None:  # what the decoder says of an empty first line
+        raise MalformedLine(path, 1, "not valid JSON (Expecting value: line 1 column 1 (char 0))")
+    if len({p.record_id for p in profiles}) < len(profiles):
+        first: dict[str, int] = {}
+        k = next(k for k, p in enumerate(profiles) if first.setdefault(p.record_id, k) != k)
+        rid = profiles[k].record_id
+        # row k is on the (k + 2)th line that is not blank
+        line_nos = [line_no for line_no, line in read_lines(path) if line.strip()]
+        raise MalformedLine(path, line_nos[k + 1], f"repeated record_id {rid!r} "
+                                                   f"(first on line {line_nos[first[rid] + 1]})")
     return profiles
 
 
-def _rows_valid(rows: list[Any], n: int) -> bool:
-    """Whether every one of some rows is ``[str, [int, ...]]`` with each int
-    (not a bool) in ``[0, n)``."""
-    if not (set(map(type, rows)) <= {list} and set(map(len, rows)) == {2}):
-        return False
-    ids, index_lists = zip(*rows)
-    if not (set(map(type, ids)) <= {str} and set(map(type, index_lists)) <= {list}):
-        return False
-    indices = list(chain.from_iterable(index_lists))
-    return set(map(type, indices)) <= {int} and (not indices
-                                                  or 0 <= min(indices) and max(indices) < n)
-
-
-def _artifact_value(path: Path, line_no: int, line: str) -> Any:
-    """The one JSON value on an artifact line, or a :class:`MalformedLine`."""
-    try:
-        value, end = _raw_decode(line)
-    except ValueError as exc:
-        raise MalformedLine(path, line_no, f"not valid JSON ({exc})") from exc
-    if line[end:] not in ("\n", ""):
-        raise MalformedLine(path, line_no, "not one JSON value")
-    return value
-
-
 def sample_stage(profiles: list[tagnorm.TagProfile], cfg: PipelineConfig,
-                 out_dir: Path) -> None:
-    """Select a subset by the configured mode and write the sample report."""
-    mode = cfg.sampling.mode
-    spec = assess_mod.SampleSpec(mode=mode, budget=cfg.sampling.budget,
-                                 ratio=cfg.sampling.ratio,
-                                 coverage_target=cfg.sampling.coverage,
-                                 seed=cfg.sampling.seed)
+                 out_dir: Path, spec: assess_mod.SampleSpec) -> None:
+    """Select a subset by the sample request and write the sample report."""
     selected = assess_mod.sample(profiles, spec)
     chosen = set(selected)
     subset = [p for p in profiles if p.record_id in chosen]
     report = {
-        "mode": mode,
+        "mode": spec.mode,
         "selected": selected,
         "count": len(selected),
         "assessment": assess_mod.assess_dataset(subset).to_dict() if subset else None,
@@ -574,7 +568,8 @@ class Stage(NamedTuple):
     upstream: str | None  # the manifest entry it reads when it runs first
     # its input when it runs first, from that entry's artifact (render: the dataset)
     read: Callable[[Path | None, PipelineConfig], Any]
-    tool: Callable[[PipelineConfig], Any] | None = None  # a backend or embedder it also needs
+    # a backend, embedder or sample request it also needs, built before any input is read
+    tool: Callable[[PipelineConfig], Any] | None = None
 
 
 STAGES = {row.name: row for row in (
@@ -590,7 +585,8 @@ STAGES = {row.name: row for row in (
         read_jsonl(path, lambda obj: _raw_profile(*_generated(obj)), key="record_id"))),
     Stage("normalize", ("tagging",), "tags_raw", lambda path, _: list(
         read_jsonl(path, _tags_raw_profile, key="record_id")), _make_embedder),
-    Stage("sample", ("sampling",), "profiles", lambda path, _: read_profiles(path)),
+    Stage("sample", ("sampling",), "profiles", lambda path, _: read_profiles(path),
+          _make_sample_spec),
     Stage("assess", (), "profiles", lambda path, _: read_profiles(path)),
 )}
 
@@ -613,8 +609,8 @@ def _run_stages(args: argparse.Namespace) -> int:
     out_dir = Path(cfg.paths.output_dir)
     rows = _rows(args.command, getattr(args, "stage", "all"))
     first = rows[0]
-    # a corrupt manifest, a missing upstream stage and a bad backend,
-    # embedder or remote URL all fail here, before any input is read
+    # a corrupt manifest, a missing upstream stage and a bad backend, embedder,
+    # remote URL or sample request all fail here, before any input is read
     manifest = out_dir / MANIFEST
     if first.upstream is None and manifest.exists():
         _manifest(manifest)

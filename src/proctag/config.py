@@ -75,8 +75,8 @@ class TaggingConfig:
     min_count: int | None = _key(None, min=1)  # None: pick from corpus size
     dbscan_eps: float = _key(tagnorm.DEFAULT_DBSCAN_EPS, above=0)
     dbscan_min_pts: int = _key(tagnorm.DEFAULT_DBSCAN_MIN_PTS, min=1)
-    min_support: int = tagnorm.DEFAULT_MIN_SUPPORT
-    min_confidence: float = tagnorm.DEFAULT_MIN_CONFIDENCE
+    min_support: int = _key(tagnorm.DEFAULT_MIN_SUPPORT, min=1)
+    min_confidence: float = _key(tagnorm.DEFAULT_MIN_CONFIDENCE, min=0, max=1)
     embedder: str = _key("hashing", choices=("hashing", "cache", "remote"))
 
 

@@ -107,7 +107,9 @@ def normalized_levenshtein(a: str, b: str) -> float:
 
 def anls(predictions: Sequence[Prediction], tau: float = DEFAULT_ANLS_TAU) -> float:
     """Mean over predictions of the best per-gold similarity 1 - NL, zeroed
-    when NL >= tau."""
+    when NL >= tau. A tau that is not a number in (0, 1] is a ValueError."""
+    if not 0 < tau <= 1:  # NaN and the infinities fail this too
+        raise ValueError(f"tau must be a finite number in (0, 1], got {tau!r}")
     if not predictions:
         raise EmptyInput("no predictions to score")
     total = 0.0

@@ -14,18 +14,19 @@ from collections import Counter
 from dataclasses import replace
 from datetime import datetime, timezone
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations, islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
 import numpy as np
 
 from proctag import procgen, tagnorm, tagparse
-from proctag.cli import _jsonl, _write_stage
+from proctag.cli import CHUNK, _jsonl, _write_stage
 from proctag.config import PipelineConfig
 from proctag.errors import ProcTagError
-from proctag.ingest import (BoundingBox, DocumentPage, IoFailure, LayoutRegion, OcrToken,
-                            atomic_write_text, dumps_json, record_to_dict)
+from proctag.ingest import (BoundingBox, DocumentPage, IoFailure, LayoutRegion, MalformedLine,
+                            OcrToken, _raw_decode, atomic_write_text, dumps_json, read_lines,
+                            record_to_dict)
 from proctag.procgen import BackendError, DecodeParams, GenerationBackend
 from proctag.tagnorm import (DEFAULT_DBSCAN_EPS, DEFAULT_DBSCAN_MIN_PTS, DEFAULT_MIN_CONFIDENCE,
                              DEFAULT_MIN_SUPPORT, AdjacentPairStat, ClusterAssignment,
@@ -543,6 +544,71 @@ def read_jsonl_reference(path: Path) -> Iterator[dict[str, Any]]:
         for line in fh:
             if line.strip():
                 yield json.loads(line)
+
+
+# ---------------------------------------------------------------------------
+# the profiles reader as it was before it read through ingest.read_jsonl:
+# its own line loop and decoder, checking CHUNK rows at a time; kept verbatim.
+# It differs from the new reader on a blank line (an error here), on a line
+# that is not one canonical JSON value, and on which of several bad lines it
+# names (see _PROFILES_ERRORS_CHANGED in test_cli)
+
+
+def read_profiles(path: Path) -> list[tagnorm.TagProfile]:
+    """The aggregated profiles in a ``profiles`` artifact. A line that is not
+    UTF-8, a first line that is not a list of strings, a row that is not
+    ``[str, [int, ...]]``, a tag index that is a bool, negative or past the
+    vocabulary, or a record_id on an earlier row is an :class:`IoFailure`
+    naming the file and line. The rows are read and checked :data:`CHUNK`
+    lines at a time, and one by one only to find a bad one."""
+    profile, profiles = tagnorm.TagProfile, []
+    ids: set[str] = set()
+    lines = read_lines(path)
+    vocab = _artifact_value(path, 1, next(lines, (1, ""))[1])
+    if type(vocab) is not list or not set(map(type, vocab)) <= {str}:
+        raise MalformedLine(path, 1, "the vocabulary is not a list of strings")
+    n, tag = len(vocab), vocab.__getitem__
+    while chunk := list(islice(lines, CHUNK)):
+        rows = [_artifact_value(path, line_no, line) for line_no, line in chunk]
+        if not _rows_valid(rows, n):
+            line_no = next(k for (k, _), row in zip(chunk, rows) if not _rows_valid([row], n))
+            raise MalformedLine(path, line_no, "not [record_id, [tag index, ...]] "
+                                               f"with every index in [0, {n})")
+        profiles.extend([profile(rid, list(map(tag, indices)), "aggregated")
+                         for rid, indices in rows])
+        ids.update(rid for rid, _ in rows)
+        if len(ids) < len(profiles):
+            # every line past the first is one row: row k is on line k + 2
+            first_line: dict[str, int] = {}
+            for line_no, p in enumerate(profiles, start=2):
+                if first_line.setdefault(p.record_id, line_no) != line_no:
+                    raise MalformedLine(path, line_no, f"repeated record_id {p.record_id!r} "
+                                                       f"(first on line {first_line[p.record_id]})")
+    return profiles
+
+
+def _rows_valid(rows: list[Any], n: int) -> bool:
+    """Whether every one of some rows is ``[str, [int, ...]]`` with each int
+    (not a bool) in ``[0, n)``."""
+    if not (set(map(type, rows)) <= {list} and set(map(len, rows)) == {2}):
+        return False
+    ids, index_lists = zip(*rows)
+    if not (set(map(type, ids)) <= {str} and set(map(type, index_lists)) <= {list}):
+        return False
+    indices = list(chain.from_iterable(index_lists))
+    return set(map(type, indices)) <= {int} and (not indices
+                                                  or 0 <= min(indices) and max(indices) < n)
+
+
+def _artifact_value(path: Path, line_no: int, line: str) -> Any:
+    """The one JSON value on an artifact line, or a :class:`MalformedLine`."""
+    try:
+        value, end = _raw_decode(line)
+    except ValueError as exc:
+        raise MalformedLine(path, line_no, f"not valid JSON ({exc})") from exc
+    if line[end:] not in ("\n", ""):
+        raise MalformedLine(path, line_no, "not one JSON value")
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -225,6 +225,27 @@ class TestStages:
         assert run(["pipeline"] + gen_flags
                    + _base_args(demo_dataset, tmp_path / "out")) == 0
 
+    @pytest.mark.parametrize("mode", ["budget", "coverage"])
+    def test_sample_mode_without_its_value_rejected_before_any_stage_writes(
+            self, pipeline_out, demo_dataset, tmp_path, monkeypatch, capsys, mode):
+        out = tmp_path / "out"
+        assert run(["pipeline", "--mode", mode] + _base_args(demo_dataset, out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {mode} mode requires") and err.count("\n") == 1
+        assert not out.exists()
+        # sample alone refuses it before it reads profiles
+        data, out = pipeline_out
+        out = Path(shutil.copytree(out, tmp_path / "copy"))
+        before = _dir_digests(out)
+
+        def no_read(path):
+            raise AssertionError("sample read profiles before it checked its request")
+
+        monkeypatch.setattr(cli, "read_profiles", no_read)
+        assert run(["sample", "--mode", mode] + _base_args(data, out)) == 1
+        assert capsys.readouterr().err == err
+        assert _dir_digests(out) == before
+
     @pytest.mark.parametrize("backend,inflight", [("mock", "0"), ("cache", "-1")])
     def test_bad_max_inflight_rejected_before_any_stage_writes(
             self, demo_dataset, tmp_path, capsys, backend, inflight):
@@ -295,6 +316,27 @@ class TestStages:
         assert err.startswith(f"error: manifest {manifest_path} ") and err.count("\n") == 1
         assert manifest_path.read_text(encoding="utf-8") == content
         assert sorted(p.name for p in out.iterdir()) == names
+
+    @pytest.mark.parametrize("command", ["sample", "assess"])
+    @pytest.mark.parametrize("name", ["", ".", "..", "{other}/profiles", "../other/profiles",
+                                      "sub/profiles"])
+    def test_manifest_entry_that_is_not_a_bare_file_name_exits_1(
+            self, pipeline_out, tmp_path, capsys, command, name):
+        # "{other}" and "../other" name the profiles artifact of another
+        # output directory, which would otherwise be read
+        data, out = pipeline_out
+        other = Path(shutil.copytree(out, tmp_path / "other"))
+        out = Path(shutil.copytree(out, tmp_path / "out"))
+        manifest_path = out / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["profiles"] = name.replace("profiles", manifest["profiles"]).format(other=other)
+        manifest_path.write_text(dumps_json(manifest) + "\n", encoding="utf-8")
+        before = _dir_digests(tmp_path)
+        capsys.readouterr()
+        assert run([command] + _base_args(data, out)) == 1
+        assert capsys.readouterr().err == (
+            f"error: manifest {manifest_path} is not an object of artifact names\n")
+        assert _dir_digests(tmp_path) == before
 
     def test_tag_rejects_a_bad_embedder_before_extract_writes(self, pipeline_out, tmp_path,
                                                               monkeypatch, capsys):
@@ -614,7 +656,6 @@ _MALFORMED_PROFILES = [
     ('["a", 1]\n', 1),
     ('"a"\n', 1),
     ('["a"] ["b"]\n', 1),
-    ('["a", "b"]\n\n', 2),
     ('["a", "b"]\n{"r": [0]}\n', 2),
     ('["a", "b"]\n["r"]\n', 2),
     ('["a", "b"]\n["r", [0], 1]\n', 2),
@@ -629,7 +670,64 @@ _MALFORMED_PROFILES = [
     ('["a", "b"]\n["r", [2]]\n', 2),
     ('[]\n["r", [0]]\n', 2),
     ('["a", "b"]\n["r", [1, 0]]\n["s", []]\n["t", [0, 5]]\n', 4),
+    ('\n \n', 1),
 ]
+
+_PROFILES_READ_BACK = [
+    # (file content, the (record_id, tags) it reads back to): a blank line is
+    # skipped, and a line padded with whitespace or ending in "\r\n" is read,
+    # as in every other line file
+    ('["a", "b"]\n\n', []),
+    ('\n["a", "b"]\n \n["r", [1, 0]]\n\n', [("r", ["b", "a"])]),
+    (' ["a"] \r\n["r", [0]]\r\n', [("r", ["a"])]),
+]
+
+_NOT_JSON = "not valid JSON (Expecting value: line 1 column 1 (char 0))"
+_PROFILES_ERRORS_CHANGED = [
+    # (file content, the error after the file name, the chunked reader's in
+    # oracles, which took only one canonical JSON value a line and decoded a
+    # chunk of lines before it checked any)
+    ('["a"] ["b"]\n', "line 1: not valid JSON (Extra data: line 1 column 7 (char 6))",
+     "line 1: not one JSON value"),
+    ('["a"]\n["r", [5]]\nnot json\n',
+     "line 2: not [record_id, [tag index, ...]] with every index in [0, 1)",
+     f"line 3: {_NOT_JSON}"),
+    ('["a"]\n\n["r", [0]]\n["r", [0]]\n', "line 4: repeated record_id 'r' (first on line 3)",
+     f"line 2: {_NOT_JSON}"),
+]
+
+_profile_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 3) | st.floats() | _awkward_text,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_awkward_text, inner, max_size=2),
+    max_leaves=5)
+
+
+@st.composite
+def _profiles_files(draw) -> bytes:
+    """A ``profiles`` file without blank lines: a vocabulary line and up to
+    12 rows whose record ids repeat, at most one line of which is not a
+    well-formed row (or vocabulary): any JSON value, a row with a bad
+    index, a canonical list cut short, text that is not JSON or not UTF-8."""
+    vocab = draw(st.lists(st.sampled_from(["a", "b", "\u2028", "é", ""]), max_size=4,
+                          unique=True))
+    ids = st.sampled_from(["r", "s", "t", "\u2028", "u" * 40])
+    indices = st.lists(st.integers(0, len(vocab) - 1), max_size=4) if vocab else st.just([])
+    lines = [dumps_json(vocab)] + [dumps_json([rid, index_list]) for rid, index_list in
+                                   draw(st.lists(st.tuples(ids, indices), max_size=12))]
+    encoded = [line.encode("utf-8") for line in lines]
+    if draw(st.integers(0, 3)):
+        bad_index = st.sampled_from([-1, len(vocab), True, False, 0.0, "0", None])
+        bad_row = st.tuples(ids, indices, bad_index).map(
+            lambda row: dumps_json([row[0], row[1] + [row[2]]]))
+        cut = st.lists(_profile_values, min_size=1).map(dumps_json).flatmap(
+            lambda text: st.integers(1, len(text) - 1).map(lambda k: text[:k]))
+        bad = draw(st.one_of(
+            bad_row, bad_row, _profile_values.map(dumps_json),
+            st.sampled_from(['["r"]', '["r", [0], 1]', '[1, [0]]', '["r", 0]', "not json"]),
+            cut)).encode("utf-8")
+        bad = draw(st.sampled_from([bad, bad, bad, b"\xff" + bad]))
+        encoded[draw(st.integers(0, len(encoded) - 1))] = bad
+    return b"\n".join(encoded) + draw(st.sampled_from([b"\n", b""]))
 
 
 class TestProfilesArtifact:
@@ -700,6 +798,38 @@ class TestProfilesArtifact:
         path.write_text(content, encoding="utf-8", newline="")
         with pytest.raises(cli.IoFailure, match=f"^{re.escape(str(path))}, line {line_no}: "):
             cli.read_profiles(path)
+
+    @pytest.mark.parametrize("content, rows", _PROFILES_READ_BACK)
+    def test_blank_and_padded_lines_read_back(self, tmp_path, content, rows):
+        path = tmp_path / "profiles-x.jsonl"
+        path.write_text(content, encoding="utf-8", newline="")
+        assert [(p.record_id, p.tags) for p in cli.read_profiles(path)] == rows
+
+    @pytest.mark.parametrize("content, reason, chunked_reason", _PROFILES_ERRORS_CHANGED)
+    def test_errors_that_differ_from_the_chunked_reader(self, tmp_path, content, reason,
+                                                        chunked_reason):
+        path = tmp_path / "profiles-x.jsonl"
+        path.write_text(content, encoding="utf-8", newline="")
+        for read, expected in ((cli.read_profiles, reason),
+                               (oracles.read_profiles, chunked_reason)):
+            with pytest.raises(MalformedLine) as exc:
+                read(path)
+            assert str(exc.value) == f"{path}, {expected}"
+
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(content=_profiles_files())
+    def test_same_profiles_or_error_as_the_chunked_reader(self, tmp_path_factory, content):
+        path = tmp_path_factory.mktemp("profiles") / "profiles-x.jsonl"
+        path.write_bytes(content)
+        try:
+            expected = rows_of(oracles.read_profiles(path))
+        except MalformedLine as exc:
+            with pytest.raises(MalformedLine) as got:
+                cli.read_profiles(path)
+            assert (str(got.value), got.value.line_no) == (str(exc), exc.line_no)
+        else:
+            assert rows_of(cli.read_profiles(path)) == expected
 
     @pytest.mark.parametrize("command", ["sample", "assess"])
     def test_cli_exits_1_on_a_bad_or_missing_profiles_stage(self, demo_dataset, tmp_path,
@@ -884,6 +1014,22 @@ class TestEval:
         report = json.loads(capsys.readouterr().out)
         assert report["anls"] == pytest.approx(0.8)
         assert report["count"] == 1
+
+    @pytest.mark.parametrize("tau", ["nan", "inf", "0", "-1", "1.5"])
+    def test_tau_outside_0_1_exits_1(self, tmp_path, capsys, tau):
+        pred = tmp_path / "pred.jsonl"
+        gold = tmp_path / "gold.jsonl"
+        pred.write_text('{"record_id": "r1", "predicted": "helo"}\n', encoding="utf-8")
+        gold.write_text('{"record_id": "r1", "answers": ["hello"]}\n', encoding="utf-8")
+        assert run(["eval", "anls", "--pred", str(pred), "--gold", str(gold),
+                    "--tau", tau]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: tau must be a finite number in (0, 1], "
+                                f"got {float(tau)!r}\n")
+        assert run(["eval", "anls", "--pred", str(pred), "--gold", str(gold),
+                    "--tau", "1"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"anls": 0.8, "count": 1, "tau": 1.0}
 
     def test_kappa_subcommand(self, tmp_path, capsys):
         matrix = tmp_path / "matrix.json"
@@ -1338,6 +1484,9 @@ OUT_OF_RANGE = {
     "tagging.min_count": st.integers(max_value=0),
     "tagging.dbscan_eps": st.floats(max_value=0),
     "tagging.dbscan_min_pts": st.integers(max_value=0),
+    "tagging.min_support": st.integers(max_value=0),
+    "tagging.min_confidence": (st.floats(max_value=0, exclude_max=True)
+                               | st.floats(min_value=1, exclude_min=True)),
     "sampling.budget": st.integers(max_value=-1),
     "sampling.ratio": st.floats(max_value=0) | st.floats(min_value=1, exclude_min=True),
     "sampling.coverage": (st.floats(max_value=0, exclude_max=True)
@@ -1485,6 +1634,10 @@ class TestConfig:
         ("tagging", "dbscan_min_pts", "0", "must be >= 1"),
         ("tagging", "dbscan_eps", ".nan", "must be finite"),
         ("tagging", "dbscan_eps", "0", "must be > 0"),
+        ("tagging", "min_support", "-3", "must be >= 1"),
+        ("tagging", "min_support", "0", "must be >= 1"),
+        ("tagging", "min_confidence", "5", "must be <= 1"),
+        ("tagging", "min_confidence", "-1", "must be >= 0"),
         ("render", "max_chars", "-5", "must be >= 0"),
         ("layout", "nms_iou_threshold", ".inf", "must be finite"),
         ("layout", "row_tolerance_factor", "-1", "must be >= 0"),

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from unittest import mock
 
 import pytest
@@ -106,6 +107,14 @@ class TestAnls:
         fast = anls(preds, tau=tau)
         with mock.patch.object(metrics, "levenshtein", oracles.levenshtein_dp):
             assert anls(preds, tau=tau) == fast
+
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf, 0.0, -1.0, 1.5])
+    def test_tau_outside_0_1_rejected(self, tau):
+        with pytest.raises(ValueError, match=r"tau must be a finite number in \(0, 1\]"):
+            anls([pred("helo", ["hello"])], tau=tau)
+
+    def test_tau_1_keeps_every_similarity(self):
+        assert anls([pred("cat", ["elephant"])], tau=1.0) == pytest.approx(2 / 8)
 
     def test_empty_inputs(self):
         with pytest.raises(EmptyInput):
