@@ -236,18 +236,25 @@ def render_stage(loaded: tuple[list[InstructionRecord], dict[str, Path]],
                  cfg: PipelineConfig, out_dir: Path,
                  ) -> tuple[list[InstructionRecord], dict[str, DocumentRepresentation]]:
     """Parse and render the page file of every page the records reference;
-    returns the records and the representations by page id."""
+    returns the records and the representations by page id. A page file
+    whose ``page_id`` is not the one it is named after is an :class:`IoFailure`."""
     records, page_files = loaded
 
-    def render_chunk(paths: list[Path]) -> tuple[list[DocumentRepresentation], str]:
+    def render_chunk(files: list[tuple[str, Path]]) -> tuple[list[DocumentRepresentation], str]:
         # each page file is parsed in the worker that renders it
-        reps = [_render_page(load_page(path), cfg) for path in paths]
+        reps = []
+        for page_id, path in files:
+            page = load_page(path)
+            if page.page_id != page_id:
+                raise IoFailure(f"page file {path} holds page_id {page.page_id!r}, "
+                                f"not {page_id!r}")
+            reps.append(_render_page(page, cfg))
         return reps, "".join(_jsonl(rep.to_dict() for rep in reps))
 
     reps: dict[str, DocumentRepresentation] = {}
 
     def lines() -> Iterator[str]:
-        for chunk_reps, text in _chunk_map(render_chunk, list(page_files.values())):
+        for chunk_reps, text in _chunk_map(render_chunk, list(page_files.items())):
             reps.update((rep.page_id, rep) for rep in chunk_reps)
             yield text
 

@@ -348,11 +348,11 @@ class CachingBackend(Store):
     prompt, decode parameters and attempt index, so retries are cached apart."""
 
     error = BackendError  # a replay-only miss counts as a transport failure
-    value_key, value_type = "completion", str
+    what, value_key, value_type = "completion", "completion", str
 
     def complete(self, prompt: str, params: DecodeParams = DecodeParams(),
                  attempt: int = 1) -> str:
         key = _cache_key(prompt, params, attempt)
-        return self._entry(key, f"cache miss for {key}.json", lambda inner: {
+        return self._entry(key, f"cache miss for key {key}", lambda inner: {
             "prompt": prompt,
             "completion": inner.complete(prompt, params, attempt=attempt)})

@@ -1,12 +1,37 @@
-"""The on-disk cache and HTTP adapter shared by completion backends and embedders."""
+"""The on-disk cache and HTTP adapter shared by completion backends and embedders.
+
+A cache directory holds one append-only log, ``entries.jsonl`` (Bitcask:
+Sheehy and Smith, 2010), one entry per line: ``{"key": "<64 hex>", ...}``
+then the entry's fields. The key comes first, so that opening the log reads
+it at a fixed offset without decoding the line: a scan in bounded blocks
+builds an index from key to offset, length and line number, and a hit is
+one ``os.pread`` and ``json.loads``.
+
+- First wins: of two lines with one key the first counts, and a miss
+  appends only if no other writer, thread or process, did meanwhile.
+- A last line without a newline can only be left by a crashed writer:
+  readers ignore it, and the next writer truncates it.
+- A bad line is an :class:`IoFailure` naming ``<log>:<line>``, neither
+  refilled nor retried as a miss; a line that does not start with its key
+  fails the opening of the log.
+- A directory of old-format ``<key>.json`` entry files and no log is
+  imported once, in file-name order, into a log written atomically; a bad
+  file fails the import, naming it. The old files are not read again.
+- With ``inner=None`` the store creates nothing but that import, and a
+  directory with neither a log nor old entry files is an :class:`IoFailure`.
+"""
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
+import re
+import threading
+from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 from .errors import ProcTagError
 from .ingest import IoFailure, atomic_write_text
@@ -14,48 +39,181 @@ from .ingest import IoFailure, atomic_write_text
 if TYPE_CHECKING:
     import requests
 
+LOG = "entries.jsonl"
+# bytes of the log read at a time while it is scanned
+BLOCK = 1 << 20
+_KEYED = re.compile(rb'\{"key": "[0-9a-f]{64}", ').match
+_OLD_ENTRY = re.compile(r"[0-9a-f]{64}\.json").fullmatch
+
 
 class Store:
-    """``<key>.json`` entries in ``cache_dir`` filled from ``inner``; with
+    """The entries of ``cache_dir``'s log, filled from ``inner``; with
     ``inner=None`` it only replays and a miss raises ``error``. An entry is a
-    JSON object holding a ``value_type`` under ``value_key``; any other entry
-    is an :class:`IoFailure` naming its file, neither refilled nor retried."""
+    JSON object holding a ``value_type`` under ``value_key``."""
 
     error: type[ProcTagError] = ProcTagError
+    what: str  # names the cache in error messages
     value_key: str
     value_type: type
 
     def __init__(self, cache_dir: Path | str, inner: Any = None):
         self.cache_dir = Path(cache_dir)
-        self.cache_dir.mkdir(parents=True, exist_ok=True)
         self.inner = inner
-        # a replay looks up one entry per record: its path is put together as
-        # a string, without a pathlib join
-        self._prefix = os.path.join(self.cache_dir, "")
-
-    def _entry(self, key: str, miss: str, fill: Callable[[Any], dict[str, Any]]) -> Any:
-        """The value of the entry named ``key``; on a miss, ``fill(inner)`` is
-        stamped with ``created_at`` and written. ``miss`` names the key in the
-        error."""
-        path = f"{self._prefix}{key}.json"
+        self.log = self.cache_dir / LOG
+        # key -> (offset, length, line number) of its first whole line
+        self._index: dict[str, tuple[int, int, int]] = {}
+        self._end = self._lines = 0  # the indexed prefix of the log
         try:
-            with open(path, "rb") as fh:
-                data = fh.read()
-        except FileNotFoundError:
-            if self.inner is None:
-                raise self.error(f"{miss} in replay-only mode") from None
-            entry = {**fill(self.inner), "created_at": datetime.now(timezone.utc).isoformat()}
-            atomic_write_text(Path(path), json.dumps(entry, ensure_ascii=False))
-            return entry[self.value_key]
+            if inner is not None:
+                self.cache_dir.mkdir(parents=True, exist_ok=True)
+            if not self.log.exists():
+                try:
+                    old = sorted(filter(_OLD_ENTRY, os.listdir(self.cache_dir)))
+                except (FileNotFoundError, NotADirectoryError):
+                    old = []
+                if old:
+                    self._import(old)
+                elif inner is None:
+                    raise IoFailure(f"no {self.what} cache at {self.cache_dir}")
+            self._open()
+        except OSError as exc:
+            raise IoFailure(f"cannot open the {self.what} cache at {self.cache_dir}: "
+                            f"{exc}") from exc
+        with self._locked(fcntl.LOCK_SH):
+            self._catch_up()
+
+    def _open(self) -> None:
+        self._file = open(self.log, "rb" if self.inner is None else "a+b", buffering=0)
+        self._fd = self._file.fileno()
+        self._pid = os.getpid()
+        self._mutex = threading.Lock()
+
+    def __del__(self) -> None:
+        # dropping the store closes the log; the file object would too, but it warns
+        if hasattr(self, "_file"):
+            self._file.close()
+
+    @contextmanager
+    def _locked(self, op: int) -> Iterator[None]:
+        """Hold the log's ``flock`` in mode ``op``, one thread at a time: the
+        threads of a process share one lock, which each ``flock`` converts."""
+        if self._pid != os.getpid():
+            # a forked child shares its parent's open file, and so its lock
+            self._file.close()
+            self._open()
+        with self._mutex:
+            fcntl.flock(self._fd, op)
+            try:
+                yield
+            finally:
+                fcntl.flock(self._fd, fcntl.LOCK_UN)
+
+    def _catch_up(self) -> int:
+        """Index the whole lines past the indexed prefix; returns the log's
+        size. Hold the lock: a writer may truncate a torn tail."""
+        index, fd = self._index, self._fd
+        end, n, tail = self._end, self._lines, b""
+        try:
+            while block := os.pread(fd, BLOCK, end + len(tail)):
+                *lines, tail = (tail + block).split(b"\n")
+                for line in lines:
+                    if not _KEYED(line):
+                        raise self._bad(n + 1, line)
+                    n += 1
+                    index.setdefault(line[9:73].decode(), (end, len(line), n))
+                    end += len(line) + 1
+        finally:
+            self._end, self._lines = end, n
+        return end + len(tail)
+
+    def _checked(self, data: bytes) -> dict[str, Any]:
+        """The entry of a line or old entry file, or a ValueError saying what
+        is wrong with it."""
         try:
             entry = json.loads(data)
         except ValueError as exc:  # not JSON, or not UTF-8
-            raise IoFailure(f"cache entry {path} is not valid JSON: {exc}") from None
-        value = entry.get(self.value_key) if isinstance(entry, dict) else None
-        if not isinstance(value, self.value_type):
-            raise IoFailure(f"cache entry {path} is not an object with a "
-                            f"{self.value_type.__name__} {self.value_key!r}")
-        return value
+            raise ValueError(f"is not valid JSON: {exc}") from None
+        if not (isinstance(entry, dict) and isinstance(entry.get(self.value_key),
+                                                       self.value_type)):
+            raise ValueError(f"is not an object with a {self.value_type.__name__} "
+                             f"{self.value_key!r}")
+        return entry
+
+    def _bad(self, line_no: int, data: bytes) -> IoFailure:
+        """The error for line ``line_no`` of the log, which holds ``data``."""
+        try:
+            self._checked(data)
+            reason = "does not start with its 64-hex key"
+        except ValueError as exc:
+            reason = str(exc)
+        return IoFailure(f"cache entry {self.log}:{line_no} {reason}")
+
+    def _entry(self, key: str, miss: str, fill: Callable[[Any], dict[str, Any]]) -> Any:
+        """The value of the entry named ``key``; on a miss, ``fill(inner)`` is
+        stamped with ``created_at`` and appended. ``miss`` names the key in
+        the error."""
+        hit = self._index.get(key)
+        if hit is None:
+            # another writer may have appended it since the log was scanned
+            with self._locked(fcntl.LOCK_SH):
+                self._catch_up()
+            hit = self._index.get(key)
+        if hit is None:
+            if self.inner is None:
+                raise self.error(f"{miss} in replay-only mode")
+            entry = {"key": key, **fill(self.inner),
+                     "created_at": datetime.now(timezone.utc).isoformat()}
+            hit = self._append(key, (json.dumps(entry, ensure_ascii=False) + "\n").encode())
+            if hit is None:
+                return entry[self.value_key]
+        offset, length, line_no = hit
+        data = os.pread(self._fd, length, offset)
+        try:
+            return self._checked(data)[self.value_key]
+        except ValueError:
+            raise self._bad(line_no, data) from None
+
+    def _append(self, key: str, line: bytes) -> tuple[int, int, int] | None:
+        """Append ``line`` as the entry of ``key``; returns None, or the
+        index of the line another writer appended for it first."""
+        with self._locked(fcntl.LOCK_EX):
+            size = self._catch_up()
+            hit = self._index.get(key)
+            if hit is not None:
+                return hit
+            if size > self._end:  # a torn last line
+                os.ftruncate(self._fd, self._end)
+            try:
+                if os.write(self._fd, line) != len(line):
+                    raise OSError("short write")
+            except OSError as exc:
+                os.ftruncate(self._fd, self._end)
+                raise IoFailure(f"cannot append to {self.log}: {exc}") from exc
+            self._lines += 1
+            self._index[key] = (self._end, len(line) - 1, self._lines)
+            self._end += len(line)
+        return None
+
+    def _import(self, names: list[str]) -> None:
+        """Write the log from the old-format entry files ``names``, under a
+        lock on the directory, unless another process has written it."""
+        def lines() -> Iterator[str]:
+            for name in names:
+                path = self.cache_dir / name
+                try:
+                    entry = self._checked(path.read_bytes())
+                except ValueError as exc:
+                    raise IoFailure(f"cache entry {path} {exc}") from None
+                entry.pop("key", None)
+                yield json.dumps({"key": name[:-5], **entry}, ensure_ascii=False) + "\n"
+
+        dir_fd = os.open(self.cache_dir, os.O_RDONLY)
+        try:
+            fcntl.flock(dir_fd, fcntl.LOCK_EX)
+            if not self.log.exists():
+                atomic_write_text(self.log, lines())
+        finally:
+            os.close(dir_fd)  # releases the lock
 
 
 class JsonPost:

@@ -358,7 +358,7 @@ class RemoteEmbedder(JsonPost):
 class CachingEmbedder(Store):
     """Content-addressed vector cache around an inner provider."""
 
-    value_key, value_type = "vector", list
+    what, value_key, value_type = "embedding", "vector", list
 
     def embed(self, tag: str) -> np.ndarray:
         import numpy as np

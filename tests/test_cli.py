@@ -1295,9 +1295,10 @@ class TestChunkedPool:
     def test_replay_miss_in_a_worker_exits_1(self, demo_dataset, tmp_path, monkeypatch,
                                              capfd):
         cache = _fill_mock_cache(demo_dataset, tmp_path, "plaintext")
-        entries = sorted(cache.glob("*.json"))
-        for entry in entries[::4]:
-            entry.unlink()
+        log = cache / "entries.jsonl"
+        lines = log.read_bytes().splitlines(keepends=True)
+        del lines[::4]
+        log.write_bytes(b"".join(lines))
         monkeypatch.setattr(cli, "CHUNK", 3)
         _cpus(monkeypatch, 2)
         capfd.readouterr()
@@ -1312,13 +1313,20 @@ class TestChunkedPool:
     @pytest.mark.parametrize("entry,reason", [
         ('{"prompt": "x"}', "is not an object with a str 'completion'"),
         ('{"prompt": ', "is not valid JSON"),
+        ('{"completion": 5}', "is not an object with a str 'completion'"),
         ('["completion"]', "is not an object with a str 'completion'"),
-    ], ids=["no-completion", "not-json", "not-an-object"])
+    ], ids=["no-completion", "not-json", "wrong-type", "not-an-object"])
     def test_malformed_cache_entry_exits_1_naming_it(self, demo_dataset, tmp_path,
                                                      monkeypatch, capfd, cpus, entry, reason):
         cache = _fill_mock_cache(demo_dataset, tmp_path, "plaintext")
-        bad = sorted(cache.glob("*.json"))[-1]
-        bad.write_text(entry, encoding="utf-8")
+        log = cache / "entries.jsonl"
+        lines = log.read_bytes().splitlines(keepends=True)
+        n = len(lines) // 2 + 1
+        key = lines[n - 1][9:73].decode()
+        # an object keeps its key first; a line that is no object loses it
+        lines[n - 1] = (entry.replace("{", f'{{"key": "{key}", ', 1)
+                        if entry.startswith("{") else entry).encode() + b"\n"
+        log.write_bytes(b"".join(lines))
         monkeypatch.setattr(cli, "CHUNK", 3)
         _cpus(monkeypatch, cpus)
         capfd.readouterr()
@@ -1326,10 +1334,38 @@ class TestChunkedPool:
         code = run(["pipeline", "--style", "plaintext", "--backend", "cache",
                     "--cache-dir", str(cache)] + _base_args(demo_dataset, out))
         assert code == 1
-        err = self._assert_failed_generate(out, capfd)
+        if entry.startswith("{"):
+            err = self._assert_failed_generate(out, capfd)
+        else:
+            # a line without its key fails the opening of the log, before any stage writes
+            err = capfd.readouterr().err
+            assert err.count("\n") == 1 and not out.exists()
         # failed once, as itself: not retried into a cache miss for the next attempt
-        assert f"error: cache entry {bad} {reason}" in err
+        assert f"error: cache entry {log}:{n} {reason}" in err
         assert "Traceback" not in err and "replay-only" not in err
+        assert log.read_bytes() == b"".join(lines)
+
+    @pytest.mark.parametrize("argv", [
+        ["pipeline", "--backend", "cache", "--cache-dir"],
+        ["tag", "--embedder", "cache", "--embed-cache-dir"],
+    ], ids=["completion", "embedding"])
+    @pytest.mark.parametrize("made", [False, True], ids=["missing", "empty"])
+    def test_replay_from_no_cache_exits_1_before_any_stage_writes(
+            self, demo_dataset, tmp_path, capfd, argv, made):
+        cache = tmp_path / "cache"
+        if made:
+            cache.mkdir()
+        out = tmp_path / "out"
+        if argv[0] == "tag":
+            assert run(["pipeline", "--backend", "mock"] + _base_args(demo_dataset, out)) == 0
+        before = _dir_digests(tmp_path)
+        capfd.readouterr()
+        assert run(argv + [str(cache)] + _base_args(demo_dataset, out)) == 1
+        err = capfd.readouterr().err
+        what = "completion" if argv[0] == "pipeline" else "embedding"
+        assert err == f"error: no {what} cache at {cache}\n"
+        assert _dir_digests(tmp_path) == before
+        assert cache.exists() == made and (argv[0] == "tag") == out.exists()
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_replay_of_a_cache_keyed_by_the_old_code_equals_a_mock_run(
@@ -1392,6 +1428,23 @@ class TestChunkedPool:
         assert err.count("\n") == 1 and "Traceback" not in err, err
         assert not (out / "manifest.json").exists()
         assert not list(out.glob("*.tmp"))
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_page_file_naming_another_page_exits_1(self, demo_dataset, tmp_path,
+                                                   monkeypatch, capfd, cpus):
+        first, *_, broken = sorted((demo_dataset / "pages").glob("*.json"))
+        page = json.loads(broken.read_text(encoding="utf-8"))
+        page["page_id"] = first.stem
+        broken.write_text(json.dumps(page), encoding="utf-8")
+        monkeypatch.setattr(cli, "CHUNK", 2)  # 6 pages: three chunks
+        _cpus(monkeypatch, cpus)
+        capfd.readouterr()
+        out = tmp_path / "out"
+        assert run(["pipeline", "--backend", "mock"] + _base_args(demo_dataset, out)) == 1
+        err = capfd.readouterr().err
+        assert err == (f"error: page file {broken} holds page_id {first.stem!r}, "
+                       f"not {broken.stem!r}\n")
+        assert os.listdir(out) == []
 
     def test_standalone_generate_reads_no_page_file(self, demo_dataset, tmp_path,
                                                     monkeypatch):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 import threading
 from collections import Counter
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -241,6 +242,7 @@ class TestCachingBackend:
         assert first == second
 
     def test_replay_only_miss_is_transport_error(self, tmp_path):
+        CachingBackend(tmp_path / "cache", inner=MockBackend())  # an empty cache
         backend = CachingBackend(tmp_path / "cache", inner=None)
         with pytest.raises(BackendError, match="cache miss"):
             backend.complete("never seen", DecodeParams())
@@ -249,7 +251,8 @@ class TestCachingBackend:
         backend = CachingBackend(tmp_path / "cache", inner=MockBackend())
         backend.complete("p", DecodeParams(), attempt=1)
         backend.complete("p", DecodeParams(), attempt=2)
-        assert len(list((tmp_path / "cache").glob("*.json"))) == 2
+        lines = (tmp_path / "cache" / "entries.jsonl").read_bytes().splitlines()
+        assert len({json.loads(line)["key"] for line in lines}) == len(lines) == 2
 
     def test_concurrent_fills_of_one_key(self, tmp_path):
         class SlowBackend:
@@ -266,9 +269,11 @@ class TestCachingBackend:
         prompts = [f"Total of column {i}?" for i in range(40)]
         for prompt in prompts:
             assert run_together(lambda: backend.complete(prompt, DecodeParams())) == []
-        entries = list(tmp_path.iterdir())
-        assert len(entries) == len(prompts) and all(e.suffix == ".json" for e in entries)
-        got = sorted(json.loads(e.read_text(encoding="utf-8"))["completion"] for e in entries)
+        assert os.listdir(tmp_path) == ["entries.jsonl"]
+        entries = [json.loads(line)
+                   for line in (tmp_path / "entries.jsonl").read_bytes().splitlines()]
+        assert len({entry["key"] for entry in entries}) == len(entries) == len(prompts)
+        got = sorted(entry["completion"] for entry in entries)
         assert got == sorted(MockBackend().complete(p, DecodeParams()) for p in prompts)
 
 

@@ -1,22 +1,27 @@
 """The shared store and HTTP adapter against the classes they replaced, kept
-verbatim in ``oracles``: a cache written by either side replays through the
-other under the same file names, and the adapters send the same requests and
-fail with the same error classes."""
+verbatim in ``oracles``: a cache filled by either side replays through the
+store, whose log holds the old entry files' bytes with their key put first,
+and the adapters send the same requests and fail with the same error
+classes."""
 
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
 import re
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
+from conftest import run_together
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from proctag import procgen, tagnorm
+from proctag import procgen, store, tagnorm
 from proctag.errors import ProcTagError
 from proctag.ingest import IoFailure
 from proctag.procgen import BackendError, DecodeParams, MockBackend
@@ -30,43 +35,65 @@ TAGS = ["find_table", "read_date", "naïve_tag", "b", "x" * 300]
 
 BACKENDS = {"old": oracles.CachingBackend, "new": procgen.CachingBackend}
 EMBEDDERS = {"old": oracles.CachingEmbedder, "new": tagnorm.CachingEmbedder}
-DIRECTIONS = pytest.mark.parametrize("writer,reader", [("old", "new"), ("new", "old")])
+FILLERS = pytest.mark.parametrize("filler", ["old", "new"])
 
 
-def _entries(cache_dir):
-    """Each entry's bytes by file name, apart from when it was made."""
-    return {p.name: re.sub(rb'"created_at": "[^"]+"', b'"created_at": ""', p.read_bytes())
-            for p in cache_dir.iterdir()}
+def _undated(data):
+    return re.sub(rb'"created_at": "[^"]+"', b'"created_at": ""', data)
 
 
-@DIRECTIONS
-def test_completion_cache_replays_across_old_and_new(tmp_path, writer, reader):
-    filler = BACKENDS[writer](tmp_path / "written", inner=MockBackend())
-    want = [filler.complete(prompt, params, attempt=a) for prompt, params, a in CALLS]
+def _assert_log_holds_the_old_entries(cache_dir, old_dir):
+    """Each line of ``cache_dir``'s log is ``{"key": "<stem>", `` followed by
+    the bytes after the ``{`` of the old entry file ``<stem>.json`` in
+    ``old_dir``, apart from when each was made; every file has one line."""
+    files = {p.name[:-len(".json")]: _undated(p.read_bytes()) for p in old_dir.glob("*.json")}
+    lines = (cache_dir / store.LOG).read_bytes().split(b"\n")
+    assert lines.pop() == b""
+    keys = [line[9:73].decode() for line in lines]
+    assert sorted(keys) == sorted(files)
+    for key, line in zip(keys, lines):
+        assert _undated(line) == b'{"key": "' + key.encode() + b'", ' + files[key][1:]
+
+
+@FILLERS
+def test_completion_cache_replays_what_either_side_filled(tmp_path, filler):
+    written = tmp_path / "written"
+    backend = BACKENDS[filler](written, inner=MockBackend())
+    want = [backend.complete(prompt, params, attempt=a) for prompt, params, a in CALLS]
     assert want == [MockBackend().complete(prompt, params, a) for prompt, params, a in CALLS]
-    replay = BACKENDS[reader](tmp_path / "written", inner=None)
+    replay = procgen.CachingBackend(written, inner=None)
     assert [replay.complete(prompt, params, attempt=a) for prompt, params, a in CALLS] == want
-    other = BACKENDS[reader](tmp_path / "other", inner=MockBackend())
-    for prompt, params, a in CALLS:
-        other.complete(prompt, params, attempt=a)
-    assert _entries(tmp_path / "written") == _entries(tmp_path / "other")
+    # old entry files are imported into the log; a fill leaves the log alone
+    assert sorted(os.listdir(written)) == sorted([store.LOG, *(p.name for p in
+                                                              written.glob("*.json"))])
+    old_dir = written if filler == "old" else tmp_path / "old"
+    if filler == "new":
+        old = oracles.CachingBackend(old_dir, inner=MockBackend())
+        for prompt, params, a in CALLS:
+            old.complete(prompt, params, attempt=a)
+    _assert_log_holds_the_old_entries(written, old_dir)
     with pytest.raises(BackendError, match="cache miss"):
         replay.complete("never seen", DecodeParams())
 
 
-@DIRECTIONS
-def test_embedding_cache_replays_across_old_and_new(tmp_path, writer, reader):
-    filler = EMBEDDERS[writer](tmp_path / "written", inner=HashingEmbedder())
-    want = [filler.embed(tag) for tag in TAGS]
-    replay = EMBEDDERS[reader](tmp_path / "written", inner=None)
+@FILLERS
+def test_embedding_cache_replays_what_either_side_filled(tmp_path, filler):
+    written = tmp_path / "written"
+    embedder = EMBEDDERS[filler](written, inner=HashingEmbedder())
+    want = [embedder.embed(tag) for tag in TAGS]
+    replay = tagnorm.CachingEmbedder(written, inner=None)
     for tag, vec in zip(TAGS, want):
         got = replay.embed(tag)
         assert got.dtype == vec.dtype and np.array_equal(got, vec)
         assert np.array_equal(got, HashingEmbedder().embed(tag))
-    other = EMBEDDERS[reader](tmp_path / "other", inner=HashingEmbedder())
-    for tag in TAGS:
-        other.embed(tag)
-    assert _entries(tmp_path / "written") == _entries(tmp_path / "other")
+    assert sorted(os.listdir(written)) == sorted([store.LOG, *(p.name for p in
+                                                              written.glob("*.json"))])
+    old_dir = written if filler == "old" else tmp_path / "old"
+    if filler == "new":
+        old = oracles.CachingEmbedder(old_dir, inner=HashingEmbedder())
+        for tag in TAGS:
+            old.embed(tag)
+    _assert_log_holds_the_old_entries(written, old_dir)
     with pytest.raises(ProcTagError, match="cache miss for 'never_seen'"):
         replay.embed("never_seen")
 
@@ -95,27 +122,188 @@ BAD_ENTRIES = {
     "no-value": (b'{"prompt": "x", "tag": "x"}', "is not an object with a"),
     "wrong-type": (b'{"completion": 5, "vector": "x"}', "is not an object with a"),
 }
-STORES = {"completion": (procgen.CachingBackend, MockBackend,
+STORES = {"completion": (procgen.CachingBackend, MockBackend, oracles.CachingBackend,
                          lambda s: s.complete("prompt", DecodeParams())),
-          "vector": (tagnorm.CachingEmbedder, HashingEmbedder, lambda s: s.embed("find_table"))}
+          "vector": (tagnorm.CachingEmbedder, HashingEmbedder, oracles.CachingEmbedder,
+                     lambda s: s.embed("find_table"))}
+
+
+def _keyed(line, key):
+    """An entry's text as a log line of ``key``: the key goes first in an
+    object; anything else is left as it is, without its key."""
+    text = b'{"key": "' + key + b'", ' + line[1:] if line.startswith(b"{") else line
+    return text + b"\n"
 
 
 @pytest.mark.parametrize("entry", sorted(BAD_ENTRIES))
 @pytest.mark.parametrize("kind", sorted(STORES))
 @pytest.mark.parametrize("inner", [False, True], ids=["replay", "fill"])
 def test_malformed_entry_is_an_io_failure_naming_its_file(tmp_path, kind, entry, inner):
-    store_cls, inner_cls, call = STORES[kind]
-    call(store_cls(tmp_path, inner=inner_cls()))
+    store_cls, inner_cls, _, call = STORES[kind]
+    first = store_cls(tmp_path, inner=inner_cls())
+    if kind == "completion":
+        first.complete("an earlier prompt", DecodeParams())
+    else:
+        first.embed("an_earlier_tag")
+    call(first)
+    log = tmp_path / store.LOG
+    good, target = log.read_bytes().splitlines(keepends=True)
+    text, reason = BAD_ENTRIES[entry]
+    log.write_bytes(good + _keyed(text, target[9:73]))
+    before = log.read_bytes()
+    # a line without its key fails the opening of the log, any other the lookup
+    with pytest.raises(IoFailure) as info:
+        call(store_cls(tmp_path, inner=inner_cls() if inner else None))
+    assert str(info.value).startswith(f"cache entry {log}:2 {reason}")
+    # never a miss: a bad entry is not refilled, nor retried as a transport failure
+    assert not isinstance(info.value, BackendError)
+    assert log.read_bytes() == before
+
+
+@pytest.mark.parametrize("entry", sorted(BAD_ENTRIES))
+@pytest.mark.parametrize("kind", sorted(STORES))
+def test_malformed_old_entry_fails_the_import_naming_its_file(tmp_path, kind, entry):
+    store_cls, inner_cls, old_cls, call = STORES[kind]
+    call(old_cls(tmp_path, inner=inner_cls()))
     (path,) = tmp_path.iterdir()
     text, reason = BAD_ENTRIES[entry]
     path.write_bytes(text)
-    store = store_cls(tmp_path, inner=inner_cls() if inner else None)
-    with pytest.raises(IoFailure) as info:
-        call(store)
-    assert str(info.value).startswith(f"cache entry {path} {reason}")
-    # never a miss: a bad entry is not refilled, nor retried as a transport failure
-    assert not isinstance(info.value, BackendError)
-    assert path.read_bytes() == text
+    for inner in (None, inner_cls()):
+        with pytest.raises(IoFailure) as info:
+            store_cls(tmp_path, inner=inner)
+        assert str(info.value).startswith(f"cache entry {path} {reason}")
+        assert os.listdir(tmp_path) == [path.name] and path.read_bytes() == text
+
+
+@pytest.mark.parametrize("kind", sorted(STORES))
+def test_a_replay_only_store_creates_nothing(tmp_path, kind):
+    store_cls, _, _, _ = STORES[kind]
+    what = "completion" if kind == "completion" else "embedding"
+    (tmp_path / "empty").mkdir()
+    (tmp_path / "a-file").write_text("")
+    for name in ("missing", "empty", "a-file", "missing/deeper"):
+        with pytest.raises(IoFailure, match=f"^no {what} cache at {tmp_path / name}$"):
+            store_cls(tmp_path / name, inner=None)
+    assert sorted(os.listdir(tmp_path)) == ["a-file", "empty"]
+    assert os.listdir(tmp_path / "empty") == []
+
+
+class _GatedMock:
+    """The mock backend, answering only once both children are inside it,
+    so each has missed the cache before either appends."""
+
+    def __init__(self, gate):
+        self.gate = gate
+
+    def complete(self, prompt, params=DecodeParams(), attempt=1):
+        self.gate.wait(10)
+        return MockBackend().complete(prompt, params, attempt)
+
+
+def _fill_in_a_child(backend, prompts):
+    # each append is slow, so the other child reaches the lock while it is held
+    write = os.write
+    os.write = lambda fd, data: time.sleep(0.002) or write(fd, data)
+    for prompt in prompts:
+        backend.complete(prompt, DecodeParams())
+
+
+def test_two_forked_processes_fill_one_cache_at_once(tmp_path):
+    fork = multiprocessing.get_context("fork")
+    # the store is opened before the fork, so each child must take its own lock
+    backend = procgen.CachingBackend(tmp_path, inner=_GatedMock(fork.Barrier(2)))
+    prompts = [f"Total of column {i}?" for i in range(100)]
+    children = [fork.Process(target=_fill_in_a_child, args=(backend, prompts))
+                for _ in range(2)]
+    for child in children:
+        child.start()
+    for child in children:
+        child.join(60)
+    assert [child.exitcode for child in children] == [0, 0]
+    lines = (tmp_path / store.LOG).read_bytes().split(b"\n")
+    assert lines.pop() == b""
+    # each line one whole entry: none interleaved with another
+    entries = [json.loads(line) for line in lines]
+    assert all(line.startswith(b'{"key": "') for line in lines)
+    keys = [entry["key"] for entry in entries]
+    assert len(keys) == len(set(keys)) == len(prompts)
+    replay = procgen.CachingBackend(tmp_path, inner=None)
+    for prompt in prompts:
+        want = MockBackend().complete(prompt, DecodeParams())
+        assert replay.complete(prompt, DecodeParams()) == backend.complete(prompt) == want
+
+
+def test_a_key_written_twice_replays_its_first_line(tmp_path):
+    procgen.CachingBackend(tmp_path, inner=MockBackend()).complete("twice", DecodeParams())
+    log = tmp_path / store.LOG
+    (first,) = log.read_bytes().splitlines(keepends=True)
+    second = json.loads(first) | {"completion": "written second"}
+    with open(log, "ab") as fh:
+        fh.write(json.dumps(second).encode() + b"\n")
+    want = MockBackend().complete("twice", DecodeParams())
+    assert procgen.CachingBackend(tmp_path, inner=None).complete("twice") == want
+
+
+def test_a_torn_last_line_is_ignored_then_replaced(tmp_path):
+    backend = procgen.CachingBackend(tmp_path / "whole", inner=MockBackend())
+    backend.complete("the torn one", DecodeParams())
+    (whole,) = (tmp_path / "whole" / store.LOG).read_bytes().splitlines(keepends=True)
+    cache = tmp_path / "cache"
+    filler = procgen.CachingBackend(cache, inner=MockBackend())
+    for i in range(3):
+        filler.complete(f"earlier {i}", DecodeParams())
+    log = cache / store.LOG
+    earlier = log.read_bytes()
+    # what a writer that crashed mid-line leaves behind
+    with open(log, "ab") as fh:
+        fh.write(whole[:len(whole) // 2])
+    with pytest.raises(BackendError, match="replay-only mode"):
+        procgen.CachingBackend(cache, inner=None).complete("the torn one", DecodeParams())
+    refill = procgen.CachingBackend(cache, inner=MockBackend())
+    want = MockBackend().complete("the torn one", DecodeParams())
+    assert refill.complete("the torn one", DecodeParams()) == want
+    data = log.read_bytes()
+    assert data.startswith(earlier) and _undated(data[len(earlier):]) == _undated(whole)
+    assert procgen.CachingBackend(cache, inner=None).complete("the torn one") == want
+
+
+def test_four_threads_missing_one_key_all_get_the_first_value(tmp_path):
+    class Distinct:
+        """Answers only once all four fillers are inside it, so each of them
+        has missed the cache before any of them writes; each answer differs."""
+
+        gate = threading.Barrier(4, timeout=10)
+        answers = iter(range(10**6))
+        lock = threading.Lock()
+
+        def complete(self, prompt, params=DecodeParams(), attempt=1):
+            self.gate.wait()
+            with self.lock:
+                return f"{prompt} answer {next(self.answers)}"
+
+    backend = procgen.CachingBackend(tmp_path, inner=Distinct())
+    for i in range(20):
+        got = []
+        assert run_together(lambda: got.append(backend.complete(f"p{i}"))) == []
+        assert len(got) == 4 and len(set(got)) == 1
+        assert procgen.CachingBackend(tmp_path, inner=None).complete(f"p{i}") == got[0]
+    lines = (tmp_path / store.LOG).read_bytes().splitlines()
+    assert len(lines) == 20
+
+
+def test_a_short_write_is_truncated_away(tmp_path, monkeypatch):
+    backend = procgen.CachingBackend(tmp_path, inner=MockBackend())
+    backend.complete("first", DecodeParams())
+    log = tmp_path / store.LOG
+    before = log.read_bytes()
+    write = os.write
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "write", lambda fd, data: write(fd, data[:len(data) // 2]))
+        with pytest.raises(IoFailure, match=f"cannot append to {log}: short write"):
+            backend.complete("second", DecodeParams())
+    assert log.read_bytes() == before
+    assert backend.complete("second", DecodeParams()) == MockBackend().complete("second")
+    assert len(log.read_bytes().splitlines()) == 2
 
 
 class _Recorder(BaseHTTPRequestHandler):

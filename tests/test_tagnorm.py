@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
 import random
 import threading
 import tracemalloc
@@ -345,10 +346,11 @@ class TestHashingEmbedder:
         tags = [f"find_table_{i}" for i in range(40)]
         for tag in tags:
             assert run_together(lambda: emb.embed(tag)) == []
-        entries = list(tmp_path.iterdir())
-        assert len(entries) == len(tags) and all(e.suffix == ".json" for e in entries)
-        for entry in entries:
-            cached = json.loads(entry.read_text(encoding="utf-8"))
+        assert os.listdir(tmp_path) == ["entries.jsonl"]
+        entries = [json.loads(line)
+                   for line in (tmp_path / "entries.jsonl").read_bytes().splitlines()]
+        assert len({entry["key"] for entry in entries}) == len(entries) == len(tags)
+        for cached in entries:
             assert np.allclose(cached["vector"], HashingEmbedder().embed(cached["tag"]))
 
 
