@@ -40,11 +40,13 @@ class MalformedLine(IoFailure):
 
 
 class MissingPage(ProcTagError):
-    """A record references a page with no page file."""
+    """A record references a page with no page file (``path``, the file
+    looked for) or no representation."""
 
-    def __init__(self, page_id: str):
+    def __init__(self, page_id: str, path: Path | str | None = None):
         self.page_id = page_id
-        super().__init__(f"record references unknown page {page_id!r}")
+        super().__init__(f"record references unknown page {page_id!r}"
+                         + (f": no page file {path}" if path is not None else ""))
 
 
 @dataclass(frozen=True)
@@ -429,7 +431,7 @@ def load_records(path: Path | str, pages_dir: Path | str | None = None,
         if rec.page_id not in page_files:
             page_path = pages_root / f"{rec.page_id}.json"
             if not page_path.exists():
-                raise MissingPage(rec.page_id)
+                raise MissingPage(rec.page_id, page_path)
             page_files[rec.page_id] = page_path
     return records, page_files
 

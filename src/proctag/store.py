@@ -4,8 +4,8 @@ A cache directory holds one append-only log, ``entries.jsonl`` (Bitcask:
 Sheehy and Smith, 2010), one entry per line: ``{"key": "<64 hex>", ...}``
 then the entry's fields. The key comes first, so that opening the log reads
 it at a fixed offset without decoding the line: a scan in bounded blocks
-builds an index from key to offset, length and line number, and a hit is
-one ``os.pread`` and ``json.loads``.
+builds an index from key to offset and length, and a hit is one
+``os.pread`` and ``json.loads``. Line numbers are counted only for an error.
 
 - First wins: of two lines with one key the first counts, and a miss
   appends only if no other writer, thread or process, did meanwhile.
@@ -60,9 +60,9 @@ class Store:
         self.cache_dir = Path(cache_dir)
         self.inner = inner
         self.log = self.cache_dir / LOG
-        # key -> (offset, length, line number) of its first whole line
-        self._index: dict[str, tuple[int, int, int]] = {}
-        self._end = self._lines = 0  # the indexed prefix of the log
+        # key -> (offset, length) of its first whole line
+        self._index: dict[str, tuple[int, int]] = {}
+        self._end = 0  # the indexed prefix of the log
         try:
             if inner is not None:
                 self.cache_dir.mkdir(parents=True, exist_ok=True)
@@ -112,18 +112,17 @@ class Store:
         """Index the whole lines past the indexed prefix; returns the log's
         size. Hold the lock: a writer may truncate a torn tail."""
         index, fd = self._index, self._fd
-        end, n, tail = self._end, self._lines, b""
+        end, tail = self._end, b""
         try:
             while block := os.pread(fd, BLOCK, end + len(tail)):
                 *lines, tail = (tail + block).split(b"\n")
                 for line in lines:
                     if not _KEYED(line):
-                        raise self._bad(n + 1, line)
-                    n += 1
-                    index.setdefault(line[9:73].decode(), (end, len(line), n))
+                        raise self._bad(end, line)
+                    index.setdefault(line[9:73].decode(), (end, len(line)))
                     end += len(line) + 1
         finally:
-            self._end, self._lines = end, n
+            self._end = end
         return end + len(tail)
 
     def _checked(self, data: bytes) -> dict[str, Any]:
@@ -139,13 +138,16 @@ class Store:
                              f"{self.value_key!r}")
         return entry
 
-    def _bad(self, line_no: int, data: bytes) -> IoFailure:
-        """The error for line ``line_no`` of the log, which holds ``data``."""
+    def _bad(self, offset: int, data: bytes) -> IoFailure:
+        """The error for the log line at ``offset``, which holds ``data``,
+        named by its line number: one more than the newlines before it."""
         try:
             self._checked(data)
             reason = "does not start with its 64-hex key"
         except ValueError as exc:
             reason = str(exc)
+        line_no = 1 + sum(os.pread(self._fd, min(BLOCK, offset - start), start).count(b"\n")
+                          for start in range(0, offset, BLOCK))
         return IoFailure(f"cache entry {self.log}:{line_no} {reason}")
 
     def _entry(self, key: str, miss: str, fill: Callable[[Any], dict[str, Any]]) -> Any:
@@ -166,14 +168,14 @@ class Store:
             hit = self._append(key, (json.dumps(entry, ensure_ascii=False) + "\n").encode())
             if hit is None:
                 return entry[self.value_key]
-        offset, length, line_no = hit
+        offset, length = hit
         data = os.pread(self._fd, length, offset)
         try:
             return self._checked(data)[self.value_key]
         except ValueError:
-            raise self._bad(line_no, data) from None
+            raise self._bad(offset, data) from None
 
-    def _append(self, key: str, line: bytes) -> tuple[int, int, int] | None:
+    def _append(self, key: str, line: bytes) -> tuple[int, int] | None:
         """Append ``line`` as the entry of ``key``; returns None, or the
         index of the line another writer appended for it first."""
         with self._locked(fcntl.LOCK_EX):
@@ -189,8 +191,7 @@ class Store:
             except OSError as exc:
                 os.ftruncate(self._fd, self._end)
                 raise IoFailure(f"cannot append to {self.log}: {exc}") from exc
-            self._lines += 1
-            self._index[key] = (self._end, len(line) - 1, self._lines)
+            self._index[key] = (self._end, len(line) - 1)
             self._end += len(line)
         return None
 
