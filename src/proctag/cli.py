@@ -55,8 +55,8 @@ from . import procgen, tagnorm, tagparse
 from .config import PipelineConfig, load_config, schema, set_key
 from .errors import ProcTagError
 from .ingest import (InstructionRecord, IoFailure, MalformedLine, MissingPage,
-                     atomic_write_text, dumps_json, load_page, load_records, read_json,
-                     read_jsonl, read_lines, read_records, record_to_dict)
+                     atomic_write_text, checked, dumps_json, invalid, load_page, load_records,
+                     read_json, read_jsonl, read_lines, read_records, record_to_dict)
 from .layout import associate, clean_inputs
 from .metrics import Prediction, ConfusionMatrix, anls, kappa_report
 from .render import (PLAINTEXT, SPATIAL, DocumentRepresentation,
@@ -376,25 +376,20 @@ def generate_stage(rendered: tuple[list[InstructionRecord], dict[str, DocumentRe
     return profiles
 
 
-def _generated(obj: dict[str, Any],
-               ) -> tuple[str, procgen.ExecutionProcess | procgen.Discarded | None]:
-    """The ``(record_id, process or discard)`` of one generate artifact line,
-    or a TypeError if its record_id, annotations or last_completion has the
-    wrong type."""
-    rid, ann = obj["record_id"], obj.get("annotations", {})
-    if type(rid) is not str or type(ann) is not dict:
-        raise TypeError("record_id must be a string and annotations an object")
+def _generated(obj: dict[str, Any]) -> tuple[str, procgen.ExecutionProcess | procgen.Discarded]:
+    """The ``(record_id, process or discard)`` of one generate artifact line;
+    a ValueError names the first field missing or of the wrong type."""
+    rid, ann = checked(obj, "", record_id=str, annotations=dict)
+    if ("process" in ann) == ("discarded" in ann):
+        raise ValueError("annotations must hold exactly one of 'process' and 'discarded'")
     if "process" in ann:
-        return rid, procgen.ExecutionProcess.from_dict(ann["process"])
-    if "discarded" in ann:
-        discard = procgen.Discarded(record_id=rid, **ann["discarded"])
-        if type(discard.last_completion) not in (str, type(None)):
-            raise TypeError("last_completion must be a string or null")
-        return rid, discard
-    return rid, None
+        return rid, procgen.ExecutionProcess.from_dict(ann["process"], "annotations.process")
+    return rid, procgen.Discarded(rid, *checked(ann["discarded"], "annotations.discarded",
+                                                reason=str, attempts=int,
+                                                last_completion=(str, type(None))))
 
 
-def _raw_profile(rid: str, result: procgen.ExecutionProcess | procgen.Discarded | None,
+def _raw_profile(rid: str, result: procgen.ExecutionProcess | procgen.Discarded,
                  ) -> tagnorm.TagProfile:
     """One record's raw tags, from its process or from the last completion
     of a discarded one."""
@@ -474,13 +469,23 @@ def normalize_stage(profiles: list[tagnorm.TagProfile], cfg: PipelineConfig, out
 
 
 def _tags_raw_profile(obj: dict[str, Any]) -> tagnorm.TagProfile:
-    """The raw profile of a ``tags_raw`` line, or a TypeError. Each tag is interned:
-    a corpus repeats a few thousand names, and decoding makes each one anew."""
-    tags_ann = obj.get("annotations", {}).get("tags", {})
-    rid, tags, source = obj["record_id"], tags_ann.get("raw", []), tags_ann.get("source", "none")
-    if type(rid) is not str or type(tags) is not list or type(source) is not str:
-        raise TypeError("record_id and source must be strings and raw a list")
-    return tagnorm.TagProfile(rid, [sys.intern(tag) for tag in tags], "raw", source)
+    """The raw profile of a ``tags_raw`` line; a ValueError names the first
+    field missing or of the wrong type. Each tag is interned: a corpus
+    repeats a few thousand names, and decoding makes each one anew."""
+    rid, ann = obj.get("record_id"), obj.get("annotations")
+    if type(rid) is not str:
+        raise invalid("record_id")
+    if type(ann) is not dict:
+        raise invalid("annotations")
+    tags = ann.get("tags")
+    if type(tags) is not dict:
+        raise invalid("annotations.tags")
+    raw, source = tags.get("raw"), tags.get("source")
+    if type(raw) is not list or not {str}.issuperset(map(type, raw)):
+        raise invalid("annotations.tags.raw")
+    if type(source) is not str:
+        raise invalid("annotations.tags.source")
+    return tagnorm.TagProfile(rid, list(map(sys.intern, raw)), "raw", source)
 
 
 def _profiles_lines(profiles: list[tagnorm.TagProfile]) -> Iterator[str]:
@@ -640,10 +645,10 @@ def _eval_input(path: str, field: str, valid: Callable[[Any], bool], expected: s
     that is not an object with a string ``record_id`` and a ``valid`` ``field``,
     whose id repeats or is not in ``golds`` (read from ``gold``) is an error."""
 
-    def row(obj: Any) -> tuple[str, Any]:
-        rid = obj.get("record_id") if isinstance(obj, dict) else None
+    def row(obj: dict[str, Any]) -> tuple[str, Any]:
+        rid = obj.get("record_id")
         if not isinstance(rid, str):
-            raise ValueError("no string record_id")
+            raise invalid("record_id")
         # a prediction for a record the gold file lacks is for another dataset
         if golds is not None and rid not in golds:
             raise ValueError(f"record_id {rid!r} is not in {gold}")

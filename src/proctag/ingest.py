@@ -292,18 +292,37 @@ def _page_to_dict(page: DocumentPage) -> dict[str, Any]:
     return out
 
 
-def _record_from_dict(obj: Any) -> InstructionRecord:
-    if not isinstance(obj, dict):
-        raise ValueError("record is not an object")
-    for key, typ in (("record_id", str), ("page_id", str), ("question", str)):
-        if not isinstance(obj.get(key), typ):
-            raise ValueError(f"missing or invalid field {key!r}")
+def invalid(field: str) -> ValueError:
+    """How a row function of :func:`read_jsonl` refuses a line whose ``field``,
+    a dotted path such as ``steps[0].index``, is missing or has the wrong type."""
+    return ValueError(f"missing or invalid field {field!r}")
+
+
+def checked(obj: Any, at: str, **kinds: Any) -> list[Any]:
+    """The values of the fields of ``obj`` named in ``kinds``, in order; else
+    the ValueError of :func:`invalid` for the first that is missing or not of
+    its kind: a type, a tuple of types, or ``list[str]``. ``at`` is the
+    dotted path of ``obj``, empty for the object of a line."""
+    if type(obj) is not dict:
+        raise invalid(at)
+    values = [obj.get(name, checked) for name in kinds]  # checked: a missing field
+    for (name, kind), value in zip(kinds.items(), values):
+        if not (type(value) is list and {str}.issuperset(map(type, value)) if kind == list[str]
+                else type(value) in kind if type(kind) is tuple else type(value) is kind):
+            raise invalid(f"{at}.{name}" if at else name)
+    return values
+
+
+def _record_from_dict(obj: dict[str, Any]) -> InstructionRecord:
+    for key in ("record_id", "page_id", "question"):
+        if not isinstance(obj.get(key), str):
+            raise invalid(key)
     answers = obj.get("answers", [])
     if not (isinstance(answers, list) and all(isinstance(a, str) for a in answers)):
-        raise ValueError("answers must be a list of strings")
+        raise invalid("answers")
     annotations = obj.get("annotations", {})
     if not isinstance(annotations, dict):
-        raise ValueError("annotations must be an object")
+        raise invalid("annotations")
     return InstructionRecord(record_id=obj["record_id"], page_id=obj["page_id"],
                              question=obj["question"], answers=list(answers),
                              annotations=annotations)
@@ -348,9 +367,10 @@ def read_lines(path: Path | str) -> Iterator[tuple[int, str]]:
 def read_jsonl(path: Path | str, row: Callable[[Any], Any],
                key: str | None = None) -> Iterator[Any]:
     """``row(value)`` of each non-blank line's JSON value. A line that is not
-    UTF-8 or not JSON, that ``row`` refuses (a ValueError's text is the
-    reason) or, with ``key``, whose object's ``key`` is on an earlier line is
-    a :class:`MalformedLine`; ``row`` must refuse an object without ``key``."""
+    UTF-8 or not JSON, that ``row`` refuses by raising a ValueError (its text
+    is the reason) or, with ``key``, that is not an object or whose ``key`` is
+    on an earlier line is a :class:`MalformedLine`; ``row`` must refuse an
+    object without a string ``key``."""
     first_line: dict[Any, int] = {}
     for line_no, line in read_lines(path):
         # a line this package wrote is one value and its newline, which the
@@ -368,12 +388,12 @@ def read_jsonl(path: Path | str, row: Callable[[Any], Any],
                 value = json.loads(line)
             except ValueError as exc:
                 raise MalformedLine(path, line_no, f"not valid JSON ({exc})") from exc
+        if key is not None and type(value) is not dict:
+            raise MalformedLine(path, line_no, "not an object")
         try:
             out = row(value)
         except ValueError as exc:
             raise MalformedLine(path, line_no, str(exc)) from exc
-        except (AttributeError, KeyError, TypeError) as exc:
-            raise MalformedLine(path, line_no, f"malformed ({exc!r})") from exc
         if key is not None and first_line.setdefault(value[key], line_no) != line_no:
             raise MalformedLine(path, line_no, f"repeated {key} {value[key]!r} "
                                                f"(first on line {first_line[value[key]]})")

@@ -22,7 +22,7 @@ from json.encoder import encode_basestring
 from typing import TYPE_CHECKING, Any, Protocol
 
 from .errors import ProcTagError
-from .ingest import InstructionRecord
+from .ingest import InstructionRecord, checked
 from .render import DocumentRepresentation
 from .store import JsonPost, Store
 from .tagparse import GrammarViolation, ProcessStep, parse_pseudocode
@@ -90,15 +90,15 @@ class ExecutionProcess:
         }
 
     @classmethod
-    def from_dict(cls, obj: dict[str, Any]) -> "ExecutionProcess":
-        """The process ``to_dict`` wrote; a TypeError if a function_name is not a string."""
-        steps = [ProcessStep(index=s["index"], output_var=s["output_var"],
-                             function_name=s["function_name"], args=list(s["args"]))
-                 for s in obj["steps"]]
-        if not {type(s.function_name) for s in steps} <= {str}:
-            raise TypeError("every step's function_name must be a string")
-        return cls(cot=list(obj["cot"]), steps=steps,
-                   final_answer=obj.get("final_answer"), attempts=obj.get("attempts", 1))
+    def from_dict(cls, obj: Any, at: str = "process") -> "ExecutionProcess":
+        """The process ``to_dict`` wrote; a ValueError names the first field
+        missing or of the wrong type by its dotted path under ``at``, the
+        path of ``obj``."""
+        cot, steps, answer, attempts = checked(obj, at, cot=list[str], steps=list,
+                                               final_answer=(str, type(None)), attempts=int)
+        return cls(cot, [ProcessStep(*checked(step, f"{at}.steps[{i}]", index=int,
+                                              output_var=str, function_name=str, args=list[str]))
+                         for i, step in enumerate(steps)], answer, attempts)
 
 
 @dataclass

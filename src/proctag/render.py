@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from .errors import ProcTagError
-from .ingest import DocumentPage, OcrToken
+from .ingest import DocumentPage, OcrToken, checked
 from .layout import DEFAULT_ROW_TOLERANCE, AssociatedBlock, reading_rows
 
 PLAINTEXT = "plaintext"
@@ -44,13 +44,10 @@ class DocumentRepresentation:
 
     @classmethod
     def from_dict(cls, obj: dict[str, Any]) -> "DocumentRepresentation":
-        """The representation ``to_dict`` wrote; a TypeError if a field's type differs."""
-        rep = cls(page_id=obj["page_id"], style=obj["style"], text=obj["text"],
-                  char_cell_width=obj["char_cell_width"], token_count=obj["token_count"])
-        if not (type(rep.page_id) is type(rep.style) is type(rep.text) is str
-                and type(rep.char_cell_width) in (int, float) and type(rep.token_count) is int):
-            raise TypeError(f"a field of page {rep.page_id!r} has the wrong type")
-        return rep
+        """The representation ``to_dict`` wrote; a ValueError names the first
+        field missing or of the wrong type."""
+        return cls(*checked(obj, "", page_id=str, style=str, text=str,
+                            char_cell_width=(int, float), token_count=int))
 
 
 def _median(values: list[float]) -> float:

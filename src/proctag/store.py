@@ -14,11 +14,9 @@ builds an index from key to offset and length, and a hit is one
 - A bad line is an :class:`IoFailure` naming ``<log>:<line>``, neither
   refilled nor retried as a miss; a line that does not start with its key
   fails the opening of the log.
-- A directory of old-format ``<key>.json`` entry files and no log is
-  imported once, in file-name order, into a log written atomically; a bad
-  file fails the import, naming it. The old files are not read again.
-- With ``inner=None`` the store creates nothing but that import, and a
-  directory with neither a log nor old entry files is an :class:`IoFailure`.
+- The log is the only file read. With ``inner=None`` the store creates
+  nothing, and a directory without a log is an :class:`IoFailure`, whatever
+  else it holds; a filling store starts a new log there.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 from .errors import ProcTagError
-from .ingest import IoFailure, atomic_write_text
+from .ingest import IoFailure
 
 if TYPE_CHECKING:
     import requests
@@ -43,7 +41,6 @@ LOG = "entries.jsonl"
 # bytes of the log read at a time while it is scanned
 BLOCK = 1 << 20
 _KEYED = re.compile(rb'\{"key": "[0-9a-f]{64}", ').match
-_OLD_ENTRY = re.compile(r"[0-9a-f]{64}\.json").fullmatch
 
 
 class Store:
@@ -66,15 +63,8 @@ class Store:
         try:
             if inner is not None:
                 self.cache_dir.mkdir(parents=True, exist_ok=True)
-            if not self.log.exists():
-                try:
-                    old = sorted(filter(_OLD_ENTRY, os.listdir(self.cache_dir)))
-                except (FileNotFoundError, NotADirectoryError):
-                    old = []
-                if old:
-                    self._import(old)
-                elif inner is None:
-                    raise IoFailure(f"no {self.what} cache at {self.cache_dir}")
+            elif not self.log.exists():
+                raise IoFailure(f"no {self.what} cache at {self.cache_dir}")
             self._open()
         except OSError as exc:
             raise IoFailure(f"cannot open the {self.what} cache at {self.cache_dir}: "
@@ -126,8 +116,7 @@ class Store:
         return end + len(tail)
 
     def _checked(self, data: bytes) -> dict[str, Any]:
-        """The entry of a line or old entry file, or a ValueError saying what
-        is wrong with it."""
+        """The entry of a log line, or a ValueError saying what is wrong with it."""
         try:
             entry = json.loads(data)
         except ValueError as exc:  # not JSON, or not UTF-8
@@ -194,27 +183,6 @@ class Store:
             self._index[key] = (self._end, len(line) - 1)
             self._end += len(line)
         return None
-
-    def _import(self, names: list[str]) -> None:
-        """Write the log from the old-format entry files ``names``, under a
-        lock on the directory, unless another process has written it."""
-        def lines() -> Iterator[str]:
-            for name in names:
-                path = self.cache_dir / name
-                try:
-                    entry = self._checked(path.read_bytes())
-                except ValueError as exc:
-                    raise IoFailure(f"cache entry {path} {exc}") from None
-                entry.pop("key", None)
-                yield json.dumps({"key": name[:-5], **entry}, ensure_ascii=False) + "\n"
-
-        dir_fd = os.open(self.cache_dir, os.O_RDONLY)
-        try:
-            fcntl.flock(dir_fd, fcntl.LOCK_EX)
-            if not self.log.exists():
-                atomic_write_text(self.log, lines())
-        finally:
-            os.close(dir_fd)  # releases the lock
 
 
 class JsonPost:

@@ -144,9 +144,17 @@ def dbscan(vectors: Mapping[str, np.ndarray], eps: float, min_pts: int,
     tags = sorted(vectors)
     if not tags:
         return ClusterAssignment(labels={}, representatives={})
-    mat = np.array([np.asarray(vectors[t], dtype=float) for t in tags])
-    if mat.ndim != 2:
-        raise ValueError("all vectors must share one dimension")
+    # checked first: the matrix would take a NaN for noise, or fail naming no tag
+    vecs = [np.asarray(vectors[t]) for t in tags]
+    for tag, vec in zip(tags, vecs):
+        if vec.ndim != 1 or not vec.size or vec.dtype.kind not in "iuf":
+            raise ValueError(f"the vector of tag {tag!r} is not a non-empty list of numbers")
+        if vec.shape != vecs[0].shape:
+            raise ValueError(f"the vectors of tags {tags[0]!r} and {tag!r} differ in length")
+    mat = np.array(vecs, dtype=float)
+    finite = np.isfinite(mat).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"the vector of tag {tags[int(np.argmin(finite))]!r} is not finite")
     norms = np.linalg.norm(mat, axis=1)
     if np.any(norms == 0):
         raise ZeroVector("cannot cluster zero vectors")

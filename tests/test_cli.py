@@ -65,9 +65,9 @@ def _fill_mock_cache(demo_dataset, tmp_path, style, inner=None, store=procgen.Ca
     backend would leave it."""
     out = tmp_path / "fill"
     assert run(["render", "--style", style] + _base_args(demo_dataset, out)) == 0
-    manifest = json.loads((out / "manifest.json").read_text())
-    reps = {obj["page_id"]: DocumentRepresentation.from_dict(obj)
-            for obj in map(json.loads, (out / manifest["render"]).read_text().splitlines())}
+    reps = {rep.page_id: rep for rep in read_jsonl(cli._read_stage(out, "render"),
+                                                   DocumentRepresentation.from_dict,
+                                                   key="page_id")}
     cache = tmp_path / "cache"
     procgen.generate_all(load_dataset(demo_dataset / "records.jsonl").records, reps,
                          store(cache, inner=inner or procgen.MockBackend()),
@@ -246,12 +246,12 @@ _FUNCTION_NAMES = ("find_total", "findTotal", "read_row", "scan_list", "pick_ent
 @st.composite
 def _generate_lines(draw):
     """Generate-artifact lines: processes (some with no steps, or only names
-    that normalize to nothing), discards with and without a parseable last
-    completion, and a line that carries neither."""
+    that normalize to nothing), and discards with and without a parseable
+    last completion."""
     names = st.sampled_from(_FUNCTION_NAMES)
     lines = []
     for i in range(draw(st.integers(1, 25))):
-        kind = draw(st.sampled_from(["process", "process", "process", "discarded", "neither"]))
+        kind = draw(st.sampled_from(["process", "process", "process", "discarded"]))
         ann = {"representation": {"style": "plaintext", "digest": "0" * 16, "token_count": 3}}
         if kind == "process":
             steps = [{"index": k, "output_var": f"r{k}", "function_name": name,
@@ -259,7 +259,7 @@ def _generate_lines(draw):
                      for k, name in enumerate(draw(st.lists(names, max_size=6)), start=1)]
             ann["process"] = {"cot": ["1. look"], "steps": steps, "final_answer": "x",
                               "attempts": draw(st.integers(1, 3))}
-        elif kind == "discarded":
+        else:
             completion = draw(st.none() | st.just("no pseudo-code here") | st.lists(names).map(
                 lambda ns: "\n".join(f"{n}(doc)" for n in ns)))
             ann["discarded"] = {"reason": "no pseudo-code block", "attempts": 3,
@@ -899,7 +899,12 @@ class TestChunkedPool:
             rec.question += ["", " naïve “quotes”", " \u2028 \"x\"\\", " \U0001f600 ü"][k % 4]
         write_dataset(ds, tmp_path / "data" / "records.jsonl")
         data = tmp_path / "data"
-        cache = _fill_mock_cache(data, tmp_path, "plaintext", store=oracles.CachingBackend)
+        cache = _fill_mock_cache(data, tmp_path, "plaintext")
+        # the keys are those the old per-file cache gave the same prompts
+        old = _fill_mock_cache(data, tmp_path / "old", "plaintext", store=oracles.CachingBackend)
+        log = (cache / "entries.jsonl").read_bytes()
+        keys = [line[9:73].decode() for line in log.splitlines()]
+        assert sorted(keys) == sorted(path.name[:-len(".json")] for path in old.iterdir())
         monkeypatch.setattr(cli, "CHUNK", 3)
         _cpus(monkeypatch, cpus)
         generated = {}

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -38,7 +39,7 @@ from typing import Any, Callable
 
 import pytest
 
-from proctag import cli
+from proctag import cli, tagnorm
 from proctag.ingest import dumps_json, write_dataset
 from proctag.synth import make_dataset
 from test_cli import _cpus, _fill_mock_cache
@@ -159,30 +160,59 @@ def _repeat_first_line(stage: str, key: str) -> Callable[[dict[str, Any]], None]
 # upstream stage -> the command that reads it
 _ARTIFACT_READERS = {"render": "generate", "generate": "tag --stage extract",
                      "tags_raw": "tag --stage normalize"}
-# (stage, id, key path into line 2's object or None for the whole line, value)
+# deletes the key instead of setting it
+DELETE = object()
+
+
+def _invalid(field: str) -> str:
+    return f"missing or invalid field {field!r}"
+
+
+# (stage, id, key path into line 2's object or None for the whole line, value,
+# the reason after "{path}, line 2: ")
 _MALFORMED_LINES = [
-    *((stage, name, None, line) for stage in _ARTIFACT_READERS
-      for name, line in (("not-json", "nonsense"), ("empty-object", "{}"), ("list", "[1]"))),
-    ("render", "page-id-not-string", ("page_id",), 5),
-    ("render", "text-not-string", ("text",), ["find_x"]),
-    ("render", "token-count-not-int", ("token_count",), "3"),
-    ("generate", "record-id-not-string", ("record_id",), 5),
-    ("generate", "steps-a-string", ("annotations", "process", "steps"), "find_x"),
-    ("generate", "function-name-not-string",
-     ("annotations", "process", "steps", 0, "function_name"), 5),
-    ("generate", "function-name-null",
-     ("annotations", "process", "steps", 0, "function_name"), None),
+    *((stage, name, None, line, reason)
+      for stage, first in (("render", "page_id"), ("generate", "record_id"),
+                           ("tags_raw", "record_id"))
+      for name, line, reason in (
+          ("not-json", "nonsense", "not valid JSON (Expecting value: line 1 column 1 (char 0))"),
+          ("empty-object", "{}", _invalid(first)), ("list", "[1]", "not an object"))),
+    ("render", "page-id-not-string", ("page_id",), 5, _invalid("page_id")),
+    ("render", "text-not-string", ("text",), ["find_x"], _invalid("text")),
+    ("render", "token-count-not-int", ("token_count",), "3", _invalid("token_count")),
+    ("generate", "record-id-not-string", ("record_id",), 5, _invalid("record_id")),
+    ("generate", "only-record-id", None, '{"record_id": "r"}', _invalid("annotations")),
+    ("generate", "steps-a-string", ("annotations", "process", "steps"), "find_x",
+     _invalid("annotations.process.steps")),
+    *(("generate", f"{field.replace('_', '-')}-{name}", ("annotations", "process", "steps", 0,
+                                                        field), value,
+       _invalid(f"annotations.process.steps[0].{field}"))
+      for field, name, value in (("function_name", "not-string", 5),
+                                 ("function_name", "null", None), ("index", "not-int", "x"),
+                                 ("args", "a-string", "doc"))),
+    *(("generate", f"{field.replace('_', '-')}-{name}", ("annotations", "process", field), value,
+       _invalid(f"annotations.process.{field}"))
+      for field, name, value in (("final_answer", "not-string", 7),
+                                 ("final_answer", "missing", DELETE),
+                                 ("attempts", "not-int", "x"))),
+    ("generate", "process-and-discarded", ("annotations", "discarded"),
+     {"reason": "x", "attempts": 3, "last_completion": None},
+     "annotations must hold exactly one of 'process' and 'discarded'"),
     ("generate", "last-completion-not-string",
-     ("annotations",), {"discarded": {"reason": "x", "attempts": 1, "last_completion": 0}}),
-    ("tags_raw", "record-id-not-string", ("record_id",), 5),
-    ("tags_raw", "tags-a-string", ("annotations", "tags", "raw"), "find_x"),
-    ("tags_raw", "tag-not-string", ("annotations", "tags", "raw", 0), 5),
+     ("annotations",), {"discarded": {"reason": "x", "attempts": 1, "last_completion": 0}},
+     _invalid("annotations.discarded.last_completion")),
+    ("tags_raw", "record-id-not-string", ("record_id",), 5, _invalid("record_id")),
+    ("tags_raw", "only-record-id", None, '{"record_id": "r"}', _invalid("annotations")),
+    ("tags_raw", "tags-a-string", ("annotations", "tags", "raw"), "find_x",
+     _invalid("annotations.tags.raw")),
+    ("tags_raw", "tag-not-string", ("annotations", "tags", "raw", 0), 5,
+     _invalid("annotations.tags.raw")),
 ]
 
 
 def _malformed_line(stage: str, keys: tuple | None, value: Any) -> Callable[[dict], None]:
-    """Set ``keys`` in line 2 of the artifact to ``value``, or replace the
-    whole line with it."""
+    """Set ``keys`` in line 2 of the artifact to ``value`` (or delete the
+    last of them), or replace the whole line with it."""
     def mutate(n):
         path = n["path"] = n["art"][stage]
         lines = _lines(path)
@@ -192,7 +222,10 @@ def _malformed_line(stage: str, keys: tuple | None, value: Any) -> Callable[[dic
             obj = inner = json.loads(lines[1])
             for key in keys[:-1]:
                 inner = inner[key]
-            inner[keys[-1]] = value
+            if value is DELETE:
+                del inner[keys[-1]]
+            else:
+                inner[keys[-1]] = value
             lines[1] = json.dumps(obj)
         _put(path, lines)
     return mutate
@@ -214,6 +247,22 @@ def _bad_cache_entry(entry: str) -> Callable[[dict[str, Any]], None]:
         lines[k - 1] = (entry.replace("{", f'{{"key": "{key}", ', 1)
                         if entry.startswith("{") else entry).encode() + b"\n"
         n["log"].write_bytes(b"".join(lines))
+    return mutate
+
+
+def _embedding_cache(edit: Callable[[list], list]) -> Callable[[dict[str, Any]], None]:
+    """An embedding cache ``{root}/ecache`` of the run's filtered tags, in
+    which the vector of ``{tag}``, the first that dbscan reads, is edited."""
+    def mutate(n):
+        filtered = json.loads(n["art"]["vocab"].read_text(encoding="utf-8"))["stages"]["filtered"]
+        embedder = tagnorm.CachingEmbedder(n["root"] / "ecache", inner=tagnorm.HashingEmbedder())
+        for tag in filtered:
+            embedder.embed(tag)
+        n["tag"] = min(filtered)
+        log = n["root"] / "ecache" / "entries.jsonl"
+        entries = [json.loads(line) for line in _lines(log)[:-1]]
+        log.write_text("".join(json.dumps(dict(e, vector=edit(e["vector"])) if e["tag"] == n["tag"]
+                                          else e) + "\n" for e in entries), encoding="utf-8")
     return mutate
 
 
@@ -350,11 +399,10 @@ PROBES = [
                                ("generate", "tag --stage extract", "record_id"),
                                ("tags_raw", "tag --stage normalize", "record_id"),
                                ("profiles", "assess", "record_id"))),
-    # the reason after "malformed" quotes Python's own exception, which differs by version
     *(Probe(f"malformed-{stage}-{name}", f"{_ARTIFACT_READERS[stage]} " + ARGS,
-            "{path}, line 2: " + ("not valid JSON (" if name == "not-json" else "malformed ("),
-            _malformed_line(stage, keys, value), exact=False)
-      for stage, name, keys, value in _MALFORMED_LINES),
+            "{path}, line 2: " + reason,
+            _malformed_line(stage, keys, value))
+      for stage, name, keys, value, reason in _MALFORMED_LINES),
     # eval
     *(Probe(f"tau-{tau}", f"{ANLS} --tau {tau}",
             f"tau must be a finite number in (0, 1], got {float(tau)!r}",
@@ -386,7 +434,7 @@ PROBES = [
                                           '{"record_id": "r1", "predicted": "b"}'],
            "repeated record_id 'r1' (first on line 1)"),
           ("pred", "no-record-id", ['{"record_id": "r1", "predicted": "a"}',
-                                    '{"predicted": "b"}'], "no string record_id"),
+                                    '{"predicted": "b"}'], _invalid("record_id")),
           ("pred", "not-json", ['{"record_id": "r1", "predicted": "a"}', '{"record_id": '],
            "not valid JSON (Expecting value: line 2 column 1 (char 15))"),
           ("gold", "repeated-record-id", [_R1, _R1], "repeated record_id 'r1' (first on line 1)"),
@@ -414,6 +462,14 @@ PROBES = [
       for what, argv, args in (("completion", "pipeline --backend cache --cache-dir", NEW),
                                ("embedding", "tag --embedder cache --embed-cache-dir", ARGS))
       for made in ("missing", "empty")),
+    *(Probe(f"embedding-vector-{name}", "tag --stage normalize --embedder cache "
+            "--embed-cache-dir {root}/ecache " + ARGS, "the vector of tag {tag!r} is " + reason,
+            _embedding_cache(edit))
+      for name, edit, reason in (
+          ("nan", lambda v: [math.nan, *v[1:]], "not finite"),
+          ("inf", lambda v: [*v[:-1], math.inf], "not finite"),
+          ("empty", lambda v: [], "not a non-empty list of numbers"),
+          ("strings", lambda v: ["a"] * len(v), "not a non-empty list of numbers"))),
     *(Probe(f"page-not-json-cpus{cpus}", "pipeline " + NEW, f"page file {{root}}/{LAST_PAGE} "
             "is not valid JSON: Expecting value: line 1 column 13 (char 12)",
             _write(LAST_PAGE, '{"page_id": '), cpus=cpus, new=())

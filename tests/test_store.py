@@ -1,8 +1,8 @@
 """The shared store and HTTP adapter against the classes they replaced, kept
-verbatim in ``oracles``: a cache filled by either side replays through the
-store, whose log holds the old entry files' bytes with their key put first,
-and the adapters send the same requests and fail with the same error
-classes."""
+verbatim in ``oracles``: a cache the store fills replays, and its log holds
+the bytes of the entry files the old classes write for the same calls, with
+their key put first; the store never reads such files. The adapters send the
+same requests and fail with the same error classes."""
 
 from __future__ import annotations
 
@@ -33,11 +33,6 @@ CALLS = [(prompt, params, attempt) for prompt in PROMPTS
          for attempt in (1, 2)]
 TAGS = ["find_table", "read_date", "naïve_tag", "b", "x" * 300]
 
-BACKENDS = {"old": oracles.CachingBackend, "new": procgen.CachingBackend}
-EMBEDDERS = {"old": oracles.CachingEmbedder, "new": tagnorm.CachingEmbedder}
-FILLERS = pytest.mark.parametrize("filler", ["old", "new"])
-
-
 def _undated(data):
     return re.sub(rb'"created_at": "[^"]+"', b'"created_at": ""', data)
 
@@ -55,45 +50,36 @@ def _assert_log_holds_the_old_entries(cache_dir, old_dir):
         assert _undated(line) == b'{"key": "' + key.encode() + b'", ' + files[key][1:]
 
 
-@FILLERS
-def test_completion_cache_replays_what_either_side_filled(tmp_path, filler):
+def test_completion_cache_replays_what_it_filled(tmp_path):
     written = tmp_path / "written"
-    backend = BACKENDS[filler](written, inner=MockBackend())
+    backend = procgen.CachingBackend(written, inner=MockBackend())
     want = [backend.complete(prompt, params, attempt=a) for prompt, params, a in CALLS]
     assert want == [MockBackend().complete(prompt, params, a) for prompt, params, a in CALLS]
     replay = procgen.CachingBackend(written, inner=None)
     assert [replay.complete(prompt, params, attempt=a) for prompt, params, a in CALLS] == want
-    # old entry files are imported into the log; a fill leaves the log alone
-    assert sorted(os.listdir(written)) == sorted([store.LOG, *(p.name for p in
-                                                              written.glob("*.json"))])
-    old_dir = written if filler == "old" else tmp_path / "old"
-    if filler == "new":
-        old = oracles.CachingBackend(old_dir, inner=MockBackend())
-        for prompt, params, a in CALLS:
-            old.complete(prompt, params, attempt=a)
-    _assert_log_holds_the_old_entries(written, old_dir)
+    assert os.listdir(written) == [store.LOG]
+    old = oracles.CachingBackend(tmp_path / "old", inner=MockBackend())
+    for prompt, params, a in CALLS:
+        old.complete(prompt, params, attempt=a)
+    _assert_log_holds_the_old_entries(written, tmp_path / "old")
     with pytest.raises(BackendError, match="cache miss"):
         replay.complete("never seen", DecodeParams())
 
 
-@FILLERS
-def test_embedding_cache_replays_what_either_side_filled(tmp_path, filler):
+def test_embedding_cache_replays_what_it_filled(tmp_path):
     written = tmp_path / "written"
-    embedder = EMBEDDERS[filler](written, inner=HashingEmbedder())
+    embedder = tagnorm.CachingEmbedder(written, inner=HashingEmbedder())
     want = [embedder.embed(tag) for tag in TAGS]
     replay = tagnorm.CachingEmbedder(written, inner=None)
     for tag, vec in zip(TAGS, want):
         got = replay.embed(tag)
         assert got.dtype == vec.dtype and np.array_equal(got, vec)
         assert np.array_equal(got, HashingEmbedder().embed(tag))
-    assert sorted(os.listdir(written)) == sorted([store.LOG, *(p.name for p in
-                                                              written.glob("*.json"))])
-    old_dir = written if filler == "old" else tmp_path / "old"
-    if filler == "new":
-        old = oracles.CachingEmbedder(old_dir, inner=HashingEmbedder())
-        for tag in TAGS:
-            old.embed(tag)
-    _assert_log_holds_the_old_entries(written, old_dir)
+    assert os.listdir(written) == [store.LOG]
+    old = oracles.CachingEmbedder(tmp_path / "old", inner=HashingEmbedder())
+    for tag in TAGS:
+        old.embed(tag)
+    _assert_log_holds_the_old_entries(written, tmp_path / "old")
     with pytest.raises(ProcTagError, match="cache miss for 'never_seen'"):
         replay.embed("never_seen")
 
@@ -160,19 +146,25 @@ def test_malformed_entry_is_an_io_failure_naming_its_file(tmp_path, kind, entry,
     assert log.read_bytes() == before
 
 
-@pytest.mark.parametrize("entry", sorted(BAD_ENTRIES))
 @pytest.mark.parametrize("kind", sorted(STORES))
-def test_malformed_old_entry_fails_the_import_naming_its_file(tmp_path, kind, entry):
+def test_old_entry_files_are_never_read(tmp_path, kind):
+    # a cache directory in the one-file-per-entry format that preceded the log
     store_cls, inner_cls, old_cls, call = STORES[kind]
     call(old_cls(tmp_path, inner=inner_cls()))
     (path,) = tmp_path.iterdir()
-    text, reason = BAD_ENTRIES[entry]
-    path.write_bytes(text)
-    for inner in (None, inner_cls()):
-        with pytest.raises(IoFailure) as info:
-            store_cls(tmp_path, inner=inner)
-        assert str(info.value).startswith(f"cache entry {path} {reason}")
-        assert os.listdir(tmp_path) == [path.name] and path.read_bytes() == text
+    entry = json.loads(path.read_bytes())
+    entry[kind] = "an old value" if kind == "completion" else [1.0, 0.0]
+    path.write_text(json.dumps(entry), encoding="utf-8")
+    before = path.read_bytes()
+    what = "completion" if kind == "completion" else "embedding"
+    with pytest.raises(IoFailure, match=f"^no {what} cache at {tmp_path}$"):
+        store_cls(tmp_path, inner=None)
+    assert os.listdir(tmp_path) == [path.name]
+    # a filling store starts a log beside the old file and asks its inner
+    got = call(store_cls(tmp_path, inner=inner_cls()))
+    assert np.array_equal(got, call(inner_cls()))
+    assert sorted(os.listdir(tmp_path)) == sorted([path.name, store.LOG])
+    assert path.read_bytes() == before
 
 
 @pytest.mark.parametrize("kind", sorted(STORES))

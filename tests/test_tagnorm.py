@@ -101,6 +101,23 @@ class TestDbscan:
         with pytest.raises(ValueError, match="eps must be positive"):
             dbscan({"a": v, "b": v}, eps=eps, min_pts=1)
 
+    @pytest.mark.parametrize("tag", ["a", "b"])
+    @pytest.mark.parametrize("vector, reason", [
+        ([1.0, 0.0, 0.0], "the vectors of tags 'a' and '{other}' differ in length"),
+        ([math.nan, 1.0], "the vector of tag '{tag}' is not finite"),
+        ([1.0, -math.inf], "the vector of tag '{tag}' is not finite"),
+        ([], "the vector of tag '{tag}' is not a non-empty list of numbers"),
+        (["a", "b"], "the vector of tag '{tag}' is not a non-empty list of numbers"),
+        ([[1.0, 0.0]], "the vector of tag '{tag}' is not a non-empty list of numbers"),
+    ], ids=["ragged", "nan", "inf", "empty", "strings", "nested"])
+    def test_a_bad_vector_is_refused_naming_its_tag(self, tag, vector, reason):
+        # a ragged vector is named with the first tag's, whose length it lacks
+        vectors = {"a": np.array([1.0, 0.0]), "b": np.array([0.0, 1.0]),
+                   "c": np.array([1.0, 1.0]), tag: np.asarray(vector)}
+        with pytest.raises(ValueError) as info:
+            dbscan(vectors, eps=0.1, min_pts=1)
+        assert str(info.value) == reason.format(tag=tag, other="b" if tag == "a" else tag)
+
     def test_tiny_eps_all_noise(self):
         vectors = {"a": np.array([1.0, 0.0]), "b": np.array([0.0, 1.0]),
                    "c": np.array([1.0, 1.0])}
