@@ -38,6 +38,7 @@ else as usual, and no stage leaves per-record cyclic garbage behind.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import fcntl
 import gc
 import hashlib
@@ -56,7 +57,7 @@ from .config import PipelineConfig, load_config, schema, set_key
 from .errors import ProcTagError
 from .ingest import (InstructionRecord, IoFailure, MalformedLine, MissingPage,
                      atomic_write_text, checked, dumps_json, invalid, load_page, load_records,
-                     read_json, read_jsonl, read_lines, read_records, record_to_dict)
+                     read_json, read_jsonl, read_lines, read_records)
 from .layout import associate, clean_inputs
 from .metrics import Prediction, ConfusionMatrix, anls, kappa_report
 from .render import (PLAINTEXT, SPATIAL, DocumentRepresentation,
@@ -82,9 +83,16 @@ def _write_stage(output_dir: Path, stage: str, content: str | Iterable[str],
                  ext: str) -> Path:
     # content may arrive line by line: the largest artifacts are then
     # streamed to disk, never held whole in memory
+    made = not output_dir.exists()
     output_dir.mkdir(parents=True, exist_ok=True)
-    path = atomic_write_text(output_dir / f"{stage}.{ext}", content,
-                             name=lambda digest: f"{stage}-{digest[:12]}.{ext}")
+    try:
+        path = atomic_write_text(output_dir / f"{stage}.{ext}", content,
+                                 name=lambda digest: f"{stage}-{digest[:12]}.{ext}")
+    except BaseException:
+        if made:  # a stage that fails leaves no empty directory behind
+            with contextlib.suppress(OSError):  # another writer may have filled it
+                output_dir.rmdir()
+        raise
     manifest_path = output_dir / MANIFEST
     # the lock is held on the directory itself, so it adds no file to it
     dir_fd = os.open(output_dir, os.O_RDONLY)
@@ -263,66 +271,40 @@ def render_stage(loaded: tuple[list[InstructionRecord], dict[str, Path]],
     return records, reps
 
 
-def _representation(rep: DocumentRepresentation) -> dict[str, Any]:
-    return {"style": rep.style,
-            "digest": hashlib.sha256(rep.text.encode("utf-8")).hexdigest()[:16],
-            "token_count": rep.token_count}
-
-
-def _generate_line(rec: InstructionRecord, rep: DocumentRepresentation,
-                   result: procgen.ExecutionProcess | procgen.Discarded) -> dict[str, Any]:
-    ann = dict(rec.annotations)
-    ann["representation"] = _representation(rep)
-    if isinstance(result, procgen.Discarded):
-        ann["discarded"] = {"reason": result.reason, "attempts": result.attempts,
-                            "last_completion": result.last_completion}
-        ann.pop("process", None)
-    else:
-        ann["process"] = result.to_dict()
-        ann.pop("discarded", None)
-    obj = record_to_dict(rec)
-    obj["annotations"] = ann
-    return obj
-
-
-def _process_line(rec: InstructionRecord, process: procgen.ExecutionProcess,
-                  representation: str) -> str:
-    """``dumps_json(_generate_line(rec, rep, process)) + "\\n"`` for a record
-    without input annotations, given the JSON text of ``rep``'s block."""
+def _generate_line(rec: InstructionRecord, block: str,
+                   result: procgen.ExecutionProcess | procgen.Discarded) -> str:
+    """A record's generate line as ``dumps_json`` writes it, from each value's JSON
+    text as in :func:`_tags_lines`: the input annotations less the keys the line
+    sets, the page's ``representation`` (``block``) and the result's block."""
     enc = encode_basestring
-    steps = ", ".join(
-        f'{{"args": [{", ".join(map(enc, step.args))}], '
-        f'"function_name": {enc(step.function_name)}, "index": {step.index}, '
-        f'"output_var": {enc(step.output_var)}}}' for step in process.steps)
-    answer = "null" if process.final_answer is None else enc(process.final_answer)
-    return (f'{{"annotations": {{"process": {{"attempts": {process.attempts}, '
-            f'"cot": [{", ".join(map(enc, process.cot))}], "final_answer": {answer}, '
-            f'"steps": [{steps}]}}, "representation": {representation}}}, '
-            f'"answers": [{", ".join(map(enc, rec.answers))}], "page_id": {enc(rec.page_id)}, '
-            f'"question": {enc(rec.question)}, "record_id": {enc(rec.record_id)}}}\n')
+    key = "discarded" if isinstance(result, procgen.Discarded) else "process"
+    if rec.annotations:
+        texts = {name: dumps_json(value) for name, value in rec.annotations.items()
+                 if name not in ("discarded", "process", "representation")}
+        texts.update({key: result.to_json(), "representation": block})
+        ann = ", ".join(f"{enc(name)}: {texts[name]}" for name in sorted(texts))
+    else:  # both keys sort before "representation"
+        ann = f'"{key}": {result.to_json()}, "representation": {block}'
+    return (f'{{"annotations": {{{ann}}}, "answers": [{", ".join(map(enc, rec.answers))}], '
+            f'"page_id": {enc(rec.page_id)}, "question": {enc(rec.question)}, '
+            f'"record_id": {enc(rec.record_id)}}}\n')
 
 
 def _encode_generated(pairs: Iterable[tuple[InstructionRecord,
                                             procgen.ExecutionProcess | procgen.Discarded]],
                       reps: dict[str, DocumentRepresentation]) -> tuple[str, list[Outcome]]:
-    """The generate lines of some records and each one's outcome.
-
-    A process line is put together from the JSON text of each value, as
-    :func:`_tags_lines` does, and each page's representation block is
-    encoded once per call. A record with input annotations, whose keys may sort
-    anywhere among the line's, and a discarded one go through ``dumps_json``.
-    """
+    """The generate lines of some records and each one's outcome; each
+    page's representation block is encoded once per call."""
     lines, outcomes = [], []
     blocks: dict[str, str] = {}
     for rec, result in pairs:
-        rep = reps[rec.page_id]
-        if rec.annotations or isinstance(result, procgen.Discarded):
-            lines.append(dumps_json(_generate_line(rec, rep, result)) + "\n")
-        else:
-            block = blocks.get(rec.page_id)
-            if block is None:
-                block = blocks[rec.page_id] = dumps_json(_representation(rep))
-            lines.append(_process_line(rec, result, block))
+        block = blocks.get(rec.page_id)
+        if block is None:
+            rep = reps[rec.page_id]
+            block = blocks[rec.page_id] = dumps_json({
+                "style": rep.style, "token_count": rep.token_count,
+                "digest": hashlib.sha256(rep.text.encode("utf-8")).hexdigest()[:16]})
+        lines.append(_generate_line(rec, block, result))
         outcomes.append((isinstance(result, procgen.Discarded), result.attempts,
                          _raw_profile(rec.record_id, result)))
     return "".join(lines), outcomes

@@ -210,63 +210,48 @@ def clamp_page(page: DocumentPage) -> tuple[DocumentPage, int]:
 # (de)serialization
 
 
-# the types json.loads gives a number (a bool is not one), or a number or null
+# the types json.loads gives a number (a bool is not one)
 _NUMBER = frozenset((int, float))
-_NUMBER_OR_NULL = _NUMBER | {type(None)}
 
 
-def _bbox_from(obj: Any, line_ctx: str) -> BoundingBox:
-    if isinstance(obj, (list, tuple)) and len(obj) == 4:
-        x0, y0, x1, y1 = obj
-        if type(x0) in _NUMBER and type(y0) in _NUMBER and type(x1) in _NUMBER \
-                and type(y1) in _NUMBER:
-            return BoundingBox(x0, y0, x1, y1)
-    raise IoFailure(f"{line_ctx}: bbox must be a list of 4 numbers, got {obj!r}")
-
-
-# (noun, field, what it must be) of each item field whose type a page file's
-# parse checks, in the order a page's wrong fields are reported
-_FIELD_TYPES = (("token", "text", "a string"), ("token", "confidence", "null or a number"),
-                ("region", "kind", "a string"), ("region", "score", "null or a number"))
+def _items(values: list, at: str, label: str, extra: str, make: Callable) -> list:
+    """``make(label, bbox, extra)`` of each item of the ``tokens`` or ``regions``
+    list at ``at``; the ValueError of :func:`invalid` names its first bad field."""
+    out = []
+    for i, item in enumerate(values):
+        if type(item) is not dict:
+            raise invalid(f"{at}[{i}]")
+        text, bbox, number = item.get(label), item.get("bbox"), item.get(extra)
+        if type(text) is not str:
+            raise invalid(f"{at}[{i}].{label}")
+        if type(bbox) is not list or len(bbox) != 4:
+            raise invalid(f"{at}[{i}].bbox")
+        x0, y0, x1, y1 = bbox
+        if not (type(x0) in _NUMBER and type(y0) in _NUMBER and type(x1) in _NUMBER
+                and type(y1) in _NUMBER):
+            raise invalid(f"{at}[{i}].bbox")
+        if number is not None and type(number) not in _NUMBER:
+            raise invalid(f"{at}[{i}].{extra}")
+        out.append(make(text, BoundingBox(x0, y0, x1, y1), number))
+    return out
 
 
 def _page_from_dict(obj: Any, ctx: str) -> DocumentPage:
-    if not isinstance(obj, dict):
+    """The page of a page file's JSON value; else an :class:`IoFailure` naming the file,
+    ``ctx``, and the first bad field: the page's own, then each token's, then each region's."""
+    if type(obj) is not dict:
         raise IoFailure(f"{ctx}: page is not a JSON object")
-    if not _NUMBER.issuperset((type(obj.get("width")), type(obj.get("height")))):
-        raise IoFailure(f"{ctx}: page width and height must be numbers")
-    # each token and region is built and checked in one pass; a field of the
-    # wrong type is reported once the page's whole structure has parsed, so
-    # that a broken structure anywhere is reported first. field -> (index,
-    # value) of the first item with that field wrong
-    wrong: dict[str, tuple[int, Any]] = {}
     try:
-        tokens: list[OcrToken] = []
-        for i, t in enumerate(obj.get("tokens", [])):
-            text, bbox, confidence = t["text"], _bbox_from(t["bbox"], ctx), t.get("confidence")
-            tokens.append(OcrToken(text, bbox, confidence))
-            if type(text) is not str:
-                wrong.setdefault("text", (i, text))
-            if type(confidence) not in _NUMBER_OR_NULL:
-                wrong.setdefault("confidence", (i, confidence))
-        regions: list[LayoutRegion] = []
-        for i, r in enumerate(obj.get("regions", [])):
-            kind, bbox, score = r["kind"], _bbox_from(r["bbox"], ctx), r.get("score")
-            regions.append(LayoutRegion(kind, bbox, score))
-            if type(kind) is not str:
-                wrong.setdefault("kind", (i, kind))
-            if type(score) not in _NUMBER_OR_NULL:
-                wrong.setdefault("score", (i, score))
-        page = DocumentPage(page_id=obj["page_id"], width=obj["width"], height=obj["height"],
-                            tokens=tokens, regions=regions,
-                            image_ref=obj.get("image_ref"), meta=obj.get("meta", {}))
-    except (KeyError, TypeError) as exc:
-        raise IoFailure(f"{ctx}: bad page structure ({exc})") from exc
-    for noun, name, expected in _FIELD_TYPES:
-        if name in wrong:
-            i, value = wrong[name]
-            raise IoFailure(f"{ctx}: {noun} {i}: {name} must be {expected}, got {value!r}")
-    return page
+        page_id, width, height, tokens, regions, image_ref, meta = checked(
+            {"tokens": [], "regions": [], "image_ref": None, "meta": {}, **obj}, "",
+            page_id=str, width=(int, float), height=(int, float), tokens=list, regions=list,
+            image_ref=(str, type(None)), meta=dict)
+        return DocumentPage(page_id, width, height,
+                            _items(tokens, "tokens", "text", "confidence", OcrToken),
+                            _items(regions, "regions", "kind", "score", LayoutRegion),
+                            image_ref, meta)
+    except ValueError as exc:  # the ValueError of invalid
+        raise IoFailure(f"{ctx}: {exc}") from None
 
 
 def _page_to_dict(page: DocumentPage) -> dict[str, Any]:
@@ -307,8 +292,8 @@ def checked(obj: Any, at: str, **kinds: Any) -> list[Any]:
         raise invalid(at)
     values = [obj.get(name, checked) for name in kinds]  # checked: a missing field
     for (name, kind), value in zip(kinds.items(), values):
-        if not (type(value) is list and {str}.issuperset(map(type, value)) if kind == list[str]
-                else type(value) in kind if type(kind) is tuple else type(value) is kind):
+        if not (type(value) is kind or type(kind) is tuple and type(value) in kind or
+                kind == list[str] and type(value) is list and {str}.issuperset(map(type, value))):
             raise invalid(f"{at}.{name}" if at else name)
     return values
 

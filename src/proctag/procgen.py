@@ -79,19 +79,20 @@ class ExecutionProcess:
     final_answer: str | None = None
     attempts: int = 1
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "cot": self.cot,
-            "steps": [{"index": s.index, "output_var": s.output_var,
-                       "function_name": s.function_name, "args": s.args}
-                      for s in self.steps],
-            "final_answer": self.final_answer,
-            "attempts": self.attempts,
-        }
+    def to_json(self) -> str:
+        """This process's block as ``dumps_json`` writes it, from each value's JSON text."""
+        enc = encode_basestring
+        steps = ", ".join(
+            f'{{"args": [{", ".join(map(enc, step.args))}], '
+            f'"function_name": {enc(step.function_name)}, "index": {step.index}, '
+            f'"output_var": {enc(step.output_var)}}}' for step in self.steps)
+        answer = "null" if self.final_answer is None else enc(self.final_answer)
+        return (f'{{"attempts": {self.attempts}, "cot": [{", ".join(map(enc, self.cot))}], '
+                f'"final_answer": {answer}, "steps": [{steps}]}}')
 
     @classmethod
     def from_dict(cls, obj: Any, at: str = "process") -> "ExecutionProcess":
-        """The process ``to_dict`` wrote; a ValueError names the first field
+        """The process ``to_json`` wrote; a ValueError names the first field
         missing or of the wrong type by its dotted path under ``at``, the
         path of ``obj``."""
         cot, steps, answer, attempts = checked(obj, at, cot=list[str], steps=list,
@@ -109,6 +110,12 @@ class Discarded:
     reason: str
     attempts: int
     last_completion: str | None = None
+
+    def to_json(self) -> str:
+        """This discard's block, as :meth:`ExecutionProcess.to_json` writes."""
+        last = "null" if self.last_completion is None else encode_basestring(self.last_completion)
+        return (f'{{"attempts": {self.attempts}, "last_completion": {last}, '
+                f'"reason": {encode_basestring(self.reason)}}}')
 
 
 class GenerationLedger:

@@ -11,6 +11,7 @@ identical across runs.
 from __future__ import annotations
 
 import hashlib
+import sys
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from itertools import chain
@@ -367,6 +368,15 @@ class CachingEmbedder(Store):
     """Content-addressed vector cache around an inner provider."""
 
     what, value_key, value_type = "embedding", "vector", list
+
+    def _checked(self, data: bytes) -> dict[str, Any]:
+        """The entry of a log line whose vector is a non-empty list of finite float64 values."""
+        entry = super()._checked(data)
+        vector = entry["vector"]
+        if not (vector and {int, float}.issuperset(map(type, vector))
+                and all(abs(x) <= sys.float_info.max for x in vector)):
+            raise ValueError("has a 'vector' that is not a non-empty list of finite numbers")
+        return entry
 
     def embed(self, tag: str) -> np.ndarray:
         import numpy as np

@@ -70,7 +70,7 @@ def clamp_page_reference(page):
 def page_from_dict_passes(obj, ctx):
     """A page file's JSON value as a page, parsed as before the one-pass
     parse: build every item, then check each field's type in its own pass.
-    The one-pass parse must give the same page, or the same error."""
+    The one-pass parse must give the same page, or refuse the value too."""
     number = frozenset((int, float))
 
     def bbox_from(value):
@@ -90,6 +90,8 @@ def page_from_dict_passes(obj, ctx):
         raise IoFailure(f"{ctx}: page is not a JSON object")
     if not number.issuperset((type(obj.get("width")), type(obj.get("height")))):
         raise IoFailure(f"{ctx}: page width and height must be numbers")
+    if not type(obj.get("tokens", [])) is type(obj.get("regions", [])) is list:
+        raise IoFailure(f"{ctx}: tokens and regions must be lists")
     try:
         tokens = [OcrToken(text=t["text"], bbox=bbox_from(t["bbox"]),
                            confidence=t.get("confidence"))
@@ -107,6 +109,9 @@ def page_from_dict_passes(obj, ctx):
     require_types("token", tokens, "confidence", number_or_null, "null or a number")
     require_types("region", regions, "kind", string, "a string")
     require_types("region", regions, "score", number_or_null, "null or a number")
+    require_types("page", [page], "page_id", string, "a string")
+    require_types("page", [page], "image_ref", string | {type(None)}, "null or a string")
+    require_types("page", [page], "meta", frozenset((dict,)), "an object")
     return page
 
 
@@ -634,7 +639,8 @@ def profile_from_tags(obj: dict[str, Any], stage: str = "aggregated") -> TagProf
 
 # ---------------------------------------------------------------------------
 # the record path as it was before generate lines were put together from
-# encoded pieces and argument lists were split by a regex; kept verbatim
+# encoded pieces and argument lists were split by a regex; kept verbatim, with
+# the process block as the deleted ExecutionProcess.to_dict built it
 
 
 def generate_line_reference(rec, rep, result) -> dict[str, Any]:
@@ -649,7 +655,14 @@ def generate_line_reference(rec, rep, result) -> dict[str, Any]:
                             "last_completion": result.last_completion}
         ann.pop("process", None)
     else:
-        ann["process"] = result.to_dict()
+        ann["process"] = {
+            "cot": result.cot,
+            "steps": [{"index": s.index, "output_var": s.output_var,
+                       "function_name": s.function_name, "args": s.args}
+                      for s in result.steps],
+            "final_answer": result.final_answer,
+            "attempts": result.attempts,
+        }
         ann.pop("discarded", None)
     obj = record_to_dict(rec)
     obj["annotations"] = ann

@@ -667,6 +667,11 @@ class TestGenerateLines:
         assert text == expected
         assert [(discarded, attempts) for discarded, attempts, _ in outcomes] == [
             (isinstance(result, procgen.Discarded), result.attempts) for _, result in pairs]
+        # each line reads back as its process, or as its discard under the line's record_id
+        for line, (rec, result) in zip(text.split("\n")[:-1], pairs, strict=True):
+            assert cli._generated(json.loads(line)) == (rec.record_id, dataclasses.replace(
+                result, record_id=rec.record_id) if isinstance(result, procgen.Discarded)
+                else result)
 
 
 class TestEval:

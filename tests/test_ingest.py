@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 import threading
 
 import pytest
@@ -63,7 +64,10 @@ def _items(name: str, score: str, max_size: int) -> st.SearchStrategy:
 def _page_values() -> st.SearchStrategy:
     return _mostly(_object({"page_id": st.text(max_size=3), "width": _number,
                             "height": _number, "tokens": _items("text", "confidence", 4),
-                            "regions": _items("kind", "score", 3)}))
+                            "regions": _items("kind", "score", 3),
+                            "image_ref": st.none() | st.text(max_size=3),
+                            "meta": st.dictionaries(st.text(max_size=2), _json_value,
+                                                    max_size=2)}))
 
 
 class TestLoadDataset:
@@ -148,7 +152,8 @@ class TestLoadDataset:
         with pytest.raises(IoFailure, match="p1.json"):
             load_page(path)
 
-    @pytest.mark.parametrize("items,field,value,reason", [
+    # fault: what is wrong with the value, which names the case
+    @pytest.mark.parametrize("items,field,value,fault", [
         ("tokens", "text", 5, "token 0: text must be a string, got 5"),
         ("tokens", "text", None, "token 0: text must be a string, got None"),
         ("tokens", "confidence", "0.9", "token 0: confidence must be null or a number"),
@@ -159,7 +164,7 @@ class TestLoadDataset:
         ("page", "width", True, "page width and height must be numbers"),
         ("tokens", "bbox", [1, 1, True, 5], "bbox must be a list of 4 numbers"),
     ])
-    def test_page_value_of_the_wrong_type(self, tmp_path, items, field, value, reason):
+    def test_page_value_of_the_wrong_type(self, tmp_path, items, field, value, fault):
         page = {"page_id": "p1", "width": 100, "height": 100,
                 "tokens": [{"text": "a", "bbox": [1, 1, 5, 5], "confidence": 0.5}],
                 "regions": [{"kind": "table", "bbox": [0, 0, 50, 50], "score": 1}]}
@@ -168,17 +173,23 @@ class TestLoadDataset:
         path.write_text(json.dumps(page), encoding="utf-8")
         with pytest.raises(IoFailure) as exc:
             load_page(path)
-        assert str(exc.value).startswith(f"{path}: {reason}")
+        at = field if items == "page" else f"{items}[0].{field}"
+        assert str(exc.value) == f"{path}: missing or invalid field {at!r}"
 
     @settings(max_examples=500, deadline=None)
     @given(obj=_page_values())
     def test_one_pass_parse_matches_the_field_passes(self, obj):
-        def outcome(parse):
-            try:
-                return repr(parse(obj, "p.json"))
-            except IoFailure as exc:
-                return str(exc)
-        assert outcome(_page_from_dict) == outcome(page_from_dict_passes)
+        # the reference words its refusals in its own way: both parsers must
+        # refuse the same values and read the others as equal pages
+        try:
+            page = _page_from_dict(obj, "p.json")
+        except IoFailure as exc:
+            assert re.fullmatch(r"p\.json: (page is not a JSON object"
+                                r"|missing or invalid field '.+')", str(exc)), exc
+            with pytest.raises(IoFailure):
+                page_from_dict_passes(obj, "p.json")
+        else:
+            assert repr(page) == repr(page_from_dict_passes(obj, "p.json"))
 
     @pytest.mark.parametrize("value", [None, 0, 1, 0.25])
     def test_confidence_and_score_may_be_null_or_any_number(self, tmp_path, value):

@@ -20,8 +20,8 @@ For every row the harness checks the exit code; no traceback; for exit 1,
 exactly one stderr line, starting with ``error: `` (for exit 2, argparse's
 usage); the stderr text, whole or as a fragment; and what the command wrote.
 Nothing in the tree may change, and ``{new}`` must not exist unless the row
-names the stages whose artifacts it then holds, beside the manifest (``()``:
-an empty directory). Stdout is empty unless a stage completed.
+names the stages whose artifacts it then holds, beside the manifest. Stdout
+is empty unless a stage completed.
 """
 
 from __future__ import annotations
@@ -252,15 +252,17 @@ def _bad_cache_entry(entry: str) -> Callable[[dict[str, Any]], None]:
 
 def _embedding_cache(edit: Callable[[list], list]) -> Callable[[dict[str, Any]], None]:
     """An embedding cache ``{root}/ecache`` of the run's filtered tags, in
-    which the vector of ``{tag}``, the first that dbscan reads, is edited."""
+    which the vector of the first tag that dbscan reads, on line ``{line}``
+    of the log ``{path}``, is edited."""
     def mutate(n):
         filtered = json.loads(n["art"]["vocab"].read_text(encoding="utf-8"))["stages"]["filtered"]
         embedder = tagnorm.CachingEmbedder(n["root"] / "ecache", inner=tagnorm.HashingEmbedder())
         for tag in filtered:
             embedder.embed(tag)
         n["tag"] = min(filtered)
-        log = n["root"] / "ecache" / "entries.jsonl"
+        log = n["path"] = n["root"] / "ecache" / "entries.jsonl"
         entries = [json.loads(line) for line in _lines(log)[:-1]]
+        n["line"] = 1 + next(k for k, e in enumerate(entries) if e["tag"] == n["tag"])
         log.write_text("".join(json.dumps(dict(e, vector=edit(e["vector"])) if e["tag"] == n["tag"]
                                           else e) + "\n" for e in entries), encoding="utf-8")
     return mutate
@@ -463,32 +465,26 @@ PROBES = [
                                ("embedding", "tag --embedder cache --embed-cache-dir", ARGS))
       for made in ("missing", "empty")),
     *(Probe(f"embedding-vector-{name}", "tag --stage normalize --embedder cache "
-            "--embed-cache-dir {root}/ecache " + ARGS, "the vector of tag {tag!r} is " + reason,
-            _embedding_cache(edit))
-      for name, edit, reason in (
-          ("nan", lambda v: [math.nan, *v[1:]], "not finite"),
-          ("inf", lambda v: [*v[:-1], math.inf], "not finite"),
-          ("empty", lambda v: [], "not a non-empty list of numbers"),
-          ("strings", lambda v: ["a"] * len(v), "not a non-empty list of numbers"))),
+            "--embed-cache-dir {root}/ecache " + ARGS, "cache entry {path}:{line} has a "
+            "'vector' that is not a non-empty list of finite numbers", _embedding_cache(edit))
+      for name, edit in (("nan", lambda v: [math.nan, *v[1:]]),
+                         ("inf", lambda v: [*v[:-1], math.inf]),
+                         ("empty", lambda v: []), ("strings", lambda v: ["a"] * len(v)),
+                         ("huge-int", lambda v: [10 ** 400, *v[1:]]))),
     *(Probe(f"page-not-json-cpus{cpus}", "pipeline " + NEW, f"page file {{root}}/{LAST_PAGE} "
             "is not valid JSON: Expecting value: line 1 column 13 (char 12)",
-            _write(LAST_PAGE, '{"page_id": '), cpus=cpus, new=())
+            _write(LAST_PAGE, '{"page_id": '), cpus=cpus)
       for cpus in (1, 2)),
     *(Probe(f"page-{field}-wrong-type-cpus{cpus}", "pipeline " + NEW,
-            f"{{root}}/{LAST_PAGE}: {reason}",
+            f"{{root}}/{LAST_PAGE}: " + _invalid(f"{items}[0].{field}"),
             _edit_last_page(lambda page, items=items, field=field, value=value:
-                            page[items][0].__setitem__(field, value)), cpus=cpus, new=())
+                            page[items][0].__setitem__(field, value)), cpus=cpus)
       for cpus in (1, 2)
-      for items, field, value, reason in (
-          ("tokens", "text", 5, "token 0: text must be a string, got 5"),
-          ("regions", "score", "x", "region 0: score must be null or a number, got 'x'"),
-          ("regions", "kind", 7, "region 0: kind must be a string, got 7"),
-          ("tokens", "confidence", False,
-           "token 0: confidence must be null or a number, got False"))),
+      for items, field, value in (("tokens", "text", 5), ("regions", "score", "x"),
+                                  ("regions", "kind", 7), ("tokens", "confidence", False))),
     *(Probe(f"page-file-naming-another-page-cpus{cpus}", "pipeline " + NEW,
             f"page file {{root}}/{LAST_PAGE} holds page_id 'p0000', not 'p0005'",
-            _edit_last_page(lambda page: page.__setitem__("page_id", "p0000")), cpus=cpus,
-            new=())
+            _edit_last_page(lambda page: page.__setitem__("page_id", "p0000")), cpus=cpus)
       for cpus in (1, 2)),
     Probe("generate-page-not-rendered", "generate --backend mock " + ARGS,
           "record references unknown page 'unrendered'", _record_on_unrendered_page),
@@ -562,10 +558,9 @@ def _check(probe: Probe, n: dict[str, Any], before: dict[str, str | None],
         assert not made
         assert out == ""
         return
-    manifest = json.loads((n["new"] / cli.MANIFEST).read_text()) if probe.new else {}
+    manifest = json.loads((n["new"] / cli.MANIFEST).read_text())
     assert sorted(manifest) == sorted(probe.new)
-    assert made == {"new", *(f"new/{name}" for name in manifest.values()),
-                    *(["new/" + cli.MANIFEST] if manifest else [])}
+    assert made == {"new", "new/" + cli.MANIFEST, *(f"new/{name}" for name in manifest.values())}
 
 
 @pytest.mark.parametrize("probe", PROBES, ids=lambda probe: probe.id)

@@ -212,7 +212,7 @@ class TestGenerateAll:
         for _ in range(2):
             out = generate_all(records, reps, MockBackend(), GenerationLedger(),
                                max_inflight=3)
-            runs.append([p.to_dict() for p in out])
+            runs.append([p.to_json() for p in out])
         assert runs[0] == runs[1]
 
 
@@ -232,11 +232,11 @@ class TestCachingBackend:
         reps = {"p1": mkrep()}
         counting = CountingBackend()
         backend = CachingBackend(tmp_path / "cache", inner=counting)
-        first = [p.to_dict() for p in
+        first = [p.to_json() for p in
                  generate_all(records, reps, backend, GenerationLedger(), max_inflight=1)]
         calls_after_first = counting.calls
         assert calls_after_first == 5
-        second = [p.to_dict() for p in
+        second = [p.to_json() for p in
                   generate_all(records, reps, backend, GenerationLedger(), max_inflight=1)]
         assert counting.calls == calls_after_first  # all cache hits
         assert first == second

@@ -1,6 +1,8 @@
 """Every reader of a line file, against lines one mutation away from a line
 its writer wrote: the line reads, or it is a :class:`MalformedLine` naming
-its file and line, and no other exception escapes the reader.
+its file and line, and no other exception escapes the reader. A page file,
+mutated the same way, reads or is an :class:`IoFailure` naming the file and
+the first bad field.
 
 A mutation deletes a key or list item at any depth, replaces a value with
 JSON of another type (NaN included), or replaces the whole line with a
@@ -27,7 +29,8 @@ from hypothesis import strategies as st
 
 from proctag import cli, procgen
 from proctag.config import PipelineConfig
-from proctag.ingest import MalformedLine, dumps_json, read_jsonl, read_records, write_dataset
+from proctag.ingest import (IoFailure, MalformedLine, dumps_json, load_page, read_jsonl,
+                            read_records, write_dataset)
 from proctag.render import DocumentRepresentation
 from proctag.synth import make_dataset
 
@@ -80,7 +83,7 @@ def tree(tmp_path_factory) -> Path:
     rep = next(read_jsonl(cli._read_stage(out, "render"), DocumentRepresentation.from_dict))
     discard = procgen.Discarded(rec.record_id, "no pseudo-code block", 3, "find_total(document)")
     with open(cli._read_stage(out, "generate"), "a", encoding="utf-8") as fh:
-        fh.write(dumps_json(cli._generate_line(rec, rep, discard)) + "\n")
+        fh.write(cli._encode_generated([(rec, discard)], {rec.page_id: rep})[0])
     (root / "pred.jsonl").write_text("".join(
         dumps_json({"record_id": r.record_id, "predicted": "x"}) + "\n"
         for r in read_records(records)), encoding="utf-8")
@@ -215,3 +218,48 @@ def test_a_refused_artifact_line_exits_1_with_its_error(tree, data):
                 "--dataset", str(root / "data" / "records.jsonl"), "--out", str(root / "out")])
     assert code == 1
     assert err.getvalue() == f"error: {error}\n"
+
+
+# a page file of the tree, which render reads
+PAGE = "data/pages/p0000.json"
+
+
+def _field(path: tuple) -> str:
+    """A slot's path as the page parser names it, such as ``tokens[3].bbox``."""
+    return "".join(f"[{key}]" if type(key) is int else f".{key}" for key in path).lstrip(".")
+
+
+def test_every_page_mutation_reads_or_names_its_field(tree, tmp_path):
+    file = tmp_path / "p.json"
+    page = json.loads((tree / PAGE).read_text(encoding="utf-8"))
+    refused = 0
+    for path, new in _mutations(page):
+        file.write_text(json.dumps(_mutated(page, path, new)), encoding="utf-8")
+        try:
+            load_page(file)
+        except IoFailure as exc:
+            refused += 1
+            if not path and type(new) is not dict:
+                assert str(exc) == f"{file}: page is not a JSON object"
+                continue
+            prefix = f"{file}: missing or invalid field '"
+            assert str(exc).startswith(prefix) and str(exc).endswith("'"), exc
+            # the original page is valid, so the first bad field is the
+            # mutated slot or holds it
+            named, slot = str(exc)[len(prefix):-1], _field(path)
+            assert not path or slot == named or slot.startswith((f"{named}.", f"{named}[")), exc
+    assert refused
+
+
+def test_a_refused_page_file_exits_1_with_its_error(tree, tmp_path):
+    root = Path(shutil.copytree(tree, tmp_path / "root"))
+    page = json.loads((root / PAGE).read_text(encoding="utf-8"))
+    del page["tokens"][1]["text"]
+    (root / PAGE).write_text(json.dumps(page), encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.run(["render", "--dataset", str(root / "data" / "records.jsonl"),
+                        "--out", str(root / "new")])
+    assert code == 1
+    assert err.getvalue() == f"error: {root / PAGE}: missing or invalid field 'tokens[1].text'\n"
+    assert not (root / "new").exists()
