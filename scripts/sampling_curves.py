@@ -11,9 +11,9 @@ from proctag.assess import _selection_sequence, random_sample, tag_coverage
 
 
 def coverage_of(ids, profiles):
+    """0.0 also when the profiles hold no tag to cover."""
     chosen = set(ids)
-    subset = [p for p in profiles if p.record_id in chosen]
-    return tag_coverage(subset, profiles) if subset else 0.0
+    return tag_coverage([p for p in profiles if p.record_id in chosen], profiles) or 0.0
 
 
 def main():

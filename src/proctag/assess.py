@@ -22,22 +22,9 @@ import random
 from dataclasses import dataclass
 from typing import Any
 
-from .errors import ProcTagError
 from .tagnorm import TagProfile
 
 MODES = ("budget", "ratio", "coverage", "random")
-
-
-class EmptyDataset(ProcTagError):
-    pass
-
-
-class EmptyVocabulary(ProcTagError):
-    pass
-
-
-class InfeasibleCoverage(ProcTagError):
-    pass
 
 
 @dataclass
@@ -78,7 +65,7 @@ class SampleSpec:
                 raise ValueError("coverage mode requires a finite, non-negative "
                                  f"coverage_target, got {target!r}")
             if target > 1.0:
-                raise InfeasibleCoverage(f"coverage target {target} exceeds 1.0")
+                raise ValueError(f"coverage target {target} exceeds 1.0")
 
 
 def complexity(profiles: list[TagProfile]) -> int:
@@ -90,19 +77,18 @@ def complexity(profiles: list[TagProfile]) -> int:
 
 
 def diversity(profiles: list[TagProfile]) -> float:
-    """Mean distinct-tag count per record."""
-    if not profiles:
-        raise EmptyDataset("diversity of an empty dataset is undefined")
-    return sum(len(set(p.tags)) for p in profiles) / len(profiles)
+    """Mean distinct-tag count per record; 0.0 for a dataset with no record."""
+    return sum(len(set(p.tags)) for p in profiles) / len(profiles) if profiles else 0.0
 
 
-def tag_coverage(subset: list[TagProfile], full: list[TagProfile]) -> float:
-    """Fraction of the full dataset's distinct tags present in the subset."""
+def tag_coverage(subset: list[TagProfile], full: list[TagProfile]) -> float | None:
+    """Fraction of the full dataset's distinct tags present in the subset;
+    None when the full dataset has no tag to cover."""
     full_tags: set[str] = set()
     for p in full:
         full_tags.update(p.tags)
     if not full_tags:
-        raise EmptyVocabulary("full dataset has no tags")
+        return None
     covered: set[str] = set()
     for p in subset:
         covered.update(p.tags)
@@ -115,7 +101,7 @@ def assess_dataset(profiles: list[TagProfile]) -> DatasetAssessment:
         stages.setdefault(p.stage, set()).update(p.tags)
     return DatasetAssessment(
         complexity=complexity(profiles),
-        diversity=diversity(profiles) if profiles else 0.0,
+        diversity=diversity(profiles),
         vocabulary_sizes={stage: len(tags) for stage, tags in sorted(stages.items())},
         record_count=len(profiles),
     )
@@ -169,7 +155,9 @@ def _selection_sequence(profiles: list[TagProfile]) -> tuple[list[TagProfile], l
 
 
 def sample(profiles: list[TagProfile], spec: SampleSpec) -> list[str]:
-    """Select record ids per the spec; deterministic for fixed inputs."""
+    """Select record ids per the spec; deterministic for fixed inputs. Mode
+    ``coverage`` takes the shortest prefix of phase 1 that reaches the
+    target, which is no record when there is no tag to cover."""
     spec.validate()
     if spec.mode == "random":
         return random_sample(profiles, spec.ratio, spec.seed)
@@ -179,18 +167,15 @@ def sample(profiles: list[TagProfile], spec: SampleSpec) -> list[str]:
         universe: set[str] = set()
         for p in profiles:
             universe.update(p.tags)
-        if not universe:
-            return []  # nothing to cover
         selected: list[str] = []
         covered: set[str] = set()
-        if len(covered) / len(universe) >= spec.coverage_target:
-            return selected
+        # phase 1 covers every tag, and is empty when there is none
         for p in phase1:
+            if len(covered) / len(universe) >= spec.coverage_target:
+                break
             selected.append(p.record_id)
             covered.update(p.tags)
-            if len(covered) / len(universe) >= spec.coverage_target:
-                return selected
-        return selected  # phase 1 exhausts all attainable coverage
+        return selected
     budget = spec.budget if spec.mode == "budget" else math.ceil(spec.ratio * n)
     budget = min(budget, n)
     ordered = phase1 + phase2

@@ -352,7 +352,7 @@ def generate_stage(rendered: tuple[list[InstructionRecord], dict[str, DocumentRe
 
     path = _write_stage(out_dir, "generate", lines(), "jsonl")
     _write_stage(out_dir, "ledger", dumps_json(ledger.to_dict()) + "\n", "json")
-    rate = procgen.discard_rate(ledger) if ledger.total else 0.0
+    rate = procgen.discard_rate(ledger)
     print(f"generated {ledger.succeeded}/{ledger.total} processes "
           f"(discard rate {rate:.4f}) -> {path}")
     return profiles
@@ -377,10 +377,7 @@ def _raw_profile(rid: str, result: procgen.ExecutionProcess | procgen.Discarded,
     of a discarded one."""
     steps = result.steps if isinstance(result, procgen.ExecutionProcess) else None
     completion = result.last_completion if isinstance(result, procgen.Discarded) else None
-    try:
-        return tagparse.extract_function_names(rid, steps=steps, completion=completion)
-    except tagparse.NoTags:
-        return tagnorm.TagProfile(rid, [], source="none")
+    return tagparse.extract_function_names(rid, steps=steps, completion=completion)
 
 
 def _tags_lines(raw: list[tagnorm.TagProfile],
@@ -535,8 +532,7 @@ def sample_stage(profiles: list[tagnorm.TagProfile], cfg: PipelineConfig,
         "selected": selected,
         "count": len(selected),
         "assessment": assess_mod.assess_dataset(subset).to_dict() if subset else None,
-        "coverage": (assess_mod.tag_coverage(subset, profiles)
-                     if subset and assess_mod.complexity(profiles) else None),
+        "coverage": assess_mod.tag_coverage(subset, profiles) if subset else None,
     }
     path = _write_stage(out_dir, "sample", dumps_json(report) + "\n", "json")
     print(f"selected {len(selected)}/{len(profiles)} records -> {path}")

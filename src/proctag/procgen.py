@@ -48,10 +48,6 @@ class BackendUnavailable(ProcTagError):
     """Every attempt failed at the transport level."""
 
 
-class EmptyLedger(ProcTagError):
-    """No generation outcomes recorded yet."""
-
-
 @dataclass(frozen=True)
 class DecodeParams:
     temperature: float = 0.0
@@ -148,9 +144,8 @@ class GenerationLedger:
 
 
 def discard_rate(ledger: GenerationLedger) -> float:
-    if ledger.total == 0:
-        raise EmptyLedger("no generation outcomes recorded")
-    return ledger.discarded / ledger.total
+    """Discarded over total outcomes; 0.0 for a ledger with no record."""
+    return ledger.discarded / ledger.total if ledger.total else 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ import math
 from dataclasses import dataclass
 from typing import Any
 
-from .errors import ProcTagError
 from .ingest import DocumentPage, OcrToken, checked
 from .layout import DEFAULT_ROW_TOLERANCE, AssociatedBlock, reading_rows
 
@@ -22,10 +21,6 @@ TRUNCATION_MARKER = "[truncated]"
 
 # used when per-character width cannot be estimated from the tokens
 FALLBACK_COLUMNS = 80
-
-
-class NoTokens(ProcTagError):
-    """The page has no OCR tokens to estimate from."""
 
 
 @dataclass
@@ -59,17 +54,14 @@ def _median(values: list[float]) -> float:
 
 
 def estimate_char_cell(page: DocumentPage) -> float:
-    """Median per-character pixel width over the page's tokens."""
-    if not page.tokens:
-        raise NoTokens(page.page_id)
-    return _median([t.bbox.width / max(1, len(t.text)) for t in page.tokens])
-
-
-def _cell_or_fallback(page: DocumentPage) -> float:
-    cell = estimate_char_cell(page) if page.tokens else 0.0
-    if cell <= 0:
-        cell = page.width / FALLBACK_COLUMNS if page.width > 0 else 1.0
-    return cell
+    """Median per-character pixel width over the page's tokens. A page with
+    no token, or whose median is not positive, gets its width over
+    ``FALLBACK_COLUMNS`` instead, or 1.0 if its width is not positive."""
+    if page.tokens:
+        cell = _median([t.bbox.width / max(1, len(t.text)) for t in page.tokens])
+        if cell > 0:
+            return cell
+    return page.width / FALLBACK_COLUMNS if page.width > 0 else 1.0
 
 
 def _round_half_up(x: float) -> int:
@@ -140,13 +132,13 @@ def render_plaintext(page: DocumentPage, *, max_chars: int | None = None,
     chunks = [(" ".join(t.text for t in row), len(row)) for row in rows]
     text, count = _truncate(chunks, max_chars)
     return DocumentRepresentation(page_id=page.page_id, style=PLAINTEXT, text=text,
-                                  char_cell_width=_cell_or_fallback(page), token_count=count)
+                                  char_cell_width=estimate_char_cell(page), token_count=count)
 
 
 def render_spatial(page: DocumentPage, *, max_chars: int | None = None,
                    row_tolerance_factor: float = DEFAULT_ROW_TOLERANCE) -> DocumentRepresentation:
     """Layout reconstructed purely with spaces and line breaks."""
-    cell = _cell_or_fallback(page)
+    cell = estimate_char_cell(page)
     chunks = _spatial_lines(page.tokens, cell, origin_x=0.0,
                             row_tolerance_factor=row_tolerance_factor)
     text, count = _truncate(chunks, max_chars)
@@ -160,7 +152,7 @@ def render_doclayprompt(blocks: list[AssociatedBlock], page: DocumentPage, *,
     """Blocks in reading order, each non-empty block wrapped in layout-type
     tags with its tokens rendered spatially (columns relative to the block's
     leftmost token). Empty blocks emit nothing."""
-    cell = _cell_or_fallback(page)
+    cell = estimate_char_cell(page)
     sections: list[tuple[str, int]] = []
     for block in blocks:
         if not block.tokens:

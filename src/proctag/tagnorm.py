@@ -43,10 +43,6 @@ class ZeroVector(ProcTagError):
     """Cosine distance is undefined for a zero-norm vector."""
 
 
-class DegenerateMerge(ProcTagError):
-    """Nothing of the second tag survives the merge rule."""
-
-
 @dataclass
 class TagVocabulary:
     """Tag -> corpus occurrence count at one stage."""
@@ -249,16 +245,16 @@ def mine_adjacent_pairs(profiles: list[TagProfile],
     return stats
 
 
-def merge_name(first: str, second: str) -> str:
+def merge_name(first: str, second: str) -> str | None:
     """Combine two tags: first's tokens, then second's tokens minus its
-    leading token and minus tokens already present in first."""
-    if first == second:
-        raise DegenerateMerge(f"self-merge of {first!r}")
+    leading token and minus tokens already present in first. A degenerate
+    merge gives None: one where nothing of second survives (a self-merge
+    among them), or one whose name normalizes to nothing."""
     first_tokens = first.split("_")
     extra = [t for t in second.split("_")[1:] if t not in first_tokens]
     if not extra:
-        raise DegenerateMerge(f"nothing of {second!r} survives merging into {first!r}")
-    return normalize_name("_".join(first_tokens + extra))
+        return None
+    return normalize_name("_".join(first_tokens + extra)) or None
 
 
 def aggregate_pairs(profiles: list[TagProfile], stats: list[AdjacentPairStat],
@@ -282,9 +278,8 @@ def aggregate_pairs(profiles: list[TagProfile], stats: list[AdjacentPairStat],
     tag_lists = [list(p.tags) for p in profiles]
     applied: list[dict[str, Any]] = []
     for st in qualifying:
-        try:
-            merged = merge_name(st.first, st.second)
-        except DegenerateMerge:
+        merged = merge_name(st.first, st.second)
+        if merged is None:
             continue
         first, second = st.first, st.second
         for tags in tag_lists:
@@ -396,7 +391,6 @@ class NormalizationResult:
     stage_profiles: dict[str, list[TagProfile]]   # every stage, for audit
     vocabularies: dict[str, TagVocabulary]
     assignment: ClusterAssignment
-    pair_stats: list[AdjacentPairStat]            # only pairs with support >= min_support
     merges: list[dict[str, Any]] = field(default_factory=list)
 
 
@@ -432,6 +426,5 @@ def normalize_corpus(profiles: list[TagProfile], embedder: EmbeddingProvider, *,
         vocabularies={"raw": raw_vocab, "filtered": filtered_vocab,
                       "clustered": clustered_vocab, "aggregated": aggregated_vocab},
         assignment=assignment,
-        pair_stats=stats,
         merges=merges,
     )

@@ -29,14 +29,6 @@ class GrammarViolation(ProcTagError):
         super().__init__(f"{msg} ({reason})" if reason else msg)
 
 
-class NoTags(ProcTagError):
-    """Neither the grammar path nor the fallback scanner produced a tag."""
-
-
-class EmptyAfterNormalization(ProcTagError):
-    """Normalizing a raw name left nothing."""
-
-
 @dataclass(frozen=True)
 class ProcessStep:
     """``output_var = function_name(args...)`` at 1-based position ``index``."""
@@ -144,17 +136,12 @@ NAME_CACHE_SIZE = 4096
 def normalize_name(raw: str) -> str:
     """Lowercase snake_case: camelCase split at case boundaries, characters
     outside [a-z0-9_] dropped, underscore runs collapsed, leading digits and
-    underscores stripped. Results are cached; a name that normalizes to
-    nothing raises on every call."""
-    if not raw:
-        raise EmptyAfterNormalization(raw)
+    underscores stripped. Results are cached; a name that leaves nothing,
+    such as ``"123!!"``, normalizes to ``""``."""
     s = _CAMEL_RE.sub("_", raw).lower()
     s = re.sub(r"[^a-z0-9_]", "", s)
     s = re.sub(r"_+", "_", s).strip("_")
-    s = s.lstrip("0123456789_")
-    if not s:
-        raise EmptyAfterNormalization(raw)
-    return s
+    return s.lstrip("0123456789_")
 
 
 def collapse_adjacent(tags: list[str]) -> list[str]:
@@ -177,22 +164,14 @@ def scan_call_sites(text: str) -> list[str]:
 def extract_function_names(record_id: str, steps: list[ProcessStep] | None = None,
                            completion: str | None = None) -> TagProfile:
     """The raw-stage profile of a record: tags from parsed steps when
-    available, else from the fallback scanner over the raw completion."""
+    available, else from the fallback scanner over the raw completion. A
+    name that normalizes to nothing is dropped; a record left with no tag
+    gets an empty profile whose source is ``"none"``."""
     if steps:
         raw_names = [s.function_name for s in steps]
         source = "grammar"
-    elif completion:
-        raw_names = scan_call_sites(completion)
-        source = "fallback"
     else:
-        raise NoTags(record_id)
-    tags: list[str] = []
-    for name in raw_names:
-        try:
-            tags.append(normalize_name(name))
-        except EmptyAfterNormalization:
-            continue
-    tags = collapse_adjacent(tags)
-    if not tags:
-        raise NoTags(record_id)
-    return TagProfile(record_id, tags, "raw", source)
+        raw_names = scan_call_sites(completion or "")
+        source = "fallback"
+    tags = collapse_adjacent([tag for tag in map(normalize_name, raw_names) if tag])
+    return TagProfile(record_id, tags, "raw", source if tags else "none")

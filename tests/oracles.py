@@ -30,7 +30,7 @@ from proctag.ingest import (BoundingBox, DocumentPage, IoFailure, LayoutRegion, 
 from proctag.procgen import BackendError, DecodeParams, GenerationBackend
 from proctag.tagnorm import (DEFAULT_DBSCAN_EPS, DEFAULT_DBSCAN_MIN_PTS, DEFAULT_MIN_CONFIDENCE,
                              DEFAULT_MIN_SUPPORT, AdjacentPairStat, ClusterAssignment,
-                             DegenerateMerge, EmbeddingProvider, NormalizationResult, TagProfile,
+                             EmbeddingProvider, NormalizationResult, TagProfile,
                              TagVocabulary, ZeroVector, _require_stage, dbscan,
                              default_min_count, merge_name)
 from proctag.tagparse import collapse_adjacent
@@ -720,12 +720,9 @@ def extract_stage_full_records(records: Iterable[dict[str, Any]],
             steps = procgen.ExecutionProcess.from_dict(ann["process"]).steps
         elif "discarded" in ann:
             completion = ann["discarded"].get("last_completion")
-        try:
-            seq = tagparse.extract_function_names(obj["record_id"], steps=steps,
-                                                  completion=completion)
-            ann["tags"] = {"raw": seq.tags, "source": seq.source}
-        except tagparse.NoTags:
-            ann["tags"] = {"raw": [], "source": "none"}
+        seq = tagparse.extract_function_names(obj["record_id"], steps=steps,
+                                              completion=completion)
+        ann["tags"] = {"raw": seq.tags, "source": seq.source}
         obj = dict(obj)
         obj["annotations"] = ann
         out.append(obj)
@@ -860,9 +857,8 @@ def aggregate_pairs(profiles: list[TagProfile], stats: list[AdjacentPairStat],
     tag_lists = [list(p.tags) for p in profiles]
     applied: list[dict[str, Any]] = []
     for st in qualifying:
-        try:
-            merged = merge_name(st.first, st.second)
-        except DegenerateMerge:
+        merged = merge_name(st.first, st.second)
+        if merged is None:
             continue
         for tags in tag_lists:
             i = 0
@@ -906,7 +902,6 @@ def normalize_corpus(profiles: list[TagProfile], embedder: EmbeddingProvider, *,
         vocabularies={"raw": raw_vocab, "filtered": filtered_vocab,
                       "clustered": clustered_vocab, "aggregated": aggregated_vocab},
         assignment=assignment,
-        pair_stats=stats,
         merges=merges,
     )
 

@@ -5,12 +5,11 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from proctag.assess import (EmptyDataset, EmptyVocabulary, InfeasibleCoverage,
-                            SampleSpec, _selection_sequence, assess_dataset,
+from proctag.assess import (SampleSpec, _selection_sequence, assess_dataset,
                             complexity, diversity, sample, tag_coverage)
 from proctag.tagnorm import TagProfile
 
@@ -87,8 +86,7 @@ class TestCounts:
         assert diversity(profiles) == pytest.approx(expected)
 
     def test_diversity_empty_dataset(self):
-        with pytest.raises(EmptyDataset):
-            diversity([])
+        assert diversity([]) == 0.0
 
 
 class TestCoverage:
@@ -105,15 +103,15 @@ class TestCoverage:
         subset = [p for p in full if rng.random() < 0.5]
         full_tags = set().union(*(set(p.tags) for p in full))
         if not full_tags:
-            with pytest.raises(EmptyVocabulary):
-                tag_coverage(subset, full)
+            assert tag_coverage(subset, full) is None
             return
         covered = set().union(*(set(p.tags) for p in subset)) if subset else set()
         assert tag_coverage(subset, full) == pytest.approx(len(covered) / len(full_tags))
 
     def test_empty_vocabulary(self):
-        with pytest.raises(EmptyVocabulary):
-            tag_coverage([], [prof("r1", [])])
+        assert tag_coverage([], [prof("r1", [])]) is None
+        assert tag_coverage([prof("r1", [])], [prof("r1", [])]) is None
+        assert tag_coverage([], []) is None
 
 
 class TestSample:
@@ -165,8 +163,27 @@ class TestSample:
         partial = sample(TOY_8, SampleSpec(mode="coverage", coverage_target=0.33))
         assert len(partial) == 1  # first pick covers 3 of 9 tags
 
+    @settings(max_examples=300, deadline=None)
+    @example(profiles=[], target=0.0)
+    @example(profiles=[prof("r0", []), prof("r1", [])], target=1.0)
+    @example(profiles=TOY_8, target=0.0)
+    @example(profiles=TOY_8, target=1.0)
+    @given(profiles=selection_instance,
+           target=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0, 1)))
+    def test_coverage_mode_is_the_shortest_prefix_reaching_the_target(self, profiles, target):
+        phase1 = _selection_sequence(profiles)[0]
+        universe = set().union(*(p.tags for p in profiles))
+
+        def reaches(k):  # with no tag to cover, the empty prefix does
+            covered = set().union(*(p.tags for p in phase1[:k]))
+            return not universe or len(covered) / len(universe) >= target
+
+        k = min(k for k in range(len(phase1) + 1) if reaches(k))
+        got = sample(profiles, SampleSpec(mode="coverage", coverage_target=target))
+        assert got == [p.record_id for p in phase1[:k]]
+
     def test_coverage_target_above_one_infeasible(self):
-        with pytest.raises(InfeasibleCoverage):
+        with pytest.raises(ValueError, match=r"^coverage target 1\.2 exceeds 1\.0$"):
             sample(TOY_8, SampleSpec(mode="coverage", coverage_target=1.2))
 
     def test_empty_profiles_selected_last(self):

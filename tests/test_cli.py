@@ -418,19 +418,40 @@ class TestSlimTagArtifacts:
         # the decoded questions alone would add 2000 * 2 KB = 4 MB
         assert padded < bare + (1 << 20), (bare, padded)
 
+    def test_a_merge_that_normalizes_to_nothing_is_skipped(self, tmp_path):
+        # the pair qualifies at the default thresholds, but "__" merged with
+        # "a_1" is "___1", whose normal form is empty
+        cli._write_stage(tmp_path, "tags_raw", cli._jsonl(
+            {"record_id": f"r{i:02d}", "annotations": {"tags": {"raw": ["__", "a_1"],
+                                                                "source": "grammar"}}}
+            for i in range(50)), "jsonl")
+        assert run(["tag", "--stage", "normalize", "--out", str(tmp_path)]) == 0
+        vocab = json.loads(cli._read_stage(tmp_path, "vocab").read_text(encoding="utf-8"))
+        assert vocab["merges"] == []
+
     def test_sampling_curves_reads_line_separators(self, tmp_path):
         ds = make_dataset(seed=11, n_pages=4, records_per_page=5)
         ds.records[0].record_id += "\u2028"
         write_dataset(ds, tmp_path / "data" / "records.jsonl")
         out = tmp_path / "out"
         assert run(["pipeline", "--backend", "mock"] + _base_args(tmp_path / "data", out)) == 0
-        script = Path(__file__).parents[1] / "scripts" / "sampling_curves.py"
-        proc = subprocess.run([sys.executable, str(script), "--out", str(out), "--seeds", "2"],
-                              capture_output=True, text=True, timeout=120,
-                              env={**os.environ,
-                                   "PYTHONPATH": str(Path(cli.__file__).parents[1])})
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.startswith("20 records\n")
+        assert _sampling_curves(out).startswith("20 records\n")
+
+    def test_sampling_curves_over_profiles_without_a_tag(self, tmp_path):
+        cli._write_stage(tmp_path, "profiles", cli._profiles_lines(
+            [tagnorm.TagProfile(f"r{i}", [], "aggregated") for i in range(5)]), "jsonl")
+        assert _sampling_curves(tmp_path).splitlines()[-1].split() == ["100%", "0.000", "0.000"]
+
+
+def _sampling_curves(out: Path) -> str:
+    """The standard output of ``scripts/sampling_curves.py`` over ``out``,
+    which must exit 0."""
+    script = Path(__file__).parents[1] / "scripts" / "sampling_curves.py"
+    proc = subprocess.run([sys.executable, str(script), "--out", str(out), "--seeds", "2"],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])})
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def rows_of(profiles):

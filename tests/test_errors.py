@@ -39,7 +39,7 @@ ERROR_CLASSES = _error_classes()
 def test_every_module_is_searched():
     names = {c.__name__ for c in ERROR_CLASSES}
     assert {"GrammarViolation", "MalformedLine", "MissingPage", "ConfigError",
-            "BackendUnavailable", "InfeasibleCoverage"} <= names
+            "BackendUnavailable", "ZeroVector", "DegenerateMarginals"} <= names
 
 
 @pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda c: c.__qualname__)

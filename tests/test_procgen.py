@@ -14,7 +14,7 @@ import oracles
 from conftest import run_together
 from proctag.ingest import InstructionRecord
 from proctag.procgen import (MAX_ATTEMPTS, BackendError, BackendUnavailable,
-                             CachingBackend, DecodeParams, Discarded, EmptyLedger,
+                             CachingBackend, DecodeParams, Discarded,
                              GenerationLedger, MockBackend, ParseFailure,
                              RemoteBackend, build_prompt, discard_rate,
                              generate_all, generate_process, parse_response,
@@ -192,8 +192,7 @@ class TestDiscardRate:
         assert discard_rate(ledger) == 0.0
 
     def test_empty_ledger(self):
-        with pytest.raises(EmptyLedger):
-            discard_rate(GenerationLedger())
+        assert discard_rate(GenerationLedger()) == 0.0
 
 
 class TestGenerateAll:

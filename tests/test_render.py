@@ -2,11 +2,9 @@ from __future__ import annotations
 
 from collections import Counter
 
-import pytest
-
 from conftest import mkpage, mkreg, mktok, random_box
 from proctag.layout import associate, clean_inputs
-from proctag.render import (TRUNCATION_MARKER, NoTokens, estimate_char_cell,
+from proctag.render import (FALLBACK_COLUMNS, TRUNCATION_MARKER, estimate_char_cell,
                             render_doclayprompt, render_plaintext,
                             render_spatial)
 from proctag.synth import random_page
@@ -34,8 +32,8 @@ class TestEstimateCharCell:
         assert estimate_char_cell(page) == 10.0
 
     def test_empty_page(self):
-        with pytest.raises(NoTokens):
-            estimate_char_cell(mkpage())
+        # no token to measure: the page's width over FALLBACK_COLUMNS
+        assert estimate_char_cell(mkpage()) == mkpage().width / FALLBACK_COLUMNS
 
 
 class TestPlaintext:

@@ -19,9 +19,8 @@ from conftest import run_together
 from proctag import tagnorm
 from proctag.errors import ProcTagError
 from proctag.tagnorm import (AdjacentPairStat, CachingEmbedder, ClusterAssignment,
-                             DegenerateMerge, HashingEmbedder, RemoteEmbedder,
-                             TagProfile, ZeroVector, aggregate_pairs, apply_clusters,
-                             dbscan, default_min_count,
+                             HashingEmbedder, RemoteEmbedder, TagProfile, ZeroVector,
+                             aggregate_pairs, apply_clusters, dbscan, default_min_count,
                              frequency_filter, merge_name, mine_adjacent_pairs,
                              normalize_corpus, tag_frequencies)
 
@@ -321,8 +320,9 @@ class TestMergeName:
         assert merge_name("locate_table", "extract_cell") == "locate_table_cell"
 
     def test_degenerate(self):
-        with pytest.raises(DegenerateMerge):
-            merge_name("find_row", "get_row")
+        assert merge_name("find_row", "find_row") is None
+        assert merge_name("find_row", "get_row") is None
+        assert merge_name("__", "a_1") is None  # "___1" normalizes to nothing
 
     def test_shared_tokens_dropped(self):
         assert merge_name("find_table_row", "get_row_cell") == "find_table_row_cell"
@@ -608,7 +608,9 @@ class TestCountingPassesMatchOracle:
         old = oracles.normalize_corpus(_copies(profiles), _GroupEmbedder(groups), **params)
         new = normalize_corpus(_copies(profiles), _GroupEmbedder(groups), **params)
         assert _snapshot(new) == _snapshot(old)
-        assert new.pair_stats == [s for s in old.pair_stats if s.support >= min_support]
+        clustered = new.stage_profiles["clustered"]
+        assert mine_adjacent_pairs(clustered, min_support) == [
+            s for s in oracles.mine_adjacent_pairs(clustered) if s.support >= min_support]
         # no stage shares a tag list with another: each is a snapshot of its own
         lists = [id(p.tags) for ps in new.stage_profiles.values() for p in ps]
         assert len(set(lists)) == len(lists)
