@@ -250,13 +250,7 @@ def render_stage(loaded: tuple[list[InstructionRecord], dict[str, Path]],
 
     def render_chunk(files: list[tuple[str, Path]]) -> tuple[list[DocumentRepresentation], str]:
         # each page file is parsed in the worker that renders it
-        reps = []
-        for page_id, path in files:
-            page = load_page(path)
-            if page.page_id != page_id:
-                raise IoFailure(f"page file {path} holds page_id {page.page_id!r}, "
-                                f"not {page_id!r}")
-            reps.append(_render_page(page, cfg))
+        reps = [_render_page(load_page(path, page_id), cfg) for page_id, path in files]
         return reps, "".join(_jsonl(rep.to_dict() for rep in reps))
 
     reps: dict[str, DocumentRepresentation] = {}
@@ -730,7 +724,8 @@ def run(argv: list[str]) -> int:
     gc.disable()
     try:
         return args.func(args)
-    except (ProcTagError, ValueError, OSError, BrokenExecutor) as exc:
+    except (ProcTagError, ValueError, OverflowError, OSError, BrokenExecutor) as exc:
+        # OverflowError: a page coordinate too large for a float or an int;
         # BrokenExecutor: a worker process of _chunk_map died
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -173,7 +173,7 @@ def load_config(path: Path | str) -> PipelineConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config {path} is not UTF-8: {exc}") from exc
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ConfigError(f"config {path} is not valid YAML: {exc}") from exc
     if obj is None:
         obj = {}

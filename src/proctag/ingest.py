@@ -3,9 +3,12 @@
 A dataset is a UTF-8 JSONL file with one instruction record per line, plus a
 pages directory holding one JSON file per referenced page
 (``<pages_dir>/<page_id>.json``, by default ``pages/`` beside the record
-file). Out-of-bounds boxes are clamped on load with a logged warning;
-:func:`validate_page` reports them as violations instead of rejecting the
-page.
+file). A page id is word characters, ``.`` and ``-`` only, so it names a file
+in that directory. :func:`load_page` reads a page file in one pass: it checks
+each value's type, clamps each box into the page as it builds it (one logged
+warning per page counts the boxes that changed), and refuses a file holding
+another page's id. :func:`validate_page` reports out-of-bounds boxes as
+violations instead of clamping them; no command runs it yet.
 """
 
 from __future__ import annotations
@@ -17,8 +20,7 @@ import math
 import os
 import re
 import threading
-from dataclasses import dataclass, field, replace
-from itertools import chain
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
@@ -176,36 +178,6 @@ def validate_page(page: DocumentPage) -> list[Violation]:
     return out
 
 
-def _clamp(v: float, lo: float, hi: float) -> float:
-    return min(max(v, lo), hi)
-
-
-def clamp_page(page: DocumentPage) -> tuple[DocumentPage, int]:
-    """Clamp every box into [0,width]x[0,height]; returns (page, boxes changed).
-
-    A page whose boxes all lie inside it comes back as the same object.
-    """
-    w, h = page.width, page.height
-    if all(0 <= b.x0 <= w and 0 <= b.y0 <= h and 0 <= b.x1 <= w and 0 <= b.y1 <= h
-           for b in chain((t.bbox for t in page.tokens), (r.bbox for r in page.regions))):
-        return page, 0
-    changed = 0
-
-    def fix(b: BoundingBox) -> BoundingBox:
-        nonlocal changed
-        c = BoundingBox(_clamp(b.x0, 0, page.width), _clamp(b.y0, 0, page.height),
-                        _clamp(b.x1, 0, page.width), _clamp(b.y1, 0, page.height))
-        if c != b:
-            changed += 1
-        return c
-
-    tokens = [replace(t, bbox=fix(t.bbox)) for t in page.tokens]
-    regions = [replace(r, bbox=fix(r.bbox)) for r in page.regions]
-    if changed == 0:
-        return page, 0
-    return replace(page, tokens=tokens, regions=regions), changed
-
-
 # ---------------------------------------------------------------------------
 # (de)serialization
 
@@ -214,10 +186,15 @@ def clamp_page(page: DocumentPage) -> tuple[DocumentPage, int]:
 _NUMBER = frozenset((int, float))
 
 
-def _items(values: list, at: str, label: str, extra: str, make: Callable) -> list:
+def _items(values: list, at: str, label: str, extra: str, make: Callable,
+           width: float, height: float) -> tuple[list, int]:
     """``make(label, bbox, extra)`` of each item of the ``tokens`` or ``regions``
-    list at ``at``; the ValueError of :func:`invalid` names its first bad field."""
+    list at ``at``, its box clamped into [0, width] x [0, height], and how many
+    boxes the clamp changed; the ValueError of :func:`invalid` names its first
+    bad field. A NaN coordinate stays, as the same object, so a box that
+    differs only by NaNs is not counted."""
     out = []
+    changed = 0
     for i, item in enumerate(values):
         if type(item) is not dict:
             raise invalid(f"{at}[{i}]")
@@ -232,12 +209,20 @@ def _items(values: list, at: str, label: str, extra: str, make: Callable) -> lis
             raise invalid(f"{at}[{i}].bbox")
         if number is not None and type(number) not in _NUMBER:
             raise invalid(f"{at}[{i}].{extra}")
+        if not (0 <= x0 <= width and 0 <= y0 <= height and 0 <= x1 <= width
+                and 0 <= y1 <= height):
+            box = (min(max(x0, 0), width), min(max(y0, 0), height),
+                   min(max(x1, 0), width), min(max(y1, 0), height))
+            if box != (x0, y0, x1, y1):
+                changed += 1
+            x0, y0, x1, y1 = box
         out.append(make(text, BoundingBox(x0, y0, x1, y1), number))
-    return out
+    return out, changed
 
 
-def _page_from_dict(obj: Any, ctx: str) -> DocumentPage:
-    """The page of a page file's JSON value; else an :class:`IoFailure` naming the file,
+def _page_from_dict(obj: Any, ctx: str) -> tuple[DocumentPage, int]:
+    """The page of a page file's JSON value, its boxes clamped into it, and how
+    many boxes the clamp changed; else an :class:`IoFailure` naming the file,
     ``ctx``, and the first bad field: the page's own, then each token's, then each region's."""
     if type(obj) is not dict:
         raise IoFailure(f"{ctx}: page is not a JSON object")
@@ -246,12 +231,14 @@ def _page_from_dict(obj: Any, ctx: str) -> DocumentPage:
             {"tokens": [], "regions": [], "image_ref": None, "meta": {}, **obj}, "",
             page_id=str, width=(int, float), height=(int, float), tokens=list, regions=list,
             image_ref=(str, type(None)), meta=dict)
-        return DocumentPage(page_id, width, height,
-                            _items(tokens, "tokens", "text", "confidence", OcrToken),
-                            _items(regions, "regions", "kind", "score", LayoutRegion),
-                            image_ref, meta)
+        tokens, clamped_tokens = _items(tokens, "tokens", "text", "confidence", OcrToken,
+                                        width, height)
+        regions, clamped_regions = _items(regions, "regions", "kind", "score", LayoutRegion,
+                                          width, height)
     except ValueError as exc:  # the ValueError of invalid
         raise IoFailure(f"{ctx}: {exc}") from None
+    return (DocumentPage(page_id, width, height, tokens, regions, image_ref, meta),
+            clamped_tokens + clamped_regions)
 
 
 def _page_to_dict(page: DocumentPage) -> dict[str, Any]:
@@ -298,9 +285,14 @@ def checked(obj: Any, at: str, **kinds: Any) -> list[Any]:
     return values
 
 
+# a page id names its page file, <pages_dir>/<page_id>.json: no path separator
+_SAFE_PAGE_ID = re.compile(r"[\w.-]+")
+
+
 def _record_from_dict(obj: dict[str, Any]) -> InstructionRecord:
     for key in ("record_id", "page_id", "question"):
-        if not isinstance(obj.get(key), str):
+        if not isinstance(obj.get(key), str) or (
+                key == "page_id" and not _SAFE_PAGE_ID.fullmatch(obj[key])):
             raise invalid(key)
     answers = obj.get("answers", [])
     if not (isinstance(answers, list) and all(isinstance(a, str) for a in answers)):
@@ -364,14 +356,14 @@ def read_jsonl(path: Path | str, row: Callable[[Any], Any],
         try:
             value, end = _raw_decode(line)
             written = line[end:] in ("\n", "")
-        except ValueError:
+        except (ValueError, RecursionError):  # RecursionError: nested too deep
             written = False
         if not written:
             if not line.strip():
                 continue
             try:
                 value = json.loads(line)
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:
                 raise MalformedLine(path, line_no, f"not valid JSON ({exc})") from exc
         if key is not None and type(value) is not dict:
             raise MalformedLine(path, line_no, "not an object")
@@ -392,16 +384,20 @@ def read_json(path: Path, noun: str) -> Any:
         return json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise IoFailure(f"cannot read {noun} {path}: {exc}") from exc
-    except ValueError as exc:  # not JSON, or not UTF-8
+    except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested too deep
         raise IoFailure(f"{noun} {path} is not valid JSON: {exc}") from exc
 
 
-def load_page(path: Path | str) -> DocumentPage:
+def load_page(path: Path | str, page_id: str) -> DocumentPage:
+    """The page in ``page_id``'s page file ``path``, each box clamped into the
+    page, with one warning if the clamp changed any. A file that cannot be read,
+    is not a page, or holds another ``page_id`` is an :class:`IoFailure` naming it."""
     path = Path(path)
-    page = _page_from_dict(read_json(path, "page file"), str(path))
-    page, changed = clamp_page(page)
-    if changed:
-        log.warning("page %s: clamped %d out-of-bounds boxes", page.page_id, changed)
+    page, clamped = _page_from_dict(read_json(path, "page file"), str(path))
+    if clamped:
+        log.warning("page %s: clamped %d out-of-bounds boxes", page.page_id, clamped)
+    if page.page_id != page_id:
+        raise IoFailure(f"page file {path} holds page_id {page.page_id!r}, not {page_id!r}")
     return page
 
 
@@ -445,7 +441,7 @@ def load_dataset(path: Path | str, pages_dir: Path | str | None = None) -> Datas
     """Load records (order preserved) and every page they reference."""
     records, page_files = load_records(path, pages_dir)
     return Dataset(records=records,
-                   pages={page_id: load_page(page_path)
+                   pages={page_id: load_page(page_path, page_id)
                           for page_id, page_path in page_files.items()})
 
 
@@ -481,9 +477,6 @@ def atomic_write_text(path: Path, text: str | Iterable[str],
     return path
 
 
-_SAFE_PAGE_ID = re.compile(r"^[\w.-]+$")
-
-
 def write_page(page: DocumentPage, path: Path | str) -> None:
     atomic_write_text(Path(path), dumps_json(_page_to_dict(page)) + "\n")
 
@@ -499,6 +492,6 @@ def write_dataset(dataset: Dataset, path: Path | str, pages_dir: Path | str | No
     lines = [dumps_json(record_to_dict(r)) for r in dataset.records]
     atomic_write_text(records_path, "\n".join(lines) + ("\n" if lines else ""))
     for page in dataset.pages.values():
-        if not _SAFE_PAGE_ID.match(page.page_id):
+        if not _SAFE_PAGE_ID.fullmatch(page.page_id):
             raise IoFailure(f"page_id {page.page_id!r} is not filesystem-safe")
         write_page(page, pages_root / f"{page.page_id}.json")

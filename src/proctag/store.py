@@ -119,7 +119,7 @@ class Store:
         """The entry of a log line, or a ValueError saying what is wrong with it."""
         try:
             entry = json.loads(data)
-        except ValueError as exc:  # not JSON, or not UTF-8
+        except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested too deep
             raise ValueError(f"is not valid JSON: {exc}") from None
         if not (isinstance(entry, dict) and isinstance(entry.get(self.value_key),
                                                        self.value_type)):

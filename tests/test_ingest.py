@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import math
 import re
 import threading
@@ -14,8 +15,8 @@ from conftest import (PAGE_H, PAGE_W, dataset_st, mkbox, mkpage, mkreg, mktok,
                       run_together)
 from oracles import clamp_page_reference, page_from_dict_passes
 from proctag.ingest import (Dataset, InstructionRecord, IoFailure,
-                            MalformedLine, MissingPage, _page_from_dict, atomic_write_text,
-                            clamp_page, load_dataset, load_page, load_records,
+                            MalformedLine, MissingPage, _page_from_dict, _page_to_dict,
+                            atomic_write_text, load_dataset, load_page, load_records,
                             read_records, validate_page,
                             write_dataset, write_page)
 
@@ -150,7 +151,7 @@ class TestLoadDataset:
         path = tmp_path / "p1.json"
         path.write_text(text, encoding="utf-8")
         with pytest.raises(IoFailure, match="p1.json"):
-            load_page(path)
+            load_page(path, "p1")
 
     # each case is named by the field it spoils and the value put there
     @pytest.mark.parametrize("at,value", [
@@ -173,23 +174,25 @@ class TestLoadDataset:
         path = tmp_path / "p1.json"
         path.write_text(json.dumps(page), encoding="utf-8")
         with pytest.raises(IoFailure) as exc:
-            load_page(path)
+            load_page(path, "p1")
         assert str(exc.value) == f"{path}: missing or invalid field {at!r}"
 
     @settings(max_examples=500, deadline=None)
     @given(obj=_page_values())
     def test_one_pass_parse_matches_the_field_passes(self, obj):
         # the reference words its refusals in its own way: both parsers must
-        # refuse the same values and read the others as equal pages
+        # refuse the same values and read the others as equal pages, clamped
+        # alike
         try:
-            page = _page_from_dict(obj, "p.json")
+            page, changed = _page_from_dict(obj, "p.json")
         except IoFailure as exc:
             assert re.fullmatch(r"p\.json: (page is not a JSON object"
                                 r"|missing or invalid field '.+')", str(exc)), exc
             with pytest.raises(IoFailure):
                 page_from_dict_passes(obj, "p.json")
         else:
-            assert repr(page) == repr(page_from_dict_passes(obj, "p.json"))
+            want, want_changed = clamp_page_reference(page_from_dict_passes(obj, "p.json"))
+            assert repr(page) == repr(want) and changed == want_changed
 
     @pytest.mark.parametrize("value", [None, 0, 1, 0.25])
     def test_confidence_and_score_may_be_null_or_any_number(self, tmp_path, value):
@@ -199,7 +202,7 @@ class TestLoadDataset:
             "tokens": [{"text": "a", "bbox": [1, 1, 5, 5], "confidence": value}],
             "regions": [{"kind": "x", "bbox": [0, 0, 50, 50], "score": value}]}),
             encoding="utf-8")
-        page = load_page(path)
+        page = load_page(path, "p1")
         assert page.tokens[0].confidence == value and page.regions[0].score == value
 
     def test_out_of_bounds_box_clamped_on_load(self, tmp_path, caplog):
@@ -207,8 +210,11 @@ class TestLoadDataset:
         pages.mkdir()
         page = mkpage("p1", tokens=[mktok("edge", 990, 10, 1020, 25)])
         write_page(page, pages / "p1.json")
-        loaded = load_page(pages / "p1.json")
+        with caplog.at_level(logging.WARNING, logger="proctag.ingest"):
+            loaded = load_page(pages / "p1.json", "p1")
         assert loaded.tokens[0].bbox.x1 == 1000.0
+        assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] == [
+            ("proctag.ingest", "WARNING", "page p1: clamped 1 out-of-bounds boxes")]
 
 
 class TestValidatePage:
@@ -269,9 +275,10 @@ class TestWriteDataset:
             write_dataset(ds, blocker / "sub" / "records.jsonl")
 
     def test_hostile_page_id_rejected(self, tmp_path):
-        ds = Dataset(records=[], pages={"../escape": mkpage("../escape")})
-        with pytest.raises(IoFailure, match="filesystem-safe"):
-            write_dataset(ds, tmp_path / "records.jsonl")
+        for page_id in ("../escape", "p1\n"):
+            ds = Dataset(records=[], pages={page_id: mkpage(page_id)})
+            with pytest.raises(IoFailure, match="filesystem-safe"):
+                write_dataset(ds, tmp_path / "records.jsonl")
 
     @settings(max_examples=40, deadline=None)
     @given(ds=dataset_st())
@@ -282,17 +289,19 @@ class TestWriteDataset:
 
 
 class TestClamp:
+    """The page parser clamps each box into the page as it builds it."""
+
     def test_clamp_counts_boxes(self):
         page = mkpage(tokens=[mktok("a", -5, 10, 40, 25), mktok("b", 0, 0, 10, 10)])
-        clamped, changed = clamp_page(page)
+        clamped, changed = _page_from_dict(_page_to_dict(page), "p.json")
         assert changed == 1
         assert clamped.tokens[0].bbox == mkbox(0, 10, 40, 25)
         assert clamped.tokens[1] == page.tokens[1]
 
     def test_valid_page_untouched(self):
         page = mkpage(tokens=[mktok("a", 0, 0, 10, 10)])
-        clamped, changed = clamp_page(page)
-        assert changed == 0 and clamped is page
+        parsed, changed = _page_from_dict(_page_to_dict(page), "p.json")
+        assert changed == 0 and parsed == page
 
     @settings(max_examples=400, deadline=None)
     @given(data=st.data())
@@ -310,22 +319,18 @@ class TestClamp:
             moves = st.tuples(st.integers(0, len(boxes) - 1), st.integers(0, 3), anywhere)
             for i, k, value in data.draw(st.lists(moves, max_size=3)):
                 boxes[i] = boxes[i][:k] + (value,) + boxes[i][k + 1:]
+        # half the pages then take an int, zero, negative or NaN size instead
+        page_w, page_h = (data.draw(st.just(size) | st.sampled_from((int(size), 0, -5, -5.0,
+                                                                      math.nan)))
+                          for size in (width, height))
         split = data.draw(st.integers(0, len(boxes)))
-        page = mkpage(tokens=[mktok(f"t{i}", *b) for i, b in enumerate(boxes[:split])],
-                      regions=[mkreg("table", *b) for b in boxes[split:]],
-                      width=width, height=height)
-        got, got_changed = clamp_page(page)
-        want, want_changed = clamp_page_reference(page)
-        assert got_changed == want_changed
-        assert _exact(got) == _exact(want)
-        assert (got is page) == (want is page)
-
-
-def _exact(page):
-    """The page's values as reprs, so NaN equals NaN and 0 differs from -0.0."""
-    return (page.page_id, page.width, page.height,
-            [(t.text, repr(t.bbox.as_list()), t.confidence) for t in page.tokens],
-            [(r.kind, repr(r.bbox.as_list()), r.score) for r in page.regions])
+        obj = _page_to_dict(mkpage(tokens=[mktok(f"t{i}", *b) for i, b in enumerate(boxes[:split])],
+                                   regions=[mkreg("table", *b) for b in boxes[split:]],
+                                   width=page_w, height=page_h))
+        got, got_changed = _page_from_dict(obj, "p.json")
+        want, want_changed = clamp_page_reference(page_from_dict_passes(obj, "p.json"))
+        # reprs, so NaN equals NaN, 0 differs from -0.0 and 1000 from 1000.0
+        assert repr(got) == repr(want) and got_changed == want_changed
 
 
 class TestAtomicWrite:

@@ -281,6 +281,20 @@ def _edit_last_page(edit: Callable[[dict[str, Any]], Any]) -> Callable[[dict[str
     return mutate
 
 
+def _record_page_id(page_id: str) -> Callable[[dict[str, Any]], None]:
+    """Point line 2 of the record file at ``page_id``, and put a copy of its
+    page, with that id, where ``<pages>/<page_id>.json`` would find it."""
+    def mutate(n):
+        lines = _lines(n["records"])
+        record = json.loads(lines[1])
+        page = json.loads((n["data"] / "pages" / f"{record['page_id']}.json").read_text())
+        (n["data"] / "pages" / f"{page_id}.json").write_text(json.dumps(dict(page,
+                                                                             page_id=page_id)))
+        lines[1] = json.dumps(dict(record, page_id=page_id))
+        _put(n["records"], lines)
+    return mutate
+
+
 def _record_on_unrendered_page(n):
     first = json.loads(_lines(n["records"])[0])
     n["records"].write_text(json.dumps(dict(first, record_id="extra", page_id="unrendered"))
@@ -315,6 +329,9 @@ _OUT_OF_RANGE = [
     ("layout", "row_tolerance_factor", "-1", ">= 0, got -1.0"),
 ]
 _R1 = '{"record_id": "r1", "answers": ["a"]}'
+# a JSON (and YAML) value nested deeper than the interpreter's recursion limit
+DEEP = "[" * 100000 + "]" * 100000
+_TOO_DEEP = "maximum recursion depth exceeded while decoding a JSON array from a unicode string"
 
 PROBES = [
     # usage and the dataset path
@@ -335,6 +352,14 @@ PROBES = [
           "{records}, line 3: missing or invalid field 'record_id'",
           lambda n: _put(n["records"], [*_lines(n["records"])[:2], '{"record_id": 5}',
                                         *_lines(n["records"])[3:]])),
+    Probe("record-nested-too-deep", "pipeline " + NEW,
+          f"{{records}}, line 3: not valid JSON ({_TOO_DEEP})",
+          lambda n: _put(n["records"], [*_lines(n["records"])[:2], DEEP,
+                                        *_lines(n["records"])[3:]])),
+    # a page id names its page file, so it holds no path separator or newline
+    *(Probe(f"record-page-id-{name}", "pipeline " + NEW,
+            "{records}, line 2: missing or invalid field 'page_id'", _record_page_id(page_id))
+      for name, page_id in (("outside-pages", "../outside"), ("with-newline", "p0000\n"))),
     # a sample request without its value, refused before any stage writes; sample
     # alone refuses it before it reads profiles, broken here
     *(Probe(f"{mode}-mode-without-its-value-{command}", f"{command} --mode {mode} {args}",
@@ -457,7 +482,8 @@ PROBES = [
           ("not-json", '{"prompt": ', "is not valid JSON: Expecting value: line 1 column 87 "
                                       "(char 86)"),
           ("wrong-type", '{"completion": 5}', "is not an object with a str 'completion'"),
-          ("not-an-object", '["completion"]', "is not an object with a str 'completion'"))),
+          ("not-an-object", '["completion"]', "is not an object with a str 'completion'"),
+          ("nested-too-deep", '{"prompt": ' + DEEP + "}", f"is not valid JSON: {_TOO_DEEP}"))),
     *(Probe(f"no-{what}-cache-{made}", f"{argv} {{root}}/c {args}",
             f"no {what} cache at {{root}}/c",
             (lambda n: (n["root"] / "c").mkdir()) if made == "empty" else lambda n: None)
@@ -475,6 +501,9 @@ PROBES = [
             "is not valid JSON: Expecting value: line 1 column 13 (char 12)",
             _write(LAST_PAGE, '{"page_id": '), cpus=cpus)
       for cpus in (1, 2)),
+    Probe("page-nested-too-deep", "pipeline " + NEW,
+          f"page file {{root}}/{LAST_PAGE} is not valid JSON: {_TOO_DEEP}",
+          _write(LAST_PAGE, DEEP)),
     *(Probe(f"page-{field}-wrong-type-cpus{cpus}", "pipeline " + NEW,
             f"{{root}}/{LAST_PAGE}: " + _invalid(f"{items}[0].{field}"),
             _edit_last_page(lambda page, items=items, field=field, value=value:
@@ -486,12 +515,25 @@ PROBES = [
             f"page file {{root}}/{LAST_PAGE} holds page_id 'p0000', not 'p0005'",
             _edit_last_page(lambda page: page.__setitem__("page_id", "p0000")), cpus=cpus)
       for cpus in (1, 2)),
+    # a coordinate that no float or int can hold, under the styles it breaks
+    *(Probe(f"page-{name}-{style}", f"pipeline --style {style} " + NEW, err,
+            _edit_last_page(lambda page, value=value, k=k: (
+                page.__setitem__("width", value), page["tokens"][0]["bbox"].__setitem__(k, value))))
+      for name, value, k, err, styles in (
+          ("infinite-width-and-x0", math.inf, 0, "cannot convert float infinity to integer",
+           ("spatial", "doclayprompt")),
+          ("huge-int-width-and-x1", 10 ** 400, 2, "int too large to convert to float",
+           ("plaintext", "spatial", "doclayprompt")))
+      for style in styles),
     Probe("generate-page-not-rendered", "generate --backend mock " + ARGS,
           "record references unknown page 'unrendered'", _record_on_unrendered_page),
     # config files and flags, refused before any stage writes
     Probe("config-not-utf8", CFG, "config {root}/cfg.yaml is not UTF-8: 'utf-8' codec can't "
           "decode byte 0xff in position 0: invalid start byte",
           _write("cfg.yaml", b"\xff\xfesampling: {}\n")),
+    Probe("config-nested-too-deep", CFG,
+          "config {root}/cfg.yaml is not valid YAML: maximum recursion depth exceeded",
+          _write("cfg.yaml", DEEP), exact=False),
     Probe("config-section-names-mixed", CFG, "unknown config sections: [1, 'foo']",
           _write("cfg.yaml", "1: x\nfoo: y\n")),
     *(Probe(f"config-{section}-{key}-{value[:12]}", CFG, f"{section}.{key} must be {message}",

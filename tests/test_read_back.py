@@ -236,7 +236,7 @@ def test_every_page_mutation_reads_or_names_its_field(tree, tmp_path):
     for path, new in _mutations(page):
         file.write_text(json.dumps(_mutated(page, path, new)), encoding="utf-8")
         try:
-            load_page(file)
+            load_page(file, page["page_id"])
         except IoFailure as exc:
             refused += 1
             if not path and type(new) is not dict:
