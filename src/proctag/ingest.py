@@ -4,11 +4,13 @@ A dataset is a UTF-8 JSONL file with one instruction record per line, plus a
 pages directory holding one JSON file per referenced page
 (``<pages_dir>/<page_id>.json``, by default ``pages/`` beside the record
 file). A page id is word characters, ``.`` and ``-`` only, so it names a file
-in that directory. :func:`load_page` reads a page file in one pass: it checks
-each value's type, clamps each box into the page as it builds it (one logged
-warning per page counts the boxes that changed), and refuses a file holding
-another page's id. :func:`validate_page` reports out-of-bounds boxes as
-violations instead of clamping them; no command runs it yet.
+in that directory. :func:`load_page` reads a page file in one pass, and is
+the only place a page is judged: it checks each value's type, clamps each box
+into the page as it builds it (one logged warning per page counts the boxes
+that changed), and refuses a file holding another page's id. A record's
+annotations may nest at most :data:`MAX_NESTING` levels deep. The readers
+refuse a string that no writer can encode: a lone surrogate, which only a
+``\\u`` escape can produce.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import math
 import os
 import re
 import threading
@@ -122,60 +123,6 @@ class InstructionRecord:
 class Dataset:
     records: list[InstructionRecord] = field(default_factory=list)
     pages: dict[str, DocumentPage] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class Violation:
-    """One invariant breach found by validation; data, not a failure."""
-
-    page_id: str
-    path: str
-    code: str
-    message: str
-
-
-# ---------------------------------------------------------------------------
-# validation
-
-
-def _bbox_violations(page_id: str, path: str, b: BoundingBox,
-                     width: float, height: float) -> list[Violation]:
-    coords = (b.x0, b.y0, b.x1, b.y1)
-    if not all(math.isfinite(c) for c in coords):
-        return [Violation(page_id, path, "bbox_nonfinite", f"non-finite coordinates {coords}")]
-    if any(c < 0 for c in coords):
-        return [Violation(page_id, path, "bbox_negative", f"negative coordinates {coords}")]
-    if b.x1 < b.x0 or b.y1 < b.y0:
-        return [Violation(page_id, path, "bbox_inverted", f"inverted box {coords}")]
-    if b.x1 > width or b.y1 > height:
-        return [Violation(page_id, path, "bbox_out_of_bounds",
-                          f"box {coords} exceeds page {width}x{height}")]
-    return []
-
-
-def validate_page(page: DocumentPage) -> list[Violation]:
-    """Return one violation per breached invariant; empty iff the page conforms."""
-    out: list[Violation] = []
-    if not (page.width > 0 and page.height > 0):
-        out.append(Violation(page.page_id, "page", "bad_page_size",
-                             f"page size {page.width}x{page.height}"))
-    for i, tok in enumerate(page.tokens):
-        path = f"tokens[{i}]"
-        if not tok.text.strip():
-            out.append(Violation(page.page_id, path, "empty_text", "token text empty after trim"))
-        out.extend(_bbox_violations(page.page_id, f"{path}.bbox", tok.bbox, page.width, page.height))
-        if tok.confidence is not None and not 0 <= tok.confidence <= 1:
-            out.append(Violation(page.page_id, path, "bad_confidence",
-                                 f"confidence {tok.confidence} outside [0,1]"))
-    for j, reg in enumerate(page.regions):
-        path = f"regions[{j}]"
-        if not reg.kind.strip():
-            out.append(Violation(page.page_id, path, "empty_kind", "region kind empty"))
-        out.extend(_bbox_violations(page.page_id, f"{path}.bbox", reg.bbox, page.width, page.height))
-        if reg.score is not None and not 0 <= reg.score <= 1:
-            out.append(Violation(page.page_id, path, "bad_score",
-                                 f"score {reg.score} outside [0,1]"))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +236,26 @@ def checked(obj: Any, at: str, **kinds: Any) -> list[Any]:
 _SAFE_PAGE_ID = re.compile(r"[\w.-]+")
 
 
+# how many levels a record's annotations may nest, the annotations object
+# being the first: far below the thousand or so at which the writers'
+# recursive JSON encoder runs out of stack, a depth that shifts with how deep
+# the stack already is (deeper in a forked worker)
+MAX_NESTING = 100
+
+
+def _too_deep(value: dict | list) -> bool:
+    """Whether lists and objects nest more than :data:`MAX_NESTING` levels
+    deep in ``value``, itself the first; walked level by level, not recursively."""
+    level = [value]
+    for _ in range(MAX_NESTING):
+        level = [item for container in level
+                 for item in (container.values() if type(container) is dict else container)
+                 if type(item) is dict or type(item) is list]
+        if not level:
+            return False
+    return True
+
+
 def _record_from_dict(obj: dict[str, Any]) -> InstructionRecord:
     for key in ("record_id", "page_id", "question"):
         if not isinstance(obj.get(key), str) or (
@@ -298,7 +265,7 @@ def _record_from_dict(obj: dict[str, Any]) -> InstructionRecord:
     if not (isinstance(answers, list) and all(isinstance(a, str) for a in answers)):
         raise invalid("answers")
     annotations = obj.get("annotations", {})
-    if not isinstance(annotations, dict):
+    if not isinstance(annotations, dict) or annotations and _too_deep(annotations):
         raise invalid("annotations")
     return InstructionRecord(record_id=obj["record_id"], page_id=obj["page_id"],
                              question=obj["question"], answers=list(answers),
@@ -327,6 +294,26 @@ def dumps_json(obj: Any) -> str:
 
 
 _raw_decode = json.JSONDecoder().raw_decode
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def unencodable(value: Any) -> str | None:
+    """Why no writer could encode a decoded JSON value again, or None: a
+    string of it, a key included, holds a lone surrogate, which only a ``\\u``
+    escape decodes to and UTF-8 cannot encode. Walked without recursion."""
+    stack = [value]
+    while stack:
+        value = stack.pop()
+        if type(value) is str:
+            found = _SURROGATE.search(value)
+            if found:
+                return f"holds the lone surrogate {found.group()!r}, which UTF-8 cannot encode"
+        elif type(value) is dict:
+            stack.extend(value)
+            stack.extend(value.values())
+        elif type(value) is list:
+            stack.extend(value)
+    return None
 
 
 def read_lines(path: Path | str) -> Iterator[tuple[int, str]]:
@@ -344,10 +331,10 @@ def read_lines(path: Path | str) -> Iterator[tuple[int, str]]:
 def read_jsonl(path: Path | str, row: Callable[[Any], Any],
                key: str | None = None) -> Iterator[Any]:
     """``row(value)`` of each non-blank line's JSON value. A line that is not
-    UTF-8 or not JSON, that ``row`` refuses by raising a ValueError (its text
-    is the reason) or, with ``key``, that is not an object or whose ``key`` is
-    on an earlier line is a :class:`MalformedLine`; ``row`` must refuse an
-    object without a string ``key``."""
+    UTF-8, not JSON or :func:`unencodable`, that ``row`` refuses by raising a
+    ValueError (its text is the reason) or, with ``key``, that is not an
+    object or whose ``key`` is on an earlier line is a :class:`MalformedLine`;
+    ``row`` must refuse an object without a string ``key``."""
     first_line: dict[Any, int] = {}
     for line_no, line in read_lines(path):
         # a line this package wrote is one value and its newline, which the
@@ -365,6 +352,8 @@ def read_jsonl(path: Path | str, row: Callable[[Any], Any],
                 value = json.loads(line)
             except (ValueError, RecursionError) as exc:
                 raise MalformedLine(path, line_no, f"not valid JSON ({exc})") from exc
+        if "\\u" in line and (reason := unencodable(value)):
+            raise MalformedLine(path, line_no, reason)
         if key is not None and type(value) is not dict:
             raise MalformedLine(path, line_no, "not an object")
         try:
@@ -378,14 +367,19 @@ def read_jsonl(path: Path | str, row: Callable[[Any], Any],
 
 
 def read_json(path: Path, noun: str) -> Any:
-    """The JSON document a file holds; a file that cannot be read or is not
-    JSON is an :class:`IoFailure` naming it as ``noun``."""
+    """The JSON document a file holds; a file that cannot be read, is not
+    JSON, or holds a value that is :func:`unencodable` is an :class:`IoFailure`
+    naming it as ``noun``."""
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        text = path.read_text(encoding="utf-8")
+        value = json.loads(text)
     except OSError as exc:
         raise IoFailure(f"cannot read {noun} {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested too deep
         raise IoFailure(f"{noun} {path} is not valid JSON: {exc}") from exc
+    if "\\u" in text and (reason := unencodable(value)):
+        raise IoFailure(f"{noun} {path} {reason}")
+    return value
 
 
 def load_page(path: Path | str, page_id: str) -> DocumentPage:

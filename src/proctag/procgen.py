@@ -51,13 +51,12 @@ class BackendUnavailable(ProcTagError):
 @dataclass(frozen=True)
 class DecodeParams:
     temperature: float = 0.0
-    max_tokens: int | None = None
 
     @cached_property
-    def _key_texts(self) -> tuple[str, str]:
-        """The JSON text of ``max_tokens`` and of ``temperature``, as
-        ``json.dumps`` writes them: an int temperature as ``1``, not ``1.0``."""
-        return json.dumps(self.max_tokens), json.dumps(self.temperature)
+    def _key_text(self) -> str:
+        """The JSON text of ``temperature``, as ``json.dumps`` writes it: an
+        int as ``1``, not ``1.0``."""
+        return json.dumps(self.temperature)
 
 
 class GenerationBackend(Protocol):
@@ -329,8 +328,6 @@ class RemoteBackend(JsonPost):
         payload: dict[str, Any] = {"model": self.model,
                                    "messages": [{"role": "user", "content": prompt}],
                                    "temperature": params.temperature}
-        if params.max_tokens is not None:
-            payload["max_tokens"] = params.max_tokens
         return self._post(payload, lambda reply: reply["choices"][0]["message"]["content"])
 
 
@@ -338,10 +335,11 @@ def _cache_key(prompt: str, params: DecodeParams, attempt: int) -> str:
     """SHA-256 of ``json.dumps`` of the prompt, decode parameters and attempt
     with sorted keys and ``ensure_ascii=False``, put together from the JSON
     text of each value: the prompt, a page of text, is encoded once by
-    ``encode_basestring``, the string encoder ``json.dumps`` uses."""
-    max_tokens, temperature = params._key_texts
-    material = (f'{{"attempt": {attempt}, "max_tokens": {max_tokens}, '
-                f'"prompt": {encode_basestring(prompt)}, "temperature": {temperature}}}')
+    ``encode_basestring``, the string encoder ``json.dumps`` uses. The key
+    keeps a ``max_tokens`` of null, a parameter since removed, so that caches
+    filled before still replay."""
+    material = (f'{{"attempt": {attempt}, "max_tokens": null, '
+                f'"prompt": {encode_basestring(prompt)}, "temperature": {params._key_text}}}')
     return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
 

@@ -32,7 +32,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 from .errors import ProcTagError
-from .ingest import IoFailure
+from .ingest import IoFailure, unencodable
 
 if TYPE_CHECKING:
     import requests
@@ -118,9 +118,12 @@ class Store:
     def _checked(self, data: bytes) -> dict[str, Any]:
         """The entry of a log line, or a ValueError saying what is wrong with it."""
         try:
-            entry = json.loads(data)
+            # decoded strictly: json.loads would pass the bytes of a surrogate
+            entry = json.loads(data.decode("utf-8"))
         except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested too deep
             raise ValueError(f"is not valid JSON: {exc}") from None
+        if b"\\u" in data and (reason := unencodable(entry)):
+            raise ValueError(reason)
         if not (isinstance(entry, dict) and isinstance(entry.get(self.value_key),
                                                        self.value_type)):
             raise ValueError(f"is not an object with a {self.value_type.__name__} "

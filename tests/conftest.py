@@ -33,6 +33,16 @@ def mkpage(page_id="p0", tokens=(), regions=(), width=PAGE_W, height=PAGE_H):
                         tokens=list(tokens), regions=list(regions))
 
 
+def nested_annotations(levels, *, mixed=False):
+    """Annotations in which lists (and, ``mixed``, objects in turn) nest
+    ``levels`` deep, the annotations object the first (``levels`` >= 2),
+    beside a flat value."""
+    value = []
+    for k in range(levels - 2):
+        value = {"k": value} if mixed and k % 2 else [value]
+    return {"x": value, "flat": "y"}
+
+
 def write_config(cfg, path):
     """Write a config as the YAML file ``--config`` reads."""
     path.write_text(yaml.safe_dump(dataclasses.asdict(cfg), sort_keys=True), encoding="utf-8")

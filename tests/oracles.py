@@ -967,8 +967,6 @@ class RemoteBackend:
             "messages": [{"role": "user", "content": prompt}],
             "temperature": params.temperature,
         }
-        if params.max_tokens is not None:
-            payload["max_tokens"] = params.max_tokens
         headers = {"Authorization": f"Bearer {self.api_key}"} if self.api_key else {}
         try:
             resp = self._session.post(self.url, json=payload, headers=headers,
@@ -985,7 +983,7 @@ class RemoteBackend:
 
 def _cache_key(prompt: str, params: DecodeParams, attempt: int) -> str:
     material = json.dumps({"prompt": prompt, "temperature": params.temperature,
-                           "max_tokens": params.max_tokens, "attempt": attempt},
+                           "max_tokens": None, "attempt": attempt},
                           sort_keys=True, ensure_ascii=False)
     return hashlib.sha256(material.encode("utf-8")).hexdigest()
 

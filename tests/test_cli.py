@@ -27,13 +27,13 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import write_config
+from conftest import nested_annotations, write_config
 from proctag import cli, procgen, tagnorm, tagparse
 from proctag.cli import run
 from proctag.config import ConfigError, PipelineConfig, config_from_dict, load_config
 from proctag.errors import ProcTagError
-from proctag.ingest import (InstructionRecord, MalformedLine, dumps_json, load_dataset,
-                            read_jsonl, write_dataset)
+from proctag.ingest import (MAX_NESTING, InstructionRecord, MalformedLine, dumps_json,
+                            load_dataset, read_jsonl, write_dataset)
 from proctag.render import DocumentRepresentation, render_plaintext
 from proctag.synth import make_dataset
 from test_procgen import ScriptedBackend
@@ -883,6 +883,25 @@ class TestChunkedPool:
             tags_raw = cli._read_stage(tmp_path / "cpus2", "tags_raw")
             sources = {obj["annotations"]["tags"]["source"] for obj in _read_values(tags_raw)}
             assert sources == {"grammar", "fallback", "none"}
+
+    def test_annotations_nested_at_the_bound_run_on_every_cpu_setting(
+            self, demo_dataset, tmp_path, monkeypatch):
+        # a forked worker encodes on a deeper stack than this process
+        records = demo_dataset / "records.jsonl"
+        lines = records.read_text(encoding="utf-8").splitlines()
+        annotations = nested_annotations(MAX_NESTING)
+        lines[0] = json.dumps(dict(json.loads(lines[0]), annotations=annotations))
+        records.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        monkeypatch.setattr(cli, "CHUNK", 3)
+        manifests = {}
+        for cpus in (1, 2):
+            _cpus(monkeypatch, cpus)
+            out = tmp_path / f"cpus{cpus}"
+            assert run(["pipeline"] + _base_args(demo_dataset, out)) == 0
+            manifests[cpus] = (out / "manifest.json").read_bytes()
+        assert manifests[1] == manifests[2]
+        first = next(_read_values(cli._read_stage(tmp_path / "cpus2", "generate")))
+        assert first["annotations"]["x"] == annotations["x"]
 
     @pytest.mark.parametrize("cpus,chunk,threaded", [(1, 1, False), (2, cli.CHUNK, False),
                                                      (2, 1, True)],

@@ -12,13 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (PAGE_H, PAGE_W, dataset_st, mkbox, mkpage, mkreg, mktok,
-                      run_together)
+                      nested_annotations, run_together)
 from oracles import clamp_page_reference, page_from_dict_passes
-from proctag.ingest import (Dataset, InstructionRecord, IoFailure,
+from proctag.ingest import (MAX_NESTING, Dataset, InstructionRecord, IoFailure,
                             MalformedLine, MissingPage, _page_from_dict, _page_to_dict,
                             atomic_write_text, load_dataset, load_page, load_records,
-                            read_records, validate_page,
-                            write_dataset, write_page)
+                            read_records, write_dataset, write_page)
 
 
 def _write_min_dataset(tmp_path, lines):
@@ -34,6 +33,9 @@ def _write_min_dataset(tmp_path, lines):
 def _line(record_id, page_id="p1", question="What is shown?"):
     return json.dumps({"record_id": record_id, "page_id": page_id,
                        "question": question, "answers": ["x"]})
+
+
+_LONE = "holds the lone surrogate %s, which UTF-8 cannot encode"
 
 
 # JSON values a page file may hold: mostly a page object in which a field
@@ -100,12 +102,32 @@ class TestLoadDataset:
     @pytest.mark.parametrize("bad,reason", [
         ('{"record_id": 5}', "missing or invalid field 'record_id'"),
         ("nonsense", "not valid JSON (Expecting value: line 1 column 1 (char 0))"),
+        # json.dumps writes a lone surrogate as the escape that decodes to it
+        (_line("r2", question="a\ud800"), _LONE % "'\\ud800'"),
+        (json.dumps({"record_id": "r2", "\udc80": 1}), _LONE % "'\\udc80'"),
+        *((json.dumps(dict(json.loads(_line("r2")), annotations=nested_annotations(
+            levels, mixed=mixed))), "missing or invalid field 'annotations'")
+          for levels in (MAX_NESTING + 1, 3 * MAX_NESTING) for mixed in (False, True)),
     ])
     def test_bad_record_line_names_the_file_and_line(self, tmp_path, bad, reason):
         path = _write_min_dataset(tmp_path, [_line("r1"), bad])
         with pytest.raises(MalformedLine) as exc:
             load_records(path)
         assert str(exc.value) == f"{path}, line 2: {reason}"
+
+    @pytest.mark.parametrize("levels", [2, MAX_NESTING])
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_annotations_nested_up_to_the_bound_read(self, tmp_path, levels, mixed):
+        annotations = nested_annotations(levels, mixed=mixed)
+        path = _write_min_dataset(tmp_path, [json.dumps(dict(json.loads(_line("r1")),
+                                                             annotations=annotations))])
+        assert read_records(path)[0].annotations == annotations
+
+    def test_surrogate_pair_escape_reads_as_its_character(self, tmp_path):
+        line = _line("r1", question="\U0001f600")
+        assert "\\ud83d\\ude00" in line
+        path = _write_min_dataset(tmp_path, [line])
+        assert read_records(path)[0].question == "\U0001f600"
 
     def test_crlf_record_file_loads_as_the_lf_file(self, tmp_path):
         lf = _write_min_dataset(tmp_path, [_line("r1"), _line("r2", question="a\u2028b"),
@@ -215,38 +237,6 @@ class TestLoadDataset:
         assert loaded.tokens[0].bbox.x1 == 1000.0
         assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] == [
             ("proctag.ingest", "WARNING", "page p1: clamped 1 out-of-bounds boxes")]
-
-
-class TestValidatePage:
-    def test_inverted_box(self):
-        page = mkpage(tokens=[mktok("a", 50, 10, 20, 25)])
-        violations = validate_page(page)
-        assert len(violations) == 1
-        assert violations[0].code == "bbox_inverted"
-        assert violations[0].path == "tokens[0].bbox"
-
-    def test_out_of_bounds_box(self):
-        page = mkpage(tokens=[mktok("a", 10, 10, 1200, 25)])
-        codes = [v.code for v in validate_page(page)]
-        assert codes == ["bbox_out_of_bounds"]
-
-    def test_conforming_page(self):
-        page = mkpage(tokens=[mktok("a", 10, 10, 40, 25, confidence=0.9)],
-                      regions=[mkreg("table", 0, 0, 500, 600, score=0.8)])
-        assert validate_page(page) == []
-
-    @pytest.mark.parametrize("page,code", [
-        (mkpage(tokens=[mktok("   ", 0, 0, 10, 10)]), "empty_text"),
-        (mkpage(tokens=[mktok("a", 0, 0, float("nan"), 10)]), "bbox_nonfinite"),
-        (mkpage(tokens=[mktok("a", -5, 0, 10, 10)]), "bbox_negative"),
-        (mkpage(tokens=[mktok("a", 0, 0, 10, 10, confidence=1.5)]), "bad_confidence"),
-        (mkpage(regions=[mkreg("", 0, 0, 10, 10)]), "empty_kind"),
-        (mkpage(regions=[mkreg("table", 0, 0, 10, 10, score=-0.1)]), "bad_score"),
-        (mkpage(width=0), "bad_page_size"),
-    ])
-    def test_each_invariant_triggers_exactly_one_violation(self, page, code):
-        violations = validate_page(page)
-        assert [v.code for v in violations] == [code]
 
 
 class TestWriteDataset:

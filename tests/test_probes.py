@@ -39,8 +39,9 @@ from typing import Any, Callable
 
 import pytest
 
+from conftest import nested_annotations
 from proctag import cli, tagnorm
-from proctag.ingest import dumps_json, write_dataset
+from proctag.ingest import MAX_NESTING, dumps_json, write_dataset
 from proctag.synth import make_dataset
 from test_cli import _cpus, _fill_mock_cache
 
@@ -93,6 +94,16 @@ def _eval_files(pred: list[str], gold: list[str]) -> Callable[[dict[str, Any]], 
         for name, lines in (("pred", pred), ("gold", gold)):
             (n["root"] / f"{name}.jsonl").write_text("".join(f"{line}\n" for line in lines),
                                                      encoding="utf-8")
+    return mutate
+
+
+def _first_record(**fields: Any) -> Callable[[dict[str, Any]], None]:
+    """Set ``fields`` in line 1 of the record file, as ``json.dumps`` writes
+    them: a lone surrogate as its ``\\u`` escape."""
+    def mutate(n):
+        lines = _lines(n["records"])
+        lines[0] = json.dumps(dict(json.loads(lines[0]), **fields))
+        _put(n["records"], lines)
     return mutate
 
 
@@ -239,13 +250,14 @@ def _drop_every_4th_entry(n):
 
 def _bad_cache_entry(entry: str) -> Callable[[dict[str, Any]], None]:
     """Replace the middle line ``{line}`` of the log; an object keeps its
-    key first, a line that is no object loses it."""
+    key first, a line that is no object loses it. A surrogate in ``entry``
+    is written as its three bytes."""
     def mutate(n):
         lines = n["log"].read_bytes().splitlines(keepends=True)
         k = n["line"] = len(lines) // 2 + 1
         key = lines[k - 1][9:73].decode()
-        lines[k - 1] = (entry.replace("{", f'{{"key": "{key}", ', 1)
-                        if entry.startswith("{") else entry).encode() + b"\n"
+        text = entry.replace("{", f'{{"key": "{key}", ', 1) if entry.startswith("{") else entry
+        lines[k - 1] = text.encode("utf-8", "surrogatepass") + b"\n"
         n["log"].write_bytes(b"".join(lines))
     return mutate
 
@@ -356,6 +368,14 @@ PROBES = [
           f"{{records}}, line 3: not valid JSON ({_TOO_DEEP})",
           lambda n: _put(n["records"], [*_lines(n["records"])[:2], DEEP,
                                         *_lines(n["records"])[3:]])),
+    # annotations one level past the bound, refused before any worker starts
+    *(Probe(f"record-annotations-past-the-nesting-bound-cpus{cpus}", "pipeline " + NEW,
+            "{records}, line 1: " + _invalid("annotations"),
+            _first_record(annotations=nested_annotations(MAX_NESTING + 1)), cpus=cpus)
+      for cpus in (1, 2)),
+    Probe("record-question-lone-surrogate", "pipeline " + NEW,
+          "{records}, line 1: holds the lone surrogate '\\ud800', which UTF-8 cannot encode",
+          _first_record(question="\ud800 Which item appears first?")),
     # a page id names its page file, so it holds no path separator or newline
     *(Probe(f"record-page-id-{name}", "pipeline " + NEW,
             "{records}, line 2: missing or invalid field 'page_id'", _record_page_id(page_id))
@@ -483,7 +503,11 @@ PROBES = [
                                       "(char 86)"),
           ("wrong-type", '{"completion": 5}', "is not an object with a str 'completion'"),
           ("not-an-object", '["completion"]', "is not an object with a str 'completion'"),
-          ("nested-too-deep", '{"prompt": ' + DEEP + "}", f"is not valid JSON: {_TOO_DEEP}"))),
+          ("nested-too-deep", '{"prompt": ' + DEEP + "}", f"is not valid JSON: {_TOO_DEEP}"),
+          ("surrogate-bytes", '{"completion": "\ud800"}', "is not valid JSON: 'utf-8' codec "
+           "can't decode byte 0xed in position 91: invalid continuation byte"),
+          ("surrogate-escape", '{"completion": "\\ud800"}',
+           "holds the lone surrogate '\\ud800', which UTF-8 cannot encode"))),
     *(Probe(f"no-{what}-cache-{made}", f"{argv} {{root}}/c {args}",
             f"no {what} cache at {{root}}/c",
             (lambda n: (n["root"] / "c").mkdir()) if made == "empty" else lambda n: None)
@@ -500,6 +524,12 @@ PROBES = [
     *(Probe(f"page-not-json-cpus{cpus}", "pipeline " + NEW, f"page file {{root}}/{LAST_PAGE} "
             "is not valid JSON: Expecting value: line 1 column 13 (char 12)",
             _write(LAST_PAGE, '{"page_id": '), cpus=cpus)
+      for cpus in (1, 2)),
+    *(Probe(f"page-token-text-lone-surrogate-cpus{cpus}", "pipeline " + NEW,
+            f"page file {{root}}/{LAST_PAGE} holds the lone surrogate '\\udc80', which UTF-8 "
+            "cannot encode",
+            _edit_last_page(lambda page: page["tokens"][0].__setitem__("text", "\udc80")),
+            cpus=cpus)
       for cpus in (1, 2)),
     Probe("page-nested-too-deep", "pipeline " + NEW,
           f"page file {{root}}/{LAST_PAGE} is not valid JSON: {_TOO_DEEP}",

@@ -29,7 +29,7 @@ from proctag.tagnorm import HashingEmbedder
 
 PROMPTS = ["Total of column 1?", "naïve “quotes” \u2028 and \n new\\lines", 'say "hi"', ""]
 CALLS = [(prompt, params, attempt) for prompt in PROMPTS
-         for params in (DecodeParams(), DecodeParams(temperature=0.7, max_tokens=64))
+         for params in (DecodeParams(), DecodeParams(temperature=0.7))
          for attempt in (1, 2)]
 TAGS = ["find_table", "read_date", "naïve_tag", "b", "x" * 300]
 
@@ -93,10 +93,10 @@ _awkward_text = st.text(st.sampled_from(['"', "\\", "\n", "\x00", "\x1f", "\x7f"
 @given(prompt=_awkward_text,
        temperature=st.integers(0, 2) | st.floats(0, 2)
        | st.sampled_from([1, 1.0, 0.1, 1e-7, 1e22, float("inf"), float("nan")]),
-       max_tokens=st.none() | st.integers(0, 10**6), attempt=st.integers(1, 3))
-def test_cache_key_equals_the_json_dumps_key(prompt, temperature, max_tokens, attempt):
+       attempt=st.integers(1, 3))
+def test_cache_key_equals_the_json_dumps_key(prompt, temperature, attempt):
     # an int temperature is written as 1, a float one as 1.0: different keys
-    params = DecodeParams(temperature=temperature, max_tokens=max_tokens)
+    params = DecodeParams(temperature=temperature)
     assert procgen._cache_key(prompt, params, attempt) == oracles._cache_key(prompt, params, attempt)
 
 
@@ -107,6 +107,10 @@ BAD_ENTRIES = {
     "not-an-object": (b'["completion", "vector"]', "is not an object with a"),
     "no-value": (b'{"prompt": "x", "tag": "x"}', "is not an object with a"),
     "wrong-type": (b'{"completion": 5, "vector": "x"}', "is not an object with a"),
+    # the bytes of a surrogate, which json.loads of bytes would pass
+    "surrogate-bytes": (b'{"completion": "\xed\xa0\x80", "vector": []}', "is not valid JSON"),
+    "surrogate-escape": (b'{"completion": "a", "vector": ["\\udc80"]}',
+                         "holds the lone surrogate '\\udc80', which UTF-8 cannot encode"),
 }
 STORES = {"completion": (procgen.CachingBackend, MockBackend, oracles.CachingBackend,
                          lambda s: s.complete("prompt", DecodeParams())),
@@ -339,7 +343,7 @@ def recorder():
 # old class, new class, one call, the error class every failure must raise
 ADAPTERS = {
     "backend": (oracles.RemoteBackend, procgen.RemoteBackend,
-                lambda a: a.complete("naïve prompt", DecodeParams(0.5, 32), attempt=2),
+                lambda a: a.complete("naïve prompt", DecodeParams(0.5), attempt=2),
                 BackendError),
     "embedder": (oracles.RemoteEmbedder, tagnorm.RemoteEmbedder,
                  lambda a: a.embed("find_table").tolist(), ProcTagError),
