@@ -1,17 +1,18 @@
 """Dataset complexity, diversity and tag coverage, and tag-driven subset
 selection.
 
-Complexity is the number of distinct tags in a dataset; diversity is the
-mean number of distinct tags per record. Selection runs in two phases:
-a greedy set-cover phase that maximizes new-tag coverage per pick, then a
-fill phase ordered by distinct-tag count. The greedy phase is lazy
+Complexity is the number of distinct tags in a dataset, reported as
+``distinct_tags``; diversity is the mean number of distinct tags per
+record, reported as ``mean_distinct_tags_per_record``. Selection runs in
+two phases: a greedy set-cover phase that maximizes new-tag coverage per
+pick, then a fill phase ordered by distinct-tag count. The greedy phase is lazy
 (Minoux's accelerated greedy, CELF): coverage gain only shrinks as tags get
 covered, so a stale gain bounds the fresh one and only the heap top is
 re-evaluated. It makes the same picks, in the same order and with the same
 tie-breaks, as a full rescan per pick. The selection sequence does not
 depend on the budget, so a smaller budget is always a prefix of a larger
 one. Mode ``random`` instead draws a uniform sample seeded by
-``SampleSpec.seed``.
+the request's ``seed``.
 """
 
 from __future__ import annotations
@@ -19,53 +20,33 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from dataclasses import dataclass
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from .tagnorm import TagProfile
+
+if TYPE_CHECKING:
+    from .config import SamplingConfig
 
 MODES = ("budget", "ratio", "coverage", "random")
 
 
-@dataclass
-class DatasetAssessment:
-    complexity: int
-    diversity: float
-    vocabulary_sizes: dict[str, int]
-    record_count: int
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"complexity": self.complexity, "diversity": self.diversity,
-                "vocabulary_sizes": self.vocabulary_sizes,
-                "record_count": self.record_count}
-
-
-@dataclass(frozen=True)
-class SampleSpec:
-    """Which subset to select; only the fields of the active mode are used
-    (``ratio`` and ``seed`` for ``random``)."""
-
-    mode: str
-    budget: int | None = None
-    ratio: float | None = None
-    coverage_target: float | None = None
-    seed: int = 0
-
-    def validate(self) -> None:
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.mode == "budget" and (self.budget is None or self.budget < 0):
-            raise ValueError("budget mode requires a non-negative budget")
-        if self.mode in ("ratio", "random") and (self.ratio is None
-                                                 or not 0 < self.ratio <= 1):
-            raise ValueError(f"{self.mode} mode requires ratio in (0, 1]")
-        if self.mode == "coverage":
-            target = self.coverage_target
-            if target is None or not math.isfinite(target) or target < 0:
-                raise ValueError("coverage mode requires a finite, non-negative "
-                                 f"coverage_target, got {target!r}")
-            if target > 1.0:
-                raise ValueError(f"coverage target {target} exceeds 1.0")
+def checked_request(spec: SamplingConfig) -> SamplingConfig:
+    """``spec`` if its mode has the value it needs, in range; only the fields
+    of the active mode are read (``ratio`` and ``seed`` for ``random``)."""
+    if spec.mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {spec.mode!r}")
+    if spec.mode == "budget" and (spec.budget is None or spec.budget < 0):
+        raise ValueError("budget mode requires a non-negative budget")
+    if spec.mode in ("ratio", "random") and (spec.ratio is None or not 0 < spec.ratio <= 1):
+        raise ValueError(f"{spec.mode} mode requires ratio in (0, 1]")
+    if spec.mode == "coverage":
+        target = spec.coverage
+        if target is None or not math.isfinite(target) or target < 0:
+            raise ValueError("coverage mode requires a finite, non-negative "
+                             f"coverage_target, got {target!r}")
+        if target > 1.0:
+            raise ValueError(f"coverage target {target} exceeds 1.0")
+    return spec
 
 
 def complexity(profiles: list[TagProfile]) -> int:
@@ -95,16 +76,12 @@ def tag_coverage(subset: list[TagProfile], full: list[TagProfile]) -> float | No
     return len(covered & full_tags) / len(full_tags)
 
 
-def assess_dataset(profiles: list[TagProfile]) -> DatasetAssessment:
-    stages: dict[str, set[str]] = {}
-    for p in profiles:
-        stages.setdefault(p.stage, set()).update(p.tags)
-    return DatasetAssessment(
-        complexity=complexity(profiles),
-        diversity=diversity(profiles),
-        vocabulary_sizes={stage: len(tags) for stage, tags in sorted(stages.items())},
-        record_count=len(profiles),
-    )
+def assess_dataset(profiles: list[TagProfile]) -> dict[str, Any]:
+    """The report of the profiles: their complexity, their diversity and
+    how many there are."""
+    return {"distinct_tags": complexity(profiles),
+            "mean_distinct_tags_per_record": diversity(profiles),
+            "record_count": len(profiles)}
 
 
 def _selection_sequence(profiles: list[TagProfile]) -> tuple[list[TagProfile], list[TagProfile]]:
@@ -154,11 +131,11 @@ def _selection_sequence(profiles: list[TagProfile]) -> tuple[list[TagProfile], l
     return [profiles[i] for i in phase1], [profiles[i] for i in phase2]
 
 
-def sample(profiles: list[TagProfile], spec: SampleSpec) -> list[str]:
-    """Select record ids per the spec; deterministic for fixed inputs. Mode
-    ``coverage`` takes the shortest prefix of phase 1 that reaches the
-    target, which is no record when there is no tag to cover."""
-    spec.validate()
+def sample(profiles: list[TagProfile], spec: SamplingConfig) -> list[str]:
+    """Select record ids per the sample request; deterministic for fixed
+    inputs. Mode ``coverage`` takes the shortest prefix of phase 1 that
+    reaches the target, which is no record when there is no tag to cover."""
+    checked_request(spec)
     if spec.mode == "random":
         return random_sample(profiles, spec.ratio, spec.seed)
     n = len(profiles)
@@ -171,7 +148,7 @@ def sample(profiles: list[TagProfile], spec: SampleSpec) -> list[str]:
         covered: set[str] = set()
         # phase 1 covers every tag, and is empty when there is none
         for p in phase1:
-            if len(covered) / len(universe) >= spec.coverage_target:
+            if len(covered) / len(universe) >= spec.coverage:
                 break
             selected.append(p.record_id)
             covered.update(p.tags)

@@ -53,13 +53,13 @@ from typing import Any, Callable, Iterable, Iterator, NamedTuple, get_args
 
 from . import assess as assess_mod
 from . import procgen, tagnorm, tagparse
-from .config import PipelineConfig, load_config, schema, set_key
+from .config import PipelineConfig, SamplingConfig, load_config, schema, set_key
 from .errors import ProcTagError
 from .ingest import (InstructionRecord, IoFailure, MalformedLine, MissingPage,
                      atomic_write_text, checked, dumps_json, invalid, load_page, load_records,
                      read_json, read_jsonl, read_lines, read_records)
 from .layout import associate, clean_inputs
-from .metrics import Prediction, ConfusionMatrix, anls, kappa_report
+from .metrics import Prediction, anls, kappa_report
 from .render import (PLAINTEXT, SPATIAL, DocumentRepresentation,
                      render_doclayprompt, render_plaintext, render_spatial)
 
@@ -225,16 +225,6 @@ def _make_embedder(cfg: PipelineConfig) -> tagnorm.EmbeddingProvider:
     return tagnorm.CachingEmbedder(cfg.paths.embed_cache_dir, inner=inner)
 
 
-def _make_sample_spec(cfg: PipelineConfig) -> assess_mod.SampleSpec:
-    """The configured sample request; a ValueError if its mode lacks a value."""
-    spec = assess_mod.SampleSpec(mode=cfg.sampling.mode, budget=cfg.sampling.budget,
-                                 ratio=cfg.sampling.ratio,
-                                 coverage_target=cfg.sampling.coverage,
-                                 seed=cfg.sampling.seed)
-    spec.validate()
-    return spec
-
-
 # ---------------------------------------------------------------------------
 # stages: each ``<row>_stage(input, cfg, out_dir[, backend, embedder or sample request])``
 # writes its artifact(s) and returns the next row's input
@@ -314,22 +304,21 @@ def generate_stage(rendered: tuple[list[InstructionRecord], dict[str, DocumentRe
     unrendered = next((rec.page_id for rec in records if rec.page_id not in reps), None)
     if unrendered is not None:
         raise MissingPage(unrendered)
-    params = procgen.DecodeParams(temperature=cfg.generation.temperature)
+    temperature = cfg.generation.temperature
     chunks: Iterable[tuple[str, list[Outcome]]]
     if cfg.generation.backend == "remote":
         # only the remote backend waits on the network: its calls overlap on
         # threads, and each record is encoded as it is written
         results = procgen.generate_all(records, reps, backend, procgen.GenerationLedger(),
-                                       params=params,
+                                       temperature=temperature,
                                        max_inflight=cfg.generation.max_inflight)
         chunks = (_encode_generated([pair], reps) for pair in zip(records, results))
     else:
         # mock and cache replay compute in Python, so they run on every CPU
         def generate_chunk(recs: list[InstructionRecord]) -> tuple[str, list[Outcome]]:
-            scratch = procgen.GenerationLedger()  # the parent fills the real one
             return _encode_generated(
-                ((rec, procgen.generate_process(rec, reps[rec.page_id], backend,
-                                                scratch, params)) for rec in recs), reps)
+                ((rec, procgen.generate_process(rec, reps[rec.page_id], backend, temperature))
+                 for rec in recs), reps)
 
         chunks = _chunk_map(generate_chunk, records)
 
@@ -346,7 +335,7 @@ def generate_stage(rendered: tuple[list[InstructionRecord], dict[str, DocumentRe
 
     path = _write_stage(out_dir, "generate", lines(), "jsonl")
     _write_stage(out_dir, "ledger", dumps_json(ledger.to_dict()) + "\n", "json")
-    rate = procgen.discard_rate(ledger)
+    rate = ledger.discarded / ledger.total if ledger.total else 0.0
     print(f"generated {ledger.succeeded}/{ledger.total} processes "
           f"(discard rate {rate:.4f}) -> {path}")
     return profiles
@@ -425,7 +414,7 @@ def normalize_stage(profiles: list[tagnorm.TagProfile], cfg: PipelineConfig, out
         min_support=cfg.tagging.min_support,
         min_confidence=cfg.tagging.min_confidence)
     vocab_report = {
-        "stages": {stage: dict(sorted(v.entries.items()))
+        "stages": {stage: dict(sorted(v.items()))
                    for stage, v in result.vocabularies.items()},
         "clusters": {str(cid): {"representative": result.assignment.representatives[cid],
                                 "members": members}
@@ -516,7 +505,7 @@ def read_profiles(path: Path) -> list[tagnorm.TagProfile]:
 
 
 def sample_stage(profiles: list[tagnorm.TagProfile], cfg: PipelineConfig,
-                 out_dir: Path, spec: assess_mod.SampleSpec) -> None:
+                 out_dir: Path, spec: SamplingConfig) -> None:
     """Select a subset by the sample request and write the sample report."""
     selected = assess_mod.sample(profiles, spec)
     chosen = set(selected)
@@ -525,7 +514,7 @@ def sample_stage(profiles: list[tagnorm.TagProfile], cfg: PipelineConfig,
         "mode": spec.mode,
         "selected": selected,
         "count": len(selected),
-        "assessment": assess_mod.assess_dataset(subset).to_dict() if subset else None,
+        "assessment": assess_mod.assess_dataset(subset) if subset else None,
         "coverage": assess_mod.tag_coverage(subset, profiles) if subset else None,
     }
     path = _write_stage(out_dir, "sample", dumps_json(report) + "\n", "json")
@@ -534,8 +523,8 @@ def sample_stage(profiles: list[tagnorm.TagProfile], cfg: PipelineConfig,
 
 def assess_stage(profiles: list[tagnorm.TagProfile], cfg: PipelineConfig,
                  out_dir: Path) -> None:
-    """Write and print the complexity and diversity report of the profiles."""
-    report = assess_mod.assess_dataset(profiles).to_dict()
+    """Write and print the assessment report of the profiles."""
+    report = assess_mod.assess_dataset(profiles)
     _write_stage(out_dir, "assess", dumps_json(report) + "\n", "json")
     print(dumps_json(report))
 
@@ -570,7 +559,7 @@ STAGES = {row.name: row for row in (
     Stage("normalize", ("tagging",), "tags_raw", lambda path, _: list(
         read_jsonl(path, _tags_raw_profile, key="record_id")), _make_embedder),
     Stage("sample", ("sampling",), "profiles", lambda path, _: read_profiles(path),
-          _make_sample_spec),
+          lambda cfg: assess_mod.checked_request(cfg.sampling)),
     Stage("assess", (), "profiles", lambda path, _: read_profiles(path)),
 )}
 
@@ -649,9 +638,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
         score = anls(predictions, tau=args.tau)
         print(dumps_json({"anls": score, "count": len(predictions), "tau": args.tau}))
         return 0
-    matrix = ConfusionMatrix(counts=read_json(Path(args.matrix), "matrix file"))
+    counts = read_json(Path(args.matrix), "matrix file")
     try:
-        report = kappa_report(matrix)
+        report = kappa_report(counts)
     except (ProcTagError, ValueError) as exc:
         raise ProcTagError(f"{args.matrix}: {exc}") from exc
     print(dumps_json(report))
@@ -693,7 +682,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = _command(sub, "tag", "extract and normalize process tags")
     p.add_argument("--stage", choices=("extract", "normalize", "all"), default="all")
     _command(sub, "sample", "select a subset by tag coverage")
-    _command(sub, "assess", "report complexity and diversity")
+    _command(sub, "assess", "report distinct tags and mean distinct tags per record")
 
     p = sub.add_parser("eval", help="score answers or rater agreement")
     ev = p.add_subparsers(dest="metric", required=True)

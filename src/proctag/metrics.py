@@ -32,26 +32,6 @@ class Prediction:
     golds: list[str]
 
 
-@dataclass
-class ConfusionMatrix:
-    """Square matrix of label counts, rater A on rows, rater B on columns."""
-
-    counts: list[list[float]]
-
-    def validate(self) -> None:
-        k = len(self.counts) if isinstance(self.counts, list) else 0
-        if k == 0 or any(not isinstance(row, list) or len(row) != k for row in self.counts):
-            raise ValueError("confusion matrix must be square and non-empty")
-        cells = [c for row in self.counts for c in row]
-        # type(True) is bool: a bool is not a count
-        if not ({int, float} >= set(map(type, cells)) and all(abs(c) < math.inf for c in cells)):
-            raise ValueError("confusion matrix counts must be finite numbers")
-        if any(c < 0 for c in cells):
-            raise ValueError("confusion matrix counts must be non-negative")
-        if sum(c for row in self.counts for c in row) <= 0:
-            raise EmptyInput("confusion matrix has no observations")
-
-
 def normalize_answer(s: str) -> str:
     return " ".join(s.split()).lower()
 
@@ -125,14 +105,24 @@ def anls(predictions: Sequence[Prediction], tau: float = DEFAULT_ANLS_TAU) -> fl
     return total / len(predictions)
 
 
-def cohen_kappa(m: ConfusionMatrix) -> float:
-    """(p_o - p_e) / (1 - p_e) from observed and chance agreement."""
-    m.validate()
-    total = sum(c for row in m.counts for c in row)
-    k = len(m.counts)
-    p_o = sum(m.counts[i][i] for i in range(k)) / total
-    row_marg = [sum(row) for row in m.counts]
-    col_marg = [sum(m.counts[i][j] for i in range(k)) for j in range(k)]
+def cohen_kappa(counts: list[list[float]]) -> float:
+    """(p_o - p_e) / (1 - p_e) from observed and chance agreement over a
+    square matrix of label counts, rater A on rows, rater B on columns."""
+    k = len(counts) if isinstance(counts, list) else 0
+    if k == 0 or any(not isinstance(row, list) or len(row) != k for row in counts):
+        raise ValueError("confusion matrix must be square and non-empty")
+    cells = [c for row in counts for c in row]
+    # type(True) is bool: a bool is not a count
+    if not ({int, float} >= set(map(type, cells)) and all(abs(c) < math.inf for c in cells)):
+        raise ValueError("confusion matrix counts must be finite numbers")
+    if any(c < 0 for c in cells):
+        raise ValueError("confusion matrix counts must be non-negative")
+    total = sum(cells)
+    if total <= 0:
+        raise EmptyInput("confusion matrix has no observations")
+    p_o = sum(counts[i][i] for i in range(k)) / total
+    row_marg = [sum(row) for row in counts]
+    col_marg = [sum(counts[i][j] for i in range(k)) for j in range(k)]
     p_e = sum(row_marg[i] * col_marg[i] for i in range(k)) / (total * total)
     if abs(1.0 - p_e) < 1e-12:
         raise DegenerateMarginals("chance agreement is 1")
@@ -154,6 +144,6 @@ def agreement_band(kappa: float) -> str:
     return "almost perfect"
 
 
-def kappa_report(m: ConfusionMatrix) -> dict[str, Any]:
-    value = cohen_kappa(m)
+def kappa_report(counts: list[list[float]]) -> dict[str, Any]:
+    value = cohen_kappa(counts)
     return {"kappa": value, "band": agreement_band(value)}

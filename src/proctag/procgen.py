@@ -3,9 +3,10 @@ the retry/discard loop around a pluggable completion backend.
 
 A record gets at most three backend calls (one initial try plus two
 retries). The first parseable completion wins; if all three fail to parse
-the record is discarded and counted in the ledger. Transport failures share
-the same budget but surface as :class:`BackendUnavailable` instead of a
-discard when the final attempt could not reach the backend at all.
+the record is discarded. Transport failures share the same budget but
+surface as :class:`BackendUnavailable` instead of a discard when the final
+attempt could not reach the backend at all. :func:`generate_all` counts each
+outcome in a :class:`GenerationLedger`.
 """
 
 from __future__ import annotations
@@ -14,10 +15,8 @@ import hashlib
 import json
 import random
 import re
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
 from json.encoder import encode_basestring
 from typing import TYPE_CHECKING, Any, Protocol
 
@@ -48,19 +47,8 @@ class BackendUnavailable(ProcTagError):
     """Every attempt failed at the transport level."""
 
 
-@dataclass(frozen=True)
-class DecodeParams:
-    temperature: float = 0.0
-
-    @cached_property
-    def _key_text(self) -> str:
-        """The JSON text of ``temperature``, as ``json.dumps`` writes it: an
-        int as ``1``, not ``1.0``."""
-        return json.dumps(self.temperature)
-
-
 class GenerationBackend(Protocol):
-    def complete(self, prompt: str, params: DecodeParams, attempt: int = 1) -> str:
+    def complete(self, prompt: str, temperature: float, attempt: int = 1) -> str:
         """Return a completion for the prompt; raise BackendError on transport failure."""
         ...
 
@@ -114,37 +102,29 @@ class Discarded:
 
 
 class GenerationLedger:
-    """Thread-safe success/discard accounting; total == succeeded + discarded."""
+    """Success/discard accounting; total == succeeded + discarded."""
 
     def __init__(self) -> None:
         self.succeeded = 0
         self.discarded = 0
         self.attempts_by_record: dict[str, int] = {}
-        self._lock = threading.Lock()
 
     @property
     def total(self) -> int:
         return self.succeeded + self.discarded
 
     def record_success(self, record_id: str, attempts: int) -> None:
-        with self._lock:
-            self.succeeded += 1
-            self.attempts_by_record[record_id] = attempts
+        self.succeeded += 1
+        self.attempts_by_record[record_id] = attempts
 
     def record_discard(self, record_id: str, attempts: int) -> None:
-        with self._lock:
-            self.discarded += 1
-            self.attempts_by_record[record_id] = attempts
+        self.discarded += 1
+        self.attempts_by_record[record_id] = attempts
 
     def to_dict(self) -> dict[str, Any]:
         return {"total": self.total, "succeeded": self.succeeded,
                 "discarded": self.discarded,
                 "attempts_by_record": dict(self.attempts_by_record)}
-
-
-def discard_rate(ledger: GenerationLedger) -> float:
-    """Discarded over total outcomes; 0.0 for a ledger with no record."""
-    return ledger.discarded / ledger.total if ledger.total else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +203,8 @@ def parse_response(completion: str) -> ExecutionProcess:
 
 
 def generate_process(record: InstructionRecord, rep: DocumentRepresentation,
-                     backend: GenerationBackend, ledger: GenerationLedger,
-                     params: DecodeParams = DecodeParams()) -> ExecutionProcess | Discarded:
+                     backend: GenerationBackend,
+                     temperature: float = 0.0) -> ExecutionProcess | Discarded:
     """Run the retry loop for one record; never more than MAX_ATTEMPTS calls."""
     prompt = build_prompt(rep, record.question)
     # only the message is kept: holding the exception would tie its
@@ -234,7 +214,7 @@ def generate_process(record: InstructionRecord, rep: DocumentRepresentation,
     transport_failed_last = False
     for attempt in range(1, MAX_ATTEMPTS + 1):
         try:
-            completion = backend.complete(prompt, params, attempt=attempt)
+            completion = backend.complete(prompt, temperature, attempt=attempt)
         except BackendError as exc:
             last_error = str(exc)
             transport_failed_last = True
@@ -247,11 +227,9 @@ def generate_process(record: InstructionRecord, rep: DocumentRepresentation,
             last_error = str(exc)
             continue
         process.attempts = attempt
-        ledger.record_success(record.record_id, attempt)
         return process
     if transport_failed_last:
         raise BackendUnavailable(f"{record.record_id}: {last_error}")
-    ledger.record_discard(record.record_id, MAX_ATTEMPTS)
     return Discarded(record_id=record.record_id, reason=last_error,
                      attempts=MAX_ATTEMPTS, last_completion=last_completion)
 
@@ -259,19 +237,25 @@ def generate_process(record: InstructionRecord, rep: DocumentRepresentation,
 def generate_all(records: list[InstructionRecord],
                  reps: dict[str, DocumentRepresentation],
                  backend: GenerationBackend, ledger: GenerationLedger,
-                 params: DecodeParams = DecodeParams(),
+                 temperature: float = 0.0,
                  max_inflight: int = 4) -> list[ExecutionProcess | Discarded]:
-    """Generate concurrently; results come back in input record order."""
+    """Generate concurrently and count each outcome in ``ledger``; results
+    come back in input record order."""
     if max_inflight < 1:
         raise ValueError("max_inflight must be >= 1")
 
     def one(record: InstructionRecord) -> ExecutionProcess | Discarded:
-        return generate_process(record, reps[record.page_id], backend, ledger, params)
+        return generate_process(record, reps[record.page_id], backend, temperature)
 
     if max_inflight == 1 or len(records) <= 1:
-        return [one(r) for r in records]
-    with ThreadPoolExecutor(max_workers=max_inflight) as pool:
-        return list(pool.map(one, records))
+        results = [one(r) for r in records]
+    else:
+        with ThreadPoolExecutor(max_workers=max_inflight) as pool:
+            results = list(pool.map(one, records))
+    for record, result in zip(records, results):
+        count = ledger.record_discard if isinstance(result, Discarded) else ledger.record_success
+        count(record.record_id, result.attempts)
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +270,7 @@ class MockBackend:
     the prompt text. A fixed fraction of completions opens with the same two
     steps so the downstream association stage has something to aggregate."""
 
-    def complete(self, prompt: str, params: DecodeParams = DecodeParams(),
-                 attempt: int = 1) -> str:
+    def complete(self, prompt: str, temperature: float = 0.0, attempt: int = 1) -> str:
         seed = int.from_bytes(hashlib.sha256(prompt.encode("utf-8")).digest()[:8], "big")
         rng = random.Random(seed)
         n_steps = rng.randint(2, 4)
@@ -323,36 +306,36 @@ class RemoteBackend(JsonPost):
         super().__init__(url, api_key, timeout, session)
         self.model = model
 
-    def complete(self, prompt: str, params: DecodeParams = DecodeParams(),
-                 attempt: int = 1) -> str:
+    def complete(self, prompt: str, temperature: float = 0.0, attempt: int = 1) -> str:
         payload: dict[str, Any] = {"model": self.model,
                                    "messages": [{"role": "user", "content": prompt}],
-                                   "temperature": params.temperature}
+                                   "temperature": temperature}
         return self._post(payload, lambda reply: reply["choices"][0]["message"]["content"])
 
 
-def _cache_key(prompt: str, params: DecodeParams, attempt: int) -> str:
-    """SHA-256 of ``json.dumps`` of the prompt, decode parameters and attempt
+def _cache_key(prompt: str, temperature: float, attempt: int) -> str:
+    """SHA-256 of ``json.dumps`` of the prompt, temperature and attempt
     with sorted keys and ``ensure_ascii=False``, put together from the JSON
     text of each value: the prompt, a page of text, is encoded once by
     ``encode_basestring``, the string encoder ``json.dumps`` uses. The key
     keeps a ``max_tokens`` of null, a parameter since removed, so that caches
-    filled before still replay."""
+    filled before still replay; ``json.dumps`` writes an int temperature as
+    ``1``, not ``1.0``."""
     material = (f'{{"attempt": {attempt}, "max_tokens": null, '
-                f'"prompt": {encode_basestring(prompt)}, "temperature": {params._key_text}}}')
+                f'"prompt": {encode_basestring(prompt)}, '
+                f'"temperature": {json.dumps(temperature)}}}')
     return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
 
 class CachingBackend(Store):
     """Content-addressed completion cache around an inner backend, keyed by
-    prompt, decode parameters and attempt index, so retries are cached apart."""
+    prompt, temperature and attempt index, so retries are cached apart."""
 
     error = BackendError  # a replay-only miss counts as a transport failure
     what, value_key, value_type = "completion", "completion", str
 
-    def complete(self, prompt: str, params: DecodeParams = DecodeParams(),
-                 attempt: int = 1) -> str:
-        key = _cache_key(prompt, params, attempt)
+    def complete(self, prompt: str, temperature: float = 0.0, attempt: int = 1) -> str:
+        key = _cache_key(prompt, temperature, attempt)
         return self._entry(key, f"cache miss for key {key}", lambda inner: {
             "prompt": prompt,
-            "completion": inner.complete(prompt, params, attempt=attempt)})
+            "completion": inner.complete(prompt, temperature, attempt=attempt)})

@@ -44,14 +44,6 @@ class ZeroVector(ProcTagError):
 
 
 @dataclass
-class TagVocabulary:
-    """Tag -> corpus occurrence count at one stage."""
-
-    entries: dict[str, int]
-    stage: str
-
-
-@dataclass
 class ClusterAssignment:
     """Tag -> cluster id (None = noise) and cluster id -> representative."""
 
@@ -96,10 +88,11 @@ def default_min_count(n_records: int) -> int:
 
 def frequency_filter(profiles: list[TagProfile], min_count: int,
                      counts: dict[str, int] | None = None,
-                     ) -> tuple[list[TagProfile], TagVocabulary]:
+                     ) -> tuple[list[TagProfile], dict[str, int]]:
     """Drop long-tail tags (corpus frequency < min_count) from every profile,
     preserving the relative order of survivors. Emptied profiles stay, flagged.
-    ``counts`` is ``tag_frequencies(profiles)`` when the caller has it."""
+    ``counts`` is ``tag_frequencies(profiles)`` when the caller has it; the
+    second value is the count of each tag kept."""
     if min_count < 1:
         raise ValueError("min_count must be a positive integer")
     _require_stage(profiles, "raw")
@@ -111,7 +104,7 @@ def frequency_filter(profiles: list[TagProfile], min_count: int,
         kept = [t for t in p.tags if t in kept_counts]
         out.append(TagProfile(p.record_id, kept, "filtered", p.source,
                               bool(p.tags) and not kept))
-    return out, TagVocabulary(kept_counts, stage="filtered")
+    return out, kept_counts
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +382,7 @@ class CachingEmbedder(Store):
 class NormalizationResult:
     profiles: list[TagProfile]                    # aggregated stage
     stage_profiles: dict[str, list[TagProfile]]   # every stage, for audit
-    vocabularies: dict[str, TagVocabulary]
+    vocabularies: dict[str, dict[str, int]]       # stage -> tag -> corpus count
     assignment: ClusterAssignment
     merges: list[dict[str, Any]] = field(default_factory=list)
 
@@ -406,19 +399,19 @@ def normalize_corpus(profiles: list[TagProfile], embedder: EmbeddingProvider, *,
     """
     if min_count is None:
         min_count = default_min_count(len(profiles))
-    raw_vocab = TagVocabulary(tag_frequencies(profiles), stage="raw")
-    filtered, filtered_vocab = frequency_filter(profiles, min_count, raw_vocab.entries)
-    tags = sorted(filtered_vocab.entries)
+    raw_vocab = tag_frequencies(profiles)
+    filtered, filtered_vocab = frequency_filter(profiles, min_count, raw_vocab)
+    tags = sorted(filtered_vocab)
     embed_many = getattr(embedder, "embed_many", None)
     vectors = (dict(zip(tags, embed_many(tags))) if embed_many is not None
                else {t: embedder.embed(t) for t in tags})
     assignment = dbscan(vectors, dbscan_eps, dbscan_min_pts,
-                        frequencies=filtered_vocab.entries)
+                        frequencies=filtered_vocab)
     clustered = apply_clusters(filtered, assignment)
-    clustered_vocab = TagVocabulary(tag_frequencies(clustered), stage="clustered")
+    clustered_vocab = tag_frequencies(clustered)
     stats = mine_adjacent_pairs(clustered, min_support)
     aggregated, merges = aggregate_pairs(clustered, stats, min_support, min_confidence)
-    aggregated_vocab = TagVocabulary(tag_frequencies(aggregated), stage="aggregated")
+    aggregated_vocab = tag_frequencies(aggregated)
     return NormalizationResult(
         profiles=aggregated,
         stage_profiles={"raw": profiles, "filtered": filtered,

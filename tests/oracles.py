@@ -27,11 +27,11 @@ from proctag.errors import ProcTagError
 from proctag.ingest import (BoundingBox, DocumentPage, IoFailure, LayoutRegion, MalformedLine,
                             OcrToken, _raw_decode, atomic_write_text, dumps_json, read_lines,
                             record_to_dict)
-from proctag.procgen import BackendError, DecodeParams, GenerationBackend
+from proctag.procgen import BackendError, GenerationBackend
 from proctag.tagnorm import (DEFAULT_DBSCAN_EPS, DEFAULT_DBSCAN_MIN_PTS, DEFAULT_MIN_CONFIDENCE,
                              DEFAULT_MIN_SUPPORT, AdjacentPairStat, ClusterAssignment,
                              EmbeddingProvider, NormalizationResult, TagProfile,
-                             TagVocabulary, ZeroVector, _require_stage, dbscan,
+                             ZeroVector, _require_stage, dbscan,
                              default_min_count, merge_name)
 from proctag.tagparse import collapse_adjacent
 
@@ -763,7 +763,7 @@ def normalize_stage_full_records(records: list[dict[str, Any]],
             yield {**obj, "annotations": ann}
 
     vocab_report = {
-        "stages": {stage: dict(sorted(v.entries.items()))
+        "stages": {stage: dict(sorted(v.items()))
                    for stage, v in result.vocabularies.items()},
         "clusters": {str(cid): {"representative": result.assignment.representatives[cid],
                                 "members": members}
@@ -792,7 +792,7 @@ def tag_frequencies(profiles: list[TagProfile]) -> dict[str, int]:
 
 
 def frequency_filter(profiles: list[TagProfile],
-                     min_count: int) -> tuple[list[TagProfile], TagVocabulary]:
+                     min_count: int) -> tuple[list[TagProfile], dict[str, int]]:
     """Drop long-tail tags (corpus frequency < min_count) from every profile,
     preserving the relative order of survivors. Emptied profiles stay, flagged."""
     if min_count < 1:
@@ -805,8 +805,7 @@ def frequency_filter(profiles: list[TagProfile],
         out.append(TagProfile(record_id=p.record_id, tags=kept, stage="filtered",
                               source=p.source,
                               emptied_by_filter=bool(p.tags) and not kept))
-    vocab = TagVocabulary({t: c for t, c in freq.items() if c >= min_count}, stage="filtered")
-    return out, vocab
+    return out, {t: c for t, c in freq.items() if c >= min_count}
 
 
 def apply_clusters(profiles: list[TagProfile],
@@ -885,16 +884,16 @@ def normalize_corpus(profiles: list[TagProfile], embedder: EmbeddingProvider, *,
     """
     if min_count is None:
         min_count = default_min_count(len(profiles))
-    raw_vocab = TagVocabulary(tag_frequencies(profiles), stage="raw")
+    raw_vocab = tag_frequencies(profiles)
     filtered, filtered_vocab = frequency_filter(profiles, min_count)
-    vectors = {t: embedder.embed(t) for t in sorted(filtered_vocab.entries)}
+    vectors = {t: embedder.embed(t) for t in sorted(filtered_vocab)}
     assignment = dbscan(vectors, dbscan_eps, dbscan_min_pts,
-                        frequencies=filtered_vocab.entries)
+                        frequencies=filtered_vocab)
     clustered = apply_clusters(filtered, assignment)
-    clustered_vocab = TagVocabulary(tag_frequencies(clustered), stage="clustered")
+    clustered_vocab = tag_frequencies(clustered)
     stats = mine_adjacent_pairs(clustered)
     aggregated, merges = aggregate_pairs(clustered, stats, min_support, min_confidence)
-    aggregated_vocab = TagVocabulary(tag_frequencies(aggregated), stage="aggregated")
+    aggregated_vocab = tag_frequencies(aggregated)
     return NormalizationResult(
         profiles=aggregated,
         stage_profiles={"raw": profiles, "filtered": filtered,
@@ -958,14 +957,13 @@ class RemoteBackend:
         if not self.url:
             raise BackendError("no backend URL (set PROCTAG_BACKEND_URL)")
 
-    def complete(self, prompt: str, params: DecodeParams = DecodeParams(),
-                 attempt: int = 1) -> str:
+    def complete(self, prompt: str, temperature: float = 0.0, attempt: int = 1) -> str:
         import requests
 
         payload: dict[str, Any] = {
             "model": self.model,
             "messages": [{"role": "user", "content": prompt}],
-            "temperature": params.temperature,
+            "temperature": temperature,
         }
         headers = {"Authorization": f"Bearer {self.api_key}"} if self.api_key else {}
         try:
@@ -981,8 +979,8 @@ class RemoteBackend:
             raise BackendError(f"unexpected response shape: {exc}") from exc
 
 
-def _cache_key(prompt: str, params: DecodeParams, attempt: int) -> str:
-    material = json.dumps({"prompt": prompt, "temperature": params.temperature,
+def _cache_key(prompt: str, temperature: float, attempt: int) -> str:
+    material = json.dumps({"prompt": prompt, "temperature": temperature,
                            "max_tokens": None, "attempt": attempt},
                           sort_keys=True, ensure_ascii=False)
     return hashlib.sha256(material.encode("utf-8")).hexdigest()
@@ -1004,14 +1002,13 @@ class CachingBackend:
     def _path(self, key: str) -> Path:
         return self.cache_dir / f"{key}.json"
 
-    def complete(self, prompt: str, params: DecodeParams = DecodeParams(),
-                 attempt: int = 1) -> str:
-        path = self._path(_cache_key(prompt, params, attempt))
+    def complete(self, prompt: str, temperature: float = 0.0, attempt: int = 1) -> str:
+        path = self._path(_cache_key(prompt, temperature, attempt))
         if path.exists():
             return json.loads(path.read_text(encoding="utf-8"))["completion"]
         if self.inner is None:
             raise BackendError(f"cache miss for {path.name} in replay-only mode")
-        completion = self.inner.complete(prompt, params, attempt=attempt)
+        completion = self.inner.complete(prompt, temperature, attempt=attempt)
         entry = {"prompt": prompt, "completion": completion,
                  "created_at": datetime.now(timezone.utc).isoformat()}
         atomic_write_text(path, json.dumps(entry, ensure_ascii=False))

@@ -9,8 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from proctag.assess import (SampleSpec, _selection_sequence, assess_dataset,
-                            complexity, diversity, sample, tag_coverage)
+from proctag.assess import (_selection_sequence, assess_dataset, complexity, diversity,
+                            sample, tag_coverage)
+from proctag.config import SamplingConfig
 from proctag.tagnorm import TagProfile
 
 
@@ -27,7 +28,7 @@ def random_instance(rng, max_records=12, max_tags=9):
 
 
 def random_spec(ratio, seed):
-    return SampleSpec(mode="random", ratio=ratio, seed=seed)
+    return SamplingConfig(mode="random", ratio=ratio, seed=seed)
 
 
 # tiny vocabularies and id pools force equal-gain ties, duplicate record_ids,
@@ -116,18 +117,18 @@ class TestCoverage:
 
 class TestSample:
     def test_budget_at_least_n_takes_all(self):
-        ids = sample(TOY_8, SampleSpec(mode="budget", budget=50))
+        ids = sample(TOY_8, SamplingConfig(mode="budget", budget=50))
         assert sorted(ids) == sorted(p.record_id for p in TOY_8)
 
     def test_budget_zero(self):
-        assert sample(TOY_8, SampleSpec(mode="budget", budget=0)) == []
+        assert sample(TOY_8, SamplingConfig(mode="budget", budget=0)) == []
 
     def test_toy_instance_matches_exhaustive_optimum(self):
         tagsets = [set(p.tags) for p in TOY_8]
         k, covers = oracles.min_cover_exhaustive(tagsets)
         assert k == 3 and len(covers) == 1  # unique optimum by construction
         optimal_ids = {TOY_8[i].record_id for i in covers[0]}
-        ids = sample(TOY_8, SampleSpec(mode="budget", budget=3))
+        ids = sample(TOY_8, SamplingConfig(mode="budget", budget=3))
         assert set(ids) == optimal_ids
         assert tag_coverage([p for p in TOY_8 if p.record_id in set(ids)], TOY_8) == 1.0
 
@@ -138,7 +139,7 @@ class TestSample:
                 continue
             prev = -1.0
             for budget in range(len(profiles) + 1):
-                ids = set(sample(profiles, SampleSpec(mode="budget", budget=budget)))
+                ids = set(sample(profiles, SamplingConfig(mode="budget", budget=budget)))
                 subset = [p for p in profiles if p.record_id in ids]
                 cov = tag_coverage(subset, profiles) if subset else 0.0
                 assert cov >= prev
@@ -147,20 +148,20 @@ class TestSample:
 
     def test_smaller_budget_is_prefix_of_larger(self, rng):
         profiles = random_instance(rng)
-        seq = sample(profiles, SampleSpec(mode="budget", budget=len(profiles)))
+        seq = sample(profiles, SamplingConfig(mode="budget", budget=len(profiles)))
         for budget in range(len(profiles)):
-            assert sample(profiles, SampleSpec(mode="budget", budget=budget)) == seq[:budget]
+            assert sample(profiles, SamplingConfig(mode="budget", budget=budget)) == seq[:budget]
 
     def test_ratio_mode_ceil(self):
-        ids = sample(TOY_8, SampleSpec(mode="ratio", ratio=0.4))  # ceil(3.2) = 4
+        ids = sample(TOY_8, SamplingConfig(mode="ratio", ratio=0.4))  # ceil(3.2) = 4
         assert len(ids) == 4
 
     def test_coverage_mode_stops_at_target(self):
-        ids = sample(TOY_8, SampleSpec(mode="coverage", coverage_target=1.0))
+        ids = sample(TOY_8, SamplingConfig(mode="coverage", coverage=1.0))
         assert len(ids) == 3
         subset = [p for p in TOY_8 if p.record_id in set(ids)]
         assert tag_coverage(subset, TOY_8) == 1.0
-        partial = sample(TOY_8, SampleSpec(mode="coverage", coverage_target=0.33))
+        partial = sample(TOY_8, SamplingConfig(mode="coverage", coverage=0.33))
         assert len(partial) == 1  # first pick covers 3 of 9 tags
 
     @settings(max_examples=300, deadline=None)
@@ -179,21 +180,21 @@ class TestSample:
             return not universe or len(covered) / len(universe) >= target
 
         k = min(k for k in range(len(phase1) + 1) if reaches(k))
-        got = sample(profiles, SampleSpec(mode="coverage", coverage_target=target))
+        got = sample(profiles, SamplingConfig(mode="coverage", coverage=target))
         assert got == [p.record_id for p in phase1[:k]]
 
     def test_coverage_target_above_one_infeasible(self):
         with pytest.raises(ValueError, match=r"^coverage target 1\.2 exceeds 1\.0$"):
-            sample(TOY_8, SampleSpec(mode="coverage", coverage_target=1.2))
+            sample(TOY_8, SamplingConfig(mode="coverage", coverage=1.2))
 
     def test_empty_profiles_selected_last(self):
         profiles = [prof("r_empty", []), prof("r_a", ["a"]), prof("r_b", ["a", "b"])]
-        ids = sample(profiles, SampleSpec(mode="budget", budget=3))
+        ids = sample(profiles, SamplingConfig(mode="budget", budget=3))
         assert ids[-1] == "r_empty"
 
     def test_deterministic(self, rng):
         profiles = random_instance(rng)
-        spec = SampleSpec(mode="budget", budget=max(1, len(profiles) // 2))
+        spec = SamplingConfig(mode="budget", budget=max(1, len(profiles) // 2))
         assert sample(profiles, spec) == sample(profiles, spec)
 
     def test_greedy_full_coverage_within_approximation_budget(self, rng):
@@ -206,7 +207,7 @@ class TestSample:
             k_opt, _ = oracles.min_cover_exhaustive(tagsets)
             d = max(len(s) for s in tagsets)
             budget = min(len(profiles), math.ceil(k_opt * oracles.harmonic(d)))
-            ids = set(sample(profiles, SampleSpec(mode="budget", budget=budget)))
+            ids = set(sample(profiles, SamplingConfig(mode="budget", budget=budget)))
             subset = [p for p in profiles if p.record_id in ids]
             assert tag_coverage(subset, profiles) == 1.0
 
@@ -216,7 +217,7 @@ class TestSample:
             profiles.append(prof("rx", ["a", "b"]))
         n = len(profiles)
         for k in (1, max(1, n // 2), n):
-            greedy_ids = set(sample(profiles, SampleSpec(mode="budget", budget=k)))
+            greedy_ids = set(sample(profiles, SamplingConfig(mode="budget", budget=k)))
             greedy_cov = tag_coverage([p for p in profiles if p.record_id in greedy_ids],
                                       profiles)
             total = 0.0
@@ -228,16 +229,16 @@ class TestSample:
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
-            sample(TOY_8, SampleSpec(mode="budget"))
+            sample(TOY_8, SamplingConfig(mode="budget"))
         with pytest.raises(ValueError):
-            sample(TOY_8, SampleSpec(mode="nope", budget=1))
+            sample(TOY_8, SamplingConfig(mode="nope", budget=1))
         with pytest.raises(ValueError):
-            sample(TOY_8, SampleSpec(mode="ratio", ratio=1.5))
+            sample(TOY_8, SamplingConfig(mode="ratio", ratio=1.5))
 
     @pytest.mark.parametrize("target", [None, math.nan, math.inf, -math.inf, -0.1])
     def test_missing_non_finite_or_negative_coverage_target_rejected(self, target):
         with pytest.raises(ValueError):
-            sample(TOY_8, SampleSpec(mode="coverage", coverage_target=target))
+            sample(TOY_8, SamplingConfig(mode="coverage", coverage=target))
 
 
 class TestSelectionSequence:
@@ -311,8 +312,7 @@ class TestRandomSample:
 
 class TestAssessDataset:
     def test_report_fields(self):
-        report = assess_dataset(TOY_8)
-        assert report.complexity == 9
-        assert report.record_count == 8
-        assert report.diversity == pytest.approx(sum(len(set(p.tags)) for p in TOY_8) / 8)
-        assert report.vocabulary_sizes == {"aggregated": 9}
+        assert assess_dataset(TOY_8) == {
+            "distinct_tags": 9, "record_count": 8,
+            "mean_distinct_tags_per_record": pytest.approx(
+                sum(len(set(p.tags)) for p in TOY_8) / 8)}

@@ -215,15 +215,17 @@ class TestStages:
         assert run(["sample"] + base) == 0
         assert _dir_digests(out) == before
 
-    def test_assess_reports_complexity(self, demo_dataset, tmp_path, capsys):
+    def test_assess_reports_distinct_tags(self, demo_dataset, tmp_path, capsys):
         out = tmp_path / "out"
         base = _base_args(demo_dataset, out)
         assert run(["pipeline", "--backend", "mock"] + base) == 0
         capsys.readouterr()
         assert run(["assess"] + base) == 0
         report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert list(report) == ["distinct_tags", "mean_distinct_tags_per_record",
+                                "record_count"]
         assert report["record_count"] == 18
-        assert report["complexity"] > 0
+        assert report["distinct_tags"] > 0
 
     def test_sample_modes(self, demo_dataset, tmp_path):
         out = tmp_path / "out"
@@ -982,10 +984,10 @@ class TestChunkedPool:
         parent = os.getpid()
         complete = procgen.MockBackend.complete
 
-        def dying(self, prompt, params=procgen.DecodeParams(), attempt=1):
+        def dying(self, prompt, temperature=0.0, attempt=1):
             if os.getpid() != parent:
                 os._exit(3)
-            return complete(self, prompt, params, attempt)
+            return complete(self, prompt, temperature, attempt)
 
         def hung(signum, frame):
             raise TimeoutError("the pipeline hung after a worker died")

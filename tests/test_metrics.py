@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 import oracles
 from proctag import metrics
-from proctag.metrics import (ConfusionMatrix, DegenerateMarginals, EmptyInput,
-                             Prediction, agreement_band, anls, cohen_kappa,
-                             kappa_report, levenshtein, normalized_levenshtein)
+from proctag.metrics import (DegenerateMarginals, EmptyInput, Prediction, agreement_band,
+                             anls, cohen_kappa, kappa_report, levenshtein,
+                             normalized_levenshtein)
 
 _short = st.text(max_size=8)
 
@@ -125,30 +125,30 @@ class TestAnls:
 
 class TestCohenKappa:
     def test_perfect_agreement(self):
-        m = ConfusionMatrix([[10, 0], [0, 15]])
+        m = [[10, 0], [0, 15]]
         assert cohen_kappa(m) == 1.0
 
     def test_worked_example(self):
         # p_o = 0.7, p_e = (25*30 + 25*20) / 2500 = 0.5 -> kappa 0.4
-        m = ConfusionMatrix([[20, 5], [10, 15]])
+        m = [[20, 5], [10, 15]]
         assert cohen_kappa(m) == pytest.approx(0.4, abs=1e-12)
 
     def test_chance_level_agreement(self):
         # rows proportional to column marginals -> kappa 0
-        m = ConfusionMatrix([[9, 1], [81, 9]])
+        m = [[9, 1], [81, 9]]
         assert cohen_kappa(m) == pytest.approx(0.0, abs=1e-12)
 
     def test_degenerate_marginals(self):
         with pytest.raises(DegenerateMarginals):
-            cohen_kappa(ConfusionMatrix([[7]]))
+            cohen_kappa([[7]])
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            cohen_kappa(ConfusionMatrix([[1, 2]]))
+            cohen_kappa([[1, 2]])
         with pytest.raises(ValueError):
-            cohen_kappa(ConfusionMatrix([[1, -2], [0, 1]]))
+            cohen_kappa([[1, -2], [0, 1]])
         with pytest.raises(EmptyInput):
-            cohen_kappa(ConfusionMatrix([[0, 0], [0, 0]]))
+            cohen_kappa([[0, 0], [0, 0]])
 
     def test_identical_raters_score_one(self, rng):
         for _ in range(10):
@@ -156,7 +156,7 @@ class TestCohenKappa:
             m = [[0] * k for _ in range(k)]
             for i in range(k):
                 m[i][i] = rng.randint(1, 50)
-            assert cohen_kappa(ConfusionMatrix(m)) == 1.0
+            assert cohen_kappa(m) == 1.0
 
 
 class TestAgreementBand:
@@ -168,5 +168,5 @@ class TestAgreementBand:
         assert agreement_band(value) == band
 
     def test_report_includes_band(self):
-        report = kappa_report(ConfusionMatrix([[20, 5], [10, 15]]))
+        report = kappa_report([[20, 5], [10, 15]])
         assert report == {"kappa": pytest.approx(0.4), "band": "fair"}

@@ -14,9 +14,8 @@ import oracles
 from conftest import run_together
 from proctag.ingest import InstructionRecord
 from proctag.procgen import (MAX_ATTEMPTS, BackendError, BackendUnavailable,
-                             CachingBackend, DecodeParams, Discarded,
-                             GenerationLedger, MockBackend, ParseFailure,
-                             RemoteBackend, build_prompt, discard_rate,
+                             CachingBackend, Discarded, GenerationLedger,
+                             MockBackend, ParseFailure, RemoteBackend, build_prompt,
                              generate_all, generate_process, parse_response,
                              validate_chain)
 from proctag.render import DOCLAYPROMPT, DocumentRepresentation
@@ -53,7 +52,7 @@ class ScriptedBackend:
         self.transport = transport
         self.calls: Counter[str] = Counter()
 
-    def complete(self, prompt, params=DecodeParams(), attempt=1):
+    def complete(self, prompt, temperature=0.0, attempt=1):
         self.calls[prompt] += 1
         if self.calls[prompt] <= self.failures:
             if self.transport:
@@ -137,24 +136,29 @@ def parse_pseudocode_steps(completion):
     return parse_pseudocode(block)
 
 
+def generate_one(backend, ledger):
+    """The outcome of one record, counted in ``ledger`` as ``generate_all`` counts it."""
+    [result] = generate_all([mkrec()], {"p1": mkrep()}, backend, ledger, max_inflight=1)
+    return result
+
+
 class TestGenerateProcess:
     def test_mock_first_attempt(self):
         ledger = GenerationLedger()
-        result = generate_process(mkrec(), mkrep(), MockBackend(), ledger)
+        result = generate_one(MockBackend(), ledger)
         assert not isinstance(result, Discarded)
         assert result.attempts == 1
         assert ledger.succeeded == 1 and ledger.discarded == 0
 
     def test_one_failure_then_valid(self):
-        ledger = GenerationLedger()
         backend = ScriptedBackend(failures=1)
-        result = generate_process(mkrec(), mkrep(), backend, ledger)
+        result = generate_process(mkrec(), mkrep(), backend)
         assert result.attempts == 2
 
     def test_three_failures_discard(self):
         ledger = GenerationLedger()
         backend = ScriptedBackend(failures=3)
-        result = generate_process(mkrec(), mkrep(), backend, ledger)
+        result = generate_one(backend, ledger)
         assert isinstance(result, Discarded)
         assert result.attempts == 3
         assert result.last_completion == "no code fence here"
@@ -162,37 +166,34 @@ class TestGenerateProcess:
 
     def test_attempt_bound(self):
         backend = ScriptedBackend(failures=99)
-        generate_process(mkrec(), mkrep(), backend, GenerationLedger())
+        generate_process(mkrec(), mkrep(), backend)
         assert max(backend.calls.values()) == 3
 
     def test_transport_failures_raise_after_budget(self):
         backend = ScriptedBackend(failures=99, transport=True)
         ledger = GenerationLedger()
         with pytest.raises(BackendUnavailable):
-            generate_process(mkrec(), mkrep(), backend, ledger)
+            generate_one(backend, ledger)
         assert ledger.total == 0  # infrastructure failure, not a data discard
 
     def test_transport_then_success(self):
         backend = ScriptedBackend(failures=2, transport=True)
-        result = generate_process(mkrec(), mkrep(), backend, GenerationLedger())
+        result = generate_process(mkrec(), mkrep(), backend)
         assert result.attempts == 3
 
 
-class TestDiscardRate:
+class TestGenerationLedger:
     def test_paper_boundary(self):
         ledger = GenerationLedger()
         for i in range(999):
             ledger.record_success(f"r{i}", 1)
         ledger.record_discard("r999", 3)
-        assert discard_rate(ledger) == pytest.approx(0.001)
-
-    def test_zero_discards(self):
-        ledger = GenerationLedger()
-        ledger.record_success("r0", 1)
-        assert discard_rate(ledger) == 0.0
+        assert (ledger.succeeded, ledger.discarded, ledger.total) == (999, 1, 1000)
+        assert ledger.attempts_by_record["r999"] == 3
 
     def test_empty_ledger(self):
-        assert discard_rate(GenerationLedger()) == 0.0
+        assert GenerationLedger().to_dict() == {"total": 0, "succeeded": 0, "discarded": 0,
+                                                "attempts_by_record": {}}
 
 
 class TestGenerateAll:
@@ -203,6 +204,8 @@ class TestGenerateAll:
         results = generate_all(records, reps, MockBackend(), ledger, max_inflight=4)
         assert len(results) == 12
         assert ledger.total == 12
+        # counted on the calling thread, in input order
+        assert list(ledger.attempts_by_record) == [r.record_id for r in records]
 
     def test_pure_function_of_dataset(self):
         records = [mkrec(f"r{i}", question=f"Where is row {i}?") for i in range(8)]
@@ -220,9 +223,9 @@ class CountingBackend:
         self.calls = 0
         self.inner = MockBackend()
 
-    def complete(self, prompt, params=DecodeParams(), attempt=1):
+    def complete(self, prompt, temperature=0.0, attempt=1):
         self.calls += 1
-        return self.inner.complete(prompt, params, attempt)
+        return self.inner.complete(prompt, temperature, attempt)
 
 
 class TestCachingBackend:
@@ -244,12 +247,12 @@ class TestCachingBackend:
         CachingBackend(tmp_path / "cache", inner=MockBackend())  # an empty cache
         backend = CachingBackend(tmp_path / "cache", inner=None)
         with pytest.raises(BackendError, match="cache miss"):
-            backend.complete("never seen", DecodeParams())
+            backend.complete("never seen", 0.0)
 
     def test_retries_have_distinct_cache_slots(self, tmp_path):
         backend = CachingBackend(tmp_path / "cache", inner=MockBackend())
-        backend.complete("p", DecodeParams(), attempt=1)
-        backend.complete("p", DecodeParams(), attempt=2)
+        backend.complete("p", 0.0, attempt=1)
+        backend.complete("p", 0.0, attempt=2)
         lines = (tmp_path / "cache" / "entries.jsonl").read_bytes().splitlines()
         assert len({json.loads(line)["key"] for line in lines}) == len(lines) == 2
 
@@ -260,20 +263,20 @@ class TestCachingBackend:
 
             gate = threading.Barrier(4, timeout=10)
 
-            def complete(self, prompt, params=DecodeParams(), attempt=1):
+            def complete(self, prompt, temperature=0.0, attempt=1):
                 self.gate.wait()
-                return MockBackend().complete(prompt, params, attempt)
+                return MockBackend().complete(prompt, temperature, attempt)
 
         backend = CachingBackend(tmp_path, inner=SlowBackend())
         prompts = [f"Total of column {i}?" for i in range(40)]
         for prompt in prompts:
-            assert run_together(lambda: backend.complete(prompt, DecodeParams())) == []
+            assert run_together(lambda: backend.complete(prompt, 0.0)) == []
         assert os.listdir(tmp_path) == ["entries.jsonl"]
         entries = [json.loads(line)
                    for line in (tmp_path / "entries.jsonl").read_bytes().splitlines()]
         assert len({entry["key"] for entry in entries}) == len(entries) == len(prompts)
         got = sorted(entry["completion"] for entry in entries)
-        assert got == sorted(MockBackend().complete(p, DecodeParams()) for p in prompts)
+        assert got == sorted(MockBackend().complete(p, 0.0) for p in prompts)
 
 
 class _ChatHandler(BaseHTTPRequestHandler):
@@ -316,7 +319,7 @@ class TestRemoteBackend:
     def test_round_trip(self, chat_server):
         server, url = chat_server
         backend = RemoteBackend(url=url + "/v1/chat", api_key="k")
-        out = backend.complete("hello world", DecodeParams())
+        out = backend.complete("hello world", 0.0)
         assert out == "echo: hello world"
         assert server.seen == [("hello world", "Bearer k")]
 
@@ -324,13 +327,13 @@ class TestRemoteBackend:
         server, url = chat_server
         monkeypatch.setenv("PROCTAG_BACKEND_URL", url + "/v1/chat")
         monkeypatch.setenv("PROCTAG_BACKEND_KEY", "env-key")
-        assert RemoteBackend().complete("hi", DecodeParams()) == "echo: hi"
+        assert RemoteBackend().complete("hi", 0.0) == "echo: hi"
         assert server.seen == [("hi", "Bearer env-key")]
 
     def test_unreachable_is_backend_error(self):
         backend = RemoteBackend(url="http://127.0.0.1:9/nope", timeout=0.2)
         with pytest.raises(BackendError):
-            backend.complete("x", DecodeParams())
+            backend.complete("x", 0.0)
 
     @pytest.mark.parametrize("path,message", [("/status", "HTTP 503"),
                                               ("/malformed", "unexpected backend response")])
@@ -340,9 +343,9 @@ class TestRemoteBackend:
         server, url = chat_server
         backend = RemoteBackend(url=url + path)
         with pytest.raises(BackendError, match=message):
-            backend.complete("x", DecodeParams())
+            backend.complete("x", 0.0)
         with pytest.raises(BackendUnavailable, match=message):
-            generate_process(mkrec("r1"), mkrep(), backend, GenerationLedger())
+            generate_process(mkrec("r1"), mkrep(), backend)
         assert len(server.seen) == 1 + MAX_ATTEMPTS
 
     def test_missing_url_rejected(self, monkeypatch):

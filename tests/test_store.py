@@ -24,12 +24,12 @@ import oracles
 from proctag import procgen, store, tagnorm
 from proctag.errors import ProcTagError
 from proctag.ingest import IoFailure
-from proctag.procgen import BackendError, DecodeParams, MockBackend
+from proctag.procgen import BackendError, MockBackend
 from proctag.tagnorm import HashingEmbedder
 
 PROMPTS = ["Total of column 1?", "naïve “quotes” \u2028 and \n new\\lines", 'say "hi"', ""]
-CALLS = [(prompt, params, attempt) for prompt in PROMPTS
-         for params in (DecodeParams(), DecodeParams(temperature=0.7))
+CALLS = [(prompt, temperature, attempt) for prompt in PROMPTS
+         for temperature in (0.0, 0.7)
          for attempt in (1, 2)]
 TAGS = ["find_table", "read_date", "naïve_tag", "b", "x" * 300]
 
@@ -53,17 +53,17 @@ def _assert_log_holds_the_old_entries(cache_dir, old_dir):
 def test_completion_cache_replays_what_it_filled(tmp_path):
     written = tmp_path / "written"
     backend = procgen.CachingBackend(written, inner=MockBackend())
-    want = [backend.complete(prompt, params, attempt=a) for prompt, params, a in CALLS]
-    assert want == [MockBackend().complete(prompt, params, a) for prompt, params, a in CALLS]
+    want = [backend.complete(prompt, temp, attempt=a) for prompt, temp, a in CALLS]
+    assert want == [MockBackend().complete(prompt, temp, a) for prompt, temp, a in CALLS]
     replay = procgen.CachingBackend(written, inner=None)
-    assert [replay.complete(prompt, params, attempt=a) for prompt, params, a in CALLS] == want
+    assert [replay.complete(prompt, temp, attempt=a) for prompt, temp, a in CALLS] == want
     assert os.listdir(written) == [store.LOG]
     old = oracles.CachingBackend(tmp_path / "old", inner=MockBackend())
-    for prompt, params, a in CALLS:
-        old.complete(prompt, params, attempt=a)
+    for prompt, temp, a in CALLS:
+        old.complete(prompt, temp, attempt=a)
     _assert_log_holds_the_old_entries(written, tmp_path / "old")
     with pytest.raises(BackendError, match="cache miss"):
-        replay.complete("never seen", DecodeParams())
+        replay.complete("never seen", 0.0)
 
 
 def test_embedding_cache_replays_what_it_filled(tmp_path):
@@ -96,8 +96,30 @@ _awkward_text = st.text(st.sampled_from(['"', "\\", "\n", "\x00", "\x1f", "\x7f"
        attempt=st.integers(1, 3))
 def test_cache_key_equals_the_json_dumps_key(prompt, temperature, attempt):
     # an int temperature is written as 1, a float one as 1.0: different keys
-    params = DecodeParams(temperature=temperature)
-    assert procgen._cache_key(prompt, params, attempt) == oracles._cache_key(prompt, params, attempt)
+    assert (procgen._cache_key(prompt, temperature, attempt)
+            == oracles._cache_key(prompt, temperature, attempt))
+
+
+# keys that caches already filled were written under, so they must never
+# change; an int temperature keeps a key of its own
+PINNED_KEYS = {
+    0.0: ("8470ea0e9ca148cf536d954338b9c3141fcf26afc8ae586d8068c912bb4e07cb",
+          "91e26cdbac20138a89192c3a3d69bae2096e3c2e38a79a8cde647da33df28c20",
+          "222581c9be634e9a0ef28fe19d3beefdf586e9b1470b91f3ca63cca21ed28083"),
+    0.7: ("a11b29f436338da585294df82eecd672d8c0b9bdf3e9c83147e694b7403b36d9",
+          "058b3c69b98b706a61359b707f9315bdb527292e0e2d4414b9bb72e357909234",
+          "7ea646c873be81e5b4dba88da6808dfb9e9883997011d1cc5561282dc666f7c3"),
+    1: ("e78f98c0475ccfb9d3a8fd2cc950220eb8ecad42781d02071c962c86f8bce55a",
+        "91ac25739a54cb740191b7f7eefd323120af0ab32d19be834f27dea1ff88ae40",
+        "1c039bda698f5bbb3a6ae680ea1bb821f1891971f0807e623c42ade95dc6cec1"),
+}
+
+
+@pytest.mark.parametrize("temperature", list(PINNED_KEYS), ids=repr)
+def test_cache_keys_are_pinned(temperature):
+    prompt = 'Which item appears first? "naïve"\n'
+    assert tuple(procgen._cache_key(prompt, temperature, attempt)
+                 for attempt in (1, 2, 3)) == PINNED_KEYS[temperature]
 
 
 # entry text, and what the error says of it
@@ -113,7 +135,7 @@ BAD_ENTRIES = {
                          "holds the lone surrogate '\\udc80', which UTF-8 cannot encode"),
 }
 STORES = {"completion": (procgen.CachingBackend, MockBackend, oracles.CachingBackend,
-                         lambda s: s.complete("prompt", DecodeParams())),
+                         lambda s: s.complete("prompt", 0.0)),
           "vector": (tagnorm.CachingEmbedder, HashingEmbedder, oracles.CachingEmbedder,
                      lambda s: s.embed("find_table"))}
 
@@ -132,7 +154,7 @@ def test_malformed_entry_is_an_io_failure_naming_its_file(tmp_path, kind, entry,
     store_cls, inner_cls, _, call = STORES[kind]
     first = store_cls(tmp_path, inner=inner_cls())
     if kind == "completion":
-        first.complete("an earlier prompt", DecodeParams())
+        first.complete("an earlier prompt", 0.0)
     else:
         first.embed("an_earlier_tag")
     call(first)
@@ -191,9 +213,9 @@ class _GatedMock:
     def __init__(self, gate):
         self.gate = gate
 
-    def complete(self, prompt, params=DecodeParams(), attempt=1):
+    def complete(self, prompt, temperature=0.0, attempt=1):
         self.gate.wait(10)
-        return MockBackend().complete(prompt, params, attempt)
+        return MockBackend().complete(prompt, temperature, attempt)
 
 
 def _fill_in_a_child(backend, prompts):
@@ -201,7 +223,7 @@ def _fill_in_a_child(backend, prompts):
     write = os.write
     os.write = lambda fd, data: time.sleep(0.002) or write(fd, data)
     for prompt in prompts:
-        backend.complete(prompt, DecodeParams())
+        backend.complete(prompt, 0.0)
 
 
 def test_two_forked_processes_fill_one_cache_at_once(tmp_path):
@@ -225,39 +247,39 @@ def test_two_forked_processes_fill_one_cache_at_once(tmp_path):
     assert len(keys) == len(set(keys)) == len(prompts)
     replay = procgen.CachingBackend(tmp_path, inner=None)
     for prompt in prompts:
-        want = MockBackend().complete(prompt, DecodeParams())
-        assert replay.complete(prompt, DecodeParams()) == backend.complete(prompt) == want
+        want = MockBackend().complete(prompt, 0.0)
+        assert replay.complete(prompt, 0.0) == backend.complete(prompt) == want
 
 
 def test_a_key_written_twice_replays_its_first_line(tmp_path):
-    procgen.CachingBackend(tmp_path, inner=MockBackend()).complete("twice", DecodeParams())
+    procgen.CachingBackend(tmp_path, inner=MockBackend()).complete("twice", 0.0)
     log = tmp_path / store.LOG
     (first,) = log.read_bytes().splitlines(keepends=True)
     second = json.loads(first) | {"completion": "written second"}
     with open(log, "ab") as fh:
         fh.write(json.dumps(second).encode() + b"\n")
-    want = MockBackend().complete("twice", DecodeParams())
+    want = MockBackend().complete("twice", 0.0)
     assert procgen.CachingBackend(tmp_path, inner=None).complete("twice") == want
 
 
 def test_a_torn_last_line_is_ignored_then_replaced(tmp_path):
     backend = procgen.CachingBackend(tmp_path / "whole", inner=MockBackend())
-    backend.complete("the torn one", DecodeParams())
+    backend.complete("the torn one", 0.0)
     (whole,) = (tmp_path / "whole" / store.LOG).read_bytes().splitlines(keepends=True)
     cache = tmp_path / "cache"
     filler = procgen.CachingBackend(cache, inner=MockBackend())
     for i in range(3):
-        filler.complete(f"earlier {i}", DecodeParams())
+        filler.complete(f"earlier {i}", 0.0)
     log = cache / store.LOG
     earlier = log.read_bytes()
     # what a writer that crashed mid-line leaves behind
     with open(log, "ab") as fh:
         fh.write(whole[:len(whole) // 2])
     with pytest.raises(BackendError, match="replay-only mode"):
-        procgen.CachingBackend(cache, inner=None).complete("the torn one", DecodeParams())
+        procgen.CachingBackend(cache, inner=None).complete("the torn one", 0.0)
     refill = procgen.CachingBackend(cache, inner=MockBackend())
-    want = MockBackend().complete("the torn one", DecodeParams())
-    assert refill.complete("the torn one", DecodeParams()) == want
+    want = MockBackend().complete("the torn one", 0.0)
+    assert refill.complete("the torn one", 0.0) == want
     data = log.read_bytes()
     assert data.startswith(earlier) and _undated(data[len(earlier):]) == _undated(whole)
     assert procgen.CachingBackend(cache, inner=None).complete("the torn one") == want
@@ -272,7 +294,7 @@ def test_four_threads_missing_one_key_all_get_the_first_value(tmp_path):
         answers = iter(range(10**6))
         lock = threading.Lock()
 
-        def complete(self, prompt, params=DecodeParams(), attempt=1):
+        def complete(self, prompt, temperature=0.0, attempt=1):
             self.gate.wait()
             with self.lock:
                 return f"{prompt} answer {next(self.answers)}"
@@ -289,16 +311,16 @@ def test_four_threads_missing_one_key_all_get_the_first_value(tmp_path):
 
 def test_a_short_write_is_truncated_away(tmp_path, monkeypatch):
     backend = procgen.CachingBackend(tmp_path, inner=MockBackend())
-    backend.complete("first", DecodeParams())
+    backend.complete("first", 0.0)
     log = tmp_path / store.LOG
     before = log.read_bytes()
     write = os.write
     with monkeypatch.context() as patch:
         patch.setattr(os, "write", lambda fd, data: write(fd, data[:len(data) // 2]))
         with pytest.raises(IoFailure, match=f"cannot append to {log}: short write"):
-            backend.complete("second", DecodeParams())
+            backend.complete("second", 0.0)
     assert log.read_bytes() == before
-    assert backend.complete("second", DecodeParams()) == MockBackend().complete("second")
+    assert backend.complete("second", 0.0) == MockBackend().complete("second")
     assert len(log.read_bytes().splitlines()) == 2
 
 
@@ -343,7 +365,7 @@ def recorder():
 # old class, new class, one call, the error class every failure must raise
 ADAPTERS = {
     "backend": (oracles.RemoteBackend, procgen.RemoteBackend,
-                lambda a: a.complete("naïve prompt", DecodeParams(0.5), attempt=2),
+                lambda a: a.complete("naïve prompt", 0.5, attempt=2),
                 BackendError),
     "embedder": (oracles.RemoteEmbedder, tagnorm.RemoteEmbedder,
                  lambda a: a.embed("find_table").tolist(), ProcTagError),

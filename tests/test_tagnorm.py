@@ -42,7 +42,7 @@ class TestFrequencyFilter:
         # "rare" occurs 3 times, "common" 5
         filtered, vocab = frequency_filter(profiles, 4)
         assert all("rare" not in p.tags for p in filtered)
-        assert vocab.entries == {"common": 5}
+        assert vocab == {"common": 5}
 
     def test_identity_when_all_frequent(self):
         profiles = [prof("r1", ["a", "b"]), prof("r2", ["a", "b"])]
@@ -55,7 +55,7 @@ class TestFrequencyFilter:
         filtered, voc = frequency_filter(profiles, 4)
         expected = {t: c for t, c in oracles.frequencies_reference(profiles).items()
                     if c >= 4}
-        assert voc.entries == expected
+        assert voc == expected
         surviving = oracles.frequencies_reference(filtered)
         assert all(c >= 4 for c in surviving.values())
         assert surviving == expected
@@ -504,8 +504,7 @@ class TestNormalizeCorpus:
                                     HashingEmbedder(), min_count=4)
                    for _ in range(2)]
         assert results[0].profiles == results[1].profiles
-        assert results[0].vocabularies["filtered"].entries == \
-            results[1].vocabularies["filtered"].entries
+        assert results[0].vocabularies["filtered"] == results[1].vocabularies["filtered"]
         for p in results[0].profiles:
             assert p.stage == "aggregated"
 
@@ -578,7 +577,7 @@ def _snapshot(result):
 
     return {"profiles": fields(result.profiles),
             "stage_profiles": [(stage, fields(ps)) for stage, ps in result.stage_profiles.items()],
-            "vocabularies": [(stage, v.stage, list(v.entries.items()))
+            "vocabularies": [(stage, list(v.items()))
                              for stage, v in result.vocabularies.items()],
             "labels": list(result.assignment.labels.items()),
             "representatives": list(result.assignment.representatives.items()),
