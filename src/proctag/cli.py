@@ -70,9 +70,11 @@ MANIFEST = "manifest.json"
 # stays busy to the end
 CHUNK = 256
 
-# one record's generation outcome as the parent keeps it: whether it was
-# discarded, its attempts, and its raw tag profile
-Outcome = tuple[bool, int, tagnorm.TagProfile]
+# one record's generation outcome as a worker hands it back: whether it was
+# discarded, its attempts, and its record id, raw tags and their source, of
+# which the parent builds the raw tag profile (a plain tuple pickles in a
+# fifth of a profile's time)
+Outcome = tuple[bool, int, str, list[str], str]
 
 
 # ---------------------------------------------------------------------------
@@ -289,8 +291,9 @@ def _encode_generated(pairs: Iterable[tuple[InstructionRecord,
                 "style": rep.style, "token_count": rep.token_count,
                 "digest": hashlib.sha256(rep.text.encode("utf-8")).hexdigest()[:16]})
         lines.append(_generate_line(rec, block, result))
+        profile = _raw_profile(rec.record_id, result)
         outcomes.append((isinstance(result, procgen.Discarded), result.attempts,
-                         _raw_profile(rec.record_id, result)))
+                         rec.record_id, profile.tags, profile.source))
     return "".join(lines), outcomes
 
 
@@ -305,12 +308,14 @@ def generate_stage(rendered: tuple[list[InstructionRecord], dict[str, DocumentRe
     if unrendered is not None:
         raise MissingPage(unrendered)
     temperature = cfg.generation.temperature
+    ledger = procgen.GenerationLedger()
+    remote = cfg.generation.backend == "remote"
     chunks: Iterable[tuple[str, list[Outcome]]]
-    if cfg.generation.backend == "remote":
+    if remote:
         # only the remote backend waits on the network: its calls overlap on
-        # threads, and each record is encoded as it is written
-        results = procgen.generate_all(records, reps, backend, procgen.GenerationLedger(),
-                                       temperature=temperature,
+        # threads, generate_all counts each outcome, and each record is
+        # encoded as it is written
+        results = procgen.generate_all(records, reps, backend, ledger, temperature=temperature,
                                        max_inflight=cfg.generation.max_inflight)
         chunks = (_encode_generated([pair], reps) for pair in zip(records, results))
     else:
@@ -322,15 +327,15 @@ def generate_stage(rendered: tuple[list[InstructionRecord], dict[str, DocumentRe
 
         chunks = _chunk_map(generate_chunk, records)
 
-    ledger = procgen.GenerationLedger()
     profiles: list[tagnorm.TagProfile] = []
 
     def lines() -> Iterator[str]:
         for text, outcomes in chunks:
-            for discarded, attempts, profile in outcomes:
-                record = ledger.record_discard if discarded else ledger.record_success
-                record(profile.record_id, attempts)
-                profiles.append(profile)
+            for discarded, attempts, rid, tags, source in outcomes:
+                if not remote:
+                    count = ledger.record_discard if discarded else ledger.record_success
+                    count(rid, attempts)
+                profiles.append(tagnorm.TagProfile(rid, tags, "raw", source))
             yield text
 
     path = _write_stage(out_dir, "generate", lines(), "jsonl")

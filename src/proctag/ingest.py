@@ -15,6 +15,7 @@ refuse a string that no writer can encode: a lone surrogate, which only a
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import logging
@@ -257,19 +258,20 @@ def _too_deep(value: dict | list) -> bool:
 
 
 def _record_from_dict(obj: dict[str, Any]) -> InstructionRecord:
-    for key in ("record_id", "page_id", "question"):
-        if not isinstance(obj.get(key), str) or (
-                key == "page_id" and not _SAFE_PAGE_ID.fullmatch(obj[key])):
-            raise invalid(key)
+    record_id, page_id, question = obj.get("record_id"), obj.get("page_id"), obj.get("question")
+    if not isinstance(record_id, str):
+        raise invalid("record_id")
+    if not (isinstance(page_id, str) and _SAFE_PAGE_ID.fullmatch(page_id)):
+        raise invalid("page_id")
+    if not isinstance(question, str):
+        raise invalid("question")
     answers = obj.get("answers", [])
     if not (isinstance(answers, list) and all(isinstance(a, str) for a in answers)):
         raise invalid("answers")
     annotations = obj.get("annotations", {})
     if not isinstance(annotations, dict) or annotations and _too_deep(annotations):
         raise invalid("annotations")
-    return InstructionRecord(record_id=obj["record_id"], page_id=obj["page_id"],
-                             question=obj["question"], answers=list(answers),
-                             annotations=annotations)
+    return InstructionRecord(record_id, page_id, question, list(answers), annotations)
 
 
 def record_to_dict(rec: InstructionRecord) -> dict[str, Any]:
@@ -413,21 +415,32 @@ def read_records(path: Path | str) -> list[InstructionRecord]:
     return list(_records(Path(path)))
 
 
+# the errors at which Path.exists calls a file absent, as it does a path the
+# OS cannot take; it raises any other
+_ABSENT = (errno.ENOENT, errno.ENOTDIR, errno.EBADF, errno.ELOOP)
+
+
 def load_records(path: Path | str, pages_dir: Path | str | None = None,
                  ) -> tuple[list[InstructionRecord], dict[str, Path]]:
     """Records (order preserved) and the page file of each page they
     reference, by page id in first-reference order. No page file is parsed;
     a record whose page has no file is a :class:`MissingPage`."""
     records_path, pages_root = _resolve_paths(path, pages_dir)
+    root = str(pages_root)
     records: list[InstructionRecord] = []
     page_files: dict[str, Path] = {}
     for rec in _records(records_path):
         records.append(rec)
         if rec.page_id not in page_files:
-            page_path = pages_root / f"{rec.page_id}.json"
-            if not page_path.exists():
-                raise MissingPage(rec.page_id, page_path)
-            page_files[rec.page_id] = page_path
+            name = f"{rec.page_id}.json"
+            # a stat of the string path: Path.exists costs three times as much
+            try:
+                os.stat(f"{root}/{name}")
+            except (OSError, ValueError) as exc:  # ValueError: a path the OS cannot take
+                if isinstance(exc, OSError) and exc.errno not in _ABSENT:
+                    raise
+                raise MissingPage(rec.page_id, pages_root / name) from None
+            page_files[rec.page_id] = pages_root / name
     return records, page_files
 
 

@@ -150,8 +150,14 @@ an earlier step.
 Finally, on its own line, write the answer as `ANSWER: <answer>`.
 """
 
+# the template's fixed text around its two fields, which str.format would
+# fill; the template holds no other brace
+_PROMPT_HEAD, _PROMPT_MID, _PROMPT_TAIL = re.split(r"\{document\}|\{question\}",
+                                                 _PROMPT_TEMPLATE)
+
 _FENCE_RE = re.compile(r"```[^\n`]*\n(.*?)```", re.DOTALL)
-_COT_LINE_RE = re.compile(r"^\s*\d+[.):]\s*(.+)$")
+# a chain-of-thought line, among lines ended by "\n" alone
+_COT_LINE_RE = re.compile(r"^[^\S\n]*\d+[.):][^\S\n]*(.+)$", re.MULTILINE)
 _ANSWER_RE = re.compile(r"^\s*ANSWER:\s*(.*)$", re.MULTILINE)
 _IDENT_RE = re.compile(r"^[A-Za-z_]\w*$")
 
@@ -160,7 +166,7 @@ def build_prompt(rep: DocumentRepresentation, question: str) -> str:
     """Deterministic prompt embedding the representation and question verbatim."""
     if not question.strip():
         raise ValueError("question must be non-empty")
-    return _PROMPT_TEMPLATE.format(document=rep.text, question=question)
+    return _PROMPT_HEAD + rep.text + _PROMPT_MID + question + _PROMPT_TAIL
 
 
 def validate_chain(steps: list[ProcessStep]) -> bool:
@@ -190,9 +196,9 @@ def parse_response(completion: str) -> ExecutionProcess:
         raise ParseFailure("empty pseudo-code block")
     if not validate_chain(steps):
         raise ParseFailure("broken step chaining")
-    cot = [m.group(1).strip() for m in
-           (_COT_LINE_RE.match(line) for line in completion[:fence.start()].splitlines())
-           if m]
+    # the lines before the fence, rejoined at "\n" alone, are scanned at once
+    cot = [text.strip() for text in
+           _COT_LINE_RE.findall("\n".join(completion[:fence.start()].splitlines()))]
     answers = _ANSWER_RE.findall(completion)
     final_answer = answers[-1].strip() if answers else None
     return ExecutionProcess(cot=cot, steps=steps, final_answer=final_answer or None)
@@ -313,6 +319,12 @@ class RemoteBackend(JsonPost):
         return self._post(payload, lambda reply: reply["choices"][0]["message"]["content"])
 
 
+# the temperature last keyed and its JSON text: a run keys every prompt with
+# one temperature object, so json.dumps writes it once. The object itself is
+# matched, since 1 == 1.0 and -0.0 == 0.0 have other texts
+_keyed_temperature: tuple[float, str] = (0.0, "0.0")
+
+
 def _cache_key(prompt: str, temperature: float, attempt: int) -> str:
     """SHA-256 of ``json.dumps`` of the prompt, temperature and attempt
     with sorted keys and ``ensure_ascii=False``, put together from the JSON
@@ -321,9 +333,13 @@ def _cache_key(prompt: str, temperature: float, attempt: int) -> str:
     keeps a ``max_tokens`` of null, a parameter since removed, so that caches
     filled before still replay; ``json.dumps`` writes an int temperature as
     ``1``, not ``1.0``."""
+    global _keyed_temperature
+    keyed = _keyed_temperature
+    if keyed[0] is not temperature:
+        # one tuple, swapped whole, so a thread never reads half of it
+        keyed = _keyed_temperature = (temperature, json.dumps(temperature))
     material = (f'{{"attempt": {attempt}, "max_tokens": null, '
-                f'"prompt": {encode_basestring(prompt)}, '
-                f'"temperature": {json.dumps(temperature)}}}')
+                f'"prompt": {encode_basestring(prompt)}, "temperature": {keyed[1]}}}')
     return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
 
@@ -336,6 +352,9 @@ class CachingBackend(Store):
 
     def complete(self, prompt: str, temperature: float = 0.0, attempt: int = 1) -> str:
         key = _cache_key(prompt, temperature, attempt)
-        return self._entry(key, f"cache miss for key {key}", lambda inner: {
-            "prompt": prompt,
-            "completion": inner.complete(prompt, temperature, attempt=attempt)})
+        completion = self._entry(key)
+        if completion is None:
+            completion = self._fill(key, f"cache miss for key {key}", lambda inner: {
+                "prompt": prompt,
+                "completion": inner.complete(prompt, temperature, attempt=attempt)})
+        return completion

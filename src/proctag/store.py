@@ -5,7 +5,7 @@ Sheehy and Smith, 2010), one entry per line: ``{"key": "<64 hex>", ...}``
 then the entry's fields. The key comes first, so that opening the log reads
 it at a fixed offset without decoding the line: a scan in bounded blocks
 builds an index from key to offset and length, and a hit is one
-``os.pread`` and ``json.loads``. Line numbers are counted only for an error.
+``os.pread`` and one decode. Line numbers are counted only for an error.
 
 - First wins: of two lines with one key the first counts, and a miss
   appends only if no other writer, thread or process, did meanwhile.
@@ -32,7 +32,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 from .errors import ProcTagError
-from .ingest import IoFailure, unencodable
+from .ingest import IoFailure, _raw_decode, unencodable
 
 if TYPE_CHECKING:
     import requests
@@ -117,11 +117,21 @@ class Store:
 
     def _checked(self, data: bytes) -> dict[str, Any]:
         """The entry of a log line, or a ValueError saying what is wrong with it."""
+        # a line this package wrote is one value, which the decoder reads
+        # without json.loads' whitespace scans, as ingest.read_jsonl does; any
+        # other line goes through json.loads, with its errors. Each decodes
+        # strictly: json.loads would pass the bytes of a surrogate
         try:
-            # decoded strictly: json.loads would pass the bytes of a surrogate
-            entry = json.loads(data.decode("utf-8"))
-        except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested too deep
-            raise ValueError(f"is not valid JSON: {exc}") from None
+            text = data.decode("utf-8")
+            entry, end = _raw_decode(text)
+            written = end == len(text)
+        except (ValueError, RecursionError):
+            written = False
+        if not written:
+            try:
+                entry = json.loads(data.decode("utf-8"))
+            except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested too deep
+                raise ValueError(f"is not valid JSON: {exc}") from None
         if b"\\u" in data and (reason := unencodable(entry)):
             raise ValueError(reason)
         if not (isinstance(entry, dict) and isinstance(entry.get(self.value_key),
@@ -142,25 +152,32 @@ class Store:
                           for start in range(0, offset, BLOCK))
         return IoFailure(f"cache entry {self.log}:{line_no} {reason}")
 
-    def _entry(self, key: str, miss: str, fill: Callable[[Any], dict[str, Any]]) -> Any:
-        """The value of the entry named ``key``; on a miss, ``fill(inner)`` is
-        stamped with ``created_at`` and appended. ``miss`` names the key in
-        the error."""
+    def _entry(self, key: str) -> Any:
+        """The value of the entry named ``key``, or None if the log holds none."""
         hit = self._index.get(key)
         if hit is None:
             # another writer may have appended it since the log was scanned
             with self._locked(fcntl.LOCK_SH):
                 self._catch_up()
             hit = self._index.get(key)
-        if hit is None:
-            if self.inner is None:
-                raise self.error(f"{miss} in replay-only mode")
-            entry = {"key": key, **fill(self.inner),
-                     "created_at": datetime.now(timezone.utc).isoformat()}
-            hit = self._append(key, (json.dumps(entry, ensure_ascii=False) + "\n").encode())
             if hit is None:
-                return entry[self.value_key]
-        offset, length = hit
+                return None
+        return self._value(*hit)
+
+    def _fill(self, key: str, miss: str, fill: Callable[[Any], dict[str, Any]]) -> Any:
+        """The value of the entry named ``key``, which the log lacked:
+        ``fill(inner)``, stamped with ``created_at`` and appended, unless
+        another writer appended one first. ``miss`` names the key in the
+        error of a store that only replays."""
+        if self.inner is None:
+            raise self.error(f"{miss} in replay-only mode")
+        entry = {"key": key, **fill(self.inner),
+                 "created_at": datetime.now(timezone.utc).isoformat()}
+        hit = self._append(key, (json.dumps(entry, ensure_ascii=False) + "\n").encode())
+        return entry[self.value_key] if hit is None else self._value(*hit)
+
+    def _value(self, offset: int, length: int) -> Any:
+        """The value of the entry in the log line at ``offset``."""
         data = os.pread(self._fd, length, offset)
         try:
             return self._checked(data)[self.value_key]

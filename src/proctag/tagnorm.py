@@ -370,8 +370,11 @@ class CachingEmbedder(Store):
         import numpy as np
 
         key = hashlib.sha256(tag.encode("utf-8")).hexdigest()
-        return np.asarray(self._entry(key, f"embedding cache miss for {tag!r}", lambda inner: {
-            "tag": tag, "vector": [float(x) for x in inner.embed(tag)]}))
+        vector = self._entry(key)
+        if vector is None:
+            vector = self._fill(key, f"embedding cache miss for {tag!r}", lambda inner: {
+                "tag": tag, "vector": [float(x) for x in inner.embed(tag)]})
+        return np.asarray(vector)
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,9 @@ type every later stage (see :mod:`proctag.tagnorm`) carries forward.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import ProcTagError
 
@@ -29,14 +30,13 @@ class GrammarViolation(ProcTagError):
         super().__init__(f"{msg} ({reason})" if reason else msg)
 
 
-@dataclass(frozen=True)
-class ProcessStep:
+class ProcessStep(NamedTuple):
     """``output_var = function_name(args...)`` at 1-based position ``index``."""
 
     index: int
     output_var: str
     function_name: str
-    args: list[str] = field(default_factory=list)
+    args: list[str]
 
 
 @dataclass(slots=True)
@@ -57,6 +57,17 @@ _ARG_RE = re.compile(r"^(?:[A-Za-z_]\w*|-?\d+(?:\.\d+)?)$")
 _ARG = r"\"[^\"]*\"|'[^']*'|[A-Za-z_]\w*|-?\d+(?:\.\d+)?"
 _ARG_ITEM_RE = re.compile(_ARG)
 _ARG_LIST_RE = re.compile(rf"\s*(?:(?:{_ARG})\s*(?:,\s*(?:{_ARG})\s*)*)?")
+# one whole line of a block that is a step whose argument list _ARG_LIST_RE
+# accepts, with its first argument and the rest apart. Spaces stay within
+# the line: only "\n" ends one here, and no other character at which
+# str.splitlines ends a line is matched
+_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_SPACE = rf"[^\S{_BREAKS}]"
+_LINE_ARG = rf"\"[^\"{_BREAKS}]*\"|'[^'{_BREAKS}]*'|[A-Za-z_]\w*|-?\d+(?:\.\d+)?"
+_STEP_LINE_RE = re.compile(
+    rf"^{_SPACE}*(?:step\d+{_SPACE}*:{_SPACE}*)?([A-Za-z_]\w*){_SPACE}*="
+    rf"{_SPACE}*([A-Za-z_]\w*){_SPACE}*\({_SPACE}*(?:({_LINE_ARG}){_SPACE}*"
+    rf"((?:,{_SPACE}*(?:{_LINE_ARG}){_SPACE}*)*))?\){_SPACE}*$", re.MULTILINE)
 _CALL_SITE_RE = re.compile(r"\b([A-Za-z_]\w*)\s*\(")
 _CAMEL_RE = re.compile(r"(?<=[a-z])(?=[A-Z])")
 
@@ -111,7 +122,22 @@ def _walk_args(raw: str, line_no: int, line: str) -> list[str]:
 
 
 def parse_pseudocode(block: str) -> list[ProcessStep]:
-    """Parse a pseudo-code block into steps in textual order."""
+    """Parse a pseudo-code block into steps in textual order. When each of
+    its lines is a step whose argument list the regex splits, one scan finds
+    them all; any other block goes line by line, and a bad line is a
+    :class:`GrammarViolation` naming it."""
+    rows = _STEP_LINE_RE.findall(block)
+    if len(rows) != block.count("\n") + (not block.endswith("\n")):
+        return _parse_lines(block)
+    # tuple.__new__ skips the Python-level __new__ of a NamedTuple
+    return [tuple.__new__(ProcessStep, (index, output_var, function_name,
+                                        [first, *_ARG_ITEM_RE.findall(rest)] if rest
+                                        else [first] if first else []))
+            for index, (output_var, function_name, first, rest) in enumerate(rows, start=1)]
+
+
+def _parse_lines(block: str) -> list[ProcessStep]:
+    """:func:`parse_pseudocode` one line of ``block.splitlines()`` at a time."""
     steps: list[ProcessStep] = []
     for line_no, raw_line in enumerate(block.splitlines(), start=1):
         line = raw_line.strip()

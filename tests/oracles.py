@@ -702,6 +702,61 @@ def split_args_reference(raw: str, line_no: int, line: str) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
+# the prompt and the completion parse as they were before the prompt was
+# concatenated from the template's fixed parts and a completion was scanned
+# whole; kept verbatim, with the pattern the old parse matched each CoT line by
+
+
+_COT_LINE_RE = re.compile(r"^\s*\d+[.):]\s*(.+)$")
+
+
+def build_prompt(rep, question: str) -> str:
+    """Deterministic prompt embedding the representation and question verbatim."""
+    if not question.strip():
+        raise ValueError("question must be non-empty")
+    return procgen._PROMPT_TEMPLATE.format(document=rep.text, question=question)
+
+
+def parse_pseudocode(block: str) -> list[tagparse.ProcessStep]:
+    """Parse a pseudo-code block into steps in textual order."""
+    steps: list[tagparse.ProcessStep] = []
+    for line_no, raw_line in enumerate(block.splitlines(), start=1):
+        line = raw_line.strip()
+        if not line:
+            continue
+        m = tagparse._STEP_RE.match(line)
+        if not m:
+            raise tagparse.GrammarViolation(line_no, line)
+        output_var, function_name, raw_args = m.groups()
+        steps.append(tagparse.ProcessStep(index=len(steps) + 1, output_var=output_var,
+                                          function_name=function_name,
+                                          args=tagparse._split_args(raw_args, line_no, line)))
+    return steps
+
+
+def parse_response(completion: str) -> procgen.ExecutionProcess:
+    """Extract CoT lines, the first fenced pseudo-code block, and the answer
+    line; raises ParseFailure when the contract is not met."""
+    fence = procgen._FENCE_RE.search(completion)
+    if not fence:
+        raise procgen.ParseFailure("no pseudo-code block")
+    try:
+        steps = parse_pseudocode(fence.group(1))
+    except tagparse.GrammarViolation as exc:
+        raise procgen.ParseFailure(f"grammar: {exc}") from exc
+    if not steps:
+        raise procgen.ParseFailure("empty pseudo-code block")
+    if not procgen.validate_chain(steps):
+        raise procgen.ParseFailure("broken step chaining")
+    cot = [m.group(1).strip() for m in
+           (_COT_LINE_RE.match(line) for line in completion[:fence.start()].splitlines())
+           if m]
+    answers = procgen._ANSWER_RE.findall(completion)
+    final_answer = answers[-1].strip() if answers else None
+    return procgen.ExecutionProcess(cot=cot, steps=steps, final_answer=final_answer or None)
+
+
+# ---------------------------------------------------------------------------
 # tag stage writers that copied the whole generate record into ``tags_raw``
 # and ``tags`` (kept verbatim; their ``record_id`` and ``annotations.tags``
 # are what the slim artifacts must reproduce)

@@ -688,8 +688,11 @@ class TestGenerateLines:
             for rec, result in pairs)
         text, outcomes = cli._encode_generated(pairs, by_page)
         assert text == expected
-        assert [(discarded, attempts) for discarded, attempts, _ in outcomes] == [
-            (isinstance(result, procgen.Discarded), result.attempts) for _, result in pairs]
+        # each outcome is a tuple of which the parent builds the raw profile
+        assert [(discarded, attempts, tagnorm.TagProfile(rid, tags, "raw", source))
+                for discarded, attempts, rid, tags, source in outcomes] == [
+            (isinstance(result, procgen.Discarded), result.attempts,
+             cli._raw_profile(rec.record_id, result)) for rec, result in pairs]
         # each line reads back as its process, or as its discard under the line's record_id
         for line, (rec, result) in zip(text.split("\n")[:-1], pairs, strict=True):
             assert cli._generated(json.loads(line)) == (rec.record_id, dataclasses.replace(
@@ -768,6 +771,45 @@ def chat_hits(monkeypatch):
         server.shutdown()
         server.server_close()
         thread.join(10)
+
+
+class _StubSession:
+    """A requests session whose every POST answers as a chat endpoint would
+    with the mock backend's completion, or with no code fence for a prompt
+    that holds ``unparsed``; no request leaves the process."""
+
+    def __init__(self, unparsed: str):
+        self.unparsed = unparsed
+
+    def post(self, url, json, headers, timeout):
+        prompt = json["messages"][0]["content"]
+        content = ("no code fence" if self.unparsed in prompt
+                   else procgen.MockBackend().complete(prompt))
+        reply = {"choices": [{"message": {"content": content}}]}
+        return type("Reply", (), {"status_code": 200, "json": lambda self: reply})()
+
+
+def test_remote_generate_counts_each_outcome_once(tmp_path, monkeypatch):
+    counted = []
+    for name in ("record_success", "record_discard"):
+        count = getattr(procgen.GenerationLedger, name)
+        monkeypatch.setattr(procgen.GenerationLedger, name,
+                            lambda self, rid, attempts, count=count: (
+                                counted.append(rid), count(self, rid, attempts)))
+    rep = DocumentRepresentation("p1", "plaintext", "Total 12", 8.0, 2)
+    records = [InstructionRecord(f"r{k}", "p1", question) for k, question in
+               enumerate(("What is the total?", "Which row is unparsed?", "Who signed?"), 1)]
+    cfg = PipelineConfig()
+    cfg.generation.backend = "remote"
+    cfg.generation.max_inflight = 2
+    backend = procgen.RemoteBackend(url="http://stub/chat", session=_StubSession("unparsed"))
+    profiles = cli.generate_stage((records, {"p1": rep}), cfg, tmp_path, backend)
+    assert [p.record_id for p in profiles] == ["r1", "r2", "r3"]
+    assert sorted(counted) == ["r1", "r2", "r3"]
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert (tmp_path / manifest["ledger"]).read_bytes() == (
+        b'{"attempts_by_record": {"r1": 1, "r2": 3, "r3": 1}, "discarded": 1, '
+        b'"succeeded": 2, "total": 3}\n')
 
 
 class TestCacheReplay:

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import logging
 import math
+import os
 import re
 import threading
 
@@ -142,6 +144,42 @@ class TestLoadDataset:
         with pytest.raises(MissingPage) as exc:
             load_dataset(path)
         assert exc.value.page_id == "ghost"
+
+    @pytest.mark.parametrize("error", [OSError(errno.ENOENT, "gone"), OSError(errno.ENOTDIR, "x"),
+                                       OSError(errno.EBADF, "x"), OSError(errno.ELOOP, "x"),
+                                       OSError(errno.EACCES, "denied"), OSError(errno.EIO, "x"),
+                                       ValueError("embedded null byte")], ids=repr)
+    def test_a_page_file_is_missing_where_path_exists_says_so(self, tmp_path, monkeypatch,
+                                                              error):
+        # the page check stats a string path; it calls the page missing for
+        # exactly the errors Path.exists takes for absence and raises any other
+        path = _write_min_dataset(tmp_path, [_line("r1")])
+        page = tmp_path / "pages" / "p1.json"
+        stat = os.stat
+
+        def failing_stat(target, *args, **kwargs):
+            if os.fspath(target) == str(page):
+                raise error
+            return stat(target, *args, **kwargs)
+
+        monkeypatch.setattr(os, "stat", failing_stat)
+        try:
+            absent = not page.exists()
+        except OSError:
+            absent = False
+        if absent:
+            with pytest.raises(MissingPage) as exc:
+                load_records(path)
+            assert str(exc.value) == f"record references unknown page 'p1': no page file {page}"
+        else:
+            with pytest.raises(type(error)) as exc:
+                load_records(path)
+            assert exc.value is error
+
+    def test_a_page_path_under_a_file_is_missing(self, tmp_path):
+        path = _write_min_dataset(tmp_path, [_line("r1")])
+        with pytest.raises(MissingPage, match="no page file .*records.jsonl/p1.json"):
+            load_records(path, pages_dir=path)
 
     def test_missing_required_field(self, tmp_path):
         path = _write_min_dataset(tmp_path, ['{"record_id": "r1", "page_id": "p1"}'])

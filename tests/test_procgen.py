@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import run_together
+from proctag.errors import ProcTagError
 from proctag.ingest import InstructionRecord
 from proctag.procgen import (MAX_ATTEMPTS, BackendError, BackendUnavailable,
                              CachingBackend, Discarded, GenerationLedger,
@@ -19,7 +20,7 @@ from proctag.procgen import (MAX_ATTEMPTS, BackendError, BackendUnavailable,
                              generate_all, generate_process, parse_response,
                              validate_chain)
 from proctag.render import DOCLAYPROMPT, DocumentRepresentation
-from proctag.tagparse import ProcessStep
+from proctag.tagparse import ProcessStep, parse_pseudocode
 
 VALID_COMPLETION = """\
 1. Locate the table on the page.
@@ -109,6 +110,94 @@ class TestParseResponse:
 
     def test_missing_answer_tolerated(self):
         assert parse_response("```\ns = f(document)\n```").final_answer is None
+
+
+# pieces that the one-scan parse must take as the line-by-line parse did:
+# every character at which str.splitlines ends a line and spaces that end
+# none, non-ASCII identifiers, digits and spaces, quoted commas and
+# parentheses, argument lists that only the character walker accepts,
+# fences that are empty, unterminated or repeated, and answer lines
+_BREAKS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+           "\u2029"]
+_PIECES = _BREAKS + [
+    " ", "\t", "\x1f", "\xa0", "\u3000", "é", "naïve_x", "\u0663", "_1", "r1", "document",
+    '"a,b"', '"f(x)"', "'a)'", '"a" "b"', "'a' 'b'", '"', "'", ",", ", ", "(", ")", "=", ":",
+    "step1: ", "step\u0663: ", "x = f(", "x = f()", "y = g(x)", "1. ", "2) ", "3:", "-1.5", "1.",
+    "```", "```\n", "```py\n", "\n```\n", "``````", "ANSWER: x", "\nANSWER: y\n", "ANSWER:",
+    "  ANSWER:\n"]
+
+
+@st.composite
+def _completions(draw):
+    """A mock completion, or one whose fence holds lines put together from
+    pieces, with up to five pieces put in at random places, each in place
+    of up to three characters."""
+    if draw(st.booleans()):
+        text = MockBackend().complete(draw(st.text(max_size=8)))
+    else:
+        lines = draw(st.lists(st.lists(st.sampled_from(_PIECES) | st.text(max_size=3),
+                                       max_size=8).map("".join), max_size=4))
+        text = "1. Look.\n```\n" + "\n".join(lines) + "\n```\nANSWER: 1\n"
+    for _ in range(draw(st.integers(0, 5))):
+        at = draw(st.integers(0, len(text)))
+        cut = draw(st.integers(0, 3))
+        text = text[:at] + draw(st.sampled_from(_PIECES) | st.text(max_size=3)) + text[at + cut:]
+    return text
+
+
+def _outcome(fn, *args):
+    """What ``fn(*args)`` returns, or the class and text of what it raises."""
+    try:
+        return fn(*args)
+    except (ProcTagError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=1500, deadline=None)
+@given(completion=_completions())
+@example(completion="1. a\r2. b\u2028 3) c\n```\nstep1: r1 = f(document)\n```\nANSWER: 1\n")
+@example(completion='```\nx = f(document, "a" "b")\n```')
+@example(completion="```\n\nx = f(document)\n\n  \n```")
+@example(completion="```\nx = f(document)\r\ny = g(x)\n```")
+@example(completion="```\nx = f(document, 'a', 1, -2.5, \"(,)\")\n```")
+@example(completion="```\nstep\u0663: x\u0663 = f\u00e9(document)\n```")
+@example(completion="```\nx = f(document)\n```ANSWER: a\n```\ny = g(x)\n```")
+@example(completion="```\n```")
+@example(completion="```\nx = f()\n```")
+def test_parse_equals_the_line_by_line_parse(completion):
+    got, want = _outcome(parse_response, completion), _outcome(oracles.parse_response, completion)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert (got.to_json(), got.steps) == (want.to_json(), want.steps)
+        assert all(type(step) is ProcessStep for step in got.steps)
+    # the completion whole, as a block, reaches every grammar violation
+    assert (_outcome(parse_pseudocode, completion)
+            == _outcome(oracles.parse_pseudocode, completion))
+
+
+@pytest.mark.parametrize("brk", _BREAKS, ids=ascii)
+def test_every_line_break_ends_a_line_as_before(brk):
+    for block in (f"x = f(document{brk}, r)", f'x = f("a{brk}b")', f"x = f('{brk}')",
+                  f"x = f(document){brk}y = g(x)", f"x = f(document{brk})",
+                  f"step1{brk}: x = f(document)", f"x{brk}= f(document)", f"x = f(){brk}"):
+        completion = f"1. a{brk}2. b\n```\n{block}\n```\nANSWER: 1{brk}2\n"
+        got, want = (_outcome(parse_response, completion),
+                     _outcome(oracles.parse_response, completion))
+        assert got == want if isinstance(want, tuple) else got.to_json() == want.to_json()
+        assert _outcome(parse_pseudocode, block) == _outcome(oracles.parse_pseudocode, block)
+
+
+_braced = st.text(max_size=6) | st.sampled_from(
+    ["{document}", "{question}", "{", "}", "{{", "}}", "{0}", "{document!r}", "{}", "  "])
+
+
+@settings(max_examples=300, deadline=None)
+@given(document=st.lists(_braced, max_size=4).map("".join),
+       question=st.lists(_braced, max_size=4).map("".join))
+def test_build_prompt_equals_the_format_form(document, question):
+    assert (_outcome(build_prompt, mkrep(text=document), question)
+            == _outcome(oracles.build_prompt, mkrep(text=document), question))
 
 
 # names that are identifiers (ASCII start, unicode after it, or one that

@@ -92,12 +92,15 @@ _awkward_text = st.text(st.sampled_from(['"', "\\", "\n", "\x00", "\x1f", "\x7f"
 @settings(max_examples=300, deadline=None)
 @given(prompt=_awkward_text,
        temperature=st.integers(0, 2) | st.floats(0, 2)
-       | st.sampled_from([1, 1.0, 0.1, 1e-7, 1e22, float("inf"), float("nan")]),
+       | st.sampled_from([1, 1.0, 0.1, 1e-7, 1e22, float("inf"), float("nan"), -0.0, 0.0]),
        attempt=st.integers(1, 3))
 def test_cache_key_equals_the_json_dumps_key(prompt, temperature, attempt):
-    # an int temperature is written as 1, a float one as 1.0: different keys
-    assert (procgen._cache_key(prompt, temperature, attempt)
-            == oracles._cache_key(prompt, temperature, attempt))
+    # an int temperature is written as 1, a float one as 1.0, and -0.0 as
+    # -0.0: different keys, though the numbers compare equal; the key is
+    # also taken after one of an equal temperature
+    for temp in (temperature, float(temperature), -0.0):
+        assert (procgen._cache_key(prompt, temp, attempt)
+                == oracles._cache_key(prompt, temp, attempt))
 
 
 # keys that caches already filled were written under, so they must never
