@@ -10,12 +10,13 @@ next in memory, so ``pipeline`` (render through sample) reads the record file
 once and writes the same artifacts, byte for byte, as the stages run one by
 one. Exit codes: 0 success, 1 data error, 2 usage error.
 
-Each stage writes one immutable artifact named ``<stage>-<digest>.<ext>``
-(digest of the file content) and indexes it in the manifest; rerun over
-unchanged inputs, it reproduces the artifact byte for byte. JSONL artifacts
-are streamed to disk and read back a line at a time, never held whole in
-memory. An exclusive lock on the output directory serializes manifest
-updates, so stages writing one directory at once all land.
+Each stage writes immutable artifacts named ``<stage>-<digest>.<ext>`` (digest
+of the file content), reproduced byte for byte over unchanged inputs. JSONL
+artifacts are streamed to disk and read back a line at a time. A row's
+artifacts reach the manifest in one update, under an exclusive lock on the
+output directory, so rows writing one directory at once all land, each as a
+whole; a row that fails deletes the files it added and leaves the directory
+as it was.
 
 ``render`` and, with the mock or cache backend, ``generate`` run on every
 CPU the process may use (``os.sched_getaffinity``). Their page files or
@@ -81,31 +82,52 @@ Outcome = tuple[bool, int, str, list[str], str]
 # stage artifact plumbing
 
 
-def _write_stage(output_dir: Path, stage: str, content: str | Iterable[str],
-                 ext: str) -> Path:
-    # content may arrive line by line: the largest artifacts are then
-    # streamed to disk, never held whole in memory
-    made = not output_dir.exists()
-    output_dir.mkdir(parents=True, exist_ok=True)
-    try:
-        path = atomic_write_text(output_dir / f"{stage}.{ext}", content,
-                                 name=lambda digest: f"{stage}-{digest[:12]}.{ext}")
-    except BaseException:
-        if made:  # a stage that fails leaves no empty directory behind
-            with contextlib.suppress(OSError):  # another writer may have filled it
-                output_dir.rmdir()
-        raise
-    manifest_path = output_dir / MANIFEST
+@contextlib.contextmanager
+def _locked(out_dir: Path) -> Iterator[None]:
     # the lock is held on the directory itself, so it adds no file to it
-    dir_fd = os.open(output_dir, os.O_RDONLY)
+    dir_fd = os.open(out_dir, os.O_RDONLY)
     try:
         fcntl.flock(dir_fd, fcntl.LOCK_EX)
-        manifest = _manifest(manifest_path) if manifest_path.exists() else {}
-        manifest[stage] = path.name
-        atomic_write_text(manifest_path, dumps_json(manifest) + "\n")
+        yield
     finally:
         os.close(dir_fd)  # releases the lock
-    return path
+
+
+@contextlib.contextmanager
+def _row_writer(out_dir: Path) -> Iterator[Callable[..., Path]]:
+    """One row's ``write``: each call writes one artifact, and one manifest
+    update under the directory lock names them all once the row returns. If
+    the row or that update raises, each file the row wrote that neither existed
+    when it started nor is in the manifest goes, as does a directory it made."""
+    made = not out_dir.exists()
+    before = set() if made else set(os.listdir(out_dir))
+    written: dict[str, str] = {}
+    manifest_path = out_dir / MANIFEST
+
+    def write(stage: str, content: str | Iterable[str], ext: str) -> Path:
+        # content may arrive line by line: the largest artifacts are then
+        # streamed to disk, never held whole in memory
+        out_dir.mkdir(parents=True, exist_ok=True)
+        path = atomic_write_text(out_dir / f"{stage}.{ext}", content,
+                                 name=lambda digest: f"{stage}-{digest[:12]}.{ext}")
+        written[stage] = path.name
+        return path
+
+    try:
+        yield write
+        with _locked(out_dir):
+            manifest = _manifest(manifest_path) if manifest_path.exists() else {}
+            atomic_write_text(manifest_path, dumps_json({**manifest, **written}) + "\n")
+    except BaseException:
+        if out_dir.exists():
+            with _locked(out_dir):
+                named = _manifest(manifest_path).values() if manifest_path.exists() else ()
+                for name in set(written.values()) - before - set(named):
+                    (out_dir / name).unlink(missing_ok=True)
+            if made:
+                with contextlib.suppress(OSError):  # another writer may have filled it
+                    out_dir.rmdir()
+        raise
 
 
 def _read_stage(output_dir: Path, stage: str) -> Path:
@@ -228,12 +250,13 @@ def _make_embedder(cfg: PipelineConfig) -> tagnorm.EmbeddingProvider:
 
 
 # ---------------------------------------------------------------------------
-# stages: each ``<row>_stage(input, cfg, out_dir[, backend, embedder or sample request])``
-# writes its artifact(s) and returns the next row's input
+# stages: each ``<row>_stage(input, cfg, write[, backend, embedder or sample request])``
+# writes its artifact(s) by ``write(stage, content, ext)`` and returns the next row's
+# input; one manifest update names them all, and a failed row leaves the directory as it was
 
 
 def render_stage(loaded: tuple[list[InstructionRecord], dict[str, Path]],
-                 cfg: PipelineConfig, out_dir: Path,
+                 cfg: PipelineConfig, write: Callable[..., Path],
                  ) -> tuple[list[InstructionRecord], dict[str, DocumentRepresentation]]:
     """Parse and render the page file of every page the records reference;
     returns the records and the representations by page id. A page file
@@ -252,7 +275,7 @@ def render_stage(loaded: tuple[list[InstructionRecord], dict[str, Path]],
             reps.update((rep.page_id, rep) for rep in chunk_reps)
             yield text
 
-    path = _write_stage(out_dir, "render", lines(), "jsonl")
+    path = write("render", lines(), "jsonl")
     print(f"rendered {len(reps)} pages -> {path}")
     return records, reps
 
@@ -298,7 +321,7 @@ def _encode_generated(pairs: Iterable[tuple[InstructionRecord,
 
 
 def generate_stage(rendered: tuple[list[InstructionRecord], dict[str, DocumentRepresentation]],
-                   cfg: PipelineConfig, out_dir: Path,
+                   cfg: PipelineConfig, write: Callable[..., Path],
                    backend: procgen.GenerationBackend) -> list[tagnorm.TagProfile]:
     """Generate one execution process per record and write them with the
     ledger; returns each record's raw tag profile. A record whose page has no
@@ -338,8 +361,8 @@ def generate_stage(rendered: tuple[list[InstructionRecord], dict[str, DocumentRe
                 profiles.append(tagnorm.TagProfile(rid, tags, "raw", source))
             yield text
 
-    path = _write_stage(out_dir, "generate", lines(), "jsonl")
-    _write_stage(out_dir, "ledger", dumps_json(ledger.to_dict()) + "\n", "json")
+    path = write("generate", lines(), "jsonl")
+    write("ledger", dumps_json(ledger.to_dict()) + "\n", "json")
     rate = ledger.discarded / ledger.total if ledger.total else 0.0
     print(f"generated {ledger.succeeded}/{ledger.total} processes "
           f"(discard rate {rate:.4f}) -> {path}")
@@ -399,14 +422,15 @@ def _tags_lines(raw: list[tagnorm.TagProfile],
 
 
 def extract_stage(profiles: list[tagnorm.TagProfile], cfg: PipelineConfig,
-                  out_dir: Path) -> list[tagnorm.TagProfile]:
+                  write: Callable[..., Path]) -> list[tagnorm.TagProfile]:
     """Write the records' raw tag profiles; returns them."""
-    path = _write_stage(out_dir, "tags_raw", _tags_lines(profiles), "jsonl")
+    path = write("tags_raw", _tags_lines(profiles), "jsonl")
     print(f"extracted raw tags for {len(profiles)} records -> {path}")
     return profiles
 
 
-def normalize_stage(profiles: list[tagnorm.TagProfile], cfg: PipelineConfig, out_dir: Path,
+def normalize_stage(profiles: list[tagnorm.TagProfile], cfg: PipelineConfig,
+                    write: Callable[..., Path],
                     embedder: tagnorm.EmbeddingProvider) -> list[tagnorm.TagProfile]:
     """Filter, cluster and aggregate the raw profiles, and write every
     stage's tags per record, the vocabulary report and the aggregated
@@ -426,10 +450,10 @@ def normalize_stage(profiles: list[tagnorm.TagProfile], cfg: PipelineConfig, out
                      for cid, members in result.assignment.members().items()},
         "merges": result.merges,
     }
-    path = _write_stage(out_dir, "tags", _tags_lines(
+    path = write("tags", _tags_lines(
         *(result.stage_profiles[stage] for stage in tagnorm.STAGES)), "jsonl")
-    _write_stage(out_dir, "vocab", dumps_json(vocab_report) + "\n", "json")
-    _write_stage(out_dir, "profiles", _profiles_lines(result.profiles), "jsonl")
+    write("vocab", dumps_json(vocab_report) + "\n", "json")
+    write("profiles", _profiles_lines(result.profiles), "jsonl")
     print(f"normalized tags for {len(profiles)} records "
           f"({len(vocab_report['merges'])} merges) -> {path}")
     return result.profiles
@@ -510,7 +534,7 @@ def read_profiles(path: Path) -> list[tagnorm.TagProfile]:
 
 
 def sample_stage(profiles: list[tagnorm.TagProfile], cfg: PipelineConfig,
-                 out_dir: Path, spec: SamplingConfig) -> None:
+                 write: Callable[..., Path], spec: SamplingConfig) -> None:
     """Select a subset by the sample request and write the sample report."""
     selected = assess_mod.sample(profiles, spec)
     chosen = set(selected)
@@ -522,15 +546,15 @@ def sample_stage(profiles: list[tagnorm.TagProfile], cfg: PipelineConfig,
         "assessment": assess_mod.assess_dataset(subset) if subset else None,
         "coverage": assess_mod.tag_coverage(subset, profiles) if subset else None,
     }
-    path = _write_stage(out_dir, "sample", dumps_json(report) + "\n", "json")
+    path = write("sample", dumps_json(report) + "\n", "json")
     print(f"selected {len(selected)}/{len(profiles)} records -> {path}")
 
 
 def assess_stage(profiles: list[tagnorm.TagProfile], cfg: PipelineConfig,
-                 out_dir: Path) -> None:
+                 write: Callable[..., Path]) -> None:
     """Write and print the assessment report of the profiles."""
     report = assess_mod.assess_dataset(profiles)
-    _write_stage(out_dir, "assess", dumps_json(report) + "\n", "json")
+    write("assess", dumps_json(report) + "\n", "json")
     print(dumps_json(report))
 
 
@@ -596,7 +620,8 @@ def _run_stages(args: argparse.Namespace) -> int:
     tools = [(row.tool(cfg),) if row.tool else () for row in rows]
     data = first.read(path, cfg)
     for row, tool in zip(rows, tools):
-        data = globals()[f"{row.name}_stage"](data, cfg, out_dir, *tool)
+        with _row_writer(out_dir) as write:
+            data = globals()[f"{row.name}_stage"](data, cfg, write, *tool)
     return 0
 
 

@@ -54,12 +54,10 @@ _STEP_RE = re.compile(
     r"^(?:step\d+\s*:\s*)?([A-Za-z_]\w*)\s*=\s*([A-Za-z_]\w*)\s*\((.*)\)\s*$")
 _ARG_RE = re.compile(r"^(?:[A-Za-z_]\w*|-?\d+(?:\.\d+)?)$")
 # one argument: a quoted literal, an identifier or a number
-_ARG = r"\"[^\"]*\"|'[^']*'|[A-Za-z_]\w*|-?\d+(?:\.\d+)?"
-_ARG_ITEM_RE = re.compile(_ARG)
-_ARG_LIST_RE = re.compile(rf"\s*(?:(?:{_ARG})\s*(?:,\s*(?:{_ARG})\s*)*)?")
-# one whole line of a block that is a step whose argument list _ARG_LIST_RE
-# accepts, with its first argument and the rest apart. Spaces stay within
-# the line: only "\n" ends one here, and no other character at which
+_ARG_ITEM_RE = re.compile(r"\"[^\"]*\"|'[^']*'|[A-Za-z_]\w*|-?\d+(?:\.\d+)?")
+# one whole line of a block that is a step whose arguments are each one that
+# _ARG_ITEM_RE matches, with its first argument and the rest apart. Spaces stay
+# within the line: only "\n" ends one here, and no other character at which
 # str.splitlines ends a line is matched
 _BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 _SPACE = rf"[^\S{_BREAKS}]"
@@ -79,15 +77,6 @@ STOP_WORDS = frozenset({
     "set", "tuple", "sum", "min", "max", "abs", "sorted", "and", "or", "not",
     "in", "is", "input", "output",
 })
-
-
-def _split_args(raw: str, line_no: int, line: str) -> list[str]:
-    """The arguments of a call. A list of well-formed arguments is split by
-    one regex; any other goes to :func:`_walk_args`, which accepts or rejects
-    it (``"a" "b"`` is one argument there)."""
-    if _ARG_LIST_RE.fullmatch(raw):
-        return _ARG_ITEM_RE.findall(raw)
-    return _walk_args(raw, line_no, line)
 
 
 def _walk_args(raw: str, line_no: int, line: str) -> list[str]:
@@ -149,7 +138,7 @@ def _parse_lines(block: str) -> list[ProcessStep]:
         output_var, function_name, raw_args = m.groups()
         steps.append(ProcessStep(index=len(steps) + 1, output_var=output_var,
                                  function_name=function_name,
-                                 args=_split_args(raw_args, line_no, line)))
+                                 args=_walk_args(raw_args, line_no, line)))
     return steps
 
 

@@ -9,6 +9,7 @@ import pytest
 import yaml
 from hypothesis import strategies as st
 
+from proctag import cli
 from proctag.ingest import (BoundingBox, Dataset, DocumentPage,
                             InstructionRecord, LayoutRegion, OcrToken)
 
@@ -46,6 +47,13 @@ def nested_annotations(levels, *, mixed=False):
 def write_config(cfg, path):
     """Write a config as the YAML file ``--config`` reads."""
     path.write_text(yaml.safe_dump(dataclasses.asdict(cfg), sort_keys=True), encoding="utf-8")
+
+
+def write_stage(out_dir, stage, content, ext):
+    """Write one stage artifact into ``out_dir`` and name it in the manifest,
+    as a row of the pipeline commits it; returns its path."""
+    with cli._row_writer(out_dir) as write:
+        return write(stage, content, ext)
 
 
 def random_box(rng: random.Random, width=PAGE_W, height=PAGE_H, max_side=300.0):

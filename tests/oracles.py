@@ -20,8 +20,9 @@ from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
 import numpy as np
 
+from conftest import write_stage
 from proctag import procgen, tagnorm, tagparse
-from proctag.cli import CHUNK, _jsonl, _write_stage
+from proctag.cli import CHUNK, _jsonl
 from proctag.config import PipelineConfig
 from proctag.errors import ProcTagError
 from proctag.ingest import (BoundingBox, DocumentPage, IoFailure, LayoutRegion, MalformedLine,
@@ -730,7 +731,7 @@ def parse_pseudocode(block: str) -> list[tagparse.ProcessStep]:
         output_var, function_name, raw_args = m.groups()
         steps.append(tagparse.ProcessStep(index=len(steps) + 1, output_var=output_var,
                                           function_name=function_name,
-                                          args=tagparse._split_args(raw_args, line_no, line)))
+                                          args=split_args_reference(raw_args, line_no, line)))
     return steps
 
 
@@ -781,7 +782,7 @@ def extract_stage_full_records(records: Iterable[dict[str, Any]],
         obj = dict(obj)
         obj["annotations"] = ann
         out.append(obj)
-    path = _write_stage(out_dir, "tags_raw", _jsonl(out), "jsonl")
+    path = write_stage(out_dir, "tags_raw", _jsonl(out), "jsonl")
     print(f"extracted raw tags for {len(out)} records -> {path}")
     return out
 
@@ -825,8 +826,8 @@ def normalize_stage_full_records(records: list[dict[str, Any]],
                      for cid, members in result.assignment.members().items()},
         "merges": result.merges,
     }
-    path = _write_stage(out_dir, "tags", _jsonl(tagged()), "jsonl")
-    _write_stage(out_dir, "vocab", dumps_json(vocab_report) + "\n", "json")
+    path = write_stage(out_dir, "tags", _jsonl(tagged()), "jsonl")
+    write_stage(out_dir, "vocab", dumps_json(vocab_report) + "\n", "json")
     print(f"normalized tags for {len(records)} records "
           f"({len(vocab_report['merges'])} merges) -> {path}")
     return result.profiles, vocab_report

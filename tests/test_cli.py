@@ -27,7 +27,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import nested_annotations, write_config
+from conftest import nested_annotations, write_config, write_stage
 from proctag import cli, procgen, tagnorm, tagparse
 from proctag.cli import run
 from proctag.config import ConfigError, PipelineConfig, config_from_dict, load_config
@@ -159,7 +159,7 @@ class TestStages:
 
         def write(stage):
             try:
-                cli._write_stage(tmp_path, stage, f"{stage}\n", "txt")
+                write_stage(tmp_path, stage, f"{stage}\n", "txt")
             except Exception as exc:
                 errors.append(exc)
 
@@ -240,6 +240,136 @@ class TestStages:
         assert report["mode"] == "random" and report["count"] == 5  # ceil(18/4)
 
 
+# each row that writes more than one artifact: a rerun of it whose output
+# differs from pipeline's, and its artifacts in the order it writes them; the
+# manifest is written after them. A failed row must keep a file it rewrote
+# that existed before it started: generate's rerun, over one edited question,
+# writes the ledger the manifest names, and normalize's writes a vocab that
+# an earlier, superseded run left unnamed
+_ROW_RERUNS = {
+    "generate": (["generate", "--backend", "mock"], ("generate", "ledger")),
+    "normalize": (["tag", "--stage", "normalize", "--min-support", "1", "--min-confidence", "0"],
+                  ("tags", "vocab", "profiles")),
+}
+
+
+class TestRowCommit:
+    """A row's artifacts reach the manifest in one update, and a row that
+    fails leaves the output directory as it was."""
+
+    @staticmethod
+    def _finished(demo_dataset, out, row):
+        """A finished pipeline directory, and the argv that reruns ``row`` over it."""
+        assert run(["pipeline", "--backend", "mock"] + _base_args(demo_dataset, out)) == 0
+        if row == "generate":
+            records = demo_dataset / "records.jsonl"
+            lines = records.read_text(encoding="utf-8").splitlines(keepends=True)
+            first = json.loads(lines[0])
+            lines[0] = json.dumps({**first, "question": first["question"] + " Why?"}) + "\n"
+            records.write_text("".join(lines), encoding="utf-8")
+        else:
+            earlier = shutil.copytree(out, out.parent / "earlier")
+            assert run(_ROW_RERUNS[row][0] + _base_args(demo_dataset, earlier)) == 0
+            vocab = json.loads((earlier / "manifest.json").read_text())["vocab"]
+            shutil.copy(earlier / vocab, out / vocab)
+        return _ROW_RERUNS[row][0] + _base_args(demo_dataset, out)
+
+    @pytest.mark.parametrize("row, k", [("generate", k) for k in range(4)]
+                             + [("normalize", k) for k in range(5)])
+    def test_the_kth_write_failing_leaves_the_directory_as_it_was(
+            self, demo_dataset, tmp_path, monkeypatch, capsys, row, k):
+        # k = 0 fails no write: the rerun then writes each artifact and the
+        # manifest once, and names a new artifact for each stage
+        out = tmp_path / "out"
+        argv = self._finished(demo_dataset, out, row)
+        before = _dir_digests(out)
+        manifest = json.loads((out / "manifest.json").read_text())
+        stages = _ROW_RERUNS[row][1]
+        calls = []
+        real = cli.atomic_write_text
+
+        def failing(path, *args, **kwargs):
+            calls.append(path.name)
+            if len(calls) == k:
+                raise cli.IoFailure(f"cannot write {path}: injected")
+            return real(path, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "atomic_write_text", failing)
+        capsys.readouterr()
+        code = run(argv)
+        monkeypatch.setattr(cli, "atomic_write_text", real)
+        if not k:
+            assert code == 0
+            assert calls == [f"{stage}.{manifest[stage].rsplit('.', 1)[1]}"
+                             for stage in stages] + ["manifest.json"]
+            rerun = json.loads((out / "manifest.json").read_text())
+            changed = [stage for stage in stages if rerun[stage] != manifest[stage]]
+            assert changed == [stage for stage in stages if stage != "ledger"]
+            return
+        assert code == 1 and len(calls) == k
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert _dir_digests(out) == before
+        # sample reads the old profiles: it writes the same report again
+        assert run(["sample"] + _base_args(demo_dataset, out)) == 0
+        assert _dir_digests(out) == before
+
+    @pytest.mark.parametrize("b_support, a_fails", [("2", False), ("1", True)])
+    def test_concurrent_normalize_runs_leave_one_runs_artifacts(
+            self, demo_dataset, tmp_path, monkeypatch, b_support, a_fails):
+        # run A writes its first artifact, then waits until run B has returned.
+        # With other settings, the manifest must name one run's whole set; with
+        # the same ones and A's commit failing, A must keep what B committed
+        out = tmp_path / "out"
+        self._finished(demo_dataset, out, "normalize")
+        flags = {"a": ["--min-support", "1", "--min-confidence", "0"],
+                 "b": ["--min-support", b_support, "--min-confidence", "0"]}
+        stages = _ROW_RERUNS["normalize"][1]
+        alone = {}
+        for name, extra in flags.items():
+            shutil.copytree(out, tmp_path / name)
+            assert run(["tag", "--stage", "normalize", "--out", str(tmp_path / name)] + extra) == 0
+            manifest = json.loads((tmp_path / name / "manifest.json").read_text())
+            alone[name] = {stage: manifest[stage] for stage in stages}
+        assert all((alone["a"][stage] == alone["b"][stage]) == a_fails for stage in stages)
+
+        paused, b_done = threading.Event(), threading.Event()
+        real = cli.atomic_write_text
+
+        def pausing(path, *args, **kwargs):
+            if threading.current_thread().name == "a" and path.name == "vocab.json":
+                paused.set()
+                if not b_done.wait(30):
+                    raise RuntimeError("run B did not return")
+            if threading.current_thread().name == "a" and path.name == "manifest.json" and a_fails:
+                raise cli.IoFailure(f"cannot write {path}: injected")
+            return real(path, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "atomic_write_text", pausing)
+        codes, errors = {}, []
+
+        def normalize(name):
+            try:
+                codes[name] = run(["tag", "--stage", "normalize", "--out", str(out)]
+                                  + flags[name])
+            except Exception as exc:
+                errors.append(exc)
+
+        a = threading.Thread(target=normalize, args=("a",), name="a")
+        b = threading.Thread(target=normalize, args=("b",), name="b")
+        a.start()
+        assert paused.wait(30)
+        b.start()
+        b.join(30)
+        b_done.set()
+        a.join(30)
+        assert not a.is_alive() and not b.is_alive()
+        assert not errors and codes == {"a": int(a_fails), "b": 0}
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert {stage: manifest[stage] for stage in stages} in alone.values()
+        assert all((out / manifest[stage]).exists() for stage in stages)
+
+
 # function names as a backend writes them; the last three normalize to nothing
 _FUNCTION_NAMES = ("find_total", "findTotal", "read_row", "scan_list", "pick_entry",
                    "sum_cells", "get_2nd_value", "__", "123", "")
@@ -311,11 +441,13 @@ class TestSlimTagArtifacts:
                 tagged, tagnorm.HashingEmbedder(), cfg, old)
             # in memory, as pipeline chains the stages
             raw = [cli._raw_profile(*cli._generated(obj)) for obj in lines]
-            cli.extract_stage(raw, cfg, chained)
-            profiles = cli.normalize_stage(raw, cfg, chained, tagnorm.HashingEmbedder())
+            with cli._row_writer(chained) as write:
+                cli.extract_stage(raw, cfg, write)
+            with cli._row_writer(chained) as write:
+                profiles = cli.normalize_stage(raw, cfg, write, tagnorm.HashingEmbedder())
             vocab = json.loads(cli._read_stage(chained, "vocab").read_text(encoding="utf-8"))
             # standalone commands over a generate artifact
-            cli._write_stage(standalone, "generate", cli._jsonl(lines), "jsonl")
+            write_stage(standalone, "generate", cli._jsonl(lines), "jsonl")
             assert run(["tag", "--stage", "extract", "--out", str(standalone)]) == 0
             assert run(["tag", "--stage", "normalize", "--out", str(standalone)] + flags) == 0
 
@@ -403,7 +535,7 @@ class TestSlimTagArtifacts:
         def peak(question_chars, name):
             rng = random.Random(5)
             out = tmp_path / name
-            cli._write_stage(out, "tags_raw", cli._jsonl(
+            write_stage(out, "tags_raw", cli._jsonl(
                 {"record_id": f"r{i:05d}", "page_id": "p0", "question": "q" * question_chars,
                  "answers": ["a"],
                  "annotations": {"tags": {"raw": rng.sample(vocab, 4), "source": "grammar"}}}
@@ -423,7 +555,7 @@ class TestSlimTagArtifacts:
     def test_a_merge_that_normalizes_to_nothing_is_skipped(self, tmp_path):
         # the pair qualifies at the default thresholds, but "__" merged with
         # "a_1" is "___1", whose normal form is empty
-        cli._write_stage(tmp_path, "tags_raw", cli._jsonl(
+        write_stage(tmp_path, "tags_raw", cli._jsonl(
             {"record_id": f"r{i:02d}", "annotations": {"tags": {"raw": ["__", "a_1"],
                                                                 "source": "grammar"}}}
             for i in range(50)), "jsonl")
@@ -440,7 +572,7 @@ class TestSlimTagArtifacts:
         assert _sampling_curves(out).startswith("20 records\n")
 
     def test_sampling_curves_over_profiles_without_a_tag(self, tmp_path):
-        cli._write_stage(tmp_path, "profiles", cli._profiles_lines(
+        write_stage(tmp_path, "profiles", cli._profiles_lines(
             [tagnorm.TagProfile(f"r{i}", [], "aggregated") for i in range(5)]), "jsonl")
         assert _sampling_curves(tmp_path).splitlines()[-1].split() == ["100%", "0.000", "0.000"]
 
@@ -803,7 +935,8 @@ def test_remote_generate_counts_each_outcome_once(tmp_path, monkeypatch):
     cfg.generation.backend = "remote"
     cfg.generation.max_inflight = 2
     backend = procgen.RemoteBackend(url="http://stub/chat", session=_StubSession("unparsed"))
-    profiles = cli.generate_stage((records, {"p1": rep}), cfg, tmp_path, backend)
+    with cli._row_writer(tmp_path) as write:
+        profiles = cli.generate_stage((records, {"p1": rep}), cfg, write, backend)
     assert [p.record_id for p in profiles] == ["r1", "r2", "r3"]
     assert sorted(counted) == ["r1", "r2", "r3"]
     manifest = json.loads((tmp_path / "manifest.json").read_text())

@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from proctag import tagnorm, tagparse
+from proctag import tagnorm
 from proctag.tagparse import (NAME_CACHE_SIZE, GrammarViolation, ProcessStep, TagProfile,
                               collapse_adjacent, extract_function_names, normalize_name,
                               parse_pseudocode, scan_call_sites)
@@ -77,9 +77,9 @@ def _arg_lists(draw):
     return text + draw(st.sampled_from(["", " ", ",", ", x y", '"']))
 
 
-def _split_outcome(split, raw):
+def _parse_outcome(parse, block):
     try:
-        return split(raw, 3, "v = f(...)")
+        return parse(block)
     except GrammarViolation as exc:
         return str(exc)
 
@@ -93,9 +93,12 @@ def _split_outcome(split, raw):
 @example(raw="'unterminated, x")
 @example(raw="1.2.3")
 @example(raw="\u3000r1\u2028,\xa0'x'\x85")
-def test_split_args_equals_the_character_walker(raw):
-    assert _split_outcome(tagparse._split_args, raw) == _split_outcome(
-        oracles.split_args_reference, raw)
+def test_argument_lists_parse_as_the_character_walker_splits(raw):
+    # one step takes the one-scan path where it can; a blank line before it
+    # sends the block line by line
+    for block in (f"v = f({raw})", f"\nv = f({raw})"):
+        assert _parse_outcome(parse_pseudocode, block) == _parse_outcome(
+            oracles.parse_pseudocode, block)
 
 
 class TestNormalizeName:
