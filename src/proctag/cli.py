@@ -77,6 +77,9 @@ CHUNK = 256
 # fifth of a profile's time)
 Outcome = tuple[bool, int, str, list[str], str]
 
+# what render hands to generate: the records and their pages' representations
+Rendered = tuple[list[InstructionRecord], dict[str, DocumentRepresentation]]
+
 
 # ---------------------------------------------------------------------------
 # stage artifact plumbing
@@ -98,7 +101,10 @@ def _row_writer(out_dir: Path) -> Iterator[Callable[..., Path]]:
     """One row's ``write``: each call writes one artifact, and one manifest
     update under the directory lock names them all once the row returns. If
     the row or that update raises, each file the row wrote that neither existed
-    when it started nor is in the manifest goes, as does a directory it made."""
+    when it started nor is in the manifest goes, as does a directory it made.
+    Another row's rollback may so delete a file this row wrote with the same
+    bytes: a written file missing at the update is an :class:`IoFailure`
+    naming it, and this row rolls back too."""
     made = not out_dir.exists()
     before = set() if made else set(os.listdir(out_dir))
     written: dict[str, str] = {}
@@ -116,6 +122,11 @@ def _row_writer(out_dir: Path) -> Iterator[Callable[..., Path]]:
     try:
         yield write
         with _locked(out_dir):
+            gone = next((name for name in written.values() if not (out_dir / name).exists()),
+                        None)
+            if gone is not None:
+                raise IoFailure(f"stage artifact {out_dir / gone} was deleted before the "
+                                "manifest named it")
             manifest = _manifest(manifest_path) if manifest_path.exists() else {}
             atomic_write_text(manifest_path, dumps_json({**manifest, **written}) + "\n")
     except BaseException:
@@ -252,12 +263,13 @@ def _make_embedder(cfg: PipelineConfig) -> tagnorm.EmbeddingProvider:
 # ---------------------------------------------------------------------------
 # stages: each ``<row>_stage(input, cfg, write[, backend, embedder or sample request])``
 # writes its artifact(s) by ``write(stage, content, ext)`` and returns the next row's
-# input; one manifest update names them all, and a failed row leaves the directory as it was
+# input and its summary; one manifest update names them all, the summary is printed
+# only once it has, and a failed row leaves the directory as it was
 
 
 def render_stage(loaded: tuple[list[InstructionRecord], dict[str, Path]],
                  cfg: PipelineConfig, write: Callable[..., Path],
-                 ) -> tuple[list[InstructionRecord], dict[str, DocumentRepresentation]]:
+                 ) -> tuple[Rendered, str]:
     """Parse and render the page file of every page the records reference;
     returns the records and the representations by page id. A page file
     whose ``page_id`` is not the one it is named after is an :class:`IoFailure`."""
@@ -276,8 +288,7 @@ def render_stage(loaded: tuple[list[InstructionRecord], dict[str, Path]],
             yield text
 
     path = write("render", lines(), "jsonl")
-    print(f"rendered {len(reps)} pages -> {path}")
-    return records, reps
+    return (records, reps), f"rendered {len(reps)} pages -> {path}"
 
 
 def _generate_line(rec: InstructionRecord, block: str,
@@ -320,9 +331,8 @@ def _encode_generated(pairs: Iterable[tuple[InstructionRecord,
     return "".join(lines), outcomes
 
 
-def generate_stage(rendered: tuple[list[InstructionRecord], dict[str, DocumentRepresentation]],
-                   cfg: PipelineConfig, write: Callable[..., Path],
-                   backend: procgen.GenerationBackend) -> list[tagnorm.TagProfile]:
+def generate_stage(rendered: Rendered, cfg: PipelineConfig, write: Callable[..., Path],
+                   backend: procgen.GenerationBackend) -> tuple[list[tagnorm.TagProfile], str]:
     """Generate one execution process per record and write them with the
     ledger; returns each record's raw tag profile. A record whose page has no
     representation is a :class:`MissingPage`."""
@@ -358,15 +368,14 @@ def generate_stage(rendered: tuple[list[InstructionRecord], dict[str, DocumentRe
                 if not remote:
                     count = ledger.record_discard if discarded else ledger.record_success
                     count(rid, attempts)
-                profiles.append(tagnorm.TagProfile(rid, tags, "raw", source))
+                profiles.append(tagnorm.TagProfile(rid, tags, source))
             yield text
 
     path = write("generate", lines(), "jsonl")
     write("ledger", dumps_json(ledger.to_dict()) + "\n", "json")
     rate = ledger.discarded / ledger.total if ledger.total else 0.0
-    print(f"generated {ledger.succeeded}/{ledger.total} processes "
-          f"(discard rate {rate:.4f}) -> {path}")
-    return profiles
+    return profiles, (f"generated {ledger.succeeded}/{ledger.total} processes "
+                      f"(discard rate {rate:.4f}) -> {path}")
 
 
 def _generated(obj: dict[str, Any]) -> tuple[str, procgen.ExecutionProcess | procgen.Discarded]:
@@ -391,10 +400,11 @@ def _raw_profile(rid: str, result: procgen.ExecutionProcess | procgen.Discarded,
     return tagparse.extract_function_names(rid, steps=steps, completion=completion)
 
 
-def _tags_lines(raw: list[tagnorm.TagProfile],
-                *later: list[tagnorm.TagProfile]) -> Iterator[str]:
+def _tags_lines(raw: list[tagnorm.TagProfile], *later: list[list[str]]) -> Iterator[str]:
     """The ``tags_raw`` line of each raw profile or, given its filtered,
-    clustered and aggregated profiles too, its ``tags`` line.
+    clustered and aggregated tag lists too, its ``tags`` line, whose
+    ``emptied_by_filter`` says that the raw list has a tag and the filtered
+    list none.
 
     Each line equals ``dumps_json`` of ``{"record_id": ..., "annotations":
     {"tags": {...}}}`` plus a newline, byte for byte. It is put together
@@ -403,35 +413,33 @@ def _tags_lines(raw: list[tagnorm.TagProfile],
     stage's tag list equal to the stage's before it reuses that list's text,
     so each distinct list of a record is encoded once.
     """
-    for stages in zip(raw, *later):
+    for p, *lists in zip(raw, *later):
         texts = []
         prev: list[str] | None = None
-        for p in stages:
-            if p.tags != prev:
-                prev = p.tags
-                text = "[" + ", ".join(map(encode_basestring, prev)) + "]"
+        for tags in (p.tags, *lists):
+            if tags != prev:
+                prev = tags
+                text = "[" + ", ".join(map(encode_basestring, tags)) + "]"
             texts.append(text)
-        p = stages[0]
         tail = (f'"raw": {texts[0]}, "source": {encode_basestring(p.source)}}}}}, '
                 f'"record_id": {encode_basestring(p.record_id)}}}\n')
         if later:
-            emptied = "true" if stages[1].emptied_by_filter else "false"
+            emptied = "true" if p.tags and not lists[0] else "false"
             tail = (f'"aggregated": {texts[3]}, "clustered": {texts[2]}, '
                     f'"emptied_by_filter": {emptied}, "filtered": {texts[1]}, ' + tail)
         yield '{"annotations": {"tags": {' + tail
 
 
 def extract_stage(profiles: list[tagnorm.TagProfile], cfg: PipelineConfig,
-                  write: Callable[..., Path]) -> list[tagnorm.TagProfile]:
+                  write: Callable[..., Path]) -> tuple[list[tagnorm.TagProfile], str]:
     """Write the records' raw tag profiles; returns them."""
     path = write("tags_raw", _tags_lines(profiles), "jsonl")
-    print(f"extracted raw tags for {len(profiles)} records -> {path}")
-    return profiles
+    return profiles, f"extracted raw tags for {len(profiles)} records -> {path}"
 
 
 def normalize_stage(profiles: list[tagnorm.TagProfile], cfg: PipelineConfig,
                     write: Callable[..., Path],
-                    embedder: tagnorm.EmbeddingProvider) -> list[tagnorm.TagProfile]:
+                    embedder: tagnorm.EmbeddingProvider) -> tuple[list[tagnorm.TagProfile], str]:
     """Filter, cluster and aggregate the raw profiles, and write every
     stage's tags per record, the vocabulary report and the aggregated
     profiles; returns the aggregated profiles."""
@@ -451,12 +459,11 @@ def normalize_stage(profiles: list[tagnorm.TagProfile], cfg: PipelineConfig,
         "merges": result.merges,
     }
     path = write("tags", _tags_lines(
-        *(result.stage_profiles[stage] for stage in tagnorm.STAGES)), "jsonl")
+        profiles, *(result.stage_tags[stage] for stage in tagnorm.STAGES[1:])), "jsonl")
     write("vocab", dumps_json(vocab_report) + "\n", "json")
     write("profiles", _profiles_lines(result.profiles), "jsonl")
-    print(f"normalized tags for {len(profiles)} records "
-          f"({len(vocab_report['merges'])} merges) -> {path}")
-    return result.profiles
+    return result.profiles, (f"normalized tags for {len(profiles)} records "
+                             f"({len(vocab_report['merges'])} merges) -> {path}")
 
 
 def _tags_raw_profile(obj: dict[str, Any]) -> tagnorm.TagProfile:
@@ -476,7 +483,7 @@ def _tags_raw_profile(obj: dict[str, Any]) -> tagnorm.TagProfile:
         raise invalid("annotations.tags.raw")
     if type(source) is not str:
         raise invalid("annotations.tags.source")
-    return tagnorm.TagProfile(rid, list(map(sys.intern, raw)), "raw", source)
+    return tagnorm.TagProfile(rid, list(map(sys.intern, raw)), source)
 
 
 def _profiles_lines(profiles: list[tagnorm.TagProfile]) -> Iterator[str]:
@@ -513,7 +520,7 @@ def read_profiles(path: Path) -> list[tagnorm.TagProfile]:
             if type(rid) is str and type(indices) is list and (
                     not indices or set(map(type, indices)) == {int}
                     and 0 <= min(indices) and max(indices) < len(vocab)):
-                return profile(rid, [vocab[i] for i in indices], "aggregated")
+                return profile(rid, [vocab[i] for i in indices])
         raise ValueError("not [record_id, [tag index, ...]] "
                          f"with every index in [0, {len(vocab)})")
 
@@ -534,7 +541,7 @@ def read_profiles(path: Path) -> list[tagnorm.TagProfile]:
 
 
 def sample_stage(profiles: list[tagnorm.TagProfile], cfg: PipelineConfig,
-                 write: Callable[..., Path], spec: SamplingConfig) -> None:
+                 write: Callable[..., Path], spec: SamplingConfig) -> tuple[None, str]:
     """Select a subset by the sample request and write the sample report."""
     selected = assess_mod.sample(profiles, spec)
     chosen = set(selected)
@@ -547,15 +554,15 @@ def sample_stage(profiles: list[tagnorm.TagProfile], cfg: PipelineConfig,
         "coverage": assess_mod.tag_coverage(subset, profiles) if subset else None,
     }
     path = write("sample", dumps_json(report) + "\n", "json")
-    print(f"selected {len(selected)}/{len(profiles)} records -> {path}")
+    return None, f"selected {len(selected)}/{len(profiles)} records -> {path}"
 
 
 def assess_stage(profiles: list[tagnorm.TagProfile], cfg: PipelineConfig,
-                 write: Callable[..., Path]) -> None:
-    """Write and print the assessment report of the profiles."""
-    report = assess_mod.assess_dataset(profiles)
-    write("assess", dumps_json(report) + "\n", "json")
-    print(dumps_json(report))
+                 write: Callable[..., Path]) -> tuple[None, str]:
+    """Write the assessment report of the profiles; it is also the summary."""
+    text = dumps_json(assess_mod.assess_dataset(profiles))
+    write("assess", text + "\n", "json")
+    return None, text
 
 
 # ---------------------------------------------------------------------------
@@ -606,7 +613,8 @@ def _rows(command: str, stage: str = "all") -> list[Stage]:
 def _run_stages(args: argparse.Namespace) -> int:
     """Run the command's rows: read the first row's input, then hand each
     row's result to the next in memory, so that each input is dropped once
-    the row after it has consumed it."""
+    the row after it has consumed it. A row's summary is printed once its
+    artifacts are in the manifest."""
     cfg = _effective_config(args)
     out_dir = Path(cfg.paths.output_dir)
     rows = _rows(args.command, getattr(args, "stage", "all"))
@@ -621,7 +629,8 @@ def _run_stages(args: argparse.Namespace) -> int:
     data = first.read(path, cfg)
     for row, tool in zip(rows, tools):
         with _row_writer(out_dir) as write:
-            data = globals()[f"{row.name}_stage"](data, cfg, write, *tool)
+            data, summary = globals()[f"{row.name}_stage"](data, cfg, write, *tool)
+        print(summary)
     return 0
 
 

@@ -2,10 +2,12 @@
 clustering of the vocabulary, and adjacency-constrained association
 aggregation of ordered tag pairs.
 
-Profiles move forward through the stages raw -> filtered -> clustered ->
-aggregated. Every stage is a deterministic batch computation over immutable
-snapshots; given the same profiles, embeddings, and thresholds the output is
-identical across runs.
+Each step takes one tag list per record and returns a new one per record,
+in the same order: raw -> filtered -> clustered -> aggregated. Only
+:func:`normalize_corpus` sees profiles: it reads the raw lists out of them and
+pairs the aggregated lists with their record ids again. Every step is a
+deterministic batch computation over immutable snapshots; given the same
+lists, embeddings, and thresholds the output is identical across runs.
 """
 
 from __future__ import annotations
@@ -60,9 +62,9 @@ class ClusterAssignment:
 
 @dataclass(frozen=True)
 class AdjacentPairStat:
-    """Ordered adjacent pair counts: support is the number of profiles where
-    the pair occurs adjacently in that order (at most one per profile);
-    confidence divides by the number of profiles containing the first tag."""
+    """Ordered adjacent pair counts: support is the number of tag lists where
+    the pair occurs adjacently in that order (at most one per list);
+    confidence divides by the number of lists containing the first tag."""
 
     first: str
     second: str
@@ -70,41 +72,29 @@ class AdjacentPairStat:
     confidence: float
 
 
-def _require_stage(profiles: list[TagProfile], stage: str) -> None:
-    for p in profiles:
-        if p.stage != stage:
-            raise ValueError(f"profile {p.record_id} at stage {p.stage!r}, expected {stage!r}")
-
-
-def tag_frequencies(profiles: list[TagProfile]) -> dict[str, int]:
-    """Corpus occurrence count per tag (multiple occurrences in one profile
+def tag_frequencies(tag_lists: list[list[str]]) -> dict[str, int]:
+    """Corpus occurrence count per tag (multiple occurrences in one list
     count), in order of first occurrence."""
-    return dict(Counter(chain.from_iterable(p.tags for p in profiles)))
+    return dict(Counter(chain.from_iterable(tag_lists)))
 
 
 def default_min_count(n_records: int) -> int:
     return LARGE_CORPUS_MIN_COUNT if n_records >= LARGE_CORPUS_RECORDS else SMALL_CORPUS_MIN_COUNT
 
 
-def frequency_filter(profiles: list[TagProfile], min_count: int,
+def frequency_filter(tag_lists: list[list[str]], min_count: int,
                      counts: dict[str, int] | None = None,
-                     ) -> tuple[list[TagProfile], dict[str, int]]:
-    """Drop long-tail tags (corpus frequency < min_count) from every profile,
-    preserving the relative order of survivors. Emptied profiles stay, flagged.
-    ``counts`` is ``tag_frequencies(profiles)`` when the caller has it; the
-    second value is the count of each tag kept."""
+                     ) -> tuple[list[list[str]], dict[str, int]]:
+    """Drop long-tail tags (corpus frequency < min_count) from every list,
+    preserving the relative order of survivors. A list the filter empties
+    stays, empty, in its place. ``counts`` is ``tag_frequencies(tag_lists)``
+    when the caller has it; the second value is the count of each tag kept."""
     if min_count < 1:
         raise ValueError("min_count must be a positive integer")
-    _require_stage(profiles, "raw")
     if counts is None:
-        counts = tag_frequencies(profiles)
+        counts = tag_frequencies(tag_lists)
     kept_counts = {t: c for t, c in counts.items() if c >= min_count}
-    out = []
-    for p in profiles:
-        kept = [t for t in p.tags if t in kept_counts]
-        out.append(TagProfile(p.record_id, kept, "filtered", p.source,
-                              bool(p.tags) and not kept))
-    return out, kept_counts
+    return [[t for t in tags if t in kept_counts] for tags in tag_lists], kept_counts
 
 
 # ---------------------------------------------------------------------------
@@ -195,42 +185,37 @@ def dbscan(vectors: Mapping[str, np.ndarray], eps: float, min_pts: int,
     return ClusterAssignment(labels=dict(zip(tags, labels)), representatives=representatives)
 
 
-def apply_clusters(profiles: list[TagProfile],
-                   assignment: ClusterAssignment) -> list[TagProfile]:
-    """Rewrite clustered tags to their cluster representative (noise tags are
-    untouched) and collapse any adjacent duplicates this creates.
+def apply_clusters(tag_lists: list[list[str]],
+                   assignment: ClusterAssignment) -> list[list[str]]:
+    """Rewrite the filtered lists' clustered tags to their cluster
+    representative (noise tags are untouched) and collapse any adjacent
+    duplicates this creates; each list returned is a new one.
 
-    Only a profile holding a tag that is not its own representative is
-    rewritten; every profile is collapsed, since the filter may already have
+    Only a list holding a tag that is not its own representative is
+    rewritten; every list is collapsed, since the filter may already have
     made two equal tags adjacent."""
-    _require_stage(profiles, "filtered")
     rep_of = {tag: assignment.representatives[cid]
               for tag, cid in assignment.labels.items()
               if cid is not None and assignment.representatives[cid] != tag}
     unmoved = rep_of.keys().isdisjoint
-    out = []
-    for p in profiles:
-        tags = p.tags if unmoved(p.tags) else [rep_of.get(t, t) for t in p.tags]
-        out.append(TagProfile(p.record_id, collapse_adjacent(tags), "clustered", p.source,
-                              p.emptied_by_filter))
-    return out
+    return [collapse_adjacent(tags if unmoved(tags) else [rep_of.get(t, t) for t in tags])
+            for tags in tag_lists]
 
 
 # ---------------------------------------------------------------------------
 # association aggregation
 
 
-def mine_adjacent_pairs(profiles: list[TagProfile],
+def mine_adjacent_pairs(tag_lists: list[list[str]],
                         min_support: int = 1) -> list[AdjacentPairStat]:
-    """Count ordered adjacent tag pairs; one support unit per profile.
+    """Count ordered adjacent tag pairs; one support unit per list.
 
     Only pairs with support at or above ``min_support`` get a stat: a pair
     below it can never merge (support is anti-monotone, as in Apriori), and
     a corpus has far more such pairs than candidates."""
-    _require_stage(profiles, "clustered")
-    pair_support = Counter(chain.from_iterable(set(zip(p.tags, p.tags[1:]))
-                                               for p in profiles))
-    first_count = Counter(chain.from_iterable(set(p.tags) for p in profiles))
+    pair_support = Counter(chain.from_iterable(set(zip(tags, tags[1:]))
+                                               for tags in tag_lists))
+    first_count = Counter(chain.from_iterable(map(set, tag_lists)))
     stats = [AdjacentPairStat(first=a, second=b, support=s,
                               confidence=s / first_count[a])
              for (a, b), s in pair_support.items() if s >= min_support]
@@ -250,25 +235,24 @@ def merge_name(first: str, second: str) -> str | None:
     return normalize_name("_".join(first_tokens + extra)) or None
 
 
-def aggregate_pairs(profiles: list[TagProfile], stats: list[AdjacentPairStat],
+def aggregate_pairs(tag_lists: list[list[str]], stats: list[AdjacentPairStat],
                     min_support: int = DEFAULT_MIN_SUPPORT,
                     min_confidence: float = DEFAULT_MIN_CONFIDENCE,
-                    ) -> tuple[list[TagProfile], list[dict[str, Any]]]:
+                    ) -> tuple[list[list[str]], list[dict[str, Any]]]:
     """Merge every qualifying pair (support and confidence at or above the
     thresholds) wherever it occurs adjacently.
 
     Single pass over pairs sorted by support descending (ties lexicographic);
     merged names are not re-mined. Self-pairs and degenerate merges are
     skipped. A tag list without the pair's first tag is passed over after
-    one ``in`` test. Returns the aggregated profiles and a report of applied
+    one ``in`` test. Returns new aggregated lists and a report of applied
     merges.
     """
-    _require_stage(profiles, "clustered")
     qualifying = [st for st in stats
                   if st.support >= min_support and st.confidence >= min_confidence
                   and st.first != st.second]
     qualifying.sort(key=lambda st: (-st.support, st.first, st.second))
-    tag_lists = [list(p.tags) for p in profiles]
+    tag_lists = [list(tags) for tags in tag_lists]
     applied: list[dict[str, Any]] = []
     for st in qualifying:
         merged = merge_name(st.first, st.second)
@@ -285,9 +269,7 @@ def aggregate_pairs(profiles: list[TagProfile], stats: list[AdjacentPairStat],
                 i += 1
         applied.append({"first": first, "second": second, "merged": merged,
                         "support": st.support, "confidence": st.confidence})
-    out = [TagProfile(p.record_id, tags, "aggregated", p.source, p.emptied_by_filter)
-           for p, tags in zip(profiles, tag_lists)]
-    return out, applied
+    return tag_lists, applied
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +366,7 @@ class CachingEmbedder(Store):
 @dataclass
 class NormalizationResult:
     profiles: list[TagProfile]                    # aggregated stage
-    stage_profiles: dict[str, list[TagProfile]]   # every stage, for audit
+    stage_tags: dict[str, list[list[str]]]        # stage -> one tag list per record
     vocabularies: dict[str, dict[str, int]]       # stage -> tag -> corpus count
     assignment: ClusterAssignment
     merges: list[dict[str, Any]] = field(default_factory=list)
@@ -396,14 +378,16 @@ def normalize_corpus(profiles: list[TagProfile], embedder: EmbeddingProvider, *,
                      dbscan_min_pts: int = DEFAULT_DBSCAN_MIN_PTS,
                      min_support: int = DEFAULT_MIN_SUPPORT,
                      min_confidence: float = DEFAULT_MIN_CONFIDENCE) -> NormalizationResult:
-    """Run filter -> cluster -> aggregate over raw profiles.
+    """Run filter -> cluster -> aggregate over the raw profiles' tag lists;
+    the result's profiles pair each record with its aggregated list.
 
     ``min_count=None`` picks the long-tail cutoff from the corpus size.
     """
     if min_count is None:
         min_count = default_min_count(len(profiles))
-    raw_vocab = tag_frequencies(profiles)
-    filtered, filtered_vocab = frequency_filter(profiles, min_count, raw_vocab)
+    raw = [p.tags for p in profiles]
+    raw_vocab = tag_frequencies(raw)
+    filtered, filtered_vocab = frequency_filter(raw, min_count, raw_vocab)
     tags = sorted(filtered_vocab)
     embed_many = getattr(embedder, "embed_many", None)
     vectors = (dict(zip(tags, embed_many(tags))) if embed_many is not None
@@ -416,9 +400,10 @@ def normalize_corpus(profiles: list[TagProfile], embedder: EmbeddingProvider, *,
     aggregated, merges = aggregate_pairs(clustered, stats, min_support, min_confidence)
     aggregated_vocab = tag_frequencies(aggregated)
     return NormalizationResult(
-        profiles=aggregated,
-        stage_profiles={"raw": profiles, "filtered": filtered,
-                        "clustered": clustered, "aggregated": aggregated},
+        profiles=[TagProfile(p.record_id, tags, p.source)
+                  for p, tags in zip(profiles, aggregated)],
+        stage_tags={"raw": raw, "filtered": filtered,
+                    "clustered": clustered, "aggregated": aggregated},
         vocabularies={"raw": raw_vocab, "filtered": filtered_vocab,
                       "clustered": clustered_vocab, "aggregated": aggregated_vocab},
         assignment=assignment,

@@ -8,8 +8,9 @@ Grammar, one step per line (the ``step<N>:`` prefix is optional)::
 Arguments are identifiers, quoted literals, or bare numbers. Tags are the
 normalized function names in step order; when grammar parsing failed
 upstream, a fallback scanner pulls ``identifier(`` call sites out of the raw
-completion instead. A record's tags are a raw-stage :class:`TagProfile`, the
-type every later stage (see :mod:`proctag.tagnorm`) carries forward.
+completion instead. A record's raw tags are a :class:`TagProfile`;
+:mod:`proctag.tagnorm` normalizes their tag lists and gives back the
+aggregated profiles.
 """
 
 from __future__ import annotations
@@ -41,13 +42,11 @@ class ProcessStep(NamedTuple):
 
 @dataclass(slots=True)
 class TagProfile:
-    """Ordered tag sequence for one record at a given stage."""
+    """A record's ordered tags, raw or aggregated, and where they came from."""
 
     record_id: str
     tags: list[str]
-    stage: str = "raw"
     source: str = "grammar"  # "grammar", "fallback" or "none" (no tag found)
-    emptied_by_filter: bool = False
 
 
 _STEP_RE = re.compile(
@@ -178,7 +177,7 @@ def scan_call_sites(text: str) -> list[str]:
 
 def extract_function_names(record_id: str, steps: list[ProcessStep] | None = None,
                            completion: str | None = None) -> TagProfile:
-    """The raw-stage profile of a record: tags from parsed steps when
+    """The raw profile of a record: tags from parsed steps when
     available, else from the fallback scanner over the raw completion. A
     name that normalizes to nothing is dropped; a record left with no tag
     gets an empty profile whose source is ``"none"``."""
@@ -189,4 +188,4 @@ def extract_function_names(record_id: str, steps: list[ProcessStep] | None = Non
         raw_names = scan_call_sites(completion or "")
         source = "fallback"
     tags = collapse_adjacent([tag for tag in map(normalize_name, raw_names) if tag])
-    return TagProfile(record_id, tags, "raw", source if tags else "none")
+    return TagProfile(record_id, tags, source if tags else "none")

@@ -11,7 +11,7 @@ import math
 import os
 import re
 from collections import Counter
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from functools import lru_cache
 from itertools import chain, combinations, islice
@@ -31,8 +31,7 @@ from proctag.ingest import (BoundingBox, DocumentPage, IoFailure, LayoutRegion, 
 from proctag.procgen import BackendError, GenerationBackend
 from proctag.tagnorm import (DEFAULT_DBSCAN_EPS, DEFAULT_DBSCAN_MIN_PTS, DEFAULT_MIN_CONFIDENCE,
                              DEFAULT_MIN_SUPPORT, AdjacentPairStat, ClusterAssignment,
-                             EmbeddingProvider, NormalizationResult, TagProfile,
-                             ZeroVector, _require_stage, dbscan,
+                             EmbeddingProvider, TagProfile, ZeroVector, dbscan,
                              default_min_count, merge_name)
 from proctag.tagparse import collapse_adjacent
 
@@ -417,26 +416,26 @@ def chain_valid_reference(steps) -> bool:
 # tag statistics
 
 
-def frequencies_reference(profiles) -> dict[str, int]:
+def frequencies_reference(tag_lists) -> dict[str, int]:
     counts: Counter[str] = Counter()
-    for p in profiles:
-        for t in p.tags:
+    for tags in tag_lists:
+        for t in tags:
             counts[t] += 1
     return dict(counts)
 
 
-def adjacent_pairs_reference(profiles):
+def adjacent_pairs_reference(tag_lists):
     """(support, confidence) per ordered pair via a plain sliding window;
-    a profile contributes at most one support unit per pair."""
+    a tag list contributes at most one support unit per pair."""
     support: Counter[tuple[str, str]] = Counter()
     containing_first: Counter[str] = Counter()
-    for p in profiles:
+    for tags in tag_lists:
         seen = set()
-        for i in range(len(p.tags) - 1):
-            seen.add((p.tags[i], p.tags[i + 1]))
+        for i in range(len(tags) - 1):
+            seen.add((tags[i], tags[i + 1]))
         for pair in seen:
             support[pair] += 1
-        for t in set(p.tags):
+        for t in set(tags):
             containing_first[t] += 1
     return {pair: (s, s / containing_first[pair[0]]) for pair, s in support.items()}
 
@@ -580,7 +579,7 @@ def read_profiles(path: Path) -> list[tagnorm.TagProfile]:
             line_no = next(k for (k, _), row in zip(chunk, rows) if not _rows_valid([row], n))
             raise MalformedLine(path, line_no, "not [record_id, [tag index, ...]] "
                                                f"with every index in [0, {n})")
-        profiles.extend([profile(rid, list(map(tag, indices)), "aggregated")
+        profiles.extend([profile(rid, list(map(tag, indices)))
                          for rid, indices in rows])
         ids.update(rid for rid, _ in rows)
         if len(ids) < len(profiles):
@@ -626,7 +625,7 @@ def tags_line_reference(record_id: str, tags: dict[str, Any]) -> dict[str, Any]:
     return {"record_id": record_id, "annotations": {"tags": tags}}
 
 
-def profile_from_tags(obj: dict[str, Any], stage: str = "aggregated") -> TagProfile:
+def profile_from_tags(obj: dict[str, Any], stage: str = "aggregated") -> StageProfile:
     """The ``stage`` profile of a ``tags`` line (``raw`` of a ``tags_raw``
     line), or a TypeError; the pipeline reads only ``raw`` from ``tags_raw``
     and the aggregated profiles from ``profiles``."""
@@ -634,8 +633,8 @@ def profile_from_tags(obj: dict[str, Any], stage: str = "aggregated") -> TagProf
     rid, tags, source = obj["record_id"], tags_ann.get(stage, []), tags_ann.get("source", "none")
     if type(rid) is not str or type(tags) is not list or type(source) is not str:
         raise TypeError(f"record_id and source must be strings and {stage} a list")
-    return TagProfile(rid, list(tags), stage, source,
-                      bool(tags_ann.get("emptied_by_filter", False)))
+    return StageProfile(rid, list(tags), stage, source,
+                        bool(tags_ann.get("emptied_by_filter", False)))
 
 
 # ---------------------------------------------------------------------------
@@ -790,15 +789,16 @@ def extract_stage_full_records(records: Iterable[dict[str, Any]],
 def normalize_stage_full_records(records: list[dict[str, Any]],
                                  embedder: tagnorm.EmbeddingProvider,
                                  cfg: PipelineConfig, out_dir: Path,
-                                 ) -> tuple[list[tagnorm.TagProfile], dict[str, Any]]:
+                                 ) -> tuple[list[StageProfile], dict[str, Any]]:
     """Filter, cluster and aggregate the raw tags, and write every stage's
     tags per record; returns the aggregated profiles and the vocabulary
-    report."""
+    report. The normalization is :func:`normalize_corpus` below, whose
+    frequency filter sets each record's ``emptied_by_filter``."""
     profiles = [tagnorm.TagProfile(record_id=obj["record_id"],
                                    tags=list(obj["annotations"]["tags"]["raw"]),
                                    source=obj["annotations"]["tags"]["source"])
                 for obj in records]
-    result = tagnorm.normalize_corpus(
+    result = normalize_corpus(
         profiles, embedder,
         min_count=cfg.tagging.min_count,
         dbscan_eps=cfg.tagging.dbscan_eps,
@@ -837,9 +837,38 @@ def normalize_stage_full_records(records: list[dict[str, Any]],
 # tag normalization as it was before its passes counted in C: one
 # Counter.update per profile, stats for every adjacent pair, every tag list
 # walked for every merge, and profiles rebuilt with dataclasses.replace
-# (kept verbatim; tagnorm must return exactly what these return)
+# (kept verbatim; tagnorm must return the tags these return). Each stage's
+# records are StageProfiles, the per-record type tagnorm passed before a
+# stage became a list of tag lists, flag and stage check included
 
-def tag_frequencies(profiles: list[TagProfile]) -> dict[str, int]:
+
+@dataclass
+class StageProfile:
+    """One record's tags at one normalization stage."""
+
+    record_id: str
+    tags: list[str]
+    stage: str = "raw"
+    source: str = "grammar"
+    emptied_by_filter: bool = False
+
+
+@dataclass
+class StageNormalization:
+    profiles: list[StageProfile]                     # aggregated stage
+    stage_profiles: dict[str, list[StageProfile]]    # every stage, for audit
+    vocabularies: dict[str, dict[str, int]]          # stage -> tag -> corpus count
+    assignment: ClusterAssignment
+    merges: list[dict[str, Any]] = field(default_factory=list)
+
+
+def _require_stage(profiles: list[StageProfile], stage: str) -> None:
+    for p in profiles:
+        if p.stage != stage:
+            raise ValueError(f"profile {p.record_id} at stage {p.stage!r}, expected {stage!r}")
+
+
+def tag_frequencies(profiles: list[StageProfile]) -> dict[str, int]:
     """Corpus occurrence count per tag (multiple occurrences in one profile count)."""
     freq: Counter[str] = Counter()
     for p in profiles:
@@ -847,38 +876,38 @@ def tag_frequencies(profiles: list[TagProfile]) -> dict[str, int]:
     return dict(freq)
 
 
-def frequency_filter(profiles: list[TagProfile],
-                     min_count: int) -> tuple[list[TagProfile], dict[str, int]]:
+def frequency_filter(profiles: list[StageProfile],
+                     min_count: int) -> tuple[list[StageProfile], dict[str, int]]:
     """Drop long-tail tags (corpus frequency < min_count) from every profile,
     preserving the relative order of survivors. Emptied profiles stay, flagged."""
     if min_count < 1:
         raise ValueError("min_count must be a positive integer")
     _require_stage(profiles, "raw")
     freq = tag_frequencies(profiles)
-    out: list[TagProfile] = []
+    out: list[StageProfile] = []
     for p in profiles:
         kept = [t for t in p.tags if freq[t] >= min_count]
-        out.append(TagProfile(record_id=p.record_id, tags=kept, stage="filtered",
-                              source=p.source,
-                              emptied_by_filter=bool(p.tags) and not kept))
+        out.append(StageProfile(record_id=p.record_id, tags=kept, stage="filtered",
+                                source=p.source,
+                                emptied_by_filter=bool(p.tags) and not kept))
     return out, {t: c for t, c in freq.items() if c >= min_count}
 
 
-def apply_clusters(profiles: list[TagProfile],
-                   assignment: ClusterAssignment) -> list[TagProfile]:
+def apply_clusters(profiles: list[StageProfile],
+                   assignment: ClusterAssignment) -> list[StageProfile]:
     """Rewrite clustered tags to their cluster representative (noise tags are
     untouched) and collapse any adjacent duplicates this creates."""
     _require_stage(profiles, "filtered")
     rep_of = {tag: assignment.representatives[cid]
               for tag, cid in assignment.labels.items() if cid is not None}
-    out: list[TagProfile] = []
+    out: list[StageProfile] = []
     for p in profiles:
         rewritten = collapse_adjacent([rep_of.get(t, t) for t in p.tags])
         out.append(replace(p, tags=rewritten, stage="clustered"))
     return out
 
 
-def mine_adjacent_pairs(profiles: list[TagProfile]) -> list[AdjacentPairStat]:
+def mine_adjacent_pairs(profiles: list[StageProfile]) -> list[AdjacentPairStat]:
     """Count ordered adjacent tag pairs; one support unit per profile."""
     _require_stage(profiles, "clustered")
     pair_support: Counter[tuple[str, str]] = Counter()
@@ -893,10 +922,10 @@ def mine_adjacent_pairs(profiles: list[TagProfile]) -> list[AdjacentPairStat]:
     return stats
 
 
-def aggregate_pairs(profiles: list[TagProfile], stats: list[AdjacentPairStat],
+def aggregate_pairs(profiles: list[StageProfile], stats: list[AdjacentPairStat],
                     min_support: int = DEFAULT_MIN_SUPPORT,
                     min_confidence: float = DEFAULT_MIN_CONFIDENCE,
-                    ) -> tuple[list[TagProfile], list[dict[str, Any]]]:
+                    ) -> tuple[list[StageProfile], list[dict[str, Any]]]:
     """Merge every qualifying pair (support and confidence at or above the
     thresholds) wherever it occurs adjacently.
 
@@ -933,11 +962,12 @@ def normalize_corpus(profiles: list[TagProfile], embedder: EmbeddingProvider, *,
                      dbscan_eps: float = DEFAULT_DBSCAN_EPS,
                      dbscan_min_pts: int = DEFAULT_DBSCAN_MIN_PTS,
                      min_support: int = DEFAULT_MIN_SUPPORT,
-                     min_confidence: float = DEFAULT_MIN_CONFIDENCE) -> NormalizationResult:
+                     min_confidence: float = DEFAULT_MIN_CONFIDENCE) -> StageNormalization:
     """Run filter -> cluster -> aggregate over raw profiles.
 
     ``min_count=None`` picks the long-tail cutoff from the corpus size.
     """
+    profiles = [StageProfile(p.record_id, list(p.tags), "raw", p.source) for p in profiles]
     if min_count is None:
         min_count = default_min_count(len(profiles))
     raw_vocab = tag_frequencies(profiles)
@@ -950,7 +980,7 @@ def normalize_corpus(profiles: list[TagProfile], embedder: EmbeddingProvider, *,
     stats = mine_adjacent_pairs(clustered)
     aggregated, merges = aggregate_pairs(clustered, stats, min_support, min_confidence)
     aggregated_vocab = tag_frequencies(aggregated)
-    return NormalizationResult(
+    return StageNormalization(
         profiles=aggregated,
         stage_profiles={"raw": profiles, "filtered": filtered,
                         "clustered": clustered, "aggregated": aggregated},

@@ -16,7 +16,7 @@ from proctag.tagnorm import TagProfile
 
 
 def prof(record_id, tags):
-    return TagProfile(record_id=record_id, tags=list(tags), stage="aggregated")
+    return TagProfile(record_id=record_id, tags=list(tags))
 
 
 def random_instance(rng, max_records=12, max_tags=9):

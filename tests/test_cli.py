@@ -23,7 +23,7 @@ from pathlib import Path
 
 import pytest
 import yaml
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -369,6 +369,68 @@ class TestRowCommit:
         assert {stage: manifest[stage] for stage in stages} in alone.values()
         assert all((out / manifest[stage]).exists() for stage in stages)
 
+    def test_a_file_another_rows_rollback_deleted_fails_the_commit(self, tmp_path):
+        # row A starts, row B writes a file, A writes the same bytes (so the
+        # same name) and fails: A's rollback deletes the file B is about to
+        # name in the manifest, so B's commit must fail naming it
+        out = tmp_path / "out"
+        out.mkdir()
+        a_started, b_wrote, a_done = threading.Event(), threading.Event(), threading.Event()
+        errors, written = {}, []
+
+        def row_a():
+            try:
+                with cli._row_writer(out) as write:
+                    a_started.set()
+                    assert b_wrote.wait(30)
+                    write("a", "same\n", "txt")
+                    raise RuntimeError("row A fails")
+            except Exception as exc:
+                errors["a"] = exc
+            finally:
+                a_done.set()
+
+        def row_b():
+            try:
+                assert a_started.wait(30)
+                with cli._row_writer(out) as write:
+                    written.append(write("a", "same\n", "txt"))
+                    b_wrote.set()
+                    assert a_done.wait(30)
+            except Exception as exc:
+                errors["b"] = exc
+
+        threads = [threading.Thread(target=row_a), threading.Thread(target=row_b)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30)
+        assert str(errors["a"]) == "row A fails"
+        assert type(errors.get("b")) is cli.IoFailure
+        assert str(errors["b"]) == (f"stage artifact {written[0]} was deleted before the "
+                                    "manifest named it")
+        assert os.listdir(out) == []
+
+    def test_a_failed_commit_prints_no_summary(self, demo_dataset, tmp_path, monkeypatch,
+                                               capsys):
+        # the rollback deletes the artifacts, so no line may name them
+        argv = self._finished(demo_dataset, tmp_path / "out", "normalize")
+        before = _dir_digests(tmp_path / "out")
+        real = cli.atomic_write_text
+
+        def failing(path, *args, **kwargs):
+            if path.name == "manifest.json":
+                raise cli.IoFailure(f"cannot write {path}: injected")
+            return real(path, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "atomic_write_text", failing)
+        capsys.readouterr()
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert "->" not in captured.out
+        assert captured.err.startswith("error: cannot write ")
+        assert _dir_digests(tmp_path / "out") == before
+
 
 # function names as a backend writes them; the last three normalize to nothing
 _FUNCTION_NAMES = ("find_total", "findTotal", "read_row", "scan_list", "pick_entry",
@@ -402,6 +464,16 @@ def _generate_lines(draw):
     return lines
 
 
+def _process_lines(names: list[list[str]]) -> list[dict]:
+    """Generate-artifact lines of processes whose steps call ``names[k]`` in turn."""
+    return [{"record_id": f"r{k:03d}", "page_id": "p0", "question": "q", "answers": ["a"],
+             "annotations": {"process": {
+                 "cot": [], "final_answer": "x", "attempts": 1,
+                 "steps": [{"index": i, "output_var": f"v{i}", "function_name": name,
+                            "args": ["doc"]} for i, name in enumerate(step_names, start=1)]}}}
+            for k, step_names in enumerate(names)]
+
+
 def _tags_only(objs):
     """What the slim tag artifacts keep of a record: its id and its tags."""
     return [{"record_id": obj["record_id"], "annotations": {"tags": obj["annotations"]["tags"]}}
@@ -420,6 +492,10 @@ class TestSlimTagArtifacts:
     to those fields, and the vocabulary is byte-identical."""
 
     @settings(max_examples=60, deadline=None)
+    # a cutoff of 10 empties the records whose tags are all rarer: r010 and r011
+    @example(lines=_process_lines([["find_total", "sum_cells"]] * 10
+                                  + [["read_row"], ["read_row", "pick_entry"], []]),
+             min_count=10, eps=0.015, min_support=40, min_confidence=0.99)
     @given(lines=_generate_lines(), min_count=st.none() | st.integers(1, 3),
            eps=st.sampled_from([0.015, 0.3]), min_support=st.sampled_from([1, 2, 40]),
            min_confidence=st.sampled_from([0.5, 0.99]))
@@ -444,14 +520,16 @@ class TestSlimTagArtifacts:
             with cli._row_writer(chained) as write:
                 cli.extract_stage(raw, cfg, write)
             with cli._row_writer(chained) as write:
-                profiles = cli.normalize_stage(raw, cfg, write, tagnorm.HashingEmbedder())
+                profiles, _ = cli.normalize_stage(raw, cfg, write, tagnorm.HashingEmbedder())
             vocab = json.loads(cli._read_stage(chained, "vocab").read_text(encoding="utf-8"))
             # standalone commands over a generate artifact
             write_stage(standalone, "generate", cli._jsonl(lines), "jsonl")
             assert run(["tag", "--stage", "extract", "--out", str(standalone)]) == 0
             assert run(["tag", "--stage", "normalize", "--out", str(standalone)] + flags) == 0
 
-            assert profiles == old_profiles and vocab == json.loads(dumps_json(old_vocab))
+            assert [(p.record_id, p.tags, p.source) for p in profiles] == [
+                (p.record_id, p.tags, p.source) for p in old_profiles]
+            assert vocab == json.loads(dumps_json(old_vocab))
             for stage in ("tags_raw", "tags"):
                 expected = _tags_only(_read_values(cli._read_stage(old, stage)))
                 assert list(_read_values(cli._read_stage(chained, stage))) == expected
@@ -464,27 +542,29 @@ class TestSlimTagArtifacts:
     @given(rows=st.lists(st.tuples(
         _awkward_text, st.sampled_from(["grammar", "fallback", "none"]),
         # each stage's list is new or the one before it again; the tags line
-        # takes emptied_by_filter from the filtered profile alone
-        st.lists(st.none() | st.lists(_awkward_text, max_size=4), min_size=4, max_size=4),
-        st.lists(st.booleans(), min_size=4, max_size=4)), max_size=6))
+        # derives emptied_by_filter from the raw and filtered lists
+        st.lists(st.none() | st.lists(_awkward_text, max_size=4), min_size=4, max_size=4)),
+        max_size=6))
     def test_tag_lines_equal_their_canonical_json(self, rows):
-        stages = [[], [], [], []]
-        for record_id, source, lists, emptied in rows:
-            tags = []
-            for stage, new, flag in zip(stages, lists, emptied):
+        raw, filtered, clustered, aggregated = [], [], [], []
+        for record_id, source, lists in rows:
+            tags, stages = [], []
+            for new in lists:
                 tags = list(tags if new is None else new)
-                stage.append(tagnorm.TagProfile(record_id, tags, "raw", source, flag))
-        raw, filtered, clustered, aggregated = stages
+                stages.append(tags)
+            raw.append(tagnorm.TagProfile(record_id, stages[0], source))
+            for stage, tags in zip((filtered, clustered, aggregated), stages[1:]):
+                stage.append(tags)
         expected_raw = "".join(
             dumps_json(oracles.tags_line_reference(p.record_id,
                                                    {"raw": p.tags, "source": p.source})) + "\n"
             for p in raw)
         expected = "".join(
             dumps_json(oracles.tags_line_reference(r.record_id, {
-                "raw": r.tags, "source": r.source, "filtered": f.tags,
-                "clustered": c.tags, "aggregated": a.tags,
-                "emptied_by_filter": f.emptied_by_filter})) + "\n"
-            for r, f, c, a in zip(*stages))
+                "raw": r.tags, "source": r.source, "filtered": f,
+                "clustered": c, "aggregated": a,
+                "emptied_by_filter": bool(r.tags) and not f})) + "\n"
+            for r, f, c, a in zip(raw, filtered, clustered, aggregated))
         assert "".join(cli._tags_lines(raw)) == expected_raw
         assert "".join(cli._tags_lines(raw, filtered, clustered, aggregated)) == expected
 
@@ -573,7 +653,7 @@ class TestSlimTagArtifacts:
 
     def test_sampling_curves_over_profiles_without_a_tag(self, tmp_path):
         write_stage(tmp_path, "profiles", cli._profiles_lines(
-            [tagnorm.TagProfile(f"r{i}", [], "aggregated") for i in range(5)]), "jsonl")
+            [tagnorm.TagProfile(f"r{i}", []) for i in range(5)]), "jsonl")
         assert _sampling_curves(tmp_path).splitlines()[-1].split() == ["100%", "0.000", "0.000"]
 
 
@@ -589,7 +669,7 @@ def _sampling_curves(out: Path) -> str:
 
 
 def rows_of(profiles):
-    return [(p.record_id, p.tags, p.stage) for p in profiles]
+    return [(p.record_id, p.tags) for p in profiles]
 
 
 _MALFORMED_PROFILES = [
@@ -687,8 +767,7 @@ class TestProfilesArtifact:
     def test_lines_equal_their_canonical_json_and_read_back(self, tmp_path_factory, rows):
         # tags repeat within and across profiles, and profiles may be empty;
         # record ids do not repeat, since the reader rejects a repeated one
-        profiles = [tagnorm.TagProfile(rid, tags, "aggregated", "grammar")
-                    for rid, tags in rows]
+        profiles = [tagnorm.TagProfile(rid, tags) for rid, tags in rows]
         vocab: list[str] = []
         for p in profiles:
             vocab.extend(tag for tag in p.tags if tag not in vocab)
@@ -702,8 +781,8 @@ class TestProfilesArtifact:
 
     def test_rows_past_the_first_chunk(self, tmp_path):
         rng = random.Random(7)
-        profiles = [tagnorm.TagProfile(f"r{i}", rng.sample("abcdefg", rng.randint(0, 3)),
-                                       "aggregated") for i in range(2 * cli.CHUNK + 5)]
+        profiles = [tagnorm.TagProfile(f"r{i}", rng.sample("abcdefg", rng.randint(0, 3)))
+                    for i in range(2 * cli.CHUNK + 5)]
         path = tmp_path / "profiles.jsonl"
         path.write_text("".join(cli._profiles_lines(profiles)), encoding="utf-8")
         assert rows_of(cli.read_profiles(path)) == rows_of(profiles)
@@ -714,8 +793,7 @@ class TestProfilesArtifact:
             cli.read_profiles(path)
 
     def test_repeated_record_id_past_the_first_chunk(self, tmp_path):
-        profiles = [tagnorm.TagProfile(f"r{i}", ["a"], "aggregated")
-                    for i in range(2 * cli.CHUNK + 5)]
+        profiles = [tagnorm.TagProfile(f"r{i}", ["a"]) for i in range(2 * cli.CHUNK + 5)]
         profiles[cli.CHUNK + 7].record_id = "r3"  # row k is on line k + 2
         path = tmp_path / "profiles.jsonl"
         path.write_text("".join(cli._profiles_lines(profiles)), encoding="utf-8")
@@ -821,7 +899,7 @@ class TestGenerateLines:
         text, outcomes = cli._encode_generated(pairs, by_page)
         assert text == expected
         # each outcome is a tuple of which the parent builds the raw profile
-        assert [(discarded, attempts, tagnorm.TagProfile(rid, tags, "raw", source))
+        assert [(discarded, attempts, tagnorm.TagProfile(rid, tags, source))
                 for discarded, attempts, rid, tags, source in outcomes] == [
             (isinstance(result, procgen.Discarded), result.attempts,
              cli._raw_profile(rec.record_id, result)) for rec, result in pairs]
@@ -936,7 +1014,7 @@ def test_remote_generate_counts_each_outcome_once(tmp_path, monkeypatch):
     cfg.generation.max_inflight = 2
     backend = procgen.RemoteBackend(url="http://stub/chat", session=_StubSession("unparsed"))
     with cli._row_writer(tmp_path) as write:
-        profiles = cli.generate_stage((records, {"p1": rep}), cfg, write, backend)
+        profiles, _ = cli.generate_stage((records, {"p1": rep}), cfg, write, backend)
     assert [p.record_id for p in profiles] == ["r1", "r2", "r3"]
     assert sorted(counted) == ["r1", "r2", "r3"]
     manifest = json.loads((tmp_path / "manifest.json").read_text())

@@ -25,59 +25,49 @@ from proctag.tagnorm import (AdjacentPairStat, CachingEmbedder, ClusterAssignmen
                              normalize_corpus, tag_frequencies)
 
 
-def prof(record_id, tags, stage="raw"):
-    return TagProfile(record_id=record_id, tags=list(tags), stage=stage)
+def random_tag_lists(rng, n, vocab, max_len=5):
+    return [[rng.choice(vocab) for _ in range(rng.randint(0, max_len))] for _ in range(n)]
 
 
-def random_profiles(rng, n, vocab, stage="raw", max_len=5):
-    return [prof(f"r{i:04d}", [rng.choice(vocab) for _ in range(rng.randint(0, max_len))],
-                 stage=stage)
-            for i in range(n)]
+def random_profiles(rng, n, vocab, max_len=5):
+    return [TagProfile(f"r{i:04d}", tags)
+            for i, tags in enumerate(random_tag_lists(rng, n, vocab, max_len))]
 
 
 class TestFrequencyFilter:
     def test_long_tail_removed_everywhere(self):
-        profiles = [prof("r1", ["rare", "common"]), prof("r2", ["common", "rare"]),
-                    prof("r3", ["common", "rare", "common"]), prof("r4", ["common"])]
+        tag_lists = [["rare", "common"], ["common", "rare"], ["common", "rare", "common"],
+                     ["common"]]
         # "rare" occurs 3 times, "common" 5
-        filtered, vocab = frequency_filter(profiles, 4)
-        assert all("rare" not in p.tags for p in filtered)
+        filtered, vocab = frequency_filter(tag_lists, 4)
+        assert all("rare" not in tags for tags in filtered)
         assert vocab == {"common": 5}
 
     def test_identity_when_all_frequent(self):
-        profiles = [prof("r1", ["a", "b"]), prof("r2", ["a", "b"])]
-        filtered, _ = frequency_filter(profiles, 2)
-        assert [p.tags for p in filtered] == [["a", "b"], ["a", "b"]]
+        filtered, _ = frequency_filter([["a", "b"], ["a", "b"]], 2)
+        assert filtered == [["a", "b"], ["a", "b"]]
 
     def test_matches_bruteforce_count(self, rng):
         vocab = [f"t{i}" for i in range(12)]
-        profiles = random_profiles(rng, 60, vocab)
-        filtered, voc = frequency_filter(profiles, 4)
-        expected = {t: c for t, c in oracles.frequencies_reference(profiles).items()
+        tag_lists = random_tag_lists(rng, 60, vocab)
+        filtered, voc = frequency_filter(tag_lists, 4)
+        expected = {t: c for t, c in oracles.frequencies_reference(tag_lists).items()
                     if c >= 4}
         assert voc == expected
         surviving = oracles.frequencies_reference(filtered)
         assert all(c >= 4 for c in surviving.values())
         assert surviving == expected
         # counts a caller already has give the same result
-        assert frequency_filter(profiles, 4, tagnorm.tag_frequencies(profiles)) == (filtered, voc)
+        assert frequency_filter(tag_lists, 4, tagnorm.tag_frequencies(tag_lists)) == (filtered,
+                                                                                    voc)
 
-    def test_emptied_profile_flagged_and_retained(self):
-        profiles = [prof("r1", ["solo"]), prof("r2", ["a"] * 4), prof("r3", [])]
-        filtered, _ = frequency_filter(profiles, 4)
-        assert [p.record_id for p in filtered] == ["r1", "r2", "r3"]
-        assert filtered[0].tags == [] and filtered[0].emptied_by_filter
-        assert not filtered[2].emptied_by_filter  # was empty to begin with
+    def test_emptied_list_retained_in_place(self):
+        filtered, _ = frequency_filter([["solo"], ["a"] * 4, []], 4)
+        assert filtered == [[], ["a"] * 4, []]
 
     def test_order_preserved(self):
-        profiles = [prof("r1", ["b", "x", "a", "x", "b"])] + \
-                   [prof(f"r{i}", ["a", "b"]) for i in range(2, 6)]
-        filtered, _ = frequency_filter(profiles, 4)
-        assert filtered[0].tags == ["b", "a", "b"]
-
-    def test_requires_raw_stage(self):
-        with pytest.raises(ValueError):
-            frequency_filter([prof("r1", ["a"], stage="filtered")], 2)
+        filtered, _ = frequency_filter([["b", "x", "a", "x", "b"]] + [["a", "b"]] * 4, 4)
+        assert filtered[0] == ["b", "a", "b"]
 
     def test_default_min_count_by_corpus_size(self):
         assert default_min_count(50_000) == 4
@@ -199,73 +189,65 @@ class TestApplyClusters:
         assignment = ClusterAssignment(
             labels={"find_table": 0, "extract_table": 0, "other": None},
             representatives={0: "find_table"})
-        profiles = [prof("r1", ["extract_table", "other"], stage="filtered")]
-        out = apply_clusters(profiles, assignment)
-        assert out[0].tags == ["find_table", "other"]
-        assert out[0].stage == "clustered"
+        assert apply_clusters([["extract_table", "other"]], assignment) == [
+            ["find_table", "other"]]
 
     def test_rewrite_collapse(self):
         assignment = ClusterAssignment(
             labels={"find_table": 0, "extract_table": 0},
             representatives={0: "find_table"})
-        profiles = [prof("r1", ["extract_table", "find_table"], stage="filtered")]
-        assert apply_clusters(profiles, assignment)[0].tags == ["find_table"]
+        assert apply_clusters([["extract_table", "find_table"]], assignment) == [["find_table"]]
 
     def test_no_clusters_no_change(self):
         assignment = ClusterAssignment(labels={"a": None}, representatives={})
-        profiles = [prof("r1", ["a", "b"], stage="filtered")]
-        assert apply_clusters(profiles, assignment)[0].tags == ["a", "b"]
+        assert apply_clusters([["a", "b"]], assignment) == [["a", "b"]]
 
     def test_lengths_never_increase(self, rng):
         vocab = ["a", "b", "c", "d"]
         assignment = ClusterAssignment(labels={"a": 0, "b": 0, "c": None, "d": None},
                                        representatives={0: "a"})
-        profiles = random_profiles(rng, 30, vocab, stage="filtered")
-        out = apply_clusters(profiles, assignment)
-        for before, after in zip(profiles, out):
-            assert len(after.tags) <= len(before.tags)
+        tag_lists = random_tag_lists(rng, 30, vocab)
+        out = apply_clusters(tag_lists, assignment)
+        for before, after in zip(tag_lists, out):
+            assert len(after) <= len(before)
 
 
 class TestMineAdjacentPairs:
     def test_three_tag_profile(self):
-        stats = mine_adjacent_pairs([prof("r1", ["extract_list", "find_item", "get_value"],
-                                          stage="clustered")])
+        stats = mine_adjacent_pairs([["extract_list", "find_item", "get_value"]])
         pairs = {(s.first, s.second) for s in stats}
         assert pairs == {("extract_list", "find_item"), ("find_item", "get_value")}
 
     def test_non_adjacent_pair_not_counted(self):
-        stats = mine_adjacent_pairs([prof("r1", ["extract_list", "x", "find_item"],
-                                          stage="clustered")])
+        stats = mine_adjacent_pairs([["extract_list", "x", "find_item"]])
         pairs = {(s.first, s.second) for s in stats}
         assert ("extract_list", "find_item") not in pairs
 
     def test_one_support_unit_per_profile(self):
-        stats = mine_adjacent_pairs([prof("r1", ["a", "b", "a", "b"], stage="clustered")])
+        stats = mine_adjacent_pairs([["a", "b", "a", "b"]])
         by_pair = {(s.first, s.second): s for s in stats}
         assert by_pair[("a", "b")].support == 1
         assert by_pair[("a", "b")].confidence == 1.0
 
     def test_matches_sliding_window_oracle(self, rng):
         vocab = [f"t{i}" for i in range(8)]
-        profiles = random_profiles(rng, 80, vocab, stage="clustered")
-        stats = mine_adjacent_pairs(profiles)
-        expected = oracles.adjacent_pairs_reference(profiles)
+        tag_lists = random_tag_lists(rng, 80, vocab)
+        stats = mine_adjacent_pairs(tag_lists)
+        expected = oracles.adjacent_pairs_reference(tag_lists)
         got = {(s.first, s.second): (s.support, s.confidence) for s in stats}
         assert got == expected
 
 
 def _pair_corpus(n_pair, adjacent=True, filler_start=0):
-    """Profiles with the (extract_list, find_item) pair plus filler profiles."""
-    profiles = []
+    """Tag lists with the (extract_list, find_item) pair plus filler lists."""
+    tag_lists = []
     for i in range(n_pair):
         tags = ["extract_list", "find_item"] if adjacent else \
             ["extract_list", f"gap{i % 3}", "find_item"]
-        profiles.append(prof(f"pair{i:03d}", tags, stage="clustered"))
+        tag_lists.append(tags)
     for i in range(20):
-        profiles.append(prof(f"fill{i:03d}",
-                             [f"noise{(filler_start + i) % 4}", "get_value"],
-                             stage="clustered"))
-    return profiles
+        tag_lists.append([f"noise{(filler_start + i) % 4}", "get_value"])
+    return tag_lists
 
 
 class TestAggregatePairs:
@@ -274,30 +256,27 @@ class TestAggregatePairs:
         stats = mine_adjacent_pairs(profiles)
         merged, applied = aggregate_pairs(profiles, stats, 40, 0.99)
         assert any(m["merged"] == "extract_list_item" for m in applied)
-        for p in merged[:40]:
-            assert p.tags == ["extract_list_item"]
-            assert p.stage == "aggregated"
+        assert merged[:40] == [["extract_list_item"]] * 40
 
     def test_support_39_no_merge(self):
         profiles = _pair_corpus(39)
         stats = mine_adjacent_pairs(profiles)
         merged, applied = aggregate_pairs(profiles, stats, 40, 0.99)
         assert applied == []
-        assert merged[0].tags == ["extract_list", "find_item"]
+        assert merged[0] == ["extract_list", "find_item"]
 
     def test_low_confidence_no_merge(self):
         profiles = _pair_corpus(100)
         # extract_list present without the pair in 3 extra profiles: conf 100/103 < 0.99
         for i in range(3):
-            profiles.append(prof(f"solo{i}", ["extract_list", "get_value"],
-                                 stage="clustered"))
+            profiles.append(["extract_list", "get_value"])
         stats = mine_adjacent_pairs(profiles)
         merged, applied = aggregate_pairs(profiles, stats, 40, 0.99)
         assert applied == []
 
     def test_thresholds_verifiable_from_stats(self, rng):
         vocab = [f"t{i}" for i in range(5)]
-        profiles = random_profiles(rng, 300, vocab, stage="clustered")
+        profiles = random_tag_lists(rng, 300, vocab)
         stats = mine_adjacent_pairs(profiles)
         _, applied = aggregate_pairs(profiles, stats, 10, 0.25)
         by_pair = {(s.first, s.second): s for s in stats}
@@ -306,7 +285,7 @@ class TestAggregatePairs:
             assert st.support >= 10 and st.confidence >= 0.25
 
     def test_self_pairs_never_merge(self):
-        profiles = [prof(f"r{i}", ["a", "b", "a"], stage="clustered") for i in range(50)]
+        profiles = [["a", "b", "a"]] * 50
         stats = [AdjacentPairStat("a", "a", 50, 1.0)]
         _, applied = aggregate_pairs(profiles, stats, 1, 0.0)
         assert applied == []
@@ -505,14 +484,15 @@ class TestNormalizeCorpus:
                    for _ in range(2)]
         assert results[0].profiles == results[1].profiles
         assert results[0].vocabularies["filtered"] == results[1].vocabularies["filtered"]
-        for p in results[0].profiles:
-            assert p.stage == "aggregated"
+        # the profiles pair each record with its list of the last stage
+        assert [(p.record_id, p.tags) for p in results[0].profiles] == list(zip(
+            (p.record_id for p in profiles), results[0].stage_tags["aggregated"]))
 
     def test_post_filter_soundness(self, rng):
         vocab = [f"t{i}" for i in range(15)]
         profiles = random_profiles(rng, 50, vocab)
         result = normalize_corpus(profiles, HashingEmbedder(), min_count=4)
-        recount = tag_frequencies(result.stage_profiles["filtered"])
+        recount = tag_frequencies(result.stage_tags["filtered"])
         assert all(c >= 4 for c in recount.values())
 
 
@@ -543,12 +523,12 @@ class _GroupEmbedder:
 
 
 @st.composite
-def _corpora(draw, stage="raw"):
+def _corpora(draw):
     """Small corpora over a few of the names, each profile a run of short
     pieces: many pairs recur often enough to merge. A piece may be a one-off
     tag, which a filter drops, leaving empty profiles and new adjacent
-    duplicates. A profile may repeat a tag adjacently: a self-pair when the
-    corpus is drawn at the clustered stage."""
+    duplicates. A profile may repeat a tag adjacently: a self-pair when its
+    tags are taken as a clustered list."""
     names = st.sampled_from(draw(st.lists(st.sampled_from(_NAMES), min_size=3, max_size=6,
                                           unique=True)))
     pieces = draw(st.lists(st.lists(names, min_size=1, max_size=3), min_size=2, max_size=4))
@@ -559,24 +539,27 @@ def _corpora(draw, stage="raw"):
              for run in runs]
     sources = draw(st.lists(st.sampled_from(_SOURCES), min_size=len(lists),
                             max_size=len(lists)))
-    return [TagProfile(f"r{i}", tags, stage, source)
+    return [TagProfile(f"r{i}", tags, source)
             for i, (tags, source) in enumerate(zip(lists, sources))]
 
 
 def _copies(profiles):
-    return [TagProfile(p.record_id, list(p.tags), p.stage, p.source, p.emptied_by_filter)
+    return [TagProfile(p.record_id, list(p.tags), p.source) for p in profiles]
+
+
+def _clustered(profiles):
+    """The oracle's clustered-stage records of some profiles' tags."""
+    return [oracles.StageProfile(p.record_id, list(p.tags), "clustered", p.source)
             for p in profiles]
 
 
-def _snapshot(result):
-    """Everything a NormalizationResult holds but its pair stats, with every
-    dict as its list of items, so that key order counts."""
-    def fields(profiles):
-        return [(p.record_id, p.tags, p.stage, p.source, p.emptied_by_filter)
-                for p in profiles]
-
-    return {"profiles": fields(result.profiles),
-            "stage_profiles": [(stage, fields(ps)) for stage, ps in result.stage_profiles.items()],
+def _snapshot(result, stage_tags, emptied):
+    """Everything a normalization result holds but its pair stats, given its
+    tag lists by stage and each record's emptied flag, with every dict as its
+    list of items, so that key order counts."""
+    return {"profiles": [(p.record_id, p.tags, p.source) for p in result.profiles],
+            "stage_tags": list(stage_tags.items()),
+            "emptied": emptied,
             "vocabularies": [(stage, list(v.items()))
                              for stage, v in result.vocabularies.items()],
             "labels": list(result.assignment.labels.items()),
@@ -606,22 +589,28 @@ class TestCountingPassesMatchOracle:
                       min_confidence=min_confidence)
         old = oracles.normalize_corpus(_copies(profiles), _GroupEmbedder(groups), **params)
         new = normalize_corpus(_copies(profiles), _GroupEmbedder(groups), **params)
-        assert _snapshot(new) == _snapshot(old)
-        clustered = new.stage_profiles["clustered"]
-        assert mine_adjacent_pairs(clustered, min_support) == [
-            s for s in oracles.mine_adjacent_pairs(clustered) if s.support >= min_support]
+        # the oracle's flag is the one the tags line derives from the lists
+        raw, filtered = new.stage_tags["raw"], new.stage_tags["filtered"]
+        derived = [bool(r) and not f for r, f in zip(raw, filtered)]
+        old_tags = {stage: [p.tags for p in ps] for stage, ps in old.stage_profiles.items()}
+        flags = [p.emptied_by_filter for p in old.stage_profiles["filtered"]]
+        assert _snapshot(new, new.stage_tags, derived) == _snapshot(old, old_tags, flags)
+        assert mine_adjacent_pairs(new.stage_tags["clustered"], min_support) == [
+            s for s in oracles.mine_adjacent_pairs(old.stage_profiles["clustered"])
+            if s.support >= min_support]
         # no stage shares a tag list with another: each is a snapshot of its own
-        lists = [id(p.tags) for ps in new.stage_profiles.values() for p in ps]
+        lists = [id(tags) for stage in new.stage_tags.values() for tags in stage]
         assert len(set(lists)) == len(lists)
 
     def test_raw_tags_are_counted_once(self, monkeypatch):
-        stages = []
+        counted = []
         count = tagnorm.tag_frequencies
         monkeypatch.setattr(tagnorm, "tag_frequencies",
-                            lambda profiles: stages.append(profiles[0].stage) or count(profiles))
-        normalize_corpus(_copies(_MERGE_COLLIDES), _GroupEmbedder({}), min_count=1,
-                         min_support=1, min_confidence=0.0)
-        assert stages == ["raw", "clustered", "aggregated"]
+                            lambda tag_lists: counted.append(tag_lists) or count(tag_lists))
+        result = normalize_corpus(_copies(_MERGE_COLLIDES), _GroupEmbedder({}), min_count=1,
+                                  min_support=1, min_confidence=0.0)
+        assert [next(stage for stage, lists in result.stage_tags.items() if lists is tag_lists)
+                for tag_lists in counted] == ["raw", "clustered", "aggregated"]
 
     def test_merge_collision_example_merges_into_an_existing_name(self):
         result = normalize_corpus(_copies(_MERGE_COLLIDES), _GroupEmbedder({}), min_count=1,
@@ -631,20 +620,23 @@ class TestCountingPassesMatchOracle:
         assert result.profiles[0].tags == ["a_c", "a_c_b"]
 
     @settings(max_examples=150, deadline=None)
-    @given(profiles=_corpora(stage="clustered"), min_support=st.integers(0, 5))
+    @given(profiles=_corpora(), min_support=st.integers(0, 5))
     def test_mine_adjacent_pairs_is_the_full_list_cut_at_min_support(self, profiles,
                                                                      min_support):
-        full = oracles.mine_adjacent_pairs(profiles)
-        assert mine_adjacent_pairs(profiles) == full
-        assert mine_adjacent_pairs(profiles, min_support) == [
+        full = oracles.mine_adjacent_pairs(_clustered(profiles))
+        tag_lists = [p.tags for p in profiles]
+        assert mine_adjacent_pairs(tag_lists) == full
+        assert mine_adjacent_pairs(tag_lists, min_support) == [
             s for s in full if s.support >= min_support]
 
     @settings(max_examples=150, deadline=None)
-    @given(profiles=_corpora(stage="clustered"), min_support=st.integers(1, 4),
+    @given(profiles=_corpora(), min_support=st.integers(1, 4),
            min_confidence=st.sampled_from([0.0, 0.25, 0.5, 1.0]))
     def test_aggregate_pairs_with_self_pairs(self, profiles, min_support, min_confidence):
-        old = oracles.aggregate_pairs(_copies(profiles), oracles.mine_adjacent_pairs(profiles),
-                                      min_support, min_confidence)
-        new = aggregate_pairs(_copies(profiles), mine_adjacent_pairs(profiles, min_support),
+        clustered = _clustered(profiles)
+        old, old_merges = oracles.aggregate_pairs(
+            clustered, oracles.mine_adjacent_pairs(clustered), min_support, min_confidence)
+        tag_lists = [p.tags for p in profiles]
+        new = aggregate_pairs(tag_lists, mine_adjacent_pairs(tag_lists, min_support),
                               min_support, min_confidence)
-        assert new == old
+        assert new == ([p.tags for p in old], old_merges)

@@ -157,9 +157,9 @@ class TestExtractFunctionNames:
     def test_returns_a_raw_stage_profile(self):
         steps = [ProcessStep(1, "t", "findTable", ["document"])]
         assert extract_function_names("r1", steps=steps) == TagProfile(
-            "r1", ["find_table"], "raw", "grammar")
+            "r1", ["find_table"], "grammar")
         assert extract_function_names("r2", completion="then sum_col(t)") == TagProfile(
-            "r2", ["sum_col"], "raw", "fallback")
+            "r2", ["sum_col"], "fallback")
         assert tagnorm.TagProfile is TagProfile
 
     def test_adjacent_duplicates_collapse(self):
@@ -169,7 +169,7 @@ class TestExtractFunctionNames:
         assert extract_function_names("r1", steps=steps).tags == ["find_row", "get_cell"]
 
     def test_no_tags(self):
-        none = TagProfile("r1", [], "raw", "none")
+        none = TagProfile("r1", [], "none")
         assert extract_function_names("r1", completion="nothing to call here") == none
         assert extract_function_names("r1", completion="") == none
         assert extract_function_names("r1") == none
