@@ -31,9 +31,9 @@ its calls on ``generation.max_inflight`` threads instead.
 :func:`run` pauses Python's automatic cyclic garbage collection while the
 command runs and restores the caller's setting afterwards. The records,
 pages and profiles a command holds form no reference cycles, so the
-collector's full passes over that heap free nothing; they cost about a
-sixth of a 20k-record mock pipeline. Reference counting frees everything
-else as usual, and no stage leaves per-record cyclic garbage behind.
+collector's full passes over that heap free nothing; they cost 3-5% of a
+20k-record command. Reference counting frees everything else as usual, and
+no stage leaves per-record cyclic garbage behind.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ import os
 import sys
 import threading
 from concurrent.futures import BrokenExecutor
-from itertools import chain
+from itertools import chain, takewhile
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, get_args
@@ -101,11 +101,12 @@ def _row_writer(out_dir: Path) -> Iterator[Callable[..., Path]]:
     """One row's ``write``: each call writes one artifact, and one manifest
     update under the directory lock names them all once the row returns. If
     the row or that update raises, each file the row wrote that neither existed
-    when it started nor is in the manifest goes, as does a directory it made.
+    when it started nor is in the manifest goes, as does each directory it made.
     Another row's rollback may so delete a file this row wrote with the same
     bytes: a written file missing at the update is an :class:`IoFailure`
     naming it, and this row rolls back too."""
-    made = not out_dir.exists()
+    # the directories the row's first write makes, out_dir first
+    made = list(takewhile(lambda d: not d.exists(), (out_dir, *out_dir.parents)))
     before = set() if made else set(os.listdir(out_dir))
     written: dict[str, str] = {}
     manifest_path = out_dir / MANIFEST
@@ -135,9 +136,9 @@ def _row_writer(out_dir: Path) -> Iterator[Callable[..., Path]]:
                 named = _manifest(manifest_path).values() if manifest_path.exists() else ()
                 for name in set(written.values()) - before - set(named):
                     (out_dir / name).unlink(missing_ok=True)
-            if made:
-                with contextlib.suppress(OSError):  # another writer may have filled it
-                    out_dir.rmdir()
+            with contextlib.suppress(OSError):  # another writer may have filled one
+                for directory in made:
+                    directory.rmdir()
         raise
 
 
@@ -213,11 +214,8 @@ def _chunk_map(fn: Callable[[list], Any], items: list) -> Iterator[Any]:
 # config / flag plumbing
 
 
-# config keys whose flag is not named after the key itself
-_RENAMED = {"output_dir": "out", "gen_cache_dir": "cache_dir"}
-
 # argparse dest -> (config section, key); every config key has a flag
-CONFIG_FLAGS = {_RENAMED.get(f.name, f.name): (section, f.name)
+CONFIG_FLAGS = {f.metadata.get("flag", f.name): (section, f.name)
                 for section, f, _hint in schema()}
 
 
@@ -386,9 +384,9 @@ def _generated(obj: dict[str, Any]) -> tuple[str, procgen.ExecutionProcess | pro
         raise ValueError("annotations must hold exactly one of 'process' and 'discarded'")
     if "process" in ann:
         return rid, procgen.ExecutionProcess.from_dict(ann["process"], "annotations.process")
-    return rid, procgen.Discarded(rid, *checked(ann["discarded"], "annotations.discarded",
-                                                reason=str, attempts=int,
-                                                last_completion=(str, type(None))))
+    return rid, procgen.Discarded(*checked(ann["discarded"], "annotations.discarded",
+                                           reason=str, attempts=int,
+                                           last_completion=(str, type(None))))
 
 
 def _raw_profile(rid: str, result: procgen.ExecutionProcess | procgen.Discarded,
@@ -468,8 +466,9 @@ def normalize_stage(profiles: list[tagnorm.TagProfile], cfg: PipelineConfig,
 
 def _tags_raw_profile(obj: dict[str, Any]) -> tagnorm.TagProfile:
     """The raw profile of a ``tags_raw`` line; a ValueError names the first
-    field missing or of the wrong type. Each tag is interned: a corpus
-    repeats a few thousand names, and decoding makes each one anew."""
+    field missing or of the wrong type, or an empty tag, which extraction
+    never writes. Each tag is interned: a corpus repeats a few thousand
+    names, and decoding makes each one anew."""
     rid, ann = obj.get("record_id"), obj.get("annotations")
     if type(rid) is not str:
         raise invalid("record_id")
@@ -479,7 +478,7 @@ def _tags_raw_profile(obj: dict[str, Any]) -> tagnorm.TagProfile:
     if type(tags) is not dict:
         raise invalid("annotations.tags")
     raw, source = tags.get("raw"), tags.get("source")
-    if type(raw) is not list or not {str}.issuperset(map(type, raw)):
+    if type(raw) is not list or not {str}.issuperset(map(type, raw)) or "" in raw:
         raise invalid("annotations.tags.raw")
     if type(source) is not str:
         raise invalid("annotations.tags.source")
@@ -702,7 +701,7 @@ def _command(sub: Any, name: str, help_text: str) -> argparse.ArgumentParser:
             if f.metadata.get("serves", section) != group:
                 continue
             value_type = next(t for t in get_args(hint) or (hint,) if t is not type(None))
-            dest = _RENAMED.get(f.name, f.name)
+            dest = f.metadata.get("flag", f.name)
             p.add_argument("--" + dest.replace("_", "-"), dest=dest,
                            type=None if value_type is str else value_type,
                            choices=f.metadata.get("choices"), help=f.metadata.get("help"))

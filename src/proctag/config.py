@@ -6,14 +6,13 @@ support and 0.99 confidence, long-tail cutoff picked from corpus size).
 
 The dataclasses are the one schema of the config: a field's type hint and
 metadata (``choices``; the range ``min`` / ``max``, inclusive, and
-``above``, exclusive; the flag's ``help``; the section a cache directory
-``serves``) say what it takes, and :func:`set_key` checks every value, from
-a YAML file or a flag, against them. The ranges are the ones the stages
-enforce, so a value out of range fails before the first stage writes. A
-bool is never a number, an int is widened for a float field, a float must
-be finite, and ``None`` fits only ``X | None``.
-Every key is also a CLI flag named after it, except ``paths.output_dir``
-(``--out``) and ``paths.gen_cache_dir`` (``--cache-dir``).
+``above``, exclusive; the flag's ``help``, and its name as ``flag`` where
+that is not the key's; the section a cache directory ``serves``) say what
+it takes, and :func:`set_key` checks every value, from a YAML file or a
+flag, against them. Every key is also a CLI flag. The ranges are the ones
+the stages enforce, so a value out of range fails before the first stage
+writes. A bool is never a number, an int is widened for a float field, a
+float must be finite, and ``None`` fits only ``X | None``.
 """
 
 from __future__ import annotations
@@ -45,8 +44,8 @@ class PathsConfig:
     dataset: str = _key("data/records.jsonl", help="record file (JSONL)")
     # default: pages/ next to the record file
     pages: str | None = _key(None, help="pages directory")
-    output_dir: str = _key("out", help="output directory for stage artifacts")
-    gen_cache_dir: str = _key("cache/generation", serves="generation")
+    output_dir: str = _key("out", flag="out", help="output directory for stage artifacts")
+    gen_cache_dir: str = _key("cache/generation", flag="cache_dir", serves="generation")
     embed_cache_dir: str = _key("cache/embeddings", serves="tagging")
 
 

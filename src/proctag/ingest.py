@@ -8,7 +8,8 @@ in that directory. :func:`load_page` reads a page file in one pass, and is
 the only place a page is judged: it checks each value's type, clamps each box
 into the page as it builds it (one logged warning per page counts the boxes
 that changed), and refuses a file holding another page's id. A record's
-annotations may nest at most :data:`MAX_NESTING` levels deep. The readers
+annotations may nest at most :data:`MAX_NESTING` levels deep. Every JSON
+file and line the package reads is decoded by :func:`decode`. The readers
 refuse a string that no writer can encode: a lone surrogate, which only a
 ``\\u`` escape can produce.
 """
@@ -318,6 +319,20 @@ def unencodable(value: Any) -> str | None:
     return None
 
 
+def decode(text: str) -> Any:
+    """The JSON value of ``text``. A text this package wrote is one value and
+    at most a newline, which the decoder reads without ``json.loads``'
+    whitespace scans; any other text goes through ``json.loads`` and raises
+    its errors: a ValueError, or a RecursionError for a value nested too deep."""
+    try:
+        value, end = _raw_decode(text)
+        if text[end:] in ("\n", ""):
+            return value
+    except (ValueError, RecursionError):
+        pass
+    return json.loads(text)
+
+
 def read_lines(path: Path | str) -> Iterator[tuple[int, str]]:
     """The number and text of each line of a UTF-8 file, split on "\\n" alone
     (not at U+2028, U+0085 and the like, which canonical JSON leaves
@@ -339,21 +354,12 @@ def read_jsonl(path: Path | str, row: Callable[[Any], Any],
     ``row`` must refuse an object without a string ``key``."""
     first_line: dict[Any, int] = {}
     for line_no, line in read_lines(path):
-        # a line this package wrote is one value and its newline, which the
-        # decoder reads without json.loads' whitespace scans; any other line
-        # goes through json.loads, with its errors
         try:
-            value, end = _raw_decode(line)
-            written = line[end:] in ("\n", "")
-        except (ValueError, RecursionError):  # RecursionError: nested too deep
-            written = False
-        if not written:
+            value = decode(line)
+        except (ValueError, RecursionError) as exc:
             if not line.strip():
                 continue
-            try:
-                value = json.loads(line)
-            except (ValueError, RecursionError) as exc:
-                raise MalformedLine(path, line_no, f"not valid JSON ({exc})") from exc
+            raise MalformedLine(path, line_no, f"not valid JSON ({exc})") from exc
         if "\\u" in line and (reason := unencodable(value)):
             raise MalformedLine(path, line_no, reason)
         if key is not None and type(value) is not dict:
@@ -374,7 +380,7 @@ def read_json(path: Path, noun: str) -> Any:
     naming it as ``noun``."""
     try:
         text = path.read_text(encoding="utf-8")
-        value = json.loads(text)
+        value = decode(text)
     except OSError as exc:
         raise IoFailure(f"cannot read {noun} {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested too deep

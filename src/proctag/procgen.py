@@ -89,7 +89,6 @@ class ExecutionProcess:
 class Discarded:
     """Marker result for a record whose completions never parsed."""
 
-    record_id: str
     reason: str
     attempts: int
     last_completion: str | None = None
@@ -236,8 +235,7 @@ def generate_process(record: InstructionRecord, rep: DocumentRepresentation,
         return process
     if transport_failed_last:
         raise BackendUnavailable(f"{record.record_id}: {last_error}")
-    return Discarded(record_id=record.record_id, reason=last_error,
-                     attempts=MAX_ATTEMPTS, last_completion=last_completion)
+    return Discarded(reason=last_error, attempts=MAX_ATTEMPTS, last_completion=last_completion)
 
 
 def generate_all(records: list[InstructionRecord],

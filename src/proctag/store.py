@@ -32,7 +32,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 from .errors import ProcTagError
-from .ingest import IoFailure, _raw_decode, unencodable
+from .ingest import IoFailure, decode, unencodable
 
 if TYPE_CHECKING:
     import requests
@@ -117,21 +117,11 @@ class Store:
 
     def _checked(self, data: bytes) -> dict[str, Any]:
         """The entry of a log line, or a ValueError saying what is wrong with it."""
-        # a line this package wrote is one value, which the decoder reads
-        # without json.loads' whitespace scans, as ingest.read_jsonl does; any
-        # other line goes through json.loads, with its errors. Each decodes
-        # strictly: json.loads would pass the bytes of a surrogate
         try:
-            text = data.decode("utf-8")
-            entry, end = _raw_decode(text)
-            written = end == len(text)
-        except (ValueError, RecursionError):
-            written = False
-        if not written:
-            try:
-                entry = json.loads(data.decode("utf-8"))
-            except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested too deep
-                raise ValueError(f"is not valid JSON: {exc}") from None
+            # strict UTF-8: json.loads of bytes would pass those of a surrogate
+            entry = decode(data.decode("utf-8"))
+        except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested too deep
+            raise ValueError(f"is not valid JSON: {exc}") from None
         if b"\\u" in data and (reason := unencodable(entry)):
             raise ValueError(reason)
         if not (isinstance(entry, dict) and isinstance(entry.get(self.value_key),

@@ -28,12 +28,12 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import nested_annotations, write_config, write_stage
-from proctag import cli, procgen, tagnorm, tagparse
+from proctag import cli, procgen, store, tagnorm, tagparse
 from proctag.cli import run
 from proctag.config import ConfigError, PipelineConfig, config_from_dict, load_config
 from proctag.errors import ProcTagError
-from proctag.ingest import (MAX_NESTING, InstructionRecord, MalformedLine, dumps_json,
-                            load_dataset, read_jsonl, write_dataset)
+from proctag.ingest import (MAX_NESTING, InstructionRecord, MalformedLine, decode, dumps_json,
+                            load_dataset, read_json, read_jsonl, unencodable, write_dataset)
 from proctag.render import DocumentRepresentation, render_plaintext
 from proctag.synth import make_dataset
 from test_procgen import ScriptedBackend
@@ -486,6 +486,18 @@ _awkward_text = st.text(st.sampled_from(['"', "\\", "\n", "\x00", "\x1f", "\u202
                                          "é", "\U0001f600", "a", "_"]), max_size=5) | st.text()
 
 
+# lists nested past the interpreter's recursion limit
+_DEEP = "[" * 100000 + "]" * 100000
+
+
+def _loads(text):
+    """``json.loads(text)`` and None, or None and the error it raises."""
+    try:
+        return json.loads(text), None
+    except (ValueError, RecursionError) as exc:
+        return None, exc
+
+
 class TestSlimTagArtifacts:
     """``tags_raw`` and ``tags`` hold only ``record_id`` and the tags, built
     from profiles; they equal what the full-record writers wrote, projected
@@ -571,28 +583,42 @@ class TestSlimTagArtifacts:
     @settings(max_examples=200, deadline=None)
     @given(lines=st.lists(st.tuples(
         st.sampled_from(["", " ", "\t", "\u2028"]),
+        # a value as this package writes it, a lone surrogate's escape, or
+        # lists nested past the decoder's recursion limit
         st.recursive(st.none() | st.booleans() | st.integers() | _awkward_text,
                      lambda inner: st.lists(inner, max_size=3)
-                     | st.dictionaries(_awkward_text, inner, max_size=3), max_leaves=6),
+                     | st.dictionaries(_awkward_text, inner, max_size=3),
+                     max_leaves=6).map(dumps_json)
+        | st.sampled_from(['"\\ud800"', '{"a": ["\\udfff"]}', _DEEP]),
         # written as this package writes, with other spacing, garbage or none
         st.sampled_from(["\n", " \n", "\r\n", "\u2028\n", "x\n", ",\n", "", "blank"])),
         max_size=5))
+    @example(lines=[("", '"\\ud800"', "\n"), (" ", "[1]", "\r\n"), ("\u2028", "{}", "x\n"),
+                    ("", _DEEP, "\n"), ("", "null", "blank")])
     def test_jsonl_reader_equals_json_loads_per_line(self, tmp_path_factory, lines):
-        text = "".join(" \n" if end == "blank" else lead + dumps_json(value) + end
-                       for lead, value, end in lines)
-        path = tmp_path_factory.mktemp("jsonl") / "stage.jsonl"
+        # read_jsonl over the lines as one file reads each non-blank line as
+        # json.loads does; so do decode, read_json and a cache log line,
+        # each over one line alone
+        texts = [" \n" if end == "blank" else lead + value + end for lead, value, end in lines]
+        text = "".join(texts)
+        root = tmp_path_factory.mktemp("jsonl")
+        path = root / "stage.jsonl"
         path.write_text(text, encoding="utf-8", newline="")
 
         def outcome(reader):
             got = []
             try:
                 got.extend(reader(path))
-            except (ValueError, cli.IoFailure) as exc:
+            except (ValueError, RecursionError, cli.IoFailure) as exc:
                 return got, exc
             return got, None
 
         got, error = outcome(_read_values)
         expected, expected_error = outcome(oracles.read_jsonl_reference)
+        # the reader also refuses a value that no writer could encode again
+        refused = next((k for k, value in enumerate(expected) if unencodable(value)), None)
+        if refused is not None:
+            expected, expected_error = expected[:refused], unencodable(expected[refused])
         assert got == expected
         if expected_error is None:
             assert error is None
@@ -601,8 +627,51 @@ class TestSlimTagArtifacts:
             line_no = [k for k, line in enumerate(text.split("\n"), start=1)
                        if line.strip()][len(got)]
             assert type(error) is MalformedLine
-            assert type(error.__cause__) is type(expected_error)
-            assert str(error) == f"{path}, line {line_no}: not valid JSON ({expected_error})"
+            if type(expected_error) is str:
+                assert str(error) == f"{path}, line {line_no}: {expected_error}"
+            else:
+                assert type(error.__cause__) is type(expected_error)
+                assert str(error) == f"{path}, line {line_no}: not valid JSON ({expected_error})"
+
+        key = procgen._cache_key("prompt", 0.0, 1)
+        for k, ((lead, value, end), line) in enumerate(zip(lines, texts)):
+            want, error = _loads(line)
+            if error is None:
+                assert decode(line) == want
+            else:
+                with pytest.raises(type(error)) as info:
+                    decode(line)
+                assert type(info.value) is type(error) and str(info.value) == str(error)
+            doc = root / f"{k}.json"
+            doc.write_text(line, encoding="utf-8", newline="")
+            reason = f"is not valid JSON: {error}" if error else unencodable(want)
+            if reason is None:
+                assert read_json(doc, "document") == want
+            else:
+                with pytest.raises(cli.IoFailure) as info:
+                    read_json(doc, "document")
+                assert str(info.value) == f"document {doc} {reason}"
+                # an unencodable value is refused with no cause: both are None
+                assert type(info.value.__cause__) is type(error)
+            if end == "blank":
+                continue  # a log line starts with its key
+            # the log line of the completion's key, its entry holding the value
+            tail = end[:-1] if end.endswith("\n") else end
+            entry = '{"key": "' + key + '", "completion": ' + lead + value + "}" + tail
+            cache = root / f"cache{k}"
+            cache.mkdir()
+            (cache / store.LOG).write_bytes(entry.encode("utf-8") + b"\n")
+            want, error = _loads(entry)
+            reason = (f"is not valid JSON: {error}" if error else unencodable(want)
+                      or (None if type(want["completion"]) is str
+                          else "is not an object with a str 'completion'"))
+            replay = procgen.CachingBackend(cache, inner=None)
+            if reason is None:
+                assert replay.complete("prompt", 0.0) == want["completion"]
+            else:
+                with pytest.raises(cli.IoFailure) as info:
+                    replay.complete("prompt", 0.0)
+                assert str(info.value) == f"cache entry {cache / store.LOG}:1 {reason}"
 
     def test_normalize_peak_does_not_grow_with_record_fields(self, tmp_path):
         # tag --stage normalize keeps each tags_raw line's profile only, so
@@ -869,8 +938,8 @@ _processes = st.builds(
                        tagparse.ProcessStep(k, var, name, args)
                        for k, (var, name, args) in enumerate(steps, start=1)]),
     final_answer=st.none() | _awkward_text, attempts=st.integers(1, 3))
-_discards = st.builds(procgen.Discarded, record_id=_awkward_text, reason=_awkward_text,
-                      attempts=st.integers(1, 3), last_completion=st.none() | _awkward_text)
+_discards = st.builds(procgen.Discarded, reason=_awkward_text, attempts=st.integers(1, 3),
+                      last_completion=st.none() | _awkward_text)
 
 
 class TestGenerateLines:
@@ -903,11 +972,9 @@ class TestGenerateLines:
                 for discarded, attempts, rid, tags, source in outcomes] == [
             (isinstance(result, procgen.Discarded), result.attempts,
              cli._raw_profile(rec.record_id, result)) for rec, result in pairs]
-        # each line reads back as its process, or as its discard under the line's record_id
+        # each line reads back as its record_id and its process or discard
         for line, (rec, result) in zip(text.split("\n")[:-1], pairs, strict=True):
-            assert cli._generated(json.loads(line)) == (rec.record_id, dataclasses.replace(
-                result, record_id=rec.record_id) if isinstance(result, procgen.Discarded)
-                else result)
+            assert cli._generated(json.loads(line)) == (rec.record_id, result)
 
 
 class TestEval:

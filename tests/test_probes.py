@@ -218,6 +218,8 @@ _MALFORMED_LINES = [
      _invalid("annotations.tags.raw")),
     ("tags_raw", "tag-not-string", ("annotations", "tags", "raw", 0), 5,
      _invalid("annotations.tags.raw")),
+    ("tags_raw", "tag-empty", ("annotations", "tags", "raw", 0), "",
+     _invalid("annotations.tags.raw")),
 ]
 
 
@@ -408,6 +410,10 @@ PROBES = [
           "tag --embedder remote --embed-cache-dir {root}/none " + ARGS,
           "no embedding URL (set PROCTAG_EMBED_URL)",
           _drop_stages("tags_raw", "tags", "vocab", "profiles", "sample")),
+    # a failed first row removes every directory it made, not only the last
+    Probe("failed-first-row-in-new-parents", "render --dataset {records} --out {new}/a/b",
+          f"{{root}}/{LAST_PAGE}: " + _invalid("width"),
+          _edit_last_page(lambda page: page.__setitem__("width", "wide"))),
     Probe("generate-before-render", "generate --backend mock " + NEW,
           "no manifest in {new}; run earlier stages first"),
     # the manifest: corrupt, naming a path, or missing the stage a command reads

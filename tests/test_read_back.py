@@ -81,7 +81,7 @@ def tree(tmp_path_factory) -> Path:
     assert cli.run(["pipeline", "--dataset", str(records), "--out", str(out)]) == 0
     rec = replace(read_records(records)[0], record_id="discarded")
     rep = next(read_jsonl(cli._read_stage(out, "render"), DocumentRepresentation.from_dict))
-    discard = procgen.Discarded(rec.record_id, "no pseudo-code block", 3, "find_total(document)")
+    discard = procgen.Discarded("no pseudo-code block", 3, "find_total(document)")
     with open(cli._read_stage(out, "generate"), "a", encoding="utf-8") as fh:
         fh.write(cli._encode_generated([(rec, discard)], {rec.page_id: rep})[0])
     (root / "pred.jsonl").write_text("".join(
