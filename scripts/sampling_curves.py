@@ -7,13 +7,14 @@ import math
 from pathlib import Path
 
 from proctag import cli
-from proctag.assess import _selection_sequence, random_sample, tag_coverage
+from proctag.assess import random_sample, selection_sequence, tag_coverage
 
 
 def coverage_of(ids, profiles):
     """0.0 also when the profiles hold no tag to cover."""
     chosen = set(ids)
-    return tag_coverage([p for p in profiles if p.record_id in chosen], profiles) or 0.0
+    subset = profiles.take(row for row, rid in enumerate(profiles.ids) if rid in chosen)
+    return tag_coverage(subset, profiles) or 0.0
 
 
 def main():
@@ -24,13 +25,14 @@ def main():
 
     profiles = cli.read_profiles(cli._read_stage(Path(args.out), "profiles"))
     # the greedy order does not depend on the budget: each ratio takes a prefix
-    phase1, phase2 = _selection_sequence(profiles)
-    greedy_ids = [p.record_id for p in phase1 + phase2]
-    print(f"{len(profiles)} records\n")
+    phase1, phase2 = selection_sequence(profiles)
+    greedy_ids = [profiles.ids[row] for row in phase1 + phase2]
+    n = len(profiles.ids)
+    print(f"{n} records\n")
     print(f"{'ratio':>6} {'greedy':>8} {'random(mean)':>13}")
     for pct in (5, 10, 20, 30, 50, 75, 100):
         ratio = pct / 100
-        greedy = coverage_of(greedy_ids[:math.ceil(ratio * len(profiles))], profiles)
+        greedy = coverage_of(greedy_ids[:math.ceil(ratio * n)], profiles)
         rand = sum(coverage_of(random_sample(profiles, ratio, seed), profiles)
                    for seed in range(args.seeds)) / args.seeds
         print(f"{pct:>5}% {greedy:>8.3f} {rand:>13.3f}")

@@ -8,7 +8,10 @@ stage before it, named in the output directory's ``manifest.json`` (generate
 also reads the records, but no page file). Each row hands its result to the
 next in memory, so ``pipeline`` (render through sample) reads the record file
 once and writes the same artifacts, byte for byte, as the stages run one by
-one. Exit codes: 0 success, 1 data error, 2 usage error.
+one. Normalize hands sample the aggregated profiles as the columns that
+:func:`read_profiles` reads back (:class:`~proctag.assess.Profiles`), so both
+select through one code path. Exit codes: 0 success, 1 data error, 2 usage
+error.
 
 Each stage writes immutable artifacts named ``<stage>-<digest>.<ext>`` (digest
 of the file content), reproduced byte for byte over unchanged inputs. JSONL
@@ -43,17 +46,20 @@ import contextlib
 import fcntl
 import gc
 import hashlib
+import math
 import os
 import sys
 import threading
+from bisect import bisect_right
 from concurrent.futures import BrokenExecutor
-from itertools import chain, takewhile
+from itertools import accumulate, chain, takewhile
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, get_args
 
 from . import assess as assess_mod
 from . import procgen, tagnorm, tagparse
+from .assess import Profiles
 from .config import PipelineConfig, SamplingConfig, load_config, schema, set_key
 from .errors import ProcTagError
 from .ingest import (InstructionRecord, IoFailure, MalformedLine, MissingPage,
@@ -168,7 +174,7 @@ def _manifest(path: Path) -> dict[str, str]:
     return manifest
 
 
-def _jsonl(objs: Iterable[dict[str, Any]]) -> Iterable[str]:
+def _jsonl(objs: Iterable[Any]) -> Iterable[str]:
     return (dumps_json(obj) + "\n" for obj in objs)
 
 
@@ -437,10 +443,11 @@ def extract_stage(profiles: list[tagnorm.TagProfile], cfg: PipelineConfig,
 
 def normalize_stage(profiles: list[tagnorm.TagProfile], cfg: PipelineConfig,
                     write: Callable[..., Path],
-                    embedder: tagnorm.EmbeddingProvider) -> tuple[list[tagnorm.TagProfile], str]:
+                    embedder: tagnorm.EmbeddingProvider) -> tuple[Profiles, str]:
     """Filter, cluster and aggregate the raw profiles, and write every
     stage's tags per record, the vocabulary report and the aggregated
-    profiles; returns the aggregated profiles."""
+    profiles; returns the aggregated profiles, in the columns that
+    :func:`read_profiles` reads back."""
     result = tagnorm.normalize_corpus(
         profiles, embedder,
         min_count=cfg.tagging.min_count,
@@ -459,9 +466,10 @@ def normalize_stage(profiles: list[tagnorm.TagProfile], cfg: PipelineConfig,
     path = write("tags", _tags_lines(
         profiles, *(result.stage_tags[stage] for stage in tagnorm.STAGES[1:])), "jsonl")
     write("vocab", dumps_json(vocab_report) + "\n", "json")
-    write("profiles", _profiles_lines(result.profiles), "jsonl")
-    return result.profiles, (f"normalized tags for {len(profiles)} records "
-                             f"({len(vocab_report['merges'])} merges) -> {path}")
+    aggregated = Profiles.of(result.profiles)
+    write("profiles", _jsonl(aggregated), "jsonl")
+    return aggregated, (f"normalized tags for {len(profiles)} records "
+                        f"({len(vocab_report['merges'])} merges) -> {path}")
 
 
 def _tags_raw_profile(obj: dict[str, Any]) -> tagnorm.TagProfile:
@@ -485,78 +493,92 @@ def _tags_raw_profile(obj: dict[str, Any]) -> tagnorm.TagProfile:
     return tagnorm.TagProfile(rid, list(map(sys.intern, raw)), source)
 
 
-def _profiles_lines(profiles: list[tagnorm.TagProfile]) -> Iterator[str]:
-    """The ``profiles`` artifact of aggregated profiles: ``dumps_json`` of
-    the vocabulary, their tags in order of first occurrence, then one
-    ``dumps_json([record_id, [tag indices]])`` per profile, each line ending
-    in a newline."""
-    vocab = list(dict.fromkeys(chain.from_iterable(p.tags for p in profiles)))
-    index = {tag: str(i) for i, tag in enumerate(vocab)}.__getitem__
-    yield dumps_json(vocab) + "\n"
-    for p in profiles:
-        yield f'[{encode_basestring(p.record_id)}, [{", ".join(map(index, p.tags))}]]\n'
+# what each line of a profiles artifact holds
+_PROFILES_LINES = ("the vocabulary: a list of strings", "the record ids: a list of strings",
+                   "the tag counts: a list of integers", "the tag indices: a list of integers")
 
 
-def read_profiles(path: Path) -> list[tagnorm.TagProfile]:
-    """The aggregated profiles in a ``profiles`` artifact, read by
-    :func:`read_jsonl` as every line file is, so a blank line is skipped.
-    An empty file, a first line that is not a list of strings, a row that is
-    not ``[str, [int, ...]]``, a tag index that is a bool, negative or past
-    the vocabulary, or a record_id on an earlier row is an :class:`IoFailure`
-    naming the file and line."""
-    profile = tagnorm.TagProfile
-    vocab: list[str] | None = None
-
-    def row(value: Any) -> tagnorm.TagProfile | None:
-        nonlocal vocab
-        if vocab is None:  # the first line
-            if type(value) is not list or not set(map(type, value)) <= {str}:
-                raise ValueError("the vocabulary is not a list of strings")
-            vocab = value
-            return None
-        if type(value) is list and len(value) == 2:
-            rid, indices = value
-            if type(rid) is str and type(indices) is list and (
-                    not indices or set(map(type, indices)) == {int}
-                    and 0 <= min(indices) and max(indices) < len(vocab)):
-                return profile(rid, [vocab[i] for i in indices])
-        raise ValueError("not [record_id, [tag index, ...]] "
-                         f"with every index in [0, {len(vocab)})")
-
-    rows = read_jsonl(path, row)
-    next(rows, None)  # the vocabulary line
-    profiles = list(rows)
-    if vocab is None:  # what the decoder says of an empty first line
-        raise MalformedLine(path, 1, "not valid JSON (Expecting value: line 1 column 1 (char 0))")
-    if len({p.record_id for p in profiles}) < len(profiles):
-        first: dict[str, int] = {}
-        k = next(k for k, p in enumerate(profiles) if first.setdefault(p.record_id, k) != k)
-        rid = profiles[k].record_id
-        # row k is on the (k + 2)th line that is not blank
-        line_nos = [line_no for line_no, line in read_lines(path) if line.strip()]
-        raise MalformedLine(path, line_nos[k + 1], f"repeated record_id {rid!r} "
-                                                   f"(first on line {line_nos[first[rid] + 1]})")
-    return profiles
+def _first_out_of_range(items: list[Any], top: float) -> int | None:
+    """The place of the first item that is not an int (a bool is not) in
+    ``[0, top)``, or None; the list is checked whole first."""
+    if not items or set(map(type, items)) == {int} and min(items) >= 0 and max(items) < top:
+        return None
+    return next(at for at, item in enumerate(items)
+                if type(item) is not int or not 0 <= item < top)
 
 
-def sample_stage(profiles: list[tagnorm.TagProfile], cfg: PipelineConfig,
+def read_profiles(path: Path) -> Profiles:
+    """The aggregated profiles in a ``profiles`` artifact, whose four lines
+    are the columns of :class:`Profiles`. It is read by :func:`read_jsonl`,
+    as every line file is, so a blank line is skipped, and each line is
+    checked whole as it is read. A line that is not its list, a repeated tag
+    or record id, a tag count per record id missing, extra, a bool or
+    negative, tag indices that do not add up to the counts or an index that
+    is a bool, negative or past the vocabulary, a fifth line, or a file that
+    ends before the fourth is an :class:`IoFailure` naming the file and
+    line; an id, count or index error also names the record."""
+    columns: list[list[Any]] = []
+
+    def column(value: Any) -> list[Any]:
+        k = len(columns)
+        if k == 4:
+            raise ValueError("a fifth line; profiles has four")
+        if type(value) is not list or k < 2 and not set(map(type, value)) <= {str}:
+            raise ValueError(f"not {_PROFILES_LINES[k]}")
+        if k < 2:  # the vocabulary or the record ids
+            if len(set(value)) < len(value):
+                seen: set[str] = set()
+                again = next(item for item in value if item in seen or seen.add(item))
+                raise ValueError(f"repeated {('tag', 'record_id')[k]} {again!r}")
+            return value
+        ids = columns[1]
+        if k == 2:  # a tag count per record id
+            if len(value) != len(ids):
+                raise ValueError(f"{len(value)} tag counts for {len(ids)} record ids")
+            at = _first_out_of_range(value, math.inf)
+            if at is not None:
+                raise ValueError(f"tag count {value[at]!r} of record {ids[at]!r} "
+                                 "is not a non-negative integer")
+            return value
+        counts, size = columns[2], len(columns[0])
+        if len(value) != sum(counts):  # as many tag indices as the counts add up to
+            raise ValueError(f"{len(value)} tag indices for tag counts adding up to "
+                             f"{sum(counts)}")
+        at = _first_out_of_range(value, size)
+        if at is not None:
+            rid = ids[bisect_right(list(accumulate(counts)), at)]
+            raise ValueError(f"tag index {value[at]!r} of record {rid!r} is not an integer "
+                             f"in [0, {size})")
+        return value
+
+    for value in read_jsonl(path, column):
+        columns.append(value)
+    if len(columns) < 4:
+        line_no = sum(1 for _ in read_lines(path)) + 1
+        raise MalformedLine(path, line_no, "the file ends before "
+                                           + _PROFILES_LINES[len(columns)].partition(":")[0])
+    return Profiles(*columns)
+
+
+def sample_stage(profiles: Profiles, cfg: PipelineConfig,
                  write: Callable[..., Path], spec: SamplingConfig) -> tuple[None, str]:
     """Select a subset by the sample request and write the sample report."""
     selected = assess_mod.sample(profiles, spec)
     chosen = set(selected)
-    subset = [p for p in profiles if p.record_id in chosen]
+    # the selected rows, in profiles order
+    subset = profiles.take(row for row, rid in enumerate(profiles.ids) if rid in chosen)
     report = {
         "mode": spec.mode,
         "selected": selected,
         "count": len(selected),
-        "assessment": assess_mod.assess_dataset(subset) if subset else None,
-        "coverage": assess_mod.tag_coverage(subset, profiles) if subset else None,
+        "assessment": assess_mod.assess_dataset(subset) if selected else None,
+        "coverage": assess_mod.tag_coverage(subset, profiles) if selected else None,
     }
     path = write("sample", dumps_json(report) + "\n", "json")
-    return None, f"selected {len(selected)}/{len(profiles)} records -> {path}"
+    return None, f"selected {len(selected)}/{len(profiles.ids)} records -> {path}"
 
 
-def assess_stage(profiles: list[tagnorm.TagProfile], cfg: PipelineConfig,
+def assess_stage(profiles: Profiles, cfg: PipelineConfig,
                  write: Callable[..., Path]) -> tuple[None, str]:
     """Write the assessment report of the profiles; it is also the summary."""
     text = dumps_json(assess_mod.assess_dataset(profiles))

@@ -227,6 +227,8 @@ class JsonPost:
         if resp.status_code != 200:
             raise self.error(f"{self.what} endpoint returned HTTP {resp.status_code}")
         try:
-            return reply(resp.json())
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
+            # a body that is not UTF-8 is a ValueError, and one nested too deep
+            # a RecursionError
+            return reply(decode(resp.content.decode("utf-8")))
+        except (ValueError, KeyError, IndexError, TypeError, RecursionError) as exc:
             raise self.error(f"unexpected {self.what} response: {exc}") from exc

@@ -9,12 +9,14 @@ import heapq
 import json
 import math
 import os
+import random
 import re
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from functools import lru_cache
-from itertools import chain, combinations, islice
+from json.encoder import encode_basestring
+from itertools import chain, combinations
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
@@ -22,11 +24,11 @@ import numpy as np
 
 from conftest import write_stage
 from proctag import procgen, tagnorm, tagparse
-from proctag.cli import CHUNK, _jsonl
+from proctag.cli import _jsonl
 from proctag.config import PipelineConfig
 from proctag.errors import ProcTagError
 from proctag.ingest import (BoundingBox, DocumentPage, IoFailure, LayoutRegion, MalformedLine,
-                            OcrToken, _raw_decode, atomic_write_text, dumps_json, read_lines,
+                            OcrToken, atomic_write_text, dumps_json, read_jsonl, read_lines,
                             record_to_dict)
 from proctag.procgen import BackendError, GenerationBackend
 from proctag.tagnorm import (DEFAULT_DBSCAN_EPS, DEFAULT_DBSCAN_MIN_PTS, DEFAULT_MIN_CONFIDENCE,
@@ -552,68 +554,217 @@ def read_jsonl_reference(path: Path) -> Iterator[dict[str, Any]]:
 
 
 # ---------------------------------------------------------------------------
-# the profiles reader as it was before it read through ingest.read_jsonl:
-# its own line loop and decoder, checking CHUNK rows at a time; kept verbatim.
-# It differs from the new reader on a blank line (an error here), on a line
-# that is not one canonical JSON value, and on which of several bad lines it
-# names (see _PROFILES_ERRORS_CHANGED in test_cli)
+# the profiles artifact, selection and assessment as they were before the
+# artifact became four columns: a vocabulary line, then one
+# [record_id, [tag indices]] line per record, read back into one TagProfile
+# per record, on which selection and assessment ran; kept verbatim
 
 
-def read_profiles(path: Path) -> list[tagnorm.TagProfile]:
-    """The aggregated profiles in a ``profiles`` artifact. A line that is not
-    UTF-8, a first line that is not a list of strings, a row that is not
-    ``[str, [int, ...]]``, a tag index that is a bool, negative or past the
-    vocabulary, or a record_id on an earlier row is an :class:`IoFailure`
-    naming the file and line. The rows are read and checked :data:`CHUNK`
-    lines at a time, and one by one only to find a bad one."""
-    profile, profiles = tagnorm.TagProfile, []
-    ids: set[str] = set()
-    lines = read_lines(path)
-    vocab = _artifact_value(path, 1, next(lines, (1, ""))[1])
-    if type(vocab) is not list or not set(map(type, vocab)) <= {str}:
-        raise MalformedLine(path, 1, "the vocabulary is not a list of strings")
-    n, tag = len(vocab), vocab.__getitem__
-    while chunk := list(islice(lines, CHUNK)):
-        rows = [_artifact_value(path, line_no, line) for line_no, line in chunk]
-        if not _rows_valid(rows, n):
-            line_no = next(k for (k, _), row in zip(chunk, rows) if not _rows_valid([row], n))
-            raise MalformedLine(path, line_no, "not [record_id, [tag index, ...]] "
-                                               f"with every index in [0, {n})")
-        profiles.extend([profile(rid, list(map(tag, indices)))
-                         for rid, indices in rows])
-        ids.update(rid for rid, _ in rows)
-        if len(ids) < len(profiles):
-            # every line past the first is one row: row k is on line k + 2
-            first_line: dict[str, int] = {}
-            for line_no, p in enumerate(profiles, start=2):
-                if first_line.setdefault(p.record_id, line_no) != line_no:
-                    raise MalformedLine(path, line_no, f"repeated record_id {p.record_id!r} "
-                                                       f"(first on line {first_line[p.record_id]})")
+def profiles_lines_rows(profiles: list[tagnorm.TagProfile]) -> Iterator[str]:
+    """The ``profiles`` artifact of aggregated profiles: ``dumps_json`` of
+    the vocabulary, their tags in order of first occurrence, then one
+    ``dumps_json([record_id, [tag indices]])`` per profile, each line ending
+    in a newline."""
+    vocab = list(dict.fromkeys(chain.from_iterable(p.tags for p in profiles)))
+    index = {tag: str(i) for i, tag in enumerate(vocab)}.__getitem__
+    yield dumps_json(vocab) + "\n"
+    for p in profiles:
+        yield f'[{encode_basestring(p.record_id)}, [{", ".join(map(index, p.tags))}]]\n'
+
+
+def read_profiles_rows(path: Path) -> list[tagnorm.TagProfile]:
+    """The aggregated profiles in a ``profiles`` artifact, read by
+    :func:`read_jsonl` as every line file is, so a blank line is skipped.
+    An empty file, a first line that is not a list of strings, a row that is
+    not ``[str, [int, ...]]``, a tag index that is a bool, negative or past
+    the vocabulary, or a record_id on an earlier row is an :class:`IoFailure`
+    naming the file and line."""
+    profile = tagnorm.TagProfile
+    vocab: list[str] | None = None
+
+    def row(value: Any) -> tagnorm.TagProfile | None:
+        nonlocal vocab
+        if vocab is None:  # the first line
+            if type(value) is not list or not set(map(type, value)) <= {str}:
+                raise ValueError("the vocabulary is not a list of strings")
+            vocab = value
+            return None
+        if type(value) is list and len(value) == 2:
+            rid, indices = value
+            if type(rid) is str and type(indices) is list and (
+                    not indices or set(map(type, indices)) == {int}
+                    and 0 <= min(indices) and max(indices) < len(vocab)):
+                return profile(rid, [vocab[i] for i in indices])
+        raise ValueError("not [record_id, [tag index, ...]] "
+                         f"with every index in [0, {len(vocab)})")
+
+    rows = read_jsonl(path, row)
+    next(rows, None)  # the vocabulary line
+    profiles = list(rows)
+    if vocab is None:  # what the decoder says of an empty first line
+        raise MalformedLine(path, 1, "not valid JSON (Expecting value: line 1 column 1 (char 0))")
+    if len({p.record_id for p in profiles}) < len(profiles):
+        first: dict[str, int] = {}
+        k = next(k for k, p in enumerate(profiles) if first.setdefault(p.record_id, k) != k)
+        rid = profiles[k].record_id
+        # row k is on the (k + 2)th line that is not blank
+        line_nos = [line_no for line_no, line in read_lines(path) if line.strip()]
+        raise MalformedLine(path, line_nos[k + 1], f"repeated record_id {rid!r} "
+                                                   f"(first on line {line_nos[first[rid] + 1]})")
     return profiles
 
 
-def _rows_valid(rows: list[Any], n: int) -> bool:
-    """Whether every one of some rows is ``[str, [int, ...]]`` with each int
-    (not a bool) in ``[0, n)``."""
-    if not (set(map(type, rows)) <= {list} and set(map(len, rows)) == {2}):
-        return False
-    ids, index_lists = zip(*rows)
-    if not (set(map(type, ids)) <= {str} and set(map(type, index_lists)) <= {list}):
-        return False
-    indices = list(chain.from_iterable(index_lists))
-    return set(map(type, indices)) <= {int} and (not indices
-                                                  or 0 <= min(indices) and max(indices) < n)
+def complexity_rows(profiles: list[TagProfile]) -> int:
+    """Number of distinct tags across the dataset."""
+    tags: set[str] = set()
+    for p in profiles:
+        tags.update(p.tags)
+    return len(tags)
 
 
-def _artifact_value(path: Path, line_no: int, line: str) -> Any:
-    """The one JSON value on an artifact line, or a :class:`MalformedLine`."""
-    try:
-        value, end = _raw_decode(line)
-    except ValueError as exc:
-        raise MalformedLine(path, line_no, f"not valid JSON ({exc})") from exc
-    if line[end:] not in ("\n", ""):
-        raise MalformedLine(path, line_no, "not one JSON value")
-    return value
+def diversity_rows(profiles: list[TagProfile]) -> float:
+    """Mean distinct-tag count per record; 0.0 for a dataset with no record."""
+    return sum(len(set(p.tags)) for p in profiles) / len(profiles) if profiles else 0.0
+
+
+def tag_coverage_rows(subset: list[TagProfile], full: list[TagProfile]) -> float | None:
+    """Fraction of the full dataset's distinct tags present in the subset;
+    None when the full dataset has no tag to cover."""
+    full_tags: set[str] = set()
+    for p in full:
+        full_tags.update(p.tags)
+    if not full_tags:
+        return None
+    covered: set[str] = set()
+    for p in subset:
+        covered.update(p.tags)
+    return len(covered & full_tags) / len(full_tags)
+
+
+def assess_dataset_rows(profiles: list[TagProfile]) -> dict[str, Any]:
+    """The report of the profiles: their complexity, their diversity and
+    how many there are."""
+    return {"distinct_tags": complexity_rows(profiles),
+            "mean_distinct_tags_per_record": diversity_rows(profiles),
+            "record_count": len(profiles)}
+
+
+def selection_sequence_rows(profiles: list[TagProfile]) -> tuple[list[TagProfile],
+                                                                 list[TagProfile]]:
+    """Budget-independent pick order: the lazy greedy with one int per heap
+    key, over string tag sets."""
+    n = len(profiles)
+    if not n:
+        return [], []
+    tagsets = [set(p.tags) for p in profiles]
+    by_id = sorted(range(n), key=lambda i: profiles[i].record_id)
+    sizes = [len(tagsets[i]) for i in by_id]
+    top = max(sizes)
+    m = (top + 1) * n
+    heap = [(top - size) * (m + n) + rank for rank, size in enumerate(sizes)]
+    heapq.heapify(heap)
+    covered: set[str] = set()
+    phase1: list[int] = []
+    while heap:
+        key = heap[0]
+        shortfall, rest = divmod(key, m)  # S - gain, and the rest of the key
+        i = by_id[rest % n]
+        fresh = len(tagsets[i] - covered)
+        if fresh != top - shortfall:
+            heapq.heapreplace(heap, (top - fresh) * m + rest)
+        elif not fresh:
+            break
+        else:
+            heapq.heappop(heap)
+            covered |= tagsets[i]
+            phase1.append(i)
+    # (S - distinct-tag count) * n + rank of the unpicked records
+    phase2 = [by_id[rest % n] for rest in sorted(key % m for key in heap)]
+    return [profiles[i] for i in phase1], [profiles[i] for i in phase2]
+
+
+def sample_rows(profiles: list[TagProfile], spec: Any) -> list[str]:
+    """Select record ids per the sample request; deterministic for fixed
+    inputs. Mode ``coverage`` takes the shortest prefix of phase 1 that
+    reaches the target, which is no record when there is no tag to cover."""
+    if spec.mode == "random":
+        return random_sample_rows(profiles, spec.ratio, spec.seed)
+    n = len(profiles)
+    phase1, phase2 = selection_sequence_rows(profiles)
+    if spec.mode == "coverage":
+        universe: set[str] = set()
+        for p in profiles:
+            universe.update(p.tags)
+        selected: list[str] = []
+        covered: set[str] = set()
+        # phase 1 covers every tag, and is empty when there is none
+        for p in phase1:
+            if len(covered) / len(universe) >= spec.coverage:
+                break
+            selected.append(p.record_id)
+            covered.update(p.tags)
+        return selected
+    budget = spec.budget if spec.mode == "budget" else math.ceil(spec.ratio * n)
+    budget = min(budget, n)
+    ordered = phase1 + phase2
+    return [p.record_id for p in ordered[:budget]]
+
+
+def random_sample_rows(profiles: list[TagProfile], ratio: float, seed: int) -> list[str]:
+    """Uniform sample without replacement, reproducible per seed; what
+    ``sample`` runs in mode ``random``."""
+    ids = [p.record_id for p in profiles]
+    k = math.ceil(ratio * len(ids))
+    return random.Random(seed).sample(ids, k)
+
+
+def sample_report_rows(profiles: list[TagProfile], spec: Any) -> str:
+    """The text of the ``sample`` artifact that the sample row wrote."""
+    selected = sample_rows(profiles, spec)
+    chosen = set(selected)
+    subset = [p for p in profiles if p.record_id in chosen]
+    report = {
+        "mode": spec.mode,
+        "selected": selected,
+        "count": len(selected),
+        "assessment": assess_dataset_rows(subset) if subset else None,
+        "coverage": tag_coverage_rows(subset, profiles) if subset else None,
+    }
+    return dumps_json(report) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# the profiles columns, checked item by item
+
+
+def profiles_columns_fit(columns: list[Any]) -> bool:
+    """Whether the values of the lines of a ``profiles`` file are its four
+    columns: a vocabulary and record ids of strings, neither repeating one;
+    a count per record id, each an int (not a bool) at least 0; and as many
+    tag indices as the counts add up to, each an int (not a bool) that is a
+    place in the vocabulary."""
+    if len(columns) != 4 or any(type(column) is not list for column in columns):
+        return False
+    vocab, ids, counts, indices = columns
+    for names in (vocab, ids):
+        seen = []
+        for name in names:
+            if type(name) is not str or name in seen:
+                return False
+            seen.append(name)
+    if len(counts) != len(ids):
+        return False
+    total = 0
+    for count in counts:
+        if type(count) is not int or count < 0:
+            return False
+        total += count
+    if len(indices) != total:
+        return False
+    for index in indices:
+        if type(index) is not int or not 0 <= index < len(vocab):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

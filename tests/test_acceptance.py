@@ -15,7 +15,7 @@ import numpy as np
 
 import oracles
 from conftest import mkpage, mkreg, mktok, random_box
-from proctag.assess import sample, tag_coverage
+from proctag.assess import Profiles, sample, tag_coverage
 from proctag.cli import run
 from proctag.config import SamplingConfig
 from proctag.ingest import write_dataset
@@ -202,15 +202,16 @@ def test_criterion_6_sampling_optimality():
                                               rng.randint(0, min(4, n_tags))))
                         for i in range(n)]
             tagsets = [set(p.tags) for p in profiles]
+            full = Profiles.of(profiles)
             # monotone coverage over every budget, full coverage at the end
             prev = -1.0
             universe_tags = set().union(*tagsets)
-            seq = sample(profiles, SamplingConfig(mode="budget", budget=n))
+            seq = sample(full, SamplingConfig(mode="budget", budget=n))
             for budget in range(n + 1):
                 chosen = set(seq[:budget])
-                subset = [p for p in profiles if p.record_id in chosen]
-                cov = (tag_coverage(subset, profiles)
-                       if subset and universe_tags else 0.0)
+                subset = Profiles.of([p for p in profiles if p.record_id in chosen])
+                cov = (tag_coverage(subset, full)
+                       if subset.ids and universe_tags else 0.0)
                 assert cov >= prev
                 prev = cov
             if not universe_tags:
@@ -222,9 +223,9 @@ def test_criterion_6_sampling_optimality():
             assert covers, "exhaustive search must find a cover"
             d = max(len(s) for s in tagsets)
             budget = min(n, math.ceil(k_opt * oracles.harmonic(d)))
-            chosen = set(sample(profiles, SamplingConfig(mode="budget", budget=budget)))
-            subset = [p for p in profiles if p.record_id in chosen]
-            assert tag_coverage(subset, profiles) == 1.0
+            chosen = set(sample(full, SamplingConfig(mode="budget", budget=budget)))
+            subset = Profiles.of([p for p in profiles if p.record_id in chosen])
+            assert tag_coverage(subset, full) == 1.0
             checked += 1
         assert checked > 800  # nearly every instance exercises the cover check
 

@@ -19,6 +19,7 @@ import tempfile
 import threading
 import tracemalloc
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -29,8 +30,10 @@ from hypothesis import strategies as st
 import oracles
 from conftest import nested_annotations, write_config, write_stage
 from proctag import cli, procgen, store, tagnorm, tagparse
+from proctag.assess import Profiles
 from proctag.cli import run
-from proctag.config import ConfigError, PipelineConfig, config_from_dict, load_config
+from proctag.config import (ConfigError, PipelineConfig, SamplingConfig, config_from_dict,
+                            load_config)
 from proctag.errors import ProcTagError
 from proctag.ingest import (MAX_NESTING, InstructionRecord, MalformedLine, decode, dumps_json,
                             load_dataset, read_json, read_jsonl, unencodable, write_dataset)
@@ -539,8 +542,8 @@ class TestSlimTagArtifacts:
             assert run(["tag", "--stage", "extract", "--out", str(standalone)]) == 0
             assert run(["tag", "--stage", "normalize", "--out", str(standalone)] + flags) == 0
 
-            assert [(p.record_id, p.tags, p.source) for p in profiles] == [
-                (p.record_id, p.tags, p.source) for p in old_profiles]
+            # the source of each record's tags is on its tags line, compared below
+            assert rows_of(profiles) == [(p.record_id, p.tags) for p in old_profiles]
             assert vocab == json.loads(dumps_json(old_vocab))
             for stage in ("tags_raw", "tags"):
                 expected = _tags_only(_read_values(cli._read_stage(old, stage)))
@@ -721,8 +724,8 @@ class TestSlimTagArtifacts:
         assert _sampling_curves(out).startswith("20 records\n")
 
     def test_sampling_curves_over_profiles_without_a_tag(self, tmp_path):
-        write_stage(tmp_path, "profiles", cli._profiles_lines(
-            [tagnorm.TagProfile(f"r{i}", []) for i in range(5)]), "jsonl")
+        write_stage(tmp_path, "profiles", cli._jsonl(Profiles.of(
+            [tagnorm.TagProfile(f"r{i}", []) for i in range(5)])), "jsonl")
         assert _sampling_curves(tmp_path).splitlines()[-1].split() == ["100%", "0.000", "0.000"]
 
 
@@ -738,55 +741,70 @@ def _sampling_curves(out: Path) -> str:
 
 
 def rows_of(profiles):
+    """(record_id, tags) of each record, of profiles in columns or one
+    TagProfile per record."""
+    if isinstance(profiles, Profiles):
+        return [(rid, [profiles.vocab[i] for i in tags])
+                for rid, tags in zip(profiles.ids, profiles.tag_lists())]
     return [(p.record_id, p.tags) for p in profiles]
 
 
+def _not_ints(line: str) -> str:
+    return f"not the {line}: a list of integers"
+
+
+_NOT_VOCAB = "not the vocabulary: a list of strings"
+_NOT_IDS = "not the record ids: a list of strings"
 _MALFORMED_PROFILES = [
-    # (file content, line named by the error)
-    ("", 1),
-    ("not json\n", 1),
-    ('{"a": 1}\n', 1),
-    ('["a", 1]\n', 1),
-    ('"a"\n', 1),
-    ('["a"] ["b"]\n', 1),
-    ('["a", "b"]\n{"r": [0]}\n', 2),
-    ('["a", "b"]\n["r"]\n', 2),
-    ('["a", "b"]\n["r", [0], 1]\n', 2),
-    ('["a", "b"]\n[1, [0]]\n', 2),
-    ('["a", "b"]\n["r", 0]\n', 2),
-    ('["a", "b"]\n["r", [0.0]]\n', 2),
-    ('["a", "b"]\n["r", ["0"]]\n', 2),
-    ('["a", "b"]\n["r", [null]]\n', 2),
-    ('["a", "b"]\n["r", [true]]\n', 2),
-    ('["a", "b"]\n["r", [0, false]]\n', 2),
-    ('["a", "b"]\n["r", [-1]]\n', 2),
-    ('["a", "b"]\n["r", [2]]\n', 2),
-    ('[]\n["r", [0]]\n', 2),
-    ('["a", "b"]\n["r", [1, 0]]\n["s", []]\n["t", [0, 5]]\n', 4),
-    ('\n \n', 1),
+    # (file content, line named by the error, the error after it). Each row-format
+    # case refused before has a column counterpart, in its place; then the faults
+    # only columns can have
+    ("", 1, "the file ends before the vocabulary"),
+    ("not json\n", 1, "not valid JSON (Expecting value: line 1 column 1 (char 0))"),
+    ('{"a": 1}\n', 1, _NOT_VOCAB),
+    ('["a", 1]\n', 1, _NOT_VOCAB),
+    ('"a"\n', 1, _NOT_VOCAB),
+    ('["a"] ["b"]\n', 1, "not valid JSON (Extra data: line 1 column 7 (char 6))"),
+    ('["a", "b"]\n{"r": [0]}\n', 2, _NOT_IDS),
+    # a record without its tags: no count
+    ('["a", "b"]\n["r"]\n[]\n[]\n', 3, "0 tag counts for 1 record ids"),
+    ('["a", "b"]\n["r", [0]]\n', 2, _NOT_IDS),
+    ('["a", "b"]\n[1]\n', 2, _NOT_IDS),
+    ('["a", "b"]\n["r"]\n[1]\n0\n', 4, _not_ints("tag indices")),
+    *((f'["a", "b"]\n["r"]\n[{len(index)}]\n[{", ".join(index)}]\n', 4,
+       f"tag index {shown} of record 'r' is not an integer in [0, 2)")
+      for index, shown in ((["0.0"], "0.0"), (['"0"'], "'0'"), (["null"], "None"),
+                           (["true"], "True"), (["0", "false"], "False"), (["-1"], "-1"),
+                           (["2"], "2"))),
+    ('[]\n["r"]\n[1]\n[0]\n', 4, "tag index 0 of record 'r' is not an integer in [0, 0)"),
+    ('["a", "b"]\n["r", "s", "t"]\n[2, 0, 2]\n[1, 0, 0, 5]\n', 4,
+     "tag index 5 of record 't' is not an integer in [0, 2)"),
+    ("\n \n", 3, "the file ends before the vocabulary"),
+    # the column faults
+    ('["a", "a"]\n', 1, "repeated tag 'a'"),
+    ('["a"]\n["r", "s", "r"]\n', 2, "repeated record_id 'r'"),
+    ('["a"]\n["r", "s"]\n', 3, "the file ends before the tag counts"),
+    ('["a"]\n["r", "s"]\n[0, 1]', 4, "the file ends before the tag indices"),
+    ('["a"]\n["r", "s"]\n{"r": 0}\n', 3, _not_ints("tag counts")),
+    ('["a"]\n["r", "s"]\n[1]\n[0]\n', 3, "1 tag counts for 2 record ids"),
+    ('["a"]\n["r", "s"]\n[1, 0, 0]\n[0]\n', 3, "3 tag counts for 2 record ids"),
+    *((f'["a"]\n["r", "s"]\n[1, {count}]\n[0]\n', 3,
+       f"tag count {shown} of record 's' is not a non-negative integer")
+      for count, shown in (("-1", "-1"), ("true", "True"), ("0.0", "0.0"), ('"0"', "'0'"))),
+    ('["a"]\n["r", "s"]\n[1, 1]\n[0]\n', 4, "1 tag indices for tag counts adding up to 2"),
+    ('["a"]\n["r", "s"]\n[0, 1]\n[0, 0]\n', 4, "2 tag indices for tag counts adding up to 1"),
+    ('["a"]\n["r", "s"]\n[0, 1]\n[0]\n[]\n', 5, "a fifth line; profiles has four"),
+    ('["a"]\n["r", "s"]\n[0, 1]\n[0]\n\n"x"\n', 6, "a fifth line; profiles has four"),
 ]
 
 _PROFILES_READ_BACK = [
     # (file content, the (record_id, tags) it reads back to): a blank line is
     # skipped, and a line padded with whitespace or ending in "\r\n" is read,
-    # as in every other line file
-    ('["a", "b"]\n\n', []),
-    ('\n["a", "b"]\n \n["r", [1, 0]]\n\n', [("r", ["b", "a"])]),
-    (' ["a"] \r\n["r", [0]]\r\n', [("r", ["a"])]),
-]
-
-_NOT_JSON = "not valid JSON (Expecting value: line 1 column 1 (char 0))"
-_PROFILES_ERRORS_CHANGED = [
-    # (file content, the error after the file name, the chunked reader's in
-    # oracles, which took only one canonical JSON value a line and decoded a
-    # chunk of lines before it checked any)
-    ('["a"] ["b"]\n', "line 1: not valid JSON (Extra data: line 1 column 7 (char 6))",
-     "line 1: not one JSON value"),
-    ('["a"]\n["r", [5]]\nnot json\n',
-     "line 2: not [record_id, [tag index, ...]] with every index in [0, 1)",
-     f"line 3: {_NOT_JSON}"),
-    ('["a"]\n\n["r", [0]]\n["r", [0]]\n', "line 4: repeated record_id 'r' (first on line 3)",
-     f"line 2: {_NOT_JSON}"),
+    # as in every other line file; a tag no record holds is kept
+    ('["a", "b"]\n[]\n[]\n[]\n\n', []),
+    ('\n["a", "b"]\n \n["r"]\n[2]\n\n[1, 0]\n', [("r", ["b", "a"])]),
+    (' ["a"] \r\n["r"]\r\n[1]\r\n[0]\r\n', [("r", ["a"])]),
+    ('["a", "b"]\n["r", "s"]\n[0, 3]\n[1, 1, 1]', [("r", []), ("s", ["b", "b", "b"])]),
 ]
 
 _profile_values = st.recursive(
@@ -797,36 +815,65 @@ _profile_values = st.recursive(
 
 @st.composite
 def _profiles_files(draw) -> bytes:
-    """A ``profiles`` file without blank lines: a vocabulary line and up to
-    12 rows whose record ids repeat, at most one line of which is not a
-    well-formed row (or vocabulary): any JSON value, a row with a bad
-    index, a canonical list cut short, text that is not JSON or not UTF-8."""
+    """A ``profiles`` file without blank lines: the four columns of up to 5
+    records, of which at most one is at fault: an item of a column replaced,
+    deleted or added, a line replaced by any JSON value, by a canonical list
+    cut short or by text that is not JSON or not UTF-8, a line dropped or a
+    fifth line added."""
     vocab = draw(st.lists(st.sampled_from(["a", "b", "\u2028", "é", ""]), max_size=4,
                           unique=True))
-    ids = st.sampled_from(["r", "s", "t", "\u2028", "u" * 40])
-    indices = st.lists(st.integers(0, len(vocab) - 1), max_size=4) if vocab else st.just([])
-    lines = [dumps_json(vocab)] + [dumps_json([rid, index_list]) for rid, index_list in
-                                   draw(st.lists(st.tuples(ids, indices), max_size=12))]
-    encoded = [line.encode("utf-8") for line in lines]
-    if draw(st.integers(0, 3)):
-        bad_index = st.sampled_from([-1, len(vocab), True, False, 0.0, "0", None])
-        bad_row = st.tuples(ids, indices, bad_index).map(
-            lambda row: dumps_json([row[0], row[1] + [row[2]]]))
+    ids = draw(st.lists(st.sampled_from(["r", "s", "t", "\u2028", "u" * 40]), max_size=5,
+                        unique=True))
+    indices = st.lists(st.integers(0, len(vocab) - 1), max_size=3) if vocab else st.just([])
+    tag_lists = [draw(indices) for _ in ids]
+    columns = [vocab, ids, list(map(len, tag_lists)), list(chain.from_iterable(tag_lists))]
+    fault = draw(st.sampled_from(["none", "item", "item", "delete", "add", "line", "drop",
+                                  "fifth"]))
+    k = draw(st.integers(0, 3))
+    column = columns[k]
+    bad_item = st.sampled_from([-1, 0, 1, len(vocab), True, False, 0.0, "0", None, "r", "a"])
+    if fault == "item" and column:
+        column[draw(st.integers(0, len(column) - 1))] = draw(bad_item)
+    elif fault == "delete" and column:
+        del column[draw(st.integers(0, len(column) - 1))]
+    elif fault == "add":
+        column.insert(draw(st.integers(0, len(column))), draw(bad_item))
+    lines = [dumps_json(column).encode("utf-8") for column in columns]
+    if fault == "line":
         cut = st.lists(_profile_values, min_size=1).map(dumps_json).flatmap(
-            lambda text: st.integers(1, len(text) - 1).map(lambda k: text[:k]))
-        bad = draw(st.one_of(
-            bad_row, bad_row, _profile_values.map(dumps_json),
-            st.sampled_from(['["r"]', '["r", [0], 1]', '[1, [0]]', '["r", 0]', "not json"]),
-            cut)).encode("utf-8")
-        bad = draw(st.sampled_from([bad, bad, bad, b"\xff" + bad]))
-        encoded[draw(st.integers(0, len(encoded) - 1))] = bad
-    return b"\n".join(encoded) + draw(st.sampled_from([b"\n", b""]))
+            lambda text: st.integers(1, len(text) - 1).map(lambda end: text[:end]))
+        bad = draw(st.one_of(_profile_values.map(dumps_json), cut, st.just("not json")))
+        lines[k] = draw(st.sampled_from([b"", b"\xff"])) + bad.encode("utf-8")
+    elif fault == "drop":
+        del lines[k]
+    elif fault == "fifth":
+        lines.append(draw(_profile_values.map(dumps_json)).encode("utf-8"))
+    return b"\n".join(lines) + draw(st.sampled_from([b"\n", b""]))
+
+
+class _Capture:
+    """A row's ``write``: keeps the text of each artifact, writes no file."""
+
+    def __init__(self):
+        self.texts: dict[str, str] = {}
+
+    def __call__(self, stage: str, content, ext: str) -> Path:
+        self.texts[stage] = content if isinstance(content, str) else "".join(content)
+        return Path(f"{stage}.{ext}")
+
+
+# record ids that sort apart from their input order, so that equal gains break
+# ties by id, and tags that repeat within a record
+_rows = st.lists(st.tuples(
+    st.sampled_from(["r", "r1", "r10", "r2", "R", "", " ", "é", "\u2028", "\x00", "\U0001f600"])
+    | _awkward_text,
+    st.lists(st.sampled_from(["t0", "t1", "t2", "t3", "\"", "é", ""]), max_size=5)),
+    max_size=10, unique_by=lambda row: row[0])
 
 
 class TestProfilesArtifact:
-    """``profiles`` holds the aggregated profiles as a vocabulary line and
-    one ``[record_id, [tag indices]]`` line per record; sample and assess
-    read it instead of ``tags``."""
+    """``profiles`` holds the aggregated profiles as four lines, the columns
+    of :class:`Profiles`; sample and assess read it instead of ``tags``."""
 
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -840,36 +887,72 @@ class TestProfilesArtifact:
         vocab: list[str] = []
         for p in profiles:
             vocab.extend(tag for tag in p.tags if tag not in vocab)
-        expected = [dumps_json(vocab)] + [
-            dumps_json([p.record_id, [vocab.index(tag) for tag in p.tags]]) for p in profiles]
-        text = "".join(cli._profiles_lines(profiles))
+        expected = [dumps_json(vocab), dumps_json([p.record_id for p in profiles]),
+                    dumps_json([len(p.tags) for p in profiles]),
+                    dumps_json([vocab.index(tag) for p in profiles for tag in p.tags])]
+        columns = Profiles.of(profiles)
+        text = "".join(cli._jsonl(columns))
         assert text == "".join(line + "\n" for line in expected)
         path = tmp_path_factory.mktemp("profiles") / "profiles.jsonl"
         path.write_text(text, encoding="utf-8", newline="")
-        assert rows_of(cli.read_profiles(path)) == rows_of(profiles)
+        assert cli.read_profiles(path) == columns
+        assert rows_of(columns) == rows_of(profiles)
 
-    def test_rows_past_the_first_chunk(self, tmp_path):
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @example(rows=[], ratio=0.5, budget=0, coverage=1.0, seed=0)
+    @example(rows=[("r2", ["t0"]), ("r10", ["t1"]), ("r1", ["t0", "t0"]), ("r", [])],
+             ratio=0.5, budget=2, coverage=0.5, seed=3)
+    @given(rows=_rows, ratio=st.floats(0.01, 1), budget=st.integers(0, 12),
+           coverage=st.sampled_from([0.0, 1.0]) | st.floats(0, 1), seed=st.integers(0, 99))
+    def test_same_rows_and_reports_as_the_row_format(self, tmp_path_factory, rows, ratio,
+                                                     budget, coverage, seed):
+        profiles = [tagnorm.TagProfile(rid, tags) for rid, tags in rows]
+        tmp = tmp_path_factory.mktemp("profiles")
+        (tmp / "rows.jsonl").write_text("".join(oracles.profiles_lines_rows(profiles)),
+                                        encoding="utf-8", newline="")
+        (tmp / "columns.jsonl").write_text("".join(cli._jsonl(Profiles.of(profiles))),
+                                           encoding="utf-8", newline="")
+        old = oracles.read_profiles_rows(tmp / "rows.jsonl")
+        new = cli.read_profiles(tmp / "columns.jsonl")
+        assert rows_of(new) == rows_of(old) == rows
+        for spec in (SamplingConfig(mode="budget", budget=budget),
+                     SamplingConfig(mode="ratio", ratio=ratio),
+                     SamplingConfig(mode="coverage", coverage=coverage),
+                     SamplingConfig(mode="random", ratio=ratio, seed=seed)):
+            write = _Capture()
+            cli.sample_stage(new, PipelineConfig(), write, spec)
+            assert write.texts["sample"] == oracles.sample_report_rows(old, spec), spec
+        write = _Capture()
+        cli.assess_stage(new, PipelineConfig(), write)
+        assert write.texts["assess"] == dumps_json(oracles.assess_dataset_rows(old)) + "\n"
+
+    def test_an_index_past_the_vocabulary_names_its_record(self, tmp_path):
         rng = random.Random(7)
         profiles = [tagnorm.TagProfile(f"r{i}", rng.sample("abcdefg", rng.randint(0, 3)))
-                    for i in range(2 * cli.CHUNK + 5)]
+                    for i in range(600)]
+        columns = Profiles.of(profiles)
         path = tmp_path / "profiles.jsonl"
-        path.write_text("".join(cli._profiles_lines(profiles)), encoding="utf-8")
+        path.write_text("".join(cli._jsonl(columns)), encoding="utf-8")
         assert rows_of(cli.read_profiles(path)) == rows_of(profiles)
-        lines = path.read_text(encoding="utf-8").split("\n")
-        lines[cli.CHUNK + 7] = '["r", [-1]]'
-        path.write_text("\n".join(lines), encoding="utf-8")
-        with pytest.raises(cli.IoFailure, match=f", line {cli.CHUNK + 8}: "):
-            cli.read_profiles(path)
-
-    def test_repeated_record_id_past_the_first_chunk(self, tmp_path):
-        profiles = [tagnorm.TagProfile(f"r{i}", ["a"]) for i in range(2 * cli.CHUNK + 5)]
-        profiles[cli.CHUNK + 7].record_id = "r3"  # row k is on line k + 2
-        path = tmp_path / "profiles.jsonl"
-        path.write_text("".join(cli._profiles_lines(profiles)), encoding="utf-8")
+        at = len(columns.indices) // 2
+        owner = next(p.record_id for k, p in enumerate(profiles)
+                     if sum(map(len, (q.tags for q in profiles[:k + 1]))) > at)
+        columns.indices[at] = len(columns.vocab)
+        path.write_text("".join(cli._jsonl(columns)), encoding="utf-8")
         with pytest.raises(cli.IoFailure) as exc:
             cli.read_profiles(path)
-        assert str(exc.value) == (f"{path}, line {cli.CHUNK + 9}: "
-                                  "repeated record_id 'r3' (first on line 5)")
+        assert str(exc.value) == (f"{path}, line 4: tag index 7 of record {owner!r} is not an "
+                                  "integer in [0, 7)")
+
+    def test_repeated_record_id(self, tmp_path):
+        profiles = [tagnorm.TagProfile(f"r{i}", ["a"]) for i in range(600)]
+        profiles[400].record_id = "r3"
+        path = tmp_path / "profiles.jsonl"
+        path.write_text("".join(cli._jsonl(Profiles.of(profiles))), encoding="utf-8")
+        with pytest.raises(cli.IoFailure) as exc:
+            cli.read_profiles(path)
+        assert str(exc.value) == f"{path}, line 2: repeated record_id 'r3'"
 
     def test_reader_equals_the_aggregated_stage_of_tags(self, tmp_path):
         ds = make_dataset(seed=11, n_pages=6, records_per_page=3)
@@ -883,44 +966,39 @@ class TestProfilesArtifact:
         profiles = cli.read_profiles(cli._read_stage(out, "profiles"))
         assert rows_of(profiles) == rows_of(from_tags)
 
-    @pytest.mark.parametrize("content, line_no", _MALFORMED_PROFILES)
-    def test_malformed_file_is_an_io_failure_naming_the_line(self, tmp_path, content, line_no):
+    @pytest.mark.parametrize("content, line_no, reason", _MALFORMED_PROFILES)
+    def test_malformed_file_is_an_io_failure_naming_the_line(self, tmp_path, content, line_no,
+                                                             reason):
         path = tmp_path / "profiles-x.jsonl"
         path.write_text(content, encoding="utf-8", newline="")
-        with pytest.raises(cli.IoFailure, match=f"^{re.escape(str(path))}, line {line_no}: "):
+        with pytest.raises(MalformedLine) as exc:
             cli.read_profiles(path)
+        assert (str(exc.value), exc.value.line_no) == (f"{path}, line {line_no}: {reason}",
+                                                       line_no)
 
     @pytest.mark.parametrize("content, rows", _PROFILES_READ_BACK)
     def test_blank_and_padded_lines_read_back(self, tmp_path, content, rows):
         path = tmp_path / "profiles-x.jsonl"
         path.write_text(content, encoding="utf-8", newline="")
-        assert [(p.record_id, p.tags) for p in cli.read_profiles(path)] == rows
-
-    @pytest.mark.parametrize("content, reason, chunked_reason", _PROFILES_ERRORS_CHANGED)
-    def test_errors_that_differ_from_the_chunked_reader(self, tmp_path, content, reason,
-                                                        chunked_reason):
-        path = tmp_path / "profiles-x.jsonl"
-        path.write_text(content, encoding="utf-8", newline="")
-        for read, expected in ((cli.read_profiles, reason),
-                               (oracles.read_profiles, chunked_reason)):
-            with pytest.raises(MalformedLine) as exc:
-                read(path)
-            assert str(exc.value) == f"{path}, {expected}"
+        assert rows_of(cli.read_profiles(path)) == rows
 
     @settings(max_examples=400, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(content=_profiles_files())
-    def test_same_profiles_or_error_as_the_chunked_reader(self, tmp_path_factory, content):
+    def test_reads_exactly_the_files_whose_columns_fit(self, tmp_path_factory, content):
         path = tmp_path_factory.mktemp("profiles") / "profiles-x.jsonl"
         path.write_bytes(content)
+        lines = content.split(b"\n")
         try:
-            expected = rows_of(oracles.read_profiles(path))
-        except MalformedLine as exc:
-            with pytest.raises(MalformedLine) as got:
-                cli.read_profiles(path)
-            assert (str(got.value), got.value.line_no) == (str(exc), exc.line_no)
-        else:
-            assert rows_of(cli.read_profiles(path)) == expected
+            values = [json.loads(line.decode("utf-8")) for line in lines if line.strip()]
+        except ValueError:  # a line that is not UTF-8 or not JSON
+            values = None
+        if values is not None and oracles.profiles_columns_fit(values):
+            assert cli.read_profiles(path) == Profiles(*values)
+            return
+        with pytest.raises(MalformedLine) as exc:
+            cli.read_profiles(path)
+        assert 1 <= exc.value.line_no <= len(lines) + 1
 
 
 # input annotation keys: before, between and after "process" and
@@ -1063,7 +1141,37 @@ class _StubSession:
         content = ("no code fence" if self.unparsed in prompt
                    else procgen.MockBackend().complete(prompt))
         reply = {"choices": [{"message": {"content": content}}]}
-        return type("Reply", (), {"status_code": 200, "json": lambda self: reply})()
+        return type("Reply", (), {"status_code": 200,
+                                  "content": dumps_json(reply).encode("utf-8")})()
+
+
+class _DeepReplySession:
+    """A requests session whose every POST answers 200 with lists nested
+    100000 deep, past the decoder's recursion limit."""
+
+    def post(self, url, json, headers, timeout):
+        return type("Reply", (), {"status_code": 200,
+                                  "content": b"[" * 100_000 + b"]" * 100_000})()
+
+
+@pytest.mark.parametrize("command, what", [
+    (["generate", "--backend", "remote", "--max-inflight", "1", "--cache-dir"], "backend"),
+    (["tag", "--stage", "normalize", "--embedder", "remote", "--embed-cache-dir"],
+     "embedding")])
+def test_a_reply_nested_too_deep_is_an_unexpected_response(demo_dataset, tmp_path, monkeypatch,
+                                                           capsys, command, what):
+    import requests
+
+    out = tmp_path / "out"
+    assert run(["pipeline", "--backend", "mock"] + _base_args(demo_dataset, out)) == 0
+    monkeypatch.setenv("PROCTAG_BACKEND_URL", "http://stub/chat")
+    monkeypatch.setenv("PROCTAG_EMBED_URL", "http://stub/embed")
+    monkeypatch.setattr(requests, "Session", _DeepReplySession)
+    capsys.readouterr()
+    assert run(command + [str(tmp_path / "cache")] + _base_args(demo_dataset, out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert f"unexpected {what} response: maximum recursion depth exceeded" in err
 
 
 def test_remote_generate_counts_each_outcome_once(tmp_path, monkeypatch):

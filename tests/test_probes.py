@@ -145,26 +145,34 @@ def _not_utf8(target: str) -> Callable[[dict[str, Any]], None]:
     return mutate
 
 
-def _index_past_vocab(n):
-    path = n["path"] = n["art"]["profiles"]
-    lines = _lines(path)
-    n["n_tags"] = len(json.loads(lines[0]))
-    lines[3] = dumps_json(["r", [n["n_tags"]]])
-    _put(path, lines)
+def _edit_profiles(edit: Callable[[list[list]], None]) -> Callable[[dict[str, Any]], None]:
+    """Edit the four columns of profiles (``{path}``) in place, as ``edit``
+    does; before that, ``{n_tags}``, ``{n_ids}`` and ``{n_indices}`` name
+    the length of the vocabulary, record ids and tag indices, ``{tagged}``
+    the first record with a tag and ``{second}`` the second record; after
+    it, ``{n_counts}`` and ``{total}`` the number and sum of the counts."""
+    def mutate(n):
+        path = n["path"] = n["art"]["profiles"]
+        columns = [json.loads(line) for line in _lines(path)[:4]]
+        vocab, ids, counts, indices = columns
+        n.update(n_tags=len(vocab), n_ids=len(ids), n_indices=len(indices), second=ids[1],
+                 tagged=next(rid for rid, count in zip(ids, counts) if count))
+        edit(columns)
+        n.update(n_counts=len(columns[2]), total=sum(columns[2]))
+        path.write_text("".join(dumps_json(column) + "\n" for column in columns),
+                        encoding="utf-8")
+    return mutate
 
 
 def _repeat_first_line(stage: str, key: str) -> Callable[[dict[str, Any]], None]:
-    """Append line ``{first}`` of the artifact again, as line ``{line}``;
-    line 1 of profiles is the vocabulary."""
+    """Append line ``{first}`` of the artifact again, as line ``{line}``."""
     def mutate(n):
         path = n["path"] = n["art"][stage]
         text = path.read_text(encoding="utf-8")
         lines = text.split("\n")[:-1]
-        first = 1 if stage == "profiles" else 0
-        value = json.loads(lines[first])
-        n["repeated"] = value[0] if stage == "profiles" else value[key]
-        n["first"], n["line"] = first + 1, len(lines) + 1
-        path.write_text(text + lines[first] + "\n", encoding="utf-8")
+        n["repeated"] = json.loads(lines[0])[key]
+        n["first"], n["line"] = 1, len(lines) + 1
+        path.write_text(text + lines[0] + "\n", encoding="utf-8")
     return mutate
 
 
@@ -441,17 +449,30 @@ PROBES = [
                            ("pred", "eval anls --pred {root}/pred.jsonl --gold {records}"),
                            ("tags_raw", "tag --stage normalize " + ARGS),
                            ("profiles", "assess " + ARGS))),
-    *(Probe(f"profiles-index-past-vocab-{command}", f"{command} " + ARGS,
-            "{path}, line 4: not [record_id, [tag index, ...]] with every index in [0, {n_tags})",
-            _index_past_vocab)
-      for command in ("sample", "assess")),
+    # profiles: the four columns, each checked whole and against the ones before
+    *(Probe(f"profiles-{name}-{command}", f"{command} " + ARGS, "{path}, " + err,
+            _edit_profiles(edit))
+      for command in ("sample", "assess")
+      for name, err, edit in (
+          ("index-past-vocab", "line 4: tag index {n_tags} of record {tagged!r} is not an "
+           "integer in [0, {n_tags})", lambda c: c[3].__setitem__(0, len(c[0]))),
+          ("index-a-bool", "line 4: tag index True of record {tagged!r} is not an integer in "
+           "[0, {n_tags})", lambda c: c[3].__setitem__(0, True)),
+          ("counts-not-adding-up", "line 4: {n_indices} tag indices for tag counts adding up "
+           "to {total}", lambda c: c[2].__setitem__(0, c[2][0] + 1)),
+          ("fewer-counts-than-ids", "line 3: {n_counts} tag counts for {n_ids} record ids",
+           lambda c: c[2].pop()),
+          ("negative-count", "line 3: tag count -1 of record {second!r} is not a non-negative "
+           "integer", lambda c: c[2].__setitem__(1, -1)),
+          ("repeated-record-id", "line 2: repeated record_id {second!r}",
+           lambda c: c[1].__setitem__(2, c[1][1])),
+          ("fifth-line", "line 5: a fifth line; profiles has four", lambda c: c.append([])))),
     *(Probe(f"repeated-{key}-{stage}", f"{argv} " + ARGS,
             f"{{path}}, line {{line}}: repeated {key} {{repeated!r}} (first on line {{first}})",
             _repeat_first_line(stage, key))
       for stage, argv, key in (("render", "generate", "page_id"),
                                ("generate", "tag --stage extract", "record_id"),
-                               ("tags_raw", "tag --stage normalize", "record_id"),
-                               ("profiles", "assess", "record_id"))),
+                               ("tags_raw", "tag --stage normalize", "record_id"))),
     *(Probe(f"malformed-{stage}-{name}", f"{_ARTIFACT_READERS[stage]} " + ARGS,
             "{path}, line 2: " + reason,
             _malformed_line(stage, keys, value))

@@ -60,8 +60,9 @@ READERS: dict[str, tuple[str, str | None, Callable[[Path, Path], Any]]] = {
         _golds(root / "data" / "records.jsonl"))),
 }
 # (reader, line): line 2 of each file, the discarded record at the end of
-# generate, and the vocabulary line of profiles
-TARGETS = [*((reader, 2) for reader in READERS), ("generate", 7), ("profiles", 1)]
+# generate, and the other three lines of profiles, one column each
+TARGETS = [*((reader, 2) for reader in READERS), ("generate", 7),
+           *(("profiles", line_no) for line_no in (1, 3, 4))]
 
 
 def _config(root: Path) -> PipelineConfig:
@@ -151,15 +152,16 @@ def _write(root: Path, reader: str, line_no: int, path: tuple, new: Any) -> Path
 
 def _outcome(root: Path, reader: str, line_no: int, file: Path) -> MalformedLine | None:
     """None if the file reads, or the MalformedLine it raised, which must
-    name the file and the mutated line, or for a mutated vocabulary a later
-    line whose index it no longer holds."""
+    name the file and the mutated line or, for a column of profiles, a later
+    column that no longer fits it: an index past a shortened vocabulary, a
+    count per record id, indices adding up to the counts."""
     try:
         READERS[reader][2](file, root)
     except MalformedLine as exc:
         prefix, _, _ = str(exc).partition(": ")
         at = int(prefix.rpartition(", line ")[2])
         assert prefix == f"{file}, line {at}"
-        assert at == line_no or reader == "profiles" and line_no == 1 < at, exc
+        assert at == line_no or reader == "profiles" and line_no < at, exc
         return exc
     return None
 
