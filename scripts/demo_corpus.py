@@ -1,12 +1,20 @@
-"""Synthetic corpus generation: seeded random pages and instruction records
-for demos, offline pipeline runs, and stress tests."""
+"""Synthetic corpus generation and the dataset writer: seeded random pages and
+instruction records for the demo and the tests, written as the record file
+and page files that ``proctag.ingest`` reads.
+
+No command runs this module; ``make_demo_dataset.py`` imports it as a sibling
+module, and the tests through a ``sys.path`` entry in ``tests/conftest.py``.
+"""
 
 from __future__ import annotations
 
 import random
+from pathlib import Path
+from typing import Any
 
-from .ingest import (BoundingBox, Dataset, DocumentPage, InstructionRecord,
-                     LayoutRegion, OcrToken)
+from proctag.ingest import (_SAFE_PAGE_ID, BoundingBox, Dataset, DocumentPage,
+                            InstructionRecord, IoFailure, LayoutRegion, OcrToken,
+                            _resolve_paths, atomic_write_text, dumps_json)
 
 REGION_KINDS = ("title", "paragraph", "table", "list", "header", "footer", "figure")
 
@@ -102,3 +110,62 @@ def make_dataset(seed: int, n_pages: int, records_per_page: int) -> Dataset:
             ))
             idx += 1
     return Dataset(records=records, pages=pages)
+
+
+# ---------------------------------------------------------------------------
+# the writer
+
+
+def _page_to_dict(page: DocumentPage) -> dict[str, Any]:
+    out: dict[str, Any] = {
+        "page_id": page.page_id,
+        "width": page.width,
+        "height": page.height,
+        "tokens": [
+            {"text": t.text, "bbox": t.bbox.as_list(),
+             **({"confidence": t.confidence} if t.confidence is not None else {})}
+            for t in page.tokens
+        ],
+        "regions": [
+            {"kind": r.kind, "bbox": r.bbox.as_list(),
+             **({"score": r.score} if r.score is not None else {})}
+            for r in page.regions
+        ],
+    }
+    if page.image_ref is not None:
+        out["image_ref"] = page.image_ref
+    if page.meta:
+        out["meta"] = page.meta
+    return out
+
+
+def record_to_dict(rec: InstructionRecord) -> dict[str, Any]:
+    out: dict[str, Any] = {
+        "record_id": rec.record_id,
+        "page_id": rec.page_id,
+        "question": rec.question,
+        "answers": rec.answers,
+    }
+    if rec.annotations:
+        out["annotations"] = rec.annotations
+    return out
+
+
+def write_page(page: DocumentPage, path: Path | str) -> None:
+    atomic_write_text(Path(path), dumps_json(_page_to_dict(page)) + "\n")
+
+
+def write_dataset(dataset: Dataset, path: Path | str, pages_dir: Path | str | None = None) -> None:
+    """Write records and page files so that a reload compares equal."""
+    records_path, pages_root = _resolve_paths(path, pages_dir)
+    try:
+        records_path.parent.mkdir(parents=True, exist_ok=True)
+        pages_root.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise IoFailure(f"cannot create dataset directories: {exc}") from exc
+    lines = [dumps_json(record_to_dict(r)) for r in dataset.records]
+    atomic_write_text(records_path, "\n".join(lines) + ("\n" if lines else ""))
+    for page in dataset.pages.values():
+        if not _SAFE_PAGE_ID.fullmatch(page.page_id):
+            raise IoFailure(f"page_id {page.page_id!r} is not filesystem-safe")
+        write_page(page, pages_root / f"{page.page_id}.json")

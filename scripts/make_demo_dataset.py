@@ -4,17 +4,16 @@
 import argparse
 from pathlib import Path
 
-from proctag.ingest import write_dataset
-from proctag.synth import make_dataset
+from demo_corpus import make_dataset, write_dataset
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="demo_data", help="output directory")
     ap.add_argument("--seed", type=int, default=7)
     ap.add_argument("--pages", type=int, default=40)
     ap.add_argument("--records-per-page", type=int, default=5)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     ds = make_dataset(seed=args.seed, n_pages=args.pages,
                       records_per_page=args.records_per_page)

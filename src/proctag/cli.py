@@ -48,6 +48,7 @@ import gc
 import hashlib
 import math
 import os
+import re
 import sys
 import threading
 from bisect import bisect_right
@@ -71,6 +72,11 @@ from .render import (PLAINTEXT, SPATIAL, DocumentRepresentation,
                      render_doclayprompt, render_plaintext, render_spatial)
 
 MANIFEST = "manifest.json"
+
+# "<stage>/<name>" of a manifest entry whose name is one _row_writer gives:
+# the stage, the first twelve hex digits of the SHA-256 of the artifact's
+# bytes, and its extension
+_ENTRY = re.compile(r"(\w+)/\1-[0-9a-f]{12}\.jsonl?")
 
 # items per task of _chunk_map: enough that a task's results cross the
 # process boundary as one sizeable pickle, few enough that every worker
@@ -163,13 +169,13 @@ def _read_stage(output_dir: Path, stage: str) -> Path:
 
 def _manifest(path: Path) -> dict[str, str]:
     """The stage -> artifact name index in a manifest file. Any other
-    content, or a name that is not a bare file name (empty, ``.``, ``..``
-    or holding a path separator, so naming a file in another directory), is
-    an :class:`IoFailure` naming the file."""
+    content, or a name other than ``<stage>-<12 lowercase hex>.json`` or
+    ``.jsonl`` (so never a file in another directory, nor another stage's),
+    is an :class:`IoFailure` naming the file."""
     manifest = read_json(path, "manifest")
     if type(manifest) is not dict or not all(
-            type(name) is str and name not in ("", ".", "..") and os.sep not in name
-            for name in manifest.values()):
+            type(name) is str and _ENTRY.fullmatch(f"{stage}/{name}")
+            for stage, name in manifest.items()):
         raise IoFailure(f"manifest {path} is not an object of artifact names")
     return manifest
 

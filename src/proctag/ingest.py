@@ -1,4 +1,4 @@
-"""Dataset and page persistence: line-delimited records with sidecar page files.
+"""Reading datasets and pages: line-delimited records with sidecar page files.
 
 A dataset is a UTF-8 JSONL file with one instruction record per line, plus a
 pages directory holding one JSON file per referenced page
@@ -190,29 +190,6 @@ def _page_from_dict(obj: Any, ctx: str) -> tuple[DocumentPage, int]:
             clamped_tokens + clamped_regions)
 
 
-def _page_to_dict(page: DocumentPage) -> dict[str, Any]:
-    out: dict[str, Any] = {
-        "page_id": page.page_id,
-        "width": page.width,
-        "height": page.height,
-        "tokens": [
-            {"text": t.text, "bbox": t.bbox.as_list(),
-             **({"confidence": t.confidence} if t.confidence is not None else {})}
-            for t in page.tokens
-        ],
-        "regions": [
-            {"kind": r.kind, "bbox": r.bbox.as_list(),
-             **({"score": r.score} if r.score is not None else {})}
-            for r in page.regions
-        ],
-    }
-    if page.image_ref is not None:
-        out["image_ref"] = page.image_ref
-    if page.meta:
-        out["meta"] = page.meta
-    return out
-
-
 def invalid(field: str) -> ValueError:
     """How a row function of :func:`read_jsonl` refuses a line whose ``field``,
     a dotted path such as ``steps[0].index``, is missing or has the wrong type."""
@@ -273,18 +250,6 @@ def _record_from_dict(obj: dict[str, Any]) -> InstructionRecord:
     if not isinstance(annotations, dict) or annotations and _too_deep(annotations):
         raise invalid("annotations")
     return InstructionRecord(record_id, page_id, question, list(answers), annotations)
-
-
-def record_to_dict(rec: InstructionRecord) -> dict[str, Any]:
-    out: dict[str, Any] = {
-        "record_id": rec.record_id,
-        "page_id": rec.page_id,
-        "question": rec.question,
-        "answers": rec.answers,
-    }
-    if rec.annotations:
-        out["annotations"] = rec.annotations
-    return out
 
 
 def dumps_json(obj: Any) -> str:
@@ -450,6 +415,9 @@ def load_records(path: Path | str, pages_dir: Path | str | None = None,
     return records, page_files
 
 
+# no command calls load_dataset: outside the tests its one caller is
+# perfbench/workloads.py's setup_replay, and it goes once ROADMAP item 2 moves
+# that to read_records
 def load_dataset(path: Path | str, pages_dir: Path | str | None = None) -> Dataset:
     """Load records (order preserved) and every page they reference."""
     records, page_files = load_records(path, pages_dir)
@@ -488,23 +456,3 @@ def atomic_write_text(path: Path, text: str | Iterable[str],
             raise IoFailure(f"cannot write {path}: {exc}") from exc
         raise
     return path
-
-
-def write_page(page: DocumentPage, path: Path | str) -> None:
-    atomic_write_text(Path(path), dumps_json(_page_to_dict(page)) + "\n")
-
-
-def write_dataset(dataset: Dataset, path: Path | str, pages_dir: Path | str | None = None) -> None:
-    """Write records and page files so that a reload compares equal."""
-    records_path, pages_root = _resolve_paths(path, pages_dir)
-    try:
-        records_path.parent.mkdir(parents=True, exist_ok=True)
-        pages_root.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise IoFailure(f"cannot create dataset directories: {exc}") from exc
-    lines = [dumps_json(record_to_dict(r)) for r in dataset.records]
-    atomic_write_text(records_path, "\n".join(lines) + ("\n" if lines else ""))
-    for page in dataset.pages.values():
-        if not _SAFE_PAGE_ID.fullmatch(page.page_id):
-            raise IoFailure(f"page_id {page.page_id!r} is not filesystem-safe")
-        write_page(page, pages_root / f"{page.page_id}.json")

@@ -4,6 +4,7 @@ import dataclasses
 import random
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 import yaml
@@ -12,6 +13,10 @@ from hypothesis import strategies as st
 from proctag import cli
 from proctag.ingest import (BoundingBox, Dataset, DocumentPage,
                             InstructionRecord, LayoutRegion, OcrToken)
+
+# the synthetic corpus and the dataset writer (demo_corpus) live beside the
+# demo scripts, outside the package
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
 
 PAGE_W = 1000.0
 PAGE_H = 1400.0

@@ -23,13 +23,13 @@ from typing import TYPE_CHECKING, Any, Iterable, Iterator
 import numpy as np
 
 from conftest import write_stage
+from demo_corpus import record_to_dict
 from proctag import procgen, tagnorm, tagparse
 from proctag.cli import _jsonl
 from proctag.config import PipelineConfig
 from proctag.errors import ProcTagError
 from proctag.ingest import (BoundingBox, DocumentPage, IoFailure, LayoutRegion, MalformedLine,
-                            OcrToken, atomic_write_text, dumps_json, read_jsonl, read_lines,
-                            record_to_dict)
+                            OcrToken, atomic_write_text, dumps_json, read_jsonl, read_lines)
 from proctag.procgen import BackendError, GenerationBackend
 from proctag.tagnorm import (DEFAULT_DBSCAN_EPS, DEFAULT_DBSCAN_MIN_PTS, DEFAULT_MIN_CONFIDENCE,
                              DEFAULT_MIN_SUPPORT, AdjacentPairStat, ClusterAssignment,

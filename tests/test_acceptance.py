@@ -15,16 +15,15 @@ import numpy as np
 
 import oracles
 from conftest import mkpage, mkreg, mktok, random_box
+from demo_corpus import make_dataset, random_page, write_dataset
 from proctag.assess import Profiles, sample, tag_coverage
 from proctag.cli import run
 from proctag.config import SamplingConfig
-from proctag.ingest import write_dataset
 from proctag.layout import associate, clean_inputs, nms, reading_order
 from proctag.metrics import Prediction, anls, cohen_kappa
 from proctag.procgen import Discarded, GenerationLedger, generate_all
 from proctag.render import (render_doclayprompt, render_plaintext,
                             render_spatial)
-from proctag.synth import make_dataset, random_page
 from proctag.tagnorm import (HashingEmbedder, TagProfile, dbscan,
                              frequency_filter, normalize_corpus,
                              tag_frequencies)

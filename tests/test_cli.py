@@ -29,6 +29,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import nested_annotations, write_config, write_stage
+from demo_corpus import make_dataset, write_dataset
 from proctag import cli, procgen, store, tagnorm, tagparse
 from proctag.assess import Profiles
 from proctag.cli import run
@@ -36,9 +37,8 @@ from proctag.config import (ConfigError, PipelineConfig, SamplingConfig, config_
                             load_config)
 from proctag.errors import ProcTagError
 from proctag.ingest import (MAX_NESTING, InstructionRecord, MalformedLine, decode, dumps_json,
-                            load_dataset, read_json, read_jsonl, unencodable, write_dataset)
+                            load_dataset, read_json, read_jsonl, unencodable)
 from proctag.render import DocumentRepresentation, render_plaintext
-from proctag.synth import make_dataset
 from test_procgen import ScriptedBackend
 
 
@@ -162,7 +162,7 @@ class TestStages:
 
         def write(stage):
             try:
-                write_stage(tmp_path, stage, f"{stage}\n", "txt")
+                write_stage(tmp_path, stage, f"{stage}\n", "json")
             except Exception as exc:
                 errors.append(exc)
 
@@ -386,7 +386,7 @@ class TestRowCommit:
                 with cli._row_writer(out) as write:
                     a_started.set()
                     assert b_wrote.wait(30)
-                    write("a", "same\n", "txt")
+                    write("a", "same\n", "json")
                     raise RuntimeError("row A fails")
             except Exception as exc:
                 errors["a"] = exc
@@ -397,7 +397,7 @@ class TestRowCommit:
             try:
                 assert a_started.wait(30)
                 with cli._row_writer(out) as write:
-                    written.append(write("a", "same\n", "txt"))
+                    written.append(write("a", "same\n", "json"))
                     b_wrote.set()
                     assert a_done.wait(30)
             except Exception as exc:

@@ -13,13 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (PAGE_H, PAGE_W, dataset_st, mkbox, mkpage, mkreg, mktok,
-                      nested_annotations, run_together)
+from conftest import (PAGE_H, PAGE_W, mkbox, mkpage, mkreg, mktok, nested_annotations,
+                      run_together)
+from demo_corpus import _page_to_dict, write_page
 from oracles import clamp_page_reference, page_from_dict_passes
-from proctag.ingest import (MAX_NESTING, Dataset, InstructionRecord, IoFailure,
-                            MalformedLine, MissingPage, _page_from_dict, _page_to_dict,
-                            atomic_write_text, load_dataset, load_page, load_records,
-                            read_records, write_dataset, write_page)
+from proctag.ingest import (MAX_NESTING, IoFailure, MalformedLine, MissingPage,
+                            _page_from_dict, atomic_write_text, load_dataset, load_page,
+                            load_records, read_records)
 
 
 def _write_min_dataset(tmp_path, lines):
@@ -275,45 +275,6 @@ class TestLoadDataset:
         assert loaded.tokens[0].bbox.x1 == 1000.0
         assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] == [
             ("proctag.ingest", "WARNING", "page p1: clamped 1 out-of-bounds boxes")]
-
-
-class TestWriteDataset:
-    def test_round_trip_small(self, tmp_path):
-        ds = Dataset(
-            records=[InstructionRecord("r1", "p1", "What total?", ["12", "12.0"])],
-            pages={"p1": mkpage("p1", tokens=[mktok("total", 5, 5, 55, 20)],
-                                regions=[mkreg("table", 0, 0, 300, 200, score=0.5)])})
-        write_dataset(ds, tmp_path / "records.jsonl")
-        assert load_dataset(tmp_path / "records.jsonl") == ds
-
-    def test_annotations_preserved(self, tmp_path):
-        ann = {"process": {"steps": [{"fn": "find_table"}], "attempts": 2},
-               "tags": {"raw": ["find_table"]}}
-        ds = Dataset(records=[InstructionRecord("r1", "p1", "q", ["a"], annotations=ann)],
-                     pages={"p1": mkpage("p1")})
-        write_dataset(ds, tmp_path / "records.jsonl")
-        reloaded = load_dataset(tmp_path / "records.jsonl")
-        assert reloaded.records[0].annotations == ann
-
-    def test_unwritable_path(self, tmp_path):
-        blocker = tmp_path / "blocker"
-        blocker.write_text("file, not a dir", encoding="utf-8")
-        ds = Dataset(records=[], pages={})
-        with pytest.raises(IoFailure):
-            write_dataset(ds, blocker / "sub" / "records.jsonl")
-
-    def test_hostile_page_id_rejected(self, tmp_path):
-        for page_id in ("../escape", "p1\n"):
-            ds = Dataset(records=[], pages={page_id: mkpage(page_id)})
-            with pytest.raises(IoFailure, match="filesystem-safe"):
-                write_dataset(ds, tmp_path / "records.jsonl")
-
-    @settings(max_examples=40, deadline=None)
-    @given(ds=dataset_st())
-    def test_round_trip_property(self, tmp_path_factory, ds):
-        root = tmp_path_factory.mktemp("roundtrip")
-        write_dataset(ds, root / "records.jsonl")
-        assert load_dataset(root / "records.jsonl") == ds
 
 
 class TestClamp:

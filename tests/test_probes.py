@@ -40,9 +40,9 @@ from typing import Any, Callable
 import pytest
 
 from conftest import nested_annotations
+from demo_corpus import make_dataset, write_dataset
 from proctag import cli, tagnorm
-from proctag.ingest import MAX_NESTING, dumps_json, write_dataset
-from proctag.synth import make_dataset
+from proctag.ingest import MAX_NESTING, dumps_json
 from test_cli import _cpus, _fill_mock_cache
 
 ARGS = "--dataset {records} --out {out}"
@@ -121,6 +121,17 @@ def _other_profiles(name: str) -> Callable[[dict[str, Any]], None]:
         other = shutil.copytree(n["out"], n["root"] / "other")
         _edit_manifest(n, profiles=name.replace("profiles", n["art"]["profiles"].name)
                        .format(other=other))
+    return mutate
+
+
+def _profiles_as(name: Callable[[dict[str, Path]], str]) -> Callable[[dict[str, Any]], None]:
+    """Point the profiles entry at ``name(artifacts)``, a file of the output
+    directory: a copy of the profiles artifact unless the name is taken."""
+    def mutate(n):
+        path = n["out"] / name(n["art"])
+        if not path.exists():
+            shutil.copyfile(n["art"]["profiles"], path)
+        _edit_manifest(n, profiles=path.name)
     return mutate
 
 
@@ -435,6 +446,17 @@ PROBES = [
             "manifest {manifest} is not an object of artifact names", _other_profiles(name))
       for command in ("sample", "assess")
       for name in ("", ".", "..", "{other}/profiles", "../other/profiles", "sub/profiles")),
+    # a file of the output directory, but not under the name the profiles
+    # artifact is written as: <stage>-<12 lowercase hex digits>.json or .jsonl
+    *(Probe(f"manifest-profiles-{name}-{command}", f"{command} " + ARGS,
+            "manifest {manifest} is not an object of artifact names", _profiles_as(rename))
+      for command in ("sample", "assess")
+      for name, rename in (
+          ("copy-as-profiles.jsonl", lambda art: "profiles.jsonl"),
+          ("the-vocab-artifact", lambda art: art["vocab"].name),
+          ("copy-digest-not-hex", lambda art: "profiles-0123456789xy.jsonl"),
+          ("copy-digest-upper-case", lambda art: art["profiles"].name.replace(
+              art["profiles"].stem[-12:], art["profiles"].stem[-12:].upper())))),
     *(Probe(f"run-first-{row.name}",
             ("tag --stage " if row.name in ("extract", "normalize") else "")
             + f"{row.name} " + ARGS,

@@ -27,12 +27,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from demo_corpus import make_dataset, write_dataset
 from proctag import cli, procgen
 from proctag.config import PipelineConfig
 from proctag.ingest import (IoFailure, MalformedLine, dumps_json, load_page, read_jsonl,
-                            read_records, write_dataset)
+                            read_records)
 from proctag.render import DocumentRepresentation
-from proctag.synth import make_dataset
 
 # deletes the key or list item instead of setting it
 DELETE = object()

@@ -3,11 +3,11 @@ from __future__ import annotations
 from collections import Counter
 
 from conftest import mkpage, mkreg, mktok, random_box
+from demo_corpus import random_page
 from proctag.layout import associate, clean_inputs
 from proctag.render import (FALLBACK_COLUMNS, TRUNCATION_MARKER, estimate_char_cell,
                             render_doclayprompt, render_plaintext,
                             render_spatial)
-from proctag.synth import random_page
 
 
 def _rendered_token_multiset(text: str, kinds=()) -> Counter:
